@@ -1,0 +1,219 @@
+package repro
+
+// Golden digests: checked-in checkpoint fingerprints and discovery hashes
+// for a fixed seed matrix. Byte-identity between a fast path and the slow
+// path it replaced only says the two agree with each other; this file says
+// what they must agree on, so a refactor that changes float operation order
+// anywhere in scoring or training fails here even when every path moved
+// together. testdata/golden_digests.txt is regenerated only on purpose
+// (go test -run TestGoldenDigests -update-golden .), and its diff is reviewed
+// like code.
+
+import (
+	"bufio"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kg"
+	"repro/internal/kge"
+	"repro/internal/synth"
+	"repro/internal/train"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.txt from the current code")
+
+const goldenPath = "testdata/golden_digests.txt"
+
+func goldenDataset(t *testing.T) *kg.Dataset {
+	t.Helper()
+	ds, err := synth.Generate(synth.Config{
+		Name:         "golden",
+		NumEntities:  150,
+		NumRelations: 4,
+		NumTriples:   900,
+		NumTypes:     4,
+		EntityZipf:   1.0,
+		RelationZipf: 0.8,
+		ClosureProb:  0.2,
+		NoiseProb:    0.05,
+		ValidFrac:    0.05,
+		TestFrac:     0.05,
+		Seed:         41,
+	})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	return ds
+}
+
+// goldenTrain trains a fresh model for two epochs. BatchSize 48 gives three
+// gradient chunks per batch, so the worker count has something to permute.
+func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll, scalar bool, workers int) kge.Trainable {
+	t.Helper()
+	cfg := kge.Config{
+		NumEntities:  ds.Train.Entities.Len(),
+		NumRelations: ds.Train.Relations.Len(),
+		Dim:          8,
+		Seed:         3,
+	}
+	if name == "transe_l2" {
+		name, cfg.Norm = "transe", 2
+	}
+	m, err := kge.New(name, cfg)
+	if err != nil {
+		t.Fatalf("new %s: %v", name, err)
+	}
+	tcfg := train.Config{
+		Epochs: 2, BatchSize: 48, NegSamples: 4, Workers: workers, Seed: 9,
+		ScalarKernels: scalar,
+	}
+	ctx := context.Background()
+	if kvsAll {
+		_, err = train.RunKvsAll(ctx, m, ds, tcfg, 0.1)
+	} else {
+		_, err = train.Run(ctx, m, ds, tcfg)
+	}
+	if err != nil {
+		t.Fatalf("train %s: %v", name, err)
+	}
+	return m
+}
+
+// factsDigest hashes the discovered facts (triple and rank) in sorted order.
+func factsDigest(facts []core.Fact) string {
+	lines := make([]string, len(facts))
+	for i, f := range facts {
+		lines[i] = fmt.Sprintf("%08d %08d %08d %d", f.Triple.R, f.Triple.S, f.Triple.O, f.Rank)
+	}
+	sort.Strings(lines)
+	h := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	return fmt.Sprintf("%s n=%d", hex.EncodeToString(h[:]), len(facts))
+}
+
+func TestGoldenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are pinned on amd64: other ports fuse multiply-adds, which changes float bits")
+	}
+	ds := goldenDataset(t)
+	got := map[string]string{}
+	// The six models plus TransE's squared-L2 variant, which takes the other
+	// distance kernel.
+	models := append(kge.ModelNames(), "transe_l2")
+
+	// (a) Checkpoint fingerprints: models x objective x kernels x workers.
+	for _, name := range models {
+		for _, obj := range []string{"negsample", "kvsall"} {
+			for _, kern := range []string{"batched", "scalar"} {
+				for _, workers := range []int{1, 4} {
+					m := goldenTrain(t, ds, name, obj == "kvsall", kern == "scalar", workers)
+					key := fmt.Sprintf("checkpoint/%s/%s/%s/w%d", name, obj, kern, workers)
+					got[key] = kge.Fingerprint(m)
+				}
+			}
+		}
+	}
+
+	// (b) Discovery: models x protocol x ranking path, on the batched
+	// negative-sampling checkpoint. TopN is far below |E| so exact pruning
+	// searches instead of falling back to the dense sweep.
+	paths := []struct {
+		name string
+		set  func(*core.Options)
+	}{
+		{"batched", func(*core.Options) {}},
+		{"pergroup", func(o *core.Options) { o.DisableBatchedRanking = true }},
+		{"prune-exact", func(o *core.Options) { o.PruneMode = core.PruneExact }},
+	}
+	for _, name := range models {
+		m := goldenTrain(t, ds, name, false, false, 1)
+		for _, protocol := range []string{"raw", "filtered"} {
+			for _, p := range paths {
+				opts := core.Options{
+					TopN: 12, MaxCandidates: 150, Seed: 5, Workers: 2,
+					RankFiltered: protocol == "filtered",
+				}
+				p.set(&opts)
+				res, err := core.DiscoverFacts(context.Background(), m, ds.Train, core.NewEntityFrequency(), opts)
+				if err != nil {
+					t.Fatalf("discover %s/%s/%s: %v", name, protocol, p.name, err)
+				}
+				got[fmt.Sprintf("discover/%s/%s/%s", name, protocol, p.name)] = factsDigest(res.Facts)
+			}
+		}
+	}
+
+	if *updateGolden {
+		writeGolden(t, got)
+		return
+	}
+	want := readGolden(t)
+	for key, w := range want {
+		g, ok := got[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: pinned but no longer computed", key)
+		case g != w:
+			t.Errorf("%s: digest changed\n  pinned %s\n  got    %s", key, w, g)
+		}
+	}
+	for key := range got {
+		if _, ok := want[key]; !ok {
+			t.Errorf("%s: computed but not pinned (run with -update-golden and review the diff)", key)
+		}
+	}
+}
+
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatalf("golden file: %v", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, digest, ok := strings.Cut(line, "\t")
+		if !ok {
+			t.Fatalf("golden file: malformed line %q", line)
+		}
+		want[key] = digest
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("golden file: %v", err)
+	}
+	return want
+}
+
+func writeGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString("# Pinned by TestGoldenDigests (golden_test.go). Do not edit by hand.\n")
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s\t%s\n", k, got[k])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
