@@ -78,8 +78,8 @@ func (b *batchBufs) scratch(k int) {
 
 // RankObjectsBatch ranks every group of a relation block from one shared
 // score matrix: the block's subjects are scored by a single
-// kge.ScoreAllObjectsBatch call (a tiled matrix–matrix sweep for models
-// implementing kge.BatchScorer), then each group's ranks are read off its
+// kge.ScoreAllObjectsBatch call (a tiled matrix–matrix sweep for every
+// model kge.New builds), then each group's ranks are read off its
 // row. It is exactly equivalent to calling RankObjects per group — same mean
 // tie policy, same filtered-protocol corrections — and, because the batched
 // sweep is bit-identical to ScoreAllObjects, it returns identical ranks.

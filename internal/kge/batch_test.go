@@ -26,7 +26,7 @@ func batchTestModels(t *testing.T) []Trainable {
 	return models
 }
 
-// TestScoreAllObjectsBatchBitIdentical is the contract of BatchScorer: every
+// TestScoreAllObjectsBatchBitIdentical is the contract of the batch sweep: every
 // row of the batched sweep must be bit-identical (==, not approximately
 // equal) to the corresponding per-subject ScoreAllObjects sweep. Discovery
 // output stays byte-identical under batching if and only if this holds.
@@ -36,8 +36,8 @@ func TestScoreAllObjectsBatchBitIdentical(t *testing.T) {
 	for _, m := range batchTestModels(t) {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
-			if _, ok := Model(m).(BatchScorer); !ok {
-				t.Fatalf("%s does not implement BatchScorer", m.Name())
+			if _, ok := m.(*Derived); !ok {
+				t.Fatalf("New(%s) returned %T, not *Derived", m.Name(), m)
 			}
 			n := m.NumEntities()
 			out := vecmath.NewMatrix(len(ss), n)
@@ -79,8 +79,8 @@ func TestTransEBatchNorm2(t *testing.T) {
 	}
 }
 
-// plainModel wraps a Model while hiding any BatchScorer implementation, so
-// the dispatcher's generic fallback is what runs.
+// plainModel wraps a Model while hiding that it is Derived, so the
+// dispatcher's per-subject fallback is what runs.
 type plainModel struct {
 	inner  Model
 	sweeps int
@@ -99,8 +99,8 @@ func (p *plainModel) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []floa
 	return p.inner.ScoreAllSubjects(r, o, out)
 }
 
-// TestScoreAllObjectsBatchFallback: a model without the BatchScorer method
-// still answers batched sweeps, via one ScoreAllObjects call per subject.
+// TestScoreAllObjectsBatchFallback: a Model that is not Derived still
+// answers batched sweeps, via one ScoreAllObjects call per subject.
 func TestScoreAllObjectsBatchFallback(t *testing.T) {
 	inner, err := New("distmult", Config{NumEntities: 64, NumRelations: 2, Dim: 8, Seed: 1})
 	if err != nil {

@@ -1,9 +1,6 @@
 package kge
 
-import (
-	"repro/internal/kg"
-	"repro/internal/vecmath"
-)
+import "repro/internal/kg"
 
 // ComplEx (Trouillon et al., 2016) extends DistMult to complex-valued
 // embeddings, scoring with the real part of the Hermitian trilinear product:
@@ -14,46 +11,15 @@ import (
 // The asymmetry introduced by the conjugate lets ComplEx model antisymmetric
 // relations, which DistMult cannot. Storage: each embedding is a single
 // float32 vector of length 2·Dim, real components first, imaginary second.
-type ComplEx struct {
-	cfg Config
-	ps  *ParamSet
-	ent *Param // N×2d
-	rel *Param // K×2d
-}
+type ComplEx struct{ tables }
 
 // NewComplEx constructs and initializes a ComplEx model. cfg.Dim is the
 // number of complex components; the storage width is 2·Dim.
 func NewComplEx(cfg Config) (*ComplEx, error) {
-	m := &ComplEx{cfg: cfg, ps: NewParamSet()}
-	m.ent = m.ps.Add("entity", cfg.NumEntities, 2*cfg.Dim)
-	m.rel = m.ps.Add("relation", cfg.NumRelations, 2*cfg.Dim)
-	if cfg.skipInit {
-		return m, nil
-	}
-	rng := initRNG(cfg)
-	for i := 0; i < cfg.NumEntities; i++ {
-		vecmath.XavierInit(rng, m.ent.M.Row(i), 2*cfg.Dim, 2*cfg.Dim)
-	}
-	for i := 0; i < cfg.NumRelations; i++ {
-		vecmath.XavierInit(rng, m.rel.M.Row(i), 2*cfg.Dim, 2*cfg.Dim)
-	}
+	m := &ComplEx{newTables("complex", cfg, 2*cfg.Dim, 2*cfg.Dim)}
+	m.initXavier(2 * cfg.Dim)
 	return m, nil
 }
-
-// Name implements Model.
-func (m *ComplEx) Name() string { return "complex" }
-
-// Dim implements Model (the number of complex components).
-func (m *ComplEx) Dim() int { return m.cfg.Dim }
-
-// NumEntities implements Model.
-func (m *ComplEx) NumEntities() int { return m.cfg.NumEntities }
-
-// NumRelations implements Model.
-func (m *ComplEx) NumRelations() int { return m.cfg.NumRelations }
-
-// Params implements Trainable.
-func (m *ComplEx) Params() *ParamSet { return m.ps }
 
 // split views a 2d-length storage row as (real, imaginary) halves.
 func (m *ComplEx) split(row []float32) (re, im []float32) {
@@ -61,7 +27,7 @@ func (m *ComplEx) split(row []float32) (re, im []float32) {
 	return row[:d], row[d:]
 }
 
-// Score implements Model.
+// Score implements QueryModel.
 func (m *ComplEx) Score(t kg.Triple) float32 {
 	sre, sim := m.split(m.ent.M.Row(int(t.S)))
 	rre, rim := m.split(m.rel.M.Row(int(t.R)))
@@ -76,48 +42,82 @@ func (m *ComplEx) Score(t kg.Triple) float32 {
 	return f
 }
 
-// ScoreWithContext implements Trainable.
+// ScoreWithContext implements QueryModel.
 func (m *ComplEx) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
-// ScoreAllObjects implements Model. The score is linear in o, with
+// ObjectQuery implements QueryModel. The score is linear in o, with
 //
 //	q_re = s_re∘r_re − s_im∘r_im   (coefficient of o_re)
 //	q_im = s_im∘r_re + s_re∘r_im   (coefficient of o_im)
 //
-// so the object sweep is a single matrix-vector product over the 2d storage.
-func (m *ComplEx) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
+// so the object sweep is a single product over the 2d storage.
+func (m *ComplEx) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
 	d := m.cfg.Dim
 	sre, sim := m.split(m.ent.M.Row(int(s)))
 	rre, rim := m.split(m.rel.M.Row(int(r)))
-	q := make([]float32, 2*d)
 	for i := 0; i < d; i++ {
 		q[i] = sre[i]*rre[i] - sim[i]*rim[i]
 		q[d+i] = sim[i]*rre[i] + sre[i]*rim[i]
 	}
-	return vecmath.MatVec(out, m.ent.M, q)
+	return nil
 }
 
-// ScoreAllSubjects implements Model: linear in s with
+// BackpropObjectQuery implements QueryModel with the Hermitian chain rule:
+//
+//	∂s_re = r_re∘dq_re + r_im∘dq_im   ∂s_im = r_re∘dq_im − r_im∘dq_re
+//	∂r_re = s_re∘dq_re + s_im∘dq_im   ∂r_im = s_re∘dq_im − s_im∘dq_re
+func (m *ComplEx) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	d := m.cfg.Dim
+	sre, sim := m.split(m.ent.M.Row(int(s)))
+	rre, rim := m.split(m.rel.M.Row(int(r)))
+	wre, wim := m.split(dq)
+	gs := gb.Row("entity", int(s))
+	gr := gb.Row("relation", int(r))
+	for i := 0; i < d; i++ {
+		gs[i] += rre[i]*wre[i] + rim[i]*wim[i]
+		gs[d+i] += rre[i]*wim[i] - rim[i]*wre[i]
+		gr[i] += sre[i]*wre[i] + sim[i]*wim[i]
+		gr[d+i] += sre[i]*wim[i] - sim[i]*wre[i]
+	}
+}
+
+// SubjectQuery implements QueryModel: linear in s with
 //
 //	q_re = r_re∘o_re + r_im∘o_im
 //	q_im = r_re∘o_im − r_im∘o_re
-func (m *ComplEx) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
+func (m *ComplEx) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool {
 	d := m.cfg.Dim
 	rre, rim := m.split(m.rel.M.Row(int(r)))
 	ore, oim := m.split(m.ent.M.Row(int(o)))
-	q := make([]float32, 2*d)
 	for i := 0; i < d; i++ {
 		q[i] = rre[i]*ore[i] + rim[i]*oim[i]
 		q[d+i] = rre[i]*oim[i] - rim[i]*ore[i]
 	}
-	return vecmath.MatVec(out, m.ent.M, q)
+	return true
 }
 
-// AccumulateGrad implements Trainable with the partial derivatives of the
+// BackpropSubjectQuery implements QueryModel:
+//
+//	∂r_re = dq_re∘o_re + dq_im∘o_im   ∂r_im = dq_re∘o_im − dq_im∘o_re
+//	∂o_re = dq_re∘r_re − dq_im∘r_im   ∂o_im = dq_im∘r_re + dq_re∘r_im
+func (m *ComplEx) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	d := m.cfg.Dim
+	rre, rim := m.split(m.rel.M.Row(int(r)))
+	ore, oim := m.split(m.ent.M.Row(int(o)))
+	wre, wim := m.split(dq)
+	gr := gb.Row("relation", int(r))
+	go_ := gb.Row("entity", int(o))
+	for i := 0; i < d; i++ {
+		gr[i] += wre[i]*ore[i] + wim[i]*oim[i]
+		gr[d+i] += wre[i]*oim[i] - wim[i]*ore[i]
+		go_[i] += wre[i]*rre[i] - wim[i]*rim[i]
+		go_[d+i] += wim[i]*rre[i] + wre[i]*rim[i]
+	}
+}
+
+// AccumulateGrad implements QueryModel with the partial derivatives of the
 // four-term score expansion.
 func (m *ComplEx) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *GradBuffer) {
 	d := m.cfg.Dim
@@ -136,6 +136,3 @@ func (m *ComplEx) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, g
 		go_[d+i] += upstream * (sim[i]*rre[i] + sre[i]*rim[i])
 	}
 }
-
-// PostBatch implements Trainable (no constraints).
-func (m *ComplEx) PostBatch() {}

@@ -1,0 +1,121 @@
+package kge_test
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"repro/internal/eval"
+	"repro/internal/kg"
+	"repro/internal/kge"
+	"repro/internal/prune"
+	"repro/internal/synth"
+	"repro/internal/train"
+)
+
+// TestMinimalContractModel is the conformance test of "a model is params +
+// query + adjoint": the toy model of toy_test.go implements QueryModel and
+// nothing else, and must train under both objectives in both kernel modes
+// and rank through the batched and the pruned path, with nothing but
+// kge.Derive between it and the trainer and ranker. (Its derived operations
+// are checked against the per-triple reference by the package's internal
+// tests, where it is one more entry of allModels.)
+func TestMinimalContractModel(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{
+		Name: "contract", NumEntities: 90, NumRelations: 3, NumTriples: 600,
+		NumTypes: 3, EntityZipf: 1.0, RelationZipf: 0.8, ClosureProb: 0.2,
+		NoiseProb: 0.05, ValidFrac: 0.05, TestFrac: 0.05, Seed: 19,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newToy := func() *kge.Derived {
+		return kge.NewToyModel(kge.Config{
+			NumEntities:  ds.Train.Entities.Len(),
+			NumRelations: ds.Train.Relations.Len(),
+			Dim:          8,
+			Seed:         3,
+		})
+	}
+	ctx := context.Background()
+
+	run := func(kvsAll, scalar bool, opt train.Optimizer, epochs int) (*kge.Derived, train.History) {
+		m := newToy()
+		cfg := train.Config{
+			Epochs: epochs, BatchSize: 64, NegSamples: 2, Seed: 17, Workers: 2,
+			Loss: train.Logistic{}, Optimizer: opt, ScalarKernels: scalar,
+		}
+		var hist train.History
+		var err error
+		if kvsAll {
+			hist, err = train.RunKvsAll(ctx, m, ds, cfg, 0.1)
+		} else {
+			hist, err = train.Run(ctx, m, ds, cfg)
+		}
+		if err != nil {
+			t.Fatalf("train (kvsall=%v scalar=%v): %v", kvsAll, scalar, err)
+		}
+		return m, hist
+	}
+	for _, kvsAll := range []bool{false, true} {
+		// Both kernel modes learn (default Adam)...
+		for _, scalar := range []bool{false, true} {
+			_, hist := run(kvsAll, scalar, nil, 8)
+			first, last := hist.Epochs[0].Loss, hist.Epochs[len(hist.Epochs)-1].Loss
+			if !(last < first) {
+				t.Errorf("kvsall=%v scalar=%v: loss went %g -> %g", kvsAll, scalar, first, last)
+			}
+		}
+		// ...and agree to reassociation tolerance (SGD keeps the comparison
+		// well-conditioned, as in internal/train's equivalence tests).
+		batched, _ := run(kvsAll, false, train.NewSGD(0.05), 2)
+		scalar, _ := run(kvsAll, true, train.NewSGD(0.05), 2)
+		for _, p := range batched.Params().List() {
+			other := scalar.Params().Get(p.Name).M.Data
+			for i, v := range p.M.Data {
+				if d := math.Abs(float64(v - other[i])); d > 2e-3*(1+math.Abs(float64(other[i]))) {
+					t.Fatalf("kvsall=%v: %s[%d] batched %v vs scalar %v", kvsAll, p.Name, i, v, other[i])
+				}
+			}
+		}
+	}
+
+	// Ranking: the batched path and the exact pruned path must both agree
+	// with the per-group reference.
+	m := newToy()
+	if _, err := train.Run(ctx, m, ds, train.Config{Epochs: 2, BatchSize: 64, NegSamples: 2, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := prune.Build(m, kge.Fingerprint(m), prune.Params{})
+	if err != nil {
+		t.Fatalf("prune.Build: %v", err)
+	}
+	const topN = 10
+	ranker := eval.NewRanker(m, ds.Train)
+	objects := make([]kg.EntityID, 0, 30)
+	for o := 0; o < 30; o++ {
+		objects = append(objects, kg.EntityID(o*3))
+	}
+	var groups []eval.Group
+	for s := 0; s < 12; s++ {
+		groups = append(groups, eval.Group{S: kg.EntityID(7 * s), Objects: objects[s : s+3*(1+s%4)]})
+	}
+	batched, _ := ranker.RankObjectsBatch(2, groups)
+	pruned, _, st := ranker.RankObjectsPruned(2, groups, topN, eval.PruneConfig{Index: ix, Exact: true})
+	if st.Fallbacks == len(groups) {
+		t.Errorf("every group fell back to the dense sweep: the pruned path was not exercised")
+	}
+	for gi, g := range groups {
+		want := ranker.RankObjects(g.S, 2, g.Objects)
+		for i := range g.Objects {
+			if batched[gi][i] != want[i] {
+				t.Errorf("group %d object %d: batched rank %d, per-group %d", gi, i, batched[gi][i], want[i])
+			}
+			// Rank-threshold equivalence at topN: identical when kept,
+			// beyond the threshold (sentinel or true rank) when not.
+			if kept := want[i] <= topN; kept && pruned[gi][i] != want[i] || !kept && pruned[gi][i] <= topN {
+				t.Errorf("group %d object %d: pruned rank %d, per-group %d", gi, i, pruned[gi][i], want[i])
+			}
+		}
+	}
+}

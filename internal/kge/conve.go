@@ -22,20 +22,17 @@ import (
 // MRR on GPUs, not for the ranking behaviour studied here); the DESIGN.md
 // substitution table records this.
 //
-// Because the hidden vector depends only on (s, r), ScoreAllObjects runs one
-// forward pass and a single matrix-vector sweep — the 1-N scoring trick from
-// the ConvE paper. ScoreAllSubjects has no such factorization and falls back
-// to per-subject forwards.
+// Because the hidden vector depends only on (s, r), it is the object query:
+// an object sweep runs one forward pass and a single matrix-vector product —
+// the 1-N scoring trick from the ConvE paper. The subject side has no such
+// factorization and falls back to per-subject forwards.
 type ConvE struct {
-	cfg     Config
+	tables      // N×d entity and K×d relation embeddings
 	h, w    int // reshape geometry: Dim == h·w
 	filters int
 	oh, ow  int // conv output geometry: (2h−2)×(w−2)
 	flat    int // filters·oh·ow
 
-	ps      *ParamSet
-	ent     *Param // N×d entity embeddings
-	rel     *Param // K×d relation embeddings
 	conv    *Param // F×9 filter kernels (3×3 row-major)
 	convB   *Param // 1×F filter biases
 	fc      *Param // d×flat fully connected weight (row i produces hidden i)
@@ -62,32 +59,23 @@ func NewConvE(cfg Config) (*ConvE, error) {
 		filters = 8
 	}
 	m := &ConvE{
-		cfg:     cfg,
+		tables:  newTables("conve", cfg, cfg.Dim, cfg.Dim),
 		h:       h,
 		w:       w,
 		filters: filters,
 		oh:      2*h - 2,
 		ow:      w - 2,
-		ps:      NewParamSet(),
 	}
 	m.flat = m.filters * m.oh * m.ow
-	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim)
-	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim)
 	m.conv = m.ps.Add("conv", m.filters, 9)
 	m.convB = m.ps.Add("convbias", 1, m.filters)
 	m.fc = m.ps.Add("fc", cfg.Dim, m.flat)
 	m.fcB = m.ps.Add("fcbias", 1, cfg.Dim)
 	m.entBias = m.ps.Add("entbias", cfg.NumEntities, 1)
 
-	if cfg.skipInit {
+	rng := m.initXavier(cfg.Dim)
+	if rng == nil {
 		return m, nil
-	}
-	rng := initRNG(cfg)
-	for i := 0; i < cfg.NumEntities; i++ {
-		vecmath.XavierInit(rng, m.ent.M.Row(i), cfg.Dim, cfg.Dim)
-	}
-	for i := 0; i < cfg.NumRelations; i++ {
-		vecmath.XavierInit(rng, m.rel.M.Row(i), cfg.Dim, cfg.Dim)
 	}
 	for f := 0; f < m.filters; f++ {
 		vecmath.XavierInit(rng, m.conv.M.Row(f), 9, 9)
@@ -108,21 +96,6 @@ func squarestFactors(d int) (int, int) {
 	}
 	return 1, d
 }
-
-// Name implements Model.
-func (m *ConvE) Name() string { return "conve" }
-
-// Dim implements Model.
-func (m *ConvE) Dim() int { return m.cfg.Dim }
-
-// NumEntities implements Model.
-func (m *ConvE) NumEntities() int { return m.cfg.NumEntities }
-
-// NumRelations implements Model.
-func (m *ConvE) NumRelations() int { return m.cfg.NumRelations }
-
-// Params implements Trainable.
-func (m *ConvE) Params() *ParamSet { return m.ps }
 
 // conveCtx caches the forward activations needed for backprop.
 type conveCtx struct {
@@ -180,39 +153,50 @@ func (m *ConvE) forward(s kg.EntityID, r kg.RelationID) *conveCtx {
 	return c
 }
 
-// Score implements Model.
+// Score implements QueryModel.
 func (m *ConvE) Score(t kg.Triple) float32 {
-	c := m.forward(t.S, t.R)
-	return vecmath.Dot(c.hidden, m.ent.M.Row(int(t.O))) + m.entBias.M.Row(int(t.O))[0]
+	score, _ := m.ScoreWithContext(t)
+	return score
 }
 
-// ScoreWithContext implements Trainable.
+// ScoreWithContext implements QueryModel.
 func (m *ConvE) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 	c := m.forward(t.S, t.R)
 	score := vecmath.Dot(c.hidden, m.ent.M.Row(int(t.O))) + m.entBias.M.Row(int(t.O))[0]
 	return score, c
 }
 
-// ScoreAllObjects implements Model via 1-N scoring: one forward pass, then
-// scores = E·hidden + entity biases.
-func (m *ConvE) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
+// ObjectQuery implements QueryModel — the 1-N scoring trick: the hidden
+// vector depends only on (s, r), so one forward pass serves every object.
+// The forward pass is deterministic in (s, r), so repeated calls produce
+// bit-identical queries; the activations are returned for the adjoint.
+func (m *ConvE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
 	c := m.forward(s, r)
-	m.ent.M.MulVec(out, c.hidden)
-	for o := range out {
-		out[o] += m.entBias.M.Row(o)[0]
+	copy(q, c.hidden)
+	return c
+}
+
+// BackpropObjectQuery implements QueryModel: one backward pass through the
+// FC and conv layers with dh = dq (backpropHidden is linear in dh for the
+// fixed activation pattern of the forward pass).
+func (m *ConvE) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, ctx GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	c, ok := ctx.(*conveCtx)
+	if !ok || c == nil {
+		c = m.forward(s, r)
 	}
-	return out
+	m.backpropHidden(s, r, c, dq, gb)
 }
 
-// ScoreAllSubjects implements Model with the generic per-subject fallback:
-// the convolution depends on the subject, so there is no linear sweep.
-func (m *ConvE) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	return genericScoreAllSubjects(m, r, o, out)
+// SubjectQuery implements QueryModel: the convolution depends on the
+// subject, so the score has no subject-side factorization.
+func (m *ConvE) SubjectQuery(kg.RelationID, kg.EntityID, []float32) bool { return false }
+
+// BackpropSubjectQuery implements QueryModel; with no subject query there
+// is nothing to chain.
+func (m *ConvE) BackpropSubjectQuery(kg.RelationID, kg.EntityID, []float32, *GradBuffer, *GroupScratch) {
 }
 
-// AccumulateGrad implements Trainable with full backpropagation through the
+// AccumulateGrad implements QueryModel with full backpropagation through the
 // FC and convolution layers down to the subject and relation embeddings.
 func (m *ConvE) AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer) {
 	c, ok := ctx.(*conveCtx)
@@ -233,5 +217,52 @@ func (m *ConvE) AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, g
 	m.backpropHidden(t.S, t.R, c, dh, gb)
 }
 
-// PostBatch implements Trainable (no constraints).
-func (m *ConvE) PostBatch() {}
+// backpropHidden pushes a hidden-layer gradient through the FC and conv
+// layers down to the subject and relation embeddings. Shared by the
+// per-triple gradient and the object query's adjoint.
+func (m *ConvE) backpropHidden(s kg.EntityID, r kg.RelationID, c *conveCtx, dh []float32, gb *GradBuffer) {
+	d := m.cfg.Dim
+	dz2 := make([]float32, d)
+	gfcb := gb.Row("fcbias", 0)
+	for i := 0; i < d; i++ {
+		if c.z2[i] > 0 && dh[i] != 0 {
+			dz2[i] = dh[i]
+			gfcb[i] += dz2[i]
+			gb.Axpy("fc", i, dz2[i], c.x)
+		}
+	}
+	dx := make([]float32, m.flat)
+	for i := 0; i < d; i++ {
+		if dz2[i] != 0 {
+			vecmath.Axpy(dz2[i], m.fc.M.Row(i), dx)
+		}
+	}
+	iw := m.w
+	dinput := make([]float32, 2*d)
+	gconvB := gb.Row("convbias", 0)
+	for f := 0; f < m.filters; f++ {
+		k := m.conv.M.Row(f)
+		gk := gb.Row("conv", f)
+		base := f * m.oh * m.ow
+		for i := 0; i < m.oh; i++ {
+			for j := 0; j < m.ow; j++ {
+				idx := base + i*m.ow + j
+				if c.z1[idx] <= 0 || dx[idx] == 0 {
+					continue
+				}
+				g := dx[idx]
+				gconvB[f] += g
+				for u := 0; u < 3; u++ {
+					inRow := (i + u) * iw
+					kRow := u * 3
+					for v := 0; v < 3; v++ {
+						gk[kRow+v] += g * c.input[inRow+j+v]
+						dinput[inRow+j+v] += g * k[kRow+v]
+					}
+				}
+			}
+		}
+	}
+	vecmath.Axpy(1, dinput[:d], gb.Row("entity", int(s)))
+	vecmath.Axpy(1, dinput[d:], gb.Row("relation", int(r)))
+}

@@ -9,47 +9,16 @@ import (
 // relation is a diagonal matrix, giving the trilinear scoring function
 // f(s, r, o) = sᵀ diag(r) o = Σᵢ sᵢ rᵢ oᵢ. The diagonality makes every
 // relation symmetric — a known expressiveness limit the paper notes.
-type DistMult struct {
-	cfg Config
-	ps  *ParamSet
-	ent *Param
-	rel *Param
-}
+type DistMult struct{ tables }
 
 // NewDistMult constructs and initializes a DistMult model.
 func NewDistMult(cfg Config) (*DistMult, error) {
-	m := &DistMult{cfg: cfg, ps: NewParamSet()}
-	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim)
-	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim)
-	if cfg.skipInit {
-		return m, nil
-	}
-	rng := initRNG(cfg)
-	for i := 0; i < cfg.NumEntities; i++ {
-		vecmath.XavierInit(rng, m.ent.M.Row(i), cfg.Dim, cfg.Dim)
-	}
-	for i := 0; i < cfg.NumRelations; i++ {
-		vecmath.XavierInit(rng, m.rel.M.Row(i), cfg.Dim, cfg.Dim)
-	}
+	m := &DistMult{newTables("distmult", cfg, cfg.Dim, cfg.Dim)}
+	m.initXavier(cfg.Dim)
 	return m, nil
 }
 
-// Name implements Model.
-func (m *DistMult) Name() string { return "distmult" }
-
-// Dim implements Model.
-func (m *DistMult) Dim() int { return m.cfg.Dim }
-
-// NumEntities implements Model.
-func (m *DistMult) NumEntities() int { return m.cfg.NumEntities }
-
-// NumRelations implements Model.
-func (m *DistMult) NumRelations() int { return m.cfg.NumRelations }
-
-// Params implements Trainable.
-func (m *DistMult) Params() *ParamSet { return m.ps }
-
-// Score implements Model.
+// Score implements QueryModel.
 func (m *DistMult) Score(t kg.Triple) float32 {
 	s := m.ent.M.Row(int(t.S))
 	r := m.rel.M.Row(int(t.R))
@@ -61,29 +30,48 @@ func (m *DistMult) Score(t kg.Triple) float32 {
 	return f
 }
 
-// ScoreWithContext implements Trainable.
+// ScoreWithContext implements QueryModel.
 func (m *DistMult) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
-// ScoreAllObjects implements Model: with q = s∘r, scores = E·q via the
-// blocked MatVec kernel.
-func (m *DistMult) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+// ObjectQuery implements QueryModel: q = s∘r.
+func (m *DistMult) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
 	vecmath.Hadamard(q, m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
-	return vecmath.MatVec(out, m.ent.M, q)
+	return nil
 }
 
-// ScoreAllSubjects implements Model: by symmetry q = r∘o, scores = E·q.
-func (m *DistMult) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+// BackpropObjectQuery implements QueryModel: ∂s = dq∘r, ∂r = dq∘s.
+func (m *DistMult) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	sRow := m.ent.M.Row(int(s))
+	rRow := m.rel.M.Row(int(r))
+	gs := gb.Row("entity", int(s))
+	gr := gb.Row("relation", int(r))
+	for i := range dq {
+		gs[i] += dq[i] * rRow[i]
+		gr[i] += dq[i] * sRow[i]
+	}
+}
+
+// SubjectQuery implements QueryModel: by symmetry q = r∘o.
+func (m *DistMult) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool {
 	vecmath.Hadamard(q, m.rel.M.Row(int(r)), m.ent.M.Row(int(o)))
-	return vecmath.MatVec(out, m.ent.M, q)
+	return true
 }
 
-// AccumulateGrad implements Trainable:
+// BackpropSubjectQuery implements QueryModel: ∂r = dq∘o, ∂o = dq∘r.
+func (m *DistMult) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	rRow := m.rel.M.Row(int(r))
+	oRow := m.ent.M.Row(int(o))
+	gr := gb.Row("relation", int(r))
+	go_ := gb.Row("entity", int(o))
+	for i := range dq {
+		gr[i] += dq[i] * oRow[i]
+		go_[i] += dq[i] * rRow[i]
+	}
+}
+
+// AccumulateGrad implements QueryModel:
 //
 //	∂f/∂s = r∘o, ∂f/∂r = s∘o, ∂f/∂o = s∘r.
 func (m *DistMult) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *GradBuffer) {
@@ -99,6 +87,3 @@ func (m *DistMult) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, 
 		go_[i] += upstream * s[i] * r[i]
 	}
 }
-
-// PostBatch implements Trainable (no constraints).
-func (m *DistMult) PostBatch() {}

@@ -233,9 +233,9 @@ func OpenMapped(path string) (*Mapped, error) {
 }
 
 // LoadAuto opens a checkpoint in either format, sniffed by magic. For flat
-// checkpoints it returns the concrete model — not the *Mapped wrapper, so
-// type assertions against the optional fast-path interfaces (ObjectSweeper,
-// BatchScorer) resolve exactly as they do for a gob-loaded model — plus the
+// checkpoints it returns the derived model — not the *Mapped wrapper, so
+// type assertions against the fast paths (ObjectSweeper, *Derived) resolve
+// exactly as they do for a gob-loaded model — plus the
 // mmap handle to close after the model's last use. For gob checkpoints
 // mapped is nil. format is "flat" or "gob".
 func LoadAuto(path string) (m Trainable, mapped *Mapped, format string, err error) {

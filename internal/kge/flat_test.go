@@ -211,19 +211,19 @@ func TestLoadAutoSniffsBothFormats(t *testing.T) {
 	if mapped.MappedBytes() == 0 {
 		t.Errorf("flat load reports no mapped bytes on a little-endian host")
 	}
-	// LoadAuto must return the concrete model, not the *Mapped wrapper: the
-	// optional fast-path interfaces (batched sweeps, pruned ranking) are
-	// discovered by type assertion, and wrapping the model in an interface
-	// embed would hide them — every sweep over a flat checkpoint would
-	// silently take the slow generic path and -prune would refuse the model.
+	// LoadAuto must return the derived model, not the *Mapped wrapper: the
+	// fast paths (batched sweeps, pruned ranking) are discovered by type
+	// assertion, and wrapping the model in an interface embed would hide
+	// them — every sweep over a flat checkpoint would silently take the
+	// per-subject fallback and -prune would refuse the model.
 	if _, isWrapper := fm.(*Mapped); isWrapper {
 		t.Fatalf("LoadAuto(flat) returned the *Mapped wrapper as the model")
 	}
 	if _, ok := fm.(ObjectSweeper); !ok {
 		t.Errorf("flat-loaded %T lost the ObjectSweeper fast path", fm)
 	}
-	if _, ok := fm.(BatchScorer); !ok {
-		t.Errorf("flat-loaded %T lost the BatchScorer fast path", fm)
+	if _, ok := fm.(*Derived); !ok {
+		t.Errorf("flat-loaded %T lost the batched-sweep fast path", fm)
 	}
 }
 

@@ -18,11 +18,8 @@ func groupCandidates() []kg.EntityID {
 // TestGroupScoresMatchScore verifies both group sweeps against per-triple
 // Score for every model (tolerance: the group path reassociates the dot).
 func TestGroupScoresMatchScore(t *testing.T) {
-	for _, m := range allModels(t, 8) {
-		gt, ok := m.(GroupTrainable)
-		if !ok {
-			t.Fatalf("%s does not implement GroupTrainable", m.Name())
-		}
+	for _, m := range derivedModels(t) {
+		gt := m.(*Derived)
 		t.Run(m.Name(), func(t *testing.T) {
 			s, r, o := kg.EntityID(1), kg.RelationID(2), kg.EntityID(3)
 			cands := groupCandidates()
@@ -54,8 +51,8 @@ func TestGroupScoresMatchScore(t *testing.T) {
 // tolerance. Zero upstreams must skip rows exactly as the scalar path does.
 func TestGroupGradMatchesPerTriple(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, m := range allModels(t, 8) {
-		gt := m.(GroupTrainable)
+	for _, m := range derivedModels(t) {
+		gt := m.(*Derived)
 		for _, side := range []string{"objects", "subjects"} {
 			t.Run(m.Name()+"/"+side, func(t *testing.T) {
 				s, r, o := kg.EntityID(1), kg.RelationID(2), kg.EntityID(3)
@@ -71,8 +68,8 @@ func TestGroupGradMatchesPerTriple(t *testing.T) {
 				grouped := NewGradBuffer(m.Params())
 				reference := NewGradBuffer(m.Params())
 				if side == "objects" {
-					ctx := gt.ScoreObjectsGroup(s, r, cands, out, &scr)
-					gt.AccumulateGradObjectsGroup(s, r, cands, ctx, upstream, grouped, &scr)
+					gt.ScoreObjectsGroup(s, r, cands, out, &scr)
+					gt.AccumulateGradObjectsGroup(s, r, cands, upstream, grouped, &scr)
 					for i, c := range cands {
 						if upstream[i] == 0 {
 							continue
@@ -82,8 +79,8 @@ func TestGroupGradMatchesPerTriple(t *testing.T) {
 						m.AccumulateGrad(tr, tctx, upstream[i], reference)
 					}
 				} else {
-					ctx := gt.ScoreSubjectsGroup(r, o, cands, out, &scr)
-					gt.AccumulateGradSubjectsGroup(r, o, cands, ctx, upstream, grouped, &scr)
+					gt.ScoreSubjectsGroup(r, o, cands, out, &scr)
+					gt.AccumulateGradSubjectsGroup(r, o, cands, upstream, grouped, &scr)
 					for i, c := range cands {
 						if upstream[i] == 0 {
 							continue
@@ -97,7 +94,7 @@ func TestGroupGradMatchesPerTriple(t *testing.T) {
 					t.Errorf("%s/%s: grouped touches %d rows, per-triple %d",
 						m.Name(), side, grouped.Len(), reference.Len())
 				}
-				compareGradBuffers(t, m.(Trainable), grouped, reference)
+				compareGradBuffers(t, m, grouped, reference)
 			})
 		}
 	}
@@ -107,14 +104,18 @@ func TestGroupGradMatchesPerTriple(t *testing.T) {
 // all zero must leave the gradient buffer empty — the scalar path would
 // never have called AccumulateGrad at all.
 func TestGroupGradAllZeroUpstreamTouchesNothing(t *testing.T) {
-	for _, m := range allModels(t, 8) {
-		gt := m.(GroupTrainable)
+	for _, m := range derivedModels(t) {
+		gt := m.(*Derived)
 		t.Run(m.Name(), func(t *testing.T) {
 			cands := groupCandidates()
 			zero := make([]float32, len(cands))
+			out := make([]float32, len(cands))
 			gb := NewGradBuffer(m.Params())
-			gt.AccumulateGradObjectsGroup(1, 2, cands, nil, zero, gb, nil)
-			gt.AccumulateGradSubjectsGroup(2, 3, cands, nil, zero, gb, nil)
+			var scr GroupScratch
+			gt.ScoreObjectsGroup(1, 2, cands, out, &scr)
+			gt.AccumulateGradObjectsGroup(1, 2, cands, zero, gb, &scr)
+			gt.ScoreSubjectsGroup(2, 3, cands, out, &scr)
+			gt.AccumulateGradSubjectsGroup(2, 3, cands, zero, gb, &scr)
 			if gb.Len() != 0 {
 				t.Errorf("all-zero upstream touched %d rows", gb.Len())
 			}

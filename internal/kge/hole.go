@@ -16,47 +16,16 @@ import (
 // is a power of two the internal/fft fast path computes ⋆ in O(l log l).
 // HolE is equivalent to ComplEx up to a change of basis (Hayashi & Shimbo,
 // 2017) — a fact the test suite exploits as a sanity property.
-type HolE struct {
-	cfg Config
-	ps  *ParamSet
-	ent *Param
-	rel *Param
-}
+type HolE struct{ tables }
 
 // NewHolE constructs and initializes a HolE model.
 func NewHolE(cfg Config) (*HolE, error) {
-	m := &HolE{cfg: cfg, ps: NewParamSet()}
-	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim)
-	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim)
-	if cfg.skipInit {
-		return m, nil
-	}
-	rng := initRNG(cfg)
-	for i := 0; i < cfg.NumEntities; i++ {
-		vecmath.XavierInit(rng, m.ent.M.Row(i), cfg.Dim, cfg.Dim)
-	}
-	for i := 0; i < cfg.NumRelations; i++ {
-		vecmath.XavierInit(rng, m.rel.M.Row(i), cfg.Dim, cfg.Dim)
-	}
+	m := &HolE{newTables("hole", cfg, cfg.Dim, cfg.Dim)}
+	m.initXavier(cfg.Dim)
 	return m, nil
 }
 
-// Name implements Model.
-func (m *HolE) Name() string { return "hole" }
-
-// Dim implements Model.
-func (m *HolE) Dim() int { return m.cfg.Dim }
-
-// NumEntities implements Model.
-func (m *HolE) NumEntities() int { return m.cfg.NumEntities }
-
-// NumRelations implements Model.
-func (m *HolE) NumRelations() int { return m.cfg.NumRelations }
-
-// Params implements Trainable.
-func (m *HolE) Params() *ParamSet { return m.ps }
-
-// Score implements Model.
+// Score implements QueryModel.
 func (m *HolE) Score(t kg.Triple) float32 {
 	s := m.ent.M.Row(int(t.S))
 	r := m.rel.M.Row(int(t.R))
@@ -66,30 +35,46 @@ func (m *HolE) Score(t kg.Triple) float32 {
 	return vecmath.Dot(r, corr)
 }
 
-// ScoreWithContext implements Trainable.
+// ScoreWithContext implements QueryModel.
 func (m *HolE) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
-// ScoreAllObjects implements Model. f is linear in o: f = o·(r * s) where *
-// is circular convolution, so q = convolve(r, s) and scores = E·q.
-func (m *HolE) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+// ObjectQuery implements QueryModel. f is linear in o: f = o·(r * s) where *
+// is circular convolution, so q = convolve(r, s).
+func (m *HolE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
 	fft.Convolve(q, m.rel.M.Row(int(r)), m.ent.M.Row(int(s)))
-	return vecmath.MatVec(out, m.ent.M, q)
+	return nil
 }
 
-// ScoreAllSubjects implements Model. f is linear in s: f = s·(r ⋆ o), so
-// q = correlate(r, o) and scores = E·q.
-func (m *HolE) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+// BackpropObjectQuery implements QueryModel: ∂s = r ⋆ dq, ∂r = s ⋆ dq
+// (correlation is linear in o).
+func (m *HolE) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, scr *GroupScratch) {
+	sRow := m.ent.M.Row(int(s))
+	rRow := m.rel.M.Row(int(r))
+	tmp := scr.Buf(2, m.cfg.Dim)
+	gb.Axpy("entity", int(s), 1, fft.CircularCorrelation(tmp, rRow, dq))
+	gb.Axpy("relation", int(r), 1, fft.CircularCorrelation(tmp, sRow, dq))
+}
+
+// SubjectQuery implements QueryModel. f is linear in s: f = s·(r ⋆ o), so
+// q = correlate(r, o).
+func (m *HolE) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool {
 	fft.CircularCorrelation(q, m.rel.M.Row(int(r)), m.ent.M.Row(int(o)))
-	return vecmath.MatVec(out, m.ent.M, q)
+	return true
 }
 
-// AccumulateGrad implements Trainable:
+// BackpropSubjectQuery implements QueryModel: ∂r = dq ⋆ o, ∂o = r * dq (both
+// linear in s).
+func (m *HolE) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, scr *GroupScratch) {
+	rRow := m.rel.M.Row(int(r))
+	oRow := m.ent.M.Row(int(o))
+	tmp := scr.Buf(2, m.cfg.Dim)
+	gb.Axpy("relation", int(r), 1, fft.CircularCorrelation(tmp, dq, oRow))
+	gb.Axpy("entity", int(o), 1, fft.Convolve(tmp, rRow, dq))
+}
+
+// AccumulateGrad implements QueryModel:
 //
 //	∂f/∂r = s ⋆ o, ∂f/∂s = r ⋆ o, ∂f/∂o = r * s (convolution).
 func (m *HolE) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *GradBuffer) {
@@ -102,6 +87,3 @@ func (m *HolE) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *
 	gb.Axpy("entity", int(t.S), upstream, fft.CircularCorrelation(tmp, r, o))
 	gb.Axpy("entity", int(t.O), upstream, fft.Convolve(tmp, r, s))
 }
-
-// PostBatch implements Trainable (no constraints).
-func (m *HolE) PostBatch() {}

@@ -4,15 +4,26 @@
 // entities and relations and exposes a scoring function f(t; Θ) expressing
 // its confidence that triple t holds.
 //
-// The package provides:
+// The package is built around one contract, QueryModel. A model is
 //
-//   - Model: the read-only scoring interface consumed by evaluation and by
-//     the fact discovery algorithm, including batched "score this (s, r)
-//     against every object" sweeps that make ranking tractable on CPU;
-//   - Trainable: the gradient interface consumed by the trainer — models
-//     accumulate ∂score/∂θ into a sparse GradBuffer and an optimizer in
-//     internal/train applies the update;
-//   - persistence: gob-based checkpoints for every model type.
+//   - its parameter tables (ParamSet), with the entity table under "entity";
+//   - the per-triple reference, Score and AccumulateGrad;
+//   - the object query q(s, r), with score(s, r, o) = geometry(q, E[o]) +
+//     bias[o], and its adjoint, which chains ∂L/∂q into the subject and
+//     relation parameters;
+//   - the subject query q(r, o) and its adjoint, the mirror image.
+//
+// Everything else is derived from that contract once, in Derive: the
+// object and subject sweeps behind Model, the relation-blocked and
+// per-context batch sweeps, the KvsAll backward pass, the grouped
+// negative-sampling scoring and backward pass, and the ObjectSweeper view
+// that pruned ranking reads. New returns derived models, so evaluation,
+// discovery, training and serving all see the same four interfaces: Model
+// (read-only scoring), Trainable (gradients into a sparse GradBuffer),
+// ObjectSweeper (the sweep's linear structure) and QueryModel.
+//
+// Checkpoints come in two containers, both CRC-checked: a gob snapshot
+// (persist.go) and a flat, mmap-able layout (flat.go).
 package kge
 
 import (
@@ -221,21 +232,6 @@ func (gb *GradBuffer) Len() int {
 	return n
 }
 
-// Reset clears all accumulated gradients, retaining allocations where
-// possible (map entries are zeroed and kept, dense tables unmarked).
-func (gb *GradBuffer) Reset() {
-	for _, g := range gb.grads {
-		for i := range g {
-			g[i] = 0
-		}
-	}
-	for _, d := range gb.dense {
-		clear(d.m.Data)
-		clear(d.touched)
-		d.n = 0
-	}
-}
-
 // Merge adds other's accumulated gradients into gb.
 func (gb *GradBuffer) Merge(other *GradBuffer) {
 	for name, od := range other.dense {
@@ -316,53 +312,85 @@ func ModelNames() []string {
 	return []string{"transe", "distmult", "complex", "rescal", "conve", "hole"}
 }
 
-// New constructs a model by name.
+// New constructs a model by name, with every derived operation attached.
 func New(name string, cfg Config) (Trainable, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	var (
+		q   QueryModel
+		err error
+	)
 	switch name {
 	case "transe":
-		return NewTransE(cfg)
+		q, err = NewTransE(cfg)
 	case "distmult":
-		return NewDistMult(cfg)
+		q, err = NewDistMult(cfg)
 	case "complex":
-		return NewComplEx(cfg)
+		q, err = NewComplEx(cfg)
 	case "rescal":
-		return NewRESCAL(cfg)
+		q, err = NewRESCAL(cfg)
 	case "hole":
-		return NewHolE(cfg)
+		q, err = NewHolE(cfg)
 	case "conve":
-		return NewConvE(cfg)
+		q, err = NewConvE(cfg)
 	default:
 		return nil, fmt.Errorf("kge: unknown model %q (supported: %v)", name, ModelNames())
 	}
-}
-
-// genericScoreAllObjects is the fallback batched sweep for models without a
-// linear-algebra fast path.
-func genericScoreAllObjects(m Model, s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	for o := range out {
-		out[o] = m.Score(kg.Triple{S: s, R: r, O: kg.EntityID(o)})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return Derive(q), nil
 }
 
-// genericScoreAllSubjects mirrors genericScoreAllObjects for the subject side.
-func genericScoreAllSubjects(m Model, r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	for s := range out {
-		out[s] = m.Score(kg.Triple{S: kg.EntityID(s), R: r, O: o})
+// tables is the state the six models share: the constructor config, the
+// parameter set, and its entity and relation tables.
+type tables struct {
+	name     string
+	cfg      Config
+	geom     SweepGeometry // SweepDot unless the constructor says otherwise
+	ps       *ParamSet
+	ent, rel *Param
+}
+
+func newTables(name string, cfg Config, entCols, relCols int) tables {
+	t := tables{name: name, cfg: cfg, ps: NewParamSet()}
+	t.ent = t.ps.Add("entity", cfg.NumEntities, entCols)
+	t.rel = t.ps.Add("relation", cfg.NumRelations, relCols)
+	return t
+}
+
+// initXavier fills the entity rows, then the relation rows, from the
+// generator seeded with cfg.Seed and returns it for models with further
+// tables to initialize. It returns nil, leaving the tables zeroed, when a
+// checkpoint loader is about to overwrite them.
+func (t *tables) initXavier(fan int) *rand.Rand {
+	if t.cfg.skipInit {
+		return nil
 	}
-	return out
-}
-
-// initRNG builds the deterministic generator models initialize from.
-func initRNG(cfg Config) *rand.Rand {
-	return rand.New(rand.NewSource(cfg.Seed))
-}
-
-func checkScoreBuf(out []float32, n int) {
-	if len(out) != n {
-		panic(fmt.Sprintf("kge: score buffer length %d, want %d entities", len(out), n))
+	rng := rand.New(rand.NewSource(t.cfg.Seed))
+	for _, p := range []*Param{t.ent, t.rel} {
+		for i := 0; i < p.M.Rows; i++ {
+			vecmath.XavierInit(rng, p.M.Row(i), fan, fan)
+		}
 	}
+	return rng
 }
+
+// Name implements QueryModel.
+func (t *tables) Name() string { return t.name }
+
+// Dim implements QueryModel.
+func (t *tables) Dim() int { return t.cfg.Dim }
+
+// Params implements QueryModel.
+func (t *tables) Params() *ParamSet { return t.ps }
+
+// PostBatch implements QueryModel (no constraints; TransE overrides it).
+func (t *tables) PostBatch() {}
+
+// SweepGeometry implements QueryModel.
+func (t *tables) SweepGeometry() SweepGeometry { return t.geom }
+
+// config exposes the constructor arguments to the checkpoint writers.
+func (t *tables) config() Config { return t.cfg }

@@ -29,7 +29,20 @@ func allModels(t *testing.T, dim int) []Trainable {
 		}
 		models = append(models, m)
 	}
-	return models
+	// The minimal-contract toy model (toy_test.go) takes every check the
+	// shipped models take.
+	return append(models, NewToyModel(testConfig(dim)))
+}
+
+// derivedModels is allModels plus the L1 TransE, for the derived-operation
+// checks that do not need a smooth score.
+func derivedModels(t *testing.T) []Trainable {
+	t.Helper()
+	l1, err := New("transe", testConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(allModels(t, 8), l1)
 }
 
 func TestNewUnknownModel(t *testing.T) {
@@ -331,17 +344,6 @@ func TestGradBufferMerge(t *testing.T) {
 	}
 	if a.Len() != 2 {
 		t.Errorf("Len = %d, want 2", a.Len())
-	}
-}
-
-func TestGradBufferReset(t *testing.T) {
-	ps := NewParamSet()
-	ps.Add("w", 2, 2)
-	gb := NewGradBuffer(ps)
-	gb.Axpy("w", 0, 1, []float32{2, 2})
-	gb.Reset()
-	if got := gb.Row("w", 0)[0]; got != 0 {
-		t.Errorf("after Reset grad = %g, want 0", got)
 	}
 }
 

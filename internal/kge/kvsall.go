@@ -1,7 +1,6 @@
 package kge
 
 import (
-	"repro/internal/fft"
 	"repro/internal/kg"
 	"repro/internal/vecmath"
 )
@@ -10,251 +9,118 @@ import (
 // and the training procedure of the original ConvE paper — scores each
 // (s, r) context against every entity simultaneously and applies binary
 // cross-entropy against the multi-hot vector of true objects. This needs
-// the gradient of the whole ScoreAllObjects sweep, which every model here
-// provides through KvsAllTrainable: given upstream[o] = ∂L/∂score(s, r, o)
-// for all o, accumulate gradients into every touched parameter row.
-//
-// The per-model implementations factor the sweep as score_o = q(s, r)·e_o
-// (plus per-entity bias for ConvE), so the shared pattern is
+// the gradient of the whole object sweep: given upstream[o] =
+// ∂L/∂score(s, r, o) for all o, accumulate gradients into every touched
+// parameter row. With score_o = q(s, r)·e_o + bias_o that is
 //
 //	∂L/∂e_o += upstream[o] · q        (one row per entity)
-//	∂L/∂q    = Eᵀ · upstream          (then chained into s and r)
+//	∂L/∂bias_o += upstream[o]
+//	∂L/∂q    = Eᵀ · upstream          (then the model's adjoint)
 //
-// The test suite verifies each implementation against the sum of
-// per-triple AccumulateGrad calls.
-type KvsAllTrainable interface {
-	Trainable
-	// AccumulateGradAllObjects accumulates the gradient of all object
-	// scores for context (s, r). upstream must have length NumEntities.
-	AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer)
-}
-
-// entityBackprop applies the shared ∂L/∂e_o += upstream[o]·q step and
-// returns dq = Eᵀ·upstream.
-func entityBackprop(ent *Param, upstream, q []float32, gb *GradBuffer) (dq []float32) {
-	dq = make([]float32, len(q))
-	for o, g := range upstream {
-		if g == 0 {
-			continue
-		}
-		gb.Axpy("entity", o, g, q)
-		vecmath.Axpy(g, ent.M.Row(o), dq)
-	}
-	return dq
-}
-
-// AccumulateGradAllObjects implements KvsAllTrainable for DistMult:
-// q = s∘r, ds = dq∘r, dr = dq∘s.
-func (m *DistMult) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	checkScoreBuf(upstream, m.cfg.NumEntities)
-	sRow := m.ent.M.Row(int(s))
-	rRow := m.rel.M.Row(int(r))
-	q := vecmath.Hadamard(make([]float32, m.cfg.Dim), sRow, rRow)
-	dq := entityBackprop(m.ent, upstream, q, gb)
-	m.chainObjDQ(s, r, dq, gb)
-}
-
-// chainObjDQ chains dq = ∂L/∂q into the subject and relation rows. Shared
-// by the scalar and chunk-batched KvsAll backward passes (the op order here
-// is part of both digest definitions).
-func (m *DistMult) chainObjDQ(s kg.EntityID, r kg.RelationID, dq []float32, gb *GradBuffer) {
-	sRow := m.ent.M.Row(int(s))
-	rRow := m.rel.M.Row(int(r))
-	gs := gb.Row("entity", int(s))
-	gr := gb.Row("relation", int(r))
-	for i := range dq {
-		gs[i] += dq[i] * rRow[i]
-		gr[i] += dq[i] * sRow[i]
-	}
-}
-
-// AccumulateGradAllObjects implements KvsAllTrainable for ComplEx with the
-// conjugate-product chain rule:
+// The trainer hands over a whole gradient chunk of contexts at once, so the
+// entity table is tiled once per chunk instead of swept once per context.
 //
-//	q_re = s_re∘r_re − s_im∘r_im     q_im = s_im∘r_re + s_re∘r_im
-//	ds_re = dq_re∘r_re + dq_im∘r_im  ds_im = −dq_re∘r_im + dq_im∘r_re
-//	dr_re = dq_re∘s_re + dq_im∘s_im  dr_im = −dq_re∘s_im + dq_im∘s_re
-func (m *ComplEx) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	checkScoreBuf(upstream, m.cfg.NumEntities)
-	d := m.cfg.Dim
-	sre, sim := m.split(m.ent.M.Row(int(s)))
-	rre, rim := m.split(m.rel.M.Row(int(r)))
-	q := make([]float32, 2*d)
-	for i := 0; i < d; i++ {
-		q[i] = sre[i]*rre[i] - sim[i]*rim[i]
-		q[d+i] = sim[i]*rre[i] + sre[i]*rim[i]
-	}
-	dq := entityBackprop(m.ent, upstream, q, gb)
-	m.chainObjDQ(s, r, dq, gb)
+// Determinism contract (this defines the batched trainer's digests): within
+// one chunk, entity-table row o accumulates its upstream[j][o]·qⱼ
+// contributions in ascending context order j, each context's dqⱼ
+// accumulates Eᵀ·upstreamⱼ in ascending entity order o, and all entity-row
+// updates of a chunk land before any adjoint runs. A chunk of one context
+// is therefore the plain per-context backward pass, which is how the scalar
+// trainer calls it; a longer chunk differs from a sequence of one-context
+// calls only in how a row that is both an object and some context's subject
+// sees the two phases interleaved. Every schedule is a fixed function of
+// the chunk content, so every worker count produces the same bits.
+
+// AccumulateGradAllObjects accumulates the gradient of all object scores of
+// one context (s, r). upstream must have length NumEntities.
+func (d *Derived) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
+	d.AccumulateGradAllObjectsBatch([]kg.EntityID{s}, []kg.RelationID{r},
+		&vecmath.Matrix{Rows: 1, Cols: len(upstream), Data: upstream}, gb)
 }
 
-// chainObjDQ chains dq into the subject and relation rows with the conjugate
-// chain rule above. Shared by the scalar and chunk-batched backward passes.
-func (m *ComplEx) chainObjDQ(s kg.EntityID, r kg.RelationID, dq []float32, gb *GradBuffer) {
-	d := m.cfg.Dim
-	sre, sim := m.split(m.ent.M.Row(int(s)))
-	rre, rim := m.split(m.rel.M.Row(int(r)))
-	gs := gb.Row("entity", int(s))
-	gr := gb.Row("relation", int(r))
-	for i := 0; i < d; i++ {
-		dre, dim := dq[i], dq[d+i]
-		gs[i] += dre*rre[i] + dim*rim[i]
-		gs[d+i] += -dre*rim[i] + dim*rre[i]
-		gr[i] += dre*sre[i] + dim*sim[i]
-		gr[d+i] += -dre*sim[i] + dim*sre[i]
-	}
-}
-
-// AccumulateGradAllObjects implements KvsAllTrainable for RESCAL:
-// q = Wᵣᵀs, ds = Wᵣ·dq, dWᵣ += s·dqᵀ.
-func (m *RESCAL) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	checkScoreBuf(upstream, m.cfg.NumEntities)
-	d := m.cfg.Dim
-	sRow := m.ent.M.Row(int(s))
-	q := m.wts(make([]float32, d), r, sRow)
-	dq := entityBackprop(m.ent, upstream, q, gb)
-	m.chainObjDQ(s, r, dq, gb)
-}
-
-// chainObjDQ chains dq into the subject row (ds = Wᵣ·dq) and the relation
-// matrix (dWᵣ += s·dqᵀ). Shared by the scalar and chunk-batched backward.
-func (m *RESCAL) chainObjDQ(s kg.EntityID, r kg.RelationID, dq []float32, gb *GradBuffer) {
-	d := m.cfg.Dim
-	sRow := m.ent.M.Row(int(s))
-	gb.Axpy("entity", int(s), 1, m.wo(make([]float32, d), r, dq))
-	gw := gb.Row("relation", int(r))
-	for i := 0; i < d; i++ {
-		vecmath.Axpy(sRow[i], dq, gw[i*d:(i+1)*d])
-	}
-}
-
-// AccumulateGradAllObjects implements KvsAllTrainable for HolE:
-// q = r * s (convolution), ds = r ⋆ dq, dr = s ⋆ dq (correlations).
-func (m *HolE) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	checkScoreBuf(upstream, m.cfg.NumEntities)
-	d := m.cfg.Dim
-	sRow := m.ent.M.Row(int(s))
-	rRow := m.rel.M.Row(int(r))
-	q := fft.Convolve(make([]float32, d), rRow, sRow)
-	dq := entityBackprop(m.ent, upstream, q, gb)
-	m.chainObjDQ(s, r, dq, gb)
-}
-
-// chainObjDQ chains dq into the subject and relation rows via circular
-// correlations. Shared by the scalar and chunk-batched backward passes.
-func (m *HolE) chainObjDQ(s kg.EntityID, r kg.RelationID, dq []float32, gb *GradBuffer) {
-	d := m.cfg.Dim
-	sRow := m.ent.M.Row(int(s))
-	rRow := m.rel.M.Row(int(r))
-	tmp := make([]float32, d)
-	gb.Axpy("entity", int(s), 1, fft.CircularCorrelation(tmp, rRow, dq))
-	gb.Axpy("relation", int(r), 1, fft.CircularCorrelation(make([]float32, d), sRow, dq))
-}
-
-// AccumulateGradAllObjects implements KvsAllTrainable for TransE. The
-// object sweep is not an inner product, so the chain is distance-based:
-// with q = s + r and e = q − e_o,
+// AccumulateGradAllObjectsBatch accumulates the gradient of all object
+// scores for every context (ss[j], rs[j]) given the per-context upstream
+// rows of a len(ss)×NumEntities matrix.
 //
-//	norm 2: ∂score_o/∂q = −2e, ∂score_o/∂e_o = +2e
-//	norm 1: ±sign(e) per coordinate.
-func (m *TransE) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	checkScoreBuf(upstream, m.cfg.NumEntities)
-	d := m.cfg.Dim
-	q := vecmath.Add(make([]float32, d), m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
-	dq := make([]float32, d)
-	for o := 0; o < m.cfg.NumEntities; o++ {
-		g := upstream[o]
-		if g == 0 {
-			continue
-		}
-		oRow := m.ent.M.Row(o)
-		gout := gb.Row("entity", o)
-		for i := 0; i < d; i++ {
-			e := q[i] - oRow[i]
-			var de float32
-			if m.norm == 1 {
-				switch {
-				case e > 0:
-					de = 1
-				case e < 0:
-					de = -1
+// The gradient lands in GradBuffer.Dense storage — KvsAll upstreams are
+// dense in the entity axis (label smoothing makes every sigmoid residual
+// nonzero), so per-row map inserts would dominate the sweep. Rows with zero
+// upstream are never touched: the optimizer's sparse-row semantics see
+// exactly the rows a per-triple pass would.
+func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.RelationID, upstream *vecmath.Matrix, gb *GradBuffer) {
+	checkCtxBatch(ss, rs, upstream, d.ent.Rows)
+	ctxs := make([]GradContext, len(ss))
+	q := d.objectQueries(ss, rs, ctxs)
+	dent := gb.Dense("entity")
+	var scr GroupScratch
+
+	if d.geom != SweepDot {
+		// The distance gradient has a per-entity residual term with no
+		// product form, so each context walks the table on its own and runs
+		// its adjoint before the next one starts.
+		for j := range ss {
+			dq := scr.Buf(1, q.Cols)
+			for o, g := range upstream.Row(j) {
+				if g != 0 {
+					d.distanceGrad(g, q.Row(j), d.ent.Row(o), dent.Row(o), dq)
 				}
-			} else {
-				de = 2 * e
 			}
-			dq[i] += -g * de
-			gout[i] += g * de
+			d.BackpropObjectQuery(ss[j], rs[j], ctxs[j], dq, gb, &scr)
 		}
+		return
 	}
-	gb.Axpy("entity", int(s), 1, dq)
-	gb.Axpy("relation", int(r), 1, dq)
-}
 
-// AccumulateGradAllObjects implements KvsAllTrainable for ConvE — the model
-// the 1-N trick was invented for: one forward pass, entity-table and bias
-// gradients per object, and a single backward pass through the FC and conv
-// layers with dh = Eᵀ·upstream.
-func (m *ConvE) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	checkScoreBuf(upstream, m.cfg.NumEntities)
-	c := m.forward(s, r)
-	dh := make([]float32, m.cfg.Dim)
-	for o, g := range upstream {
-		if g == 0 {
-			continue
-		}
-		gb.Axpy("entity", o, g, c.hidden)
-		gb.Row("entbias", o)[0] += g
-		vecmath.Axpy(g, m.ent.M.Row(o), dh)
+	// The entity table is walked in MatMat's L1 row tiles with contexts
+	// inner, so each tile of embedding rows is read once per chunk and the
+	// upstream rows stream sequentially.
+	var dbias *DenseGrad
+	if d.bias != nil {
+		dbias = gb.Dense("entbias")
 	}
-	m.backpropHidden(s, r, c, dh, gb)
-}
-
-// backpropHidden pushes a hidden-layer gradient through the FC and conv
-// layers down to the subject and relation embeddings. Shared by the
-// per-triple and KvsAll gradient paths.
-func (m *ConvE) backpropHidden(s kg.EntityID, r kg.RelationID, c *conveCtx, dh []float32, gb *GradBuffer) {
-	d := m.cfg.Dim
-	dz2 := make([]float32, d)
-	gfcb := gb.Row("fcbias", 0)
-	for i := 0; i < d; i++ {
-		if c.z2[i] > 0 && dh[i] != 0 {
-			dz2[i] = dh[i]
-			gfcb[i] += dz2[i]
-			gb.Axpy("fc", i, dz2[i], c.x)
-		}
-	}
-	dx := make([]float32, m.flat)
-	for i := 0; i < d; i++ {
-		if dz2[i] != 0 {
-			vecmath.Axpy(dz2[i], m.fc.M.Row(i), dx)
-		}
-	}
-	iw := m.w
-	dinput := make([]float32, 2*d)
-	gconvB := gb.Row("convbias", 0)
-	for f := 0; f < m.filters; f++ {
-		k := m.conv.M.Row(f)
-		gk := gb.Row("conv", f)
-		base := f * m.oh * m.ow
-		for i := 0; i < m.oh; i++ {
-			for j := 0; j < m.ow; j++ {
-				idx := base + i*m.ow + j
-				if c.z1[idx] <= 0 || dx[idx] == 0 {
+	dq := vecmath.NewMatrix(len(ss), q.Cols)
+	n := d.ent.Rows
+	tile := vecmath.MatMatTileRows(q.Cols)
+	for lo := 0; lo < n; lo += tile {
+		hi := min(lo+tile, n)
+		for j := range ss {
+			qj, dqj := q.Row(j), dq.Row(j)
+			for t, g := range upstream.Row(j)[lo:hi] {
+				if g == 0 {
 					continue
 				}
-				g := dx[idx]
-				gconvB[f] += g
-				for u := 0; u < 3; u++ {
-					inRow := (i + u) * iw
-					kRow := u * 3
-					for v := 0; v < 3; v++ {
-						gk[kRow+v] += g * c.input[inRow+j+v]
-						dinput[inRow+j+v] += g * k[kRow+v]
-					}
+				o := lo + t
+				vecmath.Axpy(g, qj, dent.Row(o))
+				if dbias != nil {
+					dbias.Row(o)[0] += g
 				}
+				vecmath.Axpy(g, d.ent.Row(o), dqj)
 			}
 		}
 	}
-	vecmath.Axpy(1, dinput[:d], gb.Row("entity", int(s)))
-	vecmath.Axpy(1, dinput[d:], gb.Row("relation", int(r)))
+	for j := range ss {
+		d.BackpropObjectQuery(ss[j], rs[j], ctxs[j], dq.Row(j), gb, &scr)
+	}
+}
+
+// distanceGrad accumulates one candidate row of a distance sweep. With the
+// residual e = q − row and g = ∂d/∂e (the sign of e for L1, 2e for squared
+// L2), score = −d gives ∂score/∂row = +g and ∂score/∂q = −g: u·g is added
+// to grow and subtracted from gq.
+func (d *Derived) distanceGrad(u float32, q, row, grow, gq []float32) {
+	for c := range q {
+		e := q[c] - row[c]
+		var g float32
+		if d.geom == SweepL1 {
+			switch {
+			case e > 0:
+				g = 1
+			case e < 0:
+				g = -1
+			}
+		} else {
+			g = 2 * e
+		}
+		gq[c] += -g * u
+		grow[c] += g * u
+	}
 }

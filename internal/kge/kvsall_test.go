@@ -14,11 +14,8 @@ import (
 // identity of the batched gradient.
 func TestKvsAllGradMatchesPerTriple(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, m := range allModels(t, 8) {
-		kvs, ok := m.(KvsAllTrainable)
-		if !ok {
-			t.Fatalf("%s does not implement KvsAllTrainable", m.Name())
-		}
+	for _, m := range derivedModels(t) {
+		kvs := m.(*Derived)
 		t.Run(m.Name(), func(t *testing.T) {
 			s, r := kg.EntityID(1), kg.RelationID(2)
 			upstream := make([]float32, m.NumEntities())
@@ -123,7 +120,7 @@ func TestKvsAllBufferSizePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kvs := m.(KvsAllTrainable)
+	kvs := m.(*Derived)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for wrong upstream length")

@@ -188,20 +188,10 @@ func configOf(m Trainable) (Config, error) {
 		// zero-valued on reconstruction, so it never leaks into a save).
 		return configOf(mm.Trainable)
 	}
-	switch t := m.(type) {
-	case *TransE:
-		return t.cfg, nil
-	case *DistMult:
-		return t.cfg, nil
-	case *ComplEx:
-		return t.cfg, nil
-	case *RESCAL:
-		return t.cfg, nil
-	case *HolE:
-		return t.cfg, nil
-	case *ConvE:
-		return t.cfg, nil
-	default:
-		return Config{}, fmt.Errorf("kge: cannot snapshot model type %T", m)
+	if d, ok := m.(*Derived); ok {
+		if c, ok := d.QueryModel.(interface{ config() Config }); ok {
+			return c.config(), nil
+		}
 	}
+	return Config{}, fmt.Errorf("kge: cannot snapshot model type %T", m)
 }

@@ -10,45 +10,14 @@ import (
 // f(s, r, o) = sᵀ Wᵣ o. The relation table stores each matrix flattened
 // row-major as one K×d² row, so the sparse per-row optimizer updates one
 // relation's whole matrix as a unit.
-type RESCAL struct {
-	cfg Config
-	ps  *ParamSet
-	ent *Param // N×d
-	rel *Param // K×d² (row-major d×d matrices)
-}
+type RESCAL struct{ tables }
 
 // NewRESCAL constructs and initializes a RESCAL model.
 func NewRESCAL(cfg Config) (*RESCAL, error) {
-	m := &RESCAL{cfg: cfg, ps: NewParamSet()}
-	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim)
-	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim*cfg.Dim)
-	if cfg.skipInit {
-		return m, nil
-	}
-	rng := initRNG(cfg)
-	for i := 0; i < cfg.NumEntities; i++ {
-		vecmath.XavierInit(rng, m.ent.M.Row(i), cfg.Dim, cfg.Dim)
-	}
-	for i := 0; i < cfg.NumRelations; i++ {
-		vecmath.XavierInit(rng, m.rel.M.Row(i), cfg.Dim, cfg.Dim)
-	}
+	m := &RESCAL{newTables("rescal", cfg, cfg.Dim, cfg.Dim*cfg.Dim)}
+	m.initXavier(cfg.Dim)
 	return m, nil
 }
-
-// Name implements Model.
-func (m *RESCAL) Name() string { return "rescal" }
-
-// Dim implements Model.
-func (m *RESCAL) Dim() int { return m.cfg.Dim }
-
-// NumEntities implements Model.
-func (m *RESCAL) NumEntities() int { return m.cfg.NumEntities }
-
-// NumRelations implements Model.
-func (m *RESCAL) NumRelations() int { return m.cfg.NumRelations }
-
-// Params implements Trainable.
-func (m *RESCAL) Params() *ParamSet { return m.ps }
 
 // relMatrix views relation r's flattened row as a d×d matrix.
 func (m *RESCAL) relMatrix(r kg.RelationID) []float32 { return m.rel.M.Row(int(r)) }
@@ -76,7 +45,7 @@ func (m *RESCAL) wts(dst []float32, r kg.RelationID, s []float32) []float32 {
 	return dst
 }
 
-// Score implements Model.
+// Score implements QueryModel.
 func (m *RESCAL) Score(t kg.Triple) float32 {
 	s := m.ent.M.Row(int(t.S))
 	o := m.ent.M.Row(int(t.O))
@@ -85,29 +54,46 @@ func (m *RESCAL) Score(t kg.Triple) float32 {
 	return vecmath.Dot(s, tmp)
 }
 
-// ScoreWithContext implements Trainable.
+// ScoreWithContext implements QueryModel.
 func (m *RESCAL) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
-// ScoreAllObjects implements Model: q = Wᵣᵀ·s, scores = E·q via the
-// blocked MatVec kernel.
-func (m *RESCAL) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+// ObjectQuery implements QueryModel: q = Wᵣᵀ·s.
+func (m *RESCAL) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
 	m.wts(q, r, m.ent.M.Row(int(s)))
-	return vecmath.MatVec(out, m.ent.M, q)
+	return nil
 }
 
-// ScoreAllSubjects implements Model: q = Wᵣ·o, scores = E·q.
-func (m *RESCAL) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+// BackpropObjectQuery implements QueryModel: ∂s = Wᵣ·dq, ∂Wᵣ = s·dqᵀ.
+func (m *RESCAL) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, scr *GroupScratch) {
+	d := m.cfg.Dim
+	sRow := m.ent.M.Row(int(s))
+	gb.Axpy("entity", int(s), 1, m.wo(scr.Buf(2, d), r, dq))
+	gw := gb.Row("relation", int(r))
+	for i := 0; i < d; i++ {
+		vecmath.Axpy(sRow[i], dq, gw[i*d:(i+1)*d])
+	}
+}
+
+// SubjectQuery implements QueryModel: q = Wᵣ·o.
+func (m *RESCAL) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool {
 	m.wo(q, r, m.ent.M.Row(int(o)))
-	return vecmath.MatVec(out, m.ent.M, q)
+	return true
 }
 
-// AccumulateGrad implements Trainable:
+// BackpropSubjectQuery implements QueryModel: ∂o = Wᵣᵀ·dq, ∂Wᵣ = dq·oᵀ.
+func (m *RESCAL) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, scr *GroupScratch) {
+	d := m.cfg.Dim
+	oRow := m.ent.M.Row(int(o))
+	gb.Axpy("entity", int(o), 1, m.wts(scr.Buf(2, d), r, dq))
+	gw := gb.Row("relation", int(r))
+	for i := 0; i < d; i++ {
+		vecmath.Axpy(dq[i], oRow, gw[i*d:(i+1)*d])
+	}
+}
+
+// AccumulateGrad implements QueryModel:
 //
 //	∂f/∂s = Wᵣ·o, ∂f/∂o = Wᵣᵀ·s, ∂f/∂Wᵣ = s·oᵀ (outer product).
 func (m *RESCAL) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *GradBuffer) {
@@ -124,6 +110,3 @@ func (m *RESCAL) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb
 		vecmath.Axpy(upstream*s[i], o, gw[i*d:(i+1)*d])
 	}
 }
-
-// PostBatch implements Trainable (no constraints).
-func (m *RESCAL) PostBatch() {}

@@ -1,7 +1,8 @@
 package kge
 
 import (
-	"repro/internal/fft"
+	"fmt"
+
 	"repro/internal/kg"
 	"repro/internal/vecmath"
 )
@@ -24,19 +25,76 @@ const (
 	SweepL2Sq
 )
 
+// QueryModel is the contract a model implements; Derive builds every other
+// operation in this package from it. The parameter set must hold the N×D
+// table every sweep scores against under "entity", one row per relation
+// under "relation", and may hold an N×1 per-entity score bias under
+// "entbias" (only ConvE does).
+//
+// Score and AccumulateGrad are the per-triple reference. The two queries
+// factor the same score by side:
+//
+//	score(s, r, o) = geometry(ObjectQuery(s, r), E[o]) + bias[o]
+//	               = geometry(SubjectQuery(r, o), E[s])
+//
+// where geometry is a dot product or a negated distance (SweepGeometry),
+// and each Backprop method is its query's adjoint: given dq = ∂L/∂q it
+// accumulates the gradient of every parameter the query read. The sweeps
+// and gradients derived from the queries agree with the per-triple
+// reference up to float32 reassociation.
+//
+// Implementations must be safe for concurrent readers.
+type QueryModel interface {
+	// Name returns the canonical lowercase model name ("transe", …).
+	Name() string
+	// Dim returns the embedding size l.
+	Dim() int
+	// Params exposes the named parameter tables.
+	Params() *ParamSet
+	// Score returns f(t; Θ).
+	Score(t kg.Triple) float32
+	// ScoreWithContext is Score plus a reusable forward context.
+	ScoreWithContext(t kg.Triple) (float32, GradContext)
+	// AccumulateGrad accumulates upstream · ∂Score(t)/∂θ into gb; ctx is
+	// what ScoreWithContext returned for t, or nil.
+	AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer)
+	// PostBatch applies model-specific constraints after an optimizer step.
+	PostBatch()
+	// SweepGeometry returns the score family of both sweeps.
+	SweepGeometry() SweepGeometry
+
+	// ObjectQuery overwrites q, which has the entity table's width, with
+	// q(s, r) and returns the forward state its adjoint needs (nil for models
+	// whose adjoint reads only the parameters).
+	ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext
+	// BackpropObjectQuery is ObjectQuery's adjoint. ctx is what ObjectQuery
+	// returned for (s, r), or nil to have it recomputed. Slot 2 of scr is
+	// the adjoint's to use; slots 0 and 1 hold the caller's q and dq.
+	BackpropObjectQuery(s kg.EntityID, r kg.RelationID, ctx GradContext, dq []float32, gb *GradBuffer, scr *GroupScratch)
+	// SubjectQuery overwrites q with q(r, o) and reports true, or reports false
+	// when the score does not factor on the subject side (ConvE: the
+	// convolution reads the subject); derived subject-side operations then
+	// fall back to the per-triple reference.
+	SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool
+	// BackpropSubjectQuery is SubjectQuery's adjoint, with the scratch
+	// convention of BackpropObjectQuery. It is never called on a model whose
+	// SubjectQuery reports false.
+	BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, scr *GroupScratch)
+}
+
 // ObjectSweeper exposes the linear structure of a model's ScoreAllObjects
 // sweep: a per-(s, r) query vector plus a fixed entity table, combined by
 // one of the three geometries above. A model implementing it can be ranked
 // through the prescreen-then-rerank path (internal/prune, internal/eval's
 // RankObjectsPruned) instead of always paying the dense O(|E|·d) sweep.
 //
-// Exactness contract: BuildObjectQuery must perform the same arithmetic, in
-// the same order, as the model's ScoreAllObjects query construction — then
-// rescoring entity o from q with the shared kernels (vecmath.MatVecRange on
-// aligned 4-row blocks for SweepDot, the per-row distance kernels for
-// SweepL1/SweepL2Sq, plus the single bias add) reproduces the dense sweep's
-// float32 output bit for bit. That contract is what lets exact-mode pruning
-// return byte-identical discovery results.
+// Exactness contract: rescoring entity o from the built query with the
+// shared kernels (vecmath.MatVecRange on aligned 4-row blocks for SweepDot,
+// the per-row distance kernels for SweepL1/SweepL2Sq, plus the single bias
+// add) reproduces the dense sweep's float32 output bit for bit. That
+// contract is what lets exact-mode pruning return byte-identical discovery
+// results; Derived meets it because its dense sweeps run the same query
+// through the same kernels.
 type ObjectSweeper interface {
 	Model
 	// SweepGeometry returns the score family of the object sweep.
@@ -55,136 +113,185 @@ type ObjectSweeper interface {
 	BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32)
 }
 
-func checkQueryBuf(dst []float32, d int) {
-	if len(dst) != d {
+// Derived is a QueryModel with every derived operation attached: it
+// implements Trainable and ObjectSweeper, and carries the batch sweeps
+// (this file), the KvsAll backward pass (kvsall.go) and the grouped
+// negative-sampling operations (groups.go). Each is written here once, over
+// the contract and the vecmath kernels, for all models.
+type Derived struct {
+	QueryModel
+	geom SweepGeometry
+	ent  *vecmath.Matrix // the "entity" table
+	bias *vecmath.Matrix // the "entbias" table, or nil
+	nRel int
+}
+
+// Derive attaches the derived operations to q.
+func Derive(q QueryModel) *Derived {
+	ps := q.Params()
+	ent, rel := ps.Get("entity"), ps.Get("relation")
+	if ent == nil || rel == nil {
+		panic(fmt.Sprintf("kge: model %q lacks an \"entity\" or \"relation\" parameter table", q.Name()))
+	}
+	d := &Derived{QueryModel: q, geom: q.SweepGeometry(), ent: ent.M, nRel: rel.M.Rows}
+	if b := ps.Get("entbias"); b != nil {
+		d.bias = b.M
+	}
+	return d
+}
+
+// NumEntities implements Model.
+func (d *Derived) NumEntities() int { return d.ent.Rows }
+
+// NumRelations implements Model.
+func (d *Derived) NumRelations() int { return d.nRel }
+
+// SweepDim implements ObjectSweeper.
+func (d *Derived) SweepDim() int { return d.ent.Cols }
+
+// SweepEntityTable implements ObjectSweeper.
+func (d *Derived) SweepEntityTable() *vecmath.Matrix { return d.ent }
+
+// SweepBias implements ObjectSweeper. The bias table is N×1, so its backing
+// data is already the flat bias vector.
+func (d *Derived) SweepBias() []float32 {
+	if d.bias == nil {
+		return nil
+	}
+	return d.bias.Data
+}
+
+// BuildObjectQuery implements ObjectSweeper.
+func (d *Derived) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
+	if len(dst) != d.ent.Cols {
 		panic("kge: object-sweep query buffer has wrong length")
 	}
+	d.ObjectQuery(s, r, dst)
 }
 
-// SweepGeometry implements ObjectSweeper.
-func (m *DistMult) SweepGeometry() SweepGeometry { return SweepDot }
-
-// SweepDim implements ObjectSweeper.
-func (m *DistMult) SweepDim() int { return m.cfg.Dim }
-
-// SweepEntityTable implements ObjectSweeper.
-func (m *DistMult) SweepEntityTable() *vecmath.Matrix { return m.ent.M }
-
-// SweepBias implements ObjectSweeper.
-func (m *DistMult) SweepBias() []float32 { return nil }
-
-// BuildObjectQuery implements ObjectSweeper: q = s∘r, exactly as
-// ScoreAllObjects constructs it.
-func (m *DistMult) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	checkQueryBuf(dst, m.cfg.Dim)
-	vecmath.Hadamard(dst, m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
+// ScoreAllObjects implements Model: the one-row case of ScoreContextsBatch.
+func (d *Derived) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
+	checkScoreBuf(out, d.ent.Rows)
+	d.ScoreContextsBatch([]kg.EntityID{s}, []kg.RelationID{r},
+		&vecmath.Matrix{Rows: 1, Cols: len(out), Data: out})
+	return out
 }
 
-// SweepGeometry implements ObjectSweeper.
-func (m *ComplEx) SweepGeometry() SweepGeometry { return SweepDot }
+// ScoreAllSubjects implements Model. Without a subject query there is no
+// linear sweep, and every subject is scored on its own.
+func (d *Derived) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
+	checkScoreBuf(out, d.ent.Rows)
+	q := vecmath.NewMatrix(1, d.ent.Cols)
+	if !d.SubjectQuery(r, o, q.Data) {
+		for s := range out {
+			out[s] = d.Score(kg.Triple{S: kg.EntityID(s), R: r, O: o})
+		}
+		return out
+	}
+	d.sweep(&vecmath.Matrix{Rows: 1, Cols: len(out), Data: out}, q, nil)
+	return out
+}
 
-// SweepDim implements ObjectSweeper: the 2·Dim storage width.
-func (m *ComplEx) SweepDim() int { return 2 * m.cfg.Dim }
+// ScoreContextsBatch writes score(ss[j], rs[j], o) for every entity o into
+// row j of out, which must be len(ss)×NumEntities: one query matrix, one
+// sweep. Row j is bit-identical to ScoreAllObjects(ss[j], rs[j], ...) — the
+// batch is a scheduling change, not a numerical one, which is what keeps
+// discovery output and training digests independent of how rows are grouped.
+func (d *Derived) ScoreContextsBatch(ss []kg.EntityID, rs []kg.RelationID, out *vecmath.Matrix) {
+	checkCtxBatch(ss, rs, out, d.ent.Rows)
+	d.sweep(out, d.objectQueries(ss, rs, nil), d.SweepBias())
+}
 
-// SweepEntityTable implements ObjectSweeper.
-func (m *ComplEx) SweepEntityTable() *vecmath.Matrix { return m.ent.M }
+// objectQueries builds the len(ss)×SweepDim matrix of object queries,
+// keeping each row's forward state in ctxs when it is non-nil.
+func (d *Derived) objectQueries(ss []kg.EntityID, rs []kg.RelationID, ctxs []GradContext) *vecmath.Matrix {
+	q := vecmath.NewMatrix(len(ss), d.ent.Cols)
+	for j := range ss {
+		ctx := d.ObjectQuery(ss[j], rs[j], q.Row(j))
+		if ctxs != nil {
+			ctxs[j] = ctx
+		}
+	}
+	return q
+}
 
-// SweepBias implements ObjectSweeper.
-func (m *ComplEx) SweepBias() []float32 { return nil }
+// ScoreAllObjectsBatch is the relation-blocked object sweep discovery ranks
+// from: ScoreContextsBatch with one relation for every subject. A Model that
+// is not Derived gets one ScoreAllObjects sweep per subject, so callers can
+// schedule uniformly by relation block.
+func ScoreAllObjectsBatch(m Model, ss []kg.EntityID, r kg.RelationID, out *vecmath.Matrix) {
+	checkBatchBuf(out, len(ss), m.NumEntities())
+	d, ok := m.(*Derived)
+	if !ok {
+		for j, s := range ss {
+			m.ScoreAllObjects(s, r, out.Row(j))
+		}
+		return
+	}
+	rs := make([]kg.RelationID, len(ss))
+	for j := range rs {
+		rs[j] = r
+	}
+	d.ScoreContextsBatch(ss, rs, out)
+}
 
-// BuildObjectQuery implements ObjectSweeper with ScoreAllObjects' exact
-// expression order for the real and imaginary coefficient halves.
-func (m *ComplEx) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	d := m.cfg.Dim
-	checkQueryBuf(dst, 2*d)
-	sre, sim := m.split(m.ent.M.Row(int(s)))
-	rre, rim := m.split(m.rel.M.Row(int(r)))
-	for i := 0; i < d; i++ {
-		dst[i] = sre[i]*rre[i] - sim[i]*rim[i]
-		dst[d+i] = sim[i]*rre[i] + sre[i]*rim[i]
+// sweep scores every query row against every entity:
+// out.Row(j)[o] = geometry(q.Row(j), E[o]) + bias[o].
+//
+// The dot family is one vecmath.MatMat, whose rows are bit-identical to
+// per-row MatVec calls. A distance has no product form that keeps the
+// per-pair accumulation order, so the entity table is walked in MatMat's row
+// tiles with every query scoring a tile before it leaves cache, through the
+// same per-pair kernels a single sweep uses.
+func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
+	if d.geom == SweepDot {
+		vecmath.MatMat(out, d.ent, q)
+		if bias != nil {
+			for j := 0; j < out.Rows; j++ {
+				row := out.Row(j)
+				for o := range row {
+					row[o] += bias[o]
+				}
+			}
+		}
+		return
+	}
+	n := d.ent.Rows
+	tile := vecmath.MatMatTileRows(d.ent.Cols)
+	for lo := 0; lo < n; lo += tile {
+		hi := min(lo+tile, n)
+		for j := 0; j < q.Rows; j++ {
+			qj, dst := q.Row(j), out.Row(j)
+			for o := lo; o < hi; o++ {
+				dst[o] = d.negDistance(qj, d.ent.Row(o))
+			}
+		}
 	}
 }
 
-// SweepGeometry implements ObjectSweeper.
-func (m *RESCAL) SweepGeometry() SweepGeometry { return SweepDot }
-
-// SweepDim implements ObjectSweeper.
-func (m *RESCAL) SweepDim() int { return m.cfg.Dim }
-
-// SweepEntityTable implements ObjectSweeper.
-func (m *RESCAL) SweepEntityTable() *vecmath.Matrix { return m.ent.M }
-
-// SweepBias implements ObjectSweeper.
-func (m *RESCAL) SweepBias() []float32 { return nil }
-
-// BuildObjectQuery implements ObjectSweeper: q = Wᵣᵀ·s via the same wts
-// kernel ScoreAllObjects uses.
-func (m *RESCAL) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	checkQueryBuf(dst, m.cfg.Dim)
-	m.wts(dst, r, m.ent.M.Row(int(s)))
-}
-
-// SweepGeometry implements ObjectSweeper.
-func (m *HolE) SweepGeometry() SweepGeometry { return SweepDot }
-
-// SweepDim implements ObjectSweeper.
-func (m *HolE) SweepDim() int { return m.cfg.Dim }
-
-// SweepEntityTable implements ObjectSweeper.
-func (m *HolE) SweepEntityTable() *vecmath.Matrix { return m.ent.M }
-
-// SweepBias implements ObjectSweeper.
-func (m *HolE) SweepBias() []float32 { return nil }
-
-// BuildObjectQuery implements ObjectSweeper: q = r * s (circular
-// convolution), the same fft.Convolve call ScoreAllObjects makes.
-func (m *HolE) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	checkQueryBuf(dst, m.cfg.Dim)
-	fft.Convolve(dst, m.rel.M.Row(int(r)), m.ent.M.Row(int(s)))
-}
-
-// SweepGeometry implements ObjectSweeper.
-func (m *ConvE) SweepGeometry() SweepGeometry { return SweepDot }
-
-// SweepDim implements ObjectSweeper.
-func (m *ConvE) SweepDim() int { return m.cfg.Dim }
-
-// SweepEntityTable implements ObjectSweeper.
-func (m *ConvE) SweepEntityTable() *vecmath.Matrix { return m.ent.M }
-
-// SweepBias implements ObjectSweeper: the per-entity output bias b_o. The
-// entbias table is N×1, so its backing data is already the flat bias vector.
-func (m *ConvE) SweepBias() []float32 { return m.entBias.M.Data }
-
-// BuildObjectQuery implements ObjectSweeper: the 1-N scoring trick's hidden
-// vector. The forward pass is deterministic in (s, r), so repeated calls
-// produce bit-identical queries.
-func (m *ConvE) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	checkQueryBuf(dst, m.cfg.Dim)
-	copy(dst, m.forward(s, r).hidden)
-}
-
-// SweepGeometry implements ObjectSweeper: TransE sweeps a distance, not a
-// dot product.
-func (m *TransE) SweepGeometry() SweepGeometry {
-	if m.norm == 1 {
-		return SweepL1
+// negDistance is the distance geometries' per-pair score.
+func (d *Derived) negDistance(q, row []float32) float32 {
+	if d.geom == SweepL1 {
+		return -vecmath.L1Distance(q, row)
 	}
-	return SweepL2Sq
+	return -vecmath.SquaredL2Distance(q, row)
 }
 
-// SweepDim implements ObjectSweeper.
-func (m *TransE) SweepDim() int { return m.cfg.Dim }
+func checkScoreBuf(out []float32, n int) {
+	if len(out) != n {
+		panic(fmt.Sprintf("kge: score buffer length %d, want %d entities", len(out), n))
+	}
+}
 
-// SweepEntityTable implements ObjectSweeper.
-func (m *TransE) SweepEntityTable() *vecmath.Matrix { return m.ent.M }
+func checkBatchBuf(out *vecmath.Matrix, rows, n int) {
+	if out.Rows != rows || out.Cols != n {
+		panic(fmt.Sprintf("kge: batch score buffer is %dx%d, want %dx%d", out.Rows, out.Cols, rows, n))
+	}
+}
 
-// SweepBias implements ObjectSweeper.
-func (m *TransE) SweepBias() []float32 { return nil }
-
-// BuildObjectQuery implements ObjectSweeper: q = s + r, exactly as
-// ScoreAllObjects constructs it.
-func (m *TransE) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	checkQueryBuf(dst, m.cfg.Dim)
-	vecmath.Add(dst, m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
+func checkCtxBatch(ss []kg.EntityID, rs []kg.RelationID, mat *vecmath.Matrix, n int) {
+	if len(ss) != len(rs) {
+		panic(fmt.Sprintf("kge: context batch has %d subjects, %d relations", len(ss), len(rs)))
+	}
+	checkBatchBuf(mat, len(ss), n)
 }

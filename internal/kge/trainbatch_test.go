@@ -35,11 +35,8 @@ func chunkUpstream(rng *rand.Rand, k, n int) *vecmath.Matrix {
 // batched-digest contract: every row of the chunk forward is bit-identical
 // to the per-context ScoreAllObjects sweep, for every model.
 func TestScoreContextsBatchMatchesScoreAllObjects(t *testing.T) {
-	for _, m := range allModels(t, 8) {
-		bt, ok := m.(KvsAllBatchTrainable)
-		if !ok {
-			t.Fatalf("%s does not implement KvsAllBatchTrainable", m.Name())
-		}
+	for _, m := range derivedModels(t) {
+		bt := m.(*Derived)
 		t.Run(m.Name(), func(t *testing.T) {
 			ss, rs := chunkContexts()
 			out := vecmath.NewMatrix(len(ss), m.NumEntities())
@@ -67,8 +64,8 @@ func TestScoreContextsBatchMatchesScoreAllObjects(t *testing.T) {
 // are both objects and chain-tail targets).
 func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, m := range allModels(t, 8) {
-		bt := m.(KvsAllBatchTrainable)
+	for _, m := range derivedModels(t) {
+		bt := m.(*Derived)
 		t.Run(m.Name(), func(t *testing.T) {
 			ss, rs := chunkContexts()
 			upstream := chunkUpstream(rng, len(ss), m.NumEntities())
@@ -97,7 +94,7 @@ func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 					t.Errorf("%s: row %s/%d touched by scalar but not batched", m.Name(), p.Name, row)
 				}
 			})
-			compareGradBuffers(t, m.(Trainable), batched, reference)
+			compareGradBuffers(t, m, batched, reference)
 		})
 	}
 }
@@ -107,8 +104,8 @@ func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 // scalar gradient exactly, bit for bit, for every model.
 func TestKvsAllBatchGradSingleContextBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, m := range allModels(t, 8) {
-		bt := m.(KvsAllBatchTrainable)
+	for _, m := range derivedModels(t) {
+		bt := m.(*Derived)
 		t.Run(m.Name(), func(t *testing.T) {
 			upstream := chunkUpstream(rng, 1, m.NumEntities())
 			s, r := kg.EntityID(2), kg.RelationID(1)

@@ -13,11 +13,8 @@ import (
 // norm 2 uses the squared L2 distance (smooth, so the gradient is exact
 // everywhere).
 type TransE struct {
-	cfg  Config
+	tables
 	norm int
-	ps   *ParamSet
-	ent  *Param // N×d entity embeddings
-	rel  *Param // K×d relation embeddings
 }
 
 // NewTransE constructs and initializes a TransE model.
@@ -29,39 +26,21 @@ func NewTransE(cfg Config) (*TransE, error) {
 	if norm != 1 && norm != 2 {
 		return nil, fmt.Errorf("kge: transe: norm must be 1 or 2, got %d", cfg.Norm)
 	}
-	m := &TransE{cfg: cfg, norm: norm, ps: NewParamSet()}
-	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim)
-	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim)
-	if cfg.skipInit {
-		return m, nil
+	m := &TransE{tables: newTables("transe", cfg, cfg.Dim, cfg.Dim), norm: norm}
+	// TransE sweeps a distance, not a dot product.
+	m.geom = SweepL1
+	if norm == 2 {
+		m.geom = SweepL2Sq
 	}
-	rng := initRNG(cfg)
-	for i := 0; i < cfg.NumEntities; i++ {
-		vecmath.XavierInit(rng, m.ent.M.Row(i), cfg.Dim, cfg.Dim)
-		vecmath.NormalizeL2(m.ent.M.Row(i))
-	}
-	for i := 0; i < cfg.NumRelations; i++ {
-		vecmath.XavierInit(rng, m.rel.M.Row(i), cfg.Dim, cfg.Dim)
+	if m.initXavier(cfg.Dim) != nil {
+		for i := 0; i < cfg.NumEntities; i++ {
+			vecmath.NormalizeL2(m.ent.M.Row(i))
+		}
 	}
 	return m, nil
 }
 
-// Name implements Model.
-func (m *TransE) Name() string { return "transe" }
-
-// Dim implements Model.
-func (m *TransE) Dim() int { return m.cfg.Dim }
-
-// NumEntities implements Model.
-func (m *TransE) NumEntities() int { return m.cfg.NumEntities }
-
-// NumRelations implements Model.
-func (m *TransE) NumRelations() int { return m.cfg.NumRelations }
-
-// Params implements Trainable.
-func (m *TransE) Params() *ParamSet { return m.ps }
-
-// Score implements Model: −d(s + r, o).
+// Score implements QueryModel: −d(s + r, o).
 func (m *TransE) Score(t kg.Triple) float32 {
 	s := m.ent.M.Row(int(t.S))
 	r := m.rel.M.Row(int(t.R))
@@ -84,50 +63,38 @@ func (m *TransE) Score(t kg.Triple) float32 {
 	return -d
 }
 
-// ScoreWithContext implements Trainable.
+// ScoreWithContext implements QueryModel.
 func (m *TransE) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
-// ScoreAllObjects implements Model. With q = s + r the object sweep scores
+// ObjectQuery implements QueryModel: with q = s + r the object sweep scores
 // −d(q, o') for every entity row o'.
-func (m *TransE) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+func (m *TransE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
 	vecmath.Add(q, m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
-	for o := 0; o < m.cfg.NumEntities; o++ {
-		row := m.ent.M.Row(o)
-		var d float32
-		if m.norm == 1 {
-			d = vecmath.L1Distance(q, row)
-		} else {
-			d = vecmath.SquaredL2Distance(q, row)
-		}
-		out[o] = -d
-	}
-	return out
+	return nil
 }
 
-// ScoreAllSubjects implements Model. d(s + r, o) = d(s, o − r), so with
+// BackpropObjectQuery implements QueryModel: ∂s = ∂r = dq.
+func (m *TransE) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	gb.Axpy("entity", int(s), 1, dq)
+	gb.Axpy("relation", int(r), 1, dq)
+}
+
+// SubjectQuery implements QueryModel: d(s + r, o) = d(s, o − r), so with
 // q = o − r the subject sweep is symmetric to the object sweep.
-func (m *TransE) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, m.cfg.NumEntities)
-	q := make([]float32, m.cfg.Dim)
+func (m *TransE) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool {
 	vecmath.Sub(q, m.ent.M.Row(int(o)), m.rel.M.Row(int(r)))
-	for s := 0; s < m.cfg.NumEntities; s++ {
-		row := m.ent.M.Row(s)
-		var d float32
-		if m.norm == 1 {
-			d = vecmath.L1Distance(row, q)
-		} else {
-			d = vecmath.SquaredL2Distance(row, q)
-		}
-		out[s] = -d
-	}
-	return out
+	return true
 }
 
-// AccumulateGrad implements Trainable. With e = s + r − o:
+// BackpropSubjectQuery implements QueryModel: ∂r = −dq, ∂o = dq.
+func (m *TransE) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, _ *GroupScratch) {
+	gb.Axpy("relation", int(r), -1, dq)
+	gb.Axpy("entity", int(o), 1, dq)
+}
+
+// AccumulateGrad implements QueryModel. With e = s + r − o:
 //
 //	norm 1: ∂f/∂s = −sign(e), ∂f/∂r = −sign(e), ∂f/∂o = +sign(e)
 //	norm 2: ∂f/∂s = −2e,      ∂f/∂r = −2e,      ∂f/∂o = +2e
@@ -157,7 +124,7 @@ func (m *TransE) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb
 	}
 }
 
-// PostBatch implements Trainable: project entity embeddings back onto the
+// PostBatch implements QueryModel: project entity embeddings back onto the
 // unit L2 ball, the constraint from the original TransE training procedure.
 func (m *TransE) PostBatch() {
 	for i := 0; i < m.cfg.NumEntities; i++ {

@@ -55,13 +55,13 @@ func buildKvsContexts(g *kg.Graph) []kvsContext {
 	return out
 }
 
-// RunKvsAll trains model with the KvsAll objective. The model must
-// implement kge.KvsAllTrainable (all six models here do). cfg fields
-// NegSamples, Loss, FilteredNegatives and BernoulliNegatives are ignored —
-// the objective replaces negative sampling entirely. LabelSmoothing (e.g.
-// 0.1, the ConvE paper's value) smooths the multi-hot targets.
+// RunKvsAll trains model with the KvsAll objective. The model must be a
+// *kge.Derived (everything kge.New returns is). cfg fields NegSamples, Loss,
+// FilteredNegatives and BernoulliNegatives are ignored — the objective
+// replaces negative sampling entirely. LabelSmoothing (e.g. 0.1, the ConvE
+// paper's value) smooths the multi-hot targets.
 func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config, labelSmoothing float32) (History, error) {
-	kvs, ok := model.(kge.KvsAllTrainable)
+	kvs, ok := model.(*kge.Derived)
 	if !ok {
 		return History{}, fmt.Errorf("train: model %s does not support KvsAll training", model.Name())
 	}
@@ -137,21 +137,17 @@ func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Con
 // deterministic reduction as runBatch) and applies a single optimizer step.
 // Returns the summed mean-per-entity BCE loss over the batch.
 //
-// The batched path (ScalarKernels false, model implements
-// KvsAllBatchTrainable) scores a whole chunk as one query-matrix × entity-
-// table MatMat, runs the fused BCE loss/gradient kernel per context row, and
-// backprops the chunk with one AccumulateGradAllObjectsBatch call.
-func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Config, smoothing float32) float64 {
+// The batched path (ScalarKernels false) scores a whole chunk as one
+// query-matrix × entity-table MatMat, runs the fused BCE loss/gradient kernel
+// per context row, and backprops the chunk with one
+// AccumulateGradAllObjectsBatch call.
+func runKvsBatch(model *kge.Derived, batch []kvsContext, n int, cfg Config, smoothing float32) float64 {
 	invBatch := 1 / float32(len(batch))
 	invN := 1 / float32(n)
 	// Multi-hot targets with label smoothing.
 	posLabel := (1-smoothing)*1 + smoothing*invN
 	negLabel := smoothing * invN
 
-	bt, batched := model.(kge.KvsAllBatchTrainable)
-	if cfg.ScalarKernels {
-		batched = false
-	}
 	newWorker := func() func(chunk, lo, hi int) chunkResult {
 		scores := make([]float32, n)
 		upstream := make([]float32, n)
@@ -185,7 +181,7 @@ func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Confi
 		}
 	}
 	phase := "kvsall/scalar"
-	if batched {
+	if !cfg.ScalarKernels {
 		phase = "kvsall/batched"
 		gradScale := invBatch * invN
 		newWorker = func() func(chunk, lo, hi int) chunkResult {
@@ -202,7 +198,7 @@ func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Confi
 				}
 				scoresK := &vecmath.Matrix{Rows: k, Cols: n, Data: scores.Data[:k*n]}
 				upstreamK := &vecmath.Matrix{Rows: k, Cols: n, Data: upstream.Data[:k*n]}
-				bt.ScoreContextsBatch(ss[:k], rs[:k], scoresK)
+				model.ScoreContextsBatch(ss[:k], rs[:k], scoresK)
 				var loss float64
 				for j, c := range batch[lo:hi] {
 					positives = positives[:0]
@@ -213,7 +209,7 @@ func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Confi
 						positives, posLabel, negLabel, gradScale)
 					loss += ctxLoss * float64(invN)
 				}
-				bt.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], upstreamK, gb)
+				model.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], upstreamK, gb)
 				return chunkResult{gb: gb, loss: loss}
 			}
 		}

@@ -313,17 +313,17 @@ func mergeChunks(results []chunkResult) (*kge.GradBuffer, float64) {
 // applies L2 regularization on touched rows, and takes one optimizer step.
 // It returns the summed loss over the batch.
 //
-// The batched path (ScalarKernels false, model implements GroupTrainable)
-// gathers each positive's candidates into at most two groups — the (s, r)
-// context against [positive object | object-side corruptions] and the (r, o)
-// context against the subject-side corruptions — and scores/backprops each
-// group with one GroupTrainable call. RNG consumption (CorruptN per positive
+// The batched path (ScalarKernels false, model is a *kge.Derived) gathers
+// each positive's candidates into at most two groups — the (s, r) context
+// against [positive object | object-side corruptions] and the (r, o) context
+// against the subject-side corruptions — and scores/backprops each group with
+// one grouped call. RNG consumption (CorruptN per positive
 // in batch order) and the per-triple loss evaluation are identical to the
 // scalar path, so the negative draws and reported losses match; only the
 // float accumulation order inside a group differs.
 func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, cfg Config, seed int64) float64 {
 	invBatch := 1 / float32(len(batch))
-	gt, grouped := model.(kge.GroupTrainable)
+	gt, grouped := model.(*kge.Derived)
 	if cfg.ScalarKernels {
 		grouped = false
 	}
@@ -374,8 +374,8 @@ func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, 
 			subjScores := make([]float32, cfg.NegSamples)
 			objUp := make([]float32, 1+cfg.NegSamples)
 			subjUp := make([]float32, cfg.NegSamples)
-			// One scratch per side: a group's ctx may alias its scratch, and
-			// both groups' ctxs are alive between scoring and backprop.
+			// One scratch per side: each carries its group from scoring to
+			// backprop, and both groups are alive in between.
 			var objScr, subjScr kge.GroupScratch
 			var src splitmix64
 			return func(chunk, lo, hi int) chunkResult {
@@ -399,10 +399,9 @@ func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, 
 							subjs = append(subjs, n.S)
 						}
 					}
-					objCtx := gt.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], &objScr)
-					var subjCtx kge.GradContext
+					gt.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], &objScr)
 					if len(subjs) > 0 {
-						subjCtx = gt.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], &subjScr)
+						gt.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], &subjScr)
 					}
 					for i := range negs {
 						if s := objSlot[i]; s >= 0 {
@@ -421,9 +420,9 @@ func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, 
 							subjUp[subjSlot[i]] = gradNegs[i] * invBatch
 						}
 					}
-					gt.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objCtx, objUp[:len(objs)], gb, &objScr)
+					gt.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objUp[:len(objs)], gb, &objScr)
 					if len(subjs) > 0 {
-						gt.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjCtx, subjUp[:len(subjs)], gb, &subjScr)
+						gt.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjUp[:len(subjs)], gb, &subjScr)
 					}
 				}
 				return chunkResult{gb: gb, loss: loss}

@@ -9,13 +9,26 @@ package vecmath
 // distance term by 65025, so sums stay far from overflow for any embedding
 // width this codebase uses (d < 2¹⁵).
 
-// DotI8 returns Σ aᵢ·bᵢ over int8 inputs with exact int32 accumulation,
-// 4-way unrolled like Dot. Integer addition is associative, so unlike the
-// float kernels the unrolling does not change the result.
+// DotI8 returns Σ aᵢ·bᵢ over int8 inputs with exact int32 accumulation.
+// Integer addition is associative, so unlike the float kernels the grouping
+// of the sum does not change the result: whole 16-element blocks go through
+// dotI8x16 (SSE2 on amd64, dotI8Go elsewhere), the tail through a scalar
+// loop, and every build returns the same number.
 func DotI8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic("vecmath: DotI8 length mismatch")
 	}
+	n := len(a) &^ 15
+	s := dotI8x16(a[:n], b[:n])
+	for i := n; i < len(a); i++ {
+		s += int32(a[i]) * int32(b[i])
+	}
+	return s
+}
+
+// dotI8Go is the portable kernel, 4-way unrolled like Dot; a and b have
+// equal lengths.
+func dotI8Go(a, b []int8) int32 {
 	var s0, s1, s2, s3 int32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {

@@ -34,6 +34,9 @@ func TestInt8KernelsMatchNaive(t *testing.T) {
 		if got := DotI8(a, b); int64(got) != dot {
 			t.Errorf("DotI8 n=%d: got %d want %d", n, got, dot)
 		}
+		if got := dotI8Go(a, b); int64(got) != dot {
+			t.Errorf("dotI8Go n=%d: got %d want %d", n, got, dot)
+		}
 		if got := L1DistI8(a, b); int64(got) != l1 {
 			t.Errorf("L1DistI8 n=%d: got %d want %d", n, got, l1)
 		}
@@ -58,6 +61,38 @@ func TestInt8KernelsExtremes(t *testing.T) {
 	}
 	if got, want := L2SqDistI8(a, b), int32(254*254*n); got != want {
 		t.Errorf("L2SqDistI8 extremes: got %d want %d", got, want)
+	}
+}
+
+// TestDotI8BlocksMatchPortable pins the block kernel (SSE2 on amd64) to the
+// portable loop at every length around the 16-element block size, at every
+// load alignment, and on the extreme bytes — −128 never comes out of the
+// quantizer, but the kernel must not depend on that.
+func TestDotI8BlocksMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fills := map[string]func() int8{
+		"random": func() int8 { return int8(rng.Intn(256) - 128) },
+		"min":    func() int8 { return -128 },
+		"max":    func() int8 { return 127 },
+	}
+	for n := 0; n <= 160; n++ {
+		for off := 0; off < 3; off++ {
+			for fa, fillA := range fills {
+				for fb, fillB := range fills {
+					a, b := make([]int8, n+off), make([]int8, n+2*off)
+					for i := range a {
+						a[i] = fillA()
+					}
+					for i := range b {
+						b[i] = fillB()
+					}
+					a, b = a[off:], b[2*off:]
+					if got, want := DotI8(a, b), dotI8Go(a, b); got != want {
+						t.Fatalf("DotI8 n=%d offset=%d %s·%s: got %d want %d", n, off, fa, fb, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

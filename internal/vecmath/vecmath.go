@@ -4,6 +4,11 @@
 // GPU through LibKGE/PyTorch; this package is the CPU substitute — simple,
 // allocation-conscious loops that the Go compiler vectorizes reasonably
 // well, sufficient for the embedding sizes used in this reproduction.
+//
+// Everything is Go except the body of one integer kernel, DotI8 (int8.go),
+// which has an SSE2 version on amd64; the float kernels' summation order is
+// part of the repository's byte-identity contracts and stays in one
+// portable form.
 package vecmath
 
 import (

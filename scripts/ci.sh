@@ -16,9 +16,19 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+# vecmath.DotI8 has an SSE2 body on amd64 only: keep the other build alive.
+GOARCH=arm64 go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== benchmark module =="
+# bench/ is a nested module (replace repro => ../), invisible to the root
+# "go test ./...": build and test it here so a signature change in
+# internal/* that breaks the benchmark fails CI, not the next benchmark run.
+# The smoke runs all five workloads on a toy graph with their output checks.
+go test -C bench ./...
+bash bench/run.sh -smoke >/dev/null
 
 echo "== serving-layer race gate =="
 # The serving layer multiplexes one model across request goroutines, a
