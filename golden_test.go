@@ -151,6 +151,27 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
+	// (c) Node-statistic strategies on the default ranking path: the weights
+	// come from internal/graphstats, so these pin the projection and the
+	// triangle, clustering and square kernels through to the sampled facts.
+	m := goldenTrain(t, ds, "distmult", false, false, 1)
+	for _, strat := range []core.Strategy{
+		core.NewGraphDegree(), core.NewClusteringTriangles(),
+		core.NewClusteringCoefficient(), core.NewClusteringSquares(),
+	} {
+		for _, protocol := range []string{"raw", "filtered"} {
+			opts := core.Options{
+				TopN: 12, MaxCandidates: 150, Seed: 5, Workers: 2,
+				RankFiltered: protocol == "filtered",
+			}
+			res, err := core.DiscoverFacts(context.Background(), m, ds.Train, strat, opts)
+			if err != nil {
+				t.Fatalf("discover distmult/%s/%s: %v", protocol, strat.Name(), err)
+			}
+			got[fmt.Sprintf("discover/distmult/%s/%s", protocol, strat.Name())] = factsDigest(res.Facts)
+		}
+	}
+
 	if *updateGolden {
 		writeGolden(t, got)
 		return
