@@ -568,12 +568,12 @@ func BenchmarkAblationFilteredRanking(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTriangleCounting compares the merge-intersection
+// BenchmarkAblationTriangleCounting compares the degree-ordered forward
 // triangle counter with the naive neighbour-pair counter.
 func BenchmarkAblationTriangleCounting(b *testing.B) {
 	ds, _ := benchSetup(b)
 	u := graphstats.BuildUndirected(ds.Train)
-	b.Run("merge", func(b *testing.B) {
+	b.Run("forward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			u.Triangles()
 		}

@@ -127,7 +127,10 @@ func runCoord(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	shutdown := func() error {
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		// net/http waits 5 s before it treats a connection that was dialled
+		// but never carried a request as idle; a worker's transport can
+		// leave one behind, so the deadline has to outlast that grace.
+		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shCtx); err != nil {
 			return err

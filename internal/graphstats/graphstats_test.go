@@ -7,21 +7,18 @@ import (
 	"testing/quick"
 
 	"repro/internal/kg"
+	"repro/internal/synth"
 )
 
 // buildGraph creates a kg.Graph from undirected edge pairs (one arbitrary
 // relation, one direction per edge — the projection must undirect it).
 func buildGraph(t *testing.T, n int, edges [][2]int) *kg.Graph {
 	t.Helper()
-	g := kg.NewGraph()
-	for i := 0; i < n; i++ {
-		g.Entities.Intern(string(rune('a' + i)))
+	triples := make([]kg.Triple, len(edges))
+	for i, e := range edges {
+		triples[i] = kg.Triple{S: kg.EntityID(e[0]), O: kg.EntityID(e[1])}
 	}
-	g.Relations.Intern("r")
-	for _, e := range edges {
-		g.Add(kg.Triple{S: kg.EntityID(e[0]), R: 0, O: kg.EntityID(e[1])})
-	}
-	return g
+	return graphOf(n, triples)
 }
 
 func TestBuildUndirectedBasics(t *testing.T) {
@@ -299,5 +296,26 @@ func TestPearsonCorrelation(t *testing.T) {
 	}
 	if got := PearsonCorrelation(x, []float64{1}); got != 0 {
 		t.Errorf("length mismatch correlation = %g, want 0", got)
+	}
+}
+
+// TestProjectionAndTrianglesAllocateByTheArray keeps per-node allocations
+// (a set or a slice per entity) out of the two kernels Algorithm 1 runs for
+// every relation: each works in a fixed handful of arrays.
+func TestProjectionAndTrianglesAllocateByTheArray(t *testing.T) {
+	g, err := synth.GenerateGraph(synth.Config{
+		Name: "allocs", NumEntities: 2000, NumRelations: 6, NumTriples: 12000, NumTypes: 4,
+		EntityZipf: 1.0, RelationZipf: 0.8, ClosureProb: 0.2, NoiseProb: 0.05, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 16
+	if got := testing.AllocsPerRun(5, func() { BuildUndirected(g) }); got > limit {
+		t.Errorf("BuildUndirected: %.0f allocations, want at most %d", got, limit)
+	}
+	u := BuildUndirected(g)
+	if got := testing.AllocsPerRun(5, func() { u.Triangles() }); got > limit {
+		t.Errorf("Triangles: %.0f allocations, want at most %d", got, limit)
 	}
 }

@@ -54,10 +54,21 @@ type EdgeDelta struct {
 	Square     []kg.EntityID
 }
 
-// NewLive builds the live projection of g's current triples.
+// NewLive builds the live projection of g's current triples. Each row
+// starts as a capacity-clipped window on the flat neighbour array of a
+// projection built here and owned by Live alone: an insertion reallocates
+// the row it grows, and a removal shifts entries only inside its own row, so
+// no mutation can reach a neighbouring row or another Undirected.
 func NewLive(g *kg.Graph) *Live {
 	u := BuildUndirected(g)
-	l := &Live{adj: u.adj, tri: u.Triangles(), mult: make(map[edgeKey]int32, g.Len())}
+	l := &Live{
+		adj:  make([][]kg.EntityID, u.NumNodes()),
+		tri:  u.Triangles(),
+		mult: make(map[edgeKey]int32, g.Len()),
+	}
+	for v := range l.adj {
+		l.adj[v] = u.Neighbors(kg.EntityID(v))
+	}
 	for _, t := range g.Triples() {
 		if t.S != t.O {
 			l.mult[keyOf(t.S, t.O)]++
@@ -66,13 +77,13 @@ func NewLive(g *kg.Graph) *Live {
 	return l
 }
 
-// Undirected returns a snapshot view over the live adjacency. The view
-// aliases Live's internal state: it is valid until the next AddTriple or
-// RemoveTriple call and must not be retained across mutations.
-func (l *Live) Undirected() *Undirected { return &Undirected{adj: l.adj} }
+// Neighbors returns v's current sorted neighbour list. It aliases Live's
+// internal state: the caller must not modify it, and it is valid only until
+// the next AddTriple or RemoveTriple call.
+func (l *Live) Neighbors(v kg.EntityID) []kg.EntityID { return l.adj[v] }
 
 // TriangleCounts returns the maintained T(v) slice. The caller must not
-// modify it; it aliases internal state like Undirected.
+// modify it; it aliases internal state like Neighbors.
 func (l *Live) TriangleCounts() []int64 { return l.tri }
 
 // grow extends the node arrays to cover entity IDs interned after NewLive.

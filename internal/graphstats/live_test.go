@@ -3,7 +3,7 @@ package graphstats
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/kg"
@@ -12,11 +12,11 @@ import (
 // TestLiveMatchesRebuild drives a random triple mutation stream — adds,
 // deletes, self-loops, parallel edges, and forced delete-then-readd of the
 // same edge — through both a Live projection and from-scratch rebuilds, and
-// checks after every step that adjacency, Triangles, and LocalClustering
-// agree exactly. It also validates the EdgeDelta affected sets: any node
-// outside delta.Touched must keep its exact degree/T(v)/c(v), and any node
-// outside delta.Square must keep its exact c₄(v) — that soundness is what
-// lets the mutate layer skip clean relations.
+// checks after every step that adjacency and Triangles agree exactly. It
+// also validates the EdgeDelta affected sets: any node outside delta.Touched
+// must keep its exact degree/T(v)/c(v), and any node outside delta.Square
+// must keep its exact c₄(v) — that soundness is what lets the mutate layer
+// skip clean relations.
 func TestLiveMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nEnt, nRel = 18, 3
@@ -36,11 +36,10 @@ func TestLiveMatchesRebuild(t *testing.T) {
 
 	check := func(step int, delta EdgeDelta, preTri []int64, preDeg []int, preC, preC4 []float64) {
 		u := BuildUndirected(g)
-		lu := live.Undirected()
 		for v := 0; v < nEnt; v++ {
-			if !reflect.DeepEqual(normNb(lu.Neighbors(kg.EntityID(v))), normNb(u.Neighbors(kg.EntityID(v)))) {
+			if !slices.Equal(live.Neighbors(kg.EntityID(v)), u.Neighbors(kg.EntityID(v))) {
 				t.Fatalf("step %d: adjacency of %d: live %v scratch %v",
-					step, v, lu.Neighbors(kg.EntityID(v)), u.Neighbors(kg.EntityID(v)))
+					step, v, live.Neighbors(kg.EntityID(v)), u.Neighbors(kg.EntityID(v)))
 			}
 		}
 		wantTri := u.Triangles()
@@ -51,12 +50,6 @@ func TestLiveMatchesRebuild(t *testing.T) {
 			}
 		}
 		wantC := u.LocalClustering(wantTri)
-		gotC := lu.LocalClustering(gotTri)
-		for v := 0; v < nEnt; v++ {
-			if gotC[v] != wantC[v] {
-				t.Fatalf("step %d: c(%d): live %g scratch %g", step, v, gotC[v], wantC[v])
-			}
-		}
 		// Soundness of the affected sets: nodes outside them must be
 		// byte-for-byte unchanged from before the mutation.
 		touched := toSet(delta.Touched)
@@ -141,23 +134,16 @@ func TestLiveParallelEdges(t *testing.T) {
 		t.Fatal("removing one of two parallel triples reported structural")
 	}
 	g.Delete(t1)
-	if !live.Undirected().HasEdge(0, 1) {
+	if !slices.Contains(live.Neighbors(0), 1) {
 		t.Fatal("edge vanished while one parallel triple remains")
 	}
 	g.Delete(t2)
 	if d := live.RemoveTriple(t2.S, t2.O); !d.Structural {
 		t.Fatal("removing the last parallel triple was not structural")
 	}
-	if live.Undirected().HasEdge(0, 1) {
+	if slices.Contains(live.Neighbors(0), 1) {
 		t.Fatal("edge survived removal of its last triple")
 	}
-}
-
-func normNb(s []kg.EntityID) []kg.EntityID {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
 }
 
 func toSet(s []kg.EntityID) map[kg.EntityID]struct{} {
@@ -166,4 +152,44 @@ func toSet(s []kg.EntityID) map[kg.EntityID]struct{} {
 		m[v] = struct{}{}
 	}
 	return m
+}
+
+// TestLiveOwnsItsRows guards the flat layout against in-place growth: the
+// rows Live starts from lie back to back in one array, so an insertion that
+// appended in place would overwrite the next node's first neighbour.
+func TestLiveOwnsItsRows(t *testing.T) {
+	// A path 0-1-2-3-4-5: every row is full and has a successor.
+	g := buildGraph(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	u := BuildUndirected(g)
+	live := NewLive(g)
+	rows := func(nb func(kg.EntityID) []kg.EntityID) [][]kg.EntityID {
+		out := make([][]kg.EntityID, 6)
+		for v := range out {
+			out[v] = slices.Clone(nb(kg.EntityID(v)))
+		}
+		return out
+	}
+	builtBefore, liveBefore := rows(u.Neighbors), rows(live.Neighbors)
+
+	check := func(step string, changed ...kg.EntityID) {
+		t.Helper()
+		for v, want := range builtBefore {
+			if !slices.Equal(u.Neighbors(kg.EntityID(v)), want) {
+				t.Fatalf("%s: row %d of an Undirected built earlier changed to %v", step, v, u.Neighbors(kg.EntityID(v)))
+			}
+		}
+		for v, want := range liveBefore {
+			if !slices.Contains(changed, kg.EntityID(v)) && !slices.Equal(live.Neighbors(kg.EntityID(v)), want) {
+				t.Fatalf("%s: live row %d changed to %v, want %v", step, v, live.Neighbors(kg.EntityID(v)), want)
+			}
+		}
+	}
+	live.AddTriple(1, 4) // grows rows 1 and 4
+	check("add {1,4}", 1, 4)
+	live.RemoveTriple(2, 3) // shrinks rows 2 and 3
+	live.AddTriple(2, 5)    // regrows row 2 inside the space it kept
+	check("remove {2,3}, add {2,5}", 1, 2, 3, 4, 5)
+	if got := live.Neighbors(2); !slices.Equal(got, []kg.EntityID{1, 5}) {
+		t.Fatalf("live row 2 = %v, want [1 5]", got)
+	}
 }

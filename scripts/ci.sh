@@ -56,6 +56,13 @@ echo "== mutation-decoder fuzz smoke =="
 # soup without panicking, and rejected batches must never mutate the graph.
 go test -run '^$' -fuzz '^FuzzMutationDecode$' -fuzztime 10s ./internal/mutate
 
+echo "== projection fuzz smoke =="
+# Any triple list — self-loops, parallel and reversed edges, isolated
+# entities — must project to sorted, duplicate-free, symmetric rows whose
+# triangle counts equal those of a dense adjacency matrix built from the
+# same triples.
+go test -run '^$' -fuzz '^FuzzProjection$' -fuzztime 10s ./internal/graphstats
+
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
