@@ -9,11 +9,40 @@ import (
 	"repro/internal/kge"
 )
 
+// perTripleRanks is the oracle of the batch- and pruned-path tests: one
+// RankObject call per candidate. Its |E|-probe loop (one Contains per entity
+// under the filtered protocol) shares no line with rankRow's counting pass,
+// which RankObjects and RankObjectsBatch both answer from.
+func perTripleRanks(r *Ranker, s kg.EntityID, rel kg.RelationID, objects []kg.EntityID) []int {
+	ranks := make([]int, len(objects))
+	for i, o := range objects {
+		ranks[i] = r.RankObject(kg.Triple{S: s, R: rel, O: o})
+	}
+	return ranks
+}
+
+// perTripleBlock is perTripleRanks over a relation block, with each
+// candidate's score read off a single-query sweep: the reference a pruned
+// block is compared against.
+func perTripleBlock(r *Ranker, rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
+	ranks := make([][]int, len(groups))
+	scores := make([][]float32, len(groups))
+	sweep := make([]float32, r.model.NumEntities())
+	for gi, g := range groups {
+		ranks[gi] = perTripleRanks(r, g.S, rel, g.Objects)
+		r.model.ScoreAllObjects(g.S, rel, sweep)
+		scores[gi] = make([]float32, len(g.Objects))
+		for i, o := range g.Objects {
+			scores[gi][i] = sweep[o]
+		}
+	}
+	return ranks, scores
+}
+
 // TestRankObjectsBatchMatchesGrouped asserts the relation-blocked path is
-// exactly equivalent to per-group RankObjects (and hence, transitively, to
-// per-candidate RankObject) across all six model types under both protocols,
-// and that the returned scores are the candidates' sweep scores. Group sizes
-// mix the ≤4 linear path and the counting path.
+// exactly equivalent to per-candidate RankObject across all six model types
+// under both protocols, and that the returned scores are the candidates'
+// sweep scores. Group sizes mix the ≤4 linear path and the counting path.
 func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 	const (
 		nEnt = 40
@@ -73,11 +102,11 @@ func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 							tc.protocol, len(ranks), len(scores), len(groups))
 					}
 					for gi, g := range groups {
-						want := ranker.RankObjects(g.S, kg.RelationID(r), g.Objects)
+						want := perTripleRanks(ranker, g.S, kg.RelationID(r), g.Objects)
 						sweep := model.ScoreAllObjects(g.S, kg.RelationID(r), make([]float32, nEnt))
 						for i, o := range g.Objects {
 							if ranks[gi][i] != want[i] {
-								t.Fatalf("%s/%s: rank(s=%d, r=%d, o=%d) batch=%d grouped=%d",
+								t.Fatalf("%s/%s: rank(s=%d, r=%d, o=%d) batch=%d per-candidate=%d",
 									name, tc.protocol, g.S, r, o, ranks[gi][i], want[i])
 							}
 							if scores[gi][i] != sweep[o] {
@@ -108,10 +137,10 @@ func TestRankObjectsBatchTies(t *testing.T) {
 	objects := []kg.EntityID{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, ranker := range []*Ranker{NewRanker(m, nil), NewRanker(m, filter)} {
 		ranks, _ := ranker.RankObjectsBatch(0, []Group{{S: 0, Objects: objects}})
-		want := ranker.RankObjects(0, 0, objects)
+		want := perTripleRanks(ranker, 0, 0, objects)
 		for i, o := range objects {
 			if ranks[0][i] != want[i] {
-				t.Errorf("o=%d: batch rank %d != grouped %d", o, ranks[0][i], want[i])
+				t.Errorf("o=%d: batch rank %d != per-candidate %d", o, ranks[0][i], want[i])
 			}
 		}
 	}
@@ -129,7 +158,7 @@ func TestRankObjectsBatchTies(t *testing.T) {
 
 // TestRankObjectsBatchFallback: stubModel is a plain kge.Model, not a
 // *kge.Derived, so the block is scored by the per-subject fallback — ranks
-// must still match the grouped path exactly.
+// must still match per-candidate RankObject exactly.
 func TestRankObjectsBatchFallback(t *testing.T) {
 	m := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}
 	ranker := NewRanker(m, nil)
@@ -139,10 +168,10 @@ func TestRankObjectsBatchFallback(t *testing.T) {
 		{S: 3, Objects: objects},
 	})
 	for gi, s := range []kg.EntityID{0, 3} {
-		want := ranker.RankObjects(s, 0, objects)
+		want := perTripleRanks(ranker, s, 0, objects)
 		for i, o := range objects {
 			if ranks[gi][i] != want[i] {
-				t.Errorf("s=%d o=%d: batch rank %d != grouped %d", s, o, ranks[gi][i], want[i])
+				t.Errorf("s=%d o=%d: batch rank %d != per-candidate %d", s, o, ranks[gi][i], want[i])
 			}
 			if wantScore := m.Score(kg.Triple{S: s, R: 0, O: o}); scores[gi][i] != wantScore {
 				t.Errorf("s=%d o=%d: batch score %g != Score %g", s, o, scores[gi][i], wantScore)
@@ -170,7 +199,7 @@ func TestRankObjectsBatchDegenerate(t *testing.T) {
 	big := []Group{{S: 0, Objects: []kg.EntityID{0, 1, 2, 3, 0}}, {S: 2, Objects: []kg.EntityID{3, 2}}}
 	ranks2, _ := r.RankObjectsBatch(0, big)
 	for gi, g := range big {
-		want := r.RankObjects(g.S, 0, g.Objects)
+		want := perTripleRanks(r, g.S, 0, g.Objects)
 		for i := range g.Objects {
 			if ranks2[gi][i] != want[i] {
 				t.Errorf("reuse: group %d rank %d != %d", gi, ranks2[gi][i], want[i])

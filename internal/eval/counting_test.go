@@ -1,0 +1,208 @@
+package eval
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/kg"
+)
+
+// naiveRanks is the reference rankRow is held to: for every object, one
+// probe per entity, skipping the object itself and the filtered entities —
+// RankObject's loop over a finished sweep. It shares no line with the
+// counting pass.
+func naiveRanks(scores []float32, objects, filtered []kg.EntityID) []int {
+	skip := make([]bool, len(scores))
+	for _, f := range filtered {
+		skip[f] = true
+	}
+	ranks := make([]int, len(objects))
+	for i, o := range objects {
+		target := scores[o]
+		greater, equal := 0, 0
+		for e, sc := range scores {
+			if kg.EntityID(e) == o || skip[e] {
+				continue
+			}
+			switch {
+			case sc > target:
+				greater++
+			case sc == target:
+				equal++
+			}
+		}
+		ranks[i] = 1 + greater + equal/2
+	}
+	return ranks
+}
+
+// Row shapes of the counting-pass fuzz target. Each is a way a score sweep
+// and its target set can sit relative to the float range the pass indexes.
+const (
+	shapeSmooth      = iota // Gaussian scores: the trained-table case
+	shapeTies               // seven distinct values: heavy ties
+	shapeAllEqual           // one value everywhere: a single distinct target
+	shapeNaNScores          // NaN among the corruptions, never a target
+	shapeNaNAnywhere        // NaN anywhere, targets included
+	shapeInf                // ±Inf anywhere, targets included
+	shapeSubnormal          // targets a few subnormal steps apart
+	shapeUlpWide            // targets a few ulps apart around 1
+	shapeMaxFloat           // ±MaxFloat32 among the targets: the range overflows
+	shapeOneSided           // +MaxFloat32 the only outlier: a finite, huge range
+	shapeClustered          // one far target, every other in the lowest bucket
+	numShapes
+)
+
+// countingRow builds one fuzz case: an n-score sweep of the given shape, k
+// candidate objects (duplicates allowed, every entity when k == n) and a
+// short filtered list.
+func countingRow(seed int64, n, k int, shape uint8) (scores []float32, objects, filtered []kg.EntityID) {
+	rng := rand.New(rand.NewSource(seed))
+	scores = make([]float32, n)
+	for i := range scores {
+		scores[i] = float32(rng.NormFloat64())
+	}
+	pick := func() int { return rng.Intn(n) }
+	inf := float32(math.Inf(1))
+	forced := []float32(nil) // values planted at the first objects' entities
+	switch shape % numShapes {
+	case shapeTies:
+		for i := range scores {
+			scores[i] = 0.25 * float32(rng.Intn(7))
+		}
+	case shapeAllEqual:
+		for i := range scores {
+			scores[i] = 0.5
+		}
+	case shapeNaNScores:
+		// Odd entities may be NaN; objects are drawn from the even ones.
+		for i := 1; i < n; i += 2 {
+			if rng.Intn(3) == 0 {
+				scores[i] = float32(math.NaN())
+			}
+		}
+		pick = func() int { return rng.Intn((n+1)/2) * 2 }
+	case shapeNaNAnywhere:
+		for i := range scores {
+			if rng.Intn(5) == 0 {
+				scores[i] = float32(math.NaN())
+			}
+		}
+	case shapeInf:
+		for i := range scores {
+			switch rng.Intn(8) {
+			case 0:
+				scores[i] = inf
+			case 1:
+				scores[i] = -inf
+			}
+		}
+	case shapeSubnormal:
+		for i := range scores {
+			scores[i] = float32(rng.Intn(40)) * math.SmallestNonzeroFloat32
+		}
+	case shapeUlpWide:
+		for i := range scores {
+			scores[i] = math.Float32frombits(math.Float32bits(1) + uint32(rng.Intn(40)))
+		}
+	case shapeMaxFloat:
+		forced = []float32{math.MaxFloat32, -math.MaxFloat32}
+	case shapeOneSided:
+		for i := range scores {
+			if scores[i] < 0 {
+				scores[i] = -scores[i]
+			}
+		}
+		forced = []float32{math.MaxFloat32}
+	case shapeClustered:
+		for i := range scores {
+			scores[i] = rng.Float32() * 1e-3
+		}
+		forced = []float32{1e6}
+	}
+
+	objects = make([]kg.EntityID, k)
+	if k == n {
+		for i, o := range rng.Perm(n) {
+			objects[i] = kg.EntityID(o)
+		}
+	} else {
+		for i := range objects {
+			objects[i] = kg.EntityID(pick())
+		}
+	}
+	for i, v := range forced {
+		if i < len(objects) {
+			scores[objects[i]] = v
+		}
+	}
+	// Distinct, like the (s, r) adjacency it stands for; half the time it
+	// holds a target that is itself a known triple.
+	for _, e := range rng.Perm(n)[:rng.Intn(min(n, 8))] {
+		filtered = append(filtered, kg.EntityID(e))
+	}
+	if len(filtered) > 0 && rng.Intn(2) == 0 && !slices.Contains(filtered, objects[0]) {
+		filtered[0] = objects[0]
+	}
+	return scores, objects, filtered
+}
+
+// FuzzCountingPass holds rankRow to the naive per-target count on every row
+// shape above, for group sizes from below the small-group cutoff up to the
+// whole vocabulary: equal ranks, no panic. Rows with a NaN *target* are only
+// required not to panic — NaN has no place in a sorted target list, and the
+// counting pass has never promised the naive count there. The seed corpus
+// runs under plain `go test`.
+func FuzzCountingPass(f *testing.F) {
+	for shape := uint8(0); shape < numShapes; shape++ {
+		for _, n := range []uint16{64, 1500} {
+			for _, k := range []uint16{1, 4, 5, 8, 30, 100, n} {
+				f.Add(int64(shape)*31+int64(k), n, k, shape)
+			}
+		}
+	}
+	var r Ranker
+	var bufs batchBufs
+	f.Fuzz(func(t *testing.T, seed int64, n, k uint16, shape uint8) {
+		nn := 5 + int(n)%4000
+		kk := 1 + int(k)%nn
+		if int(k) == int(n) {
+			kk = nn
+		}
+		scores, objects, filtered := countingRow(seed, nn, kk, shape)
+		bufs.scratch(len(objects))
+		got := r.rankRow(scores, objects, filtered, &bufs)
+		if len(got) != len(objects) {
+			t.Fatalf("rankRow returned %d ranks for %d objects", len(got), len(objects))
+		}
+		for _, o := range objects {
+			if s := scores[o]; s != s {
+				return
+			}
+		}
+		want := naiveRanks(scores, objects, filtered)
+		for i, o := range objects {
+			if got[i] != want[i] {
+				t.Fatalf("shape %d n=%d k=%d seed=%d: rank(o=%d, score %g) = %d, naive count %d",
+					shape%numShapes, nn, kk, seed, o, scores[o], got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestCountingPassAllocations: on warm scratch buffers the counting pass
+// allocates the returned rank slice and nothing else.
+func TestCountingPassAllocations(t *testing.T) {
+	scores, objects, filtered := countingRow(3, 4000, 30, shapeSmooth)
+	var r Ranker
+	var bufs batchBufs
+	bufs.scratch(len(objects))
+	r.rankRow(scores, objects, filtered, &bufs)
+	if allocs := testing.AllocsPerRun(20, func() {
+		r.rankRow(scores, objects, filtered, &bufs)
+	}); allocs != 1 {
+		t.Errorf("rankRow allocated %v objects per call on warm buffers, want 1 (the ranks)", allocs)
+	}
+}

@@ -71,8 +71,11 @@ func testFilter(nEnt, nRel, triples int, seed int64) *kg.Graph {
 }
 
 // checkThresholdEquivalence asserts the RankObjectsPruned exact-mode
-// contract against the dense path: identical keep/discard decisions at topN,
+// contract against the dense ranks: identical keep/discard decisions at topN,
 // identical ranks for everything kept, and bit-identical scores throughout.
+// The dense side comes from perTripleBlock — per-candidate RankObject — so
+// the comparison does not lean on the counting pass the pruned path's
+// fallbacks run through.
 func checkThresholdEquivalence(t *testing.T, tag string, topN int,
 	pruned, dense [][]int, prunedScores, denseScores [][]float32) {
 	t.Helper()
@@ -128,7 +131,7 @@ func TestRankObjectsPrunedExactEquivalence(t *testing.T) {
 						{S: 0, Objects: []kg.EntityID{59}},
 					}
 					rel := kg.RelationID(r)
-					dense, denseScores := ranker.RankObjectsBatch(rel, groups)
+					dense, denseScores := perTripleBlock(ranker, rel, groups)
 					pruned, prunedScores, st := ranker.RankObjectsPruned(rel, groups, topN,
 						PruneConfig{Index: fx.index, Exact: true})
 					tag := fmt.Sprintf("%s/%s/r=%d", fx.name, tc.protocol, r)
@@ -185,7 +188,7 @@ func TestRankObjectsPrunedTieHeavy(t *testing.T) {
 	for _, f := range []*kg.Graph{nil, filter} {
 		ranker := NewRanker(model, f)
 		groups := []Group{{S: 0, Objects: allObjects}, {S: 1, Objects: allObjects[:6]}}
-		dense, denseScores := ranker.RankObjectsBatch(0, groups)
+		dense, denseScores := perTripleBlock(ranker, 0, groups)
 		pruned, prunedScores, st := ranker.RankObjectsPruned(0, groups, topN,
 			PruneConfig{Index: ix, Exact: true})
 		if st.Fallbacks == 0 {
@@ -205,7 +208,7 @@ func TestRankObjectsPrunedFallbacks(t *testing.T) {
 	groups := []Group{{S: 0, Objects: []kg.EntityID{1, 2, 3}}}
 
 	// topN ≥ |E|: TopM refuses, the group falls back, results match dense.
-	dense, _ := ranker.RankObjectsBatch(0, groups)
+	dense, _ := perTripleBlock(ranker, 0, groups)
 	pruned, _, st := ranker.RankObjectsPruned(0, groups, nEnt+10, PruneConfig{Index: fx.index, Exact: true})
 	if st.Fallbacks != len(groups) {
 		t.Errorf("want %d fallbacks, got %d", len(groups), st.Fallbacks)
@@ -220,7 +223,7 @@ func TestRankObjectsPrunedFallbacks(t *testing.T) {
 	stub := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}
 	sr := NewRanker(stub, nil)
 	objects := []kg.EntityID{0, 1, 2, 3, 4}
-	want, _ := sr.RankObjectsBatch(0, []Group{{S: 0, Objects: objects}})
+	want, _ := perTripleBlock(sr, 0, []Group{{S: 0, Objects: objects}})
 	got, _, st2 := sr.RankObjectsPruned(0, []Group{{S: 0, Objects: objects}}, 3,
 		PruneConfig{Index: fx.index, Exact: true})
 	if st2.Fallbacks != 1 {
@@ -248,7 +251,7 @@ func TestRankObjectsPrunedApprox(t *testing.T) {
 		allObjects[o] = kg.EntityID(o)
 	}
 	groups := []Group{{S: 0, Objects: allObjects}}
-	_, denseScores := ranker.RankObjectsBatch(0, groups)
+	_, denseScores := perTripleBlock(ranker, 0, groups)
 	ranks, scores, _ := ranker.RankObjectsPruned(0, groups, topN,
 		PruneConfig{Index: fx.index, Probe: 1})
 	for i := range denseScores[0] {

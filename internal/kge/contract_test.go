@@ -106,15 +106,18 @@ func TestMinimalContractModel(t *testing.T) {
 		t.Errorf("every group fell back to the dense sweep: the pruned path was not exercised")
 	}
 	for gi, g := range groups {
-		want := ranker.RankObjects(g.S, 2, g.Objects)
-		for i := range g.Objects {
-			if batched[gi][i] != want[i] {
-				t.Errorf("group %d object %d: batched rank %d, per-group %d", gi, i, batched[gi][i], want[i])
+		grouped := ranker.RankObjects(g.S, 2, g.Objects)
+		for i, o := range g.Objects {
+			// The per-triple probe loop is the reference: the grouped and
+			// batched paths share one counting pass.
+			want := ranker.RankObject(kg.Triple{S: g.S, R: 2, O: o})
+			if batched[gi][i] != want || grouped[i] != want {
+				t.Errorf("group %d object %d: batched rank %d, grouped %d, per-triple %d", gi, i, batched[gi][i], grouped[i], want)
 			}
 			// Rank-threshold equivalence at topN: identical when kept,
 			// beyond the threshold (sentinel or true rank) when not.
-			if kept := want[i] <= topN; kept && pruned[gi][i] != want[i] || !kept && pruned[gi][i] <= topN {
-				t.Errorf("group %d object %d: pruned rank %d, per-group %d", gi, i, pruned[gi][i], want[i])
+			if kept := want <= topN; kept && pruned[gi][i] != want || !kept && pruned[gi][i] <= topN {
+				t.Errorf("group %d object %d: pruned rank %d, per-triple %d", gi, i, pruned[gi][i], want)
 			}
 		}
 	}

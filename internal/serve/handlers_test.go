@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"io"
+	"log"
 	"net/http"
 	"strings"
 	"testing"
@@ -57,6 +59,70 @@ func TestRankEndpoint(t *testing.T) {
 	rank := body["rank"].(float64)
 	if rank < 1 || rank > 80 {
 		t.Errorf("rank %v out of [1, 80]", rank)
+	}
+}
+
+// TestRankEndpointMatchesRankObject holds /rank to the per-triple reference
+// on the server's filtered ranker: Ranker.RankObject probes the filter graph
+// once per entity, the handler answers from one grouped sweep plus a
+// correction over the (s, r) adjacency, and the two must agree for a known
+// triple, an unknown one, and a triple whose score ties another entity's
+// exactly (the mean tie policy's ⌊equal/2⌋ term).
+func TestRankEndpointMatchesRankObject(t *testing.T) {
+	ds, _ := testModel(t)
+	m, err := kge.New("distmult", kge.Config{
+		NumEntities:  ds.Train.Entities.Len(),
+		NumRelations: ds.Train.Relations.Len(),
+		Dim:          8,
+		Seed:         5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two entities with one embedding row score identically as objects.
+	const tiedA, tiedB = kg.EntityID(3), kg.EntityID(4)
+	ent := m.Params().Get("entity").M
+	copy(ent.Row(int(tiedB)), ent.Row(int(tiedA)))
+	srv, err := New(ds, m, Config{Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	sm, err := srv.acquireModel("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.release()
+
+	known := ds.Train.Triples()[0]
+	unknown := known
+	for o := 0; o < ds.Train.Entities.Len(); o++ {
+		unknown.O = kg.EntityID(o)
+		if !srv.all.Contains(unknown) && unknown.O != tiedA && unknown.O != tiedB {
+			break
+		}
+	}
+	tied := kg.Triple{S: known.S, R: known.R, O: tiedA}
+	if m.Score(tied) != m.Score(kg.Triple{S: known.S, R: known.R, O: tiedB}) {
+		t.Fatal("fixture: the two shared-row objects do not tie")
+	}
+	if len(srv.all.ObjectsOf(known.S, known.R)) == 0 {
+		t.Fatal("fixture: the probed (s, r) pair has no filtered objects")
+	}
+
+	h := srv.Handler()
+	for name, tr := range map[string]kg.Triple{"known": known, "unknown": unknown, "tied": tied} {
+		rec, body := doReq(t, h, "POST", "/rank", tripleRequest{
+			Subject:  ds.Train.Entities.Name(int32(tr.S)),
+			Relation: ds.Train.Relations.Name(int32(tr.R)),
+			Object:   ds.Train.Entities.Name(int32(tr.O)),
+		})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: rank: %d %v", name, rec.Code, body)
+		}
+		if got, want := int(body["rank"].(float64)), sm.ranker.RankObject(tr); got != want {
+			t.Errorf("%s %v: /rank = %d, RankObject = %d", name, tr, got, want)
+		}
 	}
 }
 
