@@ -329,14 +329,15 @@ func batchBench(b *testing.B) kge.Trainable {
 }
 
 // BenchmarkAblationBatchedRanking is the PR-5 tentpole ablation: the grouped
-// scheduler (one RankObjects sweep + one full-vocabulary sort per (s, r)
-// group — the pre-batching RankTime baseline) against the relation-blocked
-// batched scheduler (one RankObjectsBatch per cache-budget block: a tiled
-// matrix–matrix sweep plus a counting rank pass per row). Candidates form
-// the same ⌈√max_candidates⌉-subject mesh grid DiscoverFacts generates, at
-// the paper's vocabulary scale (|E| = 50000, d = 64). Both schedules return
-// identical ranks; the acceptance bar is batched ≥ 2× faster at
-// max_candidates = 500.
+// scheduler (one RankObjects sweep per (s, r) group) against the
+// relation-blocked batched scheduler (one RankObjectsBatch per cache-budget
+// block: a tiled matrix–matrix sweep). Both rank each row with the same
+// counting pass — when the ablation was written the grouped side still
+// sorted every sweep, and the bar was batched ≥ 2× faster at
+// max_candidates = 500; what it measures now is the sweep batching alone.
+// Candidates form the same ⌈√max_candidates⌉-subject mesh grid
+// DiscoverFacts generates, at the paper's vocabulary scale (|E| = 50000,
+// d = 64). Both schedules return identical ranks.
 func BenchmarkAblationBatchedRanking(b *testing.B) {
 	m := batchBench(b)
 	ranker := eval.NewRanker(m, nil)

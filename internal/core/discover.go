@@ -54,11 +54,11 @@ type Options struct {
 	// Off by default (faithful mode); see the weight-caching ablation.
 	CacheWeights bool
 	// DisableBatchedRanking falls back to the per-group ranking scheduler
-	// (one RankObjects sweep and one full-sweep sort per (s, r) group).
-	// Batching is on by default and produces byte-identical output — the
-	// batched sweep is bit-identical to the per-group sweep and the counting
-	// rank pass counts the same integers as the sort — so the toggle exists
-	// for the ablation harness and for triage, not correctness.
+	// (one RankObjects sweep per (s, r) group). Batching is on by default
+	// and produces byte-identical output — the batched sweep is
+	// bit-identical to the per-group sweep and both are ranked by the same
+	// counting pass — so the toggle exists for the ablation harness and for
+	// triage, not correctness.
 	DisableBatchedRanking bool
 	// BatchBudgetBytes caps the score-matrix footprint of one relation
 	// block: a block holds at most BatchBudgetBytes/(4·|E|) of a relation's

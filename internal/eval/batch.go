@@ -17,8 +17,9 @@ type Group struct {
 }
 
 // batchBufs is the pooled working set of one RankObjectsBatch call. data
-// backs the k×|E| score matrix; the small scratch slices back the
-// counting-rank pass and are sized by the largest group.
+// backs the k×|E| score matrix; the small scratch slices back the counting
+// pass (rankRow) and are sized by the largest group, start is its fixed-size
+// bucket index. RankObjects borrows one for the scratch alone.
 //
 // data is grown on demand and released again when it stays oversized: one
 // skewed relation block (a single subject hub with thousands of groups) would
@@ -35,6 +36,7 @@ type batchBufs struct {
 	eq        []int
 	between   []int
 	greater   []int
+	start     [rankBuckets + 1]int32
 }
 
 const (
@@ -80,23 +82,13 @@ func (b *batchBufs) scratch(k int) {
 // score matrix: the block's subjects are scored by a single
 // kge.ScoreAllObjectsBatch call (a tiled matrix–matrix sweep for every
 // model kge.New builds), then each group's ranks are read off its
-// row. It is exactly equivalent to calling RankObjects per group — same mean
-// tie policy, same filtered-protocol corrections — and, because the batched
-// sweep is bit-identical to ScoreAllObjects, it returns identical ranks.
+// row by rankRow. It is exactly equivalent to calling RankObjects per group —
+// the same counting pass over a sweep that is bit-identical to
+// ScoreAllObjects — and so to per-candidate RankObject.
 //
 // Alongside the ranks it returns each candidate's sweep score (parallel to
 // ranks), so callers that need the kept facts' scores (the calibrator path
 // in internal/core) can reuse the sweep instead of re-scoring per fact.
-//
-// Per row, ranks are answered by a target-side counting pass instead of the
-// full-sweep sort RankObjects uses: the group's k target scores are sorted
-// and deduplicated into u ≤ k distinct values, one pass over the |E| sweep
-// classifies every score into "equal to vals[i]" or "strictly between
-// vals[i-1] and vals[i]" via a u-way binary search, and suffix sums turn the
-// class counts into strictly-greater counts per distinct value. That is
-// O(|E|·log u) per row against O(|E|·log|E|) for the sort, and it is what
-// makes the batched path cheaper even when the score sweep itself is
-// compute-bound. Both paths count the same integers, so ranks are identical.
 func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
 	ranks := make([][]int, len(groups))
 	scores := make([][]float32, len(groups))
@@ -105,10 +97,7 @@ func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [
 	}
 	n := r.model.NumEntities()
 
-	bufs, _ := r.batchPool.Get().(*batchBufs)
-	if bufs == nil {
-		bufs = &batchBufs{}
-	}
+	bufs := r.getBatchBufs()
 	defer r.batchPool.Put(bufs)
 
 	ss := make([]kg.EntityID, len(groups))
@@ -139,15 +128,76 @@ func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [
 	return ranks, scores
 }
 
-// rankRow ranks one group's objects against a completed score sweep. The
-// small-group linear path is the same one RankObjects takes; larger groups
-// go through the counting pass.
+// getBatchBufs takes a working set from the pool, or starts an empty one.
+func (r *Ranker) getBatchBufs() *batchBufs {
+	if bufs, _ := r.batchPool.Get().(*batchBufs); bufs != nil {
+		return bufs
+	}
+	return &batchBufs{}
+}
+
+// rankBuckets is the size of the counting pass's bucket index: 4 KB of
+// prefix counts per pooled buffer, a few dozen times the typical group's
+// distinct targets, so most buckets hold none.
+const rankBuckets = 1024
+
+// bucketOf maps a score in [v0, v0+span] to its bucket. Targets and scores
+// both go through this one float32 expression: rounding is monotone, so
+// x ≤ y implies bucketOf(x) ≤ bucketOf(y), which is all the index relies on.
+func bucketOf(x, v0, scale float32) int { return int((x - v0) * scale) }
+
+// lowerBound returns the first i in [lo, hi) with vals[i] >= x, or hi. It
+// compares with < only, so it agrees bit-for-bit with the == and > tests
+// the ranks are defined by.
+func lowerBound(vals []float32, lo, hi int, x float32) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if vals[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// rankRow ranks one group's objects against a completed score sweep — the
+// one counting routine behind RankObjects, RankObjectsBatch and the pruned
+// path's fallbacks. It returns what RankObject would for each (s, r, oᵢ):
+// same mean tie policy, and the filtered protocol applied as a correction
+// over filtered, the filter graph's (s, r) adjacency, instead of |E|
+// Contains probes.
+//
+// One or two objects are counted by a linear pass each (a lone target has no
+// range to index, and the counting pass costs what two compare loops do;
+// from three objects up it is the cheaper one). Larger groups go through a
+// target-side counting pass: the k target scores are sorted and deduplicated
+// into u ≤ k distinct values, one pass over the |E| sweep classifies every
+// score as "equal to vals[i]" or "strictly between vals[i-1] and vals[i]",
+// and suffix sums turn the class counts into strictly-greater counts per
+// distinct value.
+//
+// The classification is a lower-bound search over vals, and left alone that
+// search is the whole cost: log u data-dependent branches per score, each
+// mispredicted half the time. So the pass first builds a bucket index over
+// [vals[0], vals[u-1]] — start[b] = number of distinct targets in buckets
+// below b — and searches only vals[start[b]:start[b+1]] for a score in bucket
+// b. Because bucketOf is monotone, every target in a lower bucket is
+// strictly below the score and every target in a higher one strictly above,
+// so the window search returns exactly what the full search would; with u a
+// few dozen and 1024 buckets the window is empty for most scores. Expected
+// cost O(|E| + u + rankBuckets) per row; the worst case (every target in one
+// bucket) is the full search plus a multiply. Scores outside the target range
+// and NaN never reach the index, and a target range it cannot span — one
+// distinct value, a NaN or ±Inf target, a range so narrow or so wide that the
+// scale overflows — takes the plain search, so no out-of-range float is ever
+// converted to an integer.
 func (r *Ranker) rankRow(scores []float32, objects, filtered []kg.EntityID, bufs *batchBufs) []int {
 	ranks := make([]int, len(objects))
 	if len(objects) == 0 {
 		return ranks
 	}
-	if len(objects) <= 4 {
+	if len(objects) <= 2 {
 		for i, o := range objects {
 			target := scores[o]
 			greater, equal := 0, 0
@@ -160,18 +210,7 @@ func (r *Ranker) rankRow(scores []float32, objects, filtered []kg.EntityID, bufs
 				}
 			}
 			equal-- // the target scored equal to itself
-			for _, f := range filtered {
-				if f == o {
-					continue
-				}
-				switch fs := scores[f]; {
-				case fs > target:
-					greater--
-				case fs == target:
-					equal--
-				}
-			}
-			ranks[i] = 1 + greater + equal/2
+			ranks[i] = filteredRank(scores, o, filtered, greater, equal)
 		}
 		return ranks
 	}
@@ -190,28 +229,50 @@ func (r *Ranker) rankRow(scores []float32, objects, filtered []kg.EntityID, bufs
 	// vals[i-1] and vals[i] (between[u]: above vals[u-1]).
 	eq := bufs.eq[:u]
 	between := bufs.between[:u+1]
-	for i := range eq {
-		eq[i] = 0
-	}
-	for i := range between {
-		between[i] = 0
-	}
-	for _, sc := range scores {
-		// Lower bound: first i with vals[i] >= sc, comparing with < only so
-		// the classification agrees bit-for-bit with the == / > tests below.
-		lo, hi := 0, u
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if vals[mid] < sc {
-				lo = mid + 1
+	clear(eq)
+	clear(between)
+	v0, vmax := vals[0], vals[u-1]
+	span := vmax - v0
+	scale := (rankBuckets - 1) / span
+	if span*scale < rankBuckets {
+		// span·scale is NaN or +Inf for every range the index cannot span,
+		// so here it is finite, every target's bucket is at most
+		// bucketOf(vmax) < rankBuckets, and so is every in-range score's.
+		// The other branch is the plain search, shortcuts and all left out:
+		// with a NaN target, vals is not ordered the way they assume.
+		start := &bufs.start
+		clear(start[:])
+		for _, v := range vals {
+			start[bucketOf(v, v0, scale)+1]++
+		}
+		for b := 1; b <= rankBuckets; b++ {
+			start[b] += start[b-1]
+		}
+		for _, sc := range scores {
+			if !(sc >= v0) { // below every target, or NaN
+				between[0]++
+				continue
+			}
+			if sc > vmax {
+				between[u]++
+				continue
+			}
+			b := bucketOf(sc, v0, scale)
+			lo := lowerBound(vals, int(start[b]), int(start[b+1]), sc)
+			if lo < u && vals[lo] == sc {
+				eq[lo]++
 			} else {
-				hi = mid
+				between[lo]++
 			}
 		}
-		if lo < u && vals[lo] == sc {
-			eq[lo]++
-		} else {
-			between[lo]++
+	} else {
+		for _, sc := range scores {
+			lo := lowerBound(vals, 0, u, sc)
+			if lo < u && vals[lo] == sc {
+				eq[lo]++
+			} else {
+				between[lo]++
+			}
 		}
 	}
 
@@ -224,32 +285,30 @@ func (r *Ranker) rankRow(scores []float32, objects, filtered []kg.EntityID, bufs
 	}
 
 	for i, o := range objects {
-		target := scores[o]
-		// The target's index among the distinct values, by the same lower
-		// bound (it is always present).
-		lo, hi := 0, u
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if vals[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		g := greater[lo]
-		equal := eq[lo] - 1 // minus the target itself
-		for _, f := range filtered {
-			if f == o {
-				continue
-			}
-			switch fs := scores[f]; {
-			case fs > target:
-				g--
-			case fs == target:
-				equal--
-			}
-		}
-		ranks[i] = 1 + g + equal/2
+		// The target's index among the distinct values (always present).
+		lo := lowerBound(vals, 0, u, scores[o])
+		ranks[i] = filteredRank(scores, o, filtered, greater[lo], eq[lo]-1)
 	}
 	return ranks
+}
+
+// filteredRank turns object o's raw counts — corruptions scoring strictly
+// greater, and equal not counting o itself — into its rank under the mean
+// tie policy, after discounting the filtered corruptions (known true
+// triples). The target is never discounted: it is not one of its own
+// corruptions.
+func filteredRank(scores []float32, o kg.EntityID, filtered []kg.EntityID, greater, equal int) int {
+	target := scores[o]
+	for _, f := range filtered {
+		if f == o {
+			continue
+		}
+		switch fs := scores[f]; {
+		case fs > target:
+			greater--
+		case fs == target:
+			equal--
+		}
+	}
+	return 1 + greater + equal/2
 }

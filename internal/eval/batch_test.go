@@ -42,7 +42,8 @@ func perTripleBlock(r *Ranker, rel kg.RelationID, groups []Group) ([][]int, [][]
 // TestRankObjectsBatchMatchesGrouped asserts the relation-blocked path is
 // exactly equivalent to per-candidate RankObject across all six model types
 // under both protocols, and that the returned scores are the candidates'
-// sweep scores. Group sizes mix the ≤4 linear path and the counting path.
+// sweep scores. Group sizes mix the small-group linear path and the counting
+// path.
 func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 	const (
 		nEnt = 40
@@ -87,13 +88,14 @@ func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 			} {
 				ranker := NewRanker(model, tc.filter)
 				for r := 0; r < nRel; r++ {
-					// One block per relation: full-vocabulary groups (counting
-					// path), small groups (linear path), and a duplicate
-					// subject.
+					// One block per relation: full-vocabulary and mid-sized
+					// groups (counting path), a pair and a singleton (linear
+					// path), a repeated object, and a duplicate subject.
 					groups := []Group{
 						{S: 0, Objects: allObjects},
 						{S: 1, Objects: []kg.EntityID{3, 7, 7, 0}},
 						{S: 2, Objects: allObjects[:7]},
+						{S: 3, Objects: []kg.EntityID{5, 21}},
 						{S: 0, Objects: []kg.EntityID{39}},
 					}
 					ranks, scores := ranker.RankObjectsBatch(kg.RelationID(r), groups)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -158,7 +159,7 @@ func countingRow(seed int64, n, k int, shape uint8) (scores []float32, objects, 
 func FuzzCountingPass(f *testing.F) {
 	for shape := uint8(0); shape < numShapes; shape++ {
 		for _, n := range []uint16{64, 1500} {
-			for _, k := range []uint16{1, 4, 5, 8, 30, 100, n} {
+			for _, k := range []uint16{1, 2, 3, 5, 8, 30, 100, n} {
 				f.Add(int64(shape)*31+int64(k), n, k, shape)
 			}
 		}
@@ -166,11 +167,9 @@ func FuzzCountingPass(f *testing.F) {
 	var r Ranker
 	var bufs batchBufs
 	f.Fuzz(func(t *testing.T, seed int64, n, k uint16, shape uint8) {
-		nn := 5 + int(n)%4000
-		kk := 1 + int(k)%nn
-		if int(k) == int(n) {
-			kk = nn
-		}
+		// 5 ≤ nn ≤ 4004 entities, 1 ≤ kk ≤ nn objects (k == n: all of them).
+		nn := 5 + int(n-5)%4000
+		kk := 1 + int(k-1)%nn
 		scores, objects, filtered := countingRow(seed, nn, kk, shape)
 		bufs.scratch(len(objects))
 		got := r.rankRow(scores, objects, filtered, &bufs)
@@ -204,5 +203,22 @@ func TestCountingPassAllocations(t *testing.T) {
 		r.rankRow(scores, objects, filtered, &bufs)
 	}); allocs != 1 {
 		t.Errorf("rankRow allocated %v objects per call on warm buffers, want 1 (the ranks)", allocs)
+	}
+}
+
+// BenchmarkRankRow times one counting pass over a kg20k-sized sweep for the
+// group sizes discovery produces (the benchmark fixture's mean group is ~30).
+func BenchmarkRankRow(b *testing.B) {
+	for _, k := range []int{1, 3, 8, 30, 100, 500} {
+		b.Run(fmt.Sprintf("n=20000/k=%d", k), func(b *testing.B) {
+			scores, objects, filtered := countingRow(1, 20000, k, shapeSmooth)
+			var r Ranker
+			var bufs batchBufs
+			bufs.scratch(len(objects))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.rankRow(scores, objects, filtered, &bufs)
+			}
+		})
 	}
 }

@@ -14,8 +14,6 @@ package eval
 import (
 	"math"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/kg"
@@ -25,14 +23,14 @@ import (
 // Ranker ranks triples against their corruptions for a fixed model and
 // (optional) filter graph. A nil filter selects the raw protocol. Rankers
 // are safe for concurrent use; per-call sweep buffers are pooled, so steady
-// state holds one scores + one sorted buffer per concurrent caller.
+// state holds one |E|-score buffer per concurrent caller.
 type Ranker struct {
 	model  kge.Model
 	filter *kg.Graph
 	pool   sync.Pool
-	// batchPool holds *batchBufs for RankObjectsBatch (see batch.go); its
-	// score matrices are sized per relation block, so it is separate from the
-	// fixed-size sweep pool above.
+	// batchPool holds *batchBufs: RankObjectsBatch's score matrices and the
+	// counting pass's scratch (see batch.go). The matrices are sized per
+	// relation block, so it is separate from the fixed-size sweep pool above.
 	batchPool sync.Pool
 	// prunePool holds *prune.Searcher working sets for RankObjectsPruned
 	// (see pruned.go); searchers are pinned to one index, so entries built
@@ -40,11 +38,9 @@ type Ranker struct {
 	prunePool sync.Pool
 }
 
-// sweepBufs is the per-call working set: the raw score sweep and a sorted
-// copy that grouped ranking answers rank queries against.
+// sweepBufs is the per-call working set of a single-query sweep.
 type sweepBufs struct {
 	scores []float32
-	sorted []float32
 }
 
 // NewRanker returns a Ranker over model. filter may be nil (raw protocol).
@@ -52,7 +48,7 @@ func NewRanker(model kge.Model, filter *kg.Graph) *Ranker {
 	r := &Ranker{model: model, filter: filter}
 	n := model.NumEntities()
 	r.pool.New = func() any {
-		return &sweepBufs{scores: make([]float32, n), sorted: make([]float32, n)}
+		return &sweepBufs{scores: make([]float32, n)}
 	}
 	if filter != nil {
 		// Force the filter's lazy (s, r) adjacency now so concurrent
@@ -121,90 +117,26 @@ func (r *Ranker) RankSubject(t kg.Triple) int {
 // from one ScoreAllObjects sweep, returning ranks parallel to objects. It is
 // exactly equivalent to calling RankObject on each (s, r, oᵢ) — same mean
 // tie policy, same filtered-protocol skips — but runs one model sweep per
-// group instead of one per candidate.
-//
-// After sorting a copy of the sweep once, each object's counts of
-// strictly-greater and tied corruptions come from two binary searches, and
-// the filtered protocol is applied as a per-group correction using the
-// filter graph's (s, r) adjacency instead of |E| Contains probes:
-// O(|E|·d + |E|log|E| + k·(log|E| + |Fₛᵣ|)) per group, versus
-// O(k·|E|·(d + 1)) for k per-candidate calls.
+// group instead of one per candidate, and one counting pass (rankRow, in
+// batch.go) over it instead of |E| Contains probes per candidate:
+// O(|E|·d + |E| + k·(log k + |Fₛᵣ|)) per group, versus O(k·|E|·(d + 1)) for
+// k per-candidate calls.
 func (r *Ranker) RankObjects(s kg.EntityID, rel kg.RelationID, objects []kg.EntityID) []int {
-	ranks := make([]int, len(objects))
 	if len(objects) == 0 {
-		return ranks
+		return []int{}
 	}
-	bufs := r.pool.Get().(*sweepBufs)
-	defer r.pool.Put(bufs)
-	scores := r.model.ScoreAllObjects(s, rel, bufs.scores)
+	sweep := r.pool.Get().(*sweepBufs)
+	defer r.pool.Put(sweep)
+	scores := r.model.ScoreAllObjects(s, rel, sweep.scores)
 
 	var filtered []kg.EntityID
 	if r.filter != nil {
 		filtered = r.filter.ObjectsOf(s, rel)
 	}
-
-	// For tiny groups a linear count per object is cheaper than sorting the
-	// sweep (k·|E| < |E|·log|E|); both paths count identically.
-	if len(objects) <= 4 {
-		for i, o := range objects {
-			target := scores[o]
-			greater, equal := 0, 0
-			for _, sc := range scores {
-				switch {
-				case sc > target:
-					greater++
-				case sc == target:
-					equal++
-				}
-			}
-			equal-- // the target scored equal to itself
-			for _, f := range filtered {
-				if f == o {
-					continue
-				}
-				switch fs := scores[f]; {
-				case fs > target:
-					greater--
-				case fs == target:
-					equal--
-				}
-			}
-			ranks[i] = 1 + greater + equal/2
-		}
-		return ranks
-	}
-
-	sorted := bufs.sorted
-	copy(sorted, scores)
-	slices.Sort(sorted)
-
-	n := len(sorted)
-	for i, o := range objects {
-		target := scores[o]
-		// First index with score ≥ target and first with score > target:
-		// everything above hi is strictly greater, [lo, hi) are the ties
-		// (including the target itself).
-		lo := sort.Search(n, func(j int) bool { return sorted[j] >= target })
-		hi := sort.Search(n, func(j int) bool { return sorted[j] > target })
-		greater := n - hi
-		equal := hi - lo - 1
-		// Filtered protocol: discount corruptions that are known true
-		// triples. The target is never discounted — it is excluded from its
-		// own corruption set already.
-		for _, f := range filtered {
-			if f == o {
-				continue
-			}
-			switch fs := scores[f]; {
-			case fs > target:
-				greater--
-			case fs == target:
-				equal--
-			}
-		}
-		ranks[i] = 1 + greater + equal/2
-	}
-	return ranks
+	bufs := r.getBatchBufs()
+	defer r.batchPool.Put(bufs)
+	bufs.scratch(len(objects))
+	return r.rankRow(scores, objects, filtered, bufs)
 }
 
 // Options controls Evaluate.

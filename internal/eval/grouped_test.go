@@ -80,7 +80,7 @@ func TestRankObjectsMatchesRankObject(t *testing.T) {
 
 // TestRankObjectsTiesAndFilteredTies drives the mean tie policy and the
 // filter corrections through a score table with heavy ties, where the
-// sorted-sweep binary-search path is easiest to get wrong.
+// counting pass's equal/between bookkeeping is easiest to get wrong.
 func TestRankObjectsTiesAndFilteredTies(t *testing.T) {
 	// Scores by object: 0.5 appears five times, 0.9 twice, 0.1 once.
 	m := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}

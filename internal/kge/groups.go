@@ -137,13 +137,15 @@ func (d *Derived) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, su
 
 // scoreRows writes out[i] = geometry(q, E[ids[i]]) + bias[ids[i]].
 func (d *Derived) scoreRows(out []float32, ids []kg.EntityID, q, bias []float32) {
-	for i, id := range ids {
-		row := d.ent.Row(int(id))
-		if d.geom != SweepDot {
-			out[i] = d.negDistance(q, row)
-			continue
+	if d.geom != SweepDot {
+		dist := d.distance()
+		for i, id := range ids {
+			out[i] = -dist(q, d.ent.Row(int(id)))
 		}
-		out[i] = vecmath.Dot(q, row)
+		return
+	}
+	for i, id := range ids {
+		out[i] = vecmath.Dot(q, d.ent.Row(int(id)))
 		if bias != nil {
 			out[i] += bias[id]
 		}

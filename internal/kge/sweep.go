@@ -256,6 +256,7 @@ func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
 		}
 		return
 	}
+	dist := d.distance()
 	n := d.ent.Rows
 	tile := vecmath.MatMatTileRows(d.ent.Cols)
 	for lo := 0; lo < n; lo += tile {
@@ -263,18 +264,20 @@ func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
 		for j := 0; j < q.Rows; j++ {
 			qj, dst := q.Row(j), out.Row(j)
 			for o := lo; o < hi; o++ {
-				dst[o] = d.negDistance(qj, d.ent.Row(o))
+				dst[o] = -dist(qj, d.ent.Row(o))
 			}
 		}
 	}
 }
 
-// negDistance is the distance geometries' per-pair score.
-func (d *Derived) negDistance(q, row []float32) float32 {
+// distance returns the distance geometries' per-pair kernel; a score is its
+// negation. The geometry is the model's, not the pair's, so callers pick the
+// kernel once per sweep rather than once per pair.
+func (d *Derived) distance() func(a, b []float32) float32 {
 	if d.geom == SweepL1 {
-		return -vecmath.L1Distance(q, row)
+		return vecmath.L1Distance
 	}
-	return -vecmath.SquaredL2Distance(q, row)
+	return vecmath.SquaredL2Distance
 }
 
 func checkScoreBuf(out []float32, n int) {

@@ -128,9 +128,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	// The ranker reads the shared filter graph's (s, r) adjacency.
+	// RankObjects, not the per-triple RankObject: the same rank from one
+	// sweep and a correction over the shared filter graph's (s, r) adjacency,
+	// where RankObject would probe that graph once per entity — all of it
+	// under the read lock /mutate waits on.
 	s.kgMu.RLock()
-	rank := sm.ranker.RankObject(t)
+	rank := sm.ranker.RankObjects(t.S, t.R, []kg.EntityID{t.O})[0]
 	s.kgMu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{"rank": rank})
 }

@@ -63,6 +63,30 @@ echo "== projection fuzz smoke =="
 # same triples.
 go test -run '^$' -fuzz '^FuzzProjection$' -fuzztime 10s ./internal/graphstats
 
+echo "== counting-pass fuzz smoke =="
+# Every grouped and batched rank is read off eval.rankRow's bucket-indexed
+# counting pass, which converts floats to table indices: it must agree with a
+# naive per-target count — and never index out of range — on any row,
+# including NaN, ±Inf, tie-heavy, ulp-wide and overflowing target ranges.
+go test -run '^$' -fuzz '^FuzzCountingPass$' -fuzztime 10s ./internal/eval
+
+echo "== vecmath bounds-check budget =="
+# MatVec's 4-row kernel, Dot and the distance kernels are written so that the
+# compiler drops their per-element bounds checks (one index check left in the
+# MatVec inner loop where there were ten). No test can see that and an
+# innocent edit undoes it, so hold vecmath.go to the number of index checks
+# it had when the kernels were written. amd64 is named so the count means
+# the same on any host; zero would mean the diagnostic itself went away.
+bce_budget=14
+bce_found="$(GOARCH=amd64 go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/vecmath 2>&1 \
+  | grep -c 'vecmath\.go:.*Found IsInBounds' || true)"
+if [ "$bce_found" -lt 1 ] || [ "$bce_found" -gt "$bce_budget" ]; then
+  echo "bounds-check budget FAILED: vecmath.go has $bce_found IsInBounds checks, budget 1..$bce_budget" >&2
+  GOARCH=amd64 go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/vecmath 2>&1 | grep 'vecmath\.go' >&2 || true
+  exit 1
+fi
+echo "vecmath.go: $bce_found index checks (budget $bce_budget)"
+
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -276,16 +300,17 @@ echo "kgserve smoke: cache hits $hits, $invalidated cache invalidation(s) on mut
 echo "== crash-resume gate =="
 # SIGKILL a checkpointed discovery sweep mid-run, resume it, and require the
 # final TSV byte-identical to an uninterrupted run — the durability claim of
-# the job journal, proven against a real kill, not a simulated one. The graph
-# is sized so each relation's sweep takes ~300ms: slow enough to kill between
-# relations, fast enough for CI.
+# the job journal, proven against a real kill, not a simulated one. The sweep
+# is sized so each relation takes ~100ms (it was ~20ms at max_candidates 4000
+# once ranking got faster, and the 50ms poll below then lost the race): slow
+# enough to kill between relations, fast enough for CI.
 "$tmp/kggen" -entities 50000 -relations 12 -triples 300000 -seed 13 \
   -out "$tmp/crashdata" >/dev/null
 "$tmp/kgtrain" -data "$tmp/crashdata" -model distmult -dim 16 -epochs 1 \
   -seed 5 -quiet -out "$tmp/crash.kge" >/dev/null
 disc() {
   "$tmp/kgdiscover" -data "$tmp/crashdata" -model "$tmp/crash.kge" \
-    -strategy graph_degree -top_n 4000 -max_candidates 4000 -seed 3 -limit 0 "$@"
+    -strategy graph_degree -top_n 4000 -max_candidates 16000 -seed 3 -limit 0 "$@"
 }
 disc -out "$tmp/full.tsv" >/dev/null
 
@@ -330,7 +355,7 @@ echo "== fleet fault-tolerance gate =="
 # to the single-process reference computed above ($tmp/full.tsv).
 go build -o "$tmp/kgfleet" ./cmd/kgfleet
 "$tmp/kgfleet" coord -data "$tmp/crashdata" -model "$tmp/crash.kge" \
-  -strategy graph_degree -top_n 4000 -max_candidates 4000 -seed 3 -limit 0 \
+  -strategy graph_degree -top_n 4000 -max_candidates 16000 -seed 3 -limit 0 \
   -unit 1 -lease 1500ms -poll 100ms -drain 2s -linger 30s \
   -out "$tmp/fleet.tsv" >"$tmp/fleet-coord.out" 2>"$tmp/fleet-coord.log" &
 fleet_pid=$!
