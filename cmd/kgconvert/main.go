@@ -1,6 +1,6 @@
-// Command kgconvert migrates model checkpoints between the legacy gob
-// container and the mmap-able flat layout, verifying that the weights
-// survive bit-for-bit.
+// Command kgconvert converts model checkpoints between the gob container
+// (kgtrain's default) and the mmap-able flat layout, verifying that the
+// weights survive bit-for-bit.
 //
 //	kgconvert -in model.kge -out model.kgf             # gob → flat
 //	kgconvert -in model.kgf -out model.kge -to gob     # flat → gob

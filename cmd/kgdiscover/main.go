@@ -67,7 +67,6 @@ func run(args []string) error {
 		checkpoint = fs.String("checkpoint", "", "journal each completed relation to this WAL path (crash-resumable)")
 		resume     = fs.Bool("resume", false, "continue from an existing -checkpoint journal")
 		fleetAddr  = fs.String("fleet", "", "route the sweep to this kgfleet coordinator URL instead of sweeping locally (output stays byte-identical)")
-		batch      = fs.Bool("batch", true, "rank with relation-blocked batched sweeps (output is byte-identical either way)")
 		pruneMode  = fs.String("prune", "off", "prescreen ranking sweeps with an IVF/int8 index: off, exact (byte-identical output), or approx")
 		pruneCells = fs.Int("prune_cells", 0, "prune index cell count (0 = ceil(sqrt(|E|)))")
 		pruneProbe = fs.Int("prune_probe", 0, "cells visited per query in -prune=approx (0 = ceil(cells/8))")
@@ -162,16 +161,15 @@ func run(args []string) error {
 		Graph:    ds.Train,
 		Strategy: strategy,
 		Options: core.Options{
-			TopN:                  *topN,
-			MaxCandidates:         *maxCand,
-			Seed:                  *seed,
-			RankFiltered:          *filtered,
-			CacheWeights:          *cacheW,
-			DisableBatchedRanking: !*batch,
-			PruneMode:             *pruneMode,
-			PruneCells:            *pruneCells,
-			PruneProbe:            *pruneProbe,
-			PruneIndex:            pruneIndex,
+			TopN:          *topN,
+			MaxCandidates: *maxCand,
+			Seed:          *seed,
+			RankFiltered:  *filtered,
+			CacheWeights:  *cacheW,
+			PruneMode:     *pruneMode,
+			PruneCells:    *pruneCells,
+			PruneProbe:    *pruneProbe,
+			PruneIndex:    pruneIndex,
 		},
 		Journal: *checkpoint,
 		Resume:  *resume,
@@ -203,7 +201,7 @@ func run(args []string) error {
 		st.GenerateTime.Round(time.Millisecond), st.RankTime.Round(time.Millisecond),
 		st.FactsPerHour(len(res.Facts)))
 	fmt.Printf("ranking: sweeps=%d candidates=%d sweeps-saved=%d (grouped by subject-relation pair)\n",
-		st.ScoreSweeps, st.GroupedCandidates, st.GroupedCandidates-st.ScoreSweeps)
+		st.ScoreSweeps, st.Generated, st.Generated-st.ScoreSweeps)
 	if st.BatchedSweeps > 0 {
 		fmt.Printf("batching: blocks=%d rows=%d (%.1f groups per entity-matrix pass)\n",
 			st.BatchedSweeps, st.BatchRows, float64(st.BatchRows)/float64(st.BatchedSweeps))

@@ -40,13 +40,12 @@ func run(args []string) error {
 		lossName   = fs.String("loss", "", "loss: margin, logistic (default per model)")
 		l2         = fs.Float64("l2", 0, "L2 regularization on touched rows")
 		bernoulli  = fs.Bool("bernoulli", false, "Bernoulli negative sampling (Wang et al. 2014)")
-		batchKern  = fs.Bool("batch_kernels", true, "batched gradient kernels (chunk-wide MatMat forward/backward, fused loss); false forces the scalar path and reproduces pre-batching checkpoints")
 		kvsall     = fs.Bool("kvsall", false, "KvsAll (1-N) training instead of negative sampling")
 		smoothing  = fs.Float64("label_smoothing", 0.1, "KvsAll label smoothing")
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "gradient-computation goroutines (0 = GOMAXPROCS); any value yields bit-identical checkpoints")
 		out        = fs.String("out", "model.kge", "checkpoint output path")
-		format     = fs.String("format", "gob", "checkpoint format: gob (legacy) or flat (mmap-able, served zero-copy)")
+		format     = fs.String("format", "gob", "checkpoint format: gob or flat (mmap-able, served zero-copy)")
 		patience   = fs.Int("patience", 0, "early-stopping patience in evals (0 = off)")
 		evalEach   = fs.Int("eval_every", 5, "epochs between validation evaluations")
 		quiet      = fs.Bool("quiet", false, "suppress per-epoch progress")
@@ -115,7 +114,6 @@ func run(args []string) error {
 		EvalEvery:          *evalEach,
 		Patience:           *patience,
 		BernoulliNegatives: *bernoulli,
-		ScalarKernels:      !*batchKern,
 	}
 	fmt.Printf("training %s with %d workers (seed %d)\n", *model, effWorkers, *seed)
 	if !*quiet {

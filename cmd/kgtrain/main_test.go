@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/kg"
@@ -90,5 +91,15 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-data", filepath.Join(t.TempDir(), "missing")}); err == nil {
 		t.Error("accepted missing dataset directory")
+	}
+	// A negative count must come back as an error reporting the field, not
+	// reach a slice bound or a makeslice in a worker goroutine and panic.
+	for flag, field := range map[string]string{"-batch": "BatchSize", "-negs": "NegSamples", "-epochs": "Epochs"} {
+		for _, objective := range [][]string{nil, {"-kvsall"}} {
+			args := append([]string{"-data", dir, "-model", "distmult", "-dim", "8", "-quiet", flag, "-5"}, objective...)
+			if err := run(args); err == nil || !strings.Contains(err.Error(), field+" -5") {
+				t.Errorf("%s -5 %v: error = %v, want one reporting %s -5", flag, objective, err, field)
+			}
+		}
 	}
 }

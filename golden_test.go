@@ -1,11 +1,13 @@
 package repro
 
 // Golden digests: checked-in checkpoint fingerprints and discovery hashes
-// for a fixed seed matrix. Byte-identity between a fast path and the slow
-// path it replaced only says the two agree with each other; this file says
-// what they must agree on, so a refactor that changes float operation order
-// anywhere in scoring or training fails here even when every path moved
-// together. testdata/golden_digests.txt is regenerated only on purpose
+// for a fixed seed matrix. Byte-identity between two paths only says they
+// agree with each other; this file says what they must agree on, so a
+// refactor that changes float operation order anywhere in scoring or
+// training fails here even when every path moved together. Keys keep the
+// "/batched/" segment from when a scalar trainer and a per-group ranking
+// scheduler were pinned beside the surviving paths, so the surviving rows
+// are byte for byte the rows those paths were first pinned with. testdata/golden_digests.txt is regenerated only on purpose
 // (go test -run TestGoldenDigests -update-golden .), and its diff is reviewed
 // like code.
 
@@ -57,7 +59,7 @@ func goldenDataset(t *testing.T) *kg.Dataset {
 
 // goldenTrain trains a fresh model for two epochs. BatchSize 48 gives three
 // gradient chunks per batch, so the worker count has something to permute.
-func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll, scalar bool, workers int) kge.Trainable {
+func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers int) kge.Trainable {
 	t.Helper()
 	cfg := kge.Config{
 		NumEntities:  ds.Train.Entities.Len(),
@@ -74,7 +76,6 @@ func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll, scalar bool,
 	}
 	tcfg := train.Config{
 		Epochs: 2, BatchSize: 48, NegSamples: 4, Workers: workers, Seed: 9,
-		ScalarKernels: scalar,
 	}
 	ctx := context.Background()
 	if kvsAll {
@@ -109,20 +110,18 @@ func TestGoldenDigests(t *testing.T) {
 	// distance kernel.
 	models := append(kge.ModelNames(), "transe_l2")
 
-	// (a) Checkpoint fingerprints: models x objective x kernels x workers.
+	// (a) Checkpoint fingerprints: models x objective x workers.
 	for _, name := range models {
 		for _, obj := range []string{"negsample", "kvsall"} {
-			for _, kern := range []string{"batched", "scalar"} {
-				for _, workers := range []int{1, 4} {
-					m := goldenTrain(t, ds, name, obj == "kvsall", kern == "scalar", workers)
-					key := fmt.Sprintf("checkpoint/%s/%s/%s/w%d", name, obj, kern, workers)
-					got[key] = kge.Fingerprint(m)
-				}
+			for _, workers := range []int{1, 4} {
+				m := goldenTrain(t, ds, name, obj == "kvsall", workers)
+				key := fmt.Sprintf("checkpoint/%s/%s/batched/w%d", name, obj, workers)
+				got[key] = kge.Fingerprint(m)
 			}
 		}
 	}
 
-	// (b) Discovery: models x protocol x ranking path, on the batched
+	// (b) Discovery: models x protocol x ranking path, on the
 	// negative-sampling checkpoint. TopN is far below |E| so exact pruning
 	// searches instead of falling back to the dense sweep.
 	paths := []struct {
@@ -130,11 +129,10 @@ func TestGoldenDigests(t *testing.T) {
 		set  func(*core.Options)
 	}{
 		{"batched", func(*core.Options) {}},
-		{"pergroup", func(o *core.Options) { o.DisableBatchedRanking = true }},
 		{"prune-exact", func(o *core.Options) { o.PruneMode = core.PruneExact }},
 	}
 	for _, name := range models {
-		m := goldenTrain(t, ds, name, false, false, 1)
+		m := goldenTrain(t, ds, name, false, 1)
 		for _, protocol := range []string{"raw", "filtered"} {
 			for _, p := range paths {
 				opts := core.Options{
@@ -154,7 +152,7 @@ func TestGoldenDigests(t *testing.T) {
 	// (c) Node-statistic strategies on the default ranking path: the weights
 	// come from internal/graphstats, so these pin the projection and the
 	// triangle, clustering and square kernels through to the sampled facts.
-	m := goldenTrain(t, ds, "distmult", false, false, 1)
+	m := goldenTrain(t, ds, "distmult", false, 1)
 	for _, strat := range []core.Strategy{
 		core.NewGraphDegree(), core.NewClusteringTriangles(),
 		core.NewClusteringCoefficient(), core.NewClusteringSquares(),

@@ -9,39 +9,9 @@ import (
 	"repro/internal/kge"
 )
 
-// TestDiscoverFactsBatchedEquivalence is the core byte-identity claim: the
-// relation-blocked batched scheduler and the per-group scheduler discover
-// exactly the same facts with the same ranks, under both ranking protocols.
-func TestDiscoverFactsBatchedEquivalence(t *testing.T) {
-	for _, filtered := range []bool{false, true} {
-		base := Options{TopN: 40, MaxCandidates: 60, Seed: 21, RankFiltered: filtered}
-
-		batched := discover(t, base)
-		disabledOpts := base
-		disabledOpts.DisableBatchedRanking = true
-		grouped := discover(t, disabledOpts)
-
-		if len(batched.Facts) != len(grouped.Facts) {
-			t.Fatalf("filtered=%v: batched found %d facts, grouped %d",
-				filtered, len(batched.Facts), len(grouped.Facts))
-		}
-		for i := range batched.Facts {
-			if batched.Facts[i] != grouped.Facts[i] {
-				t.Fatalf("filtered=%v: fact %d differs: batched %+v grouped %+v",
-					filtered, i, batched.Facts[i], grouped.Facts[i])
-			}
-		}
-		if batched.Stats.ScoreSweeps != grouped.Stats.ScoreSweeps {
-			t.Errorf("filtered=%v: sweep counts differ: batched %d grouped %d",
-				filtered, batched.Stats.ScoreSweeps, grouped.Stats.ScoreSweeps)
-		}
-	}
-}
-
-// TestDiscoverFactsBatchStats checks the batch instrumentation: with
-// batching on, every group goes through a batch (BatchRows == ScoreSweeps)
-// and blocks amortize at least one group each; with batching off, both
-// counters stay zero.
+// TestDiscoverFactsBatchStats checks the batch instrumentation: every group
+// goes through a batch (BatchRows == ScoreSweeps) and blocks amortize at
+// least one group each.
 func TestDiscoverFactsBatchStats(t *testing.T) {
 	res := discover(t, Options{TopN: 40, MaxCandidates: 60, Seed: 21})
 	if res.Stats.BatchRows != res.Stats.ScoreSweeps {
@@ -59,17 +29,11 @@ func TestDiscoverFactsBatchStats(t *testing.T) {
 		t.Errorf("per-relation batch stats (%d, %d) do not sum to totals (%d, %d)",
 			perRelBatched, perRelRows, res.Stats.BatchedSweeps, res.Stats.BatchRows)
 	}
-
-	off := discover(t, Options{TopN: 40, MaxCandidates: 60, Seed: 21, DisableBatchedRanking: true})
-	if off.Stats.BatchedSweeps != 0 || off.Stats.BatchRows != 0 {
-		t.Errorf("disabled run recorded batch stats (%d, %d), want zero",
-			off.Stats.BatchedSweeps, off.Stats.BatchRows)
-	}
 }
 
 // scoreCountingModel counts Score calls, to pin down the calibrator path's
-// scoring cost: with batching the sweep scores are reused, so DiscoverFacts
-// must not call Score at all.
+// scoring cost: the sweep scores are reused, so DiscoverFacts must not call
+// Score at all.
 type scoreCountingModel struct {
 	kge.Model
 	scoreCalls atomic.Int64
@@ -97,18 +61,6 @@ func TestCalibratorReusesSweepScores(t *testing.T) {
 		t.Fatal("no facts discovered")
 	}
 	if n := m.scoreCalls.Load(); n != 0 {
-		t.Errorf("batched calibrated discovery called Score %d times, want 0 (sweep reuse)", n)
-	}
-
-	// The per-group fallback has no sweep scores and re-scores each fact
-	// that passes the rank filter.
-	m.scoreCalls.Store(0)
-	opts.DisableBatchedRanking = true
-	res2, err := DiscoverFacts(context.Background(), m, ds.Train, NewEntityFrequency(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := m.scoreCalls.Load(); n < int64(len(res2.Facts)) {
-		t.Errorf("grouped calibrated discovery called Score %d times, want ≥ %d", n, len(res2.Facts))
+		t.Errorf("calibrated discovery called Score %d times, want 0 (sweep reuse)", n)
 	}
 }

@@ -53,18 +53,6 @@ type Options struct {
 	// relations, departing from Algorithm 1's per-relation recomputation.
 	// Off by default (faithful mode); see the weight-caching ablation.
 	CacheWeights bool
-	// DisableBatchedRanking falls back to the per-group ranking scheduler
-	// (one RankObjects sweep per (s, r) group). Batching is on by default
-	// and produces byte-identical output — the batched sweep is
-	// bit-identical to the per-group sweep and both are ranked by the same
-	// counting pass — so the toggle exists for the ablation harness and for
-	// triage, not correctness.
-	DisableBatchedRanking bool
-	// BatchBudgetBytes caps the score-matrix footprint of one relation
-	// block: a block holds at most BatchBudgetBytes/(4·|E|) of a relation's
-	// (s, r) groups, so a worker's batch stays within a fixed memory budget
-	// regardless of vocabulary size. Zero means DefaultBatchBudgetBytes.
-	BatchBudgetBytes int
 	// PruneMode selects the approximate-then-exact ranking path backed by a
 	// prune.Index over the entity table: "" or PruneOff runs the dense
 	// sweeps; PruneExact prunes with sound score bounds and produces output
@@ -100,7 +88,13 @@ type Options struct {
 	OnRelationDone func(RelationDone)
 }
 
-func (o *Options) setDefaults() {
+// WithOutputDefaults returns o with the zero-valued output-affecting fields
+// (TopN, MaxCandidates, MaxIterations) replaced by their defaults. It is the
+// one spelling of those values: DiscoverFacts applies it, and internal/jobs
+// and internal/fleet call it before hashing options, so a journal or a fleet
+// worker identifies a run the same way whether or not the caller spelled the
+// defaults out.
+func (o Options) WithOutputDefaults() Options {
 	if o.TopN == 0 {
 		o.TopN = 500
 	}
@@ -110,18 +104,22 @@ func (o *Options) setDefaults() {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 5
 	}
+	return o
+}
+
+func (o *Options) setDefaults() {
+	*o = o.WithOutputDefaults()
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.BatchBudgetBytes == 0 {
-		o.BatchBudgetBytes = DefaultBatchBudgetBytes
-	}
 }
 
-// DefaultBatchBudgetBytes is the default score-matrix budget of one relation
-// block (Options.BatchBudgetBytes): 4 MiB ≈ 20 query rows over a 50k-entity
-// vocabulary, enough to amortize the entity-matrix traffic without a block's
-// scores spilling far past the last-level cache share of one worker.
+// DefaultBatchBudgetBytes caps the score-matrix footprint of one relation
+// block: a block holds at most DefaultBatchBudgetBytes/(4·|E|) of a
+// relation's (s, r) groups, so a worker's batch stays within a fixed memory
+// budget regardless of vocabulary size. 4 MiB ≈ 20 query rows over a
+// 50k-entity vocabulary, enough to amortize the entity-matrix traffic without
+// a block's scores spilling far past the last-level cache share of one worker.
 const DefaultBatchBudgetBytes = 4 << 20
 
 // Fact is one discovered fact with its rank against corruptions.
@@ -149,17 +147,14 @@ type Stats struct {
 	Relations int
 	// Iterations counts generation-loop iterations across all relations.
 	Iterations int
-	// ScoreSweeps counts full ScoreAllObjects sweeps run while ranking: one
-	// per distinct (s, r) candidate group under the grouped scheduler,
-	// versus one per candidate under the per-candidate protocol.
+	// ScoreSweeps counts the query rows scored while ranking: one per
+	// distinct (s, r) candidate group, versus one per candidate under the
+	// per-candidate protocol. Generated − ScoreSweeps is the number of |E|·d
+	// sweeps the grouping saved; kgdiscover reports it as sweeps-saved.
 	ScoreSweeps int
-	// GroupedCandidates counts candidates ranked through grouped sweeps.
-	// GroupedCandidates − ScoreSweeps is the number of |E|·d sweeps the
-	// grouping saved; the ablation harness reports it as sweeps-saved.
-	GroupedCandidates int
 	// BatchedSweeps counts relation-blocked batch dispatches: each is one
 	// tiled matrix–matrix sweep (kge.ScoreAllObjectsBatch) covering a block
-	// of a relation's (s, r) groups. Zero when batching is disabled.
+	// of a relation's (s, r) groups. Zero under pruned ranking.
 	BatchedSweeps int
 	// BatchRows counts the (s, r) query rows scored through those batches;
 	// BatchRows/BatchedSweeps is the achieved amortization factor (average
@@ -294,16 +289,14 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 	// lost to dedup and the seen-filter.
 	sampleSize := int(math.Sqrt(float64(opts.MaxCandidates))) + 10
 
-	var ranker objectRanker
+	var filter *kg.Graph
 	if opts.RankFiltered {
-		filter := g
+		filter = g
 		if opts.Filter != nil {
 			filter = kg.Merge(g, opts.Filter)
 		}
-		ranker = eval.NewRanker(model, filter)
-	} else {
-		ranker = eval.NewRanker(model, nil)
 	}
+	ranker := eval.NewRanker(model, filter)
 
 	for ri, r := range relations {
 		if err := ctx.Err(); err != nil {
@@ -333,7 +326,7 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 
 			if len(candidates) > 0 {
 				rStart := time.Now()
-				ranks, scores, rstats, err := rankAll(ctx, ranker, candidates, model.NumEntities(), opts)
+				ranks, scores, rstats, err := rankAll(ctx, ranker, candidates, opts)
 				rel.RankTime = time.Since(rStart)
 				if err != nil {
 					return nil, err
@@ -343,27 +336,19 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 				rel.BatchRows = rstats.BatchRows
 				rel.CellsPruned = rstats.CellsPruned
 				rel.PrescreenRows = rstats.PrescreenRows
-				res.Stats.GroupedCandidates += len(candidates)
 
 				// Line 15: keep candidates within the quality threshold —
 				// and, when a calibrator is configured, within Definition
-				// 2.1's probability threshold P(t) > b as well. The batched
-				// scheduler returns each candidate's sweep score, so the
-				// calibrator reuses it instead of re-scoring per kept fact.
+				// 2.1's probability threshold P(t) > b as well. rankAll
+				// returns each candidate's sweep score, so the calibrator
+				// reuses it instead of re-scoring per kept fact.
 				for i, t := range candidates {
 					if ranks[i] > opts.TopN {
 						continue
 					}
-					if opts.Calibrator != nil && opts.MinProbability > 0 {
-						var sc float32
-						if scores != nil {
-							sc = scores[i]
-						} else {
-							sc = model.Score(t)
-						}
-						if opts.Calibrator(sc) <= opts.MinProbability {
-							continue
-						}
+					if opts.Calibrator != nil && opts.MinProbability > 0 &&
+						opts.Calibrator(scores[i]) <= opts.MinProbability {
+						continue
 					}
 					res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
 				}
@@ -479,28 +464,12 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 	return candidates, iters
 }
 
-// objectRanker is the ranking dependency of the discovery schedulers:
-// per-candidate ranking, the grouped one-sweep-per-(s,r) form, and the
-// relation-blocked batched form.
-type objectRanker interface {
-	RankObject(kg.Triple) int
-	RankObjects(s kg.EntityID, r kg.RelationID, objects []kg.EntityID) []int
-	RankObjectsBatch(rel kg.RelationID, groups []eval.Group) ([][]int, [][]float32)
-}
-
-// prunedRanker is the optional pruned-path extension of objectRanker. It is
-// a separate interface (asserted at runtime, not added to objectRanker) so
-// ranker substitutes that only implement the dense protocol keep working.
-type prunedRanker interface {
-	RankObjectsPruned(rel kg.RelationID, groups []eval.Group, topN int, cfg eval.PruneConfig) ([][]int, [][]float32, eval.PruneStats)
-}
-
 // rankStats is rankAll's instrumentation: Sweeps counts score sweeps (one
-// per distinct (s, r) group, either scheduler); BatchedSweeps counts batch
-// dispatches (one tiled matrix–matrix pass each) and BatchRows the query
-// rows they carried. Under pruned ranking the batch counters stay zero —
-// blocks are branch-and-bound searches, not matrix–matrix sweeps — and the
-// prune counters report the work the index saved and spent instead.
+// per distinct (s, r) group); BatchedSweeps counts batch dispatches (one
+// tiled matrix–matrix pass each) and BatchRows the query rows they carried.
+// Under pruned ranking the batch counters stay zero — blocks are
+// branch-and-bound searches, not matrix–matrix sweeps — and the prune
+// counters report the work the index saved and spent instead.
 type rankStats struct {
 	Sweeps        int
 	BatchedSweeps int
@@ -525,17 +494,16 @@ type rankBlock struct {
 }
 
 // rankAll ranks candidates in parallel, preserving order, and returns each
-// candidate's rank and sweep score (scores are nil under
-// DisableBatchedRanking). Candidates are bucketed by their (s, r) pair — a
-// mesh grid of k subjects × k objects collapses from k² model sweeps to k —
-// and the groups of each relation are then packed into blocks sized to
-// Options.BatchBudgetBytes, so a whole block is scored by one tiled
+// candidate's rank and sweep score. Candidates are bucketed by their (s, r)
+// pair — a mesh grid of k subjects × k objects collapses from k² model
+// sweeps to k — and the groups of each relation are then packed into blocks
+// sized to DefaultBatchBudgetBytes, so a whole block is scored by one tiled
 // matrix–matrix sweep (eval.RankObjectsBatch) instead of one MatVec per
 // group. Blocks shrink below the cache budget when needed to keep every
 // worker busy. When ctx is cancelled the partially-written ranks are
 // meaningless — rank 0 would pass every TopN filter — so rankAll returns
 // ctx.Err() instead of partial results.
-func rankAll(ctx context.Context, ranker objectRanker, candidates []kg.Triple, numEntities int, opts Options) ([]int, []float32, rankStats, error) {
+func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options) ([]int, []float32, rankStats, error) {
 	ranks := make([]int, len(candidates))
 	type srKey struct {
 		s kg.EntityID
@@ -563,22 +531,11 @@ func rankAll(ctx context.Context, ranker objectRanker, candidates []kg.Triple, n
 		workers = 1
 	}
 
-	if opts.DisableBatchedRanking {
-		if err := rankAllGrouped(ctx, ranker, candidates, groups, ranks, workers); err != nil {
-			return nil, nil, rankStats{}, err
-		}
-		return ranks, nil, stats, nil
-	}
-
 	// Pack each relation's groups (first-appearance order) into blocks. The
 	// row cap is the cache budget, tightened so there are at least as many
 	// blocks as workers: smaller blocks only cost amortization, idle workers
 	// cost wall-clock.
-	budget := opts.BatchBudgetBytes
-	if budget <= 0 {
-		budget = DefaultBatchBudgetBytes
-	}
-	blockRows := budget / (4 * numEntities)
+	blockRows := DefaultBatchBudgetBytes / (4 * ranker.Model().NumEntities())
 	if perWorker := (len(groups) + workers - 1) / workers; blockRows > perWorker {
 		blockRows = perWorker
 	}
@@ -596,8 +553,7 @@ func rankAll(ctx context.Context, ranker objectRanker, candidates []kg.Triple, n
 	}
 	// Pruned ranking replaces each block's matrix–matrix sweep with
 	// branch-and-bound top-M searches; blocks remain the scheduling unit.
-	pruner, _ := ranker.(prunedRanker)
-	pruneOn := opts.PruneIndex != nil && pruner != nil &&
+	pruneOn := opts.PruneIndex != nil &&
 		(opts.PruneMode == PruneExact || opts.PruneMode == PruneApprox)
 	pruneCfg := eval.PruneConfig{
 		Index: opts.PruneIndex,
@@ -649,7 +605,7 @@ func rankAll(ctx context.Context, ranker objectRanker, candidates []kg.Triple, n
 				var ss [][]float32
 				if pruneOn {
 					var st eval.PruneStats
-					rs, ss, st = pruner.RankObjectsPruned(b.rel, egroups, opts.TopN, pruneCfg)
+					rs, ss, st = ranker.RankObjectsPruned(b.rel, egroups, opts.TopN, pruneCfg)
 					pst.CellsPruned += st.CellsPruned
 					pst.PrescreenRows += st.PrescreenRows
 				} else {
@@ -684,43 +640,4 @@ feed:
 		return nil, nil, rankStats{}, err
 	}
 	return ranks, scores, stats, nil
-}
-
-// rankAllGrouped is the pre-batching scheduler: whole (s, r) groups dispatch
-// to workers and each is ranked by its own RankObjects sweep. It is kept as
-// the ablation baseline and the DisableBatchedRanking fallback.
-func rankAllGrouped(ctx context.Context, ranker objectRanker, candidates []kg.Triple, groups []*srGroup, ranks []int, workers int) error {
-	groupCh := make(chan *srGroup)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var objects []kg.EntityID
-			for g := range groupCh {
-				if ctx.Err() != nil {
-					return
-				}
-				objects = objects[:0]
-				for _, i := range g.idx {
-					objects = append(objects, candidates[i].O)
-				}
-				rs := ranker.RankObjects(g.s, g.r, objects)
-				for j, i := range g.idx {
-					ranks[i] = rs[j]
-				}
-			}
-		}()
-	}
-feed:
-	for _, g := range groups {
-		select {
-		case groupCh <- g:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(groupCh)
-	wg.Wait()
-	return ctx.Err()
 }

@@ -202,20 +202,19 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	}
 	start := time.Now()
 
-	var ranker objectRanker
+	var filter *kg.Graph
 	if opts.RankFiltered {
-		ranker = eval.NewRanker(model, g)
-	} else {
-		ranker = eval.NewRanker(model, nil)
+		filter = g
 	}
+	ranker := eval.NewRanker(model, filter)
 
 	// Candidates are generated, ranked and filtered one relation at a time,
 	// bounding memory by one relation's complement (n² triples) rather than
 	// the whole complement.
 	res := &Result{}
 	candidates := make([]kg.Triple, 0, n)
-	var scoreSweeps, groupedCandidates, batchedSweeps, batchRows int
-	rankOpts := Options{Workers: opts.Workers, BatchBudgetBytes: DefaultBatchBudgetBytes}
+	var scoreSweeps, batchedSweeps, batchRows int
+	rankOpts := Options{Workers: opts.Workers}
 	for _, r := range relations {
 		candidates = candidates[:0]
 		for s := int64(0); s < n; s++ {
@@ -242,7 +241,7 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		stats.Generated += len(candidates)
 
 		rStart := time.Now()
-		ranks, _, rstats, err := rankAll(ctx, ranker, candidates, model.NumEntities(), rankOpts)
+		ranks, _, rstats, err := rankAll(ctx, ranker, candidates, rankOpts)
 		stats.RankTime += time.Since(rStart)
 		if err != nil {
 			return nil, nil, err
@@ -250,7 +249,6 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		scoreSweeps += rstats.Sweeps
 		batchedSweeps += rstats.BatchedSweeps
 		batchRows += rstats.BatchRows
-		groupedCandidates += len(candidates)
 		for i, t := range candidates {
 			if ranks[i] <= opts.TopN {
 				res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
@@ -261,14 +259,13 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	SortFactsByRank(res.Facts)
 	stats.Total = time.Since(start)
 	res.Stats = Stats{
-		Total:             stats.Total,
-		RankTime:          stats.RankTime,
-		Generated:         stats.Generated,
-		Relations:         len(relations),
-		ScoreSweeps:       scoreSweeps,
-		GroupedCandidates: groupedCandidates,
-		BatchedSweeps:     batchedSweeps,
-		BatchRows:         batchRows,
+		Total:         stats.Total,
+		RankTime:      stats.RankTime,
+		Generated:     stats.Generated,
+		Relations:     len(relations),
+		ScoreSweeps:   scoreSweeps,
+		BatchedSweeps: batchedSweeps,
+		BatchRows:     batchRows,
 	}
 	return res, stats, nil
 }

@@ -27,7 +27,7 @@ func TestRankAllCancelledReturnsError(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ranks, _, _, err := rankAll(ctx, ranker, candidates, m.NumEntities(), Options{Workers: 2})
+	ranks, _, _, err := rankAll(ctx, ranker, candidates, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("rankAll on cancelled context returned nil error")
 	}
@@ -48,59 +48,72 @@ func TestRankAllCancelledReturnsError(t *testing.T) {
 	}
 }
 
-// TestRankAllMatchesPerCandidate asserts the grouped scheduler assigns every
+// TestRankAllMatchesPerCandidate asserts the scheduler assigns every
 // candidate exactly the rank the per-candidate protocol would, in order.
+// Candidates of three relations are interleaved and the per-relation group
+// counts (7, 5, 3) do not divide the block size, so block packing across
+// relations — full blocks, a short tail block per relation, one block per
+// relation under a single worker — is checked against per-triple RankObject,
+// which shares no line with the counting pass.
 func TestRankAllMatchesPerCandidate(t *testing.T) {
 	ds, m := tinyTrained(t)
-	ranker := eval.NewRanker(m, ds.All())
-	var candidates []kg.Triple
 	n := kg.EntityID(ds.Train.NumEntities())
-	for s := kg.EntityID(0); s < 6 && s < n; s++ {
-		for o := kg.EntityID(0); o < 10 && o < n; o++ {
-			candidates = append(candidates, kg.Triple{S: s, R: 1, O: o})
+	var candidates []kg.Triple
+	for o := kg.EntityID(0); o < 10; o++ {
+		for s := kg.EntityID(0); s < 7; s++ {
+			for r := kg.RelationID(0); r < 3; r++ {
+				if int(s) < 7-2*int(r) {
+					candidates = append(candidates, kg.Triple{S: (s*11 + kg.EntityID(r)) % n, R: r, O: (o*7 + s) % n})
+				}
+			}
 		}
 	}
-	ranks, scores, rstats, err := rankAll(context.Background(), ranker, candidates, m.NumEntities(), Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := make(map[kg.EntityID]struct{})
-	for _, c := range candidates {
-		distinct[c.S] = struct{}{}
-	}
-	if rstats.Sweeps != len(distinct) {
-		t.Errorf("sweeps = %d, want one per distinct (s, r) pair = %d", rstats.Sweeps, len(distinct))
-	}
-	if rstats.BatchRows != len(distinct) {
-		t.Errorf("batch rows = %d, want every group batched = %d", rstats.BatchRows, len(distinct))
-	}
-	if rstats.BatchedSweeps < 1 || rstats.BatchedSweeps > rstats.BatchRows {
-		t.Errorf("batched sweeps = %d, want in [1, %d]", rstats.BatchedSweeps, rstats.BatchRows)
-	}
-	if len(scores) != len(candidates) {
-		t.Fatalf("scores length %d, want %d", len(scores), len(candidates))
-	}
-	for i, c := range candidates {
-		if want := ranker.RankObject(c); ranks[i] != want {
-			t.Fatalf("candidate %d (%v): grouped rank %d != per-candidate %d", i, c, ranks[i], want)
+	const groups = 7 + 5 + 3
+	sweep := make([]float32, m.NumEntities())
+	for _, filtered := range []bool{false, true} {
+		var filter *kg.Graph
+		if filtered {
+			filter = ds.All()
+		}
+		ranker := eval.NewRanker(m, filter)
+		for _, workers := range []int{1, 3} {
+			ranks, scores, rstats, err := rankAll(context.Background(), ranker, candidates, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rstats.Sweeps != groups || rstats.BatchRows != groups {
+				t.Errorf("filtered=%v workers=%d: sweeps = %d, batch rows = %d, want one per distinct (s, r) pair = %d",
+					filtered, workers, rstats.Sweeps, rstats.BatchRows, groups)
+			}
+			// One block per relation at least; with three workers the row
+			// cap is ⌈15/3⌉ = 5, which splits the 7-group relation.
+			if want := map[int]int{1: 3, 3: 4}[workers]; rstats.BatchedSweeps != want {
+				t.Errorf("filtered=%v workers=%d: batched sweeps = %d, want %d", filtered, workers, rstats.BatchedSweeps, want)
+			}
+			for i, c := range candidates {
+				if want := ranker.RankObject(c); ranks[i] != want {
+					t.Fatalf("filtered=%v workers=%d candidate %d (%v): rank %d != per-candidate %d",
+						filtered, workers, i, c, ranks[i], want)
+				}
+				if want := m.ScoreAllObjects(c.S, c.R, sweep)[c.O]; scores[i] != want {
+					t.Fatalf("filtered=%v workers=%d candidate %d (%v): score %v != its (s, r) sweep's %v",
+						filtered, workers, i, c, scores[i], want)
+				}
+			}
 		}
 	}
 }
 
-// TestDiscoverFactsGroupedStats checks the new instrumentation: the sweep
-// count never exceeds the number of candidates ranked (it is the number of
-// distinct (s, r) groups) and the grouped-candidate tally matches Generated.
+// TestDiscoverFactsGroupedStats checks the sweep instrumentation: the sweep
+// count is the number of distinct (s, r) groups, so it never exceeds the
+// number of candidates ranked.
 func TestDiscoverFactsGroupedStats(t *testing.T) {
 	res := discover(t, Options{TopN: 40, MaxCandidates: 60, Seed: 21})
-	if res.Stats.GroupedCandidates != res.Stats.Generated {
-		t.Errorf("GroupedCandidates = %d, want Generated = %d",
-			res.Stats.GroupedCandidates, res.Stats.Generated)
-	}
 	if res.Stats.ScoreSweeps <= 0 {
 		t.Fatal("ScoreSweeps not recorded")
 	}
-	if res.Stats.ScoreSweeps > res.Stats.GroupedCandidates {
-		t.Errorf("ScoreSweeps %d > GroupedCandidates %d: grouping saved nothing",
-			res.Stats.ScoreSweeps, res.Stats.GroupedCandidates)
+	if res.Stats.ScoreSweeps > res.Stats.Generated {
+		t.Errorf("ScoreSweeps %d > Generated %d: grouping saved nothing",
+			res.Stats.ScoreSweeps, res.Stats.Generated)
 	}
 }

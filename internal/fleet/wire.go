@@ -57,24 +57,14 @@ type SweepOptions struct {
 // defaulting jobs.Run applies, so the options hash computed from them is
 // identical on the coordinator and on every worker.
 func (o SweepOptions) CoreOptions() core.Options {
-	opts := core.Options{
+	return core.Options{
 		TopN:          o.TopN,
 		MaxCandidates: o.MaxCandidates,
 		MaxIterations: o.MaxIterations,
 		Seed:          o.Seed,
 		RankFiltered:  o.RankFiltered,
 		CacheWeights:  o.CacheWeights,
-	}
-	if opts.TopN == 0 {
-		opts.TopN = 500
-	}
-	if opts.MaxCandidates == 0 {
-		opts.MaxCandidates = 500
-	}
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 5
-	}
-	return opts
+	}.WithOutputDefaults()
 }
 
 // SweepRequest submits one distributed discovery sweep. Data and Model are

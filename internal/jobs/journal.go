@@ -66,9 +66,9 @@ type StatsRecord struct {
 	Iterations  int   `json:"iterations"`
 	ScoreSweeps int   `json:"score_sweeps"`
 	// Batch counters journal as omitempty so records from runs predating
-	// relation-blocked ranking (or with it disabled) stay byte-stable;
-	// decoding an old record yields zeros, which is also what those runs
-	// measured.
+	// relation-blocked ranking, and pruned runs (which count prune work
+	// instead), stay byte-stable; decoding an old record yields zeros, which
+	// is also what those runs measured.
 	BatchedSweeps int `json:"batched_sweeps,omitempty"`
 	BatchRows     int `json:"batch_rows,omitempty"`
 	// Prune counters follow the same omitempty pattern: zero (and absent)

@@ -290,7 +290,14 @@ func TestManagerRetention(t *testing.T) {
 	if got := len(m.List()); got != 0 {
 		t.Fatalf("TTL sweep left %d jobs", got)
 	}
+	// A worker bumps Completed just after the job's state becomes visible
+	// (m.mu is never taken under a job mutex), so the last job's increment
+	// may still be in flight: wait for it instead of reading once.
 	_, counters := m.Snapshot()
+	for deadline := time.Now().Add(10 * time.Second); counters.Completed != 6 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		_, counters = m.Snapshot()
+	}
 	if counters.Evicted != 6 {
 		t.Fatalf("evicted counter %d, want 6", counters.Evicted)
 	}

@@ -160,18 +160,7 @@ func Run(ctx context.Context, spec Spec) (*core.Result, RunInfo, error) {
 // NormalizeOptions applies the same defaulting core.DiscoverFacts would, so
 // the options hash is identical whether the caller spelled defaults
 // explicitly or left them zero.
-func NormalizeOptions(o core.Options) core.Options {
-	if o.TopN == 0 {
-		o.TopN = 500
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 500
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 5
-	}
-	return o
-}
+func NormalizeOptions(o core.Options) core.Options { return o.WithOutputDefaults() }
 
 func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, RunInfo, error) {
 	opts := NormalizeOptions(spec.Options)
@@ -287,7 +276,6 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 		res.Stats.BatchRows += swept.Stats.BatchRows
 		res.Stats.CellsPruned += swept.Stats.CellsPruned
 		res.Stats.PrescreenRows += swept.Stats.PrescreenRows
-		res.Stats.GroupedCandidates += swept.Stats.GroupedCandidates
 		res.Stats.PerRelation = append(res.Stats.PerRelation, swept.Stats.PerRelation...)
 	}
 
@@ -297,9 +285,7 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 }
 
 // mergeRecord folds one journaled (or wire-delivered) relation record into
-// an accumulating result. GroupedCandidates is approximated by Generated:
-// the per-relation wire format does not carry group counts, and for every
-// path that produces records the two are equal in aggregate.
+// an accumulating result.
 func mergeRecord(res *core.Result, rec RelationRecord) {
 	st := relationStatsOf(rec)
 	res.Stats.Relations++
@@ -313,7 +299,6 @@ func mergeRecord(res *core.Result, rec RelationRecord) {
 	res.Stats.BatchRows += st.BatchRows
 	res.Stats.CellsPruned += st.CellsPruned
 	res.Stats.PrescreenRows += st.PrescreenRows
-	res.Stats.GroupedCandidates += st.Generated
 	res.Stats.PerRelation = append(res.Stats.PerRelation, st)
 	for _, f := range rec.Facts {
 		res.Facts = append(res.Facts, core.Fact{Triple: kg.Triple{S: f.S, R: f.R, O: f.O}, Rank: f.Rank})

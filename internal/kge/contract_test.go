@@ -2,7 +2,6 @@ package kge_test
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/eval"
@@ -15,11 +14,11 @@ import (
 
 // TestMinimalContractModel is the conformance test of "a model is params +
 // query + adjoint": the toy model of toy_test.go implements QueryModel and
-// nothing else, and must train under both objectives in both kernel modes
-// and rank through the batched and the pruned path, with nothing but
-// kge.Derive between it and the trainer and ranker. (Its derived operations
-// are checked against the per-triple reference by the package's internal
-// tests, where it is one more entry of allModels.)
+// nothing else, and must train under both objectives and rank through the
+// batched and the pruned path, with nothing but kge.Derive between it and
+// the trainer and ranker. (Its derived operations are checked against the
+// per-triple reference by the package's internal tests, where it is one more
+// entry of allModels.)
 func TestMinimalContractModel(t *testing.T) {
 	ds, err := synth.Generate(synth.Config{
 		Name: "contract", NumEntities: 90, NumRelations: 3, NumTriples: 600,
@@ -39,11 +38,11 @@ func TestMinimalContractModel(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	run := func(kvsAll, scalar bool, opt train.Optimizer, epochs int) (*kge.Derived, train.History) {
+	for _, kvsAll := range []bool{false, true} {
 		m := newToy()
 		cfg := train.Config{
-			Epochs: epochs, BatchSize: 64, NegSamples: 2, Seed: 17, Workers: 2,
-			Loss: train.Logistic{}, Optimizer: opt, ScalarKernels: scalar,
+			Epochs: 8, BatchSize: 64, NegSamples: 2, Seed: 17, Workers: 2,
+			Loss: train.Logistic{},
 		}
 		var hist train.History
 		var err error
@@ -53,30 +52,11 @@ func TestMinimalContractModel(t *testing.T) {
 			hist, err = train.Run(ctx, m, ds, cfg)
 		}
 		if err != nil {
-			t.Fatalf("train (kvsall=%v scalar=%v): %v", kvsAll, scalar, err)
+			t.Fatalf("train (kvsall=%v): %v", kvsAll, err)
 		}
-		return m, hist
-	}
-	for _, kvsAll := range []bool{false, true} {
-		// Both kernel modes learn (default Adam)...
-		for _, scalar := range []bool{false, true} {
-			_, hist := run(kvsAll, scalar, nil, 8)
-			first, last := hist.Epochs[0].Loss, hist.Epochs[len(hist.Epochs)-1].Loss
-			if !(last < first) {
-				t.Errorf("kvsall=%v scalar=%v: loss went %g -> %g", kvsAll, scalar, first, last)
-			}
-		}
-		// ...and agree to reassociation tolerance (SGD keeps the comparison
-		// well-conditioned, as in internal/train's equivalence tests).
-		batched, _ := run(kvsAll, false, train.NewSGD(0.05), 2)
-		scalar, _ := run(kvsAll, true, train.NewSGD(0.05), 2)
-		for _, p := range batched.Params().List() {
-			other := scalar.Params().Get(p.Name).M.Data
-			for i, v := range p.M.Data {
-				if d := math.Abs(float64(v - other[i])); d > 2e-3*(1+math.Abs(float64(other[i]))) {
-					t.Fatalf("kvsall=%v: %s[%d] batched %v vs scalar %v", kvsAll, p.Name, i, v, other[i])
-				}
-			}
+		first, last := hist.Epochs[0].Loss, hist.Epochs[len(hist.Epochs)-1].Loss
+		if !(last < first) {
+			t.Errorf("kvsall=%v: loss went %g -> %g", kvsAll, first, last)
 		}
 	}
 

@@ -20,23 +20,16 @@ import (
 // The trainer hands over a whole gradient chunk of contexts at once, so the
 // entity table is tiled once per chunk instead of swept once per context.
 //
-// Determinism contract (this defines the batched trainer's digests): within
+// Determinism contract (this defines the trainer's digests): within
 // one chunk, entity-table row o accumulates its upstream[j][o]·qⱼ
 // contributions in ascending context order j, each context's dqⱼ
 // accumulates Eᵀ·upstreamⱼ in ascending entity order o, and all entity-row
 // updates of a chunk land before any adjoint runs. A chunk of one context
-// is therefore the plain per-context backward pass, which is how the scalar
-// trainer calls it; a longer chunk differs from a sequence of one-context
-// calls only in how a row that is both an object and some context's subject
-// sees the two phases interleaved. Every schedule is a fixed function of
-// the chunk content, so every worker count produces the same bits.
-
-// AccumulateGradAllObjects accumulates the gradient of all object scores of
-// one context (s, r). upstream must have length NumEntities.
-func (d *Derived) AccumulateGradAllObjects(s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
-	d.AccumulateGradAllObjectsBatch([]kg.EntityID{s}, []kg.RelationID{r},
-		&vecmath.Matrix{Rows: 1, Cols: len(upstream), Data: upstream}, gb)
-}
+// is therefore the plain per-context backward pass; a longer chunk differs
+// from a sequence of one-context calls only in how a row that is both an
+// object and some context's subject sees the two phases interleaved. Every
+// schedule is a fixed function of the chunk content, so every worker count
+// produces the same bits.
 
 // AccumulateGradAllObjectsBatch accumulates the gradient of all object
 // scores for every context (ss[j], rs[j]) given the per-context upstream

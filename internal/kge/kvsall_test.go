@@ -6,12 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/vecmath"
 )
 
-// TestKvsAllGradMatchesPerTriple verifies for every model that
-// AccumulateGradAllObjects with upstream vector g equals the sum over
-// objects of per-triple AccumulateGrad with upstream g[o] — the defining
-// identity of the batched gradient.
+// oneContextGrad runs the KvsAll backward pass for a single context: a
+// one-row chunk of AccumulateGradAllObjectsBatch.
+func oneContextGrad(d *Derived, s kg.EntityID, r kg.RelationID, upstream []float32, gb *GradBuffer) {
+	d.AccumulateGradAllObjectsBatch([]kg.EntityID{s}, []kg.RelationID{r},
+		&vecmath.Matrix{Rows: 1, Cols: len(upstream), Data: upstream}, gb)
+}
+
+// TestKvsAllGradMatchesPerTriple verifies for every model that the KvsAll
+// backward pass with upstream vector g equals the sum over objects of
+// per-triple AccumulateGrad with upstream g[o] — the defining identity of
+// the batched gradient.
 func TestKvsAllGradMatchesPerTriple(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, m := range derivedModels(t) {
@@ -26,7 +34,7 @@ func TestKvsAllGradMatchesPerTriple(t *testing.T) {
 			upstream[0], upstream[5] = 0, 0
 
 			batched := NewGradBuffer(m.Params())
-			kvs.AccumulateGradAllObjects(s, r, upstream, batched)
+			oneContextGrad(kvs, s, r, upstream, batched)
 
 			reference := NewGradBuffer(m.Params())
 			for o := 0; o < m.NumEntities(); o++ {
@@ -126,5 +134,5 @@ func TestKvsAllBufferSizePanics(t *testing.T) {
 			t.Error("expected panic for wrong upstream length")
 		}
 	}()
-	kvs.AccumulateGradAllObjects(0, 0, make([]float32, 3), NewGradBuffer(m.Params()))
+	oneContextGrad(kvs, 0, 0, make([]float32, 3), NewGradBuffer(m.Params()))
 }

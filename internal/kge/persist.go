@@ -24,20 +24,13 @@ type paramRecord struct {
 // snapshot is the gob wire format for a trained model: the constructor
 // configuration plus every parameter table's raw data. Loading reconstructs
 // the model through New (so geometry derivations rerun) and then overwrites
-// the freshly initialized parameters.
-//
-// Two generations of the format coexist. Legacy snapshots carried the
-// Params/Shapes maps, whose gob encoding followed map iteration order, so
-// identical weights could serialize to different bytes from one Save to the
-// next. Canonical snapshots carry ParamList instead: a name-sorted slice of
-// records, making Save a pure function of the weights. Save emits only the
-// canonical form; Load accepts both.
+// the freshly initialized parameters. ParamList is a name-sorted slice of
+// records, never a gob map (whose encoding follows map iteration order), so
+// Save is a pure function of the weights.
 type snapshot struct {
 	ModelName string
 	Config    Config
-	Params    map[string][]float32 // legacy map-format snapshots only
-	Shapes    map[string][2]int    // legacy map-format snapshots only
-	ParamList []paramRecord        // canonical format
+	ParamList []paramRecord
 }
 
 // Save serializes a trained model to w. Identical model weights always
@@ -63,21 +56,23 @@ func Save(m Trainable, w io.Writer) error {
 	return gob.NewEncoder(w).Encode(snap)
 }
 
-// Load reconstructs a model previously written by Save, accepting both the
-// canonical record-list format and legacy map-based snapshots.
+// Load reconstructs a model previously written by Save.
 func Load(r io.Reader) (Trainable, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("kge: decode snapshot: %w", err)
 	}
+	if len(snap.ParamList) == 0 {
+		// Snapshots from before canonical checkpoints carried Params/Shapes
+		// maps instead; gob drops those unknown fields silently, so an empty
+		// record list is how such a file shows up here.
+		return nil, fmt.Errorf("kge: snapshot of %q has no parameter records: map-format snapshot from before canonical checkpoints; no longer read", snap.ModelName)
+	}
 	m, err := New(snap.ModelName, snap.Config)
 	if err != nil {
 		return nil, fmt.Errorf("kge: reconstruct %q: %w", snap.ModelName, err)
 	}
-	if len(snap.ParamList) > 0 {
-		return m, restoreFromRecords(m, snap.ParamList)
-	}
-	return m, restoreFromMaps(m, snap.Params, snap.Shapes)
+	return m, restoreFromRecords(m, snap.ParamList)
 }
 
 func restoreFromRecords(m Trainable, records []paramRecord) error {
@@ -99,26 +94,6 @@ func restoreFromRecords(m Trainable, records []paramRecord) error {
 				p.Name, len(rec.Data), len(p.M.Data))
 		}
 		copy(p.M.Data, rec.Data)
-	}
-	return nil
-}
-
-func restoreFromMaps(m Trainable, params map[string][]float32, shapes map[string][2]int) error {
-	for _, p := range m.Params().List() {
-		data, ok := params[p.Name]
-		if !ok {
-			return fmt.Errorf("kge: snapshot missing parameter %q", p.Name)
-		}
-		shape := shapes[p.Name]
-		if shape[0] != p.M.Rows || shape[1] != p.M.Cols {
-			return fmt.Errorf("kge: parameter %q shape %v, want [%d %d]",
-				p.Name, shape, p.M.Rows, p.M.Cols)
-		}
-		if len(data) != len(p.M.Data) {
-			return fmt.Errorf("kge: parameter %q has %d scalars, want %d",
-				p.Name, len(data), len(p.M.Data))
-		}
-		copy(p.M.Data, data)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func TestSaveDeterministicBytes(t *testing.T) {
 }
 
 // legacySnapshot mirrors the pre-canonical wire format, where parameters
-// traveled as gob maps. Load must keep reading those checkpoints.
+// traveled as gob maps. Load no longer reads it and must say so.
 type legacySnapshot struct {
 	ModelName string
 	Config    Config
@@ -47,13 +48,12 @@ type legacySnapshot struct {
 	Shapes    map[string][2]int
 }
 
-func TestLoadLegacyMapSnapshot(t *testing.T) {
+func TestLoadRejectsLegacyMapSnapshot(t *testing.T) {
 	for _, name := range ModelNames() {
 		m, err := New(name, testConfig(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		perturb(m, 23)
 		cfg, err := configOf(m)
 		if err != nil {
 			t.Fatal(err)
@@ -65,9 +65,7 @@ func TestLoadLegacyMapSnapshot(t *testing.T) {
 			Shapes:    make(map[string][2]int),
 		}
 		for _, p := range m.Params().List() {
-			data := make([]float32, len(p.M.Data))
-			copy(data, p.M.Data)
-			legacy.Params[p.Name] = data
+			legacy.Params[p.Name] = append([]float32(nil), p.M.Data...)
 			legacy.Shapes[p.Name] = [2]int{p.M.Rows, p.M.Cols}
 		}
 		var buf bytes.Buffer
@@ -75,11 +73,11 @@ func TestLoadLegacyMapSnapshot(t *testing.T) {
 			t.Fatalf("encode legacy %s: %v", name, err)
 		}
 		back, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("Load legacy %s: %v", name, err)
+		if err == nil || !strings.Contains(err.Error(), "map-format snapshot") {
+			t.Errorf("%s: Load(legacy) error = %v, want one naming the map-format snapshot", name, err)
 		}
-		if got, want := Fingerprint(back), Fingerprint(m); got != want {
-			t.Errorf("%s: legacy roundtrip changed weights: %s vs %s", name, got, want)
+		if back != nil {
+			t.Errorf("%s: Load(legacy) returned a model beside its error", name)
 		}
 	}
 }

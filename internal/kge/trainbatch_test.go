@@ -57,11 +57,11 @@ func TestScoreContextsBatchMatchesScoreAllObjects(t *testing.T) {
 }
 
 // TestKvsAllBatchGradMatchesScalarSequence checks the backward half: the
-// chunk-batched gradient equals the sequence of scalar
-// AccumulateGradAllObjects calls in ascending context order — the same row
-// set exactly (optimizer sparse-row semantics), values to float32
-// reassociation tolerance (the phase split reorders additions into rows that
-// are both objects and chain-tail targets).
+// chunk-batched gradient equals the sequence of one-context backward passes
+// in ascending context order — the same row set exactly (optimizer
+// sparse-row semantics), values to float32 reassociation tolerance (the
+// phase split reorders additions into rows that are both objects and
+// chain-tail targets).
 func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, m := range derivedModels(t) {
@@ -75,7 +75,7 @@ func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 
 			reference := NewGradBuffer(m.Params())
 			for j := range ss {
-				bt.AccumulateGradAllObjects(ss[j], rs[j], upstream.Row(j), reference)
+				oneContextGrad(bt, ss[j], rs[j], upstream.Row(j), reference)
 			}
 
 			if batched.Len() != reference.Len() {
@@ -95,46 +95,6 @@ func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 				}
 			})
 			compareGradBuffers(t, m, batched, reference)
-		})
-	}
-}
-
-// TestKvsAllBatchGradSingleContextBitIdentical: with one context there is no
-// cross-context interleaving, so the batched backward must reproduce the
-// scalar gradient exactly, bit for bit, for every model.
-func TestKvsAllBatchGradSingleContextBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, m := range derivedModels(t) {
-		bt := m.(*Derived)
-		t.Run(m.Name(), func(t *testing.T) {
-			upstream := chunkUpstream(rng, 1, m.NumEntities())
-			s, r := kg.EntityID(2), kg.RelationID(1)
-
-			batched := NewGradBuffer(m.Params())
-			bt.AccumulateGradAllObjectsBatch([]kg.EntityID{s}, []kg.RelationID{r}, upstream, batched)
-			reference := NewGradBuffer(m.Params())
-			bt.AccumulateGradAllObjects(s, r, upstream.Row(0), reference)
-
-			if batched.Len() != reference.Len() {
-				t.Fatalf("row count %d vs %d", batched.Len(), reference.Len())
-			}
-			reference.ForEach(func(p *Param, row int, want []float32) {
-				var got []float32
-				batched.ForEach(func(bp *Param, brow int, g []float32) {
-					if bp.Name == p.Name && brow == row {
-						got = g
-					}
-				})
-				if got == nil {
-					t.Fatalf("row %s/%d missing from batched gradient", p.Name, row)
-				}
-				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("row %s/%d[%d]: batched %v, scalar %v (not bit-identical)",
-							p.Name, row, i, got[i], want[i])
-					}
-				}
-			})
 		})
 	}
 }

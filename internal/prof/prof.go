@@ -13,9 +13,8 @@ import (
 )
 
 // Do runs fn with the pprof label train_phase=phase attached, so CPU
-// profiles of the trainer split cleanly by hot-path phase (e.g.
-// "kvsall/batched" vs "negsample/scalar") instead of lumping every kernel
-// under the worker goroutine. Outside profiling the label costs nothing
+// profiles of the trainer split cleanly by objective ("negsample",
+// "kvsall") instead of lumping every kernel under the worker goroutine. Outside profiling the label costs nothing
 // measurable per chunk-worker invocation.
 func Do(phase string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("train_phase", phase), func(context.Context) {

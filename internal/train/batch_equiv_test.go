@@ -1,96 +1,123 @@
 package train
 
 import (
-	"context"
 	"math"
 	"testing"
 
+	"repro/internal/kg"
 	"repro/internal/kge"
+	"repro/internal/vecmath"
 )
 
-// The batched kernels reassociate float32 accumulation and swap the exact
-// float64 transcendentals for the Fast* float32 ones, so batched and scalar
-// digests legitimately differ. These tests pin the toggle to *numerical*
-// equivalence: after a short training run the two parameter sets must agree
-// element-wise within a scale-relative tolerance. SGD + Logistic keeps the
-// comparison well-conditioned — Adam's per-element second-moment rescaling
-// amplifies ulp-level kernel differences, and margin losses flip hinge
-// activations on score ties, neither of which is a kernel bug.
+// One optimizer step of the production batch routines against a scalar
+// reference computed from the per-triple model contract alone
+// (ScoreWithContext / AccumulateGrad, exact vecmath.Sigmoid, the same
+// chunkRNG streams, a hand-written SGD update). This pins what the kernels'
+// own tests cannot: the slot bookkeeping between draw order and group
+// position, the invBatch / invN scaling, and the fused loss kernel. The
+// batched kernels reassociate float32 sums and use the Fast* transcendentals,
+// so the two updates agree within a tolerance relative to the largest
+// update of each table, not bit for bit. SGD + Logistic keeps the comparison
+// well-conditioned — Adam's per-element rescaling amplifies ulp-level kernel
+// differences, and margin losses flip hinge activations on score ties,
+// neither of which is a kernel bug.
 
-const equivTol = 2e-3
+const (
+	equivTol = 2e-3
+	stepLR   = 0.05
+)
 
-func compareModelParams(t *testing.T, name string, a, b kge.Trainable) {
-	t.Helper()
-	bp := make(map[string][]float32)
-	for _, p := range b.Params().List() {
-		bp[p.Name] = p.M.Data
-	}
-	for _, p := range a.Params().List() {
-		other, ok := bp[p.Name]
-		if !ok || len(other) != len(p.M.Data) {
-			t.Fatalf("%s: parameter %s missing or shape-mismatched in scalar run", name, p.Name)
-		}
-		bad := 0
-		for i, v := range p.M.Data {
-			ref := float64(other[i])
-			if d := math.Abs(float64(v) - ref); d > equivTol*(1+math.Abs(ref)) {
-				if bad < 3 {
-					t.Errorf("%s: %s[%d] batched %v vs scalar %v", name, p.Name, i, v, other[i])
+// checkStep takes, for every model, production's optimizer step on one copy
+// and a plain SGD step along reference's gradient on another, and requires
+// both to have moved every parameter table the same way from the shared
+// initialization.
+func checkStep(t *testing.T, ds *kg.Dataset, production func(*kge.Derived), reference func(kge.Trainable, *kge.GradBuffer)) {
+	for _, name := range kge.ModelNames() {
+		t.Run(name, func(t *testing.T) {
+			initial, prod, ref := determinismModel(t, name, ds), determinismModel(t, name, ds), determinismModel(t, name, ds)
+			production(prod.(*kge.Derived))
+
+			gb := kge.NewGradBuffer(ref.Params())
+			reference(ref, gb)
+			gb.ForEach(func(p *kge.Param, row int, grad []float32) {
+				w := p.M.Row(row)
+				for i, g := range grad {
+					w[i] -= stepLR * g
 				}
-				bad++
+			})
+			ref.PostBatch()
+
+			for pi, p := range ref.Params().List() {
+				was, got := initial.Params().List()[pi].M.Data, prod.Params().List()[pi].M.Data
+				var scale float64
+				for i, w := range p.M.Data {
+					scale = math.Max(scale, math.Abs(float64(w-was[i])))
+				}
+				if scale == 0 {
+					t.Errorf("%s: the reference step left the table unchanged", p.Name)
+				}
+				for i, w := range p.M.Data {
+					if d := math.Abs(float64(got[i] - w)); d > equivTol*scale {
+						t.Fatalf("%s[%d]: batched update %g vs scalar reference %g (largest %g)",
+							p.Name, i, got[i]-was[i], w-was[i], scale)
+					}
+				}
 			}
-		}
-		if bad > 3 {
-			t.Errorf("%s: %s has %d further mismatches", name, p.Name, bad-3)
-		}
+		})
 	}
 }
 
-// TestRunBatchedMatchesScalar trains every model under the sampled objective
-// with kernels on and off and requires tolerance-equal parameters.
+// TestRunBatchedMatchesScalar: runBatch against per-triple negative sampling
+// over three chunks (16 + 16 + 8) with corruptions on both sides.
 func TestRunBatchedMatchesScalar(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, name := range kge.ModelNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			train := func(scalar bool) kge.Trainable {
-				m := determinismModel(t, name, ds)
-				_, err := Run(context.Background(), m, ds, Config{
-					Epochs: 2, BatchSize: 64, NegSamples: 2, Seed: 17, Workers: 2,
-					Loss: Logistic{}, Optimizer: NewSGD(0.05), ScalarKernels: scalar,
-				})
-				if err != nil {
-					t.Fatalf("train %s (scalar=%v): %v", name, scalar, err)
+	batch := ds.Train.Triples()[:40]
+	const negs, seed = 3, 99
+	sampler := &NegativeSampler{NumEntities: ds.Train.Entities.Len()}
+	checkStep(t, ds, func(prod *kge.Derived) {
+		runBatch(prod, batch, sampler, Config{
+			NegSamples: negs, Loss: Logistic{}, Optimizer: NewSGD(stepLR), Workers: 2,
+		}, seed)
+	}, func(ref kge.Trainable, gb *kge.GradBuffer) {
+		invBatch := 1 / float32(len(batch))
+		var src splitmix64
+		for lo := 0; lo < len(batch); lo += gradChunkSize {
+			rng := chunkRNG(&src, seed, lo/gradChunkSize)
+			for _, pos := range batch[lo:min(lo+gradChunkSize, len(batch))] {
+				score, ctx := ref.ScoreWithContext(pos)
+				ref.AccumulateGrad(pos, ctx, -vecmath.Sigmoid(-score)*invBatch, gb)
+				for _, neg := range sampler.CorruptN(nil, pos, negs, rng) {
+					score, ctx := ref.ScoreWithContext(neg)
+					ref.AccumulateGrad(neg, ctx, vecmath.Sigmoid(score)*invBatch, gb)
 				}
-				return m
 			}
-			compareModelParams(t, name, train(false), train(true))
-		})
-	}
+		}
+	})
 }
 
-// TestRunKvsAllBatchedMatchesScalar is the KvsAll counterpart: the MatMat
-// forward, fused BCE kernel, and chunk-batched backward must land within
-// tolerance of the exact per-entity scalar loop.
+// TestRunKvsAllBatchedMatchesScalar: runKvsBatch against per-triple binary
+// cross-entropy over every (context, entity) pair of two chunks (16 + 4).
 func TestRunKvsAllBatchedMatchesScalar(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, name := range kge.ModelNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			train := func(scalar bool) kge.Trainable {
-				m := determinismModel(t, name, ds)
-				_, err := RunKvsAll(context.Background(), m, ds, Config{
-					Epochs: 2, BatchSize: 32, Seed: 17, Workers: 2,
-					Optimizer: NewSGD(0.05), ScalarKernels: scalar,
-				}, 0.1)
-				if err != nil {
-					t.Fatalf("KvsAll train %s (scalar=%v): %v", name, scalar, err)
-				}
-				return m
+	batch := buildKvsContexts(ds.Train)[:20]
+	n := ds.Train.Entities.Len()
+	const smoothing = 0.1
+	checkStep(t, ds, func(prod *kge.Derived) {
+		runKvsBatch(prod, batch, n, Config{Optimizer: NewSGD(stepLR), Workers: 2}, smoothing)
+	}, func(ref kge.Trainable, gb *kge.GradBuffer) {
+		for _, c := range batch {
+			label := make([]float32, n)
+			for o := range label {
+				label[o] = smoothing / float32(n)
 			}
-			compareModelParams(t, name, train(false), train(true))
-		})
-	}
+			for _, o := range c.objects {
+				label[o] = 1 - smoothing + smoothing/float32(n)
+			}
+			for o, y := range label {
+				tr := kg.Triple{S: c.s, R: c.r, O: kg.EntityID(o)}
+				score, ctx := ref.ScoreWithContext(tr)
+				ref.AccumulateGrad(tr, ctx, (vecmath.Sigmoid(score)-y)/float32(len(batch)*n), gb)
+			}
+		}
+	})
 }

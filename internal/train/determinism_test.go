@@ -39,69 +39,57 @@ func determinismModel(t *testing.T, name string, ds *kg.Dataset) kge.Trainable {
 	return m
 }
 
-// kernelModes names both trainer hot paths; worker-count invariance must
-// hold for each independently (the two modes define different digests).
-var kernelModes = []struct {
-	name   string
-	scalar bool
-}{
-	{"batched", false},
-	{"scalar", true},
-}
-
+// The subtests keep the "batched/" prefix they had beside a scalar-kernel
+// row, so their names stay the ones test records know.
 func TestRunWorkerCountInvariant(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, mode := range kernelModes {
-		for _, name := range kge.ModelNames() {
-			name, mode := name, mode
-			t.Run(mode.name+"/"+name, func(t *testing.T) {
-				t.Parallel()
-				train := func(workers int) string {
-					m := determinismModel(t, name, ds)
-					_, err := Run(context.Background(), m, ds, Config{
-						Epochs: 2, BatchSize: 64, NegSamples: 2, Seed: 17,
-						Workers: workers, ScalarKernels: mode.scalar,
-					})
-					if err != nil {
-						t.Fatalf("train %s (workers=%d): %v", name, workers, err)
-					}
-					return kge.Fingerprint(m)
+	for _, name := range kge.ModelNames() {
+		name := name
+		t.Run("batched/"+name, func(t *testing.T) {
+			t.Parallel()
+			train := func(workers int) string {
+				m := determinismModel(t, name, ds)
+				_, err := Run(context.Background(), m, ds, Config{
+					Epochs: 2, BatchSize: 64, NegSamples: 2, Seed: 17,
+					Workers: workers,
+				})
+				if err != nil {
+					t.Fatalf("train %s (workers=%d): %v", name, workers, err)
 				}
-				w1, w4, w4b := train(1), train(4), train(4)
-				if w1 != w4 {
-					t.Errorf("%s: workers=1 digest %s != workers=4 digest %s", name, w1, w4)
-				}
-				if w4 != w4b {
-					t.Errorf("%s: repeated workers=4 runs diverged: %s vs %s", name, w4, w4b)
-				}
-			})
-		}
+				return kge.Fingerprint(m)
+			}
+			w1, w4, w4b := train(1), train(4), train(4)
+			if w1 != w4 {
+				t.Errorf("%s: workers=1 digest %s != workers=4 digest %s", name, w1, w4)
+			}
+			if w4 != w4b {
+				t.Errorf("%s: repeated workers=4 runs diverged: %s vs %s", name, w4, w4b)
+			}
+		})
 	}
 }
 
 func TestRunKvsAllWorkerCountInvariant(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, mode := range kernelModes {
-		for _, name := range kge.ModelNames() {
-			name, mode := name, mode
-			t.Run(mode.name+"/"+name, func(t *testing.T) {
-				t.Parallel()
-				train := func(workers int) string {
-					m := determinismModel(t, name, ds)
-					_, err := RunKvsAll(context.Background(), m, ds, Config{
-						Epochs: 2, BatchSize: 32, Seed: 17,
-						Workers: workers, ScalarKernels: mode.scalar,
-					}, 0.1)
-					if err != nil {
-						t.Fatalf("KvsAll train %s (workers=%d): %v", name, workers, err)
-					}
-					return kge.Fingerprint(m)
+	for _, name := range kge.ModelNames() {
+		name := name
+		t.Run("batched/"+name, func(t *testing.T) {
+			t.Parallel()
+			train := func(workers int) string {
+				m := determinismModel(t, name, ds)
+				_, err := RunKvsAll(context.Background(), m, ds, Config{
+					Epochs: 2, BatchSize: 32, Seed: 17,
+					Workers: workers,
+				}, 0.1)
+				if err != nil {
+					t.Fatalf("KvsAll train %s (workers=%d): %v", name, workers, err)
 				}
-				if w1, w4 := train(1), train(4); w1 != w4 {
-					t.Errorf("%s: KvsAll workers=1 digest %s != workers=4 digest %s", name, w1, w4)
-				}
-			})
-		}
+				return kge.Fingerprint(m)
+			}
+			if w1, w4 := train(1), train(4); w1 != w4 {
+				t.Errorf("%s: KvsAll workers=1 digest %s != workers=4 digest %s", name, w1, w4)
+			}
+		})
 	}
 }
 

@@ -44,16 +44,6 @@ type Config struct {
 	// BernoulliNegatives fits per-relation corruption-side probabilities
 	// (Wang et al., 2014) instead of the uniform 50/50 side choice.
 	BernoulliNegatives bool
-	// ScalarKernels forces the pre-batching scalar gradient path: exact
-	// float64 transcendentals and one ScoreWithContext/AccumulateGrad call
-	// per triple (or per entity for KvsAll). The zero value uses the batched
-	// kernels — chunk-wide MatMat forwards, fused float32 loss kernels, and
-	// grouped backward passes. Both paths are bit-deterministic for any
-	// worker count, but they define different digests: flipping this toggle
-	// changes checkpoints, flipping Workers never does. Scalar mode
-	// reproduces the digests of the pre-batching trainer exactly, which is
-	// what makes before/after benchmarks honest.
-	ScalarKernels bool
 
 	// Validate, when non-nil, is called every EvalEvery epochs with the
 	// current model; it returns a metric where higher is better (e.g.
@@ -124,13 +114,35 @@ type History struct {
 	Stopped bool
 }
 
-// Run trains model on ds.Train per cfg. It returns the training history.
-// The model is mutated in place; with early stopping the parameters from
-// the best validation epoch are restored before returning.
-func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (History, error) {
+// prepare is the shared front of Run and RunKvsAll. It rejects what neither
+// objective can train — a model not built by kge.New/kge.Derive, a negative
+// count (setDefaults only replaces zeros, so one would reach a slice bound
+// or a make), an empty graph — before the model is touched, and fills cfg's
+// defaults.
+func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*kge.Derived, error) {
+	d, ok := model.(*kge.Derived)
+	if !ok {
+		return nil, fmt.Errorf("train: model %s is not a *kge.Derived (build it with kge.New or kge.Derive)", model.Name())
+	}
+	if cfg.Epochs < 0 || cfg.BatchSize < 0 || cfg.NegSamples < 0 || cfg.EvalEvery < 0 || cfg.Patience < 0 {
+		return nil, fmt.Errorf("train: negative count in config (Epochs %d, BatchSize %d, NegSamples %d, EvalEvery %d, Patience %d); zero selects the default",
+			cfg.Epochs, cfg.BatchSize, cfg.NegSamples, cfg.EvalEvery, cfg.Patience)
+	}
 	cfg.setDefaults(model)
 	if ds.Train.Len() == 0 {
-		return History{}, fmt.Errorf("train: empty training graph")
+		return nil, fmt.Errorf("train: empty training graph")
+	}
+	return d, nil
+}
+
+// Run trains model on ds.Train per cfg with negative sampling. It returns
+// the training history. The model must be a *kge.Derived (everything kge.New
+// returns is) and is mutated in place; with early stopping the parameters
+// from the best validation epoch are restored before returning.
+func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (History, error) {
+	derived, err := prepare(model, ds, &cfg)
+	if err != nil {
+		return History{}, err
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -146,6 +158,23 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 		sampler.FitBernoulli(ds.Train)
 	}
 
+	return runEpochs(ctx, model, cfg, rng, len(triples), "triples",
+		func(i, j int) { triples[i], triples[j] = triples[j], triples[i] },
+		func(lo, hi int) float64 {
+			return runBatch(derived, triples[lo:hi], sampler, cfg, rng.Int63())
+		})
+}
+
+// runEpochs is the epoch loop both objectives share: shuffle the n examples
+// (swap exchanges two of them), cut them into cfg.BatchSize batches and hand
+// each to step — one optimizer step over examples [lo, hi), returning their
+// summed loss — then validate, stop early, report progress, and restore the
+// best parameters at the end. unit names the examples in the progress line.
+// rng is consumed once per epoch by the shuffle; anything step draws from it
+// (negative sampling's per-batch seed) interleaves in batch order.
+func runEpochs(ctx context.Context, model kge.Trainable, cfg Config, rng *rand.Rand, n int, unit string,
+	swap func(i, j int), step func(lo, hi int) float64) (History, error) {
+
 	var hist History
 	var best float64
 	var bestParams map[string][]float32
@@ -156,23 +185,21 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 			return hist, err
 		}
 		start := time.Now()
-		rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
+		rng.Shuffle(n, swap)
 
 		var epochLoss float64
-		for lo := 0; lo < len(triples); lo += cfg.BatchSize {
+		for lo := 0; lo < n; lo += cfg.BatchSize {
 			hi := lo + cfg.BatchSize
-			if hi > len(triples) {
-				hi = len(triples)
+			if hi > n {
+				hi = n
 			}
-			batch := triples[lo:hi]
-			loss := runBatch(model, batch, sampler, cfg, rng.Int63())
-			epochLoss += loss
+			epochLoss += step(lo, hi)
 		}
-		epochLoss /= float64(len(triples))
+		epochLoss /= float64(n)
 
 		stats := EpochStats{
 			Epoch: epoch, Loss: epochLoss, Duration: time.Since(start),
-			Examples: len(triples),
+			Examples: n,
 		}
 
 		if cfg.Validate != nil && epoch%cfg.EvalEvery == 0 {
@@ -193,9 +220,9 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 		}
 		hist.Epochs = append(hist.Epochs, stats)
 		if cfg.Progress != nil {
-			cfg.Progress("epoch %3d  loss %.5f  valid %.4f  (%s, %.0f triples/s)",
+			cfg.Progress("epoch %3d  loss %.5f  valid %.4f  (%s, %.0f %s/s)",
 				epoch, stats.Loss, stats.Validation,
-				stats.Duration.Round(time.Millisecond), stats.Throughput())
+				stats.Duration.Round(time.Millisecond), stats.Throughput(), unit)
 		}
 	}
 	hist.Best = best
@@ -253,7 +280,7 @@ func chunkRNG(src *splitmix64, batchSeed int64, chunk int) *rand.Rand {
 // chunk writes into its own result slot, so callers can reduce the returned
 // slice in a worker-count-independent order.
 // The phase string labels the workers' CPU-profile samples (prof.Do), so
-// profiles split by hot path, e.g. "negsample/batched" vs "kvsall/scalar".
+// profiles split by objective ("negsample", "kvsall").
 func runChunks(phase string, n, workers int, newWorker func() func(chunk, lo, hi int) chunkResult) []chunkResult {
 	chunks := (n + gradChunkSize - 1) / gradChunkSize
 	if workers > chunks {
@@ -289,153 +316,19 @@ func runChunks(phase string, n, workers int, newWorker func() func(chunk, lo, hi
 	return results
 }
 
-// mergeChunks folds per-chunk gradients and losses in ascending chunk
-// order. Merging into the first chunk's buffer keeps the per-row addition
-// sequence identical to a serial pass over the chunks.
-func mergeChunks(results []chunkResult) (*kge.GradBuffer, float64) {
-	var merged *kge.GradBuffer
-	var loss float64
-	for _, r := range results {
-		if r.gb == nil {
-			continue
-		}
-		loss += r.loss
-		if merged == nil {
-			merged = r.gb
-		} else {
-			merged.Merge(r.gb)
-		}
+// stepChunks is the tail every objective's batch shares: run the n ≥ 1
+// examples' chunks, fold their gradients and losses in ascending chunk order
+// (merging into the first chunk's buffer keeps the per-row addition sequence
+// identical to a serial pass over the chunks), apply L2 regularization on the
+// touched rows, take one optimizer step, and let the model re-project
+// (PostBatch). It returns the summed loss over the batch.
+func stepChunks(model kge.Trainable, cfg Config, phase string, n int, newWorker func() func(chunk, lo, hi int) chunkResult) float64 {
+	results := runChunks(phase, n, cfg.Workers, newWorker)
+	merged, totalLoss := results[0].gb, results[0].loss
+	for _, r := range results[1:] {
+		merged.Merge(r.gb)
+		totalLoss += r.loss
 	}
-	return merged, loss
-}
-
-// runBatch computes gradients for one batch (chunked across workers),
-// applies L2 regularization on touched rows, and takes one optimizer step.
-// It returns the summed loss over the batch.
-//
-// The batched path (ScalarKernels false, model is a *kge.Derived) gathers
-// each positive's candidates into at most two groups — the (s, r) context
-// against [positive object | object-side corruptions] and the (r, o) context
-// against the subject-side corruptions — and scores/backprops each group with
-// one grouped call. RNG consumption (CorruptN per positive
-// in batch order) and the per-triple loss evaluation are identical to the
-// scalar path, so the negative draws and reported losses match; only the
-// float accumulation order inside a group differs.
-func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, cfg Config, seed int64) float64 {
-	invBatch := 1 / float32(len(batch))
-	gt, grouped := model.(*kge.Derived)
-	if cfg.ScalarKernels {
-		grouped = false
-	}
-	newWorker := func() func(chunk, lo, hi int) chunkResult {
-		negs := make([]kg.Triple, 0, cfg.NegSamples)
-		negScores := make([]float32, cfg.NegSamples)
-		gradNegs := make([]float32, cfg.NegSamples)
-		negCtxs := make([]kge.GradContext, cfg.NegSamples)
-		var src splitmix64
-		return func(chunk, lo, hi int) chunkResult {
-			gb := kge.NewGradBuffer(model.Params())
-			rng := chunkRNG(&src, seed, chunk)
-			var loss float64
-			for _, pos := range batch[lo:hi] {
-				posScore, posCtx := model.ScoreWithContext(pos)
-				negs = sampler.CorruptN(negs, pos, cfg.NegSamples, rng)
-				for i, n := range negs {
-					negScores[i], negCtxs[i] = model.ScoreWithContext(n)
-				}
-				var gradPos float32
-				loss += float64(cfg.Loss.Eval(posScore, negScores[:len(negs)], &gradPos, gradNegs[:len(negs)]))
-				if gradPos != 0 {
-					model.AccumulateGrad(pos, posCtx, gradPos*invBatch, gb)
-				}
-				for i, n := range negs {
-					if gradNegs[i] != 0 {
-						model.AccumulateGrad(n, negCtxs[i], gradNegs[i]*invBatch, gb)
-					}
-				}
-			}
-			return chunkResult{gb: gb, loss: loss}
-		}
-	}
-	phase := "negsample/scalar"
-	if grouped {
-		phase = "negsample/batched"
-		newWorker = func() func(chunk, lo, hi int) chunkResult {
-			negs := make([]kg.Triple, 0, cfg.NegSamples)
-			negScores := make([]float32, cfg.NegSamples)
-			gradNegs := make([]float32, cfg.NegSamples)
-			// Group scratch: objs[0] is always the positive object; the slot
-			// arrays map draw order i -> position in its side's group.
-			objs := make([]kg.EntityID, 0, 1+cfg.NegSamples)
-			subjs := make([]kg.EntityID, 0, cfg.NegSamples)
-			objSlot := make([]int, cfg.NegSamples)
-			subjSlot := make([]int, cfg.NegSamples)
-			objScores := make([]float32, 1+cfg.NegSamples)
-			subjScores := make([]float32, cfg.NegSamples)
-			objUp := make([]float32, 1+cfg.NegSamples)
-			subjUp := make([]float32, cfg.NegSamples)
-			// One scratch per side: each carries its group from scoring to
-			// backprop, and both groups are alive in between.
-			var objScr, subjScr kge.GroupScratch
-			var src splitmix64
-			return func(chunk, lo, hi int) chunkResult {
-				gb := kge.NewGradBuffer(model.Params())
-				rng := chunkRNG(&src, seed, chunk)
-				var loss float64
-				for _, pos := range batch[lo:hi] {
-					negs = sampler.CorruptN(negs, pos, cfg.NegSamples, rng)
-					objs = append(objs[:0], pos.O)
-					subjs = subjs[:0]
-					for i, n := range negs {
-						// Corrupt guarantees the corrupted entity differs from
-						// the original, so n.O != pos.O iff the object side
-						// was corrupted — unambiguous even for self-loops.
-						if n.O != pos.O {
-							objSlot[i] = len(objs)
-							objs = append(objs, n.O)
-						} else {
-							objSlot[i] = -1
-							subjSlot[i] = len(subjs)
-							subjs = append(subjs, n.S)
-						}
-					}
-					gt.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], &objScr)
-					if len(subjs) > 0 {
-						gt.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], &subjScr)
-					}
-					for i := range negs {
-						if s := objSlot[i]; s >= 0 {
-							negScores[i] = objScores[s]
-						} else {
-							negScores[i] = subjScores[subjSlot[i]]
-						}
-					}
-					var gradPos float32
-					loss += float64(cfg.Loss.Eval(objScores[0], negScores[:len(negs)], &gradPos, gradNegs[:len(negs)]))
-					objUp[0] = gradPos * invBatch
-					for i := range negs {
-						if s := objSlot[i]; s >= 0 {
-							objUp[s] = gradNegs[i] * invBatch
-						} else {
-							subjUp[subjSlot[i]] = gradNegs[i] * invBatch
-						}
-					}
-					gt.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objUp[:len(objs)], gb, &objScr)
-					if len(subjs) > 0 {
-						gt.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjUp[:len(subjs)], gb, &subjScr)
-					}
-				}
-				return chunkResult{gb: gb, loss: loss}
-			}
-		}
-	}
-	results := runChunks(phase, len(batch), cfg.Workers, newWorker)
-
-	merged, totalLoss := mergeChunks(results)
-	if merged == nil {
-		return 0
-	}
-
 	if cfg.L2 > 0 {
 		merged.ForEach(func(p *kge.Param, row int, grad []float32) {
 			vecmath.Axpy(cfg.L2, p.M.Row(row), grad)
@@ -444,6 +337,85 @@ func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, 
 	cfg.Optimizer.Step(merged)
 	model.PostBatch()
 	return totalLoss
+}
+
+// runBatch takes one negative-sampling optimizer step over batch and returns
+// the summed loss. Each positive's candidates are gathered into at most two
+// groups — the (s, r) context against [positive object | object-side
+// corruptions] and the (r, o) context against the subject-side corruptions —
+// and each group is scored and backpropagated with one grouped call. RNG
+// consumption is one CorruptN per positive in batch order, from the chunk's
+// own stream.
+func runBatch(model *kge.Derived, batch []kg.Triple, sampler *NegativeSampler, cfg Config, seed int64) float64 {
+	invBatch := 1 / float32(len(batch))
+	return stepChunks(model, cfg, "negsample", len(batch), func() func(chunk, lo, hi int) chunkResult {
+		negs := make([]kg.Triple, 0, cfg.NegSamples)
+		negScores := make([]float32, cfg.NegSamples)
+		gradNegs := make([]float32, cfg.NegSamples)
+		// Group scratch: objs[0] is always the positive object; the slot
+		// arrays map draw order i -> position in its side's group.
+		objs := make([]kg.EntityID, 0, 1+cfg.NegSamples)
+		subjs := make([]kg.EntityID, 0, cfg.NegSamples)
+		objSlot := make([]int, cfg.NegSamples)
+		subjSlot := make([]int, cfg.NegSamples)
+		objScores := make([]float32, 1+cfg.NegSamples)
+		subjScores := make([]float32, cfg.NegSamples)
+		objUp := make([]float32, 1+cfg.NegSamples)
+		subjUp := make([]float32, cfg.NegSamples)
+		// One scratch per side: each carries its group from scoring to
+		// backprop, and both groups are alive in between.
+		var objScr, subjScr kge.GroupScratch
+		var src splitmix64
+		return func(chunk, lo, hi int) chunkResult {
+			gb := kge.NewGradBuffer(model.Params())
+			rng := chunkRNG(&src, seed, chunk)
+			var loss float64
+			for _, pos := range batch[lo:hi] {
+				negs = sampler.CorruptN(negs, pos, cfg.NegSamples, rng)
+				objs = append(objs[:0], pos.O)
+				subjs = subjs[:0]
+				for i, n := range negs {
+					// Corrupt guarantees the corrupted entity differs from
+					// the original, so n.O != pos.O iff the object side
+					// was corrupted — unambiguous even for self-loops.
+					if n.O != pos.O {
+						objSlot[i] = len(objs)
+						objs = append(objs, n.O)
+					} else {
+						objSlot[i] = -1
+						subjSlot[i] = len(subjs)
+						subjs = append(subjs, n.S)
+					}
+				}
+				model.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], &objScr)
+				if len(subjs) > 0 {
+					model.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], &subjScr)
+				}
+				for i := range negs {
+					if s := objSlot[i]; s >= 0 {
+						negScores[i] = objScores[s]
+					} else {
+						negScores[i] = subjScores[subjSlot[i]]
+					}
+				}
+				var gradPos float32
+				loss += float64(cfg.Loss.Eval(objScores[0], negScores[:len(negs)], &gradPos, gradNegs[:len(negs)]))
+				objUp[0] = gradPos * invBatch
+				for i := range negs {
+					if s := objSlot[i]; s >= 0 {
+						objUp[s] = gradNegs[i] * invBatch
+					} else {
+						subjUp[subjSlot[i]] = gradNegs[i] * invBatch
+					}
+				}
+				model.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objUp[:len(objs)], gb, &objScr)
+				if len(subjs) > 0 {
+					model.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjUp[:len(subjs)], gb, &subjScr)
+				}
+			}
+			return chunkResult{gb: gb, loss: loss}
+		}
+	})
 }
 
 // snapshotParams copies the model's parameters, reusing prev's buffers when

@@ -227,3 +227,44 @@ func TestTrainingDeterministicSingleWorker(t *testing.T) {
 		t.Errorf("single-worker training not deterministic: %g vs %g", a, b)
 	}
 }
+
+// TestTrainingRejectsBadConfig: both entry points refuse a negative count
+// (which would otherwise panic on a slice bound or a makeslice) and a model
+// the derived kernels cannot drive, before touching the parameters.
+func TestTrainingRejectsBadConfig(t *testing.T) {
+	ds := tinyDataset(t)
+	type wrapped struct{ kge.Trainable }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		wrap bool
+	}{
+		{"Epochs", Config{Epochs: -1}, false},
+		{"BatchSize", Config{BatchSize: -5}, false},
+		{"NegSamples", Config{NegSamples: -1}, false},
+		{"EvalEvery", Config{EvalEvery: -2}, false},
+		{"Patience", Config{Patience: -1}, false},
+		{"not derived", Config{Epochs: 1}, true},
+	} {
+		for _, kvsAll := range []bool{false, true} {
+			m := determinismModel(t, "distmult", ds)
+			before := kge.Fingerprint(m)
+			target := m
+			if tc.wrap {
+				target = wrapped{m}
+			}
+			var err error
+			if kvsAll {
+				_, err = RunKvsAll(context.Background(), target, ds, tc.cfg, 0.1)
+			} else {
+				_, err = Run(context.Background(), target, ds, tc.cfg)
+			}
+			if err == nil {
+				t.Errorf("%s (kvsall=%v): accepted", tc.name, kvsAll)
+			}
+			if kge.Fingerprint(m) != before {
+				t.Errorf("%s (kvsall=%v): parameters changed before the refusal", tc.name, kvsAll)
+			}
+		}
+	}
+}

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, race-checked tests, a serving-layer race +
-# decoder-fuzz gate, a training-determinism smoke test, and a kgserve
-# end-to-end smoke. The discovery ranking stage runs a concurrent group scheduler
-# (internal/core.rankAll) and the evaluation protocol a grouped worker pool
-# (internal/eval.Evaluate), so the race detector is mandatory, not optional,
-# on every PR. The determinism gate trains the same tiny dataset at two
-# worker counts under both objectives and requires byte-identical
-# checkpoints — the guarantee the chunked gradient reduction provides.
+# CI gate: vet, build (amd64 + arm64), race-checked tests, the benchmark
+# module and its smoke, a serving-layer race gate, the decoder / projection /
+# counting-pass fuzz smokes, the vecmath bounds-check budget and the core
+# line budget, then the end-to-end gates on real binaries: training
+# determinism, pruned-ranking byte identity, WAL compatibility, live
+# mutation, kgserve smoke, crash-resume, fleet fault tolerance, and
+# gob == flat serving with hot swap. The discovery ranking stage runs a
+# concurrent block scheduler (internal/core.rankAll) and the evaluation
+# protocol a grouped worker pool (internal/eval.Evaluate), so the race
+# detector is mandatory, not optional, on every PR. The determinism gate
+# trains the same tiny dataset at two worker counts under both objectives and
+# requires byte-identical checkpoints — the guarantee the chunked gradient
+# reduction provides.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -87,6 +92,20 @@ if [ "$bce_found" -lt 1 ] || [ "$bce_found" -gt "$bce_budget" ]; then
 fi
 echo "vecmath.go: $bce_found index checks (budget $bce_budget)"
 
+echo "== core line budget =="
+# ROADMAP's "small" is counted in non-test lines of the four packages every
+# sweep and every training step runs through. Hold them to the count recorded
+# when the duplicate paths were retired (PR 18), so growth there is a reviewed
+# edit of this number, not drift. Lower it whenever the count falls.
+line_budget=5985
+lines_found="$(find internal/kge internal/eval internal/train internal/core \
+  -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+if [ "$lines_found" -gt "$line_budget" ]; then
+  echo "line budget FAILED: internal/{kge,eval,train,core} have $lines_found non-test lines, budget $line_budget" >&2
+  exit 1
+fi
+echo "internal/{kge,eval,train,core}: $lines_found non-test lines (budget $line_budget)"
+
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -96,66 +115,43 @@ go build -o "$tmp/kgtrain" ./cmd/kgtrain
 
 digest_of() { sed -n 's/.*sha256 \([0-9a-f]*\).*/\1/p' "$1"; }
 
-# Both kernel modes must be workers-invariant independently: the batched
-# (default) and scalar trainers define different digests, but within a mode
-# workers=1 and workers=4 must produce byte-identical checkpoints.
-for mode in batched scalar; do
-  bk=true
-  if [ "$mode" = scalar ]; then bk=false; fi
-  for obj in negsample kvsall; do
-    extra=()
-    if [ "$obj" = kvsall ]; then extra=(-kvsall); fi
-    for w in 1 4; do
-      "$tmp/kgtrain" -data "$tmp/data" -model distmult -dim 16 -epochs 2 \
-        -seed 11 -workers "$w" -batch_kernels="$bk" "${extra[@]+"${extra[@]}"}" -quiet \
-        -out "$tmp/$mode-$obj-w$w.kge" >"$tmp/$mode-$obj-w$w.log"
-    done
-    if ! cmp -s "$tmp/$mode-$obj-w1.kge" "$tmp/$mode-$obj-w4.kge"; then
-      echo "determinism smoke FAILED ($mode/$obj): workers=1 and workers=4 checkpoints differ" >&2
-      exit 1
-    fi
-    d1="$(digest_of "$tmp/$mode-$obj-w1.log")"
-    d4="$(digest_of "$tmp/$mode-$obj-w4.log")"
-    if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
-      echo "determinism smoke FAILED ($mode/$obj): digests '$d1' vs '$d4'" >&2
-      exit 1
-    fi
-    echo "$mode/$obj: workers-invariant checkpoint sha256 $d1"
+# workers=1 and workers=4 must produce byte-identical checkpoints under both
+# objectives. The kgserve smoke and the hot-swap gate below reuse
+# negsample-w1.kge.
+for obj in negsample kvsall; do
+  extra=()
+  if [ "$obj" = kvsall ]; then extra=(-kvsall); fi
+  for w in 1 4; do
+    "$tmp/kgtrain" -data "$tmp/data" -model distmult -dim 16 -epochs 2 \
+      -seed 11 -workers "$w" "${extra[@]+"${extra[@]}"}" -quiet \
+      -out "$tmp/$obj-w$w.kge" >"$tmp/$obj-w$w.log"
   done
+  if ! cmp -s "$tmp/$obj-w1.kge" "$tmp/$obj-w4.kge"; then
+    echo "determinism smoke FAILED ($obj): workers=1 and workers=4 checkpoints differ" >&2
+    exit 1
+  fi
+  d1="$(digest_of "$tmp/$obj-w1.log")"
+  d4="$(digest_of "$tmp/$obj-w4.log")"
+  if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
+    echo "determinism smoke FAILED ($obj): digests '$d1' vs '$d4'" >&2
+    exit 1
+  fi
+  echo "$obj: workers-invariant checkpoint sha256 $d1"
 done
-
-echo "== batched-ranking byte-identity gate =="
-# The relation-blocked batch scorer is a scheduling change, not a numerical
-# one: every model × protocol must discover byte-identical TSVs with
-# -batch=true and -batch=false. Run on the determinism smoke's tiny dataset
-# so the whole matrix (6 models × 2 protocols) stays under a few seconds.
-go build -o "$tmp/kgdiscover" ./cmd/kgdiscover
-for m in transe distmult complex rescal hole conve; do
-  "$tmp/kgtrain" -data "$tmp/data" -model "$m" -dim 16 -epochs 1 \
-    -seed 11 -quiet -out "$tmp/ident-$m.kge" >/dev/null
-  for filt in false true; do
-    for b in true false; do
-      "$tmp/kgdiscover" -data "$tmp/data" -model "$tmp/ident-$m.kge" \
-        -strategy graph_degree -top_n 200 -max_candidates 200 -seed 3 \
-        -limit 0 -rank_filtered="$filt" -batch="$b" \
-        -out "$tmp/ident-$m-$filt-$b.tsv" >/dev/null
-    done
-    if ! cmp -s "$tmp/ident-$m-$filt-true.tsv" "$tmp/ident-$m-$filt-false.tsv"; then
-      echo "byte-identity gate FAILED: $m (rank_filtered=$filt) batched and grouped TSVs differ" >&2
-      exit 1
-    fi
-  done
-done
-echo "byte-identity gate: 6 models x 2 protocols, batched == grouped"
 
 echo "== pruned-ranking byte-identity gate =="
 # -prune=exact is a search-order change over provable score bounds, not a
 # numerical one: every model × protocol must discover byte-identical TSVs
-# with pruning on and off. Reuses the models trained above. top_n is small
-# (20) on purpose — the tiny CI dataset has |E| = 80, and a larger top_n
-# would make the frontier M ≥ |E|, forcing the per-group dense fallback
-# everywhere and leaving the pruned path untested.
+# with pruning on and off. The ident-$m.kge models trained here on the
+# determinism smoke's tiny dataset are reused by the WAL-compat and
+# live-mutation gates below. top_n is small (20) on purpose — the tiny CI
+# dataset has |E| = 80, and a larger top_n would make the frontier M ≥ |E|,
+# forcing the per-group dense fallback everywhere and leaving the pruned path
+# untested.
+go build -o "$tmp/kgdiscover" ./cmd/kgdiscover
 for m in transe distmult complex rescal hole conve; do
+  "$tmp/kgtrain" -data "$tmp/data" -model "$m" -dim 16 -epochs 1 \
+    -seed 11 -quiet -out "$tmp/ident-$m.kge" >/dev/null
   for filt in false true; do
     for p in off exact; do
       "$tmp/kgdiscover" -data "$tmp/data" -model "$tmp/ident-$m.kge" \
@@ -243,7 +239,7 @@ echo "== kgserve end-to-end smoke =="
 # the response cache, observable via /metrics), then SIGTERM and require a
 # clean graceful exit.
 go build -o "$tmp/kgserve" ./cmd/kgserve
-"$tmp/kgserve" -data "$tmp/data" -model "$tmp/batched-negsample-w1.kge" \
+"$tmp/kgserve" -data "$tmp/data" -model "$tmp/negsample-w1.kge" \
   -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 
@@ -437,7 +433,7 @@ echo "== flat-checkpoint serving + hot-swap gate =="
 # (the default), and require 404s for the unloaded fingerprint while the
 # second keeps serving.
 go build -o "$tmp/kgconvert" ./cmd/kgconvert
-"$tmp/kgconvert" -in "$tmp/batched-negsample-w1.kge" -out "$tmp/flat-a.kgf" >"$tmp/conv-a.log"
+"$tmp/kgconvert" -in "$tmp/negsample-w1.kge" -out "$tmp/flat-a.kgf" >"$tmp/conv-a.log"
 fp_a="$(sed -n 's/.*fingerprint \([0-9a-f]*\)$/\1/p' "$tmp/conv-a.log")"
 "$tmp/kgtrain" -data "$tmp/data" -model distmult -dim 16 -epochs 2 \
   -seed 23 -quiet -out "$tmp/model-b.kge" >/dev/null
@@ -458,7 +454,7 @@ scrape_addr() {
   echo "$a"
 }
 
-"$tmp/kgserve" -data "$tmp/data" -model "$tmp/batched-negsample-w1.kge" \
+"$tmp/kgserve" -data "$tmp/data" -model "$tmp/negsample-w1.kge" \
   -addr 127.0.0.1:0 >"$tmp/serve-gob.log" 2>&1 &
 gob_pid=$!
 "$tmp/kgserve" -data "$tmp/data" -model "$tmp/flat-a.kgf" \
