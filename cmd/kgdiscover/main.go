@@ -211,36 +211,7 @@ func run(args []string) error {
 			*pruneMode, st.CellsPruned, st.PrescreenRows)
 	}
 
-	n := len(res.Facts)
-	if *limit > 0 && *limit < n {
-		n = *limit
-	}
-	for _, f := range res.Facts[:n] {
-		fmt.Printf("rank %4d  %s\n", f.Rank, ds.Train.FormatTriple(f.Triple))
-	}
-	if n < len(res.Facts) {
-		fmt.Printf("... and %d more\n", len(res.Facts)-n)
-	}
-
-	if *outTSV != "" {
-		out := kg.NewGraphWithDicts(ds.Train.Entities, ds.Train.Relations)
-		for _, f := range res.Facts {
-			out.Add(f.Triple)
-		}
-		fobj, err := os.Create(*outTSV)
-		if err != nil {
-			return err
-		}
-		if err := kg.WriteTSV(out, fobj); err != nil {
-			fobj.Close()
-			return err
-		}
-		if err := fobj.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d facts to %s\n", len(res.Facts), *outTSV)
-	}
-	return nil
+	return jobs.ReportFacts(os.Stdout, ds.Train, res.Facts, *limit, *outTSV)
 }
 
 // fleetSweep is everything needed to route one sweep through a coordinator.
@@ -317,30 +288,5 @@ func runFleet(fl fleetSweep) error {
 		time.Duration(resp.GenerateMS)*time.Millisecond, time.Duration(resp.RankMS)*time.Millisecond,
 		resp.ScoreSweeps)
 
-	n := len(resp.Facts)
-	if fl.limit > 0 && fl.limit < n {
-		n = fl.limit
-	}
-	for _, f := range resp.Facts[:n] {
-		fmt.Printf("rank %4d  %s\n", f.Rank, ds.Train.FormatTriple(kg.Triple{S: f.S, R: f.R, O: f.O}))
-	}
-	if n < len(resp.Facts) {
-		fmt.Printf("... and %d more\n", len(resp.Facts)-n)
-	}
-
-	if fl.outTSV != "" {
-		fobj, err := os.Create(fl.outTSV)
-		if err != nil {
-			return err
-		}
-		if err := fleet.WriteFactsTSV(ds.Train.Entities, ds.Train.Relations, resp.Facts, fobj); err != nil {
-			fobj.Close()
-			return err
-		}
-		if err := fobj.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d facts to %s\n", len(resp.Facts), fl.outTSV)
-	}
-	return nil
+	return jobs.ReportFacts(os.Stdout, ds.Train, jobs.FactsOf(resp.Facts), fl.limit, fl.outTSV)
 }

@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/jobs"
 	"repro/internal/kg"
 )
 
@@ -206,32 +207,7 @@ func printSweep(stdout io.Writer, resp *fleet.SweepResponse, dataDir, strategy, 
 		time.Duration(resp.GenerateMS)*time.Millisecond, time.Duration(resp.RankMS)*time.Millisecond,
 		resp.ScoreSweeps)
 
-	n := len(resp.Facts)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	for _, f := range resp.Facts[:n] {
-		fmt.Fprintf(stdout, "rank %4d  %s\n", f.Rank, ds.Train.FormatTriple(kg.Triple{S: f.S, R: f.R, O: f.O}))
-	}
-	if n < len(resp.Facts) {
-		fmt.Fprintf(stdout, "... and %d more\n", len(resp.Facts)-n)
-	}
-
-	if outTSV != "" {
-		fobj, err := os.Create(outTSV)
-		if err != nil {
-			return err
-		}
-		if err := fleet.WriteFactsTSV(ds.Train.Entities, ds.Train.Relations, resp.Facts, fobj); err != nil {
-			fobj.Close()
-			return err
-		}
-		if err := fobj.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %d facts to %s\n", len(resp.Facts), outTSV)
-	}
-	return nil
+	return jobs.ReportFacts(stdout, ds.Train, jobs.FactsOf(resp.Facts), limit, outTSV)
 }
 
 // runWorker pulls and executes units until the coordinator shuts the fleet

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fsio"
 	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
@@ -173,28 +172,8 @@ func run(args []string) error {
 	fmt.Printf("strategy=%s model=%s facts=%d MRR=%.4f\n",
 		strategy.Name(), m.Name(), len(res.Facts), res.MRR())
 
-	n := len(res.Facts)
-	if *limit > 0 && *limit < n {
-		n = *limit
-	}
-	for _, f := range res.Facts[:n] {
-		fmt.Printf("rank %4d  %s\n", f.Rank, ds.Train.FormatTriple(f.Triple))
-	}
-	if n < len(res.Facts) {
-		fmt.Printf("... and %d more\n", len(res.Facts)-n)
-	}
-
-	if *outTSV != "" {
-		out := kg.NewGraphWithDicts(ds.Train.Entities, ds.Train.Relations)
-		for _, f := range res.Facts {
-			out.Add(f.Triple)
-		}
-		if err := fsio.WriteAtomic(*outTSV, func(f *os.File) error {
-			return kg.WriteTSV(out, f)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d facts to %s\n", len(res.Facts), *outTSV)
+	if err := jobs.ReportFacts(os.Stdout, ds.Train, res.Facts, *limit, *outTSV); err != nil {
+		return err
 	}
 	if *dumpData != "" {
 		if err := kg.SaveLibKGEDataset(ds, *dumpData); err != nil {

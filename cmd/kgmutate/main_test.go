@@ -195,8 +195,9 @@ func TestIncrementalRounds(t *testing.T) {
 
 			// Both rounds are in the log, so a third run resumes at seq 2: a
 			// replay of seq 2 is a gap, and nothing is appended for it.
-			_, logged, valid := mutate.DecodeLog([]byte(read(in("mutations.wal"))))
-			if len(logged) != 2 || logged[0].Seq != 1 || logged[1].Seq != 2 || valid != len(read(in("mutations.wal"))) {
+			logBytes := read(in("mutations.wal"))
+			_, logged, valid := mutate.DecodeLog([]byte(logBytes))
+			if len(logged) != 2 || logged[0].Seq != 1 || logged[1].Seq != 2 || valid != len(logBytes) {
 				t.Fatalf("mutation log holds %d batches over %d valid bytes, want seq 1 and 2", len(logged), valid)
 			}
 			err := run(argv(in("next.wal"), in("batch.json"), "-log", in("mutations.wal")))

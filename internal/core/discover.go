@@ -175,20 +175,42 @@ type Stats struct {
 }
 
 // RelationStats is the per-relation slice of Stats: one relation's share of
-// the weight/generate/rank time plus its candidate and fact counts.
+// the weight/generate/rank time plus its candidate and fact counts. The tags
+// are the journal and fleet wire encoding (internal/jobs.RelationRecord):
+// durations as integer nanoseconds, and omitempty on the counters that came
+// after the first journals — records from before relation-blocked ranking or
+// pruning, and runs that do not use them, stay byte-stable and decode as the
+// zeros those runs measured. Relation and Facts travel in the enclosing
+// record. A new counter is a field here and a line in Stats.Add.
 type RelationStats struct {
-	Relation      kg.RelationID
-	WeightTime    time.Duration
-	GenerateTime  time.Duration
-	RankTime      time.Duration
-	Generated     int
-	Iterations    int
-	ScoreSweeps   int
-	BatchedSweeps int
-	BatchRows     int
-	CellsPruned   int
-	PrescreenRows int
-	Facts         int
+	Relation      kg.RelationID `json:"-"`
+	WeightTime    time.Duration `json:"weight_ns"`
+	GenerateTime  time.Duration `json:"generate_ns"`
+	RankTime      time.Duration `json:"rank_ns"`
+	Generated     int           `json:"generated"`
+	Iterations    int           `json:"iterations"`
+	ScoreSweeps   int           `json:"score_sweeps"`
+	BatchedSweeps int           `json:"batched_sweeps,omitempty"`
+	BatchRows     int           `json:"batch_rows,omitempty"`
+	CellsPruned   int           `json:"cells_pruned,omitempty"`
+	PrescreenRows int           `json:"prescreen_rows,omitempty"`
+	Facts         int           `json:"-"`
+}
+
+// Add folds one swept relation into the run's totals and PerRelation.
+func (s *Stats) Add(rel RelationStats) {
+	s.Relations++
+	s.WeightTime += rel.WeightTime
+	s.GenerateTime += rel.GenerateTime
+	s.RankTime += rel.RankTime
+	s.Generated += rel.Generated
+	s.Iterations += rel.Iterations
+	s.ScoreSweeps += rel.ScoreSweeps
+	s.BatchedSweeps += rel.BatchedSweeps
+	s.BatchRows += rel.BatchRows
+	s.CellsPruned += rel.CellsPruned
+	s.PrescreenRows += rel.PrescreenRows
+	s.PerRelation = append(s.PerRelation, rel)
 }
 
 // RelationDone is the payload of Options.OnRelationDone: one completed
@@ -302,7 +324,6 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res.Stats.Relations++
 		factStart := len(res.Facts)
 		rel := RelationStats{Relation: r}
 
@@ -326,16 +347,11 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 
 			if len(candidates) > 0 {
 				rStart := time.Now()
-				ranks, scores, rstats, err := rankAll(ctx, ranker, candidates, opts)
+				ranks, scores, err := rankAll(ctx, ranker, candidates, opts, &rel)
 				rel.RankTime = time.Since(rStart)
 				if err != nil {
 					return nil, err
 				}
-				rel.ScoreSweeps = rstats.Sweeps
-				rel.BatchedSweeps = rstats.BatchedSweeps
-				rel.BatchRows = rstats.BatchRows
-				rel.CellsPruned = rstats.CellsPruned
-				rel.PrescreenRows = rstats.PrescreenRows
 
 				// Line 15: keep candidates within the quality threshold —
 				// and, when a calibrator is configured, within Definition
@@ -356,17 +372,7 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 		}
 
 		rel.Facts = len(res.Facts) - factStart
-		res.Stats.WeightTime += rel.WeightTime
-		res.Stats.GenerateTime += rel.GenerateTime
-		res.Stats.RankTime += rel.RankTime
-		res.Stats.Iterations += rel.Iterations
-		res.Stats.Generated += rel.Generated
-		res.Stats.ScoreSweeps += rel.ScoreSweeps
-		res.Stats.BatchedSweeps += rel.BatchedSweeps
-		res.Stats.BatchRows += rel.BatchRows
-		res.Stats.CellsPruned += rel.CellsPruned
-		res.Stats.PrescreenRows += rel.PrescreenRows
-		res.Stats.PerRelation = append(res.Stats.PerRelation, rel)
+		res.Stats.Add(rel)
 		if opts.OnRelationDone != nil {
 			opts.OnRelationDone(RelationDone{
 				Relation: r,
@@ -464,20 +470,6 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 	return candidates, iters
 }
 
-// rankStats is rankAll's instrumentation: Sweeps counts score sweeps (one
-// per distinct (s, r) group); BatchedSweeps counts batch dispatches (one
-// tiled matrix–matrix pass each) and BatchRows the query rows they carried.
-// Under pruned ranking the batch counters stay zero — blocks are
-// branch-and-bound searches, not matrix–matrix sweeps — and the prune
-// counters report the work the index saved and spent instead.
-type rankStats struct {
-	Sweeps        int
-	BatchedSweeps int
-	BatchRows     int
-	CellsPruned   int
-	PrescreenRows int
-}
-
 // srGroup is one (s, r) candidate group: the candidate indexes sharing that
 // subject-relation pair, in candidate order.
 type srGroup struct {
@@ -500,10 +492,14 @@ type rankBlock struct {
 // sized to DefaultBatchBudgetBytes, so a whole block is scored by one tiled
 // matrix–matrix sweep (eval.RankObjectsBatch) instead of one MatVec per
 // group. Blocks shrink below the cache budget when needed to keep every
-// worker busy. When ctx is cancelled the partially-written ranks are
-// meaningless — rank 0 would pass every TopN filter — so rankAll returns
-// ctx.Err() instead of partial results.
-func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options) ([]int, []float32, rankStats, error) {
+// worker busy. The work done is added to rel: ScoreSweeps (one per distinct
+// (s, r) group), then either BatchedSweeps and BatchRows (one tiled
+// matrix–matrix pass per block, and the query rows they carried) or, under
+// pruned ranking — where blocks are branch-and-bound searches, not sweeps —
+// CellsPruned and PrescreenRows. When ctx is cancelled the partially-written
+// ranks are meaningless — rank 0 would pass every TopN filter — so rankAll
+// returns ctx.Err() instead of partial results.
+func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options, rel *RelationStats) ([]int, []float32, error) {
 	ranks := make([]int, len(candidates))
 	type srKey struct {
 		s kg.EntityID
@@ -521,7 +517,7 @@ func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, o
 		}
 		groups[gi].idx = append(groups[gi].idx, i)
 	}
-	stats := rankStats{Sweeps: len(groups)}
+	rel.ScoreSweeps += len(groups)
 
 	workers := opts.Workers
 	if workers > len(groups) {
@@ -570,8 +566,8 @@ func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, o
 			}
 			blocks = append(blocks, rankBlock{rel: r, groups: gs[lo:hi]})
 			if !pruneOn {
-				stats.BatchedSweeps++
-				stats.BatchRows += hi - lo
+				rel.BatchedSweeps++
+				rel.BatchRows += hi - lo
 			}
 		}
 	}
@@ -620,8 +616,8 @@ func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, o
 			}
 			if pst != (eval.PruneStats{}) {
 				mu.Lock()
-				stats.CellsPruned += pst.CellsPruned
-				stats.PrescreenRows += pst.PrescreenRows
+				rel.CellsPruned += pst.CellsPruned
+				rel.PrescreenRows += pst.PrescreenRows
 				mu.Unlock()
 			}
 		}()
@@ -637,7 +633,7 @@ feed:
 	close(blockCh)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, rankStats{}, err
+		return nil, nil, err
 	}
-	return ranks, scores, stats, nil
+	return ranks, scores, nil
 }

@@ -213,7 +213,7 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	// the whole complement.
 	res := &Result{}
 	candidates := make([]kg.Triple, 0, n)
-	var scoreSweeps, batchedSweeps, batchRows int
+	var ranked RelationStats
 	rankOpts := Options{Workers: opts.Workers}
 	for _, r := range relations {
 		candidates = candidates[:0]
@@ -241,14 +241,11 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		stats.Generated += len(candidates)
 
 		rStart := time.Now()
-		ranks, _, rstats, err := rankAll(ctx, ranker, candidates, rankOpts)
+		ranks, _, err := rankAll(ctx, ranker, candidates, rankOpts, &ranked)
 		stats.RankTime += time.Since(rStart)
 		if err != nil {
 			return nil, nil, err
 		}
-		scoreSweeps += rstats.Sweeps
-		batchedSweeps += rstats.BatchedSweeps
-		batchRows += rstats.BatchRows
 		for i, t := range candidates {
 			if ranks[i] <= opts.TopN {
 				res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
@@ -263,9 +260,9 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		RankTime:      stats.RankTime,
 		Generated:     stats.Generated,
 		Relations:     len(relations),
-		ScoreSweeps:   scoreSweeps,
-		BatchedSweeps: batchedSweeps,
-		BatchRows:     batchRows,
+		ScoreSweeps:   ranked.ScoreSweeps,
+		BatchedSweeps: ranked.BatchedSweeps,
+		BatchRows:     ranked.BatchRows,
 	}
 	return res, stats, nil
 }

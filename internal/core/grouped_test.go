@@ -27,7 +27,7 @@ func TestRankAllCancelledReturnsError(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ranks, _, _, err := rankAll(ctx, ranker, candidates, Options{Workers: 2})
+	ranks, _, err := rankAll(ctx, ranker, candidates, Options{Workers: 2}, &RelationStats{})
 	if err == nil {
 		t.Fatal("rankAll on cancelled context returned nil error")
 	}
@@ -77,13 +77,14 @@ func TestRankAllMatchesPerCandidate(t *testing.T) {
 		}
 		ranker := eval.NewRanker(m, filter)
 		for _, workers := range []int{1, 3} {
-			ranks, scores, rstats, err := rankAll(context.Background(), ranker, candidates, Options{Workers: workers})
+			var rstats RelationStats
+			ranks, scores, err := rankAll(context.Background(), ranker, candidates, Options{Workers: workers}, &rstats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rstats.Sweeps != groups || rstats.BatchRows != groups {
+			if rstats.ScoreSweeps != groups || rstats.BatchRows != groups {
 				t.Errorf("filtered=%v workers=%d: sweeps = %d, batch rows = %d, want one per distinct (s, r) pair = %d",
-					filtered, workers, rstats.Sweeps, rstats.BatchRows, groups)
+					filtered, workers, rstats.ScoreSweeps, rstats.BatchRows, groups)
 			}
 			// One block per relation at least; with three workers the row
 			// cap is ⌈15/3⌉ = 5, which splits the 7-group relation.

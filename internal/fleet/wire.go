@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -255,16 +254,4 @@ func writeJSON(w http.ResponseWriter, code int, body any) {
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// WriteFactsTSV renders fact records through the dataset's dictionaries in
-// their given (rank-sorted) order — the exact path kgdiscover uses for its
-// -out file, so a fleet TSV and a single-process TSV can be compared with
-// cmp.
-func WriteFactsTSV(entities, relations *kg.Dict, facts []jobs.FactRecord, w io.Writer) error {
-	g := kg.NewGraphWithDicts(entities, relations)
-	for _, f := range facts {
-		g.Add(kg.Triple{S: f.S, R: f.R, O: f.O})
-	}
-	return kg.WriteTSV(g, w)
 }

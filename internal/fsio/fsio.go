@@ -1,7 +1,8 @@
-// Package fsio provides the durable-write discipline shared by every
-// persistent artifact in the repo (model checkpoints, prune sidecars): a
+// Package fsio is the one way a whole file is put on disk — checkpoints (gob
+// and flat), prune sidecars, datasets, every command's -out TSV: a
 // uniquely-named temp file in the target directory, an fsync of the file
 // before the rename, and an fsync of the parent directory after it.
+// internal/wal, whose files grow in place, seals a new log's name with SyncDir.
 //
 // The three steps close three distinct failure windows:
 //

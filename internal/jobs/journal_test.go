@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kg"
+	"repro/internal/wal"
 )
 
 func testHeader() Header {
@@ -15,7 +17,7 @@ func testHeader() Header {
 }
 
 func testRecord(r kg.RelationID, nfacts int) RelationRecord {
-	rec := RelationRecord{Relation: r, Stats: StatsRecord{Generated: nfacts * 2, Iterations: 1, ScoreSweeps: nfacts}}
+	rec := RelationRecord{Relation: r, Stats: core.RelationStats{Generated: nfacts * 2, Iterations: 1, ScoreSweeps: nfacts}}
 	for i := 0; i < nfacts; i++ {
 		rec.Facts = append(rec.Facts, FactRecord{S: kg.EntityID(i), R: r, O: kg.EntityID(i + 1), Rank: i + 1})
 	}
@@ -199,7 +201,7 @@ func TestDecodeRejectsDuplicateRelations(t *testing.T) {
 	var buf bytes.Buffer
 	h := testHeader()
 	for _, rec := range []record{{Header: &h}, {Relation: &RelationRecord{Relation: 1}}, {Relation: &RelationRecord{Relation: 1}}} {
-		line, err := encodeLine(rec)
+		line, err := wal.Frame(rec)
 		if err != nil {
 			t.Fatal(err)
 		}

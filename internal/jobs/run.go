@@ -265,18 +265,9 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 			return nil, info, fmt.Errorf("jobs: journal append: %w", hookErr)
 		}
 		res.Facts = append(res.Facts, swept.Facts...)
-		res.Stats.Relations += swept.Stats.Relations
-		res.Stats.WeightTime += swept.Stats.WeightTime
-		res.Stats.GenerateTime += swept.Stats.GenerateTime
-		res.Stats.RankTime += swept.Stats.RankTime
-		res.Stats.Generated += swept.Stats.Generated
-		res.Stats.Iterations += swept.Stats.Iterations
-		res.Stats.ScoreSweeps += swept.Stats.ScoreSweeps
-		res.Stats.BatchedSweeps += swept.Stats.BatchedSweeps
-		res.Stats.BatchRows += swept.Stats.BatchRows
-		res.Stats.CellsPruned += swept.Stats.CellsPruned
-		res.Stats.PrescreenRows += swept.Stats.PrescreenRows
-		res.Stats.PerRelation = append(res.Stats.PerRelation, swept.Stats.PerRelation...)
+		for _, rel := range swept.Stats.PerRelation {
+			res.Stats.Add(rel)
+		}
 	}
 
 	core.SortFactsByRank(res.Facts)
@@ -287,22 +278,10 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 // mergeRecord folds one journaled (or wire-delivered) relation record into
 // an accumulating result.
 func mergeRecord(res *core.Result, rec RelationRecord) {
-	st := relationStatsOf(rec)
-	res.Stats.Relations++
-	res.Stats.WeightTime += st.WeightTime
-	res.Stats.GenerateTime += st.GenerateTime
-	res.Stats.RankTime += st.RankTime
-	res.Stats.Generated += st.Generated
-	res.Stats.Iterations += st.Iterations
-	res.Stats.ScoreSweeps += st.ScoreSweeps
-	res.Stats.BatchedSweeps += st.BatchedSweeps
-	res.Stats.BatchRows += st.BatchRows
-	res.Stats.CellsPruned += st.CellsPruned
-	res.Stats.PrescreenRows += st.PrescreenRows
-	res.Stats.PerRelation = append(res.Stats.PerRelation, st)
-	for _, f := range rec.Facts {
-		res.Facts = append(res.Facts, core.Fact{Triple: kg.Triple{S: f.S, R: f.R, O: f.O}, Rank: f.Rank})
-	}
+	st := rec.Stats
+	st.Relation, st.Facts = rec.Relation, len(rec.Facts) // not encoded inside stats
+	res.Stats.Add(st)
+	res.Facts = append(res.Facts, FactsOf(rec.Facts)...)
 }
 
 // MergeRecords splices per-relation records — however they were produced:

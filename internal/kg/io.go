@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/fsio"
 )
 
 // ReadTSV parses triples in the ubiquitous "subject \t relation \t object"
@@ -64,7 +66,8 @@ func LoadTSVFile(path string) (*Graph, error) {
 }
 
 // SaveDataset writes train.txt, valid.txt and test.txt under dir, creating
-// the directory if needed.
+// the directory if needed. Each file is put in place atomically (fsio): a
+// reader never sees half a split.
 func SaveDataset(d *Dataset, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -73,15 +76,7 @@ func SaveDataset(d *Dataset, dir string) error {
 		name string
 		g    *Graph
 	}{{"train.txt", d.Train}, {"valid.txt", d.Valid}, {"test.txt", d.Test}} {
-		f, err := os.Create(filepath.Join(dir, part.name))
-		if err != nil {
-			return err
-		}
-		if err := WriteTSV(part.g, f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := fsio.WriteAtomic(filepath.Join(dir, part.name), func(f *os.File) error { return WriteTSV(part.g, f) }); err != nil {
 			return err
 		}
 	}

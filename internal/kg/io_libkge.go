@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/fsio"
 )
 
 // This file reads and writes the dataset layout used by LibKGE — the
@@ -104,22 +106,15 @@ func readIDFile(path string) (*Dict, error) {
 }
 
 func writeIDFile(path string, d *Dict) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for i, name := range d.Names() {
-		if _, err := fmt.Fprintf(w, "%d\t%s\n", i, name); err != nil {
-			f.Close()
-			return err
+	return fsio.WriteAtomic(path, func(f *os.File) error {
+		w := bufio.NewWriter(f)
+		for i, name := range d.Names() {
+			if _, err := fmt.Fprintf(w, "%d\t%s\n", i, name); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return w.Flush()
+	})
 }
 
 // readTripleIDFile loads "<s>\t<r>\t<o>" integer-ID lines into g.
@@ -168,23 +163,16 @@ func readTripleIDs(r io.Reader, g *Graph, label string) error {
 }
 
 func writeTripleIDFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
 	ts := make([]Triple, g.Len())
 	copy(ts, g.Triples())
 	SortTriples(ts)
-	for _, t := range ts {
-		if _, err := fmt.Fprintf(w, "%d\t%d\t%d\n", t.S, t.R, t.O); err != nil {
-			f.Close()
-			return err
+	return fsio.WriteAtomic(path, func(f *os.File) error {
+		w := bufio.NewWriter(f)
+		for _, t := range ts {
+			if _, err := fmt.Fprintf(w, "%d\t%d\t%d\n", t.S, t.R, t.O); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return w.Flush()
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/wal"
 )
 
 // fuzzGraph builds a tiny fixed graph for exercising Apply on decoded
@@ -23,11 +24,12 @@ func fuzzGraph() *kg.Graph {
 
 // FuzzMutationDecode throws arbitrary bytes at both mutation decoders: the
 // /mutate request body (JSON into Batch, then a full Apply against a fresh
-// state) and the mutation-log frame decoder. The log is whatever a crash
-// left on disk and the request body is whatever a client sent, so the
-// invariants are absolute: never panic, never claim a prefix longer than
-// the input, keep the claimed prefix stable under re-decode, and reject
-// without mutating state.
+// state) and the mutation-log decoder. The log is whatever a crash left on
+// disk and the request body is whatever a client sent, so the invariants are
+// absolute: never panic, reject without mutating state, never return a batch
+// without a header or out of sequence, and return exactly what re-decoding
+// the claimed prefix returns. The framing's own invariants (prefix within the
+// input, stable, never extended by garbage) are wal.FuzzScan's.
 func FuzzMutationDecode(f *testing.F) {
 	// Seed corpus: a healthy log, truncations, corruptions, and plain
 	// request bodies.
@@ -37,7 +39,7 @@ func FuzzMutationDecode(f *testing.F) {
 		{Batch: &Batch{Seq: 1, Source: "s", Ops: []Op{{Kind: OpAdd, S: "e0", R: "r1", O: "e2"}}}},
 		{Batch: &Batch{Seq: 2, Ops: []Op{{Kind: OpDelete, S: "e0", R: "r0", O: "e1"}}}},
 	} {
-		line, err := encodeLogLine(rec)
+		line, err := wal.Frame(rec)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -74,11 +76,8 @@ func FuzzMutationDecode(f *testing.F) {
 			}
 		}
 
-		// Log path: longest-valid-prefix invariants.
+		// Log path: what the decoder adds to the framing.
 		hdr, batches, valid := DecodeLog(data)
-		if valid < 0 || valid > len(data) {
-			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
-		}
 		if hdr == nil && len(batches) > 0 {
 			t.Fatal("batches without a header")
 		}
@@ -87,20 +86,12 @@ func FuzzMutationDecode(f *testing.F) {
 				t.Fatalf("batch %d has seq %d, prefix not contiguous", i, b.Seq)
 			}
 		}
-		hdr2, batches2, valid2 := DecodeLog(data[:valid])
-		if valid2 != valid || len(batches2) != len(batches) || (hdr == nil) != (hdr2 == nil) {
-			t.Fatalf("prefix unstable: %d/%d bytes, %d/%d batches", valid, valid2, len(batches), len(batches2))
+		hdr2, batches2, _ := DecodeLog(data[:valid])
+		if len(batches2) != len(batches) || (hdr == nil) != (hdr2 == nil) {
+			t.Fatalf("prefix unstable: %d then %d batches", len(batches), len(batches2))
 		}
 		if hdr != nil && *hdr != *hdr2 {
 			t.Fatalf("prefix unstable: header %+v then %+v", hdr, hdr2)
-		}
-		// Garbage after a line-terminated valid prefix must not extend it.
-		if valid == 0 || data[valid-1] == '\n' {
-			garbled := append(append([]byte{}, data[:valid]...), []byte("!corrupt tail")...)
-			_, batches3, valid3 := DecodeLog(garbled)
-			if valid3 != valid || len(batches3) != len(batches) {
-				t.Fatalf("garbage tail changed prefix: %d/%d bytes", valid3, valid)
-			}
 		}
 	})
 }

@@ -1,20 +1,19 @@
 package mutate
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
+
+	"repro/internal/wal"
 )
 
-// The mutation log uses the same durable framing as the discovery WAL in
-// internal/jobs: one JSON envelope per line carrying the serialized record
-// and its IEEE CRC32, appended and fsync'd record by record, recovered by
-// taking the longest valid prefix and truncating the rest. The base dataset
-// plus the log replays to exactly the current graph, so a restarted server
-// resumes at the same sequence number with bit-identical state.
+// The mutation log is an internal/wal log — that package owns the line
+// framing, the fsync'd append and its rollback, and recovery — whose records
+// are a header and the applied batches. The base dataset plus the log replays
+// to exactly the current graph, so a restarted server resumes at the same
+// sequence number with bit-identical state.
 
 // logVersion is the wire-format version; a bump invalidates old logs rather
 // than risking a wrong replay.
@@ -33,150 +32,70 @@ type logRecord struct {
 	Batch  *Batch     `json:"batch,omitempty"`
 }
 
-type logEnvelope struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
-
-func encodeLogLine(rec logRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(logEnvelope{CRC: crc32.ChecksumIEEE(body), Rec: body})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-func decodeLogLine(line []byte) (logRecord, bool) {
-	var env logEnvelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return logRecord{}, false
-	}
-	if crc32.ChecksumIEEE(env.Rec) != env.CRC {
-		return logRecord{}, false
-	}
-	var rec logRecord
-	if err := json.Unmarshal(env.Rec, &rec); err != nil {
-		return logRecord{}, false
-	}
-	if (rec.Header == nil) == (rec.Batch == nil) {
-		return logRecord{}, false
-	}
-	return rec, true
-}
-
 // DecodeLog scans mutation-log bytes and returns the longest valid prefix:
 // the header (nil if even the first line is unusable), the batches that
-// follow, and the byte length of the prefix. It never fails and never panics.
-// Beyond framing and checksums, the prefix must be semantically coherent: a
-// second header, a batch before the header, or a batch whose Seq is not
-// exactly one past the previous batch's ends the prefix (the writer never
-// produces any of these, so their presence means the tail is untrustworthy).
+// follow, and the byte length of the prefix. It never fails and never panics
+// (wal.Scan). Beyond framing, a line that is neither header nor batch (or
+// both), a second header, a batch before the header, or a batch whose Seq is
+// not exactly one past the previous batch's ends the prefix: the writer never
+// produces any of these, so their presence means the tail is untrustworthy.
 func DecodeLog(data []byte) (hdr *LogHeader, batches []Batch, validLen int) {
-	off := 0
-	var lastSeq int64
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		var line []byte
-		lineEnd := 0
-		if nl < 0 {
-			line = data[off:]
-			lineEnd = len(data)
-		} else {
-			line = data[off : off+nl]
-			lineEnd = off + nl + 1
+	validLen = wal.Scan(data, func(body []byte) bool {
+		var rec logRecord
+		if json.Unmarshal(body, &rec) != nil || (rec.Header == nil) == (rec.Batch == nil) {
+			return false
 		}
-		rec, ok := decodeLogLine(line)
-		if !ok {
-			return hdr, batches, off
-		}
-		switch {
-		case rec.Header != nil:
+		if rec.Header != nil {
 			if hdr != nil {
-				return hdr, batches, off
+				return false
 			}
 			hdr = rec.Header
-		case rec.Batch != nil:
-			if hdr == nil || rec.Batch.Seq != lastSeq+1 {
-				return hdr, batches, off
-			}
-			lastSeq = rec.Batch.Seq
-			batches = append(batches, *rec.Batch)
+			return true
 		}
-		off = lineEnd
-	}
-	return hdr, batches, off
+		if hdr == nil || rec.Batch.Seq != int64(len(batches))+1 {
+			return false
+		}
+		batches = append(batches, *rec.Batch)
+		return true
+	})
+	return hdr, batches, validLen
 }
 
-// Log appends framed mutation batches to a WAL file, fsyncing after every
-// append so an acknowledged batch survives any crash.
-type Log struct {
-	f *os.File
-}
+// Log appends mutation batches to a wal.Log: an acknowledged batch is on disk,
+// and a failed Append leaves the log as it was for the client's retry.
+type Log struct{ log *wal.Log }
 
 // OpenLog opens (or creates) the mutation log at path. A fresh file gets a
 // header naming the base dataset; an existing file is recovered — the header
-// is version-checked, the longest valid prefix decoded, any corrupt tail
-// truncated — and its batches are returned for the caller to Replay.
+// is version-checked (a mismatch is returned with the file untouched), the
+// longest valid prefix decoded, any corrupt tail truncated — and its batches
+// are returned for the caller to Replay.
 func OpenLog(path, dataset string) (*Log, []Batch, error) {
-	data, err := os.ReadFile(path)
+	var batches []Batch
+	log, err := wal.Recover(path, func(data []byte) (int, error) {
+		hdr, decoded, valid := DecodeLog(data)
+		batches = decoded
+		if hdr == nil {
+			return 0, fmt.Errorf("mutate: %s is not a mutation log (no valid header)", path)
+		}
+		if hdr.Version != logVersion {
+			return 0, fmt.Errorf("mutate: %s: log version %d, this build writes %d", path, hdr.Version, logVersion)
+		}
+		return valid, nil
+	})
 	if errors.Is(err, os.ErrNotExist) {
-		f, cerr := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		l := &Log{f: f}
-		if aerr := l.append(logRecord{Header: &LogHeader{Version: logVersion, Dataset: dataset}}); aerr != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, nil, aerr
-		}
-		return l, nil, nil
+		log, err = wal.Create(path, logRecord{Header: &LogHeader{Version: logVersion, Dataset: dataset}})
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	hdr, batches, valid := DecodeLog(data)
-	if hdr == nil {
-		return nil, nil, fmt.Errorf("mutate: %s is not a mutation log (no valid header)", path)
-	}
-	if hdr.Version != logVersion {
-		return nil, nil, fmt.Errorf("mutate: %s: log version %d, this build writes %d", path, hdr.Version, logVersion)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &Log{f: f}, batches, nil
+	return &Log{log: log}, batches, nil
 }
 
-// Append durably records one batch: the line is written and the file fsync'd
-// before Append returns, so the batch is on disk before it is applied.
+// Append durably records one batch, before it is applied.
 func (l *Log) Append(b Batch) error {
-	return l.append(logRecord{Batch: &b})
-}
-
-func (l *Log) append(rec logRecord) error {
-	line, err := encodeLogLine(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := l.f.Write(line); err != nil {
-		return err
-	}
-	return l.f.Sync()
+	return l.log.Append(logRecord{Batch: &b})
 }
 
 // Close closes the underlying file.
-func (l *Log) Close() error { return l.f.Close() }
+func (l *Log) Close() error { return l.log.Close() }
