@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/synth"
@@ -167,6 +168,27 @@ func TestGoldenDigests(t *testing.T) {
 				t.Fatalf("discover distmult/%s/%s: %v", protocol, strat.Name(), err)
 			}
 			got[fmt.Sprintf("discover/distmult/%s/%s", protocol, strat.Name())] = factsDigest(res.Facts)
+		}
+	}
+
+	// (d) The link-prediction protocol (eval.Evaluate) on the test split:
+	// models x protocol x sides, every aggregate at full float64 precision.
+	// Ranks are integers, so any change here is a changed rank or a changed
+	// aggregation order, not noise.
+	for _, name := range models {
+		m := goldenTrain(t, ds, name, false, 1)
+		for _, protocol := range []string{"raw", "filtered"} {
+			var filter *kg.Graph
+			if protocol == "filtered" {
+				filter = ds.All()
+			}
+			for _, sides := range []string{"object", "both"} {
+				res := eval.Evaluate(eval.NewRanker(m, filter), ds.Test,
+					eval.Options{BothSides: sides == "both", Workers: 2})
+				got[fmt.Sprintf("evaluate/%s/%s/%s", name, protocol, sides)] = fmt.Sprintf(
+					"mrr=%.17g mean_rank=%.17g hits@1=%.17g hits@3=%.17g hits@10=%.17g n=%d",
+					res.MRR, res.MeanRank, res.Hits[1], res.Hits[3], res.Hits[10], res.N)
+			}
 		}
 	}
 
