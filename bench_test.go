@@ -342,9 +342,9 @@ func BenchmarkAblationBatchedRanking(b *testing.B) {
 	m := batchBench(b)
 	ranker := eval.NewRanker(m, nil)
 	const rel = kg.RelationID(0)
-	// Block size matches core's DefaultBatchBudgetBytes schedule:
+	// Block size matches eval's DefaultBatchBudgetBytes schedule:
 	// 4 MiB / (4 B × 50000 entities) = 20 groups per block.
-	blockRows := core.DefaultBatchBudgetBytes / (4 * 50000)
+	blockRows := eval.DefaultBatchBudgetBytes / (4 * 50000)
 	for _, maxCand := range []int{100, 500} {
 		k := int(math.Sqrt(float64(maxCand)))
 		if k*k < maxCand {
@@ -432,7 +432,7 @@ func BenchmarkPrunedRanking(b *testing.B) {
 		}
 		ranker := eval.NewRanker(m, nil)
 		const rel = kg.RelationID(0)
-		blockRows := core.DefaultBatchBudgetBytes / (4 * nEnt)
+		blockRows := eval.DefaultBatchBudgetBytes / (4 * nEnt)
 
 		k := int(math.Sqrt(float64(maxCand)))
 		if k*k < maxCand {
@@ -635,7 +635,7 @@ func BenchmarkExtensionStrategies(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ds, m := benchSetup(b)
-				strategy, err := core.ExtendedStrategyByName(name)
+				strategy, err := core.StrategyByName(name)
 				if err != nil {
 					b.Fatal(err)
 				}

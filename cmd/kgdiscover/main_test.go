@@ -155,6 +155,42 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestRunCheckpointExtensionStrategy checkpoints a sweep under a strategy
+// from beyond the paper's six: kgmutate and kgserve have always resolved
+// those names, and kgdiscover is the only command that writes the -baseline
+// kgmutate splices against, so it has to as well. The journal must resume
+// into the same TSV.
+func TestRunCheckpointExtensionStrategy(t *testing.T) {
+	dataDir, modelPath := fixture(t)
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "sweep.wal")
+	for _, strategy := range []string{"mixed_exploration", "inverse_degree"} {
+		os.Remove(wal)
+		argv := func(out string, extra ...string) []string {
+			return append([]string{"-data", dataDir, "-model", modelPath,
+				"-strategy", strategy, "-top_n", "20", "-max_candidates", "30",
+				"-limit", "0", "-out", filepath.Join(dir, out)}, extra...)
+		}
+		if err := run(argv("ckpt.tsv", "-checkpoint", wal)); err != nil {
+			t.Fatalf("%s: checkpointed run: %v", strategy, err)
+		}
+		if err := run(argv("resumed.tsv", "-checkpoint", wal, "-resume")); err != nil {
+			t.Fatalf("%s: resume: %v", strategy, err)
+		}
+		ckpt, err := os.ReadFile(filepath.Join(dir, "ckpt.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := os.ReadFile(filepath.Join(dir, "resumed.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ckpt) == 0 || string(ckpt) != string(resumed) {
+			t.Errorf("%s: resumed TSV (%d bytes) differs from the checkpointed run's (%d bytes)", strategy, len(resumed), len(ckpt))
+		}
+	}
+}
+
 // TestRunFleet routes a sweep through an in-process coordinator and worker
 // via -fleet and requires the TSV to be byte-identical to the local run.
 func TestRunFleet(t *testing.T) {

@@ -76,7 +76,7 @@ func runCoord(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		dataDir   = fs.String("data", "", "dataset directory (one-shot mode)")
 		modelPath = fs.String("model", "", "model checkpoint (one-shot mode)")
 		stratName = fs.String("strategy", "entity_frequency",
-			fmt.Sprintf("sampling strategy: %v", core.StrategyNames()))
+			fmt.Sprintf("sampling strategy: %v", core.AllStrategyNames()))
 		topN       = fs.Int("top_n", 500, "max rank for a candidate to count as a fact")
 		maxCand    = fs.Int("max_candidates", 500, "max candidates generated per relation")
 		seed       = fs.Int64("seed", 1, "sampling seed")

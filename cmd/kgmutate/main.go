@@ -83,7 +83,7 @@ func run(args []string) error {
 	if mapped != nil {
 		defer mapped.Close()
 	}
-	strategy, err := core.ExtendedStrategyByName(*stratName)
+	strategy, err := core.StrategyByName(*stratName)
 	if err != nil {
 		return err
 	}

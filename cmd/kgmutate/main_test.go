@@ -139,6 +139,9 @@ func TestIncrementalRounds(t *testing.T) {
 		{"entity_frequency", false}, // dirties only the touched relations: the rest splice
 		{"graph_degree", true},
 		{"cluster_triangles", false},
+		// An extension strategy: kgdiscover resolves the same eight names, so
+		// it can write this baseline too (cmd/kgdiscover's checkpoint test).
+		{"mixed_exploration", false},
 	} {
 		t.Run(tc.strategy, func(t *testing.T) {
 			dir := t.TempDir()

@@ -96,7 +96,7 @@ func main() {
 	fmt.Fprintln(w, "strategy\tfacts\thead recall\ttail recall\ttotal recall")
 	fmt.Fprintln(w, "--------\t-----\t-----------\t-----------\t------------")
 	for _, name := range []string{"graph_degree", "cluster_triangles", "uniform_random", "inverse_degree", "mixed_exploration"} {
-		strategy, err := core.ExtendedStrategyByName(name)
+		strategy, err := core.StrategyByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}

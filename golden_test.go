@@ -1,7 +1,7 @@
 package repro
 
-// Golden digests: checked-in checkpoint fingerprints and discovery hashes
-// for a fixed seed matrix. Byte-identity between two paths only says they
+// Golden digests: checked-in checkpoint fingerprints, discovery hashes and
+// link-prediction metrics for a fixed seed matrix. Byte-identity between two paths only says they
 // agree with each other; this file says what they must agree on, so a
 // refactor that changes float operation order anywhere in scoring or
 // training fails here even when every path moved together. Keys keep the

@@ -114,14 +114,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// DefaultBatchBudgetBytes caps the score-matrix footprint of one relation
-// block: a block holds at most DefaultBatchBudgetBytes/(4·|E|) of a
-// relation's (s, r) groups, so a worker's batch stays within a fixed memory
-// budget regardless of vocabulary size. 4 MiB ≈ 20 query rows over a
-// 50k-entity vocabulary, enough to amortize the entity-matrix traffic without
-// a block's scores spilling far past the last-level cache share of one worker.
-const DefaultBatchBudgetBytes = 4 << 20
-
 // Fact is one discovered fact with its rank against corruptions.
 type Fact struct {
 	Triple kg.Triple
@@ -470,170 +462,38 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 	return candidates, iters
 }
 
-// srGroup is one (s, r) candidate group: the candidate indexes sharing that
-// subject-relation pair, in candidate order.
-type srGroup struct {
-	s   kg.EntityID
-	r   kg.RelationID
-	idx []int
-}
-
-// rankBlock is one relation block: up to blockRows (s, r) groups of a single
-// relation, ranked from one shared score matrix.
-type rankBlock struct {
-	rel    kg.RelationID
-	groups []*srGroup
-}
-
-// rankAll ranks candidates in parallel, preserving order, and returns each
-// candidate's rank and sweep score. Candidates are bucketed by their (s, r)
-// pair — a mesh grid of k subjects × k objects collapses from k² model
-// sweeps to k — and the groups of each relation are then packed into blocks
-// sized to DefaultBatchBudgetBytes, so a whole block is scored by one tiled
-// matrix–matrix sweep (eval.RankObjectsBatch) instead of one MatVec per
-// group. Blocks shrink below the cache budget when needed to keep every
-// worker busy. The work done is added to rel: ScoreSweeps (one per distinct
-// (s, r) group), then either BatchedSweeps and BatchRows (one tiled
-// matrix–matrix pass per block, and the query rows they carried) or, under
-// pruned ranking — where blocks are branch-and-bound searches, not sweeps —
-// CellsPruned and PrescreenRows. When ctx is cancelled the partially-written
-// ranks are meaningless — rank 0 would pass every TopN filter — so rankAll
-// returns ctx.Err() instead of partial results.
+// rankAll ranks candidates through eval's scheduler, preserving order, and
+// returns each candidate's rank and sweep score. The work done is added to
+// rel: ScoreSweeps (one per distinct (s, r) group), then either BatchedSweeps
+// and BatchRows (one tiled matrix–matrix pass per relation block, and the
+// query rows they carried) or, under pruned ranking — where a block is a run
+// of branch-and-bound top-M searches, not a sweep — CellsPruned and
+// PrescreenRows. A cancelled ctx returns ctx.Err() and no ranks.
 func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options, rel *RelationStats) ([]int, []float32, error) {
-	ranks := make([]int, len(candidates))
-	type srKey struct {
-		s kg.EntityID
-		r kg.RelationID
-	}
-	byKey := make(map[srKey]int, len(candidates))
-	var groups []*srGroup
-	for i, t := range candidates {
-		k := srKey{t.S, t.R}
-		gi, ok := byKey[k]
-		if !ok {
-			gi = len(groups)
-			byKey[k] = gi
-			groups = append(groups, &srGroup{s: t.S, r: t.R})
-		}
-		groups[gi].idx = append(groups[gi].idx, i)
-	}
-	rel.ScoreSweeps += len(groups)
-
-	workers := opts.Workers
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Pack each relation's groups (first-appearance order) into blocks. The
-	// row cap is the cache budget, tightened so there are at least as many
-	// blocks as workers: smaller blocks only cost amortization, idle workers
-	// cost wall-clock.
-	blockRows := DefaultBatchBudgetBytes / (4 * ranker.Model().NumEntities())
-	if perWorker := (len(groups) + workers - 1) / workers; blockRows > perWorker {
-		blockRows = perWorker
-	}
-	if blockRows < 1 {
-		blockRows = 1
-	}
-	var blocks []rankBlock
-	var relOrder []kg.RelationID
-	relGroups := make(map[kg.RelationID][]*srGroup)
-	for _, g := range groups {
-		if _, ok := relGroups[g.r]; !ok {
-			relOrder = append(relOrder, g.r)
-		}
-		relGroups[g.r] = append(relGroups[g.r], g)
-	}
-	// Pruned ranking replaces each block's matrix–matrix sweep with
-	// branch-and-bound top-M searches; blocks remain the scheduling unit.
+	var block func(kg.RelationID, []eval.Group) ([][]int, [][]float32)
 	pruneOn := opts.PruneIndex != nil &&
 		(opts.PruneMode == PruneExact || opts.PruneMode == PruneApprox)
-	pruneCfg := eval.PruneConfig{
-		Index: opts.PruneIndex,
-		Exact: opts.PruneMode == PruneExact,
-		Probe: opts.PruneProbe,
-	}
-
-	for _, r := range relOrder {
-		gs := relGroups[r]
-		for lo := 0; lo < len(gs); lo += blockRows {
-			hi := lo + blockRows
-			if hi > len(gs) {
-				hi = len(gs)
-			}
-			blocks = append(blocks, rankBlock{rel: r, groups: gs[lo:hi]})
-			if !pruneOn {
-				rel.BatchedSweeps++
-				rel.BatchRows += hi - lo
-			}
+	if pruneOn {
+		cfg := eval.PruneConfig{
+			Index: opts.PruneIndex,
+			Exact: opts.PruneMode == PruneExact,
+			Probe: opts.PruneProbe,
+		}
+		var mu sync.Mutex // blocks are ranked concurrently
+		block = func(r kg.RelationID, groups []eval.Group) ([][]int, [][]float32) {
+			rs, ss, st := ranker.RankObjectsPruned(r, groups, opts.TopN, cfg)
+			mu.Lock()
+			rel.CellsPruned += st.CellsPruned
+			rel.PrescreenRows += st.PrescreenRows
+			mu.Unlock()
+			return rs, ss
 		}
 	}
-
-	scores := make([]float32, len(candidates))
-	if workers > len(blocks) {
-		workers = len(blocks)
+	ranks, scores, groups, blocks, err := ranker.RankTriples(ctx, candidates, opts.Workers, block)
+	rel.ScoreSweeps += groups
+	if !pruneOn {
+		rel.BatchedSweeps += blocks
+		rel.BatchRows += groups
 	}
-	blockCh := make(chan rankBlock)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var egroups []eval.Group
-			var pst eval.PruneStats
-			for b := range blockCh {
-				if ctx.Err() != nil {
-					return
-				}
-				egroups = egroups[:0]
-				for _, g := range b.groups {
-					objects := make([]kg.EntityID, len(g.idx))
-					for j, i := range g.idx {
-						objects[j] = candidates[i].O
-					}
-					egroups = append(egroups, eval.Group{S: g.s, Objects: objects})
-				}
-				var rs [][]int
-				var ss [][]float32
-				if pruneOn {
-					var st eval.PruneStats
-					rs, ss, st = ranker.RankObjectsPruned(b.rel, egroups, opts.TopN, pruneCfg)
-					pst.CellsPruned += st.CellsPruned
-					pst.PrescreenRows += st.PrescreenRows
-				} else {
-					rs, ss = ranker.RankObjectsBatch(b.rel, egroups)
-				}
-				for gi, g := range b.groups {
-					for j, i := range g.idx {
-						ranks[i] = rs[gi][j]
-						scores[i] = ss[gi][j]
-					}
-				}
-			}
-			if pst != (eval.PruneStats{}) {
-				mu.Lock()
-				rel.CellsPruned += pst.CellsPruned
-				rel.PrescreenRows += pst.PrescreenRows
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, b := range blocks {
-		select {
-		case blockCh <- b:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(blockCh)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return ranks, scores, nil
+	return ranks, scores, err
 }

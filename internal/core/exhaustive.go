@@ -213,8 +213,7 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	// the whole complement.
 	res := &Result{}
 	candidates := make([]kg.Triple, 0, n)
-	var ranked RelationStats
-	rankOpts := Options{Workers: opts.Workers}
+	var groups, blocks int
 	for _, r := range relations {
 		candidates = candidates[:0]
 		for s := int64(0); s < n; s++ {
@@ -241,11 +240,13 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		stats.Generated += len(candidates)
 
 		rStart := time.Now()
-		ranks, _, err := rankAll(ctx, ranker, candidates, rankOpts, &ranked)
+		ranks, _, g, b, err := ranker.RankTriples(ctx, candidates, opts.Workers, nil)
 		stats.RankTime += time.Since(rStart)
 		if err != nil {
 			return nil, nil, err
 		}
+		groups += g
+		blocks += b
 		for i, t := range candidates {
 			if ranks[i] <= opts.TopN {
 				res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
@@ -260,9 +261,9 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		RankTime:      stats.RankTime,
 		Generated:     stats.Generated,
 		Relations:     len(relations),
-		ScoreSweeps:   ranked.ScoreSweeps,
-		BatchedSweeps: ranked.BatchedSweeps,
-		BatchRows:     ranked.BatchRows,
+		ScoreSweeps:   groups,
+		BatchedSweeps: blocks,
+		BatchRows:     groups,
 	}
 	return res, stats, nil
 }

@@ -64,7 +64,10 @@ func StrategyNames() []string {
 	}
 }
 
-// StrategyByName constructs a strategy from its canonical name.
+// StrategyByName constructs a strategy from its canonical name: the paper's
+// six and the two extensions of extensions.go (MIXED EXPLORATION at ε = 0.3;
+// construct NewMixedExploration directly for other values). It is the one
+// resolver, so every command accepts the names every other command writes.
 func StrategyByName(name string) (Strategy, error) {
 	switch name {
 	case "uniform_random":
@@ -79,8 +82,12 @@ func StrategyByName(name string) (Strategy, error) {
 		return NewClusteringTriangles(), nil
 	case "cluster_squares":
 		return NewClusteringSquares(), nil
+	case "inverse_degree":
+		return NewInverseDegree(), nil
+	case "mixed_exploration":
+		return NewMixedExploration(0.3), nil
 	default:
-		return nil, fmt.Errorf("core: unknown strategy %q (supported: %v)", name, StrategyNames())
+		return nil, fmt.Errorf("core: unknown strategy %q (supported: %v)", name, AllStrategyNames())
 	}
 }
 

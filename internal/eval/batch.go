@@ -16,10 +16,10 @@ type Group struct {
 	Objects []kg.EntityID
 }
 
-// batchBufs is the pooled working set of one RankObjectsBatch call. data
-// backs the k×|E| score matrix; the small scratch slices back the counting
-// pass (rankRow) and are sized by the largest group, start is its fixed-size
-// bucket index. RankObjects borrows one for the scratch alone.
+// batchBufs is the pooled working set of one ranking call. data backs the
+// k×|E| score matrix (k = 1 for RankObject and RankSubject); the small scratch
+// slices back the counting pass (rankRow) and are sized by the largest group,
+// start is its fixed-size bucket index.
 //
 // data is grown on demand and released again when it stays oversized: one
 // skewed relation block (a single subject hub with thousands of groups) would
@@ -82,9 +82,9 @@ func (b *batchBufs) scratch(k int) {
 // score matrix: the block's subjects are scored by a single
 // kge.ScoreAllObjectsBatch call (a tiled matrix–matrix sweep for every
 // model kge.New builds), then each group's ranks are read off its
-// row by rankRow. It is exactly equivalent to calling RankObjects per group —
-// the same counting pass over a sweep that is bit-identical to
-// ScoreAllObjects — and so to per-candidate RankObject.
+// row by rankRow. It is exactly equivalent to per-candidate RankObject: the
+// sweep is bit-identical to ScoreAllObjects, and the counting pass returns
+// what RankObject's |E| probes would.
 //
 // Alongside the ranks it returns each candidate's sweep score (parallel to
 // ranks), so callers that need the kept facts' scores (the calibrator path

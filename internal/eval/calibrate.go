@@ -31,11 +31,6 @@ func (p *PlattCalibrator) Prob(score float32) float64 {
 
 // CalibrationOptions controls FitPlatt.
 type CalibrationOptions struct {
-	// NegativesPerPositive is the number of corruptions sampled per
-	// positive (default 1).
-	NegativesPerPositive int
-	// MaxPositives bounds the calibration set (default 2000).
-	MaxPositives int
 	// Iterations of gradient descent (default 200).
 	Iterations int
 	// LearningRate for the two parameters (default 0.1).
@@ -45,12 +40,6 @@ type CalibrationOptions struct {
 }
 
 func (o *CalibrationOptions) setDefaults() {
-	if o.NegativesPerPositive == 0 {
-		o.NegativesPerPositive = 1
-	}
-	if o.MaxPositives == 0 {
-		o.MaxPositives = 2000
-	}
 	if o.Iterations == 0 {
 		o.Iterations = 200
 	}
@@ -59,18 +48,20 @@ func (o *CalibrationOptions) setDefaults() {
 	}
 }
 
+// maxCalibrationPositives bounds the calibration set.
+const maxCalibrationPositives = 2000
+
 // FitPlatt fits a Platt calibrator for model on a held-out graph (typically
-// the validation split): positives are the graph's triples, negatives are
-// uniform corruptions not present in filter (pass train ∪ valid ∪ test).
+// the validation split): positives are the graph's first
+// maxCalibrationPositives triples, negatives are one uniform corruption of
+// each, not present in filter (pass train ∪ valid ∪ test).
 func FitPlatt(m kge.Model, heldout, filter *kg.Graph, opts CalibrationOptions) (*PlattCalibrator, error) {
 	opts.setDefaults()
 	triples := heldout.Triples()
 	if len(triples) == 0 {
 		return nil, fmt.Errorf("eval: empty held-out graph for calibration")
 	}
-	if len(triples) > opts.MaxPositives {
-		triples = triples[:opts.MaxPositives]
-	}
+	triples = triples[:min(len(triples), maxCalibrationPositives)]
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	var scores []float64
@@ -78,11 +69,9 @@ func FitPlatt(m kge.Model, heldout, filter *kg.Graph, opts CalibrationOptions) (
 	for _, t := range triples {
 		scores = append(scores, float64(m.Score(t)))
 		labels = append(labels, 1)
-		for k := 0; k < opts.NegativesPerPositive; k++ {
-			neg := corruptUnseen(t, m.NumEntities(), filter, rng)
-			scores = append(scores, float64(m.Score(neg)))
-			labels = append(labels, 0)
-		}
+		neg := corruptUnseen(t, m.NumEntities(), filter, rng)
+		scores = append(scores, float64(m.Score(neg)))
+		labels = append(labels, 0)
 	}
 
 	// Standardize scores for a well-conditioned fit; fold the affine

@@ -6,14 +6,14 @@
 // filtered settings are supported; in the filtered setting corruptions that
 // are themselves true triples (of train ∪ valid ∪ test) are skipped.
 //
-// The same per-triple ranking primitive is what the fact discovery algorithm
-// (internal/core) uses to decide whether a candidate passes the top_n
-// quality threshold.
+// A candidate's rank in the fact discovery algorithm (internal/core) is the
+// same primitive, and both go through one scheduler: Ranker.RankTriples
+// (schedule.go).
 package eval
 
 import (
+	"context"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/kg"
@@ -22,15 +22,14 @@ import (
 
 // Ranker ranks triples against their corruptions for a fixed model and
 // (optional) filter graph. A nil filter selects the raw protocol. Rankers
-// are safe for concurrent use; per-call sweep buffers are pooled, so steady
-// state holds one |E|-score buffer per concurrent caller.
+// are safe for concurrent use; working sets are pooled, so steady state holds
+// one score buffer per concurrent caller.
 type Ranker struct {
 	model  kge.Model
 	filter *kg.Graph
-	pool   sync.Pool
-	// batchPool holds *batchBufs: RankObjectsBatch's score matrices and the
-	// counting pass's scratch (see batch.go). The matrices are sized per
-	// relation block, so it is separate from the fixed-size sweep pool above.
+	// batchPool holds *batchBufs (see batch.go): the score rows — one for a
+	// single-triple rank, a relation block's matrix for RankObjectsBatch — and
+	// the counting pass's scratch.
 	batchPool sync.Pool
 	// prunePool holds *prune.Searcher working sets for RankObjectsPruned
 	// (see pruned.go); searchers are pinned to one index, so entries built
@@ -38,24 +37,14 @@ type Ranker struct {
 	prunePool sync.Pool
 }
 
-// sweepBufs is the per-call working set of a single-query sweep.
-type sweepBufs struct {
-	scores []float32
-}
-
 // NewRanker returns a Ranker over model. filter may be nil (raw protocol).
 func NewRanker(model kge.Model, filter *kg.Graph) *Ranker {
-	r := &Ranker{model: model, filter: filter}
-	n := model.NumEntities()
-	r.pool.New = func() any {
-		return &sweepBufs{scores: make([]float32, n)}
-	}
 	if filter != nil {
 		// Force the filter's lazy (s, r) adjacency now so concurrent
-		// RankObjects calls only read it.
+		// ranking calls only read it.
 		filter.BuildIndexes()
 	}
-	return r
+	return &Ranker{model: model, filter: filter}
 }
 
 // Model returns the model being ranked against.
@@ -67,9 +56,9 @@ func (r *Ranker) Model() kge.Model { return r.model }
 // which avoids both optimistic and pessimistic bias. In the filtered
 // setting, corruptions present in the filter graph are skipped.
 func (r *Ranker) RankObject(t kg.Triple) int {
-	bufs := r.pool.Get().(*sweepBufs)
-	defer r.pool.Put(bufs)
-	scores := r.model.ScoreAllObjects(t.S, t.R, bufs.scores)
+	bufs := r.getBatchBufs()
+	defer r.batchPool.Put(bufs)
+	scores := r.model.ScoreAllObjects(t.S, t.R, bufs.matrix(1, r.model.NumEntities()).Data)
 	target := scores[t.O]
 	greater, equal := 0, 0
 	for o, sc := range scores {
@@ -91,9 +80,9 @@ func (r *Ranker) RankObject(t kg.Triple) int {
 
 // RankSubject mirrors RankObject for subject-side corruptions (s', r, o).
 func (r *Ranker) RankSubject(t kg.Triple) int {
-	bufs := r.pool.Get().(*sweepBufs)
-	defer r.pool.Put(bufs)
-	scores := r.model.ScoreAllSubjects(t.R, t.O, bufs.scores)
+	bufs := r.getBatchBufs()
+	defer r.batchPool.Put(bufs)
+	scores := r.model.ScoreAllSubjects(t.R, t.O, bufs.matrix(1, r.model.NumEntities()).Data)
 	target := scores[t.S]
 	greater, equal := 0, 0
 	for s, sc := range scores {
@@ -113,8 +102,8 @@ func (r *Ranker) RankSubject(t kg.Triple) int {
 	return 1 + greater + equal/2
 }
 
-// RankObjects ranks many object-side candidates that share a (s, r) pair
-// from one ScoreAllObjects sweep, returning ranks parallel to objects. It is
+// RankObjects ranks many object-side candidates that share a (s, r) pair,
+// returning ranks parallel to objects: a one-group RankObjectsBatch. It is
 // exactly equivalent to calling RankObject on each (s, r, oᵢ) — same mean
 // tie policy, same filtered-protocol skips — but runs one model sweep per
 // group instead of one per candidate, and one counting pass (rankRow, in
@@ -122,21 +111,8 @@ func (r *Ranker) RankSubject(t kg.Triple) int {
 // O(|E|·d + |E| + k·(log k + |Fₛᵣ|)) per group, versus O(k·|E|·(d + 1)) for
 // k per-candidate calls.
 func (r *Ranker) RankObjects(s kg.EntityID, rel kg.RelationID, objects []kg.EntityID) []int {
-	if len(objects) == 0 {
-		return []int{}
-	}
-	sweep := r.pool.Get().(*sweepBufs)
-	defer r.pool.Put(sweep)
-	scores := r.model.ScoreAllObjects(s, rel, sweep.scores)
-
-	var filtered []kg.EntityID
-	if r.filter != nil {
-		filtered = r.filter.ObjectsOf(s, rel)
-	}
-	bufs := r.getBatchBufs()
-	defer r.batchPool.Put(bufs)
-	bufs.scratch(len(objects))
-	return r.rankRow(scores, objects, filtered, bufs)
+	ranks, _ := r.RankObjectsBatch(rel, []Group{{S: s, Objects: objects}})
+	return ranks[0]
 }
 
 // Options controls Evaluate.
@@ -145,8 +121,6 @@ type Options struct {
 	// Bordes protocol); default ranks objects only, matching the paper's
 	// §2.1 description and the discovery algorithm's usage.
 	BothSides bool
-	// HitsAt lists the k values for Hits@k; nil means {1, 3, 10}.
-	HitsAt []int
 	// MaxTriples, when > 0, evaluates only the first MaxTriples triples —
 	// used for fast validation during training.
 	MaxTriples int
@@ -166,90 +140,27 @@ type Result struct {
 	N int
 }
 
-// Evaluate ranks every triple of test and aggregates the metrics.
+// evaluateHitsAt is the k of every Hits@k Evaluate reports.
+var evaluateHitsAt = []int{1, 3, 10}
+
+// Evaluate ranks every triple of test and aggregates the metrics. Object-side
+// ranks come from RankTriples and land at the triple's index; subject-side
+// ranks (BothSides) stay one RankSubject sweep per triple, on the same worker
+// pool, and land at len(triples)+index.
 func Evaluate(ranker *Ranker, test *kg.Graph, opts Options) Result {
 	triples := test.Triples()
 	if opts.MaxTriples > 0 && opts.MaxTriples < len(triples) {
 		triples = triples[:opts.MaxTriples]
 	}
-	hitsAt := opts.HitsAt
-	if hitsAt == nil {
-		hitsAt = []int{1, 3, 10}
-	}
-	// Object-side queries are grouped by (s, r): every triple of a group is
-	// ranked from one shared score sweep. Subject-side ranks (BothSides)
-	// remain per-triple. The rank slice is preallocated at its known final
-	// size — object ranks land at the triple's index, subject ranks at
-	// len(triples)+index — so no append/channel funnel is needed.
-	type srKey struct {
-		s kg.EntityID
-		r kg.RelationID
-	}
-	type srGroup struct {
-		s   kg.EntityID
-		r   kg.RelationID
-		idx []int
-	}
-	byKey := make(map[srKey]int, len(triples))
-	var groups []*srGroup
-	for i, t := range triples {
-		k := srKey{t.S, t.R}
-		gi, ok := byKey[k]
-		if !ok {
-			gi = len(groups)
-			byKey[k] = gi
-			groups = append(groups, &srGroup{s: t.S, r: t.R})
-		}
-		groups[gi].idx = append(groups[gi].idx, i)
-	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	total := len(triples)
+	ctx := context.Background() // never cancelled: both errors below are nil
+	ranks, _, _, _, _ := ranker.RankTriples(ctx, triples, opts.Workers, nil)
 	if opts.BothSides {
-		total *= 2
+		ranks = append(ranks, make([]int, len(triples))...)
+		forEach(ctx, opts.Workers, len(triples), func(i int) {
+			ranks[len(triples)+i] = ranker.RankSubject(triples[i])
+		})
 	}
-	ranks := make([]int, total)
-
-	groupCh := make(chan *srGroup)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var objects []kg.EntityID
-			for g := range groupCh {
-				objects = objects[:0]
-				for _, i := range g.idx {
-					objects = append(objects, triples[i].O)
-				}
-				rs := ranker.RankObjects(g.s, g.r, objects)
-				for j, i := range g.idx {
-					ranks[i] = rs[j]
-				}
-				if opts.BothSides {
-					for _, i := range g.idx {
-						ranks[len(triples)+i] = ranker.RankSubject(triples[i])
-					}
-				}
-			}
-		}()
-	}
-	for _, g := range groups {
-		groupCh <- g
-	}
-	close(groupCh)
-	wg.Wait()
-	return Aggregate(ranks, hitsAt)
+	return Aggregate(ranks, evaluateHitsAt)
 }
 
 // Aggregate computes the metrics over a set of ranks.

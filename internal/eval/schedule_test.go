@@ -1,4 +1,4 @@
-package core
+package eval
 
 import (
 	"context"
@@ -6,18 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/kg"
 	"repro/internal/kge"
 )
-
-// schedule is the one call of this file that names the scheduler under test:
-// triples in, ranks and sweep scores out, with the group and block counts.
-func schedule(ctx context.Context, ranker *eval.Ranker, triples []kg.Triple, workers int) (ranks []int, scores []float32, groups, blocks int, err error) {
-	var rel RelationStats
-	ranks, scores, err = rankAll(ctx, ranker, triples, Options{Workers: workers}, &rel)
-	return ranks, scores, rel.ScoreSweeps, rel.BatchedSweeps, err
-}
 
 // schedulerTriples spans four relations, interleaved so no relation's groups
 // are contiguous: a hub subject (entity 0, every object of relation 0, some
@@ -112,10 +103,10 @@ func TestSchedulerMatchesPerTriple(t *testing.T) {
 			protocol string
 			filter   *kg.Graph
 		}{{"raw", nil}, {"filtered", filter}} {
-			ranker := eval.NewRanker(model, tc.filter)
+			ranker := NewRanker(model, tc.filter)
 			for _, workers := range []int{1, 2, wantGroups + 5} {
 				label := fmt.Sprintf("%s/%s/workers=%d", name, tc.protocol, workers)
-				ranks, scores, groups, blocks, err := schedule(context.Background(), ranker, triples, workers)
+				ranks, scores, groups, blocks, err := ranker.RankTriples(context.Background(), triples, workers, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -146,9 +137,9 @@ func TestSchedulerEmptyAndCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranker := eval.NewRanker(model, nil)
+	ranker := NewRanker(model, nil)
 
-	ranks, scores, groups, blocks, err := schedule(context.Background(), ranker, nil, 3)
+	ranks, scores, groups, blocks, err := ranker.RankTriples(context.Background(), nil, 3, nil)
 	if err != nil || len(ranks) != 0 || len(scores) != 0 || groups != 0 || blocks != 0 {
 		t.Errorf("empty input: ranks %v scores %v groups %d blocks %d err %v, want nothing and no error",
 			ranks, scores, groups, blocks, err)
@@ -157,7 +148,7 @@ func TestSchedulerEmptyAndCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		ranks, scores, _, _, err := schedule(ctx, ranker, schedulerTriples(40), workers)
+		ranks, scores, _, _, err := ranker.RankTriples(ctx, schedulerTriples(40), workers, nil)
 		if err != context.Canceled {
 			t.Errorf("cancelled, workers=%d: err = %v, want context.Canceled", workers, err)
 		}

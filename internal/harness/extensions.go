@@ -113,7 +113,7 @@ func (r *Runner) RecoveryProtocol(ctx context.Context, w io.Writer, outDir strin
 	var records []RecoveryRecord
 	var rows [][]string
 	for _, name := range strategies {
-		strategy, err := core.ExtendedStrategyByName(name)
+		strategy, err := core.StrategyByName(name)
 		if err != nil {
 			return nil, err
 		}

@@ -200,7 +200,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	for _, sname := range names {
 		sname := sname
 		t.Run(sname, func(t *testing.T) {
-			strategy, err := core.ExtendedStrategyByName(sname)
+			strategy, err := core.StrategyByName(sname)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -286,40 +286,77 @@ func (s *Server) cacheKey(endpoint, fingerprint string, canonical any) string {
 	return endpoint + "\x00" + fingerprint + "\x00" + string(b)
 }
 
-func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
+// discoverCall is a discover-shaped request — the body of POST /discover and
+// of POST /jobs — decoded, validated and resolved against the server: the
+// strategy constructed, the model referenced (the caller owns the release),
+// relation names turned into IDs, and the run's core.Options built.
+type discoverCall struct {
+	req      discoverRequest
+	strategy core.Strategy
+	sm       *servedModel
+	opts     core.Options
+}
+
+// parseDiscover is the one reader of discover-shaped requests, so a rule
+// added here holds on both endpoints. On failure it has written the error
+// response and holds no model reference.
+func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discoverCall, bool) {
 	var req discoverRequest
 	if !s.decode(w, r, &req) {
-		return
+		return nil, false
 	}
 	if req.TopN < 0 || req.MaxCandidates < 0 || req.Limit < 0 {
 		writeError(w, http.StatusBadRequest,
 			"top_n, max_candidates, and limit must be non-negative, got %d/%d/%d",
 			req.TopN, req.MaxCandidates, req.Limit)
-		return
+		return nil, false
 	}
 	if req.Strategy == "" {
 		req.Strategy = "entity_frequency"
 	}
-	strategy, err := core.ExtendedStrategyByName(req.Strategy)
+	strategy, err := core.StrategyByName(req.Strategy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
 	sm, err := s.acquireModel(req.Model)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
-		return
+		return nil, false
 	}
-	defer sm.release()
 	var relations []kg.RelationID
 	for _, name := range req.Relations {
 		rid, ok := s.ds.Train.Relations.Lookup(name)
 		if !ok {
+			sm.release()
 			writeError(w, http.StatusNotFound, "unknown relation %q", name)
-			return
+			return nil, false
 		}
 		relations = append(relations, kg.RelationID(rid))
 	}
+	call := &discoverCall{req: req, strategy: strategy, sm: sm, opts: core.Options{
+		TopN:          req.TopN,
+		MaxCandidates: req.MaxCandidates,
+		Relations:     relations,
+		Seed:          req.Seed,
+	}}
+	if sm.pruneIndex != nil {
+		// The prebuilt index keeps DiscoverFacts from re-clustering the entity
+		// table on every request.
+		call.opts.PruneMode = s.cfg.PruneMode
+		call.opts.PruneProbe = s.cfg.PruneProbe
+		call.opts.PruneIndex = sm.pruneIndex
+	}
+	return call, true
+}
+
+func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
+	call, ok := s.parseDiscover(w, r)
+	if !ok {
+		return
+	}
+	sm, req, relations := call.sm, call.req, call.opts.Relations
+	defer sm.release()
 
 	key := s.cacheKey("discover", sm.fingerprint, discoverKey{
 		Strategy:      req.Strategy,
@@ -349,7 +386,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body, err, joined := s.flight.Do(key, func() ([]byte, error) {
-		return s.runDiscover(sm, strategy, relations, req, key, tag)
+		return s.runDiscover(call, key, tag)
 	})
 	if joined {
 		s.metrics.incDedup()
@@ -372,13 +409,13 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runDiscover executes one discovery sweep against sm under the concurrency
-// semaphore and renders the response body. It runs on a server-scoped
+// runDiscover executes one discovery sweep against call.sm under the
+// concurrency semaphore and renders the response body. It runs on a server-scoped
 // context (with the same deadline as any request) rather than the leader
 // request's context, so a single client disconnect cannot cancel a sweep
-// that other coalesced requests are waiting on. The caller holds a
-// reference on sm for the duration.
-func (s *Server) runDiscover(sm *servedModel, strategy core.Strategy, relations []kg.RelationID, req discoverRequest, key string, tag []kg.RelationID) ([]byte, error) {
+// that other coalesced requests are waiting on. The caller holds the
+// call's model reference for the duration.
+func (s *Server) runDiscover(call *discoverCall, key string, tag []kg.RelationID) ([]byte, error) {
 	select {
 	case s.discoverSem <- struct{}{}:
 	default:
@@ -389,24 +426,17 @@ func (s *Server) runDiscover(sm *servedModel, strategy core.Strategy, relations 
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
-	opts := core.Options{
-		TopN:          req.TopN,
-		MaxCandidates: req.MaxCandidates,
-		Relations:     relations,
-		Seed:          req.Seed,
-	}
-	s.applyPruneOptions(sm, &opts)
 	// The sweep reads the live graph; excluding mutations for its duration
 	// (and caching inside the same hold, so the entry can never slip in
 	// after an invalidation it should have been covered by).
 	s.kgMu.RLock()
 	defer s.kgMu.RUnlock()
-	res, err := s.discover(ctx, sm.model, s.ds.Train, strategy, opts)
+	res, err := s.discover(ctx, call.sm.model, s.ds.Train, call.strategy, call.opts)
 	if err != nil {
 		return nil, err
 	}
 	s.metrics.observeDiscovery(res.Stats)
-	b, err := s.renderResult(res, req.Limit)
+	b, err := s.renderResult(res, call.req.Limit)
 	if err == nil {
 		s.cache.Add(key, b, tag)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jobs"
-	"repro/internal/kg"
 )
 
 // The async discovery API. A full-dataset sweep is the paper's headline
@@ -104,56 +103,20 @@ func (l *jobLimits) prune(retained []jobs.Status) {
 // async job. 202 Accepted with the job's status; the Location header points
 // at the status URL.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req discoverRequest
-	if !s.decode(w, r, &req) {
+	call, ok := s.parseDiscover(w, r)
+	if !ok {
 		return
 	}
-	if req.TopN < 0 || req.MaxCandidates < 0 || req.Limit < 0 {
-		writeError(w, http.StatusBadRequest,
-			"top_n, max_candidates, and limit must be non-negative, got %d/%d/%d",
-			req.TopN, req.MaxCandidates, req.Limit)
-		return
-	}
-	if req.Strategy == "" {
-		req.Strategy = "entity_frequency"
-	}
-	strategy, err := core.ExtendedStrategyByName(req.Strategy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The job holds a reference on the model for its whole (asynchronous)
-	// lifetime: OnFinish fires at the terminal state — including jobs
-	// cancelled while queued — so a model unloaded mid-job stays mapped
-	// until the sweep ends.
-	sm, err := s.acquireModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	var relations []kg.RelationID
-	for _, name := range req.Relations {
-		rid, ok := s.ds.Train.Relations.Lookup(name)
-		if !ok {
-			sm.release()
-			writeError(w, http.StatusNotFound, "unknown relation %q", name)
-			return
-		}
-		relations = append(relations, kg.RelationID(rid))
-	}
-
-	opts := core.Options{
-		TopN:          req.TopN,
-		MaxCandidates: req.MaxCandidates,
-		Relations:     relations,
-		Seed:          req.Seed,
-	}
-	s.applyPruneOptions(sm, &opts)
+	// The job holds the call's reference on the model for its whole
+	// (asynchronous) lifetime: OnFinish fires at the terminal state —
+	// including jobs cancelled while queued — so a model unloaded mid-job
+	// stays mapped until the sweep ends.
+	sm, req := call.sm, call.req
 	job, err := s.jobs.Submit(jobs.Spec{
 		Model:       sm.model,
 		Graph:       s.ds.Train,
-		Strategy:    strategy,
-		Options:     opts,
+		Strategy:    call.strategy,
+		Options:     call.opts,
 		Fingerprint: sm.fingerprint,
 		Label:       "discover strategy=" + req.Strategy,
 		OnFinish:    func(jobs.State) { sm.release() },

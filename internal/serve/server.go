@@ -276,18 +276,6 @@ func Load(dataDir, modelPath string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// applyPruneOptions copies one model's pruning configuration into one
-// discovery run's options. The prebuilt index keeps DiscoverFacts from
-// re-clustering the entity table on every request.
-func (s *Server) applyPruneOptions(sm *servedModel, opts *core.Options) {
-	if sm.pruneIndex == nil {
-		return
-	}
-	opts.PruneMode = s.cfg.PruneMode
-	opts.PruneProbe = s.cfg.PruneProbe
-	opts.PruneIndex = sm.pruneIndex
-}
-
 // Fingerprint returns the default model's canonical weight digest, or ""
 // when no default is set.
 func (s *Server) Fingerprint() string {

@@ -2,16 +2,16 @@
 # CI gate: vet, build (amd64 + arm64), race-checked tests, the benchmark
 # module and its smoke, a serving-layer race gate, the decoder / log-framing /
 # projection / counting-pass fuzz smokes, the vecmath bounds-check budget and
-# the two line budgets, then the end-to-end gates on real binaries:
+# the three line budgets, then the end-to-end gates on real binaries:
 # training determinism, pruned-ranking byte identity, WAL compatibility, live
 # mutation, kgserve smoke, crash-resume, fleet fault tolerance, and
-# gob == flat serving with hot swap. The discovery ranking stage runs a
-# concurrent block scheduler (internal/core.rankAll) and the evaluation
-# protocol a grouped worker pool (internal/eval.Evaluate), so the race
-# detector is mandatory, not optional, on every PR. The determinism gate
-# trains the same tiny dataset at two worker counts under both objectives and
-# requires byte-identical checkpoints — the guarantee the chunked gradient
-# reduction provides.
+# gob == flat serving with hot swap. Discovery and the evaluation protocol
+# both rank through one concurrent block scheduler
+# (internal/eval.(*Ranker).RankTriples), so the race detector is mandatory,
+# not optional, on every PR. The determinism gate trains the same tiny
+# dataset at two worker counts under both objectives and requires
+# byte-identical checkpoints — the guarantee the chunked gradient reduction
+# provides.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -113,15 +113,18 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count when the duplicate paths were retired (PR 18: 5 985; 5 978 once
-# rankStats folded into RelationStats in PR 20).
-hold_lines 'internal/{kge,eval,train,core}' 5978 \
+# count with one ranking scheduler, in eval (PR 21; 5 978 with core.rankAll
+# beside eval.Evaluate's pool).
+hold_lines 'internal/{kge,eval,train,core}' 5883 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count when the two log
-# implementations became internal/wal (PR 20; 5 486 before it).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5459 \
+# two that put bytes on disk for them: the count with one discover-request
+# parser in serve (PR 21; 5 459 when the two logs became internal/wal).
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5440 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
+# The commands: flag parsing and wiring only, so a command that grows is a
+# package that should have.
+hold_lines 'cmd/*/main.go' 1818 cmd
 
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
