@@ -261,6 +261,15 @@ func runScenario(t *testing.T, sc fleetScenario) (reassigned, duplicates, resume
 	if sc.scrapeMetrics {
 		coord.MustWaitLine(t, `sweep complete:`, 3*time.Minute)
 		assertMetrics(t, r, sc)
+		// SIGTERM cuts the coordinator's drain short, so let the surviving
+		// workers poll the lingering coordinator and take their shutdown order
+		// first: one stranded between its last delivery and its next poll
+		// would retry a dead address until -max-idle, past the wait below.
+		for _, name := range sc.waitWorkers {
+			if err := r.workers[name].Wait(60 * time.Second); err != nil {
+				t.Errorf("worker %s: %v", name, err)
+			}
+		}
 		if err := coord.Signal(syscall.SIGTERM); err != nil {
 			t.Fatalf("SIGTERM coordinator: %v", err)
 		}
