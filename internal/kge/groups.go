@@ -138,7 +138,10 @@ func (d *Derived) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, su
 // scoreRows writes out[i] = geometry(q, E[ids[i]]) + bias[ids[i]].
 func (d *Derived) scoreRows(out []float32, ids []kg.EntityID, q, bias []float32) {
 	if d.geom != SweepDot {
-		dist := d.distance()
+		dist := vecmath.L1Distance
+		if d.geom == SweepL2Sq {
+			dist = vecmath.SquaredL2Distance
+		}
 		for i, id := range ids {
 			out[i] = -dist(q, d.ent.Row(int(id)))
 		}

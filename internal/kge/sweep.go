@@ -239,12 +239,14 @@ func ScoreAllObjectsBatch(m Model, ss []kg.EntityID, r kg.RelationID, out *vecma
 // out.Row(j)[o] = geometry(q.Row(j), E[o]) + bias[o].
 //
 // The dot family is one vecmath.MatMat, whose rows are bit-identical to
-// per-row MatVec calls. A distance has no product form that keeps the
+// per-row MatVec calls, and L1 TransE one vecmath.MatNegL1, bit-identical to
+// per-pair L1Distance calls. Squared L2 has no product form that keeps the
 // per-pair accumulation order, so the entity table is walked in MatMat's row
 // tiles with every query scoring a tile before it leaves cache, through the
-// same per-pair kernels a single sweep uses.
+// same per-pair kernel a single sweep uses.
 func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
-	if d.geom == SweepDot {
+	switch d.geom {
+	case SweepDot:
 		vecmath.MatMat(out, d.ent, q)
 		if bias != nil {
 			for j := 0; j < out.Rows; j++ {
@@ -254,30 +256,20 @@ func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
 				}
 			}
 		}
-		return
-	}
-	dist := d.distance()
-	n := d.ent.Rows
-	tile := vecmath.MatMatTileRows(d.ent.Cols)
-	for lo := 0; lo < n; lo += tile {
-		hi := min(lo+tile, n)
-		for j := 0; j < q.Rows; j++ {
-			qj, dst := q.Row(j), out.Row(j)
-			for o := lo; o < hi; o++ {
-				dst[o] = -dist(qj, d.ent.Row(o))
+	case SweepL1:
+		vecmath.MatNegL1(out, d.ent, q)
+	default:
+		tile := vecmath.MatMatTileRows(d.ent.Cols)
+		for lo := 0; lo < d.ent.Rows; lo += tile {
+			hi := min(lo+tile, d.ent.Rows)
+			for j := 0; j < q.Rows; j++ {
+				qj, dst := q.Row(j), out.Row(j)
+				for o := lo; o < hi; o++ {
+					dst[o] = -vecmath.SquaredL2Distance(qj, d.ent.Row(o))
+				}
 			}
 		}
 	}
-}
-
-// distance returns the distance geometries' per-pair kernel; a score is its
-// negation. The geometry is the model's, not the pair's, so callers pick the
-// kernel once per sweep rather than once per pair.
-func (d *Derived) distance() func(a, b []float32) float32 {
-	if d.geom == SweepL1 {
-		return vecmath.L1Distance
-	}
-	return vecmath.SquaredL2Distance
 }
 
 func checkScoreBuf(out []float32, n int) {

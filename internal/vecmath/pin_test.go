@@ -89,6 +89,14 @@ func naiveL1(a, b []float32) float32 {
 	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
+// specialFloats are the values float kernels get wrong first: signed zeros
+// and infinities, ±MaxFloat32 (whose sums and products overflow), the
+// smallest subnormal, and ±1e-20, whose products with each other and with
+// unit values are subnormal.
+var specialFloats = []float32{0, float32(math.Copysign(0, -1)), 1, -1,
+	float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32,
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-20, -1e-20}
+
 // TestL1DistanceBitEqualToBranchyAbs covers what a sign-bit abs could get
 // wrong against `if v < 0 { v = -v }`: differences of −0 (which the branch
 // leaves as −0 and the mask turns into +0 — invisible only because the
@@ -96,9 +104,7 @@ func naiveL1(a, b []float32) float32 {
 // around the 4-way unroll. NaN in must be NaN out on both.
 func TestL1DistanceBitEqualToBranchyAbs(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
-	inf := float32(math.Inf(1))
-	special := []float32{0, negZero, 1, -1, inf, -inf, math.MaxFloat32, -math.MaxFloat32,
-		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	special := specialFloats
 	rng := rand.New(rand.NewSource(17))
 	for n := 0; n <= 70; n++ {
 		for rep := 0; rep < 40; rep++ {

@@ -1,0 +1,245 @@
+#include "textflag.h"
+
+// The query-lane sweep kernels. Lane l of every XMM register belongs to query
+// l of a group of four, whose vectors the caller interleaves into q4
+// (q4[4c+l] = query l's element c). Each entity element is broadcast once and
+// meets the four queries' values with MULPS/SUBPS/ADDPS, so every
+// (row, query) pair gets the rounded operations of the scalar Go loop in the
+// same order: SSE2 only, no FMA, nothing re-associated.
+
+// func dotBlocks4x4(dst []float32, stride int, m, q4 []float32)
+//
+// matVecRange's 4-row blocks for four queries at once: m holds whole 4-row
+// blocks of d = len(q4)/4 columns, and dst[l*stride+i] receives row i's dot
+// product with query l. Per (row, query) the accumulators are matVecRange's:
+// X0-X3 take the even columns of rows 0-3 and X4-X7 the odd ones, a last
+// even column when d is odd goes to X0-X3, and the result is even + odd.
+TEXT ·dotBlocks4x4(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ stride+24(FP), R8
+	SHLQ $2, R8                  // R8: one dst row in bytes
+	LEAQ (R8)(R8*2), R13         // R13: three dst rows
+	MOVQ m_base+32(FP), SI
+	MOVQ m_len+40(FP), R9
+	LEAQ (SI)(R9*4), R9          // R9: end of m
+	MOVQ q4_base+56(FP), DX
+	MOVQ q4_len+64(FP), BX       // BX: one row of m in bytes (4·d)
+	LEAQ (BX)(BX*2), R11         // R11: three rows
+	MOVQ BX, R10
+	SHRQ $3, R10                 // R10: column pairs, d/2
+	CMPQ SI, R9
+	JAE  done
+
+block:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	MOVQ  SI, AX
+	MOVQ  DX, R12
+	MOVQ  R10, CX
+	TESTQ CX, CX
+	JZ    odd
+
+pair:
+	MOVUPS (R12), X8             // column j of the four queries
+	MOVUPS 16(R12), X9           // column j+1
+	MOVSS  (AX), X10
+	SHUFPS $0x00, X10, X10
+	MULPS  X8, X10
+	ADDPS  X10, X0
+	MOVSS  (AX)(BX*1), X11
+	SHUFPS $0x00, X11, X11
+	MULPS  X8, X11
+	ADDPS  X11, X1
+	MOVSS  (AX)(BX*2), X12
+	SHUFPS $0x00, X12, X12
+	MULPS  X8, X12
+	ADDPS  X12, X2
+	MOVSS  (AX)(R11*1), X13
+	SHUFPS $0x00, X13, X13
+	MULPS  X8, X13
+	ADDPS  X13, X3
+	MOVSS  4(AX), X10
+	SHUFPS $0x00, X10, X10
+	MULPS  X9, X10
+	ADDPS  X10, X4
+	MOVSS  4(AX)(BX*1), X11
+	SHUFPS $0x00, X11, X11
+	MULPS  X9, X11
+	ADDPS  X11, X5
+	MOVSS  4(AX)(BX*2), X12
+	SHUFPS $0x00, X12, X12
+	MULPS  X9, X12
+	ADDPS  X12, X6
+	MOVSS  4(AX)(R11*1), X13
+	SHUFPS $0x00, X13, X13
+	MULPS  X9, X13
+	ADDPS  X13, X7
+	ADDQ   $8, AX
+	ADDQ   $32, R12
+	DECQ   CX
+	JNZ    pair
+
+odd:
+	TESTQ  $4, BX                // d odd: one more even column
+	JZ     sum
+	MOVUPS (R12), X8
+	MOVSS  (AX), X10
+	SHUFPS $0x00, X10, X10
+	MULPS  X8, X10
+	ADDPS  X10, X0
+	MOVSS  (AX)(BX*1), X11
+	SHUFPS $0x00, X11, X11
+	MULPS  X8, X11
+	ADDPS  X11, X1
+	MOVSS  (AX)(BX*2), X12
+	SHUFPS $0x00, X12, X12
+	MULPS  X8, X12
+	ADDPS  X12, X2
+	MOVSS  (AX)(R11*1), X13
+	SHUFPS $0x00, X13, X13
+	MULPS  X8, X13
+	ADDPS  X13, X3
+
+sum:
+	ADDPS X4, X0                 // row k, queries 0-3: even + odd
+	ADDPS X5, X1
+	ADDPS X6, X2
+	ADDPS X7, X3
+
+	// Transpose rows × queries to queries × rows, one 16-byte store per
+	// query row of dst.
+	MOVAPS   X0, X8
+	UNPCKLPS X1, X8              // r0q0 r1q0 r0q1 r1q1
+	UNPCKHPS X1, X0              // r0q2 r1q2 r0q3 r1q3
+	MOVAPS   X2, X9
+	UNPCKLPS X3, X9              // r2q0 r3q0 r2q1 r3q1
+	UNPCKHPS X3, X2              // r2q2 r3q2 r2q3 r3q3
+	MOVAPS   X8, X10
+	MOVLHPS  X9, X10             // query 0, rows 0-3
+	MOVHLPS  X8, X9              // query 1
+	MOVAPS   X0, X11
+	MOVLHPS  X2, X11             // query 2
+	MOVHLPS  X0, X2              // query 3
+	MOVUPS   X10, (DI)
+	MOVUPS   X9, (DI)(R8*1)
+	MOVUPS   X11, (DI)(R8*2)
+	MOVUPS   X2, (DI)(R13*1)
+
+	ADDQ $16, DI
+	LEAQ (SI)(BX*4), SI
+	CMPQ SI, R9
+	JB   block
+
+done:
+	RET
+
+// func l1Rows4(dst []float32, stride int, m, q4 []float32)
+//
+// The negated L1 distance of every row of m (d = len(q4)/4 columns) to four
+// queries: dst[l*stride+i] = −L1Distance(query l, row i). Per (row, query)
+// the accumulators are L1Distance's: X0-X3 take columns j ≡ 0-3 (mod 4), the
+// d mod 4 tail columns go to X0, |q−e| clears the sign bit (ANDPS), and the
+// result is −((s0+s1)+(s2+s3)).
+TEXT ·l1Rows4(SB), NOSPLIT, $0-80
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    stride+24(FP), R8
+	SHLQ    $2, R8
+	LEAQ    (R8)(R8*2), R13
+	MOVQ    m_base+32(FP), SI
+	MOVQ    m_len+40(FP), R9
+	LEAQ    (SI)(R9*4), R9
+	MOVQ    q4_base+56(FP), DX
+	MOVQ    q4_len+64(FP), BX    // BX: one row of m in bytes (4·d)
+	MOVQ    BX, R10
+	SHRQ    $4, R10              // R10: column quads, d/4
+	MOVQ    BX, R11
+	SHRQ    $2, R11
+	ANDQ    $3, R11              // R11: tail columns, d mod 4
+	PCMPEQL X14, X14
+	PSRLL   $1, X14              // X14: 0x7fffffff, |·|
+	PCMPEQL X13, X13
+	PSLLL   $31, X13             // X13: 0x80000000, negation
+	CMPQ    SI, R9
+	JAE     done
+
+row:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	MOVQ  SI, AX
+	MOVQ  DX, R12
+	MOVQ  R10, CX
+	TESTQ CX, CX
+	JZ    tail
+
+quad:
+	MOVUPS (AX), X8              // row columns j..j+3
+	PSHUFL $0x00, X8, X9
+	MOVUPS (R12), X4
+	SUBPS  X9, X4                // q − e
+	ANDPS  X14, X4
+	ADDPS  X4, X0
+	PSHUFL $0x55, X8, X10
+	MOVUPS 16(R12), X5
+	SUBPS  X10, X5
+	ANDPS  X14, X5
+	ADDPS  X5, X1
+	PSHUFL $0xAA, X8, X11
+	MOVUPS 32(R12), X6
+	SUBPS  X11, X6
+	ANDPS  X14, X6
+	ADDPS  X6, X2
+	PSHUFL $0xFF, X8, X12
+	MOVUPS 48(R12), X7
+	SUBPS  X12, X7
+	ANDPS  X14, X7
+	ADDPS  X7, X3
+	ADDQ   $16, AX
+	ADDQ   $64, R12
+	DECQ   CX
+	JNZ    quad
+
+tail:
+	MOVQ  R11, CX
+	TESTQ CX, CX
+	JZ    sum
+
+tailcol:
+	MOVSS  (AX), X9
+	SHUFPS $0x00, X9, X9
+	MOVUPS (R12), X4
+	SUBPS  X9, X4
+	ANDPS  X14, X4
+	ADDPS  X4, X0
+	ADDQ   $4, AX
+	ADDQ   $16, R12
+	DECQ   CX
+	JNZ    tailcol
+
+sum:
+	ADDPS  X1, X0                // s0 + s1
+	ADDPS  X3, X2                // s2 + s3
+	ADDPS  X2, X0
+	XORPS  X13, X0
+	MOVSS  X0, (DI)
+	PSHUFL $0x55, X0, X1
+	MOVSS  X1, (DI)(R8*1)
+	PSHUFL $0xAA, X0, X2
+	MOVSS  X2, (DI)(R8*2)
+	PSHUFL $0xFF, X0, X3
+	MOVSS  X3, (DI)(R13*1)
+
+	ADDQ $4, DI
+	ADDQ BX, SI
+	CMPQ SI, R9
+	JB   row
+
+done:
+	RET

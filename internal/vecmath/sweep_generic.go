@@ -1,0 +1,18 @@
+//go:build !amd64
+
+package vecmath
+
+// Off amd64 there are no query-lane kernels: each of the four queries runs
+// the scalar loop on its own.
+
+func dotLanes(dst, m, q *Matrix, j, lo, hi int, _ []float32) {
+	for l := j; l < j+4; l++ {
+		matVecRange(dst.Row(l), m, q.Row(l), lo, hi)
+	}
+}
+
+func l1Lanes(dst, m, q *Matrix, j, lo, hi int, _ []float32) {
+	for l := j; l < j+4; l++ {
+		negL1Range(dst.Row(l), m, q.Row(l), lo, hi)
+	}
+}

@@ -1,0 +1,152 @@
+package vecmath
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sameFloat is bit equality with every NaN equal to every other: the lane
+// kernels and the scalar loops may propagate different NaN payloads.
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// checkSweeps holds MatMat and MatNegL1 — the query-lane kernels on amd64 —
+// to the scalar Go loops they replace: a whole-matrix matVecRange per query
+// and a per-pair L1Distance.
+func checkSweeps(t *testing.T, m, q *Matrix) {
+	t.Helper()
+	dot := MatMat(NewMatrix(q.Rows, m.Rows), m, q)
+	l1 := MatNegL1(NewMatrix(q.Rows, m.Rows), m, q)
+	want := make([]float32, m.Rows)
+	for j := 0; j < q.Rows; j++ {
+		matVecRange(want, m, q.Row(j), 0, m.Rows)
+		for i, w := range want {
+			if got := dot.At(j, i); !sameFloat(got, w) {
+				t.Fatalf("rows=%d cols=%d q=%d: MatMat[%d][%d] = %x (%g), scalar loop %x (%g)\nrow=%v\nquery=%v",
+					m.Rows, m.Cols, q.Rows, j, i, math.Float32bits(got), got, math.Float32bits(w), w, m.Row(i), q.Row(j))
+			}
+			w = -L1Distance(q.Row(j), m.Row(i))
+			if got := l1.At(j, i); !sameFloat(got, w) {
+				t.Fatalf("rows=%d cols=%d q=%d: MatNegL1[%d][%d] = %x (%g), −L1Distance %x (%g)\nrow=%v\nquery=%v",
+					m.Rows, m.Cols, q.Rows, j, i, math.Float32bits(got), got, math.Float32bits(w), w, m.Row(i), q.Row(j))
+			}
+		}
+	}
+}
+
+// TestSweepKernelsBitEqualToGoLoops runs every lane-group remainder (1-9
+// queries), every column remainder of both kernels' unrolls (d 1-9) and the
+// embedding widths (63-65, 128), on row counts off the 4-row block and
+// across a tile edge. Entity elements are, at a rate that varies per case,
+// replaced by specialFloats or copied from a query (a difference of +0).
+func TestSweepKernelsBitEqualToGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 128} {
+		tile := MatMatTileRows(cols)
+		for _, rows := range []int{1, 2, 3, 5, 6, 7, 9, 14, min(tile+3, 300)} {
+			for nq := 1; nq <= 9; nq++ {
+				m, q := randomMatrix(rng, rows, cols), randomMatrix(rng, nq, cols)
+				rate := []int{0, 64, 8, 2}[rng.Intn(4)]
+				for i := range m.Data {
+					if rate == 0 || rng.Intn(rate) != 0 {
+						continue
+					}
+					qv := q.Row(rng.Intn(nq))[i%cols:]
+					switch rng.Intn(3) {
+					case 0:
+						m.Data[i] = qv[0]
+					case 1:
+						m.Data[i] = specialFloats[rng.Intn(len(specialFloats))]
+					case 2:
+						m.Data[i] = specialFloats[rng.Intn(len(specialFloats))]
+						qv[0] = specialFloats[rng.Intn(len(specialFloats))]
+					}
+				}
+				checkSweeps(t, m, q)
+			}
+		}
+	}
+	// NaN in a query lane stays in that lane.
+	m, q := randomMatrix(rng, 8, 5), randomMatrix(rng, 4, 5)
+	q.Row(2)[3] = float32(math.NaN())
+	checkSweeps(t, m, q)
+	for _, v := range MatMat(NewMatrix(4, 8), m, q).Row(1) {
+		if v != v {
+			t.Fatal("a NaN in query 2 reached query 1's scores")
+		}
+	}
+}
+
+// FuzzSweepKernels feeds the kernels arbitrary float bits (NaN payloads,
+// subnormals, infinities) at arbitrary shapes and holds them to the scalar
+// loops bit for bit.
+func FuzzSweepKernels(f *testing.F) {
+	seed := make([]byte, 4*len(specialFloats))
+	for i, v := range specialFloats {
+		binary.LittleEndian.PutUint32(seed[4*i:], math.Float32bits(v))
+	}
+	f.Add(uint8(5), uint8(7), uint8(9), seed)
+	f.Add(uint8(64), uint8(4), uint8(131), seed[:8])
+	f.Fuzz(func(t *testing.T, cols, nq, rows uint8, data []byte) {
+		m := NewMatrix(int(rows)%150+1, int(cols)%130+1)
+		q := NewMatrix(int(nq)%9+1, m.Cols)
+		fill := func(xs []float32, off int) { // data's floats, cyclically
+			for i := range xs {
+				k := 4 * (off + i) % (len(data) &^ 3)
+				xs[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[k:]))
+			}
+		}
+		if len(data) >= 4 {
+			fill(m.Data, 0)
+			fill(q.Data, len(m.Data))
+		}
+		checkSweeps(t, m, q)
+	})
+}
+
+// TestSweepsAllocateNothing: the interleaved query buffers come from a pool,
+// so a warm sweep allocates nothing — at 9 queries (two lane groups and a
+// leftover), for the L1 sweep, and at k-means' shape, a 4 096-row chunk of
+// entities as queries against the centroids. AllocsPerRun reports the
+// integer mean, so the race detector's random drop of one sync.Pool Put in
+// four (a refill costs two allocations) cannot fail it at 100 runs.
+func TestSweepsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m, q := randomMatrix(rng, 301, 64), randomMatrix(rng, 9, 64)
+	dst := NewMatrix(9, 301)
+	centroids, chunk := randomMatrix(rng, 16, 32), randomMatrix(rng, 4096, 32)
+	dots := NewMatrix(4096, 16)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"MatMat/q=9", func() { MatMat(dst, m, q) }},
+		{"MatNegL1/q=9", func() { MatNegL1(dst, m, q) }},
+		{"MatMat/kmeans", func() { MatMat(dots, centroids, chunk) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkMatNegL1 is BenchmarkMatMat's shape for TransE's L1 sweep.
+func BenchmarkMatNegL1(b *testing.B) {
+	for _, d := range []int{64, 128} {
+		b.Run(fmt.Sprintf("n=50000/d=%d/q=8", d), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := randomMatrix(rng, 50000, d)
+			q := randomMatrix(rng, 8, d)
+			dst := NewMatrix(8, m.Rows)
+			b.SetBytes(int64(m.Rows) * int64(d) * 4 * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatNegL1(dst, m, q)
+			}
+		})
+	}
+}
