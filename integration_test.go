@@ -13,6 +13,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -231,7 +232,7 @@ func TestEndToEndFleet(t *testing.T) {
 	coord := harness.StartProc(t, filepath.Join(logs, "coord.log"), bin, "coord",
 		"-data", dataDir, "-model", modelPath,
 		"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
-		"-unit", "1", "-out", outTSV, "-limit", "0", "-drain", "2s")
+		"-unit", "1", "-out", outTSV, "-limit", "0", "-drain", "2s", "-linger", "2m")
 	addr := coord.MustWaitLine(t, `coordinator listening on (\S+)`, 30*time.Second)
 
 	var workers []*harness.Proc
@@ -239,13 +240,21 @@ func TestEndToEndFleet(t *testing.T) {
 		workers = append(workers, harness.StartProc(t, filepath.Join(logs, name+".log"), bin, "worker",
 			"-coord", "http://"+addr, "-name", name, "-max-idle", "30s"))
 	}
-	if err := coord.Wait(2 * time.Minute); err != nil {
-		t.Fatalf("coordinator: %v\nlog:\n%s", err, coord.Log())
-	}
+	// The sweep can finish on w0 alone before w1 has registered; a coordinator
+	// that exited then would leave w1 retrying a dead address until -max-idle.
+	// So the coordinator lingers until both workers have taken their shutdown
+	// order, and SIGTERM ends the linger.
+	coord.MustWaitLine(t, `sweep complete:`, 2*time.Minute)
 	for i, w := range workers {
 		if err := w.Wait(30 * time.Second); err != nil {
 			t.Fatalf("worker %d: %v\nlog:\n%s", i, err, w.Log())
 		}
+	}
+	if err := coord.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM coordinator: %v", err)
+	}
+	if err := coord.Wait(30 * time.Second); err != nil {
+		t.Fatalf("coordinator: %v\nlog:\n%s", err, coord.Log())
 	}
 
 	got, err := os.ReadFile(outTSV)
