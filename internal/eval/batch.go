@@ -10,14 +10,15 @@ import (
 
 // Group is one (subject, relation) candidate group inside a relation block:
 // the relation is shared by the whole block, so only the subject and its
-// candidate objects are carried per group.
+// candidate objects are carried per group (on Evaluate's subject side, the
+// fixed object and its candidate subjects).
 type Group struct {
 	S       kg.EntityID
 	Objects []kg.EntityID
 }
 
 // batchBufs is the pooled working set of one ranking call. data backs the
-// k×|E| score matrix (k = 1 for RankObject and RankSubject); the small scratch
+// k×|E| score matrix (k = 1 for RankObject); the small scratch
 // slices back the counting pass (rankRow) and are sized by the largest group,
 // start is its fixed-size bucket index.
 //
@@ -90,6 +91,41 @@ func (b *batchBufs) scratch(k int) {
 // ranks), so callers that need the kept facts' scores (the calibrator path
 // in internal/core) can reuse the sweep instead of re-scoring per fact.
 func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
+	return r.rankBlock(rel, groups, kge.ScoreAllObjectsBatch, func(s kg.EntityID) []kg.EntityID { return r.filter.ObjectsOf(s, rel) })
+}
+
+// subjectBlocks returns the block ranker of Evaluate's subject side, which
+// RankTriples calls on swapped, the triples with subject and object
+// exchanged: one ScoreAllSubjectsBatch per block, then rankRow per (o, r)
+// group. The filtered protocol's known subjects of swapped's (r, o) pairs are
+// collected here, by one scan of each of their relations' filter triples.
+func (r *Ranker) subjectBlocks(swapped []kg.Triple) func(kg.RelationID, []Group) ([][]int, [][]float32) {
+	known := map[kg.RelationID]map[kg.EntityID][]kg.EntityID{}
+	if r.filter != nil {
+		for _, t := range swapped {
+			if known[t.R] == nil {
+				known[t.R] = map[kg.EntityID][]kg.EntityID{}
+			}
+			known[t.R][t.S] = nil
+		}
+		for rel, byObject := range known {
+			for _, t := range r.filter.RelationTriples(rel) {
+				if ss, ok := byObject[t.O]; ok {
+					byObject[t.O] = append(ss, t.S)
+				}
+			}
+		}
+	}
+	return func(rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
+		return r.rankBlock(rel, groups, kge.ScoreAllSubjectsBatch, func(o kg.EntityID) []kg.EntityID { return known[rel][o] })
+	}
+}
+
+// rankBlock ranks a relation block off one sweep call: known(g.S) lists a
+// group's true candidates, read under the filtered protocol only.
+func (r *Ranker) rankBlock(rel kg.RelationID, groups []Group,
+	sweep func(kge.Model, []kg.EntityID, kg.RelationID, *vecmath.Matrix), known func(kg.EntityID) []kg.EntityID,
+) ([][]int, [][]float32) {
 	ranks := make([][]int, len(groups))
 	scores := make([][]float32, len(groups))
 	if len(groups) == 0 {
@@ -104,19 +140,17 @@ func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [
 	maxK := 0
 	for gi, g := range groups {
 		ss[gi] = g.S
-		if len(g.Objects) > maxK {
-			maxK = len(g.Objects)
-		}
+		maxK = max(maxK, len(g.Objects))
 	}
 	mat := bufs.matrix(len(groups), n)
-	kge.ScoreAllObjectsBatch(r.model, ss, rel, mat)
+	sweep(r.model, ss, rel, mat)
 	bufs.scratch(maxK)
 
 	for gi, g := range groups {
 		row := mat.Row(gi)
 		var filtered []kg.EntityID
 		if r.filter != nil {
-			filtered = r.filter.ObjectsOf(g.S, rel)
+			filtered = known(g.S)
 		}
 		ranks[gi] = r.rankRow(row, g.Objects, filtered, bufs)
 		sc := make([]float32, len(g.Objects))

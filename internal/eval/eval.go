@@ -78,30 +78,6 @@ func (r *Ranker) RankObject(t kg.Triple) int {
 	return 1 + greater + equal/2
 }
 
-// RankSubject mirrors RankObject for subject-side corruptions (s', r, o).
-func (r *Ranker) RankSubject(t kg.Triple) int {
-	bufs := r.getBatchBufs()
-	defer r.batchPool.Put(bufs)
-	scores := r.model.ScoreAllSubjects(t.R, t.O, bufs.matrix(1, r.model.NumEntities()).Data)
-	target := scores[t.S]
-	greater, equal := 0, 0
-	for s, sc := range scores {
-		if kg.EntityID(s) == t.S {
-			continue
-		}
-		if r.filter != nil && r.filter.Contains(kg.Triple{S: kg.EntityID(s), R: t.R, O: t.O}) {
-			continue
-		}
-		switch {
-		case sc > target:
-			greater++
-		case sc == target:
-			equal++
-		}
-	}
-	return 1 + greater + equal/2
-}
-
 // RankObjects ranks many object-side candidates that share a (s, r) pair,
 // returning ranks parallel to objects: a one-group RankObjectsBatch. It is
 // exactly equivalent to calling RankObject on each (s, r, oᵢ) — same mean
@@ -143,22 +119,24 @@ type Result struct {
 // evaluateHitsAt is the k of every Hits@k Evaluate reports.
 var evaluateHitsAt = []int{1, 3, 10}
 
-// Evaluate ranks every triple of test and aggregates the metrics. Object-side
-// ranks come from RankTriples and land at the triple's index; subject-side
-// ranks (BothSides) stay one RankSubject sweep per triple, on the same worker
-// pool, and land at len(triples)+index.
+// Evaluate ranks every triple of test and aggregates the metrics. Both sides
+// go through RankTriples: object-side ranks land at the triple's index and,
+// under BothSides, subject-side ranks (the triples with subject and object
+// swapped, ranked by subjectBlocks) at len(triples)+index.
 func Evaluate(ranker *Ranker, test *kg.Graph, opts Options) Result {
 	triples := test.Triples()
 	if opts.MaxTriples > 0 && opts.MaxTriples < len(triples) {
 		triples = triples[:opts.MaxTriples]
 	}
-	ctx := context.Background() // never cancelled: both errors below are nil
+	ctx := context.Background() // never cancelled: the errors below are nil
 	ranks, _, _, _, _ := ranker.RankTriples(ctx, triples, opts.Workers, nil)
 	if opts.BothSides {
-		ranks = append(ranks, make([]int, len(triples))...)
-		forEach(ctx, opts.Workers, len(triples), func(i int) {
-			ranks[len(triples)+i] = ranker.RankSubject(triples[i])
-		})
+		swapped := make([]kg.Triple, len(triples))
+		for i, t := range triples {
+			swapped[i] = kg.Triple{S: t.O, R: t.R, O: t.S}
+		}
+		subjects, _, _, _, _ := ranker.RankTriples(ctx, swapped, opts.Workers, ranker.subjectBlocks(swapped))
+		ranks = append(ranks, subjects...)
 	}
 	return Aggregate(ranks, evaluateHitsAt)
 }

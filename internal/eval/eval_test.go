@@ -83,6 +83,30 @@ func TestRankObjectTiesUseMeanPolicy(t *testing.T) {
 	}
 }
 
+// RankSubject mirrors RankObject for subject-side corruptions (s', r, o):
+// the per-triple oracle Evaluate's subject side is held to. It shares no line
+// with the scheduler: one ScoreAllSubjects sweep, then |E| Contains probes.
+func (r *Ranker) RankSubject(t kg.Triple) int {
+	scores := r.model.ScoreAllSubjects(t.R, t.O, make([]float32, r.model.NumEntities()))
+	target := scores[t.S]
+	greater, equal := 0, 0
+	for s, sc := range scores {
+		if kg.EntityID(s) == t.S {
+			continue
+		}
+		if r.filter != nil && r.filter.Contains(kg.Triple{S: kg.EntityID(s), R: t.R, O: t.O}) {
+			continue
+		}
+		switch {
+		case sc > target:
+			greater++
+		case sc == target:
+			equal++
+		}
+	}
+	return 1 + greater + equal/2
+}
+
 func TestRankSubject(t *testing.T) {
 	// Make subject ranking depend on s: score = table[o] + 0.001*s, so
 	// higher s wins.

@@ -28,8 +28,9 @@ type relGroups struct {
 // RankTriples is the one way from triples to ranks: Evaluate, discovery
 // (Algorithm 1 line 14) and the exhaustive baseline all rank through it. It
 // returns, parallel to triples, each triple's rank among its object-side
-// corruptions and its sweep score, plus the number of (s, r) groups and of
-// relation blocks the work was packed into.
+// corruptions (subject-side, for Evaluate's swapped triples and subjectBlocks)
+// and its sweep score, plus the number of (s, r) groups and of relation
+// blocks the work was packed into.
 //
 // Group: triples are bucketed by (s, r), so a mesh grid of k subjects × k
 // objects costs k sweeps, not k². Block: each relation's groups, in
@@ -80,7 +81,10 @@ func (r *Ranker) RankTriples(ctx context.Context, triples []kg.Triple, workers i
 		rg.idx[at.group] = append(rg.idx[at.group], i)
 	}
 
-	workers = workerCount(workers, groups)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, groups))
 	rows := DefaultBatchBudgetBytes / (4 * r.model.NumEntities())
 	rows = max(1, min(rows, (groups+workers-1)/workers))
 	type block struct {
@@ -97,51 +101,27 @@ func (r *Ranker) RankTriples(ctx context.Context, triples []kg.Triple, workers i
 
 	ranks = make([]int, len(triples))
 	scores = make([]float32, len(triples))
-	err = forEach(ctx, workers, len(work), func(bi int) {
-		b := work[bi]
-		rs, ss := rankBlock(b.rg.rel, b.rg.groups[b.lo:b.hi])
-		for gi, idx := range b.rg.idx[b.lo:b.hi] {
-			for j, i := range idx {
-				ranks[i] = rs[gi][j]
-				scores[i] = ss[gi][j]
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, groups, len(work), err
-	}
-	return ranks, scores, groups, len(work), nil
-}
-
-// workerCount resolves a Workers option (≤ 0 means GOMAXPROCS) against n
-// units of work: never more workers than units, never fewer than one.
-func workerCount(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, n))
-}
-
-// forEach calls fn(i) for every i in [0, n) from workerCount(workers, n)
-// goroutines, handing out indexes in ascending order — the package's one
-// worker pool. It returns ctx.Err(): once ctx is cancelled no further index
-// is started, so a non-nil error means some calls may never have run.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := workerCount(workers, n); w > 0; w-- {
+	for w := min(workers, len(work)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+			for bi := int(next.Add(1)) - 1; bi < len(work) && ctx.Err() == nil; bi = int(next.Add(1)) - 1 {
+				b := work[bi]
+				rs, ss := rankBlock(b.rg.rel, b.rg.groups[b.lo:b.hi])
+				for gi, idx := range b.rg.idx[b.lo:b.hi] {
+					for j, i := range idx {
+						ranks[i] = rs[gi][j]
+						scores[i] = ss[gi][j]
+					}
 				}
-				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, groups, len(work), err
+	}
+	return ranks, scores, groups, len(work), nil
 }

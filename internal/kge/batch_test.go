@@ -1,6 +1,7 @@
 package kge
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/kg"
@@ -29,7 +30,9 @@ func batchTestModels(t *testing.T) []Trainable {
 // TestScoreAllObjectsBatchBitIdentical is the contract of the batch sweep: every
 // row of the batched sweep must be bit-identical (==, not approximately
 // equal) to the corresponding per-subject ScoreAllObjects sweep. Discovery
-// output stays byte-identical under batching if and only if this holds.
+// output stays byte-identical under batching if and only if this holds. The
+// same holds for ScoreAllSubjectsBatch against one-row ScoreAllSubjects, which
+// is what keeps Evaluate's subject-side ranks those of a per-triple sweep.
 func TestScoreAllObjectsBatchBitIdentical(t *testing.T) {
 	// Duplicate subjects and a non-multiple-of-4 batch size included.
 	ss := []kg.EntityID{7, 0, 1099, 7, 513, 42, 680}
@@ -50,6 +53,17 @@ func TestScoreAllObjectsBatchBitIdentical(t *testing.T) {
 					if row[o] != want[o] {
 						t.Fatalf("subject %d: batch[%d] = %g, sweep = %g (not bit-identical)",
 							s, o, row[o], want[o])
+					}
+				}
+			}
+			ScoreAllSubjectsBatch(m, ss, 1, out)
+			for j, o := range ss {
+				m.ScoreAllSubjects(1, o, want)
+				row := out.Row(j)
+				for s := range want {
+					if math.Float32bits(row[s]) != math.Float32bits(want[s]) {
+						t.Fatalf("object %d: subject batch[%d] = %g, sweep = %g (not bit-identical)",
+							o, s, row[s], want[s])
 					}
 				}
 			}
@@ -82,8 +96,8 @@ func TestTransEBatchNorm2(t *testing.T) {
 // plainModel wraps a Model while hiding that it is Derived, so the
 // dispatcher's per-subject fallback is what runs.
 type plainModel struct {
-	inner  Model
-	sweeps int
+	inner                 Model
+	sweeps, subjectSweeps int
 }
 
 func (p *plainModel) Name() string              { return p.inner.Name() }
@@ -96,11 +110,13 @@ func (p *plainModel) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float
 	return p.inner.ScoreAllObjects(s, r, out)
 }
 func (p *plainModel) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
+	p.subjectSweeps++
 	return p.inner.ScoreAllSubjects(r, o, out)
 }
 
 // TestScoreAllObjectsBatchFallback: a Model that is not Derived still
-// answers batched sweeps, via one ScoreAllObjects call per subject.
+// answers batched sweeps, via one ScoreAllObjects call per subject, and
+// ScoreAllSubjectsBatch via one ScoreAllSubjects call per object.
 func TestScoreAllObjectsBatchFallback(t *testing.T) {
 	inner, err := New("distmult", Config{NumEntities: 64, NumRelations: 2, Dim: 8, Seed: 1})
 	if err != nil {
@@ -120,6 +136,19 @@ func TestScoreAllObjectsBatchFallback(t *testing.T) {
 		for o := range want {
 			if row[o] != want[o] {
 				t.Fatalf("fallback subject %d: batch[%d] = %g, sweep = %g", s, o, row[o], want[o])
+			}
+		}
+	}
+	ScoreAllSubjectsBatch(p, ss, 1, out)
+	if p.subjectSweeps != len(ss) {
+		t.Errorf("subject fallback ran %d sweeps, want %d", p.subjectSweeps, len(ss))
+	}
+	for j, o := range ss {
+		inner.ScoreAllSubjects(1, o, want)
+		row := out.Row(j)
+		for s := range want {
+			if row[s] != want[s] {
+				t.Fatalf("fallback object %d: subject batch[%d] = %g, sweep = %g", o, s, row[s], want[s])
 			}
 		}
 	}

@@ -117,15 +117,6 @@ func (ps *ParamSet) Get(name string) *Param { return ps.byName[name] }
 // modify the slice.
 func (ps *ParamSet) List() []*Param { return ps.list }
 
-// NumScalars returns the total number of trainable scalars.
-func (ps *ParamSet) NumScalars() int {
-	total := 0
-	for _, p := range ps.list {
-		total += len(p.M.Data)
-	}
-	return total
-}
-
 // rowKey identifies one row of one parameter table.
 type rowKey struct {
 	param string

@@ -171,24 +171,15 @@ func (d *Derived) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32
 
 // ScoreAllObjects implements Model: the one-row case of ScoreContextsBatch.
 func (d *Derived) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	checkScoreBuf(out, d.ent.Rows)
 	d.ScoreContextsBatch([]kg.EntityID{s}, []kg.RelationID{r},
 		&vecmath.Matrix{Rows: 1, Cols: len(out), Data: out})
 	return out
 }
 
-// ScoreAllSubjects implements Model. Without a subject query there is no
-// linear sweep, and every subject is scored on its own.
+// ScoreAllSubjects implements Model: the one-row case of
+// ScoreAllSubjectsBatch.
 func (d *Derived) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	checkScoreBuf(out, d.ent.Rows)
-	q := vecmath.NewMatrix(1, d.ent.Cols)
-	if !d.SubjectQuery(r, o, q.Data) {
-		for s := range out {
-			out[s] = d.Score(kg.Triple{S: kg.EntityID(s), R: r, O: o})
-		}
-		return out
-	}
-	d.sweep(&vecmath.Matrix{Rows: 1, Cols: len(out), Data: out}, q, nil)
+	ScoreAllSubjectsBatch(d, []kg.EntityID{o}, r, &vecmath.Matrix{Rows: 1, Cols: len(out), Data: out})
 	return out
 }
 
@@ -235,6 +226,36 @@ func ScoreAllObjectsBatch(m Model, ss []kg.EntityID, r kg.RelationID, out *vecma
 	d.ScoreContextsBatch(ss, rs, out)
 }
 
+// ScoreAllSubjectsBatch is ScoreAllObjectsBatch's subject side: row j of
+// out, which must be len(os)×NumEntities, receives score(s, r, os[j]) for
+// every entity s, from one matrix of SubjectQuery rows and one sweep, each row
+// bit-identical to a one-row sweep. A Model that is not Derived gets one
+// ScoreAllSubjects call per row, and one whose SubjectQuery reports false
+// (ConvE) the per-triple Score.
+func ScoreAllSubjectsBatch(m Model, os []kg.EntityID, r kg.RelationID, out *vecmath.Matrix) {
+	checkBatchBuf(out, len(os), m.NumEntities())
+	d, ok := m.(*Derived)
+	if !ok {
+		for j, o := range os {
+			m.ScoreAllSubjects(r, o, out.Row(j))
+		}
+		return
+	}
+	q := vecmath.NewMatrix(len(os), d.ent.Cols)
+	for j, o := range os {
+		if !d.SubjectQuery(r, o, q.Row(j)) {
+			for j, o := range os {
+				row := out.Row(j)
+				for s := range row {
+					row[s] = d.Score(kg.Triple{S: kg.EntityID(s), R: r, O: o})
+				}
+			}
+			return
+		}
+	}
+	d.sweep(out, q, nil)
+}
+
 // sweep scores every query row against every entity:
 // out.Row(j)[o] = geometry(q.Row(j), E[o]) + bias[o].
 //
@@ -272,15 +293,9 @@ func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
 	}
 }
 
-func checkScoreBuf(out []float32, n int) {
-	if len(out) != n {
-		panic(fmt.Sprintf("kge: score buffer length %d, want %d entities", len(out), n))
-	}
-}
-
 func checkBatchBuf(out *vecmath.Matrix, rows, n int) {
 	if out.Rows != rows || out.Cols != n {
-		panic(fmt.Sprintf("kge: batch score buffer is %dx%d, want %dx%d", out.Rows, out.Cols, rows, n))
+		panic(fmt.Sprintf("kge: score buffer is %dx%d, want %dx%d", out.Rows, out.Cols, rows, n))
 	}
 }
 
