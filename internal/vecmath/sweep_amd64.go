@@ -12,6 +12,12 @@ func dotBlocks4x4(dst []float32, stride int, m, q4 []float32)
 //go:noescape
 func l1Rows4(dst []float32, stride int, m, q4 []float32)
 
+// axpy is Axpy's SSE2 body: y[i] += alpha·x[i] over len(x) elements, four
+// per register.
+//
+//go:noescape
+func axpy(alpha float32, x, y []float32)
+
 // interleave4 packs queries j..j+3 of q lane-wise into lanes:
 // lanes[4c+l] = q.Row(j+l)[c].
 func interleave4(lanes []float32, q *Matrix, j int) []float32 {

@@ -5,7 +5,8 @@
 // (q4[4c+l] = query l's element c). Each entity element is broadcast once and
 // meets the four queries' values with MULPS/SUBPS/ADDPS, so every
 // (row, query) pair gets the rounded operations of the scalar Go loop in the
-// same order: SSE2 only, no FMA, nothing re-associated.
+// same order: SSE2 only, no FMA, nothing re-associated. Axpy's body, at the
+// end, puts four elements in the lanes instead.
 
 // func dotBlocks4x4(dst []float32, stride int, m, q4 []float32)
 //
@@ -240,6 +241,68 @@ sum:
 	ADDQ BX, SI
 	CMPQ SI, R9
 	JB   row
+
+done:
+	RET
+
+// func axpy(alpha float32, x, y []float32)
+//
+// y[i] += alpha·x[i] for i < len(x), eight elements per iteration in two
+// registers, then a group of four, then one at a time. There is no reduction,
+// so each lane performs the Go loop's rounded multiply and add for its
+// element, with the Go loop's operands in its order: x[i]·alpha, then the
+// product + y[i]. When both operands of an SSE operation are NaN the first
+// one's payload survives, so that order is part of the bits.
+TEXT ·axpy(SB), NOSPLIT, $0-56
+	MOVSS  alpha+0(FP), X0
+	SHUFPS $0x00, X0, X0
+	MOVQ   x_base+8(FP), SI
+	MOVQ   x_len+16(FP), CX
+	MOVQ   y_base+32(FP), DI
+	MOVQ   CX, DX
+	SHRQ   $3, DX               // DX: groups of eight
+	JZ     four
+
+eight:
+	MOVUPS (SI), X1
+	MOVUPS 16(SI), X2
+	MULPS  X0, X1               // x·alpha
+	MULPS  X0, X2
+	MOVUPS (DI), X3
+	MOVUPS 16(DI), X4
+	ADDPS  X3, X1               // product + y
+	ADDPS  X4, X2
+	MOVUPS X1, (DI)
+	MOVUPS X2, 16(DI)
+	ADDQ   $32, SI
+	ADDQ   $32, DI
+	DECQ   DX
+	JNZ    eight
+
+four:
+	TESTQ  $4, CX
+	JZ     tail
+	MOVUPS (SI), X1
+	MULPS  X0, X1
+	MOVUPS (DI), X3
+	ADDPS  X3, X1
+	MOVUPS X1, (DI)
+	ADDQ   $16, SI
+	ADDQ   $16, DI
+
+tail:
+	ANDQ   $3, CX
+	JZ     done
+
+one:
+	MOVSS  (SI), X1
+	MULSS  X0, X1
+	ADDSS  (DI), X1
+	MOVSS  X1, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JNZ    one
 
 done:
 	RET

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -35,6 +36,70 @@ func checkSweeps(t *testing.T, m, q *Matrix) {
 					m.Rows, m.Cols, q.Rows, j, i, math.Float32bits(got), got, math.Float32bits(w), w, m.Row(i), q.Row(j))
 			}
 		}
+	}
+}
+
+// checkAxpy holds Axpy — SSE2 on amd64 — to its Go loop, every bit of every
+// element, on y, with guard elements past its end that must stay untouched,
+// and on x itself as y. A NaN matches any NaN: which payload the Go loop
+// keeps depends on how it is compiled (the race detector's build adds y
+// first in its tail loop), so axpyPins, taken from the optimized build, hold
+// the payloads.
+func checkAxpy(t *testing.T, alpha float32, x, y []float32) {
+	t.Helper()
+	same := func(what string, got, want []float32) {
+		t.Helper()
+		for i, w := range want {
+			if !sameFloat(got[i], w) {
+				t.Fatalf("n=%d alpha=%x %s: element %d = %x, Go loop %x (x=%x)",
+					len(x), math.Float32bits(alpha), what, i, math.Float32bits(got[i]), math.Float32bits(w), x)
+			}
+		}
+	}
+	guard := []float32{1, 2, 3, 4}
+	got, want := append(slices.Clone(y), guard...), slices.Clone(y)
+	Axpy(alpha, x, got[:len(y)])
+	axpyGo(alpha, x, want)
+	same("y", got, append(want, guard...))
+
+	got, want = slices.Clone(x), slices.Clone(x)
+	Axpy(alpha, got, got)
+	axpyGo(alpha, want, want)
+	same("y = x", got, want)
+}
+
+// TestAxpyBitEqualToGoLoop runs every length to 70 and two wider ones, with
+// α and the elements drawn from axpySpecials at rates that vary per case,
+// then every (α, x, y) triple of axpySpecials in one 256-element call.
+func TestAxpyBitEqualToGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	pick := func(rate int) float32 {
+		if rate > 0 && rng.Intn(rate) == 0 {
+			return axpySpecials[rng.Intn(len(axpySpecials))]
+		}
+		return float32(rng.NormFloat64())
+	}
+	lengths := []int{128, 255}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for rep := 0; rep < 20; rep++ {
+			rate := []int{0, 16, 4, 1}[rep%4]
+			x, y := make([]float32, n), make([]float32, n)
+			for i := range x {
+				x[i], y[i] = pick(rate), pick(rate)
+			}
+			checkAxpy(t, pick(rate), x, y)
+		}
+	}
+	k := len(axpySpecials)
+	x, y := make([]float32, k*k), make([]float32, k*k)
+	for i := range x {
+		x[i], y[i] = axpySpecials[i/k], axpySpecials[i%k]
+	}
+	for _, alpha := range axpySpecials {
+		checkAxpy(t, alpha, x, y)
 	}
 }
 
@@ -83,7 +148,7 @@ func TestSweepKernelsBitEqualToGoLoops(t *testing.T) {
 
 // FuzzSweepKernels feeds the kernels arbitrary float bits (NaN payloads,
 // subnormals, infinities) at arbitrary shapes and holds them to the scalar
-// loops bit for bit.
+// loops bit for bit: the two sweeps, and Axpy over the matrix's elements.
 func FuzzSweepKernels(f *testing.F) {
 	seed := make([]byte, 4*len(specialFloats))
 	for i, v := range specialFloats {
@@ -94,6 +159,7 @@ func FuzzSweepKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cols, nq, rows uint8, data []byte) {
 		m := NewMatrix(int(rows)%150+1, int(cols)%130+1)
 		q := NewMatrix(int(nq)%9+1, m.Cols)
+		y := make([]float32, len(m.Data))
 		fill := func(xs []float32, off int) { // data's floats, cyclically
 			for i := range xs {
 				k := 4 * (off + i) % (len(data) &^ 3)
@@ -103,15 +169,17 @@ func FuzzSweepKernels(f *testing.F) {
 		if len(data) >= 4 {
 			fill(m.Data, 0)
 			fill(q.Data, len(m.Data))
+			fill(y, len(m.Data)+len(q.Data))
 		}
 		checkSweeps(t, m, q)
+		checkAxpy(t, q.Data[0], m.Data, y)
 	})
 }
 
 // TestSweepsAllocateNothing: the interleaved query buffers come from a pool,
 // so a warm sweep allocates nothing — at 9 queries (two lane groups and a
 // leftover), for the L1 sweep, and at k-means' shape, a 4 096-row chunk of
-// entities as queries against the centroids. AllocsPerRun reports the
+// entities as queries against the centroids. Nor does Axpy. AllocsPerRun reports the
 // integer mean, so the race detector's random drop of one sync.Pool Put in
 // four (a refill costs two allocations) cannot fail it at 100 runs.
 func TestSweepsAllocateNothing(t *testing.T) {
@@ -120,6 +188,7 @@ func TestSweepsAllocateNothing(t *testing.T) {
 	dst := NewMatrix(9, 301)
 	centroids, chunk := randomMatrix(rng, 16, 32), randomMatrix(rng, 4096, 32)
 	dots := NewMatrix(4096, 16)
+	x, y := randomVec(rng, 65), randomVec(rng, 65)
 	for _, tc := range []struct {
 		name string
 		run  func()
@@ -127,6 +196,7 @@ func TestSweepsAllocateNothing(t *testing.T) {
 		{"MatMat/q=9", func() { MatMat(dst, m, q) }},
 		{"MatNegL1/q=9", func() { MatNegL1(dst, m, q) }},
 		{"MatMat/kmeans", func() { MatMat(dots, centroids, chunk) }},
+		{"Axpy/n=65", func() { Axpy(0.5, x, y) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", tc.name, allocs)

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # CI gate: vet, build (amd64, and arm64 for the Go versions of the two SSE2
-# files' kernels), race-checked tests, the benchmark module and its smoke, a
-# serving-layer race gate, the decoder / log-framing / projection /
-# counting-pass / sweep-kernel fuzz smokes, the vecmath bounds-check budget
-# and the three line budgets, then the end-to-end gates on real binaries:
-# training determinism, pruned-ranking byte identity, WAL compatibility, live
-# mutation, kgserve smoke, crash-resume, fleet fault tolerance, and
-# gob == flat serving with hot swap. Discovery and the evaluation protocol
-# both rank through one concurrent block scheduler
-# (internal/eval.(*Ranker).RankTriples), so the race detector is mandatory,
-# not optional, on every PR. The determinism gate trains the same tiny
-# dataset at two worker counts under both objectives and requires
-# byte-identical checkpoints — the guarantee the chunked gradient reduction
-# provides.
+# files' kernels: DotI8, the MatMat and MatNegL1 sweeps, Axpy), race-checked
+# tests, the benchmark module and its smoke, a serving-layer race gate, the
+# decoder / log-framing / projection / counting-pass / sweep-kernel fuzz
+# smokes, the vecmath bounds-check budget and the three line budgets, then
+# the end-to-end gates on real binaries: training determinism, pruned-ranking
+# byte identity, WAL compatibility, live mutation, kgserve smoke,
+# crash-resume, fleet fault tolerance, and gob == flat serving with hot swap.
+# Discovery and the evaluation protocol (both sides) rank through one
+# concurrent block scheduler (internal/eval.(*Ranker).RankTriples), so the
+# race detector is mandatory, not optional, on every PR. The determinism gate
+# trains the same tiny dataset at two worker counts under both objectives and
+# requires byte-identical checkpoints — the guarantee the chunked gradient
+# reduction provides.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,9 +22,10 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
-# vecmath has SSE2 kernels on amd64 only — DotI8's body (int8_amd64.s) and
-# the query-lane sweeps under MatMat and MatNegL1 (sweep_amd64.s): keep the
-# Go versions the other ports build (int8_generic.go, sweep_generic.go) alive.
+# vecmath has SSE2 kernels on amd64 only — DotI8's body (int8_amd64.s), the
+# query-lane sweeps under MatMat and MatNegL1 and Axpy's body (sweep_amd64.s):
+# keep the Go versions the other ports build (int8_generic.go,
+# sweep_generic.go) alive.
 GOARCH=arm64 go build ./...
 
 echo "== go test -race =="
@@ -86,9 +87,10 @@ echo "== counting-pass fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzCountingPass$' -fuzztime 10s ./internal/eval
 
 echo "== sweep-kernel fuzz smoke =="
-# MatMat and MatNegL1 run four queries per SSE2 register on amd64; any float
-# bits (NaN payloads, subnormals, infinities) at any shape must come out as
-# the scalar Go loops they replace compute them, bit for bit.
+# MatMat and MatNegL1 run four queries per SSE2 register on amd64, and Axpy
+# four elements; any float bits (NaN payloads, subnormals, infinities) at any
+# shape must come out as the scalar Go loops they replace compute them, bit
+# for bit.
 go test -run '^$' -fuzz '^FuzzSweepKernels$' -fuzztime 10s ./internal/vecmath
 
 echo "== vecmath bounds-check budget =="
@@ -122,10 +124,10 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count with TransE's L1 sweep in vecmath (PR 25; 5 884 with one ranking
-# scheduler, in eval, PR 21; 5 978 with core.rankAll beside eval.Evaluate's
-# pool).
-hold_lines 'internal/{kge,eval,train,core}' 5879 \
+# count with Evaluate's subject side ranked by eval's one scheduler (5 879
+# with TransE's L1 sweep in vecmath; 5 884 with one ranking scheduler, in
+# eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
+hold_lines 'internal/{kge,eval,train,core}' 5877 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
 # two that put bytes on disk for them: the count with one discover-request
