@@ -1,12 +1,15 @@
 #include "textflag.h"
 
-// The query-lane sweep kernels. Lane l of every XMM register belongs to query
-// l of a group of four, whose vectors the caller interleaves into q4
-// (q4[4c+l] = query l's element c). Each entity element is broadcast once and
-// meets the four queries' values with MULPS/SUBPS/ADDPS, so every
-// (row, query) pair gets the rounded operations of the scalar Go loop in the
-// same order: SSE2 only, no FMA, nothing re-associated. Axpy's body, at the
-// end, puts four elements in the lanes instead.
+// The sweep kernels. In the first two, the query-lane kernels, lane l of
+// every XMM register belongs to query l of a group of four, whose vectors the
+// caller interleaves into q4 (q4[4c+l] = query l's element c). Each entity
+// element is broadcast once and meets the four queries' values with
+// MULPS/SUBPS/ADDPS, so every (row, query) pair gets the rounded operations
+// of the scalar Go loop in the same order: SSE2 only, no FMA, nothing
+// re-associated. The one-query kernels that follow put the scalar loop's own
+// accumulators in the lanes: matVecRange's even and odd columns of two rows
+// per register, L1Distance's four columns of one row. Axpy's body, at the
+// end, puts four elements in the lanes.
 
 // func dotBlocks4x4(dst []float32, stride int, m, q4 []float32)
 //
@@ -241,6 +244,172 @@ sum:
 	ADDQ BX, SI
 	CMPQ SI, R9
 	JB   row
+
+done:
+	RET
+
+// func dotRows4(dst, m, xp []float32, d int) int
+//
+// matVecRange's 4-row blocks for one query: m holds len(dst)/4 whole blocks
+// of d columns and xp the query's column pairs twice over (see spreadDot).
+// Per column pair one register holds rows 0 and 1 and another rows 2 and 3,
+// as [e(j) e(j+1) e'(j) e'(j+1)], so the lanes are matVecRange's two
+// accumulators per row, even and odd columns; a last even column when d is
+// odd meets [x(j) 0 x(j) 0], and the +0 it adds to the odd accumulators,
+// which start at +0 and so are never −0, changes no bit. The result is
+// even + odd. A block whose sum has a NaN lane stops the kernel, which
+// returns the rows scored before it: the Go loop orders some operands per
+// row (go1.24 multiplies row 3's even columns as x·e and adds row 0's
+// halves odd + even), and with NaNs in both operands that order picks the
+// payload, so the caller scores that block with the Go loop. Every other
+// result is the same whichever operand comes first.
+TEXT ·dotRows4(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R8
+	SHRQ $2, R8                  // R8: blocks
+	MOVQ R8, R9                  // R9: blocks left
+	MOVQ m_base+24(FP), SI
+	MOVQ xp_base+48(FP), DX
+	MOVQ d+72(FP), R10
+	LEAQ (R10*4), BX             // BX: one row of m in bytes
+	LEAQ (BX)(BX*2), R11         // R11: three rows
+	MOVQ R10, R13
+	ANDQ $1, R13                 // R13: d odd
+	SHRQ $1, R10                 // R10: column pairs, d/2
+	TESTQ R9, R9
+	JZ   done
+
+block:
+	XORPS X0, X0                 // rows 0 and 1: even, odd, even, odd
+	XORPS X1, X1                 // rows 2 and 3
+	MOVQ  SI, AX
+	MOVQ  DX, R12
+	MOVQ  R10, CX
+	TESTQ CX, CX
+	JZ    odd
+
+pair:
+	MOVQ   (AX), X4              // row 0, columns j, j+1
+	MOVHPS (AX)(BX*1), X4        // row 1
+	MOVQ   (AX)(BX*2), X5        // row 2
+	MOVHPS (AX)(R11*1), X5       // row 3
+	MOVUPS (R12), X6             // x(j) x(j+1) x(j) x(j+1)
+	MULPS  X6, X4
+	ADDPS  X4, X0
+	MULPS  X6, X5
+	ADDPS  X5, X1
+	ADDQ   $8, AX
+	ADDQ   $16, R12
+	DECQ   CX
+	JNZ    pair
+
+odd:
+	TESTQ   R13, R13
+	JZ      sum
+	MOVSS   (AX), X4             // the last column, rows 0 and 1
+	MOVSS   (AX)(BX*1), X7
+	MOVLHPS X7, X4
+	MOVSS   (AX)(BX*2), X5       // rows 2 and 3
+	MOVSS   (AX)(R11*1), X7
+	MOVLHPS X7, X5
+	MOVUPS  (R12), X6            // x(j) 0 x(j) 0
+	MULPS   X6, X4
+	ADDPS   X4, X0
+	MULPS   X6, X5
+	ADDPS   X5, X1
+
+sum:
+	MOVAPS   X0, X2
+	SHUFPS   $0x88, X1, X2       // even: rows 0-3
+	SHUFPS   $0xDD, X1, X0       // odd
+	ADDPS    X0, X2              // even + odd
+	MOVUPS   X2, (DI)
+	MOVAPS   X2, X3
+	CMPPS    X2, X3, $3          // unordered: a NaN lane
+	MOVMSKPS X3, CX
+	TESTQ    CX, CX
+	JNZ      done
+	ADDQ     $16, DI
+	LEAQ     (SI)(BX*4), SI
+	DECQ     R9
+	JNZ      block
+
+done:
+	SUBQ R9, R8
+	SHLQ $2, R8
+	MOVQ R8, ret+80(FP)
+	RET
+
+// func l1Rows(dst, m, x []float32)
+//
+// dst[i] = −L1Distance(x, row i of m) for the len(dst) rows of d = len(x)
+// columns. L1Distance's four accumulators are columns j ≡ 0-3 (mod 4), so
+// one row's fit the lanes of X0 as they stand: x − e four columns at a time,
+// the sign bit cleared (ANDPS), the d mod 4 tail columns into lane 0, then
+// (s0+s1)+(s2+s3) and the sign flipped, every operand in L1Distance's order.
+TEXT ·l1Rows(SB), NOSPLIT, $0-72
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), R9    // R9: rows left
+	MOVQ    m_base+24(FP), SI
+	MOVQ    x_base+48(FP), DX
+	MOVQ    x_len+56(FP), BX
+	MOVQ    BX, R10
+	SHRQ    $2, R10              // R10: column quads, d/4
+	MOVQ    BX, R11
+	ANDQ    $3, R11              // R11: tail columns, d mod 4
+	SHLQ    $2, BX               // BX: one row in bytes
+	PCMPEQL X14, X14
+	PSRLL   $1, X14              // X14: 0x7fffffff, |·|
+	PCMPEQL X13, X13
+	PSLLL   $31, X13             // X13: 0x80000000, negation
+	TESTQ   R9, R9
+	JZ      done
+
+row:
+	XORPS X0, X0
+	MOVQ  SI, AX
+	MOVQ  DX, R12
+	MOVQ  R10, CX
+	TESTQ CX, CX
+	JZ    tail
+
+quad:
+	MOVUPS (R12), X4             // x, columns j..j+3
+	MOVUPS (AX), X5              // e
+	SUBPS  X5, X4                // x − e
+	ANDPS  X14, X4
+	ADDPS  X4, X0
+	ADDQ   $16, AX
+	ADDQ   $16, R12
+	DECQ   CX
+	JNZ    quad
+
+tail:
+	MOVQ  R11, CX
+	TESTQ CX, CX
+	JZ    sum
+
+tailcol:
+	MOVSS (R12), X4
+	SUBSS (AX), X4
+	ANDPS X14, X4
+	ADDSS X4, X0                 // s0
+	ADDQ  $4, AX
+	ADDQ  $4, R12
+	DECQ  CX
+	JNZ   tailcol
+
+sum:
+	PSHUFL  $0xB1, X0, X1        // s1 s0 s3 s2
+	ADDPS   X1, X0               // lane 0: s0 + s1, lane 2: s2 + s3
+	MOVHLPS X0, X1
+	ADDSS   X1, X0
+	XORPS   X13, X0
+	MOVSS   X0, (DI)
+	ADDQ    $4, DI
+	ADDQ    BX, SI
+	DECQ    R9
+	JNZ     row
 
 done:
 	RET

@@ -15,20 +15,27 @@ func sameFloat(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// checkSweeps holds MatMat and MatNegL1 — the query-lane kernels on amd64 —
-// to the scalar Go loops they replace: a whole-matrix matVecRange per query
-// and a per-pair L1Distance.
+// checkSweeps holds MatMat and MatNegL1 — on amd64 the query-lane kernels
+// and, for leftover queries, the one-query kernels — to the scalar Go loops
+// they replace: a whole-matrix matVecRange per query and a per-pair
+// L1Distance. MatVec, the one-query dot kernel on its own, is held to
+// matVecRange too.
 func checkSweeps(t *testing.T, m, q *Matrix) {
 	t.Helper()
 	dot := MatMat(NewMatrix(q.Rows, m.Rows), m, q)
 	l1 := MatNegL1(NewMatrix(q.Rows, m.Rows), m, q)
-	want := make([]float32, m.Rows)
+	want, mv := make([]float32, m.Rows), make([]float32, m.Rows)
 	for j := 0; j < q.Rows; j++ {
 		matVecRange(want, m, q.Row(j), 0, m.Rows)
+		MatVec(mv, m, q.Row(j))
 		for i, w := range want {
 			if got := dot.At(j, i); !sameFloat(got, w) {
 				t.Fatalf("rows=%d cols=%d q=%d: MatMat[%d][%d] = %x (%g), scalar loop %x (%g)\nrow=%v\nquery=%v",
 					m.Rows, m.Cols, q.Rows, j, i, math.Float32bits(got), got, math.Float32bits(w), w, m.Row(i), q.Row(j))
+			}
+			if got := mv[i]; !sameFloat(got, w) {
+				t.Fatalf("rows=%d cols=%d: MatVec[%d] with query %d = %x (%g), scalar loop %x (%g)\nrow=%v\nquery=%v",
+					m.Rows, m.Cols, i, j, math.Float32bits(got), got, math.Float32bits(w), w, m.Row(i), q.Row(j))
 			}
 			w = -L1Distance(q.Row(j), m.Row(i))
 			if got := l1.At(j, i); !sameFloat(got, w) {
@@ -176,16 +183,20 @@ func FuzzSweepKernels(f *testing.F) {
 	})
 }
 
-// TestSweepsAllocateNothing: the interleaved query buffers come from a pool,
-// so a warm sweep allocates nothing — at 9 queries (two lane groups and a
-// leftover), for the L1 sweep, and at k-means' shape, a 4 096-row chunk of
-// entities as queries against the centroids. Nor does Axpy. AllocsPerRun reports the
-// integer mean, so the race detector's random drop of one sync.Pool Put in
-// four (a refill costs two allocations) cannot fail it at 100 runs.
+// TestSweepsAllocateNothing: the interleaved and spread query buffers come
+// from a pool, so a warm sweep allocates nothing — at 9 queries (two lane
+// groups and a leftover), at one query and at three (leftovers only), for
+// the L1 sweep, for MatVec, and at k-means' shape, a 4 096-row chunk of
+// entities as queries against the centroids. Nor does Axpy. AllocsPerRun
+// reports the integer mean, so the race detector's random drop of one
+// sync.Pool Put in four (a refill costs two allocations) cannot fail it at
+// 100 runs.
 func TestSweepsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, q := randomMatrix(rng, 301, 64), randomMatrix(rng, 9, 64)
 	dst := NewMatrix(9, 301)
+	q1, q3 := randomMatrix(rng, 1, 64), randomMatrix(rng, 3, 64)
+	one, three := NewMatrix(1, 301), NewMatrix(3, 301)
 	centroids, chunk := randomMatrix(rng, 16, 32), randomMatrix(rng, 4096, 32)
 	dots := NewMatrix(4096, 16)
 	x, y := randomVec(rng, 65), randomVec(rng, 65)
@@ -195,6 +206,9 @@ func TestSweepsAllocateNothing(t *testing.T) {
 	}{
 		{"MatMat/q=9", func() { MatMat(dst, m, q) }},
 		{"MatNegL1/q=9", func() { MatNegL1(dst, m, q) }},
+		{"MatMat/q=1", func() { MatMat(one, m, q1) }},
+		{"MatNegL1/q=3", func() { MatNegL1(three, m, q3) }},
+		{"MatVec", func() { MatVec(one.Data, m, q1.Data) }},
 		{"MatMat/kmeans", func() { MatMat(dots, centroids, chunk) }},
 		{"Axpy/n=65", func() { Axpy(0.5, x, y) }},
 	} {
@@ -219,4 +233,23 @@ func BenchmarkMatNegL1(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOneQuery is the sweep behind one /rank or /query request: one
+// query against a 20 000-entity table of width 64, for MatVec (the dot
+// family) and for MatNegL1 (TransE's L1).
+func BenchmarkOneQuery(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m, q := randomMatrix(rng, 20000, 64), randomMatrix(rng, 1, 64)
+	dst := NewMatrix(1, m.Rows)
+	b.Run("MatVec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatVec(dst.Data, m, q.Data)
+		}
+	})
+	b.Run("MatNegL1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatNegL1(dst, m, q)
+		}
+	})
 }
