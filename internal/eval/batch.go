@@ -32,7 +32,9 @@ type Group struct {
 // reallocated at the current need.
 type batchBufs struct {
 	data      []float32
-	smallUses int // consecutive matrix() calls using < cap/batchShrinkFactor
+	mat       vecmath.Matrix // matrix()'s header over data
+	ss        []kg.EntityID  // the block's subjects
+	smallUses int            // consecutive matrix() calls using < cap/batchShrinkFactor
 	vals      []float32
 	eq        []int
 	between   []int
@@ -67,7 +69,8 @@ func (b *batchBufs) matrix(rows, cols int) *vecmath.Matrix {
 	default:
 		b.smallUses = 0
 	}
-	return &vecmath.Matrix{Rows: rows, Cols: cols, Data: b.data[:need]}
+	b.mat = vecmath.Matrix{Rows: rows, Cols: cols, Data: b.data[:need]}
+	return &b.mat
 }
 
 func (b *batchBufs) scratch(k int) {
@@ -136,12 +139,13 @@ func (r *Ranker) rankBlock(rel kg.RelationID, groups []Group,
 	bufs := r.getBatchBufs()
 	defer r.batchPool.Put(bufs)
 
-	ss := make([]kg.EntityID, len(groups))
+	ss := bufs.ss[:0]
 	maxK := 0
-	for gi, g := range groups {
-		ss[gi] = g.S
+	for _, g := range groups {
+		ss = append(ss, g.S)
 		maxK = max(maxK, len(g.Objects))
 	}
+	bufs.ss = ss
 	mat := bufs.matrix(len(groups), n)
 	sweep(r.model, ss, rel, mat)
 	bufs.scratch(maxK)
@@ -202,9 +206,8 @@ func lowerBound(vals []float32, lo, hi int, x float32) int {
 // over filtered, the filter graph's (s, r) adjacency, instead of |E|
 // Contains probes.
 //
-// One or two objects are counted by a linear pass each (a lone target has no
-// range to index, and the counting pass costs what two compare loops do;
-// from three objects up it is the cheaper one). Larger groups go through a
+// One or two objects are counted by a branch-free linear pass each (a lone
+// target has no range to index). Larger groups go through a
 // target-side counting pass: the k target scores are sorted and deduplicated
 // into u ≤ k distinct values, one pass over the |E| sweep classifies every
 // score as "equal to vals[i]" or "strictly between vals[i-1] and vals[i]",
@@ -235,11 +238,14 @@ func (r *Ranker) rankRow(scores []float32, objects, filtered []kg.EntityID, bufs
 		for i, o := range objects {
 			target := scores[o]
 			greater, equal := 0, 0
+			// Two independent ifs, not a switch: each compiles to a
+			// conditional move, where the switch's branch on a sweep score
+			// against the target mispredicts about every other score.
 			for _, sc := range scores {
-				switch {
-				case sc > target:
+				if sc > target {
 					greater++
-				case sc == target:
+				}
+				if sc == target {
 					equal++
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/kge"
 )
 
 // naiveRanks is the reference rankRow is held to: for every object, one
@@ -209,7 +210,7 @@ func TestCountingPassAllocations(t *testing.T) {
 // BenchmarkRankRow times one counting pass over a kg20k-sized sweep for the
 // group sizes discovery produces (the benchmark fixture's mean group is ~30).
 func BenchmarkRankRow(b *testing.B) {
-	for _, k := range []int{1, 3, 8, 30, 100, 500} {
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 8, 30, 100, 500} {
 		b.Run(fmt.Sprintf("n=20000/k=%d", k), func(b *testing.B) {
 			scores, objects, filtered := countingRow(1, 20000, k, shapeSmooth)
 			var r Ranker
@@ -220,5 +221,37 @@ func BenchmarkRankRow(b *testing.B) {
 				r.rankRow(scores, objects, filtered, &bufs)
 			}
 		})
+	}
+}
+
+// TestRankObjectsAllocations: ranking one object on warm buffers, the /rank
+// request's shape, allocates RankObjectsBatch's four result slices (ranks
+// and scores, one block and one group each) and nothing else: the block's
+// subjects, the score matrix, the sweep's query and the kernels' spread
+// query all come from pools. The race detector drops pooled buffers at
+// random, so the count only holds in a plain build.
+func TestRankObjectsAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector drops sync.Pool buffers at random")
+	}
+	model, err := kge.New("distmult", kge.Config{NumEntities: 2000, NumRelations: 3, Dim: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := kg.NewGraph()
+	for i := 0; i < 2000; i++ {
+		filter.Entities.Intern(fmt.Sprint("e", i))
+	}
+	for i := 0; i < 3; i++ {
+		filter.Relations.Intern(fmt.Sprint("r", i))
+	}
+	filter.Add(kg.Triple{S: 1, R: 2, O: 9})
+	objects := []kg.EntityID{5}
+	for _, r := range []*Ranker{NewRanker(model, nil), NewRanker(model, filter)} {
+		r.RankObjects(1, 2, objects)
+		if allocs := testing.AllocsPerRun(100, func() { r.RankObjects(1, 2, objects) }); allocs != 4 {
+			t.Errorf("filtered=%v: RankObjects allocated %v objects per call on warm buffers, want 4 (its result slices)",
+				r.filter != nil, allocs)
+		}
 	}
 }
