@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/kg"
@@ -225,15 +224,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // duration (single-flight waiters ride on the leader's reference).
 func (s *Server) runQuery(sm *servedModel, key string, sid kg.EntityID, rid kg.RelationID, k int) ([]byte, error) {
 	scores := sm.model.ScoreAllObjects(sid, rid, make([]float32, sm.model.NumEntities()))
-	order := make([]int, len(scores))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
+	top := topK(scores, k)
 	s.kgMu.RLock()
 	defer s.kgMu.RUnlock()
 	answers := make([]queryAnswer, 0, k)
-	for _, o := range order[:k] {
+	for _, o := range top {
 		t := kg.Triple{S: sid, R: rid, O: kg.EntityID(o)}
 		answers = append(answers, queryAnswer{
 			Object: s.ds.Train.Entities.Name(int32(o)),
