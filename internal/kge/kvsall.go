@@ -43,7 +43,10 @@ import (
 func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.RelationID, upstream *vecmath.Matrix, gb *GradBuffer) {
 	checkCtxBatch(ss, rs, upstream, d.ent.Rows)
 	ctxs := make([]GradContext, len(ss))
-	q := d.objectQueries(ss, rs, ctxs)
+	q := vecmath.NewMatrix(len(ss), d.ent.Cols)
+	for j := range ss {
+		ctxs[j] = d.ObjectQuery(ss[j], rs[j], q.Row(j))
+	}
 	dent := gb.Dense("entity")
 	var scr GroupScratch
 
