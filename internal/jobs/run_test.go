@@ -334,7 +334,8 @@ func TestOptionsHashPruneCompat(t *testing.T) {
 // TestOptionsHashGolden pins the exact digest for a fixed synthetic input.
 // This hash is what decides whether existing WAL checkpoints resume: if this
 // test fails, the canonical JSON changed shape and every deployed journal
-// would be orphaned — only break it deliberately.
+// would be orphaned — only break it deliberately. The pruned rows carry no
+// cell count or probe, the only values a pruned run can hash with.
 func TestOptionsHashGolden(t *testing.T) {
 	g := kg.NewGraph()
 	for _, name := range []string{"a", "b", "c"} {
@@ -347,9 +348,21 @@ func TestOptionsHashGolden(t *testing.T) {
 	g.Add(kg.Triple{S: 2, R: 0, O: 0})
 	rels := []kg.RelationID{0, 1}
 
-	const want = "2b27c453412be083ce2683a7d5861cde54e3e242dbeef17c8284feda9053385d"
-	if got := OptionsHash("entity_frequency", g, NormalizeOptions(core.Options{Seed: 42}), rels); got != want {
-		t.Errorf("pre-pruning options hash drifted:\n got %s\nwant %s", got, want)
+	for _, c := range []struct {
+		name string
+		opts core.Options
+		want string
+	}{
+		{"pre-pruning", core.Options{Seed: 42},
+			"2b27c453412be083ce2683a7d5861cde54e3e242dbeef17c8284feda9053385d"},
+		{"prune-exact", core.Options{Seed: 42, PruneMode: core.PruneExact},
+			"2d180995e1be2b174ad396394e5791881190b660cbd8cd4f04ca66059dcb4306"},
+		{"prune-approx", core.Options{Seed: 42, PruneMode: core.PruneApprox},
+			"a7611bd0b7282aa70da2581f264dc35d883d221536af303c2d280c14b361e33e"},
+	} {
+		if got := OptionsHash("entity_frequency", g, NormalizeOptions(c.opts), rels); got != c.want {
+			t.Errorf("%s options hash drifted:\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }
 
