@@ -1,41 +1,21 @@
 package main
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/kge"
 )
 
-// fixture writes a gob checkpoint with scrambled weights and returns its
-// path and fingerprint.
-func fixture(t *testing.T) (gobPath, fingerprint string) {
-	t.Helper()
-	m, err := kge.New("complex", kge.Config{NumEntities: 19, NumRelations: 4, Dim: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for _, p := range m.Params().List() {
-		for i := range p.M.Data {
-			p.M.Data[i] = float32(rng.NormFloat64())
-		}
-	}
-	gobPath = filepath.Join(t.TempDir(), "m.kge")
-	if err := kge.SaveFile(m, gobPath); err != nil {
-		t.Fatal(err)
-	}
-	return gobPath, kge.Fingerprint(m)
-}
+// The checked-in gob checkpoint internal/kge pins, with its fingerprint.
+const (
+	gobFixture            = "../../internal/kge/testdata/distmult.kge"
+	gobFixtureFingerprint = "decd60db5e6b022e4ead7c00cae71c7877025eb63cc85c3245e3f6406d4223c9"
+)
 
 func TestConvertRoundTrip(t *testing.T) {
-	gobPath, fp := fixture(t)
-	dir := t.TempDir()
-	flatPath := filepath.Join(dir, "m.kgf")
-	backPath := filepath.Join(dir, "back.kge")
-
-	if err := run([]string{"-in", gobPath, "-out", flatPath}); err != nil {
+	flatPath := filepath.Join(t.TempDir(), "m.kgf")
+	if err := run([]string{"-in", gobFixture, "-out", flatPath}); err != nil {
 		t.Fatalf("gob→flat: %v", err)
 	}
 	mm, err := kge.OpenMapped(flatPath)
@@ -43,46 +23,32 @@ func TestConvertRoundTrip(t *testing.T) {
 		t.Fatalf("open converted flat: %v", err)
 	}
 	defer mm.Close()
-	if got := kge.Fingerprint(mm); got != fp {
-		t.Fatalf("converted fingerprint %s, want %s", got, fp)
-	}
-
-	if err := run([]string{"-in", flatPath, "-out", backPath, "-to", "gob"}); err != nil {
-		t.Fatalf("flat→gob: %v", err)
-	}
-	back, err := kge.LoadFile(backPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := kge.Fingerprint(back); got != fp {
-		t.Fatalf("round-tripped fingerprint %s, want %s", got, fp)
+	if got := kge.Fingerprint(mm); got != gobFixtureFingerprint {
+		t.Fatalf("converted fingerprint %s, want %s", got, gobFixtureFingerprint)
 	}
 }
 
 func TestConvertErrors(t *testing.T) {
-	gobPath, _ := fixture(t)
 	dir := t.TempDir()
 	flatPath := filepath.Join(dir, "m.kgf")
-	if err := run([]string{"-in", gobPath}); err == nil {
+	if err := run([]string{"-in", gobFixture}); err == nil {
 		t.Error("accepted missing -out")
-	}
-	if err := run([]string{"-in", gobPath, "-out", flatPath, "-to", "bogus"}); err == nil {
-		t.Error("accepted unknown -to")
-	}
-	if err := run([]string{"-in", gobPath, "-out", gobPath + ".gob2", "-to", "gob"}); err == nil {
-		t.Error("accepted no-op gob→gob conversion")
 	}
 	if err := run([]string{"-in", filepath.Join(dir, "none.kge"), "-out", flatPath}); err == nil {
 		t.Error("accepted missing input")
 	}
 	// Existing output refused without -force, accepted with it.
-	if err := run([]string{"-in", gobPath, "-out", flatPath}); err != nil {
+	if err := run([]string{"-in", gobFixture, "-out", flatPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", gobPath, "-out", flatPath}); err == nil {
+	if err := run([]string{"-in", gobFixture, "-out", flatPath}); err == nil {
 		t.Error("overwrote existing output without -force")
 	}
-	if err := run([]string{"-in", gobPath, "-out", flatPath, "-force"}); err != nil {
+	if err := run([]string{"-in", gobFixture, "-out", flatPath, "-force"}); err != nil {
 		t.Errorf("-force overwrite failed: %v", err)
+	}
+	// Flat is the only output format, so a flat input has nothing to become.
+	if err := run([]string{"-in", flatPath, "-out", filepath.Join(dir, "again.kgf")}); err == nil {
+		t.Error("accepted a flat input")
 	}
 }

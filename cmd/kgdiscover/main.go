@@ -40,7 +40,6 @@ import (
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/prof"
-	"repro/internal/prune"
 )
 
 func main() {
@@ -67,9 +66,6 @@ func run(args []string) error {
 		checkpoint = fs.String("checkpoint", "", "journal each completed relation to this WAL path (crash-resumable)")
 		resume     = fs.Bool("resume", false, "continue from an existing -checkpoint journal")
 		fleetAddr  = fs.String("fleet", "", "route the sweep to this kgfleet coordinator URL instead of sweeping locally (output stays byte-identical)")
-		pruneMode  = fs.String("prune", "off", "prescreen ranking sweeps with an IVF/int8 index: off, exact (byte-identical output), or approx")
-		pruneCells = fs.Int("prune_cells", 0, "prune index cell count (0 = ceil(sqrt(|E|)))")
-		pruneProbe = fs.Int("prune_probe", 0, "cells visited per query in -prune=approx (0 = ceil(cells/8))")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this path at exit")
 	)
@@ -83,9 +79,6 @@ func run(args []string) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *fleetAddr != "" {
-		if *pruneMode != "" && *pruneMode != core.PruneOff {
-			return fmt.Errorf("-prune is a per-host sidecar optimization and cannot be combined with -fleet")
-		}
 		return runFleet(fleetSweep{
 			coord:      *fleetAddr,
 			dataDir:    *dataDir,
@@ -130,32 +123,6 @@ func run(args []string) error {
 		return err
 	}
 
-	var pruneIndex *prune.Index
-	switch *pruneMode {
-	case "", core.PruneOff:
-	case core.PruneExact, core.PruneApprox:
-		sw, ok := m.(kge.ObjectSweeper)
-		if !ok {
-			return fmt.Errorf("-prune=%s requires a sweepable model, %s is not", *pruneMode, m.Name())
-		}
-		// The sidecar lives next to the checkpoint; a fingerprint or shape
-		// mismatch (retrained weights, different -prune_cells) rebuilds it.
-		ix, loaded, err := prune.LoadOrBuild(kge.SidecarPath(*modelPath), sw, kge.Fingerprint(m),
-			prune.Params{Cells: *pruneCells})
-		if err != nil {
-			return fmt.Errorf("building prune index: %w", err)
-		}
-		verb := "built"
-		if loaded {
-			verb = "loaded"
-		}
-		fmt.Printf("prune: %s index (%d cells over %d entities, sidecar %s)\n",
-			verb, ix.Cells(), ix.NumEntities(), kge.SidecarPath(*modelPath))
-		pruneIndex = ix
-	default:
-		return fmt.Errorf("unknown -prune mode %q (want off, exact, or approx)", *pruneMode)
-	}
-
 	spec := jobs.Spec{
 		Model:    m,
 		Graph:    ds.Train,
@@ -166,10 +133,6 @@ func run(args []string) error {
 			Seed:          *seed,
 			RankFiltered:  *filtered,
 			CacheWeights:  *cacheW,
-			PruneMode:     *pruneMode,
-			PruneCells:    *pruneCells,
-			PruneProbe:    *pruneProbe,
-			PruneIndex:    pruneIndex,
 		},
 		Journal: *checkpoint,
 		Resume:  *resume,
@@ -205,10 +168,6 @@ func run(args []string) error {
 	if st.BatchedSweeps > 0 {
 		fmt.Printf("batching: blocks=%d rows=%d (%.1f groups per entity-matrix pass)\n",
 			st.BatchedSweeps, st.BatchRows, float64(st.BatchRows)/float64(st.BatchedSweeps))
-	}
-	if pruneIndex != nil {
-		fmt.Printf("pruning: mode=%s cells-pruned=%d prescreen-rows=%d\n",
-			*pruneMode, st.CellsPruned, st.PrescreenRows)
 	}
 
 	return jobs.ReportFacts(os.Stdout, ds.Train, res.Facts, *limit, *outTSV)

@@ -208,11 +208,6 @@ func TestRunFleet(t *testing.T) {
 		t.Fatalf("local run: %v", err)
 	}
 
-	// Prune indexes are per-host sidecars; combining them with -fleet must
-	// be refused before anything is submitted.
-	if err := run(argv(fleetTSV, "-fleet", "http://127.0.0.1:1", "-prune", "exact")); err == nil {
-		t.Error("accepted -prune with -fleet")
-	}
 	// An unreachable coordinator must surface as an error, not a hang.
 	if err := run(argv(fleetTSV, "-fleet", "http://127.0.0.1:1")); err == nil {
 		t.Error("accepted an unreachable coordinator")

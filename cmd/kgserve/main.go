@@ -59,7 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/kge"
 	"repro/internal/serve"
 )
 
@@ -89,9 +88,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	jobTTL := fs.Duration("job-ttl", time.Hour, "finished async jobs older than this are evicted")
 	jobDir := fs.String("job-dir", "", "journal async jobs to WALs under this directory (empty = in-memory only)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes stacks and heap contents; keep off on untrusted networks)")
-	pruneMode := fs.String("prune", "off", "prescreen every discovery sweep with an IVF/int8 index: off, exact (byte-identical output), or approx")
-	pruneCells := fs.Int("prune-cells", 0, "prune index cell count (0 = ceil(sqrt(|E|)))")
-	pruneProbe := fs.Int("prune-probe", 0, "cells visited per query with -prune=approx (0 = ceil(cells/8))")
 	mutationLog := fs.String("mutation-log", "", "durable WAL for POST /mutate batches; existing batches replay on startup (empty = mutations are in-memory only)")
 	maxMutationOps := fs.Int("max-mutation-ops", 1000, "max ops per /mutate batch (larger batches get 413; negative disables the endpoint)")
 	if err := fs.Parse(args); err != nil {
@@ -120,14 +116,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		JobDir:          *jobDir,
 		Logger:          logger,
 		EnablePprof:     *enablePprof,
-		PruneMode:       *pruneMode,
-		PruneCells:      *pruneCells,
-		PruneProbe:      *pruneProbe,
 		MutationLog:     *mutationLog,
 		MaxMutationOps:  *maxMutationOps,
-		// The sidecar lives next to the checkpoint so restarts skip the
-		// k-means build as long as the weights have not changed.
-		PruneIndexPath: kge.SidecarPath(*modelPath),
 	})
 	if err != nil {
 		return err

@@ -1,5 +1,7 @@
 // Command kgtrain trains a knowledge graph embedding model on a TSV dataset
-// directory (train.txt / valid.txt / test.txt) and writes a checkpoint.
+// directory (train.txt / valid.txt / test.txt) and writes a flat checkpoint
+// (memory-mapped by every reader; kgconvert turns old gob checkpoints into
+// this format).
 //
 //	kgtrain -data data/fb10 -model transe -dim 64 -epochs 50 -out transe.kge
 package main
@@ -45,7 +47,6 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "gradient-computation goroutines (0 = GOMAXPROCS); any value yields bit-identical checkpoints")
 		out        = fs.String("out", "model.kge", "checkpoint output path")
-		format     = fs.String("format", "gob", "checkpoint format: gob or flat (mmap-able, served zero-copy)")
 		patience   = fs.Int("patience", 0, "early-stopping patience in evals (0 = off)")
 		evalEach   = fs.Int("eval_every", 5, "epochs between validation evaluations")
 		quiet      = fs.Bool("quiet", false, "suppress per-epoch progress")
@@ -57,9 +58,6 @@ func run(args []string) error {
 	}
 	if *dataDir == "" {
 		return fmt.Errorf("-data is required")
-	}
-	if *format != "gob" && *format != "flat" {
-		return fmt.Errorf("unknown -format %q (want gob or flat)", *format)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -161,17 +159,9 @@ func run(args []string) error {
 	fmt.Printf("test MRR %.4f  MR %.1f  Hits@1 %.3f  Hits@3 %.3f  Hits@10 %.3f\n",
 		res.MRR, res.MeanRank, res.Hits[1], res.Hits[3], res.Hits[10])
 
-	switch *format {
-	case "gob":
-		err = kge.SaveFile(m, *out)
-	case "flat":
-		err = kge.SaveFlatFile(m, *out)
-	default:
-		return fmt.Errorf("unknown -format %q (want gob or flat)", *format)
-	}
-	if err != nil {
+	if err := kge.SaveFlatFile(m, *out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s checkpoint %s (sha256 %s)\n", *format, *out, kge.Fingerprint(m))
+	fmt.Printf("wrote flat checkpoint %s (sha256 %s)\n", *out, kge.Fingerprint(m))
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/kge"
 	"repro/internal/synth"
 )
 
@@ -32,8 +33,18 @@ func TestRunTrainsAndSaves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
-		t.Errorf("checkpoint missing or empty: %v", err)
+	m, mapped, format, err := kge.LoadAuto(out)
+	if err != nil {
+		t.Fatalf("checkpoint does not load: %v", err)
+	}
+	if mapped != nil {
+		defer mapped.Close()
+	}
+	if format != "flat" || m.Name() != "distmult" {
+		t.Errorf("checkpoint is a %s %s, want a flat distmult", format, m.Name())
+	}
+	if magic, _ := os.ReadFile(out); !bytes.HasPrefix(magic, []byte("KGEFLAT1")) {
+		t.Errorf("checkpoint does not start with the flat magic KGEFLAT1")
 	}
 }
 

@@ -92,7 +92,7 @@ func run(args []string) error {
 	}
 
 	if *out != "" && best != nil {
-		if err := kge.SaveFile(best, *out); err != nil {
+		if err := kge.SaveFlatFile(best, *out); err != nil {
 			return err
 		}
 		fmt.Printf("wrote best checkpoint to %s\n", *out)

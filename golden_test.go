@@ -28,6 +28,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/kg"
 	"repro/internal/kge"
+	"repro/internal/prune"
 	"repro/internal/synth"
 	"repro/internal/train"
 )
@@ -125,15 +126,19 @@ func TestGoldenDigests(t *testing.T) {
 	// (b) Discovery: models x protocol x ranking path, on the
 	// negative-sampling checkpoint. TopN is far below |E| so exact pruning
 	// searches instead of falling back to the dense sweep.
-	paths := []struct {
-		name string
-		set  func(*core.Options)
-	}{
-		{"batched", func(*core.Options) {}},
-		{"prune-exact", func(o *core.Options) { o.PruneMode = core.PruneExact }},
-	}
 	for _, name := range models {
 		m := goldenTrain(t, ds, name, false, 1)
+		ix, err := prune.Build(m.(kge.ObjectSweeper), kge.Fingerprint(m), prune.Params{})
+		if err != nil {
+			t.Fatalf("prune index %s: %v", name, err)
+		}
+		paths := []struct {
+			name string
+			set  func(*core.Options)
+		}{
+			{"batched", func(*core.Options) {}},
+			{"prune-exact", func(o *core.Options) { o.PruneMode, o.PruneIndex = core.PruneExact, ix }},
+		}
 		for _, protocol := range []string{"raw", "filtered"} {
 			for _, p := range paths {
 				opts := core.Options{

@@ -17,7 +17,7 @@ import (
 	"repro/internal/sample"
 )
 
-// Options.PruneMode values.
+// Options.PruneMode values; only bench/kgbench sets them (see PruneMode).
 const (
 	PruneOff    = "off"
 	PruneExact  = "exact"
@@ -53,23 +53,13 @@ type Options struct {
 	// relations, departing from Algorithm 1's per-relation recomputation.
 	// Off by default (faithful mode); see the weight-caching ablation.
 	CacheWeights bool
-	// PruneMode selects the approximate-then-exact ranking path backed by a
-	// prune.Index over the entity table: "" or PruneOff runs the dense
-	// sweeps; PruneExact prunes with sound score bounds and produces output
-	// byte-identical to the dense path; PruneApprox additionally caps the
-	// cells visited per query (PruneProbe) and filters on raw int8 estimates,
-	// trading recall for speed. Any other value is an error.
+	// PruneMode selects the pruned-ranking ablation, which only bench/kgbench
+	// runs: "" or PruneOff is the dense sweep; PruneExact ranks through
+	// PruneIndex with sound bounds, byte-identical to the dense path;
+	// PruneApprox probes ⌈cells/8⌉ cells per query, trading recall for speed.
+	// ROADMAP.md's "Delete internal/prune" item removes it.
 	PruneMode string
-	// PruneCells overrides the index's cell count (0 means ⌈√|E|⌉). It only
-	// matters when the index is built here — a prebuilt PruneIndex keeps the
-	// cell count it was built with.
-	PruneCells int
-	// PruneProbe caps the cells visited per query in PruneApprox mode; ≤ 0
-	// picks ⌈cells/8⌉ of the index. Ignored in PruneExact mode.
-	PruneProbe int
-	// PruneIndex supplies a prebuilt index (e.g. loaded from the checkpoint
-	// sidecar via prune.LoadOrBuild). Nil with pruning enabled builds one
-	// in-process from the model, which costs one k-means pass up front.
+	// PruneIndex is the prune.Build index both pruned modes require.
 	PruneIndex *prune.Index
 	// Calibrator maps raw model scores to probabilities (e.g. a fitted
 	// eval.PlattCalibrator's Prob method). Together with MinProbability it
@@ -153,9 +143,9 @@ type Stats struct {
 	// rows per entity-matrix pass).
 	BatchRows int
 	// CellsPruned counts IVF cells the pruned ranking path discarded by
-	// their score bound without visiting their members (zero with pruning
-	// off). CellsPruned/(CellsPruned+cells visited) is the fraction of the
-	// entity table the coarse index let ranking skip outright.
+	// their score bound without visiting their members; it and PrescreenRows
+	// stay zero outside bench/kgbench's pruned runs. Over cells visited plus
+	// CellsPruned, it is the share of the entity table skipped outright.
 	CellsPruned int
 	// PrescreenRows counts entity rows the pruned path evaluated with the
 	// int8 filter instead of (or before) the exact float kernels.
@@ -269,16 +259,9 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 			return nil, fmt.Errorf("core: model %q does not expose a sweep geometry for pruned ranking", model.Name())
 		}
 		if opts.PruneIndex == nil {
-			tr, ok := model.(kge.Trainable)
-			if !ok {
-				return nil, fmt.Errorf("core: model %q cannot be fingerprinted for pruned ranking", model.Name())
-			}
-			ix, err := prune.Build(sw, kge.Fingerprint(tr), prune.Params{Cells: opts.PruneCells})
-			if err != nil {
-				return nil, fmt.Errorf("core: build prune index: %w", err)
-			}
-			opts.PruneIndex = ix
-		} else if opts.PruneIndex.Geometry() != sw.SweepGeometry() ||
+			return nil, fmt.Errorf("core: prune mode %q needs a PruneIndex", opts.PruneMode)
+		}
+		if opts.PruneIndex.Geometry() != sw.SweepGeometry() ||
 			opts.PruneIndex.NumEntities() != sw.NumEntities() {
 			return nil, fmt.Errorf("core: prune index does not match the model's sweep geometry")
 		}
@@ -471,14 +454,9 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 // PrescreenRows. A cancelled ctx returns ctx.Err() and no ranks.
 func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options, rel *RelationStats) ([]int, []float32, error) {
 	var block func(kg.RelationID, []eval.Group) ([][]int, [][]float32)
-	pruneOn := opts.PruneIndex != nil &&
-		(opts.PruneMode == PruneExact || opts.PruneMode == PruneApprox)
+	pruneOn := opts.PruneIndex != nil
 	if pruneOn {
-		cfg := eval.PruneConfig{
-			Index: opts.PruneIndex,
-			Exact: opts.PruneMode == PruneExact,
-			Probe: opts.PruneProbe,
-		}
+		cfg := eval.PruneConfig{Index: opts.PruneIndex, Exact: opts.PruneMode == PruneExact}
 		var mu sync.Mutex // blocks are ranked concurrently
 		block = func(r kg.RelationID, groups []eval.Group) ([][]int, [][]float32) {
 			rs, ss, st := ranker.RankObjectsPruned(r, groups, opts.TopN, cfg)

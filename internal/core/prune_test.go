@@ -8,39 +8,40 @@ import (
 	"repro/internal/prune"
 )
 
-// TestDiscoverFactsPrunedEquivalence is the end-to-end byte-identity claim
-// behind -prune=exact: exact-mode pruned discovery finds exactly the facts
-// (triples and ranks, in canonical order) of the dense run, under both
-// ranking protocols and both with an in-process index build and a prebuilt
-// index.
-func TestDiscoverFactsPrunedEquivalence(t *testing.T) {
+// tinyIndex builds the prune index every pruned test below ranks through.
+func tinyIndex(t *testing.T) *prune.Index {
+	t.Helper()
 	_, m := tinyTrained(t)
-	sw := m.(kge.ObjectSweeper)
-	ix, err := prune.Build(sw, kge.Fingerprint(m), prune.Params{})
+	ix, err := prune.Build(m.(kge.ObjectSweeper), kge.Fingerprint(m), prune.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ix
+}
+
+// TestDiscoverFactsPrunedEquivalence is the end-to-end byte-identity claim
+// behind PruneExact: exact-mode pruned discovery finds exactly the facts
+// (triples and ranks, in canonical order) of the dense run, under both
+// ranking protocols.
+func TestDiscoverFactsPrunedEquivalence(t *testing.T) {
+	ix := tinyIndex(t)
 	for _, filtered := range []bool{false, true} {
 		base := Options{TopN: 5, MaxCandidates: 60, Seed: 21, RankFiltered: filtered}
 		dense := discover(t, base)
 
-		for _, prebuilt := range []bool{false, true} {
-			opts := base
-			opts.PruneMode = PruneExact
-			if prebuilt {
-				opts.PruneIndex = ix
-			}
-			pruned := discover(t, opts)
+		opts := base
+		opts.PruneMode = PruneExact
+		opts.PruneIndex = ix
+		pruned := discover(t, opts)
 
-			if len(pruned.Facts) != len(dense.Facts) {
-				t.Fatalf("filtered=%v prebuilt=%v: pruned found %d facts, dense %d",
-					filtered, prebuilt, len(pruned.Facts), len(dense.Facts))
-			}
-			for i := range dense.Facts {
-				if pruned.Facts[i] != dense.Facts[i] {
-					t.Fatalf("filtered=%v prebuilt=%v: fact %d differs: pruned %+v dense %+v",
-						filtered, prebuilt, i, pruned.Facts[i], dense.Facts[i])
-				}
+		if len(pruned.Facts) != len(dense.Facts) {
+			t.Fatalf("filtered=%v: pruned found %d facts, dense %d",
+				filtered, len(pruned.Facts), len(dense.Facts))
+		}
+		for i := range dense.Facts {
+			if pruned.Facts[i] != dense.Facts[i] {
+				t.Fatalf("filtered=%v: fact %d differs: pruned %+v dense %+v",
+					filtered, i, pruned.Facts[i], dense.Facts[i])
 			}
 		}
 	}
@@ -80,7 +81,7 @@ func TestDiscoverFactsPrunedEquivalence(t *testing.T) {
 // better reported rank) — recall 1.0 against the dense output by
 // construction, with precision the only thing the probe budget trades away.
 func TestDiscoverFactsPrunedApprox(t *testing.T) {
-	res := discover(t, Options{TopN: 5, MaxCandidates: 60, Seed: 21, PruneMode: PruneApprox, PruneProbe: 1})
+	res := discover(t, Options{TopN: 5, MaxCandidates: 60, Seed: 21, PruneMode: PruneApprox, PruneIndex: tinyIndex(t)})
 	dense := discover(t, Options{TopN: 5, MaxCandidates: 60, Seed: 21})
 	approxRank := map[[3]int32]int{}
 	for _, f := range res.Facts {
@@ -103,6 +104,14 @@ func TestDiscoverFactsPruneModeValidation(t *testing.T) {
 		Options{PruneMode: "sometimes"})
 	if err == nil {
 		t.Fatal("bogus prune mode accepted")
+	}
+	// Pruned modes rank through a caller-built index; there is no
+	// in-process fallback build.
+	for _, mode := range []string{PruneExact, PruneApprox} {
+		if _, err := DiscoverFacts(context.Background(), m, ds.Train, NewEntityFrequency(),
+			Options{TopN: 5, MaxCandidates: 20, Seed: 3, PruneMode: mode}); err == nil {
+			t.Fatalf("mode %q without a PruneIndex accepted", mode)
+		}
 	}
 	// "off" and "" are both the dense path.
 	for _, mode := range []string{"", PruneOff} {

@@ -8,7 +8,8 @@ import (
 	"repro/internal/prune"
 )
 
-// PruneConfig selects the pruned ranking path for a relation block.
+// PruneConfig selects the pruned ranking path for a relation block, an
+// ablation only bench/kgbench runs (ROADMAP.md: "Delete internal/prune").
 type PruneConfig struct {
 	// Index is the prebuilt prune.Index over the model's entity table. It
 	// must match the Ranker's model (same weights, geometry, and shape) —
@@ -16,12 +17,10 @@ type PruneConfig struct {
 	Index *prune.Index
 	// Exact selects the exact mode: results are guaranteed identical to the
 	// dense path (falling back per group when a bound is inconclusive).
-	// Otherwise the approximate mode trades recall for speed: at most Probe
-	// cells are visited and the int8 filter drops rows on its raw estimate.
+	// Otherwise the approximate mode trades recall for speed: at most
+	// ⌈cells/8⌉ cells are visited and the int8 filter drops rows on its raw
+	// estimate.
 	Exact bool
-	// Probe caps the cells visited per query in approximate mode; ≤ 0 picks
-	// ⌈cells/8⌉. Ignored in exact mode.
-	Probe int
 }
 
 // PruneStats reports what the pruned path did for one relation block.
@@ -65,9 +64,9 @@ func (s *PruneStats) add(o prune.Stats) {
 //
 // So a candidate is kept at threshold topN by this path exactly when the
 // dense path keeps it, with an identical rank and score whenever it is kept —
-// which is what makes -prune=exact output byte-identical. Scores are exact
+// which is what makes core.PruneExact output byte-identical. Scores are exact
 // (bit-identical to the dense sweep) in both modes; approximate mode can only
-// misjudge ranks, not scores.
+// misjudge ranks, not scores. Only bench/kgbench reaches this method.
 func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, cfg PruneConfig) (ranks [][]int, scores [][]float32, st PruneStats) {
 	// Named returns: the deferred TakeStats below must fold the searcher's
 	// counters into the st the caller actually receives.
@@ -105,7 +104,7 @@ func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, 
 		}
 		m := topN + len(filtered)
 
-		vals, ok := sr.TopM(g.S, rel, m, !cfg.Exact, cfg.Probe)
+		vals, ok := sr.TopM(g.S, rel, m, !cfg.Exact, 0) // 0 probes ⌈cells/8⌉ in approx mode
 		if ok && cfg.Exact {
 			// Inconclusive frontier: some target score ties s_M exactly.
 			sM := vals[len(vals)-1]

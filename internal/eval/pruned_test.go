@@ -252,8 +252,8 @@ func TestRankObjectsPrunedApprox(t *testing.T) {
 	}
 	groups := []Group{{S: 0, Objects: allObjects}}
 	_, denseScores := perTripleBlock(ranker, 0, groups)
-	ranks, scores, _ := ranker.RankObjectsPruned(0, groups, topN,
-		PruneConfig{Index: fx.index, Probe: 1})
+	// Six cells: approx mode probes ⌈6/8⌉ = 1 of them.
+	ranks, scores, _ := ranker.RankObjectsPruned(0, groups, topN, PruneConfig{Index: fx.index})
 	for i := range denseScores[0] {
 		if scores[0][i] != denseScores[0][i] {
 			t.Fatalf("approx score %x != dense %x", scores[0][i], denseScores[0][i])

@@ -40,9 +40,10 @@ const (
 )
 
 // SweepOptions is the serializable, output-affecting subset of core.Options
-// a fleet sweep supports. Calibrators (functions) and prune indexes
-// (per-host sidecars) are deliberately excluded: a fleet run must be a pure
-// function of what crosses the wire.
+// a fleet sweep supports. Calibrators (functions) are deliberately excluded:
+// a fleet run must be a pure function of what crosses the wire. Every sweep
+// ranks through the dense path; the pruned-ranking ablation is reachable only
+// from bench/kgbench.
 type SweepOptions struct {
 	TopN          int   `json:"top_n"`
 	MaxCandidates int   `json:"max_candidates"`

@@ -184,7 +184,9 @@ func (r *Runner) Model(ctx context.Context, dataset, model string) (kge.Trainabl
 	if r.Cfg.CacheDir != "" {
 		cachePath = filepath.Join(r.Cfg.CacheDir, fmt.Sprintf("%s-%s-s%d-d%d-e%d-seed%d.kge",
 			dataset, model, r.Cfg.Scale, r.Cfg.Dim, r.Cfg.Epochs, r.Cfg.Seed))
-		if m, err := kge.LoadFile(cachePath); err == nil {
+		// Caches written before flat checkpoints are gob; LoadAuto reads
+		// both. A flat cache stays mapped for the life of the process.
+		if m, _, _, err := kge.LoadAuto(cachePath); err == nil {
 			r.logf("model %-22s loaded from cache", key)
 			r.models[key] = m
 			return m, nil
@@ -216,7 +218,7 @@ func (r *Runner) Model(ctx context.Context, dataset, model string) (kge.Trainabl
 
 	if cachePath != "" {
 		if err := os.MkdirAll(r.Cfg.CacheDir, 0o755); err == nil {
-			if err := kge.SaveFile(m, cachePath); err != nil {
+			if err := kge.SaveFlatFile(m, cachePath); err != nil {
 				r.logf("warning: cache %s: %v", cachePath, err)
 			}
 		}

@@ -85,7 +85,7 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 	if opts.Filter != nil {
 		filterLen = opts.Filter.Len()
 	}
-	// Pruning fields join the hash only when pruning is enabled, and via
+	// The prune mode joins the hash only when pruning is enabled, via
 	// omitempty: runs with pruning off (including every journal written
 	// before the pruned path existed) hash exactly as they always did, so
 	// old checkpoints stay resumable. PruneExact is also output-identical to
@@ -96,13 +96,6 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 	pruneMode := opts.PruneMode
 	if pruneMode == core.PruneOff {
 		pruneMode = ""
-	}
-	pruneCells, pruneProbe := 0, 0
-	if pruneMode != "" {
-		pruneCells = opts.PruneCells
-		if pruneMode == core.PruneApprox {
-			pruneProbe = opts.PruneProbe
-		}
 	}
 	canonical := struct {
 		Strategy       string          `json:"strategy"`
@@ -120,8 +113,6 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		GraphEntities  int             `json:"graph_entities"`
 		GraphRelations int             `json:"graph_relations"`
 		PruneMode      string          `json:"prune_mode,omitempty"`
-		PruneCells     int             `json:"prune_cells,omitempty"`
-		PruneProbe     int             `json:"prune_probe,omitempty"`
 	}{
 		Strategy:       strategyName,
 		TopN:           opts.TopN,
@@ -138,8 +129,6 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		GraphEntities:  g.NumEntities(),
 		GraphRelations: g.NumRelations(),
 		PruneMode:      pruneMode,
-		PruneCells:     pruneCells,
-		PruneProbe:     pruneProbe,
 	}
 	b, _ := json.Marshal(canonical)
 	sum := sha256.Sum256(b)

@@ -288,10 +288,9 @@ func TestOptionsHashNormalization(t *testing.T) {
 	}
 }
 
-// TestOptionsHashPruneCompat pins the pruning fields' back-compat contract:
-// with pruning off they must not perturb the hash at all (pre-pruning
-// checkpoints keep resuming), while any enabled pruning configuration must
-// rehash.
+// TestOptionsHashPruneCompat pins the prune mode's back-compat contract:
+// with pruning off it must not perturb the hash at all (pre-pruning
+// checkpoints keep resuming), while either enabled mode must rehash.
 func TestOptionsHashPruneCompat(t *testing.T) {
 	ds, _, _ := testModel(t)
 	rels := ds.Train.RelationIDs()
@@ -300,11 +299,6 @@ func TestOptionsHashPruneCompat(t *testing.T) {
 	off := NormalizeOptions(core.Options{PruneMode: core.PruneOff})
 	if OptionsHash("s", ds.Train, off, rels) != base {
 		t.Error(`PruneMode "off" changed the hash — old WALs would be rejected`)
-	}
-	// Stray knobs with pruning off are inert and must stay out of the hash.
-	offKnobs := NormalizeOptions(core.Options{PruneMode: core.PruneOff, PruneCells: 64, PruneProbe: 3})
-	if OptionsHash("s", ds.Train, offKnobs, rels) != base {
-		t.Error("prune knobs changed the hash while pruning was off")
 	}
 
 	exact := NormalizeOptions(core.Options{PruneMode: core.PruneExact})
@@ -315,19 +309,6 @@ func TestOptionsHashPruneCompat(t *testing.T) {
 	approx := NormalizeOptions(core.Options{PruneMode: core.PruneApprox})
 	if OptionsHash("s", ds.Train, approx, rels) == exactHash {
 		t.Error("exact and approx modes hash identically")
-	}
-	cells := NormalizeOptions(core.Options{PruneMode: core.PruneExact, PruneCells: 64})
-	if OptionsHash("s", ds.Train, cells, rels) == exactHash {
-		t.Error("cell count did not change the hash with pruning on")
-	}
-	// Probe only matters (and only hashes) in approx mode.
-	exactProbe := NormalizeOptions(core.Options{PruneMode: core.PruneExact, PruneProbe: 3})
-	if OptionsHash("s", ds.Train, exactProbe, rels) != exactHash {
-		t.Error("probe changed the hash in exact mode, where it is ignored")
-	}
-	approxProbe := NormalizeOptions(core.Options{PruneMode: core.PruneApprox, PruneProbe: 3})
-	if OptionsHash("s", ds.Train, approxProbe, rels) == OptionsHash("s", ds.Train, approx, rels) {
-		t.Error("probe did not change the hash in approx mode")
 	}
 }
 

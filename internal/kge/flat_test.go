@@ -215,7 +215,7 @@ func TestLoadAutoSniffsBothFormats(t *testing.T) {
 	// fast paths (batched sweeps, pruned ranking) are discovered by type
 	// assertion, and wrapping the model in an interface embed would hide
 	// them — every sweep over a flat checkpoint would silently take the
-	// per-subject fallback and -prune would refuse the model.
+	// per-subject fallback and pruned ranking would refuse the model.
 	if _, isWrapper := fm.(*Mapped); isWrapper {
 		t.Fatalf("LoadAuto(flat) returned the *Mapped wrapper as the model")
 	}

@@ -130,22 +130,16 @@ func Fingerprint(m Trainable) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SidecarPath returns the canonical path of a checkpoint's pruned-ranking
-// index sidecar: the checkpoint path with ".ivf" appended. The sidecar
-// (written and read by internal/prune) is pinned to the checkpoint by the
-// model Fingerprint stored in its header, so a stale sidecar next to
-// retrained weights is detected and rebuilt rather than trusted.
-func SidecarPath(modelPath string) string { return modelPath + ".ivf" }
-
-// SaveFile writes the model to path with the durable-write discipline
-// shared by every checkpoint artifact (internal/fsio): unique temp file,
-// file fsync, atomic rename, directory fsync. A crash at any point leaves
-// either the previous checkpoint or the complete new one, never a torn file.
+// SaveFile writes a gob checkpoint to path with the durable-write discipline
+// shared by every checkpoint artifact (internal/fsio): unique temp file, file
+// fsync, atomic rename, directory fsync. Commands write flat (SaveFlatFile);
+// only bench/kgbench and tests still write gob.
 func SaveFile(m Trainable, path string) error {
 	return fsio.WriteAtomic(path, func(f *os.File) error { return Save(m, f) })
 }
 
-// LoadFile reads a model from path.
+// LoadFile reads a gob checkpoint from path. Commands read through LoadAuto,
+// whose gob branch is the migration path; only bench/kgbench calls LoadFile.
 func LoadFile(path string) (Trainable, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -96,6 +96,7 @@ type QueryModel interface {
 // contract is what lets exact-mode pruning return byte-identical discovery
 // results; Derived meets it because its dense sweeps run the same query
 // through the same kernels.
+// Only bench/kgbench's pruned-ranking ablation still reads this interface.
 type ObjectSweeper interface {
 	Model
 	// SweepGeometry returns the score family of the object sweep.

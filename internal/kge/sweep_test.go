@@ -1,7 +1,6 @@
 package kge
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -120,15 +119,4 @@ func TestObjectSweeperShapes(t *testing.T) {
 			t.Error("conve: expected a sweep bias")
 		}
 	}
-}
-
-func TestSidecarPath(t *testing.T) {
-	if got := SidecarPath("models/transe.kge"); got != "models/transe.kge.ivf" {
-		t.Fatalf("SidecarPath: got %q", got)
-	}
-}
-
-func ExampleSidecarPath() {
-	fmt.Println(SidecarPath("transe.kge"))
-	// Output: transe.kge.ivf
 }

@@ -19,7 +19,7 @@ import (
 // order, closed by a CRC32 (IEEE) of everything before it. Flat arrays keep
 // Load a handful of large reads into pre-sized slices — mmap-friendly and
 // free of per-element decoding — and the trailing checksum turns a torn
-// write into a clean rebuild instead of a corrupt index.
+// write into a clean load error instead of a corrupt index.
 const sidecarMagic = "KGPIVF1\n"
 
 // Save writes the index to w in the sidecar format.
@@ -191,11 +191,12 @@ func (ix *Index) validate() error {
 // fsync. The unique temp name makes concurrent savers of the same path safe
 // (last rename wins with a complete file), and the fsyncs ensure a crash
 // shortly after SaveFile returns cannot resurrect a stale or empty sidecar.
+// Only bench/kgbench and tests call it.
 func (ix *Index) SaveFile(path string) error {
 	return fsio.WriteAtomic(path, func(f *os.File) error { return ix.Save(f) })
 }
 
-// LoadFile reads an index from path.
+// LoadFile reads an index from path. Only bench/kgbench and tests call it.
 func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -203,44 +204,6 @@ func LoadFile(path string) (*Index, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// LoadOrBuild returns a usable index for sw: the sidecar at path when it
-// exists, parses, and matches the model's fingerprint, shape, and requested
-// cell count; otherwise a fresh Build. loaded reports whether the sidecar was
-// reused. A missing, corrupt, or stale sidecar is never an error — it is
-// simply rebuilt — so callers need no cleanup logic when weights are
-// retrained in place.
-//
-// Persistence is deliberately asymmetric. A rebuild caused by a missing or
-// invalid sidecar is written back to path (best effort); a rebuild caused
-// only by a cell-count mismatch is NOT. Two processes serving the same
-// checkpoint with different Cells settings would otherwise overwrite each
-// other's sidecar on every start — an unbounded rebuild/overwrite thrash in
-// which neither process ever loads from disk. Instead the on-disk sidecar is
-// left alone whenever it is valid for the model, and the differently-shaped
-// index lives only in memory.
-func LoadOrBuild(path string, sw kge.ObjectSweeper, fingerprint string, p Params) (ix *Index, loaded bool, err error) {
-	wantCells := p.withDefaults(sw.NumEntities()).Cells
-	diskValid := false
-	if path != "" {
-		if cached, lerr := LoadFile(path); lerr == nil && cached.Matches(sw, fingerprint) {
-			if cached.cells == wantCells {
-				return cached, true, nil
-			}
-			diskValid = true
-		}
-	}
-	ix, err = Build(sw, fingerprint, p)
-	if err != nil {
-		return nil, false, err
-	}
-	if path != "" && !diskValid {
-		// Best effort: a read-only checkpoint directory only costs a rebuild
-		// next run.
-		_ = ix.SaveFile(path)
-	}
-	return ix, false, nil
 }
 
 type crcWriter struct {

@@ -63,68 +63,3 @@ func TestSaveFileConcurrentSavers(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadOrBuildCellsMismatchKeepsSidecar is the regression test for sidecar
-// thrash: when the on-disk sidecar is valid for the model but was built with
-// a different cell count, LoadOrBuild must build the requested shape in
-// memory WITHOUT overwriting the disk copy. Before the fix, two servers with
-// different Cells settings sharing one checkpoint rebuilt and clobbered the
-// sidecar on every start, and neither ever got a cache hit.
-func TestLoadOrBuildCellsMismatchKeepsSidecar(t *testing.T) {
-	sw, fp := testModel(t, "transe", 0, 101)
-	path := filepath.Join(t.TempDir(), "model.kge.ivf")
-
-	if _, _, err := LoadOrBuild(path, sw, fp, Params{Cells: 5}); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulated second process asking for a different cell count.
-	ix9, loaded, err := LoadOrBuild(path, sw, fp, Params{Cells: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded {
-		t.Fatal("cells-mismatched sidecar reported as loaded")
-	}
-	if ix9.cells != 9 {
-		t.Fatalf("in-memory index has %d cells, want the requested 9", ix9.cells)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(onDisk) {
-		t.Fatal("cells mismatch overwrote a valid sidecar (thrash regression)")
-	}
-
-	// The original process still gets its cache hit.
-	_, loaded, err = LoadOrBuild(path, sw, fp, Params{Cells: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded {
-		t.Fatal("valid sidecar no longer loads after a cells-mismatched call")
-	}
-}
-
-// TestLoadOrBuildInvalidSidecarIsReplaced pins the asymmetry: an invalid
-// sidecar (corrupt, or stale fingerprint) IS overwritten by the rebuild, so
-// the no-overwrite rule above never preserves garbage.
-func TestLoadOrBuildInvalidSidecarIsReplaced(t *testing.T) {
-	sw, fp := testModel(t, "distmult", 0, 103)
-	path := filepath.Join(t.TempDir(), "model.kge.ivf")
-	if err := os.WriteFile(path, []byte("torn write debris"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, loaded, err := LoadOrBuild(path, sw, fp, Params{Cells: 5}); err != nil || loaded {
-		t.Fatalf("corrupt sidecar: loaded=%v err=%v", loaded, err)
-	}
-	// The rebuild must have replaced the debris with a loadable sidecar.
-	if _, err := LoadFile(path); err != nil {
-		t.Fatalf("rebuild did not persist over corrupt sidecar: %v", err)
-	}
-}

@@ -2,6 +2,12 @@
 // core.Options.PruneMode: a per-model coarse quantizer over the entity table
 // that turns the exact O(|E|·d) corruption sweep into prescreen-then-rerank.
 //
+// It is a measured ablation, not a user-facing path: on trained embeddings
+// it ranks slower than the dense sweep (EXPERIMENTS.md, "Pruned ranking
+// ablation"). No command or server reaches it; only bench/kgbench imports
+// it, and ROADMAP.md's "Delete internal/prune" item removes the package once
+// the benchmark stops doing so.
+//
 // Two cooperating structures are built once per model checkpoint (keyed by
 // kge.Fingerprint) from the model's kge.ObjectSweeper geometry:
 //
@@ -21,8 +27,8 @@
 // sweep. All bounds are computed in float64 and inflated by a kernel-rounding
 // slack, so they hold for the float32 scores the kernels actually compute,
 // not just for real arithmetic — pruning only ever skips provably losing
-// work, which is what makes -prune=exact byte-identical to -prune=off
-// (DESIGN.md §10 gives the derivations).
+// work, which is what makes core.PruneExact byte-identical to the dense
+// path (DESIGN.md §10 gives the derivations).
 package prune
 
 import (
@@ -144,7 +150,8 @@ func augmentedRows(sw kge.ObjectSweeper) (*vecmath.Matrix, int) {
 }
 
 // Build constructs the index for sweeper's entity table. fingerprint must be
-// the model's kge.Fingerprint; it pins the index to the exact weights.
+// the model's kge.Fingerprint; it pins the index to the exact weights. Only
+// bench/kgbench and tests call it (see the package comment).
 func Build(sw kge.ObjectSweeper, fingerprint string, p Params) (*Index, error) {
 	n := sw.NumEntities()
 	if n < 1 {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -289,59 +287,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal("truncated sidecar loaded without error")
 			}
 		})
-	}
-}
-
-func TestLoadOrBuild(t *testing.T) {
-	sw, fp := testModel(t, "complex", 0, 61)
-	path := filepath.Join(t.TempDir(), "model.kge.ivf")
-
-	ix1, loaded, err := LoadOrBuild(path, sw, fp, Params{Cells: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded {
-		t.Fatal("first call claims a cached sidecar")
-	}
-	ix2, loaded, err := LoadOrBuild(path, sw, fp, Params{Cells: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded {
-		t.Fatal("second call rebuilt instead of loading the sidecar")
-	}
-	if !reflect.DeepEqual(ix1, ix2) {
-		t.Fatal("cached index differs from built index")
-	}
-
-	// A different cell count must not reuse the sidecar.
-	_, loaded, err = LoadOrBuild(path, sw, fp, Params{Cells: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded {
-		t.Fatal("sidecar with wrong cell count was reused")
-	}
-
-	// A stale fingerprint (retrained weights) must trigger a rebuild.
-	_, loaded, err = LoadOrBuild(path, sw, "other-weights", Params{Cells: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded {
-		t.Fatal("stale sidecar was reused across fingerprints")
-	}
-
-	// Corruption must degrade to a rebuild, not an error.
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, loaded, err = LoadOrBuild(path, sw, fp, Params{Cells: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded {
-		t.Fatal("corrupt sidecar was reused")
 	}
 }
 

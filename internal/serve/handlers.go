@@ -335,13 +335,6 @@ func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discove
 		Relations:     relations,
 		Seed:          req.Seed,
 	}}
-	if sm.pruneIndex != nil {
-		// The prebuilt index keeps DiscoverFacts from re-clustering the entity
-		// table on every request.
-		call.opts.PruneMode = s.cfg.PruneMode
-		call.opts.PruneProbe = s.cfg.PruneProbe
-		call.opts.PruneIndex = sm.pruneIndex
-	}
 	return call, true
 }
 

@@ -59,8 +59,6 @@ type metrics struct {
 	scoreSweeps   uint64 // score sweeps: one per distinct (s, r) candidate group
 	batchedSweeps uint64 // relation-blocked batch dispatches (tiled matrix–matrix passes)
 	batchRows     uint64 // query rows carried by those batches
-	prunedCells   uint64 // IVF cells discarded by the pruned ranking path's score bounds
-	prescreenRows uint64 // entity rows evaluated by the int8 prescreen filter
 }
 
 func newMetrics() *metrics {
@@ -119,8 +117,6 @@ func (m *metrics) observeDiscovery(st core.Stats) {
 	m.scoreSweeps += uint64(st.ScoreSweeps)
 	m.batchedSweeps += uint64(st.BatchedSweeps)
 	m.batchRows += uint64(st.BatchRows)
-	m.prunedCells += uint64(st.CellsPruned)
-	m.prescreenRows += uint64(st.PrescreenRows)
 	m.mu.Unlock()
 }
 
@@ -207,8 +203,6 @@ func (m *metrics) writeTo(w io.Writer) {
 	scalar("kgserve_ranking_score_sweeps_total", "Score sweeps run while ranking discovery candidates (one per distinct subject-relation group).", m.scoreSweeps)
 	scalar("kgserve_ranking_batched_sweeps_total", "Relation-blocked batch dispatches: tiled matrix-matrix passes over the entity table.", m.batchedSweeps)
 	scalar("kgserve_ranking_batch_rows_total", "Query rows scored through batched passes; rows/dispatches is the amortization factor.", m.batchRows)
-	scalar("kgserve_ranking_pruned_cells_total", "IVF cells discarded by the pruned ranking path without visiting their members.", m.prunedCells)
-	scalar("kgserve_ranking_pruned_prescreen_rows_total", "Entity rows evaluated by the int8 prescreen filter inside visited cells.", m.prescreenRows)
 	scalar("kgserve_mutation_batches_total", "Mutation batches applied by POST /mutate.", m.mutationBatches)
 	scalar("kgserve_mutation_adds_total", "Mutation ops that inserted a new triple.", m.mutationAdds)
 	scalar("kgserve_mutation_deletes_total", "Mutation ops that removed a present triple.", m.mutationDeletes)

@@ -8,10 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/kge"
-	"repro/internal/prune"
 )
 
 // The multi-model registry. A Server hosts any number of models over one
@@ -31,13 +29,12 @@ import (
 // entry (no new acquisitions) and the last release munmaps.
 
 // servedModel bundles one model's weights with the per-model derived
-// artifacts: ranker, calibrator, prune index, and load provenance.
+// artifacts: ranker, calibrator, and load provenance.
 type servedModel struct {
 	model       kge.Trainable
 	mapped      *kge.Mapped // non-nil iff the weights alias an mmap'd checkpoint
 	ranker      *eval.Ranker
 	calibrator  *eval.PlattCalibrator // nil when no validation split exists
-	pruneIndex  *prune.Index          // non-nil iff cfg.PruneMode enables pruning
 	fingerprint string
 	format      string // "gob", "flat", or "memory" (constructed in process)
 	path        string // checkpoint path, "" for in-memory models
@@ -78,31 +75,15 @@ func (sm *servedModel) retire() {
 func (s *Server) acquireModel(selector string) (*servedModel, error) {
 	s.regMu.RLock()
 	defer s.regMu.RUnlock()
-	fp := selector
-	if fp == "" {
+	if selector == "" {
 		if s.defaultFP == "" {
 			return nil, fmt.Errorf("no default model is loaded (select one by fingerprint)")
 		}
-		fp = s.defaultFP
+		selector = s.defaultFP
 	}
-	sm, ok := s.models[fp]
-	if !ok {
-		// Unique-prefix match: fingerprints are 64 hex chars, so letting
-		// clients send a short prefix keeps hand-typed requests humane.
-		var hits []*servedModel
-		for cand, m := range s.models {
-			if strings.HasPrefix(cand, fp) {
-				hits = append(hits, m)
-			}
-		}
-		switch len(hits) {
-		case 1:
-			sm = hits[0]
-		case 0:
-			return nil, fmt.Errorf("no loaded model matches %q", selector)
-		default:
-			return nil, fmt.Errorf("model selector %q is ambiguous (%d matches)", selector, len(hits))
-		}
+	sm, err := s.resolveLocked(selector)
+	if err != nil {
+		return nil, err
 	}
 	// Incrementing under the registry read lock pairs with retire() running
 	// strictly after removal under the write lock: a model found in the map
@@ -115,12 +96,35 @@ func (s *Server) acquireModel(selector string) (*servedModel, error) {
 	return sm, nil
 }
 
-// addModel builds the per-model artifacts for m and registers it. sidecar is
-// the prune-index sidecar path ("" builds in memory); makeDefault routes
-// selector-less requests to it. Re-adding a fingerprint that is already live
-// is not an error: the existing entry is kept (its sidecar and cache entries
-// stay warm) and only the default flag is applied.
-func (s *Server) addModel(m kge.Trainable, mapped *kge.Mapped, format, path string, loadTime time.Duration, sidecar string, makeDefault bool) (*servedModel, error) {
+// resolveLocked maps a model selector — a fingerprint or a unique prefix of
+// one — to its registry entry. Fingerprints are 64 hex chars, so accepting a
+// short prefix keeps hand-typed requests humane. The caller holds regMu.
+func (s *Server) resolveLocked(selector string) (*servedModel, error) {
+	if sm, ok := s.models[selector]; ok {
+		return sm, nil
+	}
+	var hit *servedModel
+	hits := 0
+	for fp, sm := range s.models {
+		if strings.HasPrefix(fp, selector) {
+			hit = sm
+			hits++
+		}
+	}
+	switch hits {
+	case 1:
+		return hit, nil
+	case 0:
+		return nil, fmt.Errorf("no loaded model matches %q", selector)
+	}
+	return nil, fmt.Errorf("model selector %q is ambiguous (%d matches)", selector, hits)
+}
+
+// addModel builds the per-model artifacts for m and registers it;
+// makeDefault routes selector-less requests to it. Re-adding a fingerprint
+// that is already live is not an error: the existing entry is kept (its cache
+// entries stay warm) and only the default flag is applied.
+func (s *Server) addModel(m kge.Trainable, mapped *kge.Mapped, format, path string, loadTime time.Duration, makeDefault bool) (*servedModel, error) {
 	if m.NumEntities() < s.ds.Train.Entities.Len() {
 		return nil, fmt.Errorf("serve: model covers %d entities, dataset has %d", m.NumEntities(), s.ds.Train.Entities.Len())
 	}
@@ -156,33 +160,6 @@ func (s *Server) addModel(m kge.Trainable, mapped *kge.Mapped, format, path stri
 		path:        path,
 		loadTime:    loadTime,
 	}
-	switch s.cfg.PruneMode {
-	case "", core.PruneOff:
-		// Dense sweeps; no index.
-	case core.PruneExact, core.PruneApprox:
-		sw, ok := m.(kge.ObjectSweeper)
-		if !ok {
-			return nil, fmt.Errorf("serve: prune mode %q requires a sweepable model, %T is not", s.cfg.PruneMode, m)
-		}
-		// One index per model serves every request against it: DiscoverFacts
-		// sees a prebuilt PruneIndex and skips its own per-call build.
-		// LoadOrBuild falls back to an in-memory build on any sidecar
-		// problem, so loading only fails on a truly unusable model.
-		ix, loaded, err := prune.LoadOrBuild(sidecar, sw, fp, prune.Params{Cells: s.cfg.PruneCells})
-		if err != nil {
-			return nil, fmt.Errorf("serve: building prune index: %w", err)
-		}
-		if sidecar != "" {
-			verb := "built"
-			if loaded {
-				verb = "loaded"
-			}
-			s.cfg.Logger.Printf("kgserve: %s prune index (%d cells) for sidecar %s", verb, ix.Cells(), sidecar)
-		}
-		sm.pruneIndex = ix
-	default:
-		return nil, fmt.Errorf("serve: unknown prune mode %q (want off, exact, or approx)", s.cfg.PruneMode)
-	}
 	if s.ds.Valid.Len() > 0 {
 		s.kgMu.RLock()
 		cal, err := eval.FitPlatt(m, s.ds.Valid, s.all, eval.CalibrationOptions{Seed: 1})
@@ -213,15 +190,14 @@ func (s *Server) addModel(m kge.Trainable, mapped *kge.Mapped, format, path stri
 }
 
 // LoadModelFile reads a checkpoint (flat or gob, sniffed) from disk and
-// registers it. The prune sidecar lives next to the checkpoint
-// (kge.SidecarPath). Used by kgserve's -models flag and POST /models.
+// registers it. Used by kgserve's -models flag and POST /models.
 func (s *Server) LoadModelFile(path string, makeDefault bool) (*servedModel, error) {
 	start := time.Now()
 	m, mapped, format, err := kge.LoadAuto(path)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := s.addModel(m, mapped, format, path, time.Since(start), kge.SidecarPath(path), makeDefault)
+	sm, err := s.addModel(m, mapped, format, path, time.Since(start), makeDefault)
 	if err != nil && mapped != nil {
 		mapped.Close()
 	}
@@ -235,25 +211,11 @@ func (s *Server) LoadModelFile(path string, makeDefault bool) (*servedModel, err
 func (s *Server) unloadModel(selector string) (string, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	sm, ok := s.models[selector]
-	fp := selector
-	if !ok {
-		var hits []string
-		for cand := range s.models {
-			if strings.HasPrefix(cand, selector) {
-				hits = append(hits, cand)
-			}
-		}
-		switch len(hits) {
-		case 1:
-			fp = hits[0]
-			sm = s.models[fp]
-		case 0:
-			return "", fmt.Errorf("no loaded model matches %q", selector)
-		default:
-			return "", fmt.Errorf("model selector %q is ambiguous (%d matches)", selector, len(hits))
-		}
+	sm, err := s.resolveLocked(selector)
+	if err != nil {
+		return "", err
 	}
+	fp := sm.fingerprint
 	delete(s.models, fp)
 	if s.defaultFP == fp {
 		s.defaultFP = ""
@@ -279,7 +241,6 @@ type modelView struct {
 	Path        string  `json:"path,omitempty"`
 	Default     bool    `json:"default"`
 	Calibrated  bool    `json:"calibrated"`
-	Pruned      bool    `json:"pruned"`
 	MappedBytes int     `json:"mapped_bytes,omitempty"`
 	LoadMS      float64 `json:"load_ms"`
 	InFlight    int     `json:"in_flight"`
@@ -294,7 +255,6 @@ func (s *Server) viewOf(sm *servedModel, isDefault bool) modelView {
 		Path:        sm.path,
 		Default:     isDefault,
 		Calibrated:  sm.calibrator != nil,
-		Pruned:      sm.pruneIndex != nil,
 		LoadMS:      float64(sm.loadTime.Microseconds()) / 1000,
 	}
 	if sm.mapped != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,6 +168,69 @@ func TestModelDefaultSwap(t *testing.T) {
 	}
 	if rec, _ := doReq(t, h, "POST", "/score", scoreReq); rec.Code != http.StatusOK {
 		t.Fatalf("selector-less request after swap: %d, want 200", rec.Code)
+	}
+}
+
+// TestModelSelectorResolution runs one selector table through both callers of
+// the registry's resolver — /score (acquireModel) and DELETE /models/{fp}
+// (unloadModel) — so the two cannot drift apart again. Extra models are
+// loaded until two fingerprints share a first hex digit, which makes the
+// ambiguous case whatever the weights are.
+func TestModelSelectorResolution(t *testing.T) {
+	srv := newTestServer(t, nil)
+	h := srv.Handler()
+	dir := t.TempDir()
+	byFirst := map[byte]string{srv.Fingerprint()[0]: srv.Fingerprint()}
+	var a, b string
+	for seed := int64(100); a == ""; seed++ {
+		path, fp := secondModel(t, dir, seed)
+		if _, err := srv.LoadModelFile(path, false); err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := byFirst[fp[0]]; ok {
+			a, b = prev, fp
+		}
+		byFirst[fp[0]] = fp
+	}
+	shared := 0
+	for a[shared] == b[shared] {
+		shared++
+	}
+
+	ds := srv.ds
+	scoreReq := func(selector string) map[string]any {
+		return map[string]any{
+			"subject": ds.Train.Entities.Name(0), "relation": ds.Train.Relations.Name(0),
+			"object": ds.Train.Entities.Name(1), "model": selector,
+		}
+	}
+	// Ordered so that only the last case changes the registry.
+	for _, c := range []struct {
+		name, selector string
+		code           int
+		errPart        string
+	}{
+		{"no match", "zz", http.StatusNotFound, "no loaded model matches"},
+		{"ambiguous", a[:shared], http.StatusNotFound, "ambiguous"},
+		{"unique prefix", a[:shared+1], http.StatusOK, ""},
+	} {
+		rec, body := doReq(t, h, "POST", "/score", scoreReq(c.selector))
+		if rec.Code != c.code {
+			t.Errorf("%s: /score %d %v, want %d", c.name, rec.Code, body, c.code)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, c.errPart) {
+			t.Errorf("%s: /score error %q, want one containing %q", c.name, msg, c.errPart)
+		}
+		rec, body = doReq(t, h, "DELETE", "/models/"+c.selector, nil)
+		if rec.Code != c.code {
+			t.Errorf("%s: DELETE %d %v, want %d", c.name, rec.Code, body, c.code)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, c.errPart) {
+			t.Errorf("%s: DELETE error %q, want one containing %q", c.name, msg, c.errPart)
+		}
+		if c.code == http.StatusOK && body["unloaded"] != a {
+			t.Errorf("%s: DELETE unloaded %v, want %s", c.name, body["unloaded"], a)
+		}
 	}
 }
 

@@ -84,21 +84,6 @@ type Config struct {
 	// default: the profiling endpoints expose stacks and heap contents, so
 	// they are opt-in (kgserve -pprof) rather than always-on.
 	EnablePprof bool
-	// PruneMode selects the pruned ranking path for every discovery sweep
-	// the server runs (synchronous /discover and async jobs): "" or "off"
-	// (dense sweeps, the default), "exact" (byte-identical output), or
-	// "approx" (see core.Options.PruneMode). With pruning enabled the index
-	// is loaded from PruneIndexPath or built once at startup.
-	PruneMode string
-	// PruneCells overrides the prune index cell count; 0 means ⌈√|E|⌉.
-	PruneCells int
-	// PruneProbe caps cells visited per query in approx mode; ≤ 0 picks
-	// ⌈cells/8⌉.
-	PruneProbe int
-	// PruneIndexPath, when set with pruning enabled, persists the prune
-	// index sidecar there (and reuses it across restarts when it still
-	// matches the weights). Empty builds in memory each startup.
-	PruneIndexPath string
 	// MaxMutationOps caps the ops in one POST /mutate batch; larger batches
 	// get 413. Default 1000; negative disables the endpoint (503).
 	MaxMutationOps int
@@ -214,7 +199,7 @@ func New(ds *kg.Dataset, model kge.Trainable, cfg Config) (*Server, error) {
 		s.mut.AttachLog(mlog)
 		s.mutLog = mlog
 	}
-	if _, err := s.addModel(model, nil, "memory", "", 0, cfg.PruneIndexPath, true); err != nil {
+	if _, err := s.addModel(model, nil, "memory", "", 0, true); err != nil {
 		if s.mutLog != nil {
 			s.mutLog.Close()
 		}

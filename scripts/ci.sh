@@ -5,9 +5,10 @@
 # tests, the benchmark module and its smoke, a serving-layer race gate, the
 # decoder / log-framing / projection / counting-pass / sweep-kernel fuzz
 # smokes, the vecmath bounds-check budget and the three line budgets, then
-# the end-to-end gates on real binaries: training determinism, pruned-ranking
-# byte identity, WAL compatibility, live mutation, kgserve smoke,
-# crash-resume, fleet fault tolerance, and gob == flat serving with hot swap.
+# the end-to-end gates on real binaries: training determinism, WAL
+# compatibility, live mutation, kgserve smoke, crash-resume, fleet fault
+# tolerance, gob-to-flat conversion of a pinned gob checkpoint, and flat
+# serving with hot swap.
 # Discovery and the evaluation protocol (both sides) rank through one
 # concurrent block scheduler (internal/eval.(*Ranker).RankTriples), so the
 # race detector is mandatory, not optional, on every PR. The determinism gate
@@ -127,22 +128,24 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count with kge's pooled sweep queries, which leave a one-object rank
-# allocating only its results (5 877 with Evaluate's subject side ranked by
-# eval's one scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with
-# one ranking scheduler, in eval; 5 978 with core.rankAll beside
+# count once no command can build a prune index or name a sidecar (5 900
+# with kge's pooled sweep queries; 5 877 with Evaluate's subject side ranked
+# by eval's one scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884
+# with one ranking scheduler, in eval; 5 978 with core.rankAll beside
 # eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5900 \
+hold_lines 'internal/{kge,eval,train,core}' 5872 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count with /query's bounded top-k
-# heap in serve (5 440 with one discover-request parser in serve;
-# 5 459 when the two logs became internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5488 \
+# two that put bytes on disk for them: the count once the server lost its
+# prune options and its registry resolves selectors in one place (5 488 with
+# /query's bounded top-k heap in serve; 5 440 with one discover-request
+# parser in serve; 5 459 when the two logs became internal/wal).
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5410 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The commands: flag parsing and wiring only, so a command that grows is a
-# package that should have.
-hold_lines 'cmd/*/main.go' 1818 cmd
+# package that should have (1 818 before -prune, kgtrain -format and
+# kgconvert -to went).
+hold_lines 'cmd/*/main.go' 1741 cmd
 
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
@@ -177,40 +180,17 @@ for obj in negsample kvsall; do
   echo "$obj: workers-invariant checkpoint sha256 $d1"
 done
 
-echo "== pruned-ranking byte-identity gate =="
-# -prune=exact is a search-order change over provable score bounds, not a
-# numerical one: every model × protocol must discover byte-identical TSVs
-# with pruning on and off. The ident-$m.kge models trained here on the
-# determinism smoke's tiny dataset are reused by the WAL-compat and
-# live-mutation gates below. top_n is small (20) on purpose — the tiny CI
-# dataset has |E| = 80, and a larger top_n would make the frontier M ≥ |E|,
-# forcing the per-group dense fallback everywhere and leaving the pruned path
-# untested.
+echo "== WAL-compat gate =="
+# One checkpoint per model on the determinism smoke's tiny dataset, each a
+# flat file written by kgtrain; the WAL-compat and live-mutation gates below
+# use the DistMult one. A journal written under default flags (the OptionsHash
+# golden test pins its digest, so every older journal hashes the same) must
+# resume to the uninterrupted run's bytes.
 go build -o "$tmp/kgdiscover" ./cmd/kgdiscover
 for m in transe distmult complex rescal hole conve; do
   "$tmp/kgtrain" -data "$tmp/data" -model "$m" -dim 16 -epochs 1 \
     -seed 11 -quiet -out "$tmp/ident-$m.kge" >/dev/null
-  for filt in false true; do
-    for p in off exact; do
-      "$tmp/kgdiscover" -data "$tmp/data" -model "$tmp/ident-$m.kge" \
-        -strategy graph_degree -top_n 20 -max_candidates 200 -seed 3 \
-        -limit 0 -rank_filtered="$filt" -prune="$p" \
-        -out "$tmp/prune-$m-$filt-$p.tsv" >/dev/null
-    done
-    if ! cmp -s "$tmp/prune-$m-$filt-off.tsv" "$tmp/prune-$m-$filt-exact.tsv"; then
-      echo "pruned byte-identity gate FAILED: $m (rank_filtered=$filt) exact and off TSVs differ" >&2
-      exit 1
-    fi
-  done
 done
-echo "pruned byte-identity gate: 6 models x 2 protocols, -prune=exact == -prune=off"
-
-echo "== pruning WAL-compat gate =="
-# Checkpoints written with pruning off (including every journal that
-# predates the prune layer — the OptionsHash golden test pins that digest)
-# must resume under default flags, and must NOT resume under -prune=exact:
-# pruned and dense runs are different run identities even though their
-# outputs agree, because approx mode would not be.
 waldisc() {
   "$tmp/kgdiscover" -data "$tmp/data" -model "$tmp/ident-distmult.kge" \
     -strategy graph_degree -top_n 20 -max_candidates 200 -seed 3 -limit 0 "$@"
@@ -219,19 +199,10 @@ waldisc -out "$tmp/walfull.tsv" >/dev/null
 waldisc -checkpoint "$tmp/compat.wal" >/dev/null
 waldisc -checkpoint "$tmp/compat.wal" -resume -out "$tmp/walresumed.tsv" >/dev/null
 if ! cmp -s "$tmp/walfull.tsv" "$tmp/walresumed.tsv"; then
-  echo "WAL-compat gate FAILED: resume with pruning off changed the output" >&2
+  echo "WAL-compat gate FAILED: resuming a complete journal changed the output" >&2
   exit 1
 fi
-if waldisc -checkpoint "$tmp/compat.wal" -resume -prune=exact >"$tmp/walprune.log" 2>&1; then
-  echo "WAL-compat gate FAILED: a pruning-off checkpoint resumed under -prune=exact" >&2
-  exit 1
-fi
-if ! grep -q "options" "$tmp/walprune.log"; then
-  echo "WAL-compat gate FAILED: expected an options-mismatch refusal, got:" >&2
-  cat "$tmp/walprune.log" >&2
-  exit 1
-fi
-echo "WAL-compat gate: pruning-off checkpoint resumes clean, -prune=exact resume refused"
+echo "WAL-compat gate: 6 models trained, a complete journal resumes byte-identical"
 
 echo "== live-mutation incremental gate =="
 # Apply a mutation batch and re-discover incrementally (only the dirtied
@@ -464,64 +435,52 @@ if ! cmp -s "$tmp/full.tsv" "$tmp/fleet.tsv"; then
 fi
 echo "fleet gate: worker SIGKILLed mid-lease, $reassigned reassignment(s), byte-identical output"
 
-echo "== flat-checkpoint serving + hot-swap gate =="
-# Serve the same trained weights from both checkpoint containers (gob decode
-# vs mmap flat) and require the /discover bodies identical — facts, total,
-# and mrr byte-for-byte; only the wall-clock runtime_ms field is normalized.
-# Then exercise the multi-model registry on the flat server: load a second
-# model at runtime, route to it by fingerprint prefix, unload the first
+echo "== gob-to-flat conversion gate =="
+# Gob is read-only: no command writes it, and kgconvert is the migration path
+# for gob checkpoints already on disk. Convert the checked-in gob checkpoint
+# (written once, never regenerated) and require the fingerprint kgconvert
+# verifies on the flat output to be the one internal/kge's tests pin.
+go build -o "$tmp/kgconvert" ./cmd/kgconvert
+gob_fixture_fp=decd60db5e6b022e4ead7c00cae71c7877025eb63cc85c3245e3f6406d4223c9
+"$tmp/kgconvert" -in internal/kge/testdata/distmult.kge -out "$tmp/fixture.kgf" >"$tmp/conv.log"
+fp_conv="$(sed -n 's/.*fingerprint \([0-9a-f]*\)$/\1/p' "$tmp/conv.log")"
+if [ "$fp_conv" != "$gob_fixture_fp" ]; then
+  echo "conversion gate FAILED: converted fingerprint '$fp_conv', pinned $gob_fixture_fp" >&2
+  exit 1
+fi
+echo "conversion gate: gob fixture -> flat, fingerprint ${fp_conv:0:12} as pinned"
+
+echo "== flat-checkpoint hot-swap gate =="
+# Exercise the multi-model registry over two flat checkpoints: serve one, load
+# a second at runtime, route to it by fingerprint prefix, unload the first
 # (the default), and require 404s for the unloaded fingerprint while the
 # second keeps serving.
-go build -o "$tmp/kgconvert" ./cmd/kgconvert
-"$tmp/kgconvert" -in "$tmp/negsample-w1.kge" -out "$tmp/flat-a.kgf" >"$tmp/conv-a.log"
-fp_a="$(sed -n 's/.*fingerprint \([0-9a-f]*\)$/\1/p' "$tmp/conv-a.log")"
 "$tmp/kgtrain" -data "$tmp/data" -model distmult -dim 16 -epochs 2 \
-  -seed 23 -quiet -out "$tmp/model-b.kge" >/dev/null
-"$tmp/kgconvert" -in "$tmp/model-b.kge" -out "$tmp/flat-b.kgf" >"$tmp/conv-b.log"
-fp_b="$(sed -n 's/.*fingerprint \([0-9a-f]*\)$/\1/p' "$tmp/conv-b.log")"
+  -seed 23 -quiet -out "$tmp/model-b.kge" >"$tmp/model-b.log"
+fp_a="$(digest_of "$tmp/negsample-w1.log")"
+fp_b="$(digest_of "$tmp/model-b.log")"
 if [ -z "$fp_a" ] || [ -z "$fp_b" ] || [ "$fp_a" = "$fp_b" ]; then
   echo "hot-swap gate FAILED: bad fingerprints a='$fp_a' b='$fp_b'" >&2
   exit 1
 fi
 
-scrape_addr() {
-  local a="" log="$1"
-  for _ in $(seq 1 100); do
-    a="$(sed -n 's/.*listening on \(127\.0\.0\.1:[0-9]*\).*/\1/p' "$log" | head -n 1)"
-    [ -n "$a" ] && break
-    sleep 0.1
-  done
-  echo "$a"
-}
-
 "$tmp/kgserve" -data "$tmp/data" -model "$tmp/negsample-w1.kge" \
-  -addr 127.0.0.1:0 >"$tmp/serve-gob.log" 2>&1 &
-gob_pid=$!
-"$tmp/kgserve" -data "$tmp/data" -model "$tmp/flat-a.kgf" \
   -addr 127.0.0.1:0 >"$tmp/serve-flat.log" 2>&1 &
 flat_pid=$!
-gob_addr="$(scrape_addr "$tmp/serve-gob.log")"
-flat_addr="$(scrape_addr "$tmp/serve-flat.log")"
-if [ -z "$gob_addr" ] || [ -z "$flat_addr" ]; then
-  echo "hot-swap gate FAILED: a server never reported its address" >&2
-  cat "$tmp/serve-gob.log" "$tmp/serve-flat.log" >&2
+flat_addr=""
+for _ in $(seq 1 100); do
+  flat_addr="$(sed -n 's/.*listening on \(127\.0\.0\.1:[0-9]*\).*/\1/p' "$tmp/serve-flat.log" | head -n 1)"
+  [ -n "$flat_addr" ] && break
+  sleep 0.1
+done
+if [ -z "$flat_addr" ]; then
+  echo "hot-swap gate FAILED: the server never reported its address" >&2
+  cat "$tmp/serve-flat.log" >&2
   exit 1
 fi
 
 swap_body='{"strategy":"graph_degree","top_n":20,"max_candidates":30,"limit":5,"seed":3}'
-curl -fsS -X POST -d "$swap_body" "http://$gob_addr/discover" \
-  | sed 's/"runtime_ms":[0-9]*/"runtime_ms":0/' >"$tmp/disc-gob.json"
-curl -fsS -X POST -d "$swap_body" "http://$flat_addr/discover" \
-  | sed 's/"runtime_ms":[0-9]*/"runtime_ms":0/' >"$tmp/disc-flat.json"
-if ! cmp -s "$tmp/disc-gob.json" "$tmp/disc-flat.json"; then
-  echo "hot-swap gate FAILED: gob-served and flat-served /discover bodies differ" >&2
-  diff "$tmp/disc-gob.json" "$tmp/disc-flat.json" >&2 || true
-  exit 1
-fi
-kill -TERM "$gob_pid"
-wait "$gob_pid" || { echo "hot-swap gate FAILED: gob server unclean exit" >&2; exit 1; }
-
-curl -fsS -X POST -d "{\"path\":\"$tmp/flat-b.kgf\"}" "http://$flat_addr/models" >/dev/null
+curl -fsS -X POST -d "{\"path\":\"$tmp/model-b.kge\"}" "http://$flat_addr/models" >/dev/null
 models_listed="$(curl -fsS "http://$flat_addr/models" | grep -o '"fingerprint"' | wc -l)"
 if [ "$models_listed" -ne 2 ]; then
   echo "hot-swap gate FAILED: expected 2 loaded models, GET /models listed $models_listed" >&2
@@ -545,6 +504,6 @@ curl -fsS -X POST \
   "http://$flat_addr/discover" >/dev/null
 kill -TERM "$flat_pid"
 wait "$flat_pid" || { echo "hot-swap gate FAILED: flat server unclean exit" >&2; exit 1; }
-echo "hot-swap gate: gob == flat /discover, runtime load/route/unload clean, 404 after unload"
+echo "hot-swap gate: two flat checkpoints, runtime load/route/unload clean, 404 after unload"
 
 echo "CI OK"
