@@ -59,9 +59,16 @@ func goldenDataset(t *testing.T) *kg.Dataset {
 	return ds
 }
 
-// goldenTrain trains a fresh model for two epochs. BatchSize 48 gives three
-// gradient chunks per batch, so the worker count has something to permute.
+// goldenTrain trains a fresh model for two epochs with Adam and no weight
+// decay.
 func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers int) kge.Trainable {
+	t.Helper()
+	m := goldenModel(t, ds, name)
+	goldenRun(t, m, ds, kvsAll, goldenConfig(workers))
+	return m
+}
+
+func goldenModel(t *testing.T, ds *kg.Dataset, name string) kge.Trainable {
 	t.Helper()
 	cfg := kge.Config{
 		NumEntities:  ds.Train.Entities.Len(),
@@ -76,9 +83,18 @@ func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers
 	if err != nil {
 		t.Fatalf("new %s: %v", name, err)
 	}
-	tcfg := train.Config{
-		Epochs: 2, BatchSize: 48, NegSamples: 4, Workers: workers, Seed: 9,
-	}
+	return m
+}
+
+// goldenConfig is two epochs of BatchSize 48: three gradient chunks per
+// batch, so the worker count has something to permute.
+func goldenConfig(workers int) train.Config {
+	return train.Config{Epochs: 2, BatchSize: 48, NegSamples: 4, Workers: workers, Seed: 9}
+}
+
+func goldenRun(t *testing.T, m kge.Trainable, ds *kg.Dataset, kvsAll bool, tcfg train.Config) {
+	t.Helper()
+	var err error
 	ctx := context.Background()
 	if kvsAll {
 		_, err = train.RunKvsAll(ctx, m, ds, tcfg, 0.1)
@@ -86,9 +102,8 @@ func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers
 		_, err = train.Run(ctx, m, ds, tcfg)
 	}
 	if err != nil {
-		t.Fatalf("train %s: %v", name, err)
+		t.Fatalf("train %s: %v", m.Name(), err)
 	}
-	return m
 }
 
 // factsDigest hashes the discovered facts (triple and rank) in sorted order.
@@ -119,6 +134,47 @@ func TestGoldenDigests(t *testing.T) {
 				m := goldenTrain(t, ds, name, obj == "kvsall", workers)
 				key := fmt.Sprintf("checkpoint/%s/%s/batched/w%d", name, obj, workers)
 				got[key] = kge.Fingerprint(m)
+			}
+		}
+	}
+
+	// (a') The optimizer step beyond Adam at L2 = 0: the other two optimizers,
+	// Adam with weight decay, and TransE trained by two consecutive runs with
+	// its entity table edited in between — every third row scaled by 3, so the
+	// second run's first step must project rows that no step touched.
+	steps := []struct {
+		name string
+		set  func(*train.Config)
+	}{
+		{"sgd", func(c *train.Config) { c.Optimizer = train.NewSGD(0.05) }},
+		{"adagrad", func(c *train.Config) { c.Optimizer = train.NewAdagrad(0.05) }},
+		{"adam-l2", func(c *train.Config) { c.L2 = 0.01 }},
+	}
+	for _, name := range models {
+		for _, obj := range []string{"negsample", "kvsall"} {
+			for _, workers := range []int{1, 4} {
+				for _, s := range steps {
+					m := goldenModel(t, ds, name)
+					tcfg := goldenConfig(workers)
+					s.set(&tcfg)
+					goldenRun(t, m, ds, obj == "kvsall", tcfg)
+					got[fmt.Sprintf("checkpoint/%s/%s/%s/w%d", name, obj, s.name, workers)] = kge.Fingerprint(m)
+				}
+				if name != "transe" && name != "transe_l2" {
+					continue
+				}
+				m := goldenModel(t, ds, name)
+				goldenRun(t, m, ds, obj == "kvsall", goldenConfig(workers))
+				ent := m.Params().Get("entity").M
+				for row := 0; row < ent.Rows; row += 3 {
+					for i, v := range ent.Row(row) {
+						ent.Row(row)[i] = 3 * v
+					}
+				}
+				tcfg := goldenConfig(workers)
+				tcfg.Seed = 10
+				goldenRun(t, m, ds, obj == "kvsall", tcfg)
+				got[fmt.Sprintf("checkpoint/%s/%s/rerun/w%d", name, obj, workers)] = kge.Fingerprint(m)
 			}
 		}
 	}

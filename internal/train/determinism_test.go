@@ -58,12 +58,11 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 				}
 				return kge.Fingerprint(m)
 			}
-			w1, w4, w4b := train(1), train(4), train(4)
-			if w1 != w4 {
-				t.Errorf("%s: workers=1 digest %s != workers=4 digest %s", name, w1, w4)
-			}
-			if w4 != w4b {
-				t.Errorf("%s: repeated workers=4 runs diverged: %s vs %s", name, w4, w4b)
+			w1 := train(1)
+			for _, workers := range []int{2, 3, 4, 8} {
+				if w := train(workers); w != w1 {
+					t.Errorf("%s: workers=%d digest %s != workers=1 digest %s", name, workers, w, w1)
+				}
 			}
 		})
 	}
@@ -86,8 +85,11 @@ func TestRunKvsAllWorkerCountInvariant(t *testing.T) {
 				}
 				return kge.Fingerprint(m)
 			}
-			if w1, w4 := train(1), train(4); w1 != w4 {
-				t.Errorf("%s: KvsAll workers=1 digest %s != workers=4 digest %s", name, w1, w4)
+			w1 := train(1)
+			for _, workers := range []int{2, 3, 8} {
+				if w := train(workers); w != w1 {
+					t.Errorf("%s: KvsAll workers=%d digest %s != workers=1 digest %s", name, workers, w, w1)
+				}
 			}
 		})
 	}
