@@ -43,7 +43,7 @@ func (m *ComplEx) Score(t kg.Triple) float32 {
 }
 
 // ScoreWithContext implements QueryModel.
-func (m *ComplEx) ScoreWithContext(t kg.Triple) (float32, GradContext) {
+func (m *ComplEx) ScoreWithContext(t kg.Triple, _ GradContext) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
@@ -53,7 +53,7 @@ func (m *ComplEx) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 //	q_im = s_im∘r_re + s_re∘r_im   (coefficient of o_im)
 //
 // so the object sweep is a single product over the 2d storage.
-func (m *ComplEx) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
+func (m *ComplEx) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, _ GradContext) GradContext {
 	d := m.cfg.Dim
 	sre, sim := m.split(m.ent.M.Row(int(s)))
 	rre, rim := m.split(m.rel.M.Row(int(r)))
@@ -73,8 +73,8 @@ func (m *ComplEx) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradCont
 	sre, sim := m.split(m.ent.M.Row(int(s)))
 	rre, rim := m.split(m.rel.M.Row(int(r)))
 	wre, wim := m.split(dq)
-	gs := gb.Row("entity", int(s))
-	gr := gb.Row("relation", int(r))
+	gs := gb.Row(m.ent, int(s))
+	gr := gb.Row(m.rel, int(r))
 	for i := 0; i < d; i++ {
 		gs[i] += rre[i]*wre[i] + rim[i]*wim[i]
 		gs[d+i] += rre[i]*wim[i] - rim[i]*wre[i]
@@ -107,8 +107,8 @@ func (m *ComplEx) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []floa
 	rre, rim := m.split(m.rel.M.Row(int(r)))
 	ore, oim := m.split(m.ent.M.Row(int(o)))
 	wre, wim := m.split(dq)
-	gr := gb.Row("relation", int(r))
-	go_ := gb.Row("entity", int(o))
+	gr := gb.Row(m.rel, int(r))
+	go_ := gb.Row(m.ent, int(o))
 	for i := 0; i < d; i++ {
 		gr[i] += wre[i]*ore[i] + wim[i]*oim[i]
 		gr[d+i] += wre[i]*oim[i] - wim[i]*ore[i]
@@ -124,9 +124,9 @@ func (m *ComplEx) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, g
 	sre, sim := m.split(m.ent.M.Row(int(t.S)))
 	rre, rim := m.split(m.rel.M.Row(int(t.R)))
 	ore, oim := m.split(m.ent.M.Row(int(t.O)))
-	gs := gb.Row("entity", int(t.S))
-	gr := gb.Row("relation", int(t.R))
-	go_ := gb.Row("entity", int(t.O))
+	gs := gb.Row(m.ent, int(t.S))
+	gr := gb.Row(m.rel, int(t.R))
+	go_ := gb.Row(m.ent, int(t.O))
 	for i := 0; i < d; i++ {
 		gs[i] += upstream * (rre[i]*ore[i] + rim[i]*oim[i])
 		gs[d+i] += upstream * (rre[i]*oim[i] - rim[i]*ore[i])

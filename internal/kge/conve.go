@@ -97,25 +97,29 @@ func squarestFactors(d int) (int, int) {
 	return 1, d
 }
 
-// conveCtx caches the forward activations needed for backprop.
+// conveCtx holds a forward pass's activations and the backward pass's buffers.
 type conveCtx struct {
-	input  []float32 // 2h×w stacked image, row-major
-	z1     []float32 // conv pre-activations, filters×oh×ow
-	x      []float32 // flattened post-ReLU conv output, length flat
-	z2     []float32 // fc pre-activations, length d
-	hidden []float32 // post-ReLU hidden, length d
+	input               []float32 // 2h×w stacked image, row-major
+	z1                  []float32 // conv pre-activations, filters×oh×ow
+	x                   []float32 // flattened post-ReLU conv output, length flat
+	z2                  []float32 // fc pre-activations, length d
+	hidden              []float32 // post-ReLU hidden, length d
+	dh, dz2, dx, dinput []float32 // backward buffers: d, d, flat and 2d long
 }
 
-// forward computes the hidden vector for (s, r).
-func (m *ConvE) forward(s kg.EntityID, r kg.RelationID) *conveCtx {
-	d := m.cfg.Dim
-	c := &conveCtx{
-		input:  make([]float32, 2*d),
-		z1:     make([]float32, m.flat),
-		x:      make([]float32, m.flat),
-		z2:     make([]float32, d),
-		hidden: make([]float32, d),
+// forward computes the hidden vector for (s, r) into reuse when it is a
+// context an earlier call returned, or else into a new one.
+func (m *ConvE) forward(reuse GradContext, s kg.EntityID, r kg.RelationID) *conveCtx {
+	d, f := m.cfg.Dim, m.flat
+	c, _ := reuse.(*conveCtx)
+	if c == nil {
+		b := make([]float32, 8*d+3*f)
+		cut := func(n int) []float32 { p := b[:n:n]; b = b[n:]; return p }
+		c = &conveCtx{input: cut(2 * d), z1: cut(f), x: cut(f), z2: cut(d), hidden: cut(d),
+			dh: cut(d), dz2: cut(d), dx: cut(f), dinput: cut(2 * d)}
 	}
+	clear(c.x) // the layers below set only their positive units
+	clear(c.hidden)
 	copy(c.input[:d], m.ent.M.Row(int(s)))
 	copy(c.input[d:], m.rel.M.Row(int(r)))
 
@@ -155,13 +159,13 @@ func (m *ConvE) forward(s kg.EntityID, r kg.RelationID) *conveCtx {
 
 // Score implements QueryModel.
 func (m *ConvE) Score(t kg.Triple) float32 {
-	score, _ := m.ScoreWithContext(t)
+	score, _ := m.ScoreWithContext(t, nil)
 	return score
 }
 
 // ScoreWithContext implements QueryModel.
-func (m *ConvE) ScoreWithContext(t kg.Triple) (float32, GradContext) {
-	c := m.forward(t.S, t.R)
+func (m *ConvE) ScoreWithContext(t kg.Triple, reuse GradContext) (float32, GradContext) {
+	c := m.forward(reuse, t.S, t.R)
 	score := vecmath.Dot(c.hidden, m.ent.M.Row(int(t.O))) + m.entBias.M.Row(int(t.O))[0]
 	return score, c
 }
@@ -170,8 +174,8 @@ func (m *ConvE) ScoreWithContext(t kg.Triple) (float32, GradContext) {
 // vector depends only on (s, r), so one forward pass serves every object.
 // The forward pass is deterministic in (s, r), so repeated calls produce
 // bit-identical queries; the activations are returned for the adjoint.
-func (m *ConvE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
-	c := m.forward(s, r)
+func (m *ConvE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, reuse GradContext) GradContext {
+	c := m.forward(reuse, s, r)
 	copy(q, c.hidden)
 	return c
 }
@@ -180,9 +184,9 @@ func (m *ConvE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradCon
 // FC and conv layers with dh = dq (backpropHidden is linear in dh for the
 // fixed activation pattern of the forward pass).
 func (m *ConvE) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, ctx GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
-	c, ok := ctx.(*conveCtx)
-	if !ok || c == nil {
-		c = m.forward(s, r)
+	c, _ := ctx.(*conveCtx)
+	if c == nil {
+		c = m.forward(nil, s, r)
 	}
 	m.backpropHidden(s, r, c, dq, gb)
 }
@@ -199,22 +203,21 @@ func (m *ConvE) BackpropSubjectQuery(kg.RelationID, kg.EntityID, []float32, *Gra
 // AccumulateGrad implements QueryModel with full backpropagation through the
 // FC and convolution layers down to the subject and relation embeddings.
 func (m *ConvE) AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer) {
-	c, ok := ctx.(*conveCtx)
-	if !ok || c == nil {
-		c = m.forward(t.S, t.R)
+	c, _ := ctx.(*conveCtx)
+	if c == nil {
+		c = m.forward(nil, t.S, t.R)
 	}
 	oRow := m.ent.M.Row(int(t.O))
 
 	// Output layer: score = hidden·o + b_o.
-	gb.Axpy("entity", int(t.O), upstream, c.hidden)
-	gb.Row("entbias", int(t.O))[0] += upstream
+	gb.Axpy(m.ent, int(t.O), upstream, c.hidden)
+	gb.Row(m.entBias, int(t.O))[0] += upstream
 
 	// dh = upstream · o, then the shared FC+conv backward pass.
-	dh := make([]float32, m.cfg.Dim)
-	for i := range dh {
-		dh[i] = upstream * oRow[i]
+	for i := range c.dh {
+		c.dh[i] = upstream * oRow[i]
 	}
-	m.backpropHidden(t.S, t.R, c, dh, gb)
+	m.backpropHidden(t.S, t.R, c, c.dh, gb)
 }
 
 // backpropHidden pushes a hidden-layer gradient through the FC and conv
@@ -222,27 +225,28 @@ func (m *ConvE) AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, g
 // per-triple gradient and the object query's adjoint.
 func (m *ConvE) backpropHidden(s kg.EntityID, r kg.RelationID, c *conveCtx, dh []float32, gb *GradBuffer) {
 	d := m.cfg.Dim
-	dz2 := make([]float32, d)
-	gfcb := gb.Row("fcbias", 0)
+	dz2, dx, dinput := c.dz2, c.dx, c.dinput
+	clear(dz2)
+	clear(dx)
+	clear(dinput)
+	gfcb := gb.Row(m.fcB, 0)
 	for i := 0; i < d; i++ {
 		if c.z2[i] > 0 && dh[i] != 0 {
 			dz2[i] = dh[i]
 			gfcb[i] += dz2[i]
-			gb.Axpy("fc", i, dz2[i], c.x)
+			gb.Axpy(m.fc, i, dz2[i], c.x)
 		}
 	}
-	dx := make([]float32, m.flat)
 	for i := 0; i < d; i++ {
 		if dz2[i] != 0 {
 			vecmath.Axpy(dz2[i], m.fc.M.Row(i), dx)
 		}
 	}
 	iw := m.w
-	dinput := make([]float32, 2*d)
-	gconvB := gb.Row("convbias", 0)
+	gconvB := gb.Row(m.convB, 0)
 	for f := 0; f < m.filters; f++ {
 		k := m.conv.M.Row(f)
-		gk := gb.Row("conv", f)
+		gk := gb.Row(m.conv, f)
 		base := f * m.oh * m.ow
 		for i := 0; i < m.oh; i++ {
 			for j := 0; j < m.ow; j++ {
@@ -263,6 +267,6 @@ func (m *ConvE) backpropHidden(s kg.EntityID, r kg.RelationID, c *conveCtx, dh [
 			}
 		}
 	}
-	vecmath.Axpy(1, dinput[:d], gb.Row("entity", int(s)))
-	vecmath.Axpy(1, dinput[d:], gb.Row("relation", int(r)))
+	vecmath.Axpy(1, dinput[:d], gb.Row(m.ent, int(s)))
+	vecmath.Axpy(1, dinput[d:], gb.Row(m.rel, int(r)))
 }

@@ -31,12 +31,12 @@ func (m *DistMult) Score(t kg.Triple) float32 {
 }
 
 // ScoreWithContext implements QueryModel.
-func (m *DistMult) ScoreWithContext(t kg.Triple) (float32, GradContext) {
+func (m *DistMult) ScoreWithContext(t kg.Triple, _ GradContext) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
 // ObjectQuery implements QueryModel: q = s∘r.
-func (m *DistMult) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
+func (m *DistMult) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, _ GradContext) GradContext {
 	vecmath.Hadamard(q, m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
 	return nil
 }
@@ -45,8 +45,8 @@ func (m *DistMult) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) Grad
 func (m *DistMult) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
 	sRow := m.ent.M.Row(int(s))
 	rRow := m.rel.M.Row(int(r))
-	gs := gb.Row("entity", int(s))
-	gr := gb.Row("relation", int(r))
+	gs := gb.Row(m.ent, int(s))
+	gr := gb.Row(m.rel, int(r))
 	for i := range dq {
 		gs[i] += dq[i] * rRow[i]
 		gr[i] += dq[i] * sRow[i]
@@ -63,8 +63,8 @@ func (m *DistMult) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) boo
 func (m *DistMult) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, _ *GroupScratch) {
 	rRow := m.rel.M.Row(int(r))
 	oRow := m.ent.M.Row(int(o))
-	gr := gb.Row("relation", int(r))
-	go_ := gb.Row("entity", int(o))
+	gr := gb.Row(m.rel, int(r))
+	go_ := gb.Row(m.ent, int(o))
 	for i := range dq {
 		gr[i] += dq[i] * oRow[i]
 		go_[i] += dq[i] * rRow[i]
@@ -78,9 +78,9 @@ func (m *DistMult) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, 
 	s := m.ent.M.Row(int(t.S))
 	r := m.rel.M.Row(int(t.R))
 	o := m.ent.M.Row(int(t.O))
-	gs := gb.Row("entity", int(t.S))
-	gr := gb.Row("relation", int(t.R))
-	go_ := gb.Row("entity", int(t.O))
+	gs := gb.Row(m.ent, int(t.S))
+	gr := gb.Row(m.rel, int(t.R))
+	go_ := gb.Row(m.ent, int(t.O))
 	for i := range s {
 		gs[i] += upstream * r[i] * o[i]
 		gr[i] += upstream * s[i] * o[i]

@@ -35,9 +35,10 @@ import (
 // concurrent use and serves one group at a time (the trainer keeps one per
 // side per worker).
 type GroupScratch struct {
-	bufs [3][]float32
-	ctx  GradContext   // ObjectQuery's forward state
-	ctxs []GradContext // per-candidate forward states of the per-triple fallback
+	bufs      [3][]float32
+	ctx       GradContext   // ObjectQuery's forward state, handed back for reuse
+	ctxs      []GradContext // the per-triple fallback's, one per candidate, likewise
+	perTriple bool          // the subject group was scored per candidate, into ctxs
 }
 
 // Buf returns slot i as a zeroed length-n buffer, growing it on demand.
@@ -62,8 +63,8 @@ func checkGroup(ids []kg.EntityID, buf []float32) {
 // what AccumulateGradObjectsGroup needs.
 func (d *Derived) ScoreObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.EntityID, out []float32, scr *GroupScratch) {
 	checkGroup(objs, out)
-	q := scr.Buf(0, d.ent.Cols)
-	scr.ctx = d.ObjectQuery(s, r, q)
+	q := scr.Buf(0, d.ent.M.Cols)
+	scr.ctx = d.ObjectQuery(s, r, q, scr.ctx)
 	d.scoreRows(out, objs, q, d.SweepBias())
 }
 
@@ -84,16 +85,16 @@ func (d *Derived) AccumulateGradObjectsGroup(s kg.EntityID, r kg.RelationID, obj
 // query is scored per candidate, keeping every forward context.
 func (d *Derived) ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.EntityID, out []float32, scr *GroupScratch) {
 	checkGroup(subjs, out)
-	scr.ctxs = scr.ctxs[:0]
-	q := scr.Buf(0, d.ent.Cols)
-	if d.SubjectQuery(r, o, q) {
+	q := scr.Buf(0, d.ent.M.Cols)
+	if scr.perTriple = !d.SubjectQuery(r, o, q); !scr.perTriple {
 		d.scoreRows(out, subjs, q, nil)
 		return
 	}
 	for i, s := range subjs {
-		var ctx GradContext
-		out[i], ctx = d.ScoreWithContext(kg.Triple{S: s, R: r, O: o})
-		scr.ctxs = append(scr.ctxs, ctx)
+		if i == len(scr.ctxs) {
+			scr.ctxs = append(scr.ctxs, nil)
+		}
+		out[i], scr.ctxs[i] = d.ScoreWithContext(kg.Triple{S: s, R: r, O: o}, scr.ctxs[i])
 	}
 }
 
@@ -102,7 +103,7 @@ func (d *Derived) ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.
 // must follow ScoreSubjectsGroup(r, o, subjs, ·, scr) on the same scratch.
 func (d *Derived) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.EntityID, upstream []float32, gb *GradBuffer, scr *GroupScratch) {
 	checkGroup(subjs, upstream)
-	if len(scr.ctxs) > 0 {
+	if scr.perTriple {
 		for i, u := range upstream {
 			if u != 0 {
 				d.AccumulateGrad(kg.Triple{S: subjs[i], R: r, O: o}, scr.ctxs[i], u, gb)
@@ -121,12 +122,12 @@ func (d *Derived) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, su
 		// its rounding — and with it the L1 sign pattern — is the per-triple
 		// reference's. Here the candidate row is the query's subject, so the
 		// roles in distanceGrad swap: +u·g flows to dq, −u·g to the row.
-		oRow, qi := d.ent.Row(int(o)), scr.Buf(2, len(q))
+		oRow, qi := d.ent.M.Row(int(o)), scr.Buf(2, len(q))
 		for i, u := range upstream {
 			if u != 0 {
 				any = true
-				d.ObjectQuery(subjs[i], r, qi)
-				d.distanceGrad(u, qi, oRow, dq, gb.Row("entity", int(subjs[i])))
+				d.ObjectQuery(subjs[i], r, qi, nil)
+				d.distanceGrad(u, qi, oRow, dq, gb.Row(d.ent, int(subjs[i])))
 			}
 		}
 	}
@@ -143,12 +144,12 @@ func (d *Derived) scoreRows(out []float32, ids []kg.EntityID, q, bias []float32)
 			dist = vecmath.SquaredL2Distance
 		}
 		for i, id := range ids {
-			out[i] = -dist(q, d.ent.Row(int(id)))
+			out[i] = -dist(q, d.ent.M.Row(int(id)))
 		}
 		return
 	}
 	for i, id := range ids {
-		out[i] = vecmath.Dot(q, d.ent.Row(int(id)))
+		out[i] = vecmath.Dot(q, d.ent.M.Row(int(id)))
 		if bias != nil {
 			out[i] += bias[id]
 		}
@@ -168,13 +169,13 @@ func (d *Derived) backpropRows(ids []kg.EntityID, upstream, q, dq []float32, wit
 		any = true
 		id := int(ids[i])
 		if d.geom != SweepDot {
-			d.distanceGrad(u, q, d.ent.Row(id), gb.Row("entity", id), dq)
+			d.distanceGrad(u, q, d.ent.M.Row(id), gb.Row(d.ent, id), dq)
 			continue
 		}
-		vecmath.Axpy(u, d.ent.Row(id), dq)
-		gb.Axpy("entity", id, u, q)
+		vecmath.Axpy(u, d.ent.M.Row(id), dq)
+		gb.Axpy(d.ent, id, u, q)
 		if withBias {
-			gb.Row("entbias", id)[0] += u
+			gb.Row(d.bias, id)[0] += u
 		}
 	}
 	return any

@@ -75,7 +75,7 @@ func TestGroupGradMatchesPerTriple(t *testing.T) {
 							continue
 						}
 						tr := kg.Triple{S: s, R: r, O: c}
-						_, tctx := m.ScoreWithContext(tr)
+						_, tctx := m.ScoreWithContext(tr, nil)
 						m.AccumulateGrad(tr, tctx, upstream[i], reference)
 					}
 				} else {
@@ -86,13 +86,13 @@ func TestGroupGradMatchesPerTriple(t *testing.T) {
 							continue
 						}
 						tr := kg.Triple{S: c, R: r, O: o}
-						_, tctx := m.ScoreWithContext(tr)
+						_, tctx := m.ScoreWithContext(tr, nil)
 						m.AccumulateGrad(tr, tctx, upstream[i], reference)
 					}
 				}
-				if grouped.Len() != reference.Len() {
+				if gradLen(grouped) != gradLen(reference) {
 					t.Errorf("%s/%s: grouped touches %d rows, per-triple %d",
-						m.Name(), side, grouped.Len(), reference.Len())
+						m.Name(), side, gradLen(grouped), gradLen(reference))
 				}
 				compareGradBuffers(t, m, grouped, reference)
 			})
@@ -116,8 +116,8 @@ func TestGroupGradAllZeroUpstreamTouchesNothing(t *testing.T) {
 			gt.AccumulateGradObjectsGroup(1, 2, cands, zero, gb, &scr)
 			gt.ScoreSubjectsGroup(2, 3, cands, out, &scr)
 			gt.AccumulateGradSubjectsGroup(2, 3, cands, zero, gb, &scr)
-			if gb.Len() != 0 {
-				t.Errorf("all-zero upstream touched %d rows", gb.Len())
+			if gradLen(gb) != 0 {
+				t.Errorf("all-zero upstream touched %d rows", gradLen(gb))
 			}
 		})
 	}

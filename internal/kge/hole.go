@@ -36,13 +36,13 @@ func (m *HolE) Score(t kg.Triple) float32 {
 }
 
 // ScoreWithContext implements QueryModel.
-func (m *HolE) ScoreWithContext(t kg.Triple) (float32, GradContext) {
+func (m *HolE) ScoreWithContext(t kg.Triple, _ GradContext) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
 // ObjectQuery implements QueryModel. f is linear in o: f = o·(r * s) where *
 // is circular convolution, so q = convolve(r, s).
-func (m *HolE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
+func (m *HolE) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, _ GradContext) GradContext {
 	fft.Convolve(q, m.rel.M.Row(int(r)), m.ent.M.Row(int(s)))
 	return nil
 }
@@ -53,8 +53,8 @@ func (m *HolE) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext
 	sRow := m.ent.M.Row(int(s))
 	rRow := m.rel.M.Row(int(r))
 	tmp := scr.Buf(2, m.cfg.Dim)
-	gb.Axpy("entity", int(s), 1, fft.CircularCorrelation(tmp, rRow, dq))
-	gb.Axpy("relation", int(r), 1, fft.CircularCorrelation(tmp, sRow, dq))
+	gb.Axpy(m.ent, int(s), 1, fft.CircularCorrelation(tmp, rRow, dq))
+	gb.Axpy(m.rel, int(r), 1, fft.CircularCorrelation(tmp, sRow, dq))
 }
 
 // SubjectQuery implements QueryModel. f is linear in s: f = s·(r ⋆ o), so
@@ -70,8 +70,8 @@ func (m *HolE) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32
 	rRow := m.rel.M.Row(int(r))
 	oRow := m.ent.M.Row(int(o))
 	tmp := scr.Buf(2, m.cfg.Dim)
-	gb.Axpy("relation", int(r), 1, fft.CircularCorrelation(tmp, dq, oRow))
-	gb.Axpy("entity", int(o), 1, fft.Convolve(tmp, rRow, dq))
+	gb.Axpy(m.rel, int(r), 1, fft.CircularCorrelation(tmp, dq, oRow))
+	gb.Axpy(m.ent, int(o), 1, fft.Convolve(tmp, rRow, dq))
 }
 
 // AccumulateGrad implements QueryModel:
@@ -83,7 +83,7 @@ func (m *HolE) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *
 	r := m.rel.M.Row(int(t.R))
 	o := m.ent.M.Row(int(t.O))
 	tmp := make([]float32, d)
-	gb.Axpy("relation", int(t.R), upstream, fft.CircularCorrelation(tmp, s, o))
-	gb.Axpy("entity", int(t.S), upstream, fft.CircularCorrelation(tmp, r, o))
-	gb.Axpy("entity", int(t.O), upstream, fft.Convolve(tmp, r, s))
+	gb.Axpy(m.rel, int(t.R), upstream, fft.CircularCorrelation(tmp, s, o))
+	gb.Axpy(m.ent, int(t.S), upstream, fft.CircularCorrelation(tmp, r, o))
+	gb.Axpy(m.ent, int(t.O), upstream, fft.Convolve(tmp, r, s))
 }

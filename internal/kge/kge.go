@@ -67,15 +67,18 @@ type Trainable interface {
 	Model
 	// Params exposes the named parameter tables for the optimizer.
 	Params() *ParamSet
-	// ScoreWithContext is Score plus a reusable forward context.
-	ScoreWithContext(t kg.Triple) (float32, GradContext)
+	// ScoreWithContext is Score plus a forward context for AccumulateGrad;
+	// reuse, if not nil, is an earlier one the caller is done with to refill.
+	ScoreWithContext(t kg.Triple, reuse GradContext) (float32, GradContext)
 	// AccumulateGrad accumulates upstream · ∂Score(t)/∂θ into gb. ctx must
 	// come from a ScoreWithContext call for the same t (or be nil for
 	// models that return nil contexts).
 	AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer)
 	// PostBatch applies model-specific constraints after an optimizer step
-	// (e.g. TransE re-normalizes entity embeddings to the unit ball).
-	PostBatch()
+	// (TransE projects entities onto the unit ball). step is the gradient
+	// the step applied, its rows the rows it moved, or nil when any row may
+	// have changed since the last call, as at the start of a training run.
+	PostBatch(step *GradBuffer)
 }
 
 // Param is one named parameter table. Row granularity is the unit of sparse
@@ -84,6 +87,7 @@ type Trainable interface {
 type Param struct {
 	Name string
 	M    *vecmath.Matrix
+	idx  int // position in its ParamSet, which GradBuffer indexes by
 }
 
 // ParamSet is an ordered collection of parameter tables.
@@ -104,7 +108,7 @@ func (ps *ParamSet) Add(name string, rows, cols int) *Param {
 	if _, dup := ps.byName[name]; dup {
 		panic(fmt.Sprintf("kge: duplicate parameter %q", name))
 	}
-	p := &Param{Name: name, M: vecmath.NewMatrix(rows, cols)}
+	p := &Param{Name: name, M: vecmath.NewMatrix(rows, cols), idx: len(ps.list)}
 	ps.list = append(ps.list, p)
 	ps.byName[name] = p
 	return p
@@ -117,142 +121,126 @@ func (ps *ParamSet) Get(name string) *Param { return ps.byName[name] }
 // modify the slice.
 func (ps *ParamSet) List() []*Param { return ps.list }
 
-// rowKey identifies one row of one parameter table.
-type rowKey struct {
-	param string
-	row   int
-}
-
-// GradBuffer accumulates sparse per-row gradients for one optimizer step.
-// It is not safe for concurrent use; the trainer shards batches across
-// goroutines each with its own buffer and merges them.
+// GradBuffer accumulates sparse per-row gradients for one optimizer step,
+// addressed by *Param. Per table it keeps a row→slot index, the touched rows
+// and the slots in fixed-size pages, so a row never moves while the buffer
+// fills, and every slot past the touched rows is zero. It is not safe for
+// concurrent writers; MergeRow, which writes only its own row, is.
 type GradBuffer struct {
-	ps    *ParamSet
-	grads map[rowKey][]float32
-	dense map[string]*DenseGrad
+	ps     *ParamSet
+	tables []gradTable
 }
 
-// DenseGrad stores one parameter's gradient as a full Rows×Cols table plus a
-// touched bitmap instead of per-row map entries. Kernels that touch most
-// rows of a large table (KvsAll's entity backward sweeps every entity) opt
-// in via GradBuffer.Dense: a map insert per touched row becomes an array
-// index, and the accumulator is one pointer-free allocation instead of
-// thousands of GC-scanned slices. Untouched rows stay invisible to Len,
-// Merge, and ForEach, so the optimizer's sparse-row semantics are unchanged.
-type DenseGrad struct {
-	m       *vecmath.Matrix
-	touched []bool
-	n       int
+type gradTable struct {
+	slot  []int32 // row → 1 + its slot, 0 when untouched
+	rows  []int32 // touched rows in slot order
+	shift uint    // a page holds 1<<shift rows: gradPage floats, at least one row
+	pages [][]float32
 }
 
-// Row returns the dense accumulator for row, marking it touched.
-func (d *DenseGrad) Row(row int) []float32 {
-	if !d.touched[row] {
-		d.touched[row] = true
-		d.n++
-	}
-	return d.m.Row(row)
-}
+const gradPage = 8192
 
 // NewGradBuffer returns an empty gradient buffer over ps.
 func NewGradBuffer(ps *ParamSet) *GradBuffer {
-	return &GradBuffer{ps: ps, grads: make(map[rowKey][]float32)}
-}
-
-// Dense switches param's accumulator to dense storage and returns it.
-// Rows already accumulated sparsely are folded in, so the switch is safe at
-// any point, and subsequent Row(param, ...) calls transparently resolve to
-// the dense table. The per-row float values and accumulation orders are
-// identical either way — Dense changes where gradients live, never what the
-// optimizer sees, so training digests do not depend on it.
-func (gb *GradBuffer) Dense(param string) *DenseGrad {
-	if d, ok := gb.dense[param]; ok {
-		return d
-	}
-	p := gb.ps.Get(param)
-	if p == nil {
-		panic(fmt.Sprintf("kge: unknown parameter %q", param))
-	}
-	d := &DenseGrad{
-		m:       vecmath.NewMatrix(p.M.Rows, p.M.Cols),
-		touched: make([]bool, p.M.Rows),
-	}
-	for k, g := range gb.grads {
-		if k.param == param {
-			copy(d.Row(k.row), g)
-			delete(gb.grads, k)
+	gb := &GradBuffer{ps: ps, tables: make([]gradTable, len(ps.list))}
+	for i, p := range ps.list {
+		t := &gb.tables[i]
+		t.slot = make([]int32, p.M.Rows)
+		for 2<<t.shift*p.M.Cols <= gradPage {
+			t.shift++
 		}
 	}
-	if gb.dense == nil {
-		gb.dense = make(map[string]*DenseGrad)
-	}
-	gb.dense[param] = d
-	return d
+	return gb
 }
 
-// Row returns the gradient accumulator for row `row` of parameter `param`,
-// creating a zeroed one on first use.
-func (gb *GradBuffer) Row(param string, row int) []float32 {
-	if d, ok := gb.dense[param]; ok {
-		return d.Row(row)
+// table returns p's rows, panicking when p is not one of the buffer's tables.
+func (gb *GradBuffer) table(p *Param) *gradTable {
+	if p.idx >= len(gb.tables) || gb.ps.list[p.idx] != p {
+		panic(fmt.Sprintf("kge: parameter %q is not in this buffer's parameter set", p.Name))
 	}
-	k := rowKey{param, row}
-	if g, ok := gb.grads[k]; ok {
-		return g
-	}
-	p := gb.ps.Get(param)
-	if p == nil {
-		panic(fmt.Sprintf("kge: unknown parameter %q", param))
-	}
-	g := make([]float32, p.M.Cols)
-	gb.grads[k] = g
-	return g
+	return &gb.tables[p.idx]
 }
 
-// Axpy adds alpha·x into the accumulator for (param, row).
-func (gb *GradBuffer) Axpy(param string, row int, alpha float32, x []float32) {
-	vecmath.Axpy(alpha, x, gb.Row(param, row))
-}
-
-// Len returns the number of distinct (param, row) entries touched.
-func (gb *GradBuffer) Len() int {
-	n := len(gb.grads)
-	for _, d := range gb.dense {
-		n += d.n
+// add returns row's slot, giving it the next free one (and page) if none.
+func (t *gradTable) add(p *Param, row int) int {
+	if i := t.slot[row]; i != 0 {
+		return int(i - 1)
 	}
-	return n
+	t.rows = append(t.rows, int32(row))
+	t.slot[row] = int32(len(t.rows))
+	if i := len(t.rows) - 1; i>>t.shift == len(t.pages) {
+		t.pages = append(t.pages, make([]float32, p.M.Cols<<t.shift))
+	}
+	return len(t.rows) - 1
 }
 
-// Merge adds other's accumulated gradients into gb.
-func (gb *GradBuffer) Merge(other *GradBuffer) {
-	for name, od := range other.dense {
-		d := gb.Dense(name)
-		for row, t := range od.touched {
-			if t {
-				vecmath.Axpy(1, od.m.Row(row), d.Row(row))
+// at returns slot i, cols wide.
+func (t *gradTable) at(i, cols int) []float32 {
+	off := (i & (1<<t.shift - 1)) * cols
+	return t.pages[i>>t.shift][off : off+cols : off+cols]
+}
+
+// Row returns the accumulator for row `row` of p, zero on first use.
+func (gb *GradBuffer) Row(p *Param, row int) []float32 {
+	t := gb.table(p)
+	return t.at(t.add(p, row), p.M.Cols)
+}
+
+// Grad returns the accumulator for row `row` of p, or nil when the step has
+// not touched it.
+func (gb *GradBuffer) Grad(p *Param, row int) []float32 {
+	t := gb.table(p)
+	if t.slot[row] == 0 {
+		return nil
+	}
+	return t.at(int(t.slot[row]-1), p.M.Cols)
+}
+
+// Axpy adds alpha·x into the accumulator for (p, row).
+func (gb *GradBuffer) Axpy(p *Param, row int, alpha float32, x []float32) {
+	vecmath.Axpy(alpha, x, gb.Row(p, row))
+}
+
+// Rows returns p's touched rows in slot order; callers must not modify them.
+func (gb *GradBuffer) Rows(p *Param) []int32 { return gb.table(p).rows }
+
+// Reset empties the buffer for the next step, zeroing the slots it used and
+// keeping its pages.
+func (gb *GradBuffer) Reset() {
+	for i, p := range gb.ps.list {
+		t := &gb.tables[i]
+		for s, row := range t.rows {
+			t.slot[row] = 0
+			clear(t.at(s, p.M.Cols))
+		}
+		t.rows = t.rows[:0]
+	}
+}
+
+// Merge is the serial half of merging others, over the same ParamSet, into
+// gb: it gives gb a slot, still zero, for every row of theirs it lacks.
+func (gb *GradBuffer) Merge(others []*GradBuffer) {
+	for i, p := range gb.ps.list {
+		for _, o := range others {
+			for _, row := range o.tables[i].rows {
+				gb.tables[i].add(p, int(row))
 			}
 		}
 	}
-	for k, g := range other.grads {
-		vecmath.Axpy(1, g, gb.Row(k.param, k.row))
-	}
 }
 
-// ForEach visits every accumulated (param, row, grad) entry. Iteration order
-// is unspecified; optimizers must be order-independent (they are: per-row
-// updates commute).
-func (gb *GradBuffer) ForEach(fn func(param *Param, row int, grad []float32)) {
-	for name, d := range gb.dense {
-		p := gb.ps.Get(name)
-		for row, t := range d.touched {
-			if t {
-				fn(p, row, d.m.Row(row))
-			}
+// MergeRow, after Merge(others), adds row `row` of p from each of others,
+// in order, into gb's slot with vecmath.Axpy(1, ·) and returns the sum —
+// gb's row as it was, or zeros for a row Merge gave it (so a −0 gb lacked
+// becomes +0), exactly as merging the buffers one after another leaves it.
+func (gb *GradBuffer) MergeRow(p *Param, row int, others []*GradBuffer) []float32 {
+	sum := gb.Grad(p, row)
+	for _, o := range others {
+		if g := o.Grad(p, row); g != nil {
+			vecmath.Axpy(1, g, sum)
 		}
 	}
-	for k, g := range gb.grads {
-		fn(gb.ps.Get(k.param), k.row, g)
-	}
+	return sum
 }
 
 // Config carries the constructor arguments shared by all models plus
@@ -378,7 +366,7 @@ func (t *tables) Dim() int { return t.cfg.Dim }
 func (t *tables) Params() *ParamSet { return t.ps }
 
 // PostBatch implements QueryModel (no constraints; TransE overrides it).
-func (t *tables) PostBatch() {}
+func (t *tables) PostBatch(*GradBuffer) {}
 
 // SweepGeometry implements QueryModel.
 func (t *tables) SweepGeometry() SweepGeometry { return t.geom }

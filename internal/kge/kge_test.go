@@ -161,14 +161,14 @@ func TestGradientCheck(t *testing.T) {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
 			gb := NewGradBuffer(m.Params())
-			_, ctx := m.ScoreWithContext(tr)
+			_, ctx := m.ScoreWithContext(tr, nil)
 			m.AccumulateGrad(tr, ctx, 1, gb)
-			if gb.Len() == 0 {
+			if gradLen(gb) == 0 {
 				t.Fatal("gradient touched no parameters")
 			}
 			const h = 1e-2
 			checked := 0
-			gb.ForEach(func(p *Param, row int, grad []float32) {
+			forEachGrad(gb, func(p *Param, row int, grad []float32) {
 				w := p.M.Row(row)
 				for i := range w {
 					orig := w[i]
@@ -217,7 +217,7 @@ func TestGradientCheckL1TransE(t *testing.T) {
 		resid[i] = float64(s[i] + r[i] - o[i])
 	}
 	const h = 1e-4
-	gb.ForEach(func(p *Param, row int, grad []float32) {
+	forEachGrad(gb, func(p *Param, row int, grad []float32) {
 		w := p.M.Row(row)
 		for i := range w {
 			if math.Abs(resid[i]) < 10*h {
@@ -279,7 +279,7 @@ func TestTransEPostBatchProjectsToUnitBall(t *testing.T) {
 	for i := range row {
 		row[i] = 10
 	}
-	m.PostBatch()
+	m.PostBatch(nil)
 	var norm2 float64
 	for _, v := range row {
 		norm2 += float64(v) * float64(v)
@@ -327,23 +327,57 @@ func TestParamSetDuplicatePanics(t *testing.T) {
 	ps.Add("x", 1, 1)
 }
 
+// TestGradBufferMerge pins the arena — rows keep their slots while it grows
+// by pages (128 rows of 40 floats each), and a slot reused after Reset comes
+// back zeroed — and the merge rule, on reused slots: the first buffer's row
+// as is, later rows added in order, and a row Merge gave it summed onto
+// zeros, so a −0 it lacked becomes +0.
 func TestGradBufferMerge(t *testing.T) {
 	ps := NewParamSet()
-	ps.Add("w", 4, 3)
-	a := NewGradBuffer(ps)
-	b := NewGradBuffer(ps)
-	a.Axpy("w", 1, 2, []float32{1, 1, 1})
-	b.Axpy("w", 1, 3, []float32{1, 1, 1})
-	b.Axpy("w", 2, 1, []float32{1, 0, 0})
-	a.Merge(b)
-	if got := a.Row("w", 1)[0]; got != 5 {
-		t.Errorf("merged grad = %g, want 5", got)
+	w := ps.Add("w", 600, 40)
+	a, b, c := NewGradBuffer(ps), NewGradBuffer(ps), NewGradBuffer(ps)
+	first := a.Row(w, 1)
+	for row := 0; row < w.M.Rows; row++ {
+		a.Row(w, row)[2] = float32(row + 1)
 	}
-	if got := a.Row("w", 2)[0]; got != 1 {
-		t.Errorf("merged new-row grad = %g, want 1", got)
+	if &first[0] != &a.Row(w, 1)[0] || a.Row(w, 599)[2] != 600 || gradLen(a) != 600 {
+		t.Error("rows moved or lost values while the buffer grew")
 	}
-	if a.Len() != 2 {
-		t.Errorf("Len = %d, want 2", a.Len())
+	a.Reset()
+	if gradLen(a) != 0 || a.Grad(w, 1) != nil {
+		t.Fatal("Reset left rows behind")
+	}
+
+	negZero := float32(math.Copysign(0, -1))
+	ones := make([]float32, 40)
+	for i := range ones {
+		ones[i] = 1
+	}
+	a.Axpy(w, 1, 2, ones)
+	if g := a.Row(w, 3); g[2] != 0 {
+		t.Errorf("a reused slot came back as %v, want zeros", g)
+	}
+	a.Row(w, 3)[0] = negZero
+	b.Axpy(w, 1, 3, ones)
+	b.Row(w, 2)[0] = 1
+	c.Row(w, 2)[1] = 4
+	c.Row(w, 4)[0] = negZero
+	a.Merge([]*GradBuffer{b, c})
+	if gradLen(a) != 4 {
+		t.Errorf("Merge left a with %d rows, want 4", gradLen(a))
+	}
+	merge := func(row int) []float32 { return a.MergeRow(w, row, []*GradBuffer{b, c}) }
+	if got := merge(1); got[0] != 5 || &got[0] != &a.Grad(w, 1)[0] {
+		t.Errorf("merged grad = %v, want 5 in a's own row", got)
+	}
+	if got := merge(2); got[0] != 1 || got[1] != 4 || got[2] != 0 {
+		t.Errorf("merged new-row grad = %v, want [1 4 0 …]", got)
+	}
+	if got := merge(3); !math.Signbit(float64(got[0])) {
+		t.Errorf("first buffer's −0 became %v, want it as is", got[0])
+	}
+	if got := merge(4); math.Signbit(float64(got[0])) || got[2] != 0 {
+		t.Errorf("merged row 4 = %v, want +0 (0 + −0) and zeros", got)
 	}
 }
 
@@ -354,7 +388,7 @@ func TestGradBufferUnknownParamPanics(t *testing.T) {
 			t.Error("expected panic for unknown parameter")
 		}
 	}()
-	gb.Row("nope", 0)
+	gb.Row(NewParamSet().Add("nope", 1, 1), 0)
 }
 
 func TestSaveLoadRoundtrip(t *testing.T) {

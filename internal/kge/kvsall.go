@@ -18,7 +18,7 @@ import (
 //	∂L/∂q    = Eᵀ · upstream          (then the model's adjoint)
 //
 // The trainer hands over a whole gradient chunk of contexts at once, so the
-// entity table is tiled once per chunk instead of swept once per context.
+// entity table is walked once per chunk instead of once per context.
 //
 // Determinism contract (this defines the trainer's digests): within
 // one chunk, entity-table row o accumulates its upstream[j][o]·qⱼ
@@ -33,21 +33,16 @@ import (
 
 // AccumulateGradAllObjectsBatch accumulates the gradient of all object
 // scores for every context (ss[j], rs[j]) given the per-context upstream
-// rows of a len(ss)×NumEntities matrix.
-//
-// The gradient lands in GradBuffer.Dense storage — KvsAll upstreams are
-// dense in the entity axis (label smoothing makes every sigmoid residual
-// nonzero), so per-row map inserts would dominate the sweep. Rows with zero
-// upstream are never touched: the optimizer's sparse-row semantics see
-// exactly the rows a per-triple pass would.
+// rows of a len(ss)×NumEntities matrix. Rows with zero upstream are never
+// touched: the optimizer's sparse-row semantics see exactly the rows a
+// per-triple pass would.
 func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.RelationID, upstream *vecmath.Matrix, gb *GradBuffer) {
-	checkCtxBatch(ss, rs, upstream, d.ent.Rows)
+	checkCtxBatch(ss, rs, upstream, d.ent.M.Rows)
 	ctxs := make([]GradContext, len(ss))
-	q := vecmath.NewMatrix(len(ss), d.ent.Cols)
+	q := vecmath.NewMatrix(len(ss), d.ent.M.Cols)
 	for j := range ss {
-		ctxs[j] = d.ObjectQuery(ss[j], rs[j], q.Row(j))
+		ctxs[j] = d.ObjectQuery(ss[j], rs[j], q.Row(j), nil)
 	}
-	dent := gb.Dense("entity")
 	var scr GroupScratch
 
 	if d.geom != SweepDot {
@@ -58,7 +53,7 @@ func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.Relati
 			dq := scr.Buf(1, q.Cols)
 			for o, g := range upstream.Row(j) {
 				if g != 0 {
-					d.distanceGrad(g, q.Row(j), d.ent.Row(o), dent.Row(o), dq)
+					d.distanceGrad(g, q.Row(j), d.ent.M.Row(o), gb.Row(d.ent, o), dq)
 				}
 			}
 			d.BackpropObjectQuery(ss[j], rs[j], ctxs[j], dq, gb, &scr)
@@ -66,31 +61,26 @@ func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.Relati
 		return
 	}
 
-	// The entity table is walked in MatMat's L1 row tiles with contexts
-	// inner, so each tile of embedding rows is read once per chunk and the
-	// upstream rows stream sequentially.
-	var dbias *DenseGrad
-	if d.bias != nil {
-		dbias = gb.Dense("entbias")
-	}
+	// Entities outer, contexts inner: each embedding row is read, and its
+	// gradient row looked up, once per chunk, and the chunk's q and dq rows
+	// stay in cache. Every row's additions keep their order.
 	dq := vecmath.NewMatrix(len(ss), q.Cols)
-	n := d.ent.Rows
-	tile := vecmath.MatMatTileRows(q.Cols)
-	for lo := 0; lo < n; lo += tile {
-		hi := min(lo+tile, n)
+	n := d.ent.M.Rows
+	for o := 0; o < n; o++ {
+		var grow []float32
 		for j := range ss {
-			qj, dqj := q.Row(j), dq.Row(j)
-			for t, g := range upstream.Row(j)[lo:hi] {
-				if g == 0 {
-					continue
-				}
-				o := lo + t
-				vecmath.Axpy(g, qj, dent.Row(o))
-				if dbias != nil {
-					dbias.Row(o)[0] += g
-				}
-				vecmath.Axpy(g, d.ent.Row(o), dqj)
+			g := upstream.Data[j*n+o]
+			if g == 0 {
+				continue
 			}
+			if grow == nil {
+				grow = gb.Row(d.ent, o)
+			}
+			vecmath.Axpy(g, q.Row(j), grow)
+			if d.bias != nil {
+				gb.Row(d.bias, o)[0] += g
+			}
+			vecmath.Axpy(g, d.ent.M.Row(o), dq.Row(j))
 		}
 	}
 	for j := range ss {

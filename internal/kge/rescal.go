@@ -55,12 +55,12 @@ func (m *RESCAL) Score(t kg.Triple) float32 {
 }
 
 // ScoreWithContext implements QueryModel.
-func (m *RESCAL) ScoreWithContext(t kg.Triple) (float32, GradContext) {
+func (m *RESCAL) ScoreWithContext(t kg.Triple, _ GradContext) (float32, GradContext) {
 	return m.Score(t), nil
 }
 
 // ObjectQuery implements QueryModel: q = Wᵣᵀ·s.
-func (m *RESCAL) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
+func (m *RESCAL) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, _ GradContext) GradContext {
 	m.wts(q, r, m.ent.M.Row(int(s)))
 	return nil
 }
@@ -69,8 +69,8 @@ func (m *RESCAL) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradCo
 func (m *RESCAL) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, scr *GroupScratch) {
 	d := m.cfg.Dim
 	sRow := m.ent.M.Row(int(s))
-	gb.Axpy("entity", int(s), 1, m.wo(scr.Buf(2, d), r, dq))
-	gw := gb.Row("relation", int(r))
+	gb.Axpy(m.ent, int(s), 1, m.wo(scr.Buf(2, d), r, dq))
+	gw := gb.Row(m.rel, int(r))
 	for i := 0; i < d; i++ {
 		vecmath.Axpy(sRow[i], dq, gw[i*d:(i+1)*d])
 	}
@@ -86,8 +86,8 @@ func (m *RESCAL) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool 
 func (m *RESCAL) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, scr *GroupScratch) {
 	d := m.cfg.Dim
 	oRow := m.ent.M.Row(int(o))
-	gb.Axpy("entity", int(o), 1, m.wts(scr.Buf(2, d), r, dq))
-	gw := gb.Row("relation", int(r))
+	gb.Axpy(m.ent, int(o), 1, m.wts(scr.Buf(2, d), r, dq))
+	gw := gb.Row(m.rel, int(r))
 	for i := 0; i < d; i++ {
 		vecmath.Axpy(dq[i], oRow, gw[i*d:(i+1)*d])
 	}
@@ -102,10 +102,10 @@ func (m *RESCAL) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb
 	o := m.ent.M.Row(int(t.O))
 
 	tmp := make([]float32, d)
-	gb.Axpy("entity", int(t.S), upstream, m.wo(tmp, t.R, o))
-	gb.Axpy("entity", int(t.O), upstream, m.wts(tmp, t.R, s))
+	gb.Axpy(m.ent, int(t.S), upstream, m.wo(tmp, t.R, o))
+	gb.Axpy(m.ent, int(t.O), upstream, m.wts(tmp, t.R, s))
 
-	gw := gb.Row("relation", int(t.R))
+	gw := gb.Row(m.rel, int(t.R))
 	for i := 0; i < d; i++ {
 		vecmath.Axpy(upstream*s[i], o, gw[i*d:(i+1)*d])
 	}

@@ -54,20 +54,20 @@ type QueryModel interface {
 	Params() *ParamSet
 	// Score returns f(t; Θ).
 	Score(t kg.Triple) float32
-	// ScoreWithContext is Score plus a reusable forward context.
-	ScoreWithContext(t kg.Triple) (float32, GradContext)
+	// ScoreWithContext is Score plus a forward context; see Trainable.
+	ScoreWithContext(t kg.Triple, reuse GradContext) (float32, GradContext)
 	// AccumulateGrad accumulates upstream · ∂Score(t)/∂θ into gb; ctx is
 	// what ScoreWithContext returned for t, or nil.
 	AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer)
-	// PostBatch applies model-specific constraints after an optimizer step.
-	PostBatch()
+	// PostBatch applies constraints after an optimizer step; see Trainable.
+	PostBatch(step *GradBuffer)
 	// SweepGeometry returns the score family of both sweeps.
 	SweepGeometry() SweepGeometry
 
 	// ObjectQuery overwrites q, which has the entity table's width, with
 	// q(s, r) and returns the forward state its adjoint needs (nil for models
-	// whose adjoint reads only the parameters).
-	ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext
+	// whose adjoint reads only the parameters); reuse is as in ScoreWithContext.
+	ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, reuse GradContext) GradContext
 	// BackpropObjectQuery is ObjectQuery's adjoint. ctx is what ObjectQuery
 	// returned for (s, r), or nil to have it recomputed. Slot 2 of scr is
 	// the adjoint's to use; slots 0 and 1 hold the caller's q and dq.
@@ -122,10 +122,9 @@ type ObjectSweeper interface {
 // the contract and the vecmath kernels, for all models.
 type Derived struct {
 	QueryModel
-	geom SweepGeometry
-	ent  *vecmath.Matrix // the "entity" table
-	bias *vecmath.Matrix // the "entbias" table, or nil
-	nRel int
+	geom      SweepGeometry
+	ent, bias *Param // the "entity" table and the "entbias" one, or nil
+	nRel      int
 }
 
 // Derive attaches the derived operations to q.
@@ -135,24 +134,20 @@ func Derive(q QueryModel) *Derived {
 	if ent == nil || rel == nil {
 		panic(fmt.Sprintf("kge: model %q lacks an \"entity\" or \"relation\" parameter table", q.Name()))
 	}
-	d := &Derived{QueryModel: q, geom: q.SweepGeometry(), ent: ent.M, nRel: rel.M.Rows}
-	if b := ps.Get("entbias"); b != nil {
-		d.bias = b.M
-	}
-	return d
+	return &Derived{QueryModel: q, geom: q.SweepGeometry(), ent: ent, bias: ps.Get("entbias"), nRel: rel.M.Rows}
 }
 
 // NumEntities implements Model.
-func (d *Derived) NumEntities() int { return d.ent.Rows }
+func (d *Derived) NumEntities() int { return d.ent.M.Rows }
 
 // NumRelations implements Model.
 func (d *Derived) NumRelations() int { return d.nRel }
 
 // SweepDim implements ObjectSweeper.
-func (d *Derived) SweepDim() int { return d.ent.Cols }
+func (d *Derived) SweepDim() int { return d.ent.M.Cols }
 
 // SweepEntityTable implements ObjectSweeper.
-func (d *Derived) SweepEntityTable() *vecmath.Matrix { return d.ent }
+func (d *Derived) SweepEntityTable() *vecmath.Matrix { return d.ent.M }
 
 // SweepBias implements ObjectSweeper. The bias table is N×1, so its backing
 // data is already the flat bias vector.
@@ -160,15 +155,15 @@ func (d *Derived) SweepBias() []float32 {
 	if d.bias == nil {
 		return nil
 	}
-	return d.bias.Data
+	return d.bias.M.Data
 }
 
 // BuildObjectQuery implements ObjectSweeper.
 func (d *Derived) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
-	if len(dst) != d.ent.Cols {
+	if len(dst) != d.ent.M.Cols {
 		panic("kge: object-sweep query buffer has wrong length")
 	}
-	d.ObjectQuery(s, r, dst)
+	d.ObjectQuery(s, r, dst, nil)
 }
 
 // ScoreAllObjects implements Model: the one-row case of ScoreContextsBatch.
@@ -191,19 +186,19 @@ func (d *Derived) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32
 // batch is a scheduling change, not a numerical one, which is what keeps
 // discovery output and training digests independent of how rows are grouped.
 func (d *Derived) ScoreContextsBatch(ss []kg.EntityID, rs []kg.RelationID, out *vecmath.Matrix) {
-	checkCtxBatch(ss, rs, out, d.ent.Rows)
+	checkCtxBatch(ss, rs, out, d.ent.M.Rows)
 	d.sweepObjects(ss, rs, 0, out)
 }
 
 // sweepObjects scores the object queries (ss[j], rs[j]), or (ss[j], r) when
 // rs is nil, into the rows of out, building them in a pooled query matrix.
 func (d *Derived) sweepObjects(ss []kg.EntityID, rs []kg.RelationID, r kg.RelationID, out *vecmath.Matrix) {
-	q := sweepQueries(len(ss), d.ent.Cols)
+	q := sweepQueries(len(ss), d.ent.M.Cols)
 	for j, s := range ss {
 		if rs != nil {
 			r = rs[j]
 		}
-		d.ObjectQuery(s, r, q.Row(j))
+		d.ObjectQuery(s, r, q.Row(j), nil)
 	}
 	d.sweep(out, q, d.SweepBias())
 	queryPool.Put(q)
@@ -255,7 +250,7 @@ func ScoreAllSubjectsBatch(m Model, os []kg.EntityID, r kg.RelationID, out *vecm
 		}
 		return
 	}
-	q := sweepQueries(len(os), d.ent.Cols)
+	q := sweepQueries(len(os), d.ent.M.Cols)
 	defer queryPool.Put(q)
 	for j, o := range os {
 		if !d.SubjectQuery(r, o, q.Row(j)) {
@@ -283,7 +278,7 @@ func ScoreAllSubjectsBatch(m Model, os []kg.EntityID, r kg.RelationID, out *vecm
 func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
 	switch d.geom {
 	case SweepDot:
-		vecmath.MatMat(out, d.ent, q)
+		vecmath.MatMat(out, d.ent.M, q)
 		if bias != nil {
 			for j := 0; j < out.Rows; j++ {
 				row := out.Row(j)
@@ -293,15 +288,15 @@ func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
 			}
 		}
 	case SweepL1:
-		vecmath.MatNegL1(out, d.ent, q)
+		vecmath.MatNegL1(out, d.ent.M, q)
 	default:
-		tile := vecmath.MatMatTileRows(d.ent.Cols)
-		for lo := 0; lo < d.ent.Rows; lo += tile {
-			hi := min(lo+tile, d.ent.Rows)
+		tile := vecmath.MatMatTileRows(d.ent.M.Cols)
+		for lo := 0; lo < d.ent.M.Rows; lo += tile {
+			hi := min(lo+tile, d.ent.M.Rows)
 			for j := 0; j < q.Rows; j++ {
 				qj, dst := q.Row(j), out.Row(j)
 				for o := lo; o < hi; o++ {
-					dst[o] = -vecmath.SquaredL2Distance(qj, d.ent.Row(o))
+					dst[o] = -vecmath.SquaredL2Distance(qj, d.ent.M.Row(o))
 				}
 			}
 		}

@@ -19,16 +19,16 @@ import (
 type toyModel struct {
 	dim      int
 	ps       *ParamSet
-	ent, rel *vecmath.Matrix
+	ent, rel *Param
 }
 
 // NewToyModel builds the toy model behind Derive for the external tests.
 func NewToyModel(cfg Config) *Derived {
 	m := &toyModel{dim: cfg.Dim, ps: NewParamSet()}
-	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim).M
-	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim).M
+	m.ent = m.ps.Add("entity", cfg.NumEntities, cfg.Dim)
+	m.rel = m.ps.Add("relation", cfg.NumRelations, cfg.Dim)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	for _, table := range []*vecmath.Matrix{m.ent, m.rel} {
+	for _, table := range []*vecmath.Matrix{m.ent.M, m.rel.M} {
 		for i := 0; i < table.Rows; i++ {
 			vecmath.XavierInit(rng, table.Row(i), cfg.Dim, cfg.Dim)
 		}
@@ -39,11 +39,11 @@ func NewToyModel(cfg Config) *Derived {
 func (m *toyModel) Name() string                 { return "toy" }
 func (m *toyModel) Dim() int                     { return m.dim }
 func (m *toyModel) Params() *ParamSet            { return m.ps }
-func (m *toyModel) PostBatch()                   {}
+func (m *toyModel) PostBatch(*GradBuffer)        {}
 func (m *toyModel) SweepGeometry() SweepGeometry { return SweepDot }
 
 func (m *toyModel) Score(t kg.Triple) float32 {
-	s, r, o := m.ent.Row(int(t.S)), m.rel.Row(int(t.R)), m.ent.Row(int(t.O))
+	s, r, o := m.ent.M.Row(int(t.S)), m.rel.M.Row(int(t.R)), m.ent.M.Row(int(t.O))
 	var f float32
 	for i := range s {
 		f += s[i] * r[i] * o[(i+1)%m.dim]
@@ -51,11 +51,13 @@ func (m *toyModel) Score(t kg.Triple) float32 {
 	return f
 }
 
-func (m *toyModel) ScoreWithContext(t kg.Triple) (float32, GradContext) { return m.Score(t), nil }
+func (m *toyModel) ScoreWithContext(t kg.Triple, _ GradContext) (float32, GradContext) {
+	return m.Score(t), nil
+}
 
 func (m *toyModel) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *GradBuffer) {
-	s, r, o := m.ent.Row(int(t.S)), m.rel.Row(int(t.R)), m.ent.Row(int(t.O))
-	gs, gr, go_ := gb.Row("entity", int(t.S)), gb.Row("relation", int(t.R)), gb.Row("entity", int(t.O))
+	s, r, o := m.ent.M.Row(int(t.S)), m.rel.M.Row(int(t.R)), m.ent.M.Row(int(t.O))
+	gs, gr, go_ := gb.Row(m.ent, int(t.S)), gb.Row(m.rel, int(t.R)), gb.Row(m.ent, int(t.O))
 	for i := range s {
 		j := (i + 1) % m.dim
 		gs[i] += upstream * r[i] * o[j]
@@ -65,8 +67,8 @@ func (m *toyModel) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, 
 }
 
 // ObjectQuery: q₍ᵢ₊₁₎ = sᵢ·rᵢ.
-func (m *toyModel) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) GradContext {
-	sRow, rRow := m.ent.Row(int(s)), m.rel.Row(int(r))
+func (m *toyModel) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, _ GradContext) GradContext {
+	sRow, rRow := m.ent.M.Row(int(s)), m.rel.M.Row(int(r))
 	for i := range sRow {
 		q[(i+1)%m.dim] = sRow[i] * rRow[i]
 	}
@@ -74,8 +76,8 @@ func (m *toyModel) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32) Grad
 }
 
 func (m *toyModel) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradContext, dq []float32, gb *GradBuffer, _ *GroupScratch) {
-	sRow, rRow := m.ent.Row(int(s)), m.rel.Row(int(r))
-	gs, gr := gb.Row("entity", int(s)), gb.Row("relation", int(r))
+	sRow, rRow := m.ent.M.Row(int(s)), m.rel.M.Row(int(r))
+	gs, gr := gb.Row(m.ent, int(s)), gb.Row(m.rel, int(r))
 	for i := range sRow {
 		j := (i + 1) % m.dim
 		gs[i] += dq[j] * rRow[i]
@@ -85,7 +87,7 @@ func (m *toyModel) BackpropObjectQuery(s kg.EntityID, r kg.RelationID, _ GradCon
 
 // SubjectQuery: qᵢ = rᵢ·o₍ᵢ₊₁₎.
 func (m *toyModel) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) bool {
-	rRow, oRow := m.rel.Row(int(r)), m.ent.Row(int(o))
+	rRow, oRow := m.rel.M.Row(int(r)), m.ent.M.Row(int(o))
 	for i := range rRow {
 		q[i] = rRow[i] * oRow[(i+1)%m.dim]
 	}
@@ -93,8 +95,8 @@ func (m *toyModel) SubjectQuery(r kg.RelationID, o kg.EntityID, q []float32) boo
 }
 
 func (m *toyModel) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, _ *GroupScratch) {
-	rRow, oRow := m.rel.Row(int(r)), m.ent.Row(int(o))
-	gr, go_ := gb.Row("relation", int(r)), gb.Row("entity", int(o))
+	rRow, oRow := m.rel.M.Row(int(r)), m.ent.M.Row(int(o))
+	gr, go_ := gb.Row(m.rel, int(r)), gb.Row(m.ent, int(o))
 	for i := range rRow {
 		j := (i + 1) % m.dim
 		gr[i] += dq[i] * oRow[j]

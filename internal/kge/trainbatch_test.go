@@ -78,19 +78,11 @@ func TestKvsAllBatchGradMatchesScalarSequence(t *testing.T) {
 				oneContextGrad(bt, ss[j], rs[j], upstream.Row(j), reference)
 			}
 
-			if batched.Len() != reference.Len() {
-				t.Errorf("%s: batched touches %d rows, scalar %d", m.Name(), batched.Len(), reference.Len())
+			if gradLen(batched) != gradLen(reference) {
+				t.Errorf("%s: batched touches %d rows, scalar %d", m.Name(), gradLen(batched), gradLen(reference))
 			}
-			var missing int
-			reference.ForEach(func(p *Param, row int, _ []float32) {
-				found := false
-				batched.ForEach(func(bp *Param, brow int, _ []float32) {
-					if bp.Name == p.Name && brow == row {
-						found = true
-					}
-				})
-				if !found {
-					missing++
+			forEachGrad(reference, func(p *Param, row int, _ []float32) {
+				if batched.Grad(p, row) == nil {
 					t.Errorf("%s: row %s/%d touched by scalar but not batched", m.Name(), p.Name, row)
 				}
 			})

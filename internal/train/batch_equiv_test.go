@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/kg"
@@ -12,7 +13,7 @@ import (
 // One optimizer step of the production batch routines against a scalar
 // reference computed from the per-triple model contract alone
 // (ScoreWithContext / AccumulateGrad, exact vecmath.Sigmoid, the same
-// chunkRNG streams, a hand-written SGD update). This pins what the kernels'
+// per-chunk streams, a hand-written SGD update). This pins what the kernels'
 // own tests cannot: the slot bookkeeping between draw order and group
 // position, the invBatch / invN scaling, and the fused loss kernel. The
 // batched kernels reassociate float32 sums and use the Fast* transcendentals,
@@ -39,13 +40,12 @@ func checkStep(t *testing.T, ds *kg.Dataset, production func(*kge.Derived), refe
 
 			gb := kge.NewGradBuffer(ref.Params())
 			reference(ref, gb)
-			gb.ForEach(func(p *kge.Param, row int, grad []float32) {
-				w := p.M.Row(row)
-				for i, g := range grad {
-					w[i] -= stepLR * g
+			for _, p := range ref.Params().List() {
+				for _, row := range gb.Rows(p) {
+					vecmath.Axpy(-stepLR, gb.Grad(p, int(row)), p.M.Row(int(row)))
 				}
-			})
-			ref.PostBatch()
+			}
+			ref.PostBatch(nil)
 
 			for pi, p := range ref.Params().List() {
 				was, got := initial.Params().List()[pi].M.Data, prod.Params().List()[pi].M.Data
@@ -75,19 +75,20 @@ func TestRunBatchedMatchesScalar(t *testing.T) {
 	const negs, seed = 3, 99
 	sampler := &NegativeSampler{NumEntities: ds.Train.Entities.Len()}
 	checkStep(t, ds, func(prod *kge.Derived) {
-		runBatch(prod, batch, sampler, Config{
+		runBatch(newStepper(prod, Config{
 			NegSamples: negs, Loss: Logistic{}, Optimizer: NewSGD(stepLR), Workers: 2,
-		}, seed)
+		}), batch, sampler, seed)
 	}, func(ref kge.Trainable, gb *kge.GradBuffer) {
 		invBatch := 1 / float32(len(batch))
 		var src splitmix64
+		rng := rand.New(&src)
 		for lo := 0; lo < len(batch); lo += gradChunkSize {
-			rng := chunkRNG(&src, seed, lo/gradChunkSize)
+			src.seedChunk(seed, lo/gradChunkSize)
 			for _, pos := range batch[lo:min(lo+gradChunkSize, len(batch))] {
-				score, ctx := ref.ScoreWithContext(pos)
+				score, ctx := ref.ScoreWithContext(pos, nil)
 				ref.AccumulateGrad(pos, ctx, -vecmath.Sigmoid(-score)*invBatch, gb)
 				for _, neg := range sampler.CorruptN(nil, pos, negs, rng) {
-					score, ctx := ref.ScoreWithContext(neg)
+					score, ctx := ref.ScoreWithContext(neg, nil)
 					ref.AccumulateGrad(neg, ctx, vecmath.Sigmoid(score)*invBatch, gb)
 				}
 			}
@@ -103,7 +104,7 @@ func TestRunKvsAllBatchedMatchesScalar(t *testing.T) {
 	n := ds.Train.Entities.Len()
 	const smoothing = 0.1
 	checkStep(t, ds, func(prod *kge.Derived) {
-		runKvsBatch(prod, batch, n, Config{Optimizer: NewSGD(stepLR), Workers: 2}, smoothing)
+		runKvsBatch(newStepper(prod, Config{Optimizer: NewSGD(stepLR), Workers: 2}), batch, n, smoothing)
 	}, func(ref kge.Trainable, gb *kge.GradBuffer) {
 		for _, c := range batch {
 			label := make([]float32, n)
@@ -115,7 +116,7 @@ func TestRunKvsAllBatchedMatchesScalar(t *testing.T) {
 			}
 			for o, y := range label {
 				tr := kg.Triple{S: c.s, R: c.r, O: kg.EntityID(o)}
-				score, ctx := ref.ScoreWithContext(tr)
+				score, ctx := ref.ScoreWithContext(tr, nil)
 				ref.AccumulateGrad(tr, ctx, (vecmath.Sigmoid(score)-y)/float32(len(batch)*n), gb)
 			}
 		}

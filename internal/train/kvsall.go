@@ -23,7 +23,7 @@ import (
 type kvsContext struct {
 	s       kg.EntityID
 	r       kg.RelationID
-	objects []kg.EntityID
+	objects []int32 // entity IDs, ascending: the multi-hot target BCEFusedGrad reads
 }
 
 // buildKvsContexts groups the training triples by (s, r). The result is
@@ -35,10 +35,10 @@ func buildKvsContexts(g *kg.Graph) []kvsContext {
 		s kg.EntityID
 		r kg.RelationID
 	}
-	grouped := make(map[key][]kg.EntityID)
+	grouped := make(map[key][]int32)
 	for _, t := range g.Triples() {
 		k := key{t.S, t.R}
-		grouped[k] = append(grouped[k], t.O)
+		grouped[k] = append(grouped[k], int32(t.O))
 	}
 	out := make([]kvsContext, 0, len(grouped))
 	for k, objs := range grouped {
@@ -60,7 +60,7 @@ func buildKvsContexts(g *kg.Graph) []kvsContext {
 // replaces negative sampling entirely. LabelSmoothing (e.g. 0.1, the ConvE
 // paper's value) smooths the multi-hot targets.
 func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config, labelSmoothing float32) (History, error) {
-	derived, err := prepare(model, ds, &cfg)
+	st, err := prepare(model, ds, &cfg)
 	if err != nil {
 		return History{}, err
 	}
@@ -75,7 +75,7 @@ func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Con
 	return runEpochs(ctx, model, cfg, rng, len(contexts), "contexts",
 		func(i, j int) { contexts[i], contexts[j] = contexts[j], contexts[i] },
 		func(lo, hi int) float64 {
-			return runKvsBatch(derived, contexts[lo:hi], n, cfg, labelSmoothing)
+			return runKvsBatch(st, contexts[lo:hi], n, labelSmoothing)
 		})
 }
 
@@ -85,7 +85,7 @@ func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Con
 // query-matrix × entity-table MatMat, the fused BCE loss/gradient kernel runs
 // per context row, and the chunk is backpropagated with one
 // AccumulateGradAllObjectsBatch call.
-func runKvsBatch(model *kge.Derived, batch []kvsContext, n int, cfg Config, smoothing float32) float64 {
+func runKvsBatch(st *stepper, batch []kvsContext, n int, smoothing float32) float64 {
 	invBatch := 1 / float32(len(batch))
 	invN := 1 / float32(n)
 	// Multi-hot targets with label smoothing.
@@ -95,33 +95,27 @@ func runKvsBatch(model *kge.Derived, batch []kvsContext, n int, cfg Config, smoo
 	// rounding is part of the pinned checkpoint digests.
 	gradScale := invBatch * invN
 
-	return stepChunks(model, cfg, "kvsall", len(batch), func() func(chunk, lo, hi int) chunkResult {
+	return st.step("kvsall", len(batch), func(int) func(chunk, lo, hi int, gb *kge.GradBuffer) float64 {
 		scores := vecmath.NewMatrix(gradChunkSize, n)
 		upstream := vecmath.NewMatrix(gradChunkSize, n)
 		ss := make([]kg.EntityID, gradChunkSize)
 		rs := make([]kg.RelationID, gradChunkSize)
-		var positives []int32
-		return func(chunk, lo, hi int) chunkResult {
-			gb := kge.NewGradBuffer(model.Params())
+		return func(chunk, lo, hi int, gb *kge.GradBuffer) float64 {
 			k := hi - lo
 			for j, c := range batch[lo:hi] {
 				ss[j], rs[j] = c.s, c.r
 			}
 			scoresK := &vecmath.Matrix{Rows: k, Cols: n, Data: scores.Data[:k*n]}
 			upstreamK := &vecmath.Matrix{Rows: k, Cols: n, Data: upstream.Data[:k*n]}
-			model.ScoreContextsBatch(ss[:k], rs[:k], scoresK)
+			st.model.ScoreContextsBatch(ss[:k], rs[:k], scoresK)
 			var loss float64
 			for j, c := range batch[lo:hi] {
-				positives = positives[:0]
-				for _, o := range c.objects {
-					positives = append(positives, int32(o))
-				}
 				ctxLoss := vecmath.BCEFusedGrad(upstreamK.Row(j), scoresK.Row(j),
-					positives, posLabel, negLabel, gradScale)
+					c.objects, posLabel, negLabel, gradScale)
 				loss += ctxLoss * float64(invN)
 			}
-			model.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], upstreamK, gb)
-			return chunkResult{gb: gb, loss: loss}
+			st.model.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], upstreamK, gb)
+			return loss
 		}
 	})
 }

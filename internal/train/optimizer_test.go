@@ -24,42 +24,40 @@ func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // quadSetup builds a 1-parameter "model" whose loss is (w-target)²,
 // minimized by gradient descent through the optimizer under test.
-func quadSetup() (*kge.ParamSet, *kge.Param) {
+func quadSetup() *kge.Param {
 	ps := kge.NewParamSet()
 	p := ps.Add("w", 1, 1)
 	p.M.Data[0] = 5
-	return ps, p
+	return p
 }
 
 // descend runs n optimizer steps on the quadratic (w − target)².
-func descend(opt Optimizer, ps *kge.ParamSet, p *kge.Param, target float32, n int) {
+func descend(opt Optimizer, p *kge.Param, target float32, n int) {
 	for i := 0; i < n; i++ {
-		gb := kge.NewGradBuffer(ps)
 		grad := 2 * (p.M.Data[0] - target)
-		gb.Row("w", 0)[0] = grad
-		opt.Step(gb)
+		opt.Rows(p)(0, []float32{grad})
 	}
 }
 
 func TestSGDConvergesOnQuadratic(t *testing.T) {
-	ps, p := quadSetup()
-	descend(NewSGD(0.1), ps, p, 2, 200)
+	p := quadSetup()
+	descend(NewSGD(0.1), p, 2, 200)
 	if math.Abs(float64(p.M.Data[0])-2) > 1e-3 {
 		t.Errorf("SGD converged to %g, want 2", p.M.Data[0])
 	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
-	ps, p := quadSetup()
-	descend(NewAdam(0.1), ps, p, 2, 500)
+	p := quadSetup()
+	descend(NewAdam(0.1), p, 2, 500)
 	if math.Abs(float64(p.M.Data[0])-2) > 1e-2 {
 		t.Errorf("Adam converged to %g, want 2", p.M.Data[0])
 	}
 }
 
 func TestAdagradConvergesOnQuadratic(t *testing.T) {
-	ps, p := quadSetup()
-	descend(NewAdagrad(0.5), ps, p, 2, 2000)
+	p := quadSetup()
+	descend(NewAdagrad(0.5), p, 2, 2000)
 	if math.Abs(float64(p.M.Data[0])-2) > 5e-2 {
 		t.Errorf("Adagrad converged to %g, want 2", p.M.Data[0])
 	}
@@ -68,9 +66,7 @@ func TestAdagradConvergesOnQuadratic(t *testing.T) {
 func TestSGDStepIsExact(t *testing.T) {
 	ps := kge.NewParamSet()
 	p := ps.Add("w", 2, 2)
-	gb := kge.NewGradBuffer(ps)
-	gb.Row("w", 1)[0] = 4
-	NewSGD(0.25).Step(gb)
+	NewSGD(0.25).Rows(p)(1, []float32{4, 0})
 	if p.M.Row(1)[0] != -1 {
 		t.Errorf("w[1][0] = %g, want -1", p.M.Row(1)[0])
 	}
@@ -85,9 +81,7 @@ func TestAdamFirstStepIsLearningRateSized(t *testing.T) {
 	// gradient magnitude.
 	ps := kge.NewParamSet()
 	p := ps.Add("w", 1, 1)
-	gb := kge.NewGradBuffer(ps)
-	gb.Row("w", 0)[0] = 1000
-	NewAdam(0.1).Step(gb)
+	NewAdam(0.1).Rows(p)(0, []float32{1000})
 	if math.Abs(float64(p.M.Data[0])+0.1) > 1e-3 {
 		t.Errorf("first Adam step = %g, want ≈ -0.1", p.M.Data[0])
 	}
@@ -100,13 +94,9 @@ func TestAdamSparseRowsHaveIndependentState(t *testing.T) {
 	p := ps.Add("w", 2, 1)
 	opt := NewAdam(0.1)
 	for i := 0; i < 10; i++ {
-		gb := kge.NewGradBuffer(ps)
-		gb.Row("w", 0)[0] = 1
-		opt.Step(gb)
+		opt.Rows(p)(0, []float32{1})
 	}
-	gb := kge.NewGradBuffer(ps)
-	gb.Row("w", 1)[0] = 1
-	opt.Step(gb)
+	opt.Rows(p)(1, []float32{1})
 	if math.Abs(float64(p.M.Row(1)[0])+0.1) > 1e-3 {
 		t.Errorf("late row's first step = %g, want ≈ -0.1 (per-row bias correction)", p.M.Row(1)[0])
 	}

@@ -32,10 +32,10 @@ type Config struct {
 	// L2 is the weight-decay coefficient applied (sparsely) to every
 	// parameter row a batch touches.
 	L2 float32
-	// Workers is the gradient-computation parallelism; zero means
-	// GOMAXPROCS. Training output is bit-identical for any value: the unit
-	// of work is the fixed-size gradient chunk, not the worker shard, so
-	// the float accumulation order never depends on Workers.
+	// Workers is the parallelism of gradients and optimizer steps; below 1
+	// means GOMAXPROCS. Training output is bit-identical for any value: the
+	// unit of work is the fixed-size gradient chunk, not the worker shard,
+	// so the float accumulation order never depends on Workers.
 	Workers int
 	// Seed drives shuffling and negative sampling.
 	Seed int64
@@ -77,7 +77,7 @@ func (c *Config) setDefaults(model kge.Trainable) {
 	if c.Optimizer == nil {
 		c.Optimizer = NewAdam(c.LearningRate)
 	}
-	if c.Workers == 0 {
+	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.EvalEvery == 0 {
@@ -117,9 +117,9 @@ type History struct {
 // prepare is the shared front of Run and RunKvsAll. It rejects what neither
 // objective can train — a model not built by kge.New/kge.Derive, a negative
 // count (setDefaults only replaces zeros, so one would reach a slice bound
-// or a make), an empty graph — before the model is touched, and fills cfg's
-// defaults.
-func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*kge.Derived, error) {
+// or a make), an empty graph — before the model is touched, fills cfg's
+// defaults, and returns the run's optimizer step.
+func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*stepper, error) {
 	d, ok := model.(*kge.Derived)
 	if !ok {
 		return nil, fmt.Errorf("train: model %s is not a *kge.Derived (build it with kge.New or kge.Derive)", model.Name())
@@ -132,7 +132,7 @@ func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*kge.Derived, er
 	if ds.Train.Len() == 0 {
 		return nil, fmt.Errorf("train: empty training graph")
 	}
-	return d, nil
+	return newStepper(d, *cfg), nil
 }
 
 // Run trains model on ds.Train per cfg with negative sampling. It returns
@@ -140,9 +140,12 @@ func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*kge.Derived, er
 // returns is) and is mutated in place; with early stopping the parameters
 // from the best validation epoch are restored before returning.
 func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (History, error) {
-	derived, err := prepare(model, ds, &cfg)
+	st, err := prepare(model, ds, &cfg)
 	if err != nil {
 		return History{}, err
+	}
+	if model.NumEntities() < 2 {
+		return History{}, fmt.Errorf("train: negative sampling needs at least 2 entities to corrupt a triple, the model has %d", model.NumEntities())
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -161,7 +164,7 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 	return runEpochs(ctx, model, cfg, rng, len(triples), "triples",
 		func(i, j int) { triples[i], triples[j] = triples[j], triples[i] },
 		func(lo, hi int) float64 {
-			return runBatch(derived, triples[lo:hi], sampler, cfg, rng.Int63())
+			return runBatch(st, triples[lo:hi], sampler, rng.Int63())
 		})
 }
 
@@ -177,7 +180,7 @@ func runEpochs(ctx context.Context, model kge.Trainable, cfg Config, rng *rand.R
 
 	var hist History
 	var best float64
-	var bestParams map[string][]float32
+	var bestParams [][]float32
 	sinceBest := 0
 
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
@@ -236,17 +239,11 @@ func runEpochs(ctx context.Context, model kge.Trainable, cfg Config, rng *rand.R
 // chunk, not the worker shard, is the unit of scheduling: every batch is
 // split into ⌈len/gradChunkSize⌉ chunks regardless of Config.Workers, each
 // chunk accumulates into its own GradBuffer with an RNG stream derived from
-// (batchSeed, chunkIndex), and the buffers merge in ascending chunk order
-// after the barrier. Float accumulation order is therefore a function of
-// the batch alone, which is what makes training bit-identical for any
-// worker count.
+// (batchSeed, chunkIndex), and after the barrier every row's gradient sums
+// the chunks in ascending chunk order. Float accumulation order is therefore
+// a function of the batch alone, which is what makes training bit-identical
+// for any worker count.
 const gradChunkSize = 16
-
-// chunkResult is one chunk's accumulated gradients and summed loss.
-type chunkResult struct {
-	gb   *kge.GradBuffer
-	loss float64
-}
 
 // splitmix64 is a tiny deterministic rand.Source64 used for per-chunk
 // negative-sampling streams. Chunks are small and numerous, so stream setup
@@ -265,78 +262,92 @@ func (s *splitmix64) Uint64() uint64 {
 func (s *splitmix64) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix64) Seed(seed int64) { *s = splitmix64(seed) }
 
-// chunkRNG returns the deterministic generator for one chunk, its stream a
-// pure function of (batchSeed, chunkIndex) and decorrelated from
-// neighboring chunks by the splitmix64 golden-ratio increment.
-func chunkRNG(src *splitmix64, batchSeed int64, chunk int) *rand.Rand {
-	*src = splitmix64(uint64(batchSeed) + uint64(chunk+1)*0x9E3779B97F4A7C15)
-	return rand.New(src)
+// seedChunk points s at one chunk's stream, a pure function of (batchSeed,
+// chunk) decorrelated from its neighbours by the golden-ratio increment.
+func (s *splitmix64) seedChunk(batchSeed int64, chunk int) {
+	*s = splitmix64(uint64(batchSeed) + uint64(chunk+1)*0x9E3779B97F4A7C15)
 }
 
-// runChunks splits n examples into fixed-size chunks and processes them on
-// up to `workers` goroutines pulling chunk indices from a shared counter.
-// newWorker runs once per goroutine and returns the per-chunk closure,
-// letting workers reuse scratch buffers across the chunks they pull. Each
-// chunk writes into its own result slot, so callers can reduce the returned
-// slice in a worker-count-independent order.
-// The phase string labels the workers' CPU-profile samples (prof.Do), so
-// profiles split by objective ("negsample", "kvsall").
-func runChunks(phase string, n, workers int, newWorker func() func(chunk, lo, hi int) chunkResult) []chunkResult {
-	chunks := (n + gradChunkSize - 1) / gradChunkSize
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]chunkResult, chunks)
-	var next atomic.Int64
+// parallel runs fn(0), …, fn(workers−1) on as many goroutines, fn(0) on the
+// caller's, and returns once all have.
+func parallel(workers int, fn func(w int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			prof.Do(phase, func() {
-				do := newWorker()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= chunks {
-						return
-					}
-					lo, hi := c*gradChunkSize, (c+1)*gradChunkSize
-					if hi > n {
-						hi = n
-					}
-					results[c] = do(c, lo, hi)
-				}
-			})
-		}()
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() { defer wg.Done(); fn(w) }()
 	}
+	fn(0)
 	wg.Wait()
-	return results
 }
 
-// stepChunks is the tail every objective's batch shares: run the n ≥ 1
-// examples' chunks, fold their gradients and losses in ascending chunk order
-// (merging into the first chunk's buffer keeps the per-row addition sequence
-// identical to a serial pass over the chunks), apply L2 regularization on the
-// touched rows, take one optimizer step, and let the model re-project
-// (PostBatch). It returns the summed loss over the batch.
-func stepChunks(model kge.Trainable, cfg Config, phase string, n int, newWorker func() func(chunk, lo, hi int) chunkResult) float64 {
-	results := runChunks(phase, n, cfg.Workers, newWorker)
-	merged, totalLoss := results[0].gb, results[0].loss
-	for _, r := range results[1:] {
-		merged.Merge(r.gb)
-		totalLoss += r.loss
+// stepper is one training run's optimizer step, reused by all its batches:
+// a gradient buffer per chunk slot and group scratch per chunk worker.
+type stepper struct {
+	model  *kge.Derived
+	cfg    Config
+	bufs   []*kge.GradBuffer
+	groups [][2]kge.GroupScratch // per chunk worker, one per candidate side
+}
+
+func newStepper(model *kge.Derived, cfg Config) *stepper {
+	return &stepper{model: model, cfg: cfg, groups: make([][2]kge.GroupScratch, cfg.Workers)}
+}
+
+// step is the tail every objective's batch shares. Up to cfg.Workers
+// goroutines pull the n ≥ 1 examples' chunks from a counter, each chunk into
+// its own buffer; newWorker(w) makes goroutine w's chunk function, and phase
+// labels its profile samples. Merge unions the touched rows into the first
+// buffer, serially; then each of cfg.Workers goroutines owns a share of the
+// rows, summing each row's chunks in chunk order (MergeRow), adding L2 weight
+// decay and applying the optimizer — a serial pass's arithmetic for any
+// worker count. PostBatch follows. step returns the summed loss.
+func (st *stepper) step(phase string, n int, newWorker func(w int) func(chunk, lo, hi int, gb *kge.GradBuffer) float64) float64 {
+	chunks := (n + gradChunkSize - 1) / gradChunkSize
+	first := st.bufs == nil // the run's first step, whose PostBatch sees every row
+	for len(st.bufs) < chunks {
+		st.bufs = append(st.bufs, kge.NewGradBuffer(st.model.Params()))
 	}
-	if cfg.L2 > 0 {
-		merged.ForEach(func(p *kge.Param, row int, grad []float32) {
-			vecmath.Axpy(cfg.L2, p.M.Row(row), grad)
+	bufs, losses := st.bufs[:chunks], make([]float64, chunks)
+	var next atomic.Int64
+	parallel(min(st.cfg.Workers, chunks), func(w int) {
+		prof.Do(phase, func() {
+			do := newWorker(w)
+			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+				bufs[c].Reset()
+				losses[c] = do(c, c*gradChunkSize, min((c+1)*gradChunkSize, n), bufs[c])
+			}
 		})
+	})
+
+	merged, others := bufs[0], bufs[1:]
+	merged.Merge(others)
+	params := st.model.Params().List()
+	updates := make([]func(row int, grad []float32), len(params))
+	for i, p := range params {
+		updates[i] = st.cfg.Optimizer.Rows(p)
 	}
-	cfg.Optimizer.Step(merged)
-	model.PostBatch()
-	return totalLoss
+	workers := st.cfg.Workers
+	parallel(workers, func(w int) {
+		for i, p := range params {
+			rows := merged.Rows(p)
+			for _, row := range rows[len(rows)*w/workers : len(rows)*(w+1)/workers] {
+				grad := merged.MergeRow(p, int(row), others)
+				if st.cfg.L2 > 0 {
+					vecmath.Axpy(st.cfg.L2, p.M.Row(int(row)), grad)
+				}
+				updates[i](int(row), grad)
+			}
+		}
+	})
+	if first {
+		merged = nil
+	}
+	st.model.PostBatch(merged)
+	loss := losses[0]
+	for _, l := range losses[1:] {
+		loss += l
+	}
+	return loss
 }
 
 // runBatch takes one negative-sampling optimizer step over batch and returns
@@ -346,9 +357,10 @@ func stepChunks(model kge.Trainable, cfg Config, phase string, n int, newWorker 
 // and each group is scored and backpropagated with one grouped call. RNG
 // consumption is one CorruptN per positive in batch order, from the chunk's
 // own stream.
-func runBatch(model *kge.Derived, batch []kg.Triple, sampler *NegativeSampler, cfg Config, seed int64) float64 {
+func runBatch(st *stepper, batch []kg.Triple, sampler *NegativeSampler, seed int64) float64 {
+	model, cfg := st.model, st.cfg
 	invBatch := 1 / float32(len(batch))
-	return stepChunks(model, cfg, "negsample", len(batch), func() func(chunk, lo, hi int) chunkResult {
+	return st.step("negsample", len(batch), func(w int) func(chunk, lo, hi int, gb *kge.GradBuffer) float64 {
 		negs := make([]kg.Triple, 0, cfg.NegSamples)
 		negScores := make([]float32, cfg.NegSamples)
 		gradNegs := make([]float32, cfg.NegSamples)
@@ -364,11 +376,12 @@ func runBatch(model *kge.Derived, batch []kg.Triple, sampler *NegativeSampler, c
 		subjUp := make([]float32, cfg.NegSamples)
 		// One scratch per side: each carries its group from scoring to
 		// backprop, and both groups are alive in between.
-		var objScr, subjScr kge.GroupScratch
+		objScr, subjScr := &st.groups[w][0], &st.groups[w][1]
+		var gradPos float32 // escapes through Loss.Eval: once per worker, not per positive
 		var src splitmix64
-		return func(chunk, lo, hi int) chunkResult {
-			gb := kge.NewGradBuffer(model.Params())
-			rng := chunkRNG(&src, seed, chunk)
+		rng := rand.New(&src)
+		return func(chunk, lo, hi int, gb *kge.GradBuffer) float64 {
+			src.seedChunk(seed, chunk)
 			var loss float64
 			for _, pos := range batch[lo:hi] {
 				negs = sampler.CorruptN(negs, pos, cfg.NegSamples, rng)
@@ -387,9 +400,9 @@ func runBatch(model *kge.Derived, batch []kg.Triple, sampler *NegativeSampler, c
 						subjs = append(subjs, n.S)
 					}
 				}
-				model.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], &objScr)
+				model.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], objScr)
 				if len(subjs) > 0 {
-					model.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], &subjScr)
+					model.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], subjScr)
 				}
 				for i := range negs {
 					if s := objSlot[i]; s >= 0 {
@@ -398,7 +411,6 @@ func runBatch(model *kge.Derived, batch []kg.Triple, sampler *NegativeSampler, c
 						negScores[i] = subjScores[subjSlot[i]]
 					}
 				}
-				var gradPos float32
 				loss += float64(cfg.Loss.Eval(objScores[0], negScores[:len(negs)], &gradPos, gradNegs[:len(negs)]))
 				objUp[0] = gradPos * invBatch
 				for i := range negs {
@@ -408,39 +420,32 @@ func runBatch(model *kge.Derived, batch []kg.Triple, sampler *NegativeSampler, c
 						subjUp[subjSlot[i]] = gradNegs[i] * invBatch
 					}
 				}
-				model.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objUp[:len(objs)], gb, &objScr)
+				model.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objUp[:len(objs)], gb, objScr)
 				if len(subjs) > 0 {
-					model.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjUp[:len(subjs)], gb, &subjScr)
+					model.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjUp[:len(subjs)], gb, subjScr)
 				}
 			}
-			return chunkResult{gb: gb, loss: loss}
+			return loss
 		}
 	})
 }
 
-// snapshotParams copies the model's parameters, reusing prev's buffers when
-// shapes match so repeated best-epoch snapshots stop re-allocating the full
-// parameter set (which for a large model dwarfs the epoch's gradient churn).
-func snapshotParams(model kge.Trainable, prev map[string][]float32) map[string][]float32 {
-	snap := prev
-	if snap == nil {
-		snap = make(map[string][]float32)
-	}
-	for _, p := range model.Params().List() {
-		data := snap[p.Name]
-		if len(data) != len(p.M.Data) {
-			data = make([]float32, len(p.M.Data))
+// snapshotParams copies the model's tables, in registration order, into
+// prev's buffers, so repeated best-epoch snapshots stop re-allocating the
+// full parameter set (which for a large model dwarfs the epoch's gradient
+// churn).
+func snapshotParams(model kge.Trainable, prev [][]float32) [][]float32 {
+	for i, p := range model.Params().List() {
+		if i == len(prev) {
+			prev = append(prev, make([]float32, len(p.M.Data)))
 		}
-		copy(data, p.M.Data)
-		snap[p.Name] = data
+		copy(prev[i], p.M.Data)
 	}
-	return snap
+	return prev
 }
 
-func restoreParams(model kge.Trainable, snap map[string][]float32) {
-	for _, p := range model.Params().List() {
-		if data, ok := snap[p.Name]; ok && len(data) == len(p.M.Data) {
-			copy(p.M.Data, data)
-		}
+func restoreParams(model kge.Trainable, snap [][]float32) {
+	for i, p := range model.Params().List() {
+		copy(p.M.Data, snap[i])
 	}
 }

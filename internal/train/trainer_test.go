@@ -180,6 +180,53 @@ func TestTrainingEmptyGraphErrors(t *testing.T) {
 	}
 }
 
+// TestNegsampleBatchAllocations: a warm negative-sampling step allocates a
+// fixed count whatever the batch size — no gradient row, forward context
+// (ConvE's per-candidate subject side included) or chunk generator per
+// example.
+func TestNegsampleBatchAllocations(t *testing.T) {
+	ds := tinyDataset(t)
+	sampler := &NegativeSampler{NumEntities: ds.Train.Entities.Len()}
+	for _, name := range []string{"distmult", "conve"} {
+		allocs := func(n int) float64 {
+			m := determinismModel(t, name, ds)
+			cfg := Config{Workers: 1}
+			cfg.setDefaults(m)
+			st := newStepper(m.(*kge.Derived), cfg)
+			step := func() { runBatch(st, ds.Train.Triples()[:n], sampler, 7) }
+			for range 3 {
+				step()
+			}
+			return testing.AllocsPerRun(20, step)
+		}
+		small, large := allocs(32), allocs(256)
+		t.Logf("%s: %v allocations per step at 32 positives, %v at 256", name, small, large)
+		if large > small {
+			t.Errorf("%s: a step allocates %v times at 256 positives, %v at 32", name, large, small)
+		}
+	}
+}
+
+// TestTrainingOneEntityErrors: with one entity no corruption differs from its
+// positive, so negative sampling must refuse the model rather than draw
+// forever; KvsAll needs no corruptions and trains it.
+func TestTrainingOneEntityErrors(t *testing.T) {
+	g := kg.NewGraph()
+	a, r := g.Entities.Intern("a"), g.Relations.Intern("r")
+	g.Add(kg.Triple{S: kg.EntityID(a), R: kg.RelationID(r), O: kg.EntityID(a)})
+	ds := &kg.Dataset{Name: "one", Train: g, Valid: kg.NewGraph(), Test: kg.NewGraph()}
+	m, err := kge.New("distmult", kge.Config{NumEntities: 1, NumRelations: 1, Dim: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), m, ds, Config{Epochs: 1}); err == nil {
+		t.Fatal("negative sampling accepted a model with one entity")
+	}
+	if _, err := RunKvsAll(context.Background(), m, ds, Config{Epochs: 1}, 0); err != nil {
+		t.Fatalf("KvsAll on one entity: %v", err)
+	}
+}
+
 func TestTrainingContextCancelled(t *testing.T) {
 	ds, err := synth.Generate(synth.Tiny())
 	if err != nil {

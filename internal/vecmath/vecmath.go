@@ -218,14 +218,20 @@ func L2Distance(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(s)))
 }
 
-// NormalizeL2 rescales x to unit Euclidean norm in place. Vectors with norm
-// below 1e-12 are left untouched to avoid amplifying noise.
-func NormalizeL2(x []float32) {
+// NormalizeL2 rescales x to unit Euclidean norm in place and reports whether
+// that changed the bits of any element. Vectors with norm below 1e-12 are
+// left untouched to avoid amplifying noise.
+func NormalizeL2(x []float32) (changed bool) {
 	n := L2Norm(x)
 	if n < 1e-12 {
-		return
+		return false
 	}
-	Scale(1/n, x)
+	s := 1 / n
+	for i, v := range x {
+		x[i] = v * s
+		changed = changed || math.Float32bits(x[i]) != math.Float32bits(v)
+	}
+	return changed
 }
 
 // XavierInit fills x with samples from U(−b, b) with b = sqrt(6/(fanIn+fanOut)),

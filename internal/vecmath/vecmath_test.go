@@ -95,14 +95,16 @@ func TestDistances(t *testing.T) {
 
 func TestNormalizeL2(t *testing.T) {
 	v := []float32{3, 4}
-	NormalizeL2(v)
-	if !almostEqual(L2Norm(v), 1, 1e-6) {
-		t.Errorf("norm after NormalizeL2 = %g", L2Norm(v))
+	if !NormalizeL2(v) || !almostEqual(L2Norm(v), 1, 1e-6) {
+		t.Errorf("norm after NormalizeL2 = %g, or it reported no change", L2Norm(v))
 	}
 	zero := []float32{0, 0}
-	NormalizeL2(zero) // must not NaN
-	if zero[0] != 0 || zero[1] != 0 {
+	if NormalizeL2(zero) || zero[0] != 0 || zero[1] != 0 { // must not NaN
 		t.Errorf("NormalizeL2 perturbed the zero vector: %v", zero)
+	}
+	// A unit vector scales by exactly 1: a fixed point, reported unchanged.
+	if unit := []float32{0, -1}; NormalizeL2(unit) || unit[1] != -1 {
+		t.Errorf("NormalizeL2 changed the unit vector to %v", unit)
 	}
 }
 

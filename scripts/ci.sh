@@ -128,12 +128,13 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once no command can build a prune index or name a sidecar (5 900
-# with kge's pooled sweep queries; 5 877 with Evaluate's subject side ranked
-# by eval's one scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884
-# with one ranking scheduler, in eval; 5 978 with core.rankAll beside
-# eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5872 \
+# count with one row-indexed gradient store and the optimizer step sharded
+# per row (5 872 once no command could build a prune index or name a
+# sidecar; 5 900 with kge's pooled sweep queries; 5 877 with Evaluate's
+# subject side ranked by eval's one scheduler; 5 879 with TransE's L1 sweep
+# in vecmath; 5 884 with one ranking scheduler, in eval; 5 978 with
+# core.rankAll beside eval.Evaluate's pool).
+hold_lines 'internal/{kge,eval,train,core}' 5871 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
 # two that put bytes on disk for them: the count once the server lost its
@@ -157,27 +158,34 @@ go build -o "$tmp/kgtrain" ./cmd/kgtrain
 digest_of() { sed -n 's/.*sha256 \([0-9a-f]*\).*/\1/p' "$1"; }
 
 # workers=1 and workers=4 must produce byte-identical checkpoints under both
-# objectives. The kgserve smoke and the hot-swap gate below reuse
-# negsample-w1.kge.
-for obj in negsample kvsall; do
-  extra=()
-  if [ "$obj" = kvsall ]; then extra=(-kvsall); fi
-  for w in 1 4; do
-    "$tmp/kgtrain" -data "$tmp/data" -model distmult -dim 16 -epochs 2 \
-      -seed 11 -workers "$w" "${extra[@]+"${extra[@]}"}" -quiet \
-      -out "$tmp/$obj-w$w.kge" >"$tmp/$obj-w$w.log"
+# objectives, for DistMult and for TransE, the one model whose PostBatch
+# (the unit-ball projection of the rows a step moved) runs after the sharded
+# optimizer step. The kgserve smoke and the hot-swap gate below reuse
+# negsample-w1.kge, DistMult's.
+for model in distmult transe; do
+  pre=""
+  if [ "$model" = transe ]; then pre="transe-"; fi
+  for obj in negsample kvsall; do
+    extra=()
+    if [ "$obj" = kvsall ]; then extra=(-kvsall); fi
+    run="$tmp/$pre$obj"
+    for w in 1 4; do
+      "$tmp/kgtrain" -data "$tmp/data" -model "$model" -dim 16 -epochs 2 \
+        -seed 11 -workers "$w" "${extra[@]+"${extra[@]}"}" -quiet \
+        -out "$run-w$w.kge" >"$run-w$w.log"
+    done
+    if ! cmp -s "$run-w1.kge" "$run-w4.kge"; then
+      echo "determinism smoke FAILED ($model $obj): workers=1 and workers=4 checkpoints differ" >&2
+      exit 1
+    fi
+    d1="$(digest_of "$run-w1.log")"
+    d4="$(digest_of "$run-w4.log")"
+    if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
+      echo "determinism smoke FAILED ($model $obj): digests '$d1' vs '$d4'" >&2
+      exit 1
+    fi
+    echo "$model $obj: workers-invariant checkpoint sha256 $d1"
   done
-  if ! cmp -s "$tmp/$obj-w1.kge" "$tmp/$obj-w4.kge"; then
-    echo "determinism smoke FAILED ($obj): workers=1 and workers=4 checkpoints differ" >&2
-    exit 1
-  fi
-  d1="$(digest_of "$tmp/$obj-w1.log")"
-  d4="$(digest_of "$tmp/$obj-w4.log")"
-  if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
-    echo "determinism smoke FAILED ($obj): digests '$d1' vs '$d4'" >&2
-    exit 1
-  fi
-  echo "$obj: workers-invariant checkpoint sha256 $d1"
 done
 
 echo "== WAL-compat gate =="
