@@ -20,8 +20,8 @@
 // With -checkpoint the coordinator journals every accepted relation record
 // to a WAL (fsync'd before the worker's delivery is acknowledged); after a
 // coordinator crash, rerunning with -resume continues from the last good
-// record. The fault flags on the worker subcommand exist for the
-// integration harness and scripts/ci.sh; production workers leave them off.
+// record. The fault scenarios are tested in-process by internal/fleet's fault
+// matrix; scripts/ci.sh SIGKILLs a real worker mid-lease.
 package main
 
 import (
@@ -101,6 +101,11 @@ func runCoord(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 	if *resume && *checkpoint == "" {
 		return errors.New("-resume requires -checkpoint")
+	}
+	// Leases travel to workers in whole milliseconds; a shorter TTL would
+	// reach them as 0 and expire before their first heartbeat.
+	if *leaseTTL < time.Millisecond {
+		return fmt.Errorf("-lease %s is below the 1ms minimum", *leaseTTL)
 	}
 
 	logger := log.New(stderr, "", log.LstdFlags)
@@ -219,12 +224,6 @@ func runWorker(ctx context.Context, args []string, stderr io.Writer) error {
 		coordURL = fs.String("coord", "", "coordinator base URL, e.g. http://127.0.0.1:7070 (required)")
 		name     = fs.String("name", "", "worker name in leases and /status (default worker-<pid>)")
 		maxIdle  = fs.Duration("max-idle", 2*time.Minute, "exit after the coordinator has been unreachable this long")
-
-		// Fault-injection flags for the integration harness and ci.sh.
-		faultSleep = fs.Duration("fault-sleep-per-relation", 0, "fault injection: stall this long after each relation (stretches units so tests can kill mid-unit)")
-		faultMute  = fs.Int("fault-mute-after", 0, "fault injection: stop heartbeating after this many completed units (0 = off)")
-		faultHang  = fs.Int("fault-hang-after", 0, "fault injection: hang forever mid-unit after this many completed units (0 = off)")
-		faultDup   = fs.Bool("fault-dup-complete", false, "fault injection: deliver every completed unit twice")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -240,14 +239,10 @@ func runWorker(ctx context.Context, args []string, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	w := fleet.NewWorker(fleet.WorkerConfig{
-		Coordinator:       *coordURL,
-		Name:              *name,
-		MaxIdle:           *maxIdle,
-		Logf:              logger.Printf,
-		SleepPerRelation:  *faultSleep,
-		MuteAfterUnits:    *faultMute,
-		HangAfterUnits:    *faultHang,
-		DuplicateComplete: *faultDup,
+		Coordinator: *coordURL,
+		Name:        *name,
+		MaxIdle:     *maxIdle,
+		Logf:        logger.Printf,
 	})
 	err := w.Run(ctx)
 	if errors.Is(err, context.Canceled) {

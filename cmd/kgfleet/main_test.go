@@ -29,6 +29,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"coord"},      // one-shot without -data/-model
 		{"coord", "-resume", "-data", "d", "-model", "m"}, // -resume without -checkpoint
 		{"coord", "-bogus"},
+		{"coord", "-data", "d", "-model", "m", "-lease", "3ns"}, // would panic the expiry ticker
+		{"coord", "-serve", "-lease", "999us"},                  // reaches workers as lease_ms 0
+		{"coord", "-serve", "-lease", "0"},
 		{"worker"}, // no -coord
 		{"worker", "-bogus"},
 	}
@@ -98,9 +101,15 @@ func trainArtifacts(t *testing.T) (dataDir, modelPath string) {
 // a one-shot coordinator on a random port, two workers that find it by
 // scraping the coordinator's "listening on" log line, and a byte-identity
 // check of the fleet TSV against a direct jobs.Run over the same inputs.
+// A second coordinator then resumes the first one's journal.
 func TestCoordWorkerEndToEnd(t *testing.T) {
 	dataDir, modelPath := trainArtifacts(t)
 	outTSV := filepath.Join(t.TempDir(), "facts.tsv")
+	coordArgs := []string{"coord",
+		"-data", dataDir, "-model", modelPath,
+		"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
+		"-out", outTSV, "-limit", "3", "-checkpoint", filepath.Join(t.TempDir(), "sweep.wal"),
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -109,11 +118,7 @@ func TestCoordWorkerEndToEnd(t *testing.T) {
 	var stdout bytes.Buffer
 	coordErr := make(chan error, 1)
 	go func() {
-		coordErr <- run(ctx, []string{"coord",
-			"-data", dataDir, "-model", modelPath,
-			"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
-			"-out", outTSV, "-limit", "3",
-		}, &stdout, &stderr)
+		coordErr <- run(ctx, coordArgs, &stdout, &stderr)
 	}()
 
 	re := regexp.MustCompile(`coordinator listening on (\S+)`)
@@ -189,5 +194,22 @@ func TestCoordWorkerEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("fleet TSV differs from single-process reference:\nfleet:\n%s\nreference:\n%s", got, want.Bytes())
+	}
+
+	// -resume on the finished journal recovers every relation, so the sweep
+	// completes with no worker and rewrites the same TSV.
+	if err := os.Remove(outTSV); err != nil {
+		t.Fatal(err)
+	}
+	var resumed bytes.Buffer
+	if err := run(ctx, append(coordArgs, "-resume"), &resumed, io.Discard); err != nil {
+		t.Fatalf("resumed coordinator: %v", err)
+	}
+	n := len(ds.Train.RelationIDs())
+	if line := fmt.Sprintf("checkpoint: resumed %d of %d relations", n, n); !strings.Contains(resumed.String(), line) {
+		t.Errorf("resumed stdout lacks %q:\n%s", line, resumed.String())
+	}
+	if got, err := os.ReadFile(outTSV); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("resumed TSV differs from single-process reference (read error %v)", err)
 	}
 }

@@ -87,13 +87,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := jobs.NormalizeOptions(core.Options{
+	opts := core.Options{
 		TopN:          *topN,
 		MaxCandidates: *maxCand,
 		Seed:          *seed,
 		RankFiltered:  *filtered,
 		CacheWeights:  *cacheW,
-	})
+	}.WithOutputDefaults()
 
 	batches, err := readBatches(*batchPath)
 	if err != nil {

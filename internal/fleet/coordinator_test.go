@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
@@ -203,38 +201,33 @@ func TestFailReturnsUnitAndAttemptCapFailsSweep(t *testing.T) {
 	}
 }
 
-// TestCoordinatorConcurrentProtocol hammers the full protocol concurrently —
-// three in-process workers (one of which stops heartbeating and overruns its
-// lease) plus a rogue client sending junk heartbeats, completions, and
+// TestCoordinatorConcurrentProtocol hammers the full protocol concurrently on
+// the wall clock — three in-process workers, one of which drops its
+// heartbeats and holds each delivery until the Run ticker has expired its
+// lease, plus a rogue client sending junk heartbeats, completions, and
 // failure reports — and requires the spliced result to exactly match a
 // single-process jobs.Run. Run with -race, this is the lease state machine's
 // data-race gate.
 func TestCoordinatorConcurrentProtocol(t *testing.T) {
 	dataDir, modelPath := tinyArtifacts(t)
-	c := New(Config{LeaseTTL: 500 * time.Millisecond, PollInterval: 20 * time.Millisecond})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
+	req := testRequest(dataDir, modelPath)
+	s := newFleetSim(t)
+	s.cfg.LeaseTTL, s.cfg.PollInterval, s.cfg.now = 500*time.Millisecond, 20*time.Millisecond, nil
+	c, sw := s.boot(req)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go c.Run(ctx)
 
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		cfg := WorkerConfig{Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), MaxIdle: time.Minute}
-		if i == 0 {
-			// Overrun the 500ms lease silently: forces expiry, reassignment,
-			// and duplicate-delivery reconciliation mid-hammer.
-			cfg.MuteAfterUnits = 1
-			cfg.SleepPerRelation = 700 * time.Millisecond
-		}
-		w := NewWorker(cfg)
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = w.Run(ctx) }()
-	}
+	// The muted worker forces expiry, reassignment, and duplicate-delivery
+	// reconciliation mid-hammer.
+	s.startWorker("w0", muteHeartbeats)
+	s.startWorker("w1", healthy)
+	s.startWorker("w2", healthy)
 
 	// Rogue client: junk registrations, heartbeats for random units,
 	// completions for random sweeps, failure reports. None of it may
 	// corrupt state or race.
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -261,47 +254,13 @@ func TestCoordinatorConcurrentProtocol(t *testing.T) {
 		}
 	}()
 
-	req := testRequest(dataDir, modelPath)
-	resp, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
+	resp := s.result(c, sw)
 	cancel()
 	wg.Wait()
 
-	// Reference: the identical sweep, single-process.
-	ds, err := kg.LoadDataset(dataDir, dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, mapped, _, err := kge.LoadAuto(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
-	strategy, err := core.StrategyByName(req.Strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := jobs.Run(context.Background(), jobs.Spec{
-		Model: m, Graph: ds.Train, Strategy: strategy, Options: req.Options.CoreOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Facts) != len(res.Facts) {
-		t.Fatalf("fleet found %d facts, single-process %d", len(resp.Facts), len(res.Facts))
-	}
-	for i, f := range res.Facts {
-		got := resp.Facts[i]
-		if got.S != f.Triple.S || got.R != f.Triple.R || got.O != f.Triple.O || got.Rank != f.Rank {
-			t.Fatalf("fact %d: fleet %+v, single-process %+v", i, got, f)
-		}
-	}
-	if resp.Fleet.TotalRelations != len(ds.Train.RelationIDs()) {
-		t.Errorf("TotalRelations = %d, want %d", resp.Fleet.TotalRelations, len(ds.Train.RelationIDs()))
+	assertFacts(t, resp.Facts, singleProcessFacts(t, req))
+	if resp.Fleet.TotalRelations != len(sw.relations) {
+		t.Errorf("TotalRelations = %d, want %d", resp.Fleet.TotalRelations, len(sw.relations))
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // StatusResponse is the coordinator's introspection snapshot, consumed by
-// the integration harness (exact unit accounting) and by humans debugging a
-// fleet. It is JSON, not Prometheus text, because tests assert on structure.
+// scripts/ci.sh's fleet gate (which worker holds which lease) and by humans
+// debugging a fleet. It is JSON, not Prometheus text, because callers read
+// its structure.
 type StatusResponse struct {
 	Sweeps           []SweepStatus  `json:"sweeps"`
 	Workers          []WorkerStatus `json:"workers"`

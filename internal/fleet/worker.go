@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -31,24 +30,6 @@ type WorkerConfig struct {
 	MaxIdle time.Duration
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-
-	// Fault-injection hooks for the integration harness. They exist so the
-	// multi-process tests (and scripts/ci.sh) can script failures that are
-	// otherwise timing-dependent; production deployments leave them zero.
-	//
-	// SleepPerRelation stalls that long after each relation completes,
-	// stretching a unit so a test can SIGKILL the process mid-unit.
-	SleepPerRelation time.Duration
-	// MuteAfterUnits > 0 stops heartbeats once that many units have
-	// completed; the worker keeps sweeping, so its lease expires and its
-	// next delivery duplicates a reassigned unit. Zero disables.
-	MuteAfterUnits int
-	// HangAfterUnits > 0 hangs the worker forever (heartbeats muted) after
-	// the first relation of the unit following that many completions —
-	// a worker that is alive but wedged past its lease. Zero disables.
-	HangAfterUnits int
-	// DuplicateComplete delivers every completed unit twice.
-	DuplicateComplete bool
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -85,7 +66,6 @@ type Worker struct {
 	mapped      *kge.Mapped
 
 	unitsDone int
-	muted     atomic.Bool // heartbeats suppressed (fault injection); read by the heartbeat goroutine
 }
 
 // NewWorker builds a Worker; Run drives it until shutdown.
@@ -181,10 +161,6 @@ func (w *Worker) execute(ctx context.Context, u *Unit) {
 	if u == nil {
 		return
 	}
-	if w.cfg.MuteAfterUnits > 0 && w.unitsDone >= w.cfg.MuteAfterUnits && !w.muted.Load() {
-		w.cfg.Logf("fleet: fault: muting heartbeats after %d units", w.unitsDone)
-		w.muted.Store(true)
-	}
 	strategy, err := core.StrategyByName(u.Strategy)
 	if err != nil {
 		w.fail(ctx, u, err, true)
@@ -203,24 +179,12 @@ func (w *Worker) execute(ctx context.Context, u *Unit) {
 	opts := u.Options.CoreOptions()
 	opts.Relations = u.Relations
 	var records []jobs.RelationRecord
-	relsDone := 0
 	_, _, err = jobs.Run(unitCtx, jobs.Spec{
-		Model:    w.model,
-		Graph:    w.ds.Train,
-		Strategy: strategy,
-		Options:  opts,
-		OnRelation: func(rec jobs.RelationRecord) {
-			records = append(records, rec)
-			relsDone++
-			if w.cfg.HangAfterUnits > 0 && w.unitsDone >= w.cfg.HangAfterUnits {
-				w.muted.Store(true)
-				w.cfg.Logf("fleet: fault: hanging forever mid-unit %d (%d relations in)", u.UnitID, relsDone)
-				select {} // wedged: alive, silent, never finishes
-			}
-			if w.cfg.SleepPerRelation > 0 {
-				sleepCtx(unitCtx, w.cfg.SleepPerRelation)
-			}
-		},
+		Model:      w.model,
+		Graph:      w.ds.Train,
+		Strategy:   strategy,
+		Options:    opts,
+		OnRelation: func(rec jobs.RelationRecord) { records = append(records, rec) },
 	})
 	if err != nil {
 		w.fail(ctx, u, err, false)
@@ -232,12 +196,6 @@ func (w *Worker) execute(ctx context.Context, u *Unit) {
 		// the records are a pure function of the unit, so nothing is lost.
 		w.cfg.Logf("fleet: could not deliver unit %d: %v", u.UnitID, err)
 		return
-	}
-	if w.cfg.DuplicateComplete {
-		w.cfg.Logf("fleet: fault: delivering unit %d a second time", u.UnitID)
-		if err := w.complete(ctx, u, records); err != nil {
-			w.cfg.Logf("fleet: duplicate delivery of unit %d failed: %v", u.UnitID, err)
-		}
 	}
 	w.unitsDone++
 	w.cfg.Logf("fleet: unit %d delivered: %d relations, %d facts",
@@ -302,9 +260,6 @@ func (w *Worker) startHeartbeats(ctx context.Context, u *Unit, cancel context.Ca
 			case <-ctx.Done():
 				return
 			case <-t.C:
-			}
-			if w.muted.Load() {
-				continue
 			}
 			var resp HeartbeatResponse
 			err := w.post(ctx, "/heartbeat", HeartbeatRequest{

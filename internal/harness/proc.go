@@ -2,9 +2,8 @@ package harness
 
 // Multi-process test helpers: build the repo's commands once per test
 // process, run them as real child processes with captured logs, and poll
-// those logs (or arbitrary conditions) with deadlines. The fleet
-// integration tests use these to boot a coordinator and several workers,
-// kill them at scripted moments, and assert on what the survivors produce.
+// those logs with deadlines. The root package's end-to-end fleet test uses
+// these to boot a real coordinator and workers and scrape what they report.
 
 import (
 	"fmt"
@@ -91,16 +90,6 @@ func TryBuildCmd(name string) (string, error) {
 		b.path = out
 	})
 	return b.path, b.err
-}
-
-// BuildCmd is TryBuildCmd with a fatal failure.
-func BuildCmd(t testing.TB, name string) string {
-	t.Helper()
-	path, err := TryBuildCmd(name)
-	if err != nil {
-		t.Fatalf("BuildCmd: %v", err)
-	}
-	return path
 }
 
 // BuildCmdOrSkip is TryBuildCmd with a graceful skip — for tests that are a
@@ -230,19 +219,4 @@ func (p *Proc) Exited() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.exited
-}
-
-// PollUntil polls cond every 20ms until it returns true or the timeout
-// elapses; it reports whether cond ever held.
-func PollUntil(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		if cond() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }

@@ -61,13 +61,3 @@ func TestProcWaitCleanExit(t *testing.T) {
 		t.Error("exit 3 reported no error")
 	}
 }
-
-func TestPollUntil(t *testing.T) {
-	n := 0
-	if !PollUntil(time.Second, func() bool { n++; return n >= 3 }) {
-		t.Error("PollUntil never satisfied")
-	}
-	if PollUntil(50*time.Millisecond, func() bool { return false }) {
-		t.Error("PollUntil reported success on a false condition")
-	}
-}

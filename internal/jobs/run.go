@@ -146,13 +146,8 @@ func Run(ctx context.Context, spec Spec) (*core.Result, RunInfo, error) {
 	return run(ctx, spec, core.DiscoverFacts)
 }
 
-// NormalizeOptions applies the same defaulting core.DiscoverFacts would, so
-// the options hash is identical whether the caller spelled defaults
-// explicitly or left them zero.
-func NormalizeOptions(o core.Options) core.Options { return o.WithOutputDefaults() }
-
 func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, RunInfo, error) {
-	opts := NormalizeOptions(spec.Options)
+	opts := spec.Options.WithOutputDefaults()
 	relations := opts.Relations
 	if relations == nil {
 		relations = spec.Graph.RelationIDs()

@@ -261,28 +261,28 @@ func TestRunRelationSubsetDecomposition(t *testing.T) {
 func TestOptionsHashNormalization(t *testing.T) {
 	ds, _, _ := testModel(t)
 	rels := ds.Train.RelationIDs()
-	base := OptionsHash("s", ds.Train, NormalizeOptions(core.Options{}), rels)
-	explicit := OptionsHash("s", ds.Train, NormalizeOptions(core.Options{TopN: 500, MaxCandidates: 500, MaxIterations: 5}), rels)
+	base := OptionsHash("s", ds.Train, core.Options{}.WithOutputDefaults(), rels)
+	explicit := OptionsHash("s", ds.Train, core.Options{TopN: 500, MaxCandidates: 500, MaxIterations: 5}.WithOutputDefaults(), rels)
 	if base != explicit {
 		t.Error("defaulted and explicit options hash differently")
 	}
-	workers := NormalizeOptions(core.Options{})
+	workers := core.Options{}.WithOutputDefaults()
 	workers.Workers = 8
 	if OptionsHash("s", ds.Train, workers, rels) != base {
 		t.Error("worker count changed the hash (it never changes output)")
 	}
-	seeded := NormalizeOptions(core.Options{Seed: 3})
+	seeded := core.Options{Seed: 3}.WithOutputDefaults()
 	if OptionsHash("s", ds.Train, seeded, rels) == base {
 		t.Error("seed change did not change the hash")
 	}
-	if OptionsHash("other", ds.Train, NormalizeOptions(core.Options{}), rels) == base {
+	if OptionsHash("other", ds.Train, core.Options{}.WithOutputDefaults(), rels) == base {
 		t.Error("strategy change did not change the hash")
 	}
 	// Relation order is canonicalized away.
 	if len(rels) >= 2 {
 		rev := append([]kg.RelationID(nil), rels...)
 		rev[0], rev[1] = rev[1], rev[0]
-		if OptionsHash("s", ds.Train, NormalizeOptions(core.Options{}), rev) != base {
+		if OptionsHash("s", ds.Train, core.Options{}.WithOutputDefaults(), rev) != base {
 			t.Error("relation order changed the hash")
 		}
 	}
@@ -294,19 +294,19 @@ func TestOptionsHashNormalization(t *testing.T) {
 func TestOptionsHashPruneCompat(t *testing.T) {
 	ds, _, _ := testModel(t)
 	rels := ds.Train.RelationIDs()
-	base := OptionsHash("s", ds.Train, NormalizeOptions(core.Options{}), rels)
+	base := OptionsHash("s", ds.Train, core.Options{}.WithOutputDefaults(), rels)
 
-	off := NormalizeOptions(core.Options{PruneMode: core.PruneOff})
+	off := core.Options{PruneMode: core.PruneOff}.WithOutputDefaults()
 	if OptionsHash("s", ds.Train, off, rels) != base {
 		t.Error(`PruneMode "off" changed the hash — old WALs would be rejected`)
 	}
 
-	exact := NormalizeOptions(core.Options{PruneMode: core.PruneExact})
+	exact := core.Options{PruneMode: core.PruneExact}.WithOutputDefaults()
 	exactHash := OptionsHash("s", ds.Train, exact, rels)
 	if exactHash == base {
 		t.Error("enabling exact pruning did not change the hash")
 	}
-	approx := NormalizeOptions(core.Options{PruneMode: core.PruneApprox})
+	approx := core.Options{PruneMode: core.PruneApprox}.WithOutputDefaults()
 	if OptionsHash("s", ds.Train, approx, rels) == exactHash {
 		t.Error("exact and approx modes hash identically")
 	}
@@ -341,7 +341,7 @@ func TestOptionsHashGolden(t *testing.T) {
 		{"prune-approx", core.Options{Seed: 42, PruneMode: core.PruneApprox},
 			"a7611bd0b7282aa70da2581f264dc35d883d221536af303c2d280c14b361e33e"},
 	} {
-		if got := OptionsHash("entity_frequency", g, NormalizeOptions(c.opts), rels); got != c.want {
+		if got := OptionsHash("entity_frequency", g, c.opts.WithOutputDefaults(), rels); got != c.want {
 			t.Errorf("%s options hash drifted:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}

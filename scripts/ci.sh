@@ -137,16 +137,18 @@ hold_lines() {
 hold_lines 'internal/{kge,eval,train,core}' 5871 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once the server lost its
-# prune options and its registry resolves selectors in one place (5 488 with
-# /query's bounded top-k heap in serve; 5 440 with one discover-request
-# parser in serve; 5 459 when the two logs became internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5410 \
+# two that put bytes on disk for them: the count once the fleet worker lost
+# its fault-injection knobs to the in-process fault matrix (5 410 once the
+# server lost its prune options and its registry resolves selectors in one
+# place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
+# discover-request parser in serve; 5 459 when the two logs became
+# internal/wal).
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5361 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The commands: flag parsing and wiring only, so a command that grows is a
-# package that should have (1 818 before -prune, kgtrain -format and
-# kgconvert -to went).
-hold_lines 'cmd/*/main.go' 1741 cmd
+# package that should have (1 741 before the kgfleet worker's four fault
+# flags went; 1 818 before -prune, kgtrain -format and kgconvert -to went).
+hold_lines 'cmd/*/main.go' 1736 cmd
 
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
@@ -387,25 +389,35 @@ if [ -z "$fleet_addr" ]; then
 fi
 
 "$tmp/kgfleet" worker -coord "http://$fleet_addr" -name victim \
-  -fault-sleep-per-relation 700ms >"$tmp/fleet-victim.log" 2>&1 &
+  >"$tmp/fleet-victim.log" 2>&1 &
 victim_pid=$!
 "$tmp/kgfleet" worker -coord "http://$fleet_addr" -name survivor \
   >"$tmp/fleet-survivor.log" 2>&1 &
 survivor_pid=$!
 
-# Kill the victim once it holds a lease and at least one unit is done
-# anywhere — a crash mid-unit by construction (its 700ms-per-relation stall
-# keeps its lease window open far longer than this poll's resolution).
+# Kill the victim mid-unit once at least one unit is done anywhere. A unit of
+# this sweep takes well over 100ms (see the crash-resume gate), but the status
+# poll can still catch the victim just as its delivery goes out. So freeze it
+# first, give a delivery already on the wire time to land, and SIGKILL it only
+# if it still holds its lease; otherwise let it run on and try again.
+victim_leased() {
+  curl -fsS "http://$fleet_addr/status" 2>/dev/null | grep -c '"state":"leased","worker":"victim"' || true
+}
 fleet_killed=0
 for _ in $(seq 1 600); do
   status="$(curl -fsS "http://$fleet_addr/status" 2>/dev/null || true)"
   # "|| true": pipefail would otherwise abort the script when grep matches
   # nothing, i.e. on every poll before the first unit completes.
   done_units="$(printf '%s' "$status" | grep -o '"state":"done"' | wc -l || true)"
-  if [ "$done_units" -ge 1 ] && printf '%s' "$status" | grep -q '"worker":"victim"'; then
-    kill -9 "$victim_pid" 2>/dev/null || break
-    fleet_killed=1
-    break
+  if [ "$done_units" -ge 1 ] && printf '%s' "$status" | grep -q '"state":"leased","worker":"victim"'; then
+    kill -STOP "$victim_pid" 2>/dev/null || break
+    sleep 0.2
+    if [ "$(victim_leased)" -ge 1 ]; then
+      kill -9 "$victim_pid"
+      fleet_killed=1
+      break
+    fi
+    kill -CONT "$victim_pid"
   fi
   sleep 0.05
 done
