@@ -63,17 +63,17 @@ func goldenDataset(t *testing.T) *kg.Dataset {
 // decay.
 func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers int) kge.Trainable {
 	t.Helper()
-	m := goldenModel(t, ds, name)
+	m := goldenModel(t, ds, name, 8)
 	goldenRun(t, m, ds, kvsAll, goldenConfig(workers))
 	return m
 }
 
-func goldenModel(t *testing.T, ds *kg.Dataset, name string) kge.Trainable {
+func goldenModel(t *testing.T, ds *kg.Dataset, name string, dim int) kge.Trainable {
 	t.Helper()
 	cfg := kge.Config{
 		NumEntities:  ds.Train.Entities.Len(),
 		NumRelations: ds.Train.Relations.Len(),
-		Dim:          8,
+		Dim:          dim,
 		Seed:         3,
 	}
 	if name == "transe_l2" {
@@ -154,7 +154,7 @@ func TestGoldenDigests(t *testing.T) {
 		for _, obj := range []string{"negsample", "kvsall"} {
 			for _, workers := range []int{1, 4} {
 				for _, s := range steps {
-					m := goldenModel(t, ds, name)
+					m := goldenModel(t, ds, name, 8)
 					tcfg := goldenConfig(workers)
 					s.set(&tcfg)
 					goldenRun(t, m, ds, obj == "kvsall", tcfg)
@@ -163,7 +163,7 @@ func TestGoldenDigests(t *testing.T) {
 				if name != "transe" && name != "transe_l2" {
 					continue
 				}
-				m := goldenModel(t, ds, name)
+				m := goldenModel(t, ds, name, 8)
 				goldenRun(t, m, ds, obj == "kvsall", goldenConfig(workers))
 				ent := m.Params().Get("entity").M
 				for row := 0; row < ent.Rows; row += 3 {
@@ -175,6 +175,20 @@ func TestGoldenDigests(t *testing.T) {
 				tcfg.Seed = 10
 				goldenRun(t, m, ds, obj == "kvsall", tcfg)
 				got[fmt.Sprintf("checkpoint/%s/%s/rerun/w%d", name, obj, workers)] = kge.Fingerprint(m)
+			}
+		}
+	}
+
+	// (a'') The six models at Dim 64, where the training loops run at lane
+	// width: ConvE's 8×8 input gives a convolution 6 columns wide and an fc
+	// layer of 64 rows × 672, and the KvsAll step's rows are four 16-column
+	// blocks. At Dim 8 the convolution is 2 columns wide.
+	for _, name := range kge.ModelNames() {
+		for _, obj := range []string{"negsample", "kvsall"} {
+			for _, workers := range []int{1, 4} {
+				m := goldenModel(t, ds, name, 64)
+				goldenRun(t, m, ds, obj == "kvsall", goldenConfig(workers))
+				got[fmt.Sprintf("checkpoint/%s/%s/d64/w%d", name, obj, workers)] = kge.Fingerprint(m)
 			}
 		}
 	}
