@@ -148,9 +148,9 @@ func (d *Derived) scoreRows(out []float32, ids []kg.EntityID, q, bias []float32)
 		}
 		return
 	}
-	for i, id := range ids {
-		out[i] = vecmath.Dot(q, d.ent.M.Row(int(id)))
-		if bias != nil {
+	vecmath.QueryDots(out, q, d.ent.M, ids)
+	if bias != nil {
+		for i, id := range ids {
 			out[i] += bias[id]
 		}
 	}

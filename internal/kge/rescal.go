@@ -24,11 +24,7 @@ func (m *RESCAL) relMatrix(r kg.RelationID) []float32 { return m.rel.M.Row(int(r
 
 // wo computes dst = Wᵣ·o.
 func (m *RESCAL) wo(dst []float32, r kg.RelationID, o []float32) []float32 {
-	d := m.cfg.Dim
-	w := m.relMatrix(r)
-	for i := 0; i < d; i++ {
-		dst[i] = vecmath.Dot(w[i*d:(i+1)*d], o)
-	}
+	vecmath.DotRows(dst[:m.cfg.Dim], m.relMatrix(r), o)
 	return dst
 }
 

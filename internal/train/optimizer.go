@@ -95,17 +95,10 @@ func (a *adam) Rows(p *kge.Param) func(int, []float32) {
 	}
 	return func(row int, grad []float32) {
 		st.t[row]++
-		c1, c2 := a.c1[st.t[row]], a.c2[st.t[row]]
-		m, v := st.m, st.v
-		w := p.M.Row(row)
-		base := row * p.M.Cols
-		for i, g := range grad {
-			m[base+i] = a.beta1*m[base+i] + (1-a.beta1)*g
-			v[base+i] = a.beta2*v[base+i] + (1-a.beta2)*g*g
-			mh := m[base+i] / c1
-			vh := v[base+i] / c2
-			w[i] -= a.lr * mh / (float32(math.Sqrt(float64(vh))) + a.eps)
-		}
+		t := st.t[row]
+		lo, hi := row*p.M.Cols, (row+1)*p.M.Cols
+		vecmath.AdamRow(p.M.Row(row), st.m[lo:hi], st.v[lo:hi], grad,
+			vecmath.AdamStep{LR: a.lr, Beta1: a.beta1, Beta2: a.beta2, Eps: a.eps, C1: a.c1[t], C2: a.c2[t]})
 	}
 }
 

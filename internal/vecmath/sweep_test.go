@@ -155,7 +155,10 @@ func TestSweepKernelsBitEqualToGoLoops(t *testing.T) {
 
 // FuzzSweepKernels feeds the kernels arbitrary float bits (NaN payloads,
 // subnormals, infinities) at arbitrary shapes and holds them to the scalar
-// loops bit for bit: the two sweeps, and Axpy over the matrix's elements.
+// loops bit for bit: the two sweeps, Axpy over the matrix's elements, and
+// the training kernels (checkTrainKernels) at the matrix's width, with
+// images 3 to 10 columns wide, so the convolution's overlapping last block
+// runs at output widths 5 to 7.
 func FuzzSweepKernels(f *testing.F) {
 	seed := make([]byte, 4*len(specialFloats))
 	for i, v := range specialFloats {
@@ -163,6 +166,14 @@ func FuzzSweepKernels(f *testing.F) {
 	}
 	f.Add(uint8(5), uint8(7), uint8(9), seed)
 	f.Add(uint8(64), uint8(4), uint8(131), seed[:8])
+	// NaN payloads and one ordinary value, at 64 columns (the training
+	// kernels' register blocks) and a 9-column image (ow 7).
+	nans := make([]byte, 4*len(axpySpecials)+4)
+	for i, v := range axpySpecials {
+		binary.LittleEndian.PutUint32(nans[4*i:], math.Float32bits(v))
+	}
+	binary.LittleEndian.PutUint32(nans[4*len(axpySpecials):], math.Float32bits(0.75))
+	f.Add(uint8(63), uint8(5), uint8(14), nans)
 	f.Fuzz(func(t *testing.T, cols, nq, rows uint8, data []byte) {
 		m := NewMatrix(int(rows)%150+1, int(cols)%130+1)
 		q := NewMatrix(int(nq)%9+1, m.Cols)
@@ -180,6 +191,7 @@ func FuzzSweepKernels(f *testing.F) {
 		}
 		checkSweeps(t, m, q)
 		checkAxpy(t, q.Data[0], m.Data, y)
+		checkTrainKernels(t, append(m.Data, q.Data...), m.Cols, q.Rows, 3+int(rows)%8)
 	})
 }
 
