@@ -8,18 +8,28 @@
 // accumulators, bounds checked once per block rather than per element, no
 // data-dependent branch in an inner loop.
 //
-// On amd64 six kernels are SSE2 assembly, each with a Go version
+// On amd64 eleven kernels are SSE2 assembly, each with a Go version
 // elsewhere: the body of the integer DotI8 (int8_amd64.s), the two
 // query-lane sweep kernels under MatMat and MatNegL1 (four queries per
 // register), their two one-query kernels under MatVec and the leftover
 // queries (the Go loop's own accumulators per register), and the body of
-// Axpy (sweep_amd64.s). The float kernels' summation order is part of the
-// repository's byte-identity contracts, so the assembly performs each
+// Axpy (sweep_amd64.s); and the four training kernels (train_amd64.s):
+// dot4 under DotRows and QueryDots (one register per row holding Dot's
+// four accumulators, the tail in lane 0, then (s0+s1)+(s2+s3)), Adam's row
+// step (the Go expression's MULPS/ADDPS/DIVPS/SQRTPS in its order), one
+// filter of a 3×3 convolution (four output columns per register, each
+// adding the bias and then the taps in (u, v) order) and the KvsAll
+// per-entity step (Axpy's operations, with the entity's rows held in
+// registers across contexts), and SumInto's running sum (the sum as every
+// add's first operand). The float kernels' summation order is part of
+// the repository's byte-identity contracts, so the assembly performs each
 // (row, query) pair's or element's operations in the order of the Go loop it
-// replaces, operands included — the one-query dot kernel hands any 4-row
-// block with a NaN score back to that loop, whose operand order varies per
-// row — and that loop stays as its oracle; both are pinned by digest
-// (pin_test.go, pin_batched_test.go, pin_onequery_test.go).
+// replaces, operands included — the one-query dot kernel, dot4, Adam's step
+// and the convolution hand any block with a NaN result back to that loop,
+// whose operand order picks the surviving payload — and that loop stays as
+// its oracle; all are pinned by digest (pin_test.go, pin_batched_test.go,
+// pin_onequery_test.go, and for the training kernels the digests of the
+// loops they replaced in internal/kge and internal/train).
 package vecmath
 
 import (
