@@ -76,9 +76,6 @@ func goldenModel(t *testing.T, ds *kg.Dataset, name string, dim int) kge.Trainab
 		Dim:          dim,
 		Seed:         3,
 	}
-	if name == "transe_l2" {
-		name, cfg.Norm = "transe", 2
-	}
 	m, err := kge.New(name, cfg)
 	if err != nil {
 		t.Fatalf("new %s: %v", name, err)
@@ -123,9 +120,7 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	ds := goldenDataset(t)
 	got := map[string]string{}
-	// The six models plus TransE's squared-L2 variant, which takes the other
-	// distance kernel.
-	models := append(kge.ModelNames(), "transe_l2")
+	models := kge.ModelNames()
 
 	// (a) Checkpoint fingerprints: models x objective x workers.
 	for _, name := range models {
@@ -160,7 +155,7 @@ func TestGoldenDigests(t *testing.T) {
 					goldenRun(t, m, ds, obj == "kvsall", tcfg)
 					got[fmt.Sprintf("checkpoint/%s/%s/%s/w%d", name, obj, s.name, workers)] = kge.Fingerprint(m)
 				}
-				if name != "transe" && name != "transe_l2" {
+				if name != "transe" {
 					continue
 				}
 				m := goldenModel(t, ds, name, 8)

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/harness"
 	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
@@ -94,8 +93,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 4. Calibrate and classify.
-	cal, err := eval.FitPlatt(model, ds.Valid, filter, eval.CalibrationOptions{Seed: 3})
-	if err != nil {
+	if _, err := eval.FitPlatt(model, ds.Valid, filter, eval.CalibrationOptions{Seed: 3}); err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
 	clf, err := eval.TrainClassifier(model, ds.Valid, filter, 3)
@@ -115,7 +113,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		MaxCandidates: 80,
 		Relations:     []kg.RelationID{rel},
 		Seed:          5,
-		Calibrator:    cal.Prob,
 	})
 	if err != nil {
 		t.Fatalf("discover: %v", err)
@@ -172,7 +169,7 @@ func TestEndToEndFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet pipeline")
 	}
-	bin := harness.BuildCmdOrSkip(t, "kgfleet")
+	bin := buildCmdOrSkip(t, "kgfleet")
 	ctx := context.Background()
 
 	// Saved artifacts: a tiny dataset and a seeded (untrained — training is
@@ -229,15 +226,15 @@ func TestEndToEndFleet(t *testing.T) {
 	// processes wired together by scraping the coordinator's log.
 	logs := t.TempDir()
 	outTSV := filepath.Join(t.TempDir(), "facts.tsv")
-	coord := harness.StartProc(t, filepath.Join(logs, "coord.log"), bin, "coord",
+	coord := startProc(t, filepath.Join(logs, "coord.log"), bin, "coord",
 		"-data", dataDir, "-model", modelPath,
 		"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
 		"-unit", "1", "-out", outTSV, "-limit", "0", "-drain", "2s", "-linger", "2m")
 	addr := coord.MustWaitLine(t, `coordinator listening on (\S+)`, 30*time.Second)
 
-	var workers []*harness.Proc
+	var workers []*childProc
 	for _, name := range []string{"w0", "w1"} {
-		workers = append(workers, harness.StartProc(t, filepath.Join(logs, name+".log"), bin, "worker",
+		workers = append(workers, startProc(t, filepath.Join(logs, name+".log"), bin, "worker",
 			"-coord", "http://"+addr, "-name", name, "-max-idle", "30s"))
 	}
 	// The sweep can finish on w0 alone before w1 has registered; a coordinator

@@ -61,13 +61,6 @@ type Options struct {
 	PruneMode string
 	// PruneIndex is the prune.Build index both pruned modes require.
 	PruneIndex *prune.Index
-	// Calibrator maps raw model scores to probabilities (e.g. a fitted
-	// eval.PlattCalibrator's Prob method). Together with MinProbability it
-	// implements Definition 2.1's original formulation — keep facts with
-	// P(t) > b — on top of the rank filter. Both nil/0 by default, which is
-	// the paper's evaluated rank-only behaviour.
-	Calibrator     func(score float32) float64
-	MinProbability float64
 	// OnRelationDone, when non-nil, is invoked synchronously after each
 	// relation's sweep completes (including relations that produced no
 	// candidates), from the relation loop's goroutine. The durable-job
@@ -322,26 +315,17 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 
 			if len(candidates) > 0 {
 				rStart := time.Now()
-				ranks, scores, err := rankAll(ctx, ranker, candidates, opts, &rel)
+				ranks, err := rankAll(ctx, ranker, candidates, opts, &rel)
 				rel.RankTime = time.Since(rStart)
 				if err != nil {
 					return nil, err
 				}
 
-				// Line 15: keep candidates within the quality threshold —
-				// and, when a calibrator is configured, within Definition
-				// 2.1's probability threshold P(t) > b as well. rankAll
-				// returns each candidate's sweep score, so the calibrator
-				// reuses it instead of re-scoring per kept fact.
+				// Line 15: keep candidates within the quality threshold.
 				for i, t := range candidates {
-					if ranks[i] > opts.TopN {
-						continue
+					if ranks[i] <= opts.TopN {
+						res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
 					}
-					if opts.Calibrator != nil && opts.MinProbability > 0 &&
-						opts.Calibrator(scores[i]) <= opts.MinProbability {
-						continue
-					}
-					res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
 				}
 			}
 		}
@@ -446,13 +430,13 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 }
 
 // rankAll ranks candidates through eval's scheduler, preserving order, and
-// returns each candidate's rank and sweep score. The work done is added to
+// returns each candidate's rank. The work done is added to
 // rel: ScoreSweeps (one per distinct (s, r) group), then either BatchedSweeps
 // and BatchRows (one tiled matrix–matrix pass per relation block, and the
 // query rows they carried) or, under pruned ranking — where a block is a run
 // of branch-and-bound top-M searches, not a sweep — CellsPruned and
 // PrescreenRows. A cancelled ctx returns ctx.Err() and no ranks.
-func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options, rel *RelationStats) ([]int, []float32, error) {
+func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options, rel *RelationStats) ([]int, error) {
 	var block func(kg.RelationID, []eval.Group) ([][]int, [][]float32)
 	pruneOn := opts.PruneIndex != nil
 	if pruneOn {
@@ -467,11 +451,11 @@ func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, o
 			return rs, ss
 		}
 	}
-	ranks, scores, groups, blocks, err := ranker.RankTriples(ctx, candidates, opts.Workers, block)
+	ranks, _, groups, blocks, err := ranker.RankTriples(ctx, candidates, opts.Workers, block)
 	rel.ScoreSweeps += groups
 	if !pruneOn {
 		rel.BatchedSweeps += blocks
 		rel.BatchRows += groups
 	}
-	return ranks, scores, err
+	return ranks, err
 }

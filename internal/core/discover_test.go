@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/synth"
@@ -254,46 +253,6 @@ func TestResultRanksAndMRR(t *testing.T) {
 	want := (1.0 + 0.25) / 2
 	if got := r.MRR(); got != want {
 		t.Errorf("MRR = %g, want %g", got, want)
-	}
-}
-
-func TestDiscoverFactsProbabilityThreshold(t *testing.T) {
-	ds, m := tinyTrained(t)
-	// Calibrate on the validation split (Definition 2.1's P(t) > b filter).
-	cal, err := eval.FitPlatt(m, ds.Valid, ds.All(), eval.CalibrationOptions{Seed: 3})
-	if err != nil {
-		t.Fatalf("FitPlatt: %v", err)
-	}
-	base, err := DiscoverFacts(context.Background(), m, ds.Train, NewEntityFrequency(), Options{
-		TopN: 40, MaxCandidates: 40, Seed: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := DiscoverFacts(context.Background(), m, ds.Train, NewEntityFrequency(), Options{
-		TopN: 40, MaxCandidates: 40, Seed: 12,
-		Calibrator: cal.Prob, MinProbability: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strict.Facts) > len(base.Facts) {
-		t.Errorf("probability filter added facts: %d > %d", len(strict.Facts), len(base.Facts))
-	}
-	for _, f := range strict.Facts {
-		if p := cal.Prob(m.Score(f.Triple)); p <= 0.5 {
-			t.Fatalf("fact %v passed with probability %.3f <= 0.5", f.Triple, p)
-		}
-	}
-	// Every strict fact must also be a base fact (pure additional filter).
-	inBase := make(map[kg.Triple]struct{}, len(base.Facts))
-	for _, f := range base.Facts {
-		inBase[f.Triple] = struct{}{}
-	}
-	for _, f := range strict.Facts {
-		if _, ok := inBase[f.Triple]; !ok {
-			t.Fatalf("probability-filtered fact %v not in base result", f.Triple)
-		}
 	}
 }
 

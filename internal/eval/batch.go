@@ -91,8 +91,7 @@ func (b *batchBufs) scratch(k int) {
 // what RankObject's |E| probes would.
 //
 // Alongside the ranks it returns each candidate's sweep score (parallel to
-// ranks), so callers that need the kept facts' scores (the calibrator path
-// in internal/core) can reuse the sweep instead of re-scoring per fact.
+// ranks).
 func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
 	return r.rankBlock(rel, groups, kge.ScoreAllObjectsBatch, func(s kg.EntityID) []kg.EntityID { return r.filter.ObjectsOf(s, rel) })
 }

@@ -14,9 +14,9 @@ import (
 // threshold — "find triples t with P(t) > b" — while the implementation it
 // evaluates (AmpliGraph's discover_facts) uses a rank threshold top_n. A
 // calibrator bridges the two: Platt scaling fits a sigmoid
-// P(t) = σ(a·f(t) + c) on held-out positives versus sampled negatives, so
-// threshold-based discovery (core.Options.MinProbability) becomes possible
-// alongside the paper's rank-based filter.
+// P(t) = σ(a·f(t) + c) on held-out positives versus sampled negatives.
+// Discovery keeps the paper's rank-based filter; the server's /score route
+// reports the calibrated probability beside the raw score.
 
 // PlattCalibrator maps raw scores to probabilities via σ(a·score + c).
 type PlattCalibrator struct {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/prune"
 )
 
-// prunedFixture builds one model of each family (plus L2 TransE), its
+// prunedFixture builds one model of each family, its
 // fingerprint, and its prune index.
 type prunedFixture struct {
 	name  string
@@ -21,9 +21,9 @@ type prunedFixture struct {
 func prunedFixtures(t *testing.T, nEnt, nRel, dim int) []prunedFixture {
 	t.Helper()
 	var out []prunedFixture
-	build := func(name string, norm int, tag string) {
+	for _, name := range kge.ModelNames() {
 		model, err := kge.New(name, kge.Config{
-			NumEntities: nEnt, NumRelations: nRel, Dim: dim, Seed: 3, Norm: norm,
+			NumEntities: nEnt, NumRelations: nRel, Dim: dim, Seed: 3,
 		})
 		if err != nil {
 			t.Fatalf("new %s: %v", name, err)
@@ -42,12 +42,8 @@ func prunedFixtures(t *testing.T, nEnt, nRel, dim int) []prunedFixture {
 		if err != nil {
 			t.Fatalf("build index for %s: %v", name, err)
 		}
-		out = append(out, prunedFixture{tag, model, ix})
+		out = append(out, prunedFixture{name, model, ix})
 	}
-	for _, name := range kge.ModelNames() {
-		build(name, 0, name)
-	}
-	build("transe", 2, "transe_l2")
 	return out
 }
 

@@ -132,8 +132,8 @@ func TestSchedulerMatchesPerTriple(t *testing.T) {
 
 // TestEvaluateSubjectSideMatchesPerTriple holds a both-sides Evaluate to the
 // per-triple oracles: every aggregate, bit for bit, must be Aggregate over
-// RankObject's ranks followed by RankSubject's, for the six models and
-// TransE's squared-L2 variant under both protocols, at one worker, two, and
+// RankObject's ranks followed by RankSubject's, for the six models under
+// both protocols, at one worker, two, and
 // more workers than (o, r) groups. The test split is schedulerTriples with
 // subject and object swapped, so entity 0 is a hub object with every entity
 // as a subject; the filter holds it too, so the hub's subjects are all known.
@@ -170,12 +170,8 @@ func TestEvaluateSubjectSideMatchesPerTriple(t *testing.T) {
 	}
 	filter = kg.Merge(filter, test)
 
-	for _, name := range append(kge.ModelNames(), "transe_l2") {
-		cfg := kge.Config{NumEntities: nEnt, NumRelations: nRel, Dim: dim, Seed: 3}
-		if name == "transe_l2" {
-			name, cfg.Norm = "transe", 2
-		}
-		model, err := kge.New(name, cfg)
+	for _, name := range kge.ModelNames() {
+		model, err := kge.New(name, kge.Config{NumEntities: nEnt, NumRelations: nRel, Dim: dim, Seed: 3})
 		if err != nil {
 			t.Fatalf("new %s: %v", name, err)
 		}
@@ -196,7 +192,7 @@ func TestEvaluateSubjectSideMatchesPerTriple(t *testing.T) {
 				wantList[i] = ranker.RankSubject(tr)
 			}
 			for _, workers := range []int{1, 2, len(triples) + 5} {
-				label := fmt.Sprintf("%s(norm %d)/%s/workers=%d", name, cfg.Norm, tc.protocol, workers)
+				label := fmt.Sprintf("%s/%s/workers=%d", name, tc.protocol, workers)
 				res := Evaluate(ranker, test, Options{BothSides: true, Workers: workers})
 				if math.Float64bits(res.MRR) != math.Float64bits(wantRes.MRR) ||
 					math.Float64bits(res.MeanRank) != math.Float64bits(wantRes.MeanRank) || res.N != wantRes.N {

@@ -7,20 +7,20 @@ import (
 )
 
 // Live maintains the undirected projection of a mutating knowledge graph
-// incrementally: sorted neighbour lists, per-edge triple multiplicities, and
-// per-node triangle counts T(v), updated by local work around the touched
-// edge instead of a full BuildUndirected + Triangles rebuild.
+// incrementally: sorted neighbour lists and per-edge triple multiplicities,
+// updated by local work around the touched edge instead of a full
+// BuildUndirected rebuild, and reports with each mutation the nodes whose
+// statistics it may have changed (EdgeDelta).
 //
 // Two triple-level facts make the bookkeeping subtle and are handled here so
 // callers never see them: the projection drops self-loops, and it collapses
 // parallel edges — (a, r1, b), (b, r2, a) and (a, r1, b) again all project to
 // the single undirected edge {a, b}. Live therefore counts the *multiplicity*
 // of each undirected edge (how many triples currently project onto it) and
-// only mutates the structure — and triangle counts — on 0↔1 transitions.
+// only mutates the structure on 0↔1 transitions.
 type Live struct {
 	adj  [][]kg.EntityID
 	mult map[edgeKey]int32
-	tri  []int64
 }
 
 // edgeKey is an undirected edge with a < b (self-loops never become keys).
@@ -63,7 +63,6 @@ func NewLive(g *kg.Graph) *Live {
 	u := BuildUndirected(g)
 	l := &Live{
 		adj:  make([][]kg.EntityID, u.NumNodes()),
-		tri:  u.Triangles(),
 		mult: make(map[edgeKey]int32, g.Len()),
 	}
 	for v := range l.adj {
@@ -82,15 +81,10 @@ func NewLive(g *kg.Graph) *Live {
 // the next AddTriple or RemoveTriple call.
 func (l *Live) Neighbors(v kg.EntityID) []kg.EntityID { return l.adj[v] }
 
-// TriangleCounts returns the maintained T(v) slice. The caller must not
-// modify it; it aliases internal state like Neighbors.
-func (l *Live) TriangleCounts() []int64 { return l.tri }
-
-// grow extends the node arrays to cover entity IDs interned after NewLive.
+// grow extends the adjacency to cover entity IDs interned after NewLive.
 func (l *Live) grow(v kg.EntityID) {
 	for int(v) >= len(l.adj) {
 		l.adj = append(l.adj, nil)
-		l.tri = append(l.tri, 0)
 	}
 }
 
@@ -108,11 +102,6 @@ func (l *Live) AddTriple(s, o kg.EntityID) EdgeDelta {
 	}
 	a, b := k.a, k.b
 	commons := l.commonNeighbors(a, b)
-	for _, w := range commons {
-		l.tri[a]++
-		l.tri[b]++
-		l.tri[w]++
-	}
 	l.adj[a] = insertNeighbor(l.adj[a], b)
 	l.adj[b] = insertNeighbor(l.adj[b], a)
 	return EdgeDelta{
@@ -139,11 +128,6 @@ func (l *Live) RemoveTriple(s, o kg.EntityID) EdgeDelta {
 	l.adj[a] = removeNeighbor(l.adj[a], b)
 	l.adj[b] = removeNeighbor(l.adj[b], a)
 	commons := l.commonNeighbors(a, b)
-	for _, w := range commons {
-		l.tri[a]--
-		l.tri[b]--
-		l.tri[w]--
-	}
 	return EdgeDelta{
 		Structural: true,
 		Touched:    append([]kg.EntityID{a, b}, commons...),

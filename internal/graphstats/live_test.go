@@ -12,11 +12,11 @@ import (
 // TestLiveMatchesRebuild drives a random triple mutation stream — adds,
 // deletes, self-loops, parallel edges, and forced delete-then-readd of the
 // same edge — through both a Live projection and from-scratch rebuilds, and
-// checks after every step that adjacency and Triangles agree exactly. It
-// also validates the EdgeDelta affected sets: any node outside delta.Touched
-// must keep its exact degree/T(v)/c(v), and any node outside delta.Square
-// must keep its exact c₄(v) — that soundness is what lets the mutate layer
-// skip clean relations.
+// checks after every step that the neighbour lists agree exactly. It also
+// validates the EdgeDelta affected sets against the rebuilds: any node
+// outside delta.Touched must keep its exact degree/T(v)/c(v), and any node
+// outside delta.Square must keep its exact c₄(v) — that soundness is what
+// lets the mutate layer skip clean relations.
 func TestLiveMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nEnt, nRel = 18, 3
@@ -43,12 +43,6 @@ func TestLiveMatchesRebuild(t *testing.T) {
 			}
 		}
 		wantTri := u.Triangles()
-		gotTri := live.TriangleCounts()
-		for v := 0; v < nEnt; v++ {
-			if gotTri[v] != wantTri[v] {
-				t.Fatalf("step %d: T(%d): live %d scratch %d", step, v, gotTri[v], wantTri[v])
-			}
-		}
 		wantC := u.LocalClustering(wantTri)
 		// Soundness of the affected sets: nodes outside them must be
 		// byte-for-byte unchanged from before the mutation.

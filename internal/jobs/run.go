@@ -75,9 +75,7 @@ type RunInfo struct {
 // output — strategy name, thresholds, the (sorted) relation list, protocol
 // flags, seed, and the shapes of the graph and filter — and returns the
 // SHA-256 hex digest of their canonical JSON. Options.Workers is excluded
-// deliberately: worker count never changes output. The calibrator function
-// itself cannot be hashed; its presence and threshold are pinned, which is
-// the best a checkpoint can check (documented in DESIGN.md §8).
+// deliberately: worker count never changes output.
 func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations []kg.RelationID) string {
 	rels := append([]kg.RelationID(nil), relations...)
 	sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
@@ -98,21 +96,24 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		pruneMode = ""
 	}
 	canonical := struct {
-		Strategy       string          `json:"strategy"`
-		TopN           int             `json:"top_n"`
-		MaxCandidates  int             `json:"max_candidates"`
-		MaxIterations  int             `json:"max_iterations"`
-		Relations      []kg.RelationID `json:"relations"`
-		RankFiltered   bool            `json:"rank_filtered"`
-		Seed           int64           `json:"seed"`
-		CacheWeights   bool            `json:"cache_weights"`
-		HasCalibrator  bool            `json:"has_calibrator"`
-		MinProbability float64         `json:"min_probability"`
-		FilterLen      int             `json:"filter_len"`
-		GraphTriples   int             `json:"graph_triples"`
-		GraphEntities  int             `json:"graph_entities"`
-		GraphRelations int             `json:"graph_relations"`
-		PruneMode      string          `json:"prune_mode,omitempty"`
+		Strategy      string          `json:"strategy"`
+		TopN          int             `json:"top_n"`
+		MaxCandidates int             `json:"max_candidates"`
+		MaxIterations int             `json:"max_iterations"`
+		Relations     []kg.RelationID `json:"relations"`
+		RankFiltered  bool            `json:"rank_filtered"`
+		Seed          int64           `json:"seed"`
+		CacheWeights  bool            `json:"cache_weights"`
+		// has_calibrator and min_probability name a probability cutoff
+		// discovery no longer has. They stay, always false and 0, so every
+		// journal written while it existed hashes as it did.
+		HasCalibrator  bool    `json:"has_calibrator"`
+		MinProbability float64 `json:"min_probability"`
+		FilterLen      int     `json:"filter_len"`
+		GraphTriples   int     `json:"graph_triples"`
+		GraphEntities  int     `json:"graph_entities"`
+		GraphRelations int     `json:"graph_relations"`
+		PruneMode      string  `json:"prune_mode,omitempty"`
 	}{
 		Strategy:       strategyName,
 		TopN:           opts.TopN,
@@ -122,8 +123,6 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		RankFiltered:   opts.RankFiltered,
 		Seed:           opts.Seed,
 		CacheWeights:   opts.CacheWeights,
-		HasCalibrator:  opts.Calibrator != nil,
-		MinProbability: opts.MinProbability,
 		FilterLen:      filterLen,
 		GraphTriples:   g.Len(),
 		GraphEntities:  g.NumEntities(),

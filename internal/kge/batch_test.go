@@ -71,28 +71,6 @@ func TestScoreAllObjectsBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTransEBatchNorm2 covers TransE's squared-L2 variant, which takes a
-// different distance kernel than the default L1.
-func TestTransEBatchNorm2(t *testing.T) {
-	m, err := New("transe", Config{NumEntities: 900, NumRelations: 2, Dim: 12, Seed: 5, Norm: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := []kg.EntityID{0, 899, 450}
-	out := vecmath.NewMatrix(len(ss), m.NumEntities())
-	ScoreAllObjectsBatch(m, ss, 0, out)
-	want := make([]float32, m.NumEntities())
-	for j, s := range ss {
-		m.ScoreAllObjects(s, 0, want)
-		row := out.Row(j)
-		for o := range want {
-			if row[o] != want[o] {
-				t.Fatalf("norm2 subject %d: batch[%d] = %g, sweep = %g", s, o, row[o], want[o])
-			}
-		}
-	}
-}
-
 // plainModel wraps a Model while hiding that it is Derived, so the
 // dispatcher's per-subject fallback is what runs.
 type plainModel struct {

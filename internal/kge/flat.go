@@ -28,6 +28,7 @@ import (
 //	u32+str  model name
 //	8 × u64  Config: NumEntities, NumRelations, Dim, Seed,
 //	         Norm, ConvEHeight, ConvEWidth, ConvEFilters
+//	         (Norm is written 0 and must read 0 or 1; see checkNorm)
 //	u32      record count
 //	records  (name-sorted) u32+str name, u32 rows, u32 cols,
 //	         u64 data offset (64-byte aligned), u64 float32 count
@@ -97,7 +98,7 @@ func SaveFlat(m Trainable, w io.Writer) error {
 	hdr.WriteString(m.Name())
 	for _, v := range []int64{
 		int64(cfg.NumEntities), int64(cfg.NumRelations), int64(cfg.Dim), cfg.Seed,
-		int64(cfg.Norm), int64(cfg.ConvEHeight), int64(cfg.ConvEWidth), int64(cfg.ConvEFilters),
+		0, int64(cfg.ConvEHeight), int64(cfg.ConvEWidth), int64(cfg.ConvEFilters),
 	} {
 		putU64(&hdr, uint64(v))
 	}
@@ -300,12 +301,15 @@ func parseFlat(data []byte) (m Trainable, aliased bool, err error) {
 	}
 	cfg := Config{
 		NumEntities: int(raw[0]), NumRelations: int(raw[1]), Dim: int(raw[2]), Seed: raw[3],
-		Norm: int(raw[4]), ConvEHeight: int(raw[5]), ConvEWidth: int(raw[6]), ConvEFilters: int(raw[7]),
+		ConvEHeight: int(raw[5]), ConvEWidth: int(raw[6]), ConvEFilters: int(raw[7]),
 		skipInit: true,
 	}
 	nrec := int(c.u32())
 	if c.err != nil {
 		return nil, false, c.err
+	}
+	if err := checkNorm(raw[4]); err != nil {
+		return nil, false, err
 	}
 	if nrec < 0 || nrec > flatMaxRecords {
 		return nil, false, fmt.Errorf("implausible record count %d", nrec)

@@ -138,13 +138,9 @@ func (d *Derived) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, su
 
 // scoreRows writes out[i] = geometry(q, E[ids[i]]) + bias[ids[i]].
 func (d *Derived) scoreRows(out []float32, ids []kg.EntityID, q, bias []float32) {
-	if d.geom != SweepDot {
-		dist := vecmath.L1Distance
-		if d.geom == SweepL2Sq {
-			dist = vecmath.SquaredL2Distance
-		}
+	if d.geom == SweepL1 {
 		for i, id := range ids {
-			out[i] = -dist(q, d.ent.M.Row(int(id)))
+			out[i] = -vecmath.L1Distance(q, d.ent.M.Row(int(id)))
 		}
 		return
 	}

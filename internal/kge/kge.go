@@ -253,9 +253,6 @@ type Config struct {
 	Dim  int
 	Seed int64
 
-	// Norm selects TransE's distance: 1 (L1) or 2 (squared L2). 0 means 1.
-	Norm int
-
 	// ConvE geometry: entity/relation embeddings are reshaped to
 	// Height×Width (Dim = Height·Width), stacked to 2Height×Width, and run
 	// through Filters 3×3 convolutions. Zero values pick defaults derived

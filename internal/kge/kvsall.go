@@ -87,23 +87,19 @@ func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.Relati
 	}
 }
 
-// distanceGrad accumulates one candidate row of a distance sweep. With the
-// residual e = q − row and g = ∂d/∂e (the sign of e for L1, 2e for squared
-// L2), score = −d gives ∂score/∂row = +g and ∂score/∂q = −g: u·g is added
-// to grow and subtracted from gq.
+// distanceGrad accumulates one candidate row of the L1 sweep. With the
+// residual e = q − row and g = ∂d/∂e = sign(e), score = −d gives
+// ∂score/∂row = +g and ∂score/∂q = −g: u·g is added to grow and subtracted
+// from gq.
 func (d *Derived) distanceGrad(u float32, q, row, grow, gq []float32) {
 	for c := range q {
 		e := q[c] - row[c]
 		var g float32
-		if d.geom == SweepL1 {
-			switch {
-			case e > 0:
-				g = 1
-			case e < 0:
-				g = -1
-			}
-		} else {
-			g = 2 * e
+		switch {
+		case e > 0:
+			g = 1
+		case e < 0:
+			g = -1
 		}
 		gq[c] += -g * u
 		grow[c] += g * u

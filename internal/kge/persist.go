@@ -29,8 +29,28 @@ type paramRecord struct {
 // Save is a pure function of the weights.
 type snapshot struct {
 	ModelName string
-	Config    Config
+	Config    snapshotConfig
 	ParamList []paramRecord
+}
+
+// snapshotConfig is Config on the gob wire. It keeps Norm, TransE's distance
+// (0 or 1 for L1, 2 for the squared L2 no model computes any more), because
+// gob drops a field its target type lacks without a word: a norm-2 snapshot
+// must be refused, not loaded as L1. Save writes it 0.
+type snapshotConfig struct {
+	NumEntities, NumRelations, Dim        int
+	Seed                                  int64
+	Norm                                  int
+	ConvEHeight, ConvEWidth, ConvEFilters int
+}
+
+// checkNorm refuses a checkpoint whose Config records a TransE norm other
+// than 0 or 1 (both mean L1). Both formats keep the slot only for this.
+func checkNorm(norm int64) error {
+	if norm != 0 && norm != 1 {
+		return fmt.Errorf("checkpoint records TransE norm %d; only 0 or 1 (L1) is supported", norm)
+	}
+	return nil
 }
 
 // Save serializes a trained model to w. Identical model weights always
@@ -42,7 +62,10 @@ func Save(m Trainable, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	snap.Config = cfg
+	snap.Config = snapshotConfig{
+		NumEntities: cfg.NumEntities, NumRelations: cfg.NumRelations, Dim: cfg.Dim, Seed: cfg.Seed,
+		ConvEHeight: cfg.ConvEHeight, ConvEWidth: cfg.ConvEWidth, ConvEFilters: cfg.ConvEFilters,
+	}
 	for _, p := range m.Params().List() {
 		data := make([]float32, len(p.M.Data))
 		copy(data, p.M.Data)
@@ -68,7 +91,14 @@ func Load(r io.Reader) (Trainable, error) {
 		// record list is how such a file shows up here.
 		return nil, fmt.Errorf("kge: snapshot of %q has no parameter records: map-format snapshot from before canonical checkpoints; no longer read", snap.ModelName)
 	}
-	m, err := New(snap.ModelName, snap.Config)
+	c := snap.Config
+	if err := checkNorm(int64(c.Norm)); err != nil {
+		return nil, fmt.Errorf("kge: snapshot of %q: %w", snap.ModelName, err)
+	}
+	m, err := New(snap.ModelName, Config{
+		NumEntities: c.NumEntities, NumRelations: c.NumRelations, Dim: c.Dim, Seed: c.Seed,
+		ConvEHeight: c.ConvEHeight, ConvEWidth: c.ConvEWidth, ConvEFilters: c.ConvEFilters,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("kge: reconstruct %q: %w", snap.ModelName, err)
 	}

@@ -20,10 +20,8 @@ const (
 	// SweepDot: score(o) = E.Row(o)·q (+ SweepBias()[o] when non-nil).
 	// DistMult, ComplEx, RESCAL, HolE, and ConvE all reduce to this.
 	SweepDot SweepGeometry = iota
-	// SweepL1: score(o) = −Σⱼ|qⱼ − E.Row(o)ⱼ| (TransE norm 1).
+	// SweepL1: score(o) = −Σⱼ|qⱼ − E.Row(o)ⱼ| (TransE).
 	SweepL1
-	// SweepL2Sq: score(o) = −Σⱼ(qⱼ − E.Row(o)ⱼ)² (TransE norm 2).
-	SweepL2Sq
 )
 
 // QueryModel is the contract a model implements; Derive builds every other
@@ -85,13 +83,13 @@ type QueryModel interface {
 
 // ObjectSweeper exposes the linear structure of a model's ScoreAllObjects
 // sweep: a per-(s, r) query vector plus a fixed entity table, combined by
-// one of the three geometries above. A model implementing it can be ranked
+// one of the two geometries above. A model implementing it can be ranked
 // through the prescreen-then-rerank path (internal/prune, internal/eval's
 // RankObjectsPruned) instead of always paying the dense O(|E|·d) sweep.
 //
 // Exactness contract: rescoring entity o from the built query with the
 // shared kernels (vecmath.MatVecRange on aligned 4-row blocks for SweepDot,
-// the per-row distance kernels for SweepL1/SweepL2Sq, plus the single bias
+// the per-row L1Distance kernel for SweepL1, plus the single bias
 // add) reproduces the dense sweep's float32 output bit for bit. That
 // contract is what lets exact-mode pruning return byte-identical discovery
 // results; Derived meets it because its dense sweeps run the same query
@@ -270,34 +268,19 @@ func ScoreAllSubjectsBatch(m Model, os []kg.EntityID, r kg.RelationID, out *vecm
 // out.Row(j)[o] = geometry(q.Row(j), E[o]) + bias[o].
 //
 // The dot family is one vecmath.MatMat, whose rows are bit-identical to
-// per-row MatVec calls, and L1 TransE one vecmath.MatNegL1, bit-identical to
-// per-pair L1Distance calls. Squared L2 has no product form that keeps the
-// per-pair accumulation order, so the entity table is walked in MatMat's row
-// tiles with every query scoring a tile before it leaves cache, through the
-// same per-pair kernel a single sweep uses.
+// per-row MatVec calls, and TransE one vecmath.MatNegL1, bit-identical to
+// per-pair L1Distance calls.
 func (d *Derived) sweep(out, q *vecmath.Matrix, bias []float32) {
-	switch d.geom {
-	case SweepDot:
-		vecmath.MatMat(out, d.ent.M, q)
-		if bias != nil {
-			for j := 0; j < out.Rows; j++ {
-				row := out.Row(j)
-				for o := range row {
-					row[o] += bias[o]
-				}
-			}
-		}
-	case SweepL1:
+	if d.geom == SweepL1 {
 		vecmath.MatNegL1(out, d.ent.M, q)
-	default:
-		tile := vecmath.MatMatTileRows(d.ent.M.Cols)
-		for lo := 0; lo < d.ent.M.Rows; lo += tile {
-			hi := min(lo+tile, d.ent.M.Rows)
-			for j := 0; j < q.Rows; j++ {
-				qj, dst := q.Row(j), out.Row(j)
-				for o := lo; o < hi; o++ {
-					dst[o] = -vecmath.SquaredL2Distance(qj, d.ent.M.Row(o))
-				}
+		return
+	}
+	vecmath.MatMat(out, d.ent.M, q)
+	if bias != nil {
+		for j := 0; j < out.Rows; j++ {
+			row := out.Row(j)
+			for o := range row {
+				row[o] += bias[o]
 			}
 		}
 	}

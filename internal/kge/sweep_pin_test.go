@@ -20,18 +20,17 @@ import (
 // c26cda3 on the scalar Go kernels and never regenerated: they hold the
 // query-lane kernels to the batch sweep's bits for every model.
 var batchSweepPins = map[string]string{
-	"transe":    "0dcc537860ff002cd3d04a4badd35bb72bcc3c85a9240883de9a3b2afd799182",
-	"transe_l2": "6065e740518037183119b68c8c104377d38aea8397f1af59daf5d4ce3225c642",
-	"distmult":  "ffd3c7953f6c9d11c3328e0c6c5cf7e8c768dadfcfcb9a1fda52029d8d25b810",
-	"complex":   "ebe589db93188943179d4b4302027f62b913a056b57c49aef800e5ef7d4f9405",
-	"rescal":    "4964c3bdd6033124d095fe607603b1a29708ef1b6342fbe3c86a2538034a77e8",
-	"hole":      "5e630c9900cb21fbdf4ad09bb3d05f535350132f773da0e4a9bd67df8a05d322",
-	"conve":     "0bed8cda2ff67fd532c0bf55fcaec3c3d9f6a945d2d24c7d3a731d4f6294b1d6",
+	"transe":   "0dcc537860ff002cd3d04a4badd35bb72bcc3c85a9240883de9a3b2afd799182",
+	"distmult": "ffd3c7953f6c9d11c3328e0c6c5cf7e8c768dadfcfcb9a1fda52029d8d25b810",
+	"complex":  "ebe589db93188943179d4b4302027f62b913a056b57c49aef800e5ef7d4f9405",
+	"rescal":   "4964c3bdd6033124d095fe607603b1a29708ef1b6342fbe3c86a2538034a77e8",
+	"hole":     "5e630c9900cb21fbdf4ad09bb3d05f535350132f773da0e4a9bd67df8a05d322",
+	"conve":    "0bed8cda2ff67fd532c0bf55fcaec3c3d9f6a945d2d24c7d3a731d4f6294b1d6",
 }
 
-func batchSweepDigest(t *testing.T, name string, norm int) string {
+func batchSweepDigest(t *testing.T, name string) string {
 	t.Helper()
-	cfg := Config{NumEntities: 301, NumRelations: 3, Dim: 64, Seed: 5, Norm: norm}
+	cfg := Config{NumEntities: 301, NumRelations: 3, Dim: 64, Seed: 5}
 	m, err := New(name, cfg)
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
@@ -65,17 +64,9 @@ func TestBatchSweepPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("sweep digests are pinned on amd64: other ports fuse multiply-adds, which changes float bits")
 	}
-	models := map[string]int{"transe_l2": 2}
 	for _, name := range ModelNames() {
-		models[name] = 0
-	}
-	for key, norm := range models {
-		name := key
-		if key == "transe_l2" {
-			name = "transe"
-		}
-		if got := batchSweepDigest(t, name, norm); got != batchSweepPins[key] {
-			t.Errorf("%s: batch sweep digest %s, pinned %s", key, got, batchSweepPins[key])
+		if got := batchSweepDigest(t, name); got != batchSweepPins[name] {
+			t.Errorf("%s: batch sweep digest %s, pinned %s", name, got, batchSweepPins[name])
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // newTestSweeper builds a small randomized model of each family. Dim 8 keeps
 // ConvE's reshape valid (2×4) and exercises both the 4-row MatVec blocks and
 // the Dot tail (41 entities: 10 blocks + 1 tail row).
-func newTestSweeper(t *testing.T, name string, norm int) ObjectSweeper {
+func newTestSweeper(t *testing.T, name string) ObjectSweeper {
 	t.Helper()
-	cfg := Config{NumEntities: 41, NumRelations: 5, Dim: 8, Seed: 11, Norm: norm}
+	cfg := Config{NumEntities: 41, NumRelations: 5, Dim: 8, Seed: 11}
 	m, err := New(name, cfg)
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
@@ -36,9 +36,8 @@ func allTestSweepers(t *testing.T) map[string]ObjectSweeper {
 	t.Helper()
 	sweepers := map[string]ObjectSweeper{}
 	for _, name := range ModelNames() {
-		sweepers[name] = newTestSweeper(t, name, 0)
+		sweepers[name] = newTestSweeper(t, name)
 	}
-	sweepers["transe_l2"] = newTestSweeper(t, "transe", 2)
 	return sweepers
 }
 
@@ -69,10 +68,6 @@ func rebuildSweep(sw ObjectSweeper, s kg.EntityID, r kg.RelationID) []float32 {
 	case SweepL1:
 		for o := 0; o < n; o++ {
 			out[o] = -vecmath.L1Distance(q, ent.Row(o))
-		}
-	case SweepL2Sq:
-		for o := 0; o < n; o++ {
-			out[o] = -vecmath.SquaredL2Distance(q, ent.Row(o))
 		}
 	}
 	return out

@@ -1,38 +1,23 @@
 package kge
 
 import (
-	"fmt"
-
 	"repro/internal/kg"
 	"repro/internal/vecmath"
 )
 
 // TransE is the translation-based model of Bordes et al. (2013): a relation
 // is a translation in embedding space and the scoring function is the
-// negated distance f(s, r, o) = −d(s + r, o). Norm 1 uses the L1 distance;
-// norm 2 uses the squared L2 distance (smooth, so the gradient is exact
-// everywhere).
+// negated L1 distance f(s, r, o) = −‖s + r − o‖₁.
 type TransE struct {
 	tables
-	norm    int
 	pending []int32 // PostBatch's pending entity rows
 }
 
 // NewTransE constructs and initializes a TransE model.
 func NewTransE(cfg Config) (*TransE, error) {
-	norm := cfg.Norm
-	if norm == 0 {
-		norm = 1
-	}
-	if norm != 1 && norm != 2 {
-		return nil, fmt.Errorf("kge: transe: norm must be 1 or 2, got %d", cfg.Norm)
-	}
-	m := &TransE{tables: newTables("transe", cfg, cfg.Dim, cfg.Dim), norm: norm}
+	m := &TransE{tables: newTables("transe", cfg, cfg.Dim, cfg.Dim)}
 	// TransE sweeps a distance, not a dot product.
 	m.geom = SweepL1
-	if norm == 2 {
-		m.geom = SweepL2Sq
-	}
 	if m.initXavier(cfg.Dim) != nil {
 		for i := 0; i < cfg.NumEntities; i++ {
 			vecmath.NormalizeL2(m.ent.M.Row(i))
@@ -47,19 +32,12 @@ func (m *TransE) Score(t kg.Triple) float32 {
 	r := m.rel.M.Row(int(t.R))
 	o := m.ent.M.Row(int(t.O))
 	var d float32
-	if m.norm == 1 {
-		for i := range s {
-			v := s[i] + r[i] - o[i]
-			if v < 0 {
-				v = -v
-			}
-			d += v
+	for i := range s {
+		v := s[i] + r[i] - o[i]
+		if v < 0 {
+			v = -v
 		}
-	} else {
-		for i := range s {
-			v := s[i] + r[i] - o[i]
-			d += v * v
-		}
+		d += v
 	}
 	return -d
 }
@@ -96,9 +74,7 @@ func (m *TransE) BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float
 }
 
 // AccumulateGrad implements QueryModel. With e = s + r − o:
-//
-//	norm 1: ∂f/∂s = −sign(e), ∂f/∂r = −sign(e), ∂f/∂o = +sign(e)
-//	norm 2: ∂f/∂s = −2e,      ∂f/∂r = −2e,      ∂f/∂o = +2e
+// ∂f/∂s = ∂f/∂r = −sign(e), ∂f/∂o = +sign(e).
 func (m *TransE) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb *GradBuffer) {
 	s := m.ent.M.Row(int(t.S))
 	r := m.rel.M.Row(int(t.R))
@@ -109,15 +85,11 @@ func (m *TransE) AccumulateGrad(t kg.Triple, _ GradContext, upstream float32, gb
 	for i := range s {
 		e := s[i] + r[i] - o[i]
 		var g float32
-		if m.norm == 1 {
-			switch {
-			case e > 0:
-				g = 1
-			case e < 0:
-				g = -1
-			}
-		} else {
-			g = 2 * e
+		switch {
+		case e > 0:
+			g = 1
+		case e < 0:
+			g = -1
 		}
 		gs[i] += -g * upstream
 		gr[i] += -g * upstream

@@ -7,7 +7,8 @@
 //
 //   - the kg.Graph triple set, by-relation index and per-relation side
 //     tables (via Graph.Add/Graph.Delete incremental maintenance),
-//   - the undirected projection's degree/triangle/clustering state
+//   - the undirected projection's neighbour lists, and with each mutation
+//     the nodes whose degree/triangle/clustering statistics it may move
 //     (via graphstats.Live local delta updates),
 //   - the (s, r) filter adjacency used by eval.Ranker for filtered ranking
 //     (the train ∪ valid ∪ test union graph, co-maintained here).

@@ -15,7 +15,7 @@ import (
 // place. With unique temp names the final sidecar must always be a complete,
 // loadable index.
 func TestSaveFileConcurrentSavers(t *testing.T) {
-	sw, fp := testModel(t, "distmult", 0, 97)
+	sw, fp := testModel(t, "distmult", 97)
 	ixA, err := Build(sw, fp, Params{Cells: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@
 //     q·c + ‖q‖₂·r (Cauchy–Schwarz), min distance via d(q, c) − r (triangle
 //     inequality) for TransE;
 //   - an int8 symmetric-quantized copy of the entity table, swept with the
-//     widening vecmath kernels (DotI8, L1DistI8, L2SqDistI8) as a cheap
+//     widening vecmath kernels (DotI8, L1DistI8) as a cheap
 //     second-stage filter inside cells the bounds could not discard.
 //
 // A Searcher runs the per-query branch-and-bound: visit cells in descending
@@ -93,7 +93,7 @@ type Index struct {
 	codes  []int8    // n×qdim symmetric-quantized entity rows
 	scale  []float32 // per-row dequant scale (dot geometry)
 	codeL1 []float32 // per-row Σ|code| (dot geometry error bound)
-	gscale float64   // global dequant scale (distance geometries)
+	gscale float64   // global dequant scale (L1 geometry)
 
 	maxRowL2 float64 // max augmented-row norms, for the kernel-rounding slack
 	maxRowL1 float64
@@ -222,9 +222,9 @@ func Build(sw kge.ObjectSweeper, fingerprint string, p Params) (*Index, error) {
 
 // quantize fills the int8 copy of the (augmented) entity table. The dot
 // geometry quantizes per row (scales differ by orders of magnitude across
-// entities, and the error bound needs per-row Δ anyway); the distance
-// geometries share one global scale so that code differences remain
-// meaningful across rows.
+// entities, and the error bound needs per-row Δ anyway); the L1 geometry
+// shares one global scale so that code differences remain meaningful across
+// rows.
 func (ix *Index) quantize(rows *vecmath.Matrix) {
 	n, qdim := ix.n, ix.qdim
 	ix.codes = make([]int8, n*qdim)
@@ -273,7 +273,7 @@ func (ix *Index) quantize(rows *vecmath.Matrix) {
 		return
 	}
 
-	// Distance geometries: one global scale over every entity component.
+	// L1 geometry: one global scale over every entity component.
 	var maxAbs float64
 	for _, v := range rows.Data {
 		if f := math.Abs(float64(v)); f > maxAbs {
@@ -292,7 +292,7 @@ func (ix *Index) quantize(rows *vecmath.Matrix) {
 
 // quantOne rounds v/delta to the nearest int8 step, clamped to ±127. With
 // delta ≥ |v|/127 the clamp never engages; it guards callers that quantize
-// out-of-range values (queries in the distance geometries).
+// out-of-range values (queries in the L1 geometry).
 func quantOne(v, delta float64) int8 {
 	if delta == 0 {
 		return 0
@@ -311,7 +311,7 @@ func quantOne(v, delta float64) int8 {
 // an over-estimate of how far above the real score the float32 kernels'
 // computed score can land through rounding. magnitude must bound the sum of
 // absolute term magnitudes of the kernel's accumulation (‖q‖₂·‖e‖₂ for dot
-// sweeps, ‖q‖₁+‖e‖₁ for L1, (‖q‖₂+‖e‖₂)² for squared L2); the naive-sum
+// sweeps, ‖q‖₁+‖e‖₁ for L1); the naive-sum
 // error bound is ≈ d·2⁻²⁴·magnitude and the factor 4 is headroom for the
 // bound's own float64 evaluation and the quantized estimate path.
 func kernelSlack(d int, magnitude float64) float64 {

@@ -15,9 +15,9 @@ import (
 // testModel builds a small randomized model of one family and returns its
 // sweeper and fingerprint. 41 entities exercises the non-multiple-of-4 tail;
 // dim 8 keeps ConvE's reshape valid.
-func testModel(t testing.TB, name string, norm int, seed int64) (kge.ObjectSweeper, string) {
+func testModel(t testing.TB, name string, seed int64) (kge.ObjectSweeper, string) {
 	t.Helper()
-	cfg := kge.Config{NumEntities: 41, NumRelations: 5, Dim: 8, Seed: 11, Norm: norm}
+	cfg := kge.Config{NumEntities: 41, NumRelations: 5, Dim: 8, Seed: 11}
 	m, err := kge.New(name, cfg)
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
@@ -35,8 +35,7 @@ func testModel(t testing.TB, name string, norm int, seed int64) (kge.ObjectSweep
 	return sw, kge.Fingerprint(m)
 }
 
-// allModels yields every family plus the L2 TransE variant, covering all
-// three sweep geometries.
+// allModels yields every family, covering both sweep geometries.
 func allModels(t testing.TB, seed int64) map[string]struct {
 	sw kge.ObjectSweeper
 	fp string
@@ -47,17 +46,12 @@ func allModels(t testing.TB, seed int64) map[string]struct {
 		fp string
 	}{}
 	for _, name := range kge.ModelNames() {
-		sw, fp := testModel(t, name, 0, seed)
+		sw, fp := testModel(t, name, seed)
 		out[name] = struct {
 			sw kge.ObjectSweeper
 			fp string
 		}{sw, fp}
 	}
-	sw, fp := testModel(t, "transe", 2, seed)
-	out["transe_l2"] = struct {
-		sw kge.ObjectSweeper
-		fp string
-	}{sw, fp}
 	return out
 }
 
@@ -191,7 +185,7 @@ func TestBoundSoundness(t *testing.T) {
 // an entity table with only three distinct rows means huge score ties, and
 // the exact top-M multiset must still come back value for value.
 func TestTopMTieHeavy(t *testing.T) {
-	sw, _ := testModel(t, "distmult", 0, 31)
+	sw, _ := testModel(t, "distmult", 31)
 	ent := sw.SweepEntityTable()
 	for o := 0; o < ent.Rows; o++ {
 		copy(ent.Row(o), ent.Row(o%3))
@@ -292,7 +286,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestBuildDeterminism: same weights, same params → byte-identical sidecars.
 func TestBuildDeterminism(t *testing.T) {
-	sw, fp := testModel(t, "transe", 1, 71)
+	sw, fp := testModel(t, "transe", 71)
 	a, err := Build(sw, fp, Params{Cells: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +308,7 @@ func TestBuildDeterminism(t *testing.T) {
 }
 
 func TestNewSearcherRejectsMismatch(t *testing.T) {
-	sw, fp := testModel(t, "distmult", 0, 83)
+	sw, fp := testModel(t, "distmult", 83)
 	ix, err := Build(sw, fp, Params{})
 	if err != nil {
 		t.Fatal(err)
@@ -322,14 +316,14 @@ func TestNewSearcherRejectsMismatch(t *testing.T) {
 	if _, err := NewSearcher(ix, sw, "not-the-fingerprint"); err == nil {
 		t.Fatal("searcher accepted a mismatched fingerprint")
 	}
-	other, _ := testModel(t, "transe", 1, 83)
+	other, _ := testModel(t, "transe", 83)
 	if _, err := NewSearcher(ix, other, fp); err == nil {
 		t.Fatal("searcher accepted a mismatched geometry")
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
-	sw, fp := testModel(t, "distmult", 0, 97)
+	sw, fp := testModel(t, "distmult", 97)
 	ix, err := Build(sw, fp, Params{Cells: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -42,9 +42,9 @@ type Searcher struct {
 	cq []int8    // quantized query (qdim)
 
 	// Per-query bound constants (float64): the query's norms, quantization
-	// step, exact quantization residual norms (distance geometries), and the
+	// step, exact quantization residual L1 norm (L1 geometry), and the
 	// kernel-rounding slack.
-	dq, qL1, qL2, eqL1, eqL2, slack float64
+	dq, qL1, qL2, eqL1, slack float64
 
 	scores   []float32 // sparse exact scores, valid where blockGen == gen
 	blockGen []uint32
@@ -185,7 +185,7 @@ func (s *Searcher) remainingNonEmpty(ci int32) int {
 // Score returns the exact computed sweep score of entity o for the current
 // query, rescoring o's aligned 4-row block with the exact kernels on first
 // touch. For the dot geometry the block alignment makes the result
-// bit-identical to the dense MatVec sweep; the distance kernels are per-row
+// bit-identical to the dense MatVec sweep; the L1 kernel is per-row
 // and trivially identical.
 func (s *Searcher) Score(o kg.EntityID) float32 {
 	b := int(o) >> 2
@@ -214,10 +214,6 @@ func (s *Searcher) scoreBlock(b int) {
 	case kge.SweepL1:
 		for o := lo; o < hi; o++ {
 			s.scores[o] = -vecmath.L1Distance(s.q, ent.Row(o))
-		}
-	case kge.SweepL2Sq:
-		for o := lo; o < hi; o++ {
-			s.scores[o] = -vecmath.SquaredL2Distance(s.q, ent.Row(o))
 		}
 	}
 	s.blockGen[b] = s.gen
@@ -260,29 +256,23 @@ func (s *Searcher) setQuery(sub kg.EntityID, rel kg.RelationID) {
 	case kge.SweepL1:
 		s.quantizeDistQuery()
 		s.slack = kernelSlack(ix.dim, s.qL1+ix.maxRowL1)
-	case kge.SweepL2Sq:
-		s.quantizeDistQuery()
-		mag := s.qL2 + ix.maxRowL2
-		s.slack = kernelSlack(ix.dim, mag*mag)
 	}
 }
 
 // quantizeDistQuery quantizes the query with the entities' global scale and
-// records the exact residual norms: queries (s + r) can fall outside the
+// records the exact residual L1 norm: queries (s + r) can fall outside the
 // entity range, so the clamp can engage and the residual must be measured,
 // not assumed ≤ Δ/2.
 func (s *Searcher) quantizeDistQuery() {
 	ix := s.ix
 	s.dq = ix.gscale
-	var el1, el2 float64
+	var el1 float64
 	for j, v := range s.qa {
 		c := quantOne(float64(v), s.dq)
 		s.cq[j] = c
-		e := float64(v) - s.dq*float64(c)
-		el1 += math.Abs(e)
-		el2 += e * e
+		el1 += math.Abs(float64(v) - s.dq*float64(c))
 	}
-	s.eqL1, s.eqL2 = el1, math.Sqrt(el2)
+	s.eqL1 = el1
 }
 
 // boundCells computes every cell's score upper bound for the current query
@@ -309,17 +299,6 @@ func (s *Searcher) boundCells() {
 				d = 0
 			}
 			s.cellUB[c] = -d + s.slack
-		case kge.SweepL2Sq:
-			var d float64
-			for j, v := range s.qa {
-				diff := float64(v) - float64(cen[j])
-				d += diff * diff
-			}
-			d = math.Sqrt(d) - ix.radL2[c]
-			if d < 0 {
-				d = 0
-			}
-			s.cellUB[c] = -(d * d) + s.slack
 		}
 		s.cellOrd[c] = int32(c)
 	}
@@ -349,7 +328,7 @@ func (s *Searcher) prescreenUB(o int, approx bool) float64 {
 		}
 		err := delta * ((s.dq/2)*float64(ix.codeL1[o]) + s.qL1/2) * quantInflate
 		return est + err + s.slack
-	case kge.SweepL1:
+	default: // SweepL1
 		di := s.dq * float64(vecmath.L1DistI8(s.cq, code))
 		if approx {
 			return -di
@@ -359,16 +338,6 @@ func (s *Searcher) prescreenUB(o int, approx bool) float64 {
 			d = 0
 		}
 		return -d + s.slack
-	default: // SweepL2Sq
-		di := s.dq * math.Sqrt(float64(vecmath.L2SqDistI8(s.cq, code)))
-		if approx {
-			return -(di * di)
-		}
-		d := di - s.eqL2 - (s.dq/2)*math.Sqrt(float64(ix.qdim))*quantInflate
-		if d < 0 {
-			d = 0
-		}
-		return -(d * d) + s.slack
 	}
 }
 

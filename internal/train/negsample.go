@@ -7,22 +7,13 @@ import (
 )
 
 // NegativeSampler produces corrupted triples for contrastive training: given
-// a positive (s, r, o) it replaces the subject or object with a random
-// entity. With Filtered set, corruptions that happen to be true triples of
-// the training graph are re-drawn (up to a bounded number of attempts —
-// sampling must never loop forever on pathological graphs).
+// a positive (s, r, o) it replaces the subject or the object, each with
+// probability 0.5 unless FitBernoulli has been called, with a random entity.
 type NegativeSampler struct {
 	// NumEntities is the entity vocabulary size to draw replacements from.
 	NumEntities int
-	// Filtered re-draws corruptions that exist in the filter graph.
-	Filtered bool
-	// Filter is the graph consulted when Filtered is set (usually train).
-	Filter *kg.Graph
-	// SubjectProb is the probability of corrupting the subject side
-	// (0.5 by default via zero value handling in Corrupt).
-	SubjectProb float64
 	// bernoulli holds per-relation subject-corruption probabilities when
-	// FitBernoulli has been called; it overrides SubjectProb.
+	// FitBernoulli has been called; it overrides the even side choice.
 	bernoulli map[kg.RelationID]float64
 }
 
@@ -47,32 +38,17 @@ func (ns *NegativeSampler) FitBernoulli(g *kg.Graph) {
 	}
 }
 
-// Corrupt returns one corruption of t.
+// Corrupt returns one corruption of t: it draws the side, then entities
+// until the corruption differs from t.
 func (ns *NegativeSampler) Corrupt(t kg.Triple, rng *rand.Rand) kg.Triple {
-	p := ns.SubjectProb
+	p := 0.5
 	if bp, ok := ns.bernoulli[t.R]; ok {
 		p = bp
-	}
-	if p == 0 {
-		p = 0.5
 	}
 	side := kg.ObjectSide
 	if rng.Float64() < p {
 		side = kg.SubjectSide
 	}
-	const maxAttempts = 32
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		e := kg.EntityID(rng.Intn(ns.NumEntities))
-		c := t.Corrupted(side, e)
-		if c == t {
-			continue
-		}
-		if ns.Filtered && ns.Filter != nil && ns.Filter.Contains(c) {
-			continue
-		}
-		return c
-	}
-	// Give up on filtering; return any distinct corruption.
 	for {
 		e := kg.EntityID(rng.Intn(ns.NumEntities))
 		if c := t.Corrupted(side, e); c != t {

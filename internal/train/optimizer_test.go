@@ -146,37 +146,22 @@ func TestNegativeSamplerProducesCorruptions(t *testing.T) {
 	}
 }
 
-func TestNegativeSamplerFiltered(t *testing.T) {
-	ds := mustTinyDataset(t)
-	ns := &NegativeSampler{
-		NumEntities: ds.Train.Entities.Len(),
-		Filtered:    true,
-		Filter:      ds.Train,
-	}
-	rng := newTestRNG(13)
-	misses := 0
-	for i := 0; i < 500; i++ {
-		pos := ds.Train.Triples()[i%ds.Train.Len()]
-		c := ns.Corrupt(pos, rng)
-		if ds.Train.Contains(c) {
-			misses++
-		}
-	}
-	// The bounded retry allows rare leaks; they must be rare.
-	if misses > 5 {
-		t.Errorf("%d/500 filtered corruptions were true triples", misses)
-	}
-}
-
+// TestNegativeSamplerSubjectProb checks the side choice without a Bernoulli
+// fit: the subject is corrupted with probability 0.5.
 func TestNegativeSamplerSubjectProb(t *testing.T) {
 	ds := mustTinyDataset(t)
-	ns := &NegativeSampler{NumEntities: ds.Train.Entities.Len(), SubjectProb: 1.0}
+	ns := &NegativeSampler{NumEntities: ds.Train.Entities.Len()}
 	rng := newTestRNG(17)
 	pos := ds.Train.Triples()[0]
-	for i := 0; i < 100; i++ {
-		if c := ns.Corrupt(pos, rng); c.O != pos.O {
-			t.Fatal("SubjectProb=1 corrupted the object")
+	const draws = 2000
+	subjects := 0
+	for i := 0; i < draws; i++ {
+		if c := ns.Corrupt(pos, rng); c.S != pos.S {
+			subjects++
 		}
+	}
+	if share := float64(subjects) / draws; share < 0.45 || share > 0.55 {
+		t.Errorf("subject corrupted in %.3f of draws, want 0.5", share)
 	}
 }
 

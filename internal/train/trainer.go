@@ -39,8 +39,6 @@ type Config struct {
 	Workers int
 	// Seed drives shuffling and negative sampling.
 	Seed int64
-	// FilteredNegatives re-draws corruptions that are true training triples.
-	FilteredNegatives bool
 	// BernoulliNegatives fits per-relation corruption-side probabilities
 	// (Wang et al., 2014) instead of the uniform 50/50 side choice.
 	BernoulliNegatives bool
@@ -152,11 +150,7 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 	triples := make([]kg.Triple, ds.Train.Len())
 	copy(triples, ds.Train.Triples())
 
-	sampler := &NegativeSampler{
-		NumEntities: model.NumEntities(),
-		Filtered:    cfg.FilteredNegatives,
-		Filter:      ds.Train,
-	}
+	sampler := &NegativeSampler{NumEntities: model.NumEntities()}
 	if cfg.BernoulliNegatives {
 		sampler.FitBernoulli(ds.Train)
 	}

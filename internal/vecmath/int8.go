@@ -4,9 +4,9 @@ package vecmath
 // pruned ranking (internal/prune). Entity rows are stored symmetric-quantized
 // to int8 and candidate groups first sweep the quantized copy — 4× less
 // memory traffic than float32 — before the surviving shortlist is rescored
-// with the exact float kernels. All three kernels accumulate in int32, which
-// is exact: |a|,|b| ≤ 127 bounds every product by 16129 and every per-element
-// distance term by 65025, so sums stay far from overflow for any embedding
+// with the exact float kernels. Both kernels accumulate in int32, which is
+// exact: |a|,|b| ≤ 127 bounds every product by 16129 and every per-element
+// distance term by 254, so sums stay far from overflow for any embedding
 // width this codebase uses (d < 2¹⁵).
 
 // DotI8 returns Σ aᵢ·bᵢ over int8 inputs with exact int32 accumulation.
@@ -65,31 +65,6 @@ func L1DistI8(a, b []int8) int32 {
 	}
 	for ; i < len(a); i++ {
 		s0 += abs(int32(a[i]) - int32(b[i]))
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// L2SqDistI8 returns Σ (aᵢ−bᵢ)² over int8 inputs with exact int32
-// accumulation (the quantized form of TransE's norm-2 sweep).
-func L2SqDistI8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic("vecmath: L2SqDistI8 length mismatch")
-	}
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := int32(a[i]) - int32(b[i])
-		d1 := int32(a[i+1]) - int32(b[i+1])
-		d2 := int32(a[i+2]) - int32(b[i+2])
-		d3 := int32(a[i+3]) - int32(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := int32(a[i]) - int32(b[i])
-		s0 += d * d
 	}
 	return s0 + s1 + s2 + s3
 }

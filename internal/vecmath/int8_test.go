@@ -19,7 +19,7 @@ func TestInt8KernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 31, 64, 129} {
 		a, b := randI8(rng, n), randI8(rng, n)
-		var dot, l1, l2 int64
+		var dot, l1 int64
 		for i := range a {
 			ai, bi := int64(a[i]), int64(b[i])
 			dot += ai * bi
@@ -29,7 +29,6 @@ func TestInt8KernelsMatchNaive(t *testing.T) {
 			} else {
 				l1 += d
 			}
-			l2 += d * d
 		}
 		if got := DotI8(a, b); int64(got) != dot {
 			t.Errorf("DotI8 n=%d: got %d want %d", n, got, dot)
@@ -39,9 +38,6 @@ func TestInt8KernelsMatchNaive(t *testing.T) {
 		}
 		if got := L1DistI8(a, b); int64(got) != l1 {
 			t.Errorf("L1DistI8 n=%d: got %d want %d", n, got, l1)
-		}
-		if got := L2SqDistI8(a, b); int64(got) != l2 {
-			t.Errorf("L2SqDistI8 n=%d: got %d want %d", n, got, l2)
 		}
 	}
 }
@@ -58,9 +54,6 @@ func TestInt8KernelsExtremes(t *testing.T) {
 	}
 	if got, want := L1DistI8(a, b), int32(254*n); got != want {
 		t.Errorf("L1DistI8 extremes: got %d want %d", got, want)
-	}
-	if got, want := L2SqDistI8(a, b), int32(254*254*n); got != want {
-		t.Errorf("L2SqDistI8 extremes: got %d want %d", got, want)
 	}
 }
 

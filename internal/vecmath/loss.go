@@ -13,8 +13,8 @@ import "math"
 // calibration and the scalar trainer path keep the exact functions; the
 // batched trainer's digests are defined over the Fast* values.
 //
-// The vector kernels (SigmoidVec, SoftplusVec, BCEFusedGrad) interleave four
-// lanes through the polynomial so the serial Horner dependency chains of
+// The vector kernel (BCEFusedGrad, through sigmoidSoftplusVec) interleaves
+// four lanes through the polynomial so the serial Horner dependency chains of
 // neighboring elements overlap; per element every lane runs exactly the
 // scalar FastSigmoid/FastSoftplus operation sequence, so vector and scalar
 // results are bit-identical — the interleave is scheduling, not math.
@@ -262,28 +262,6 @@ func FastSoftplus(x float32) float32 {
 	return reluf(x) + FastLog1p(fastExpCore(clampExpLower(-absf(x))))
 }
 
-// SigmoidVec writes FastSigmoid(x[i]) into dst[i], four lanes at a time.
-// dst may alias x. Every element is bit-identical to the scalar call.
-func SigmoidVec(dst, x []float32) {
-	if len(dst) != len(x) {
-		panic("vecmath: SigmoidVec length mismatch")
-	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		z0, z1, z2, z3 := fastExp4(
-			clampExpLower(-absf(x0)), clampExpLower(-absf(x1)),
-			clampExpLower(-absf(x2)), clampExpLower(-absf(x3)))
-		dst[i] = sigmoidFromZ(x0, z0)
-		dst[i+1] = sigmoidFromZ(x1, z1)
-		dst[i+2] = sigmoidFromZ(x2, z2)
-		dst[i+3] = sigmoidFromZ(x3, z3)
-	}
-	for ; i < len(x); i++ {
-		dst[i] = FastSigmoid(x[i])
-	}
-}
-
 // log1p4 applies FastLog1p to four lanes: the common all-small case runs the
 // interleaved polynomial, mixed lanes fall back to scalar calls (bit-equal
 // either way).
@@ -292,29 +270,6 @@ func log1p4(z0, z1, z2, z3 float32) (l0, l1, l2, l3 float32) {
 		return logPoly4(z0, z1, z2, z3)
 	}
 	return FastLog1p(z0), FastLog1p(z1), FastLog1p(z2), FastLog1p(z3)
-}
-
-// SoftplusVec writes FastSoftplus(x[i]) into dst[i], four lanes at a time.
-// dst may alias x. Every element is bit-identical to the scalar call.
-func SoftplusVec(dst, x []float32) {
-	if len(dst) != len(x) {
-		panic("vecmath: SoftplusVec length mismatch")
-	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		z0, z1, z2, z3 := fastExp4(
-			clampExpLower(-absf(x0)), clampExpLower(-absf(x1)),
-			clampExpLower(-absf(x2)), clampExpLower(-absf(x3)))
-		l0, l1, l2, l3 := log1p4(z0, z1, z2, z3)
-		dst[i] = reluf(x0) + l0
-		dst[i+1] = reluf(x1) + l1
-		dst[i+2] = reluf(x2) + l2
-		dst[i+3] = reluf(x3) + l3
-	}
-	for ; i < len(x); i++ {
-		dst[i] = FastSoftplus(x[i])
-	}
 }
 
 // sigmoidSoftplusVec computes sig[i] = FastSigmoid(x[i]) and

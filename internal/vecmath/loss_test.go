@@ -92,14 +92,13 @@ func TestSigmoidSoftplusVecMatchScalar(t *testing.T) {
 	}
 	sig := make([]float32, len(x))
 	sp := make([]float32, len(x))
-	SigmoidVec(sig, x)
-	SoftplusVec(sp, x)
+	sigmoidSoftplusVec(sig, sp, x)
 	for i, v := range x {
 		if sig[i] != FastSigmoid(v) {
-			t.Fatalf("SigmoidVec[%d] = %v, scalar %v", i, sig[i], FastSigmoid(v))
+			t.Fatalf("sigmoid lane %d = %v, scalar %v", i, sig[i], FastSigmoid(v))
 		}
 		if sp[i] != FastSoftplus(v) {
-			t.Fatalf("SoftplusVec[%d] = %v, scalar %v", i, sp[i], FastSoftplus(v))
+			t.Fatalf("softplus lane %d = %v, scalar %v", i, sp[i], FastSoftplus(v))
 		}
 	}
 }
@@ -200,16 +199,6 @@ func BenchmarkSigmoidExact(b *testing.B) {
 		}
 		sink = s
 	}
-}
-
-func BenchmarkSigmoidVecFast(b *testing.B) {
-	x := benchInputs(4096)
-	dst := make([]float32, len(x))
-	b.SetBytes(4096 * 4)
-	for i := 0; i < b.N; i++ {
-		SigmoidVec(dst, x)
-	}
-	sink = dst[0]
 }
 
 func BenchmarkBCEFusedGrad(b *testing.B) {

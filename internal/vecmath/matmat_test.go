@@ -22,7 +22,7 @@ func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 func TestMatMatBitIdenticalToMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, cols := range []int{1, 3, 5, 16, 33, 64} {
-		tile := MatMatTileRows(cols)
+		tile := matMatTileRows(cols)
 		for _, rows := range []int{1, 2, 3, 4, 7, 8, tile, tile + 1, tile + 5, 3*tile + 3} {
 			for _, qRows := range []int{1, 2, 5} {
 				m := randomMatrix(rng, rows, cols)
@@ -46,7 +46,7 @@ func TestMatMatBitIdenticalToMatVec(t *testing.T) {
 
 func TestMatMatTileRows(t *testing.T) {
 	for _, cols := range []int{1, 2, 16, 64, 128, 1 << 20} {
-		rows := MatMatTileRows(cols)
+		rows := matMatTileRows(cols)
 		if rows < 4 {
 			t.Errorf("cols=%d: tile rows %d < 4", cols, rows)
 		}
@@ -55,7 +55,7 @@ func TestMatMatTileRows(t *testing.T) {
 		}
 	}
 	// Small embedding dims must stay within the L1 budget.
-	if rows := MatMatTileRows(64); rows*64*4 > matMatTileBytes {
+	if rows := matMatTileRows(64); rows*64*4 > matMatTileBytes {
 		t.Errorf("cols=64: tile footprint %d exceeds budget", rows*64*4)
 	}
 }

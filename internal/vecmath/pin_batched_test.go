@@ -49,7 +49,7 @@ func batchedPinDigest(cols int) string {
 			h.Write(b[:])
 		}
 	}
-	tile := MatMatTileRows(cols)
+	tile := matMatTileRows(cols)
 	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9, tile - 1, tile, tile + 1, tile + 3, tile + 4, 2*tile + 5} {
 		m := randomMatrix(rng, rows, cols)
 		for _, nq := range []int{4, 5, 7, 8, 9, 13} {

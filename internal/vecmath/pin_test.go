@@ -15,9 +15,10 @@ import (
 // kernels' loops were rewritten for bounds-check elimination and the
 // sign-mask abs. The float kernels' summation order is contractual
 // (checkpoint and discovery digests hang off it), so a rewrite of MatVec,
-// MatMat, Dot, L1Distance or SquaredL2Distance must reproduce every bit
-// here; a mismatch means the accumulation order moved, not that the pin is
-// stale.
+// MatMat, Dot or L1Distance must reproduce every bit here; a mismatch means
+// the accumulation order moved, not that the pin is stale. The digests also
+// hash squared L2 distances, from a kernel since deleted, so its loop stays
+// here as squaredL2Pinned.
 var kernelPins = map[int]string{
 	1:   "c956373d734423dd855e0b08a228190143205c88fa89a6427bae62fa9a17a2f4",
 	2:   "271086a44c1f832ae3e394db141b3405ceda0e17a7657ff48118922bba4c1acd",
@@ -42,7 +43,7 @@ func pinDigest(cols int) string {
 			h.Write(b[:])
 		}
 	}
-	tile := MatMatTileRows(cols)
+	tile := matMatTileRows(cols)
 	for _, rows := range []int{1, 3, 4, 5, 7, 8, tile - 1, tile, tile + 1, tile + 6, 2*tile + 3} {
 		m := randomMatrix(rng, rows, cols)
 		q := randomMatrix(rng, 3, cols)
@@ -50,10 +51,28 @@ func pinDigest(cols int) string {
 		put(MatMat(NewMatrix(3, rows), m, q).Data...)
 		for i := 0; i < rows && i < 16; i++ {
 			row := m.Row(i)
-			put(Dot(row, q.Row(1)), L1Distance(row, q.Row(1)), SquaredL2Distance(row, q.Row(2)))
+			put(Dot(row, q.Row(1)), L1Distance(row, q.Row(1)), squaredL2Pinned(row, q.Row(2)))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// squaredL2Pinned is the deleted SquaredL2Distance kernel, Σ(aᵢ−bᵢ)² over
+// four accumulators, kept for the bytes kernelPins were generated over.
+func squaredL2Pinned(a, b []float32) float32 {
+	var s [4]float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		for k := range s {
+			d := a[i+k] - b[i+k]
+			s[k] += d * d
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s[0] += d * d
+	}
+	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
 func TestKernelSummationOrderPinned(t *testing.T) {

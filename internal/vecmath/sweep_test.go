@@ -118,7 +118,7 @@ func TestAxpyBitEqualToGoLoop(t *testing.T) {
 func TestSweepKernelsBitEqualToGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 128} {
-		tile := MatMatTileRows(cols)
+		tile := matMatTileRows(cols)
 		for _, rows := range []int{1, 2, 3, 5, 6, 7, 9, 14, min(tile+3, 300)} {
 			for nq := 1; nq <= 9; nq++ {
 				m, q := randomMatrix(rng, rows, cols), randomMatrix(rng, nq, cols)

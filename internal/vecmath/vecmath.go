@@ -93,13 +93,6 @@ func axpyGo(alpha float32, x, y []float32) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Hadamard stores a∘b into dst and returns dst. dst may alias a or b.
 func Hadamard(dst, a, b []float32) []float32 {
 	if len(a) != len(b) || len(dst) != len(a) {
@@ -131,19 +124,6 @@ func Sub(dst, a, b []float32) []float32 {
 		dst[i] = a[i] - b[i]
 	}
 	return dst
-}
-
-// L1Norm returns Σ|xᵢ|.
-func L1Norm(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		if v < 0 {
-			s -= v
-		} else {
-			s += v
-		}
-	}
-	return s
 }
 
 // L2Norm returns the Euclidean norm ‖x‖₂.
@@ -189,45 +169,6 @@ func L1Distance(a, b []float32) float32 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// SquaredL2Distance returns Σ(aᵢ−bᵢ)², 4-way unrolled with independent
-// accumulators. It is the hot kernel of TransE's norm-2 corruption sweeps.
-func SquaredL2Distance(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("vecmath: SquaredL2Distance length mismatch")
-	}
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a4, b4 := a[i:i+4:i+4], b[i:i+4:i+4]
-		d0 := a4[0] - b4[0]
-		d1 := a4[1] - b4[1]
-		d2 := a4[2] - b4[2]
-		d3 := a4[3] - b4[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// L2Distance returns ‖a−b‖₂.
-func L2Distance(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("vecmath: L2Distance length mismatch")
-	}
-	var s float32
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return float32(math.Sqrt(float64(s)))
-}
-
 // NormalizeL2 rescales x to unit Euclidean norm in place and reports whether
 // that changed the bits of any element. Vectors with norm below 1e-12 are
 // left untouched to avoid amplifying noise.
@@ -250,13 +191,6 @@ func XavierInit(rng *rand.Rand, x []float32, fanIn, fanOut int) {
 	b := math.Sqrt(6 / float64(fanIn+fanOut))
 	for i := range x {
 		x[i] = float32((rng.Float64()*2 - 1) * b)
-	}
-}
-
-// UniformInit fills x with samples from U(lo, hi).
-func UniformInit(rng *rand.Rand, x []float32, lo, hi float64) {
-	for i := range x {
-		x[i] = float32(lo + rng.Float64()*(hi-lo))
 	}
 }
 
@@ -290,11 +224,6 @@ func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// MulVec computes dst = M·x (dst has length Rows, x length Cols).
-func (m *Matrix) MulVec(dst, x []float32) []float32 {
-	return MatVec(dst, m, x)
-}
 
 // MatVec computes dst = M·x with a fused 4-row kernel: each loaded x[j]
 // feeds four independent dot-product chains, amortizing the query-vector
@@ -397,12 +326,10 @@ func matVecRange(dst []float32, m *Matrix, x []float32, lo, hi int) {
 // cache instead of RAM.
 const matMatTileBytes = 32 << 10
 
-// MatMatTileRows returns the row-tile height MatMat uses for a matrix with
+// matMatTileRows returns the row-tile height MatMat uses for a matrix with
 // cols columns: the largest multiple of 4 whose float32 footprint fits
-// matMatTileBytes, and at least 4. It is exported so callers that tile
-// other entity-table walks the same way (squared-L2 TransE's sweep, the
-// KvsAll backward pass) stay consistent with MatMat's blocking.
-func MatMatTileRows(cols int) int {
+// matMatTileBytes, and at least 4.
+func matMatTileRows(cols int) int {
 	rows := matMatTileBytes / (4 * cols)
 	rows -= rows % 4
 	if rows < 4 {
@@ -423,7 +350,7 @@ func MatMatTileRows(cols int) int {
 // queries take MatVec's kernel, and every query off amd64 the scalar one.
 //
 // Every dst row is bit-identical to MatVec(dst.Row(j), m, q.Row(j)): tile
-// boundaries are multiples of 4 (MatMatTileRows), so each tile's 4-row
+// boundaries are multiples of 4 (matMatTileRows), so each tile's 4-row
 // blocks and final Dot tail fall on exactly the row indices a whole-matrix
 // MatVec would use, and both kernels perform each (row, query) pair's
 // multiplies and adds in matVecRange's order. The one exception is which
@@ -492,7 +419,7 @@ func sweepTiles(dst, m, q *Matrix, l1 bool) {
 			left[i] = spreadDot(buf[k:k+w], q.Row(full+i))
 		}
 	}
-	tile := MatMatTileRows(m.Cols)
+	tile := matMatTileRows(m.Cols)
 	for lo := 0; lo < m.Rows; lo += tile {
 		hi := min(lo+tile, m.Rows)
 		for j := 0; j < full; j += 4 {
@@ -513,36 +440,11 @@ func sweepTiles(dst, m, q *Matrix, l1 bool) {
 	}
 }
 
-// MulVecT computes dst = Mᵀ·x (dst has length Cols, x length Rows).
-func (m *Matrix) MulVecT(dst, x []float32) []float32 {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic("vecmath: MulVecT dimension mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		Axpy(x[i], m.Row(i), dst)
-	}
-	return dst
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float32) float32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Sigmoid returns 1/(1+e^(−x)) computed stably in float64.

@@ -71,9 +71,6 @@ func TestHadamardAddSub(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	v := []float32{3, -4}
-	if got := L1Norm(v); got != 7 {
-		t.Errorf("L1Norm = %g, want 7", got)
-	}
 	if got := L2Norm(v); got != 5 {
 		t.Errorf("L2Norm = %g, want 5", got)
 	}
@@ -87,9 +84,6 @@ func TestDistances(t *testing.T) {
 	b := []float32{4, -2}
 	if got := L1Distance(a, b); got != 7 {
 		t.Errorf("L1Distance = %g, want 7", got)
-	}
-	if got := L2Distance(a, b); got != 5 {
-		t.Errorf("L2Distance = %g, want 5", got)
 	}
 }
 
@@ -138,18 +132,14 @@ func TestMatrixRowsAndMulVec(t *testing.T) {
 	m.Set(0, 0, 1)
 
 	dst := make([]float32, 2)
-	m.MulVec(dst, []float32{1, 1, 1})
+	MatVec(dst, m, []float32{1, 1, 1})
 	if dst[0] != 6 || dst[1] != 15 {
-		t.Errorf("MulVec = %v", dst)
-	}
-	dstT := make([]float32, 3)
-	m.MulVecT(dstT, []float32{1, 1})
-	if dstT[0] != 5 || dstT[1] != 7 || dstT[2] != 9 {
-		t.Errorf("MulVecT = %v", dstT)
+		t.Errorf("MatVec = %v", dst)
 	}
 }
 
-// Property: MulVec and MulVecT are adjoint: yᵀ(Mx) == (Mᵀy)ᵀx.
+// Property: MatVec and the Axpy sum Mᵀy = Σᵢ yᵢ·Mᵢ, the KvsAll backward
+// pass's form, are adjoint: yᵀ(Mx) == (Mᵀy)ᵀx.
 func TestMatrixPropertyAdjoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -160,23 +150,15 @@ func TestMatrixPropertyAdjoint(t *testing.T) {
 		}
 		x := randomVec(rng, cols)
 		y := randomVec(rng, rows)
-		mx := m.MulVec(make([]float32, rows), x)
-		mty := m.MulVecT(make([]float32, cols), y)
+		mx := MatVec(make([]float32, rows), m, x)
+		mty := make([]float32, cols)
+		for i, yi := range y {
+			Axpy(yi, m.Row(i), mty)
+		}
 		return almostEqual(Dot(y, mx), Dot(mty, x), 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUniformInitRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	v := make([]float32, 500)
-	UniformInit(rng, v, -0.25, 0.75)
-	for i, x := range v {
-		if x < -0.25 || x > 0.75 {
-			t.Fatalf("v[%d] = %g outside [-0.25, 0.75]", i, x)
-		}
 	}
 }
 
@@ -223,12 +205,6 @@ func TestAxpyMismatchPanics(t *testing.T) {
 		}
 	}()
 	Axpy(1, []float32{1}, []float32{1, 2})
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp broken")
-	}
 }
 
 func TestSigmoid(t *testing.T) {
