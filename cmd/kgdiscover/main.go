@@ -15,9 +15,11 @@
 //	# ... SIGKILL ...
 //	kgdiscover -data data/fb10 -model transe.kge -checkpoint sweep.wal -resume -out facts.tsv
 //
-// With -fleet the sweep is routed to a kgfleet coordinator (started with
-// `kgfleet coord -serve`) and executed by its workers; the output — ranks,
-// facts, TSV — is byte-identical to running the same sweep locally.
+// With -fleet the sweep is routed to a running `kgfleet coord` and executed
+// by its workers; the output — ranks, facts, TSV — is byte-identical to
+// running the same sweep locally. -checkpoint and -resume then name the
+// coordinator's journal. -cpuprofile and -memprofile are refused with
+// -fleet: the sweep's work happens in the workers, not in this process.
 //
 //	kgdiscover -data data/fb10 -model transe.kge -fleet http://127.0.0.1:7070 -out facts.tsv
 package main
@@ -79,6 +81,9 @@ func run(args []string) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *fleetAddr != "" {
+		if *cpuProfile != "" || *memProfile != "" {
+			return fmt.Errorf("-cpuprofile and -memprofile cannot be used with -fleet: the sweep runs in the kgfleet workers, not in this process")
+		}
 		return runFleet(fleetSweep{
 			coord:      *fleetAddr,
 			dataDir:    *dataDir,

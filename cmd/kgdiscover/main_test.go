@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -81,6 +82,15 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-data", dataDir, "-model", modelPath, "-resume"}); err == nil {
 		t.Error("accepted -resume without -checkpoint")
+	}
+	// Under -fleet the sweep runs in the workers, so a local profile would
+	// be empty; the combination is refused before any coordinator is asked.
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		err := run([]string{"-data", dataDir, "-model", modelPath, "-fleet", "127.0.0.1:1",
+			flag, filepath.Join(t.TempDir(), "p.prof")})
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("-fleet with %s: got %v, want an error naming %s", flag, err, flag)
+		}
 	}
 }
 

@@ -3,17 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
@@ -26,18 +28,16 @@ func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		nil,            // no subcommand
 		{"frobnicate"}, // unknown subcommand
-		{"coord"},      // one-shot without -data/-model
-		{"coord", "-resume", "-data", "d", "-model", "m"}, // -resume without -checkpoint
 		{"coord", "-bogus"},
-		{"coord", "-data", "d", "-model", "m", "-lease", "3ns"}, // would panic the expiry ticker
-		{"coord", "-serve", "-lease", "999us"},                  // reaches workers as lease_ms 0
-		{"coord", "-serve", "-lease", "0"},
+		{"coord", "-data", "d"},      // sweeps arrive as POST /sweep, not flags
+		{"coord", "-lease", "3ns"},   // would panic the expiry ticker
+		{"coord", "-lease", "999us"}, // reaches workers as lease_ms 0
+		{"coord", "-lease", "0"},
 		{"worker"}, // no -coord
 		{"worker", "-bogus"},
 	}
 	for _, args := range cases {
-		var out, errBuf bytes.Buffer
-		if err := run(ctx, args, &out, &errBuf); err == nil {
+		if err := run(ctx, args, io.Discard); err == nil {
 			t.Errorf("run(%q) should fail", args)
 		}
 	}
@@ -98,68 +98,19 @@ func trainArtifacts(t *testing.T) (dataDir, modelPath string) {
 }
 
 // TestCoordWorkerEndToEnd exercises the full command wiring in one process:
-// a one-shot coordinator on a random port, two workers that find it by
-// scraping the coordinator's "listening on" log line, and a byte-identity
-// check of the fleet TSV against a direct jobs.Run over the same inputs.
-// A second coordinator then resumes the first one's journal.
+// a coordinator on a random port, two workers that find it by scraping the
+// coordinator's "listening on" log line, a sweep submitted as POST /sweep,
+// and a byte-identity check of the fleet TSV against a direct jobs.Run over
+// the same inputs. A second coordinator then resumes the first one's journal.
 func TestCoordWorkerEndToEnd(t *testing.T) {
 	dataDir, modelPath := trainArtifacts(t)
-	outTSV := filepath.Join(t.TempDir(), "facts.tsv")
-	coordArgs := []string{"coord",
-		"-data", dataDir, "-model", modelPath,
-		"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
-		"-out", outTSV, "-limit", "3", "-checkpoint", filepath.Join(t.TempDir(), "sweep.wal"),
+	req := fleet.SweepRequest{
+		Data: dataDir, Model: modelPath, Strategy: "graph_degree",
+		Options:    fleet.SweepOptions{TopN: 40, MaxCandidates: 30, Seed: 7},
+		Checkpoint: filepath.Join(t.TempDir(), "sweep.wal"),
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-
-	var stderr syncBuffer
-	var stdout bytes.Buffer
-	coordErr := make(chan error, 1)
-	go func() {
-		coordErr <- run(ctx, coordArgs, &stdout, &stderr)
-	}()
-
-	re := regexp.MustCompile(`coordinator listening on (\S+)`)
-	var addr string
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if m := re.FindStringSubmatch(stderr.String()); m != nil {
-			addr = m[1]
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatalf("coordinator never logged its address:\n%s", stderr.String())
-	}
-
-	workerErr := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("w%d", i)
-		go func() {
-			workerErr <- run(ctx, []string{"worker",
-				"-coord", "http://" + addr, "-name", name, "-max-idle", "30s",
-			}, io.Discard, io.Discard)
-		}()
-	}
-
-	for i := 0; i < 2; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v\ncoordinator log:\n%s", err, stderr.String())
-		}
-	}
-	if err := <-coordErr; err != nil {
-		t.Fatalf("coordinator: %v\nlog:\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "sweep complete:") {
-		t.Errorf("stdout missing sweep summary:\n%s", stdout.String())
-	}
-
-	got, err := os.ReadFile(outTSV)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Reference: the same sweep, single-process.
 	ds, err := kg.LoadDataset(dataDir, dataDir)
@@ -173,7 +124,7 @@ func TestCoordWorkerEndToEnd(t *testing.T) {
 	if mapped != nil {
 		defer mapped.Close()
 	}
-	strategy, err := core.StrategyByName("graph_degree")
+	strategy, err := core.StrategyByName(req.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +143,106 @@ func TestCoordWorkerEndToEnd(t *testing.T) {
 	if err := kg.WriteTSV(ref, &want); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("fleet TSV differs from single-process reference:\nfleet:\n%s\nreference:\n%s", got, want.Bytes())
+	// sweepTSV renders a response's facts the way kgdiscover -fleet does.
+	sweepTSV := func(resp *fleet.SweepResponse) []byte {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), "facts.tsv")
+		if err := jobs.ReportFacts(io.Discard, ds.Train, jobs.FactsOf(resp.Facts), 0, out); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
 
-	// -resume on the finished journal recovers every relation, so the sweep
-	// completes with no worker and rewrites the same TSV.
-	if err := os.Remove(outTSV); err != nil {
-		t.Fatal(err)
+	coordCtx, stopCoord := context.WithCancel(ctx)
+	addr, coordErr, coordLog := startCoord(t, coordCtx)
+	workerCtx, stopWorkers := context.WithCancel(ctx)
+	workerErr := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("w%d", i)
+		go func() {
+			workerErr <- run(workerCtx, []string{"worker",
+				"-coord", "http://" + addr, "-name", name, "-max-idle", "30s",
+			}, io.Discard)
+		}()
 	}
-	var resumed bytes.Buffer
-	if err := run(ctx, append(coordArgs, "-resume"), &resumed, io.Discard); err != nil {
-		t.Fatalf("resumed coordinator: %v", err)
+
+	resp := postSweep(t, addr, req)
+	if got := sweepTSV(resp); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("fleet TSV differs from single-process reference:\nfleet:\n%s\nreference:\n%s", got, want.Bytes())
+	}
+	stopWorkers()
+	for i := 0; i < 2; i++ {
+		if err := <-workerErr; err != nil {
+			t.Fatalf("worker: %v\ncoordinator log:\n%s", err, coordLog.String())
+		}
+	}
+	stopCoord()
+	if err := <-coordErr; err != nil {
+		t.Fatalf("coordinator: %v\nlog:\n%s", err, coordLog.String())
+	}
+
+	// A fresh coordinator resuming the finished journal recovers every
+	// relation, so the sweep completes with no worker and splices the same
+	// facts.
+	coordCtx, stopCoord = context.WithCancel(ctx)
+	addr, coordErr, coordLog = startCoord(t, coordCtx)
+	req.Resume = true
+	resumed := postSweep(t, addr, req)
+	stopCoord()
+	if err := <-coordErr; err != nil {
+		t.Fatalf("resumed coordinator: %v\nlog:\n%s", err, coordLog.String())
 	}
 	n := len(ds.Train.RelationIDs())
-	if line := fmt.Sprintf("checkpoint: resumed %d of %d relations", n, n); !strings.Contains(resumed.String(), line) {
-		t.Errorf("resumed stdout lacks %q:\n%s", line, resumed.String())
+	if resumed.Fleet.Resumed != n || resumed.Fleet.TotalRelations != n {
+		t.Errorf("resumed %d of %d relations, want %d of %d", resumed.Fleet.Resumed, resumed.Fleet.TotalRelations, n, n)
 	}
-	if got, err := os.ReadFile(outTSV); err != nil || !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("resumed TSV differs from single-process reference (read error %v)", err)
+	if got := sweepTSV(resumed); !bytes.Equal(got, want.Bytes()) {
+		t.Error("resumed TSV differs from single-process reference")
 	}
+}
+
+// startCoord runs a coordinator on a random port until ctx ends and returns
+// the address it logged, the channel that receives run's result, and its log.
+func startCoord(t *testing.T, ctx context.Context) (string, <-chan error, *syncBuffer) {
+	t.Helper()
+	var stderr syncBuffer
+	errc := make(chan error, 1)
+	go func() { errc <- run(ctx, []string{"coord"}, &stderr) }()
+	re := regexp.MustCompile(`coordinator listening on (\S+)`)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		if m := re.FindStringSubmatch(stderr.String()); m != nil {
+			return m[1], errc, &stderr
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("coordinator never logged its address:\n%s", stderr.String())
+	return "", nil, nil
+}
+
+// postSweep submits req to the coordinator at addr and decodes the finished
+// sweep.
+func postSweep(t *testing.T, addr string, req fleet.SweepRequest) *fleet.SweepResponse {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpResp, err := http.Post("http://"+addr+"/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(httpResp.Body)
+		t.Fatalf("POST /sweep: HTTP %d: %s", httpResp.StatusCode, raw)
+	}
+	var resp fleet.SweepResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	return &resp
 }

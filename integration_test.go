@@ -6,7 +6,7 @@ package repro
 // exhaustive baseline, score the discoveries with the recovery protocol,
 // and round-trip the model through a checkpoint — plus the distributed
 // path: the same sweep through real kgfleet coordinator and worker
-// processes, byte-identical to the in-process run.
+// processes, byte-identical to a local kgdiscover run.
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/synth"
@@ -161,16 +160,18 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 // TestEndToEndFleet runs the distributed discovery path with real
-// processes: a one-shot kgfleet coordinator and two workers sweep a saved
-// dataset/checkpoint, and the spliced TSV must be byte-identical to an
-// in-process jobs.Run over the same inputs. Skips when the kgfleet binary
-// cannot be built (e.g. no go toolchain in the test environment).
+// processes: a kgfleet coordinator and two workers sweep a saved
+// dataset/checkpoint submitted by kgdiscover -fleet, and the TSV must be
+// byte-identical to a local kgdiscover run over the same inputs. The
+// coordinator and the workers run until SIGTERM, and each then exits 0.
+// Skips when the binaries cannot be built (e.g. no go toolchain in the test
+// environment).
 func TestEndToEndFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet pipeline")
 	}
-	bin := buildCmdOrSkip(t, "kgfleet")
-	ctx := context.Background()
+	fleetBin := buildCmdOrSkip(t, "kgfleet")
+	discoverBin := buildCmdOrSkip(t, "kgdiscover")
 
 	// Saved artifacts: a tiny dataset and a seeded (untrained — training is
 	// irrelevant to splice identity) checkpoint, the on-disk form the fleet
@@ -197,69 +198,52 @@ func TestEndToEndFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	logs, out := t.TempDir(), t.TempDir()
+	discover := func(name string, extra ...string) []byte {
+		t.Helper()
+		tsv := filepath.Join(out, name+".tsv")
+		p := startProc(t, filepath.Join(logs, name+".log"), discoverBin, append([]string{
+			"-data", dataDir, "-model", modelPath,
+			"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
+			"-limit", "0", "-out", tsv}, extra...)...)
+		if err := p.Wait(2 * time.Minute); err != nil {
+			t.Fatalf("kgdiscover %s: %v\nlog:\n%s", name, err, p.Log())
+		}
+		b, err := os.ReadFile(tsv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
 	// Reference: the identical sweep, single-process.
-	strategy, err := core.StrategyByName("graph_degree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := kg.LoadDataset(dataDir, dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := jobs.Run(ctx, jobs.Spec{
-		Model: model, Graph: reloaded.Train, Strategy: strategy,
-		Options: core.Options{TopN: 40, MaxCandidates: 30, Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := kg.NewGraphWithDicts(reloaded.Train.Entities, reloaded.Train.Relations)
-	for _, f := range res.Facts {
-		ref.Add(f.Triple)
-	}
-	var want bytes.Buffer
-	if err := kg.WriteTSV(ref, &want); err != nil {
-		t.Fatal(err)
+	want := discover("local")
+	if len(want) == 0 {
+		t.Fatal("local run discovered no facts; the comparison would be vacuous")
 	}
 
 	// Fleet: coordinator on a random port plus two workers, as real
 	// processes wired together by scraping the coordinator's log.
-	logs := t.TempDir()
-	outTSV := filepath.Join(t.TempDir(), "facts.tsv")
-	coord := startProc(t, filepath.Join(logs, "coord.log"), bin, "coord",
-		"-data", dataDir, "-model", modelPath,
-		"-strategy", "graph_degree", "-top_n", "40", "-max_candidates", "30", "-seed", "7",
-		"-unit", "1", "-out", outTSV, "-limit", "0", "-drain", "2s", "-linger", "2m")
+	coord := startProc(t, filepath.Join(logs, "coord.log"), fleetBin, "coord")
 	addr := coord.MustWaitLine(t, `coordinator listening on (\S+)`, 30*time.Second)
-
-	var workers []*childProc
+	procs := []*childProc{coord}
 	for _, name := range []string{"w0", "w1"} {
-		workers = append(workers, startProc(t, filepath.Join(logs, name+".log"), bin, "worker",
+		procs = append(procs, startProc(t, filepath.Join(logs, name+".log"), fleetBin, "worker",
 			"-coord", "http://"+addr, "-name", name, "-max-idle", "30s"))
 	}
-	// The sweep can finish on w0 alone before w1 has registered; a coordinator
-	// that exited then would leave w1 retrying a dead address until -max-idle.
-	// So the coordinator lingers until both workers have taken their shutdown
-	// order, and SIGTERM ends the linger.
-	coord.MustWaitLine(t, `sweep complete:`, 2*time.Minute)
-	for i, w := range workers {
-		if err := w.Wait(30 * time.Second); err != nil {
-			t.Fatalf("worker %d: %v\nlog:\n%s", i, err, w.Log())
-		}
-	}
-	if err := coord.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM coordinator: %v", err)
-	}
-	if err := coord.Wait(30 * time.Second); err != nil {
-		t.Fatalf("coordinator: %v\nlog:\n%s", err, coord.Log())
+	got := discover("fleet", "-fleet", addr)
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet TSV differs from the local run:\nfleet:\n%s\nlocal:\n%s", got, want)
 	}
 
-	got, err := os.ReadFile(outTSV)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range procs {
+		if err := p.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("SIGTERM %s: %v", p.Name, err)
+		}
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("fleet TSV differs from in-process reference:\nfleet:\n%s\nreference:\n%s",
-			got, want.Bytes())
+	for _, p := range procs {
+		if err := p.Wait(30 * time.Second); err != nil {
+			t.Errorf("%s after SIGTERM: %v\nlog:\n%s", p.Name, err, p.Log())
+		}
 	}
 }

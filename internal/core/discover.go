@@ -39,9 +39,6 @@ type Options struct {
 	// Relations restricts discovery to these relations; nil means every
 	// relation present in the graph (Algorithm 1 line 3).
 	Relations []kg.RelationID
-	// Filter is an additional graph of "seen" triples to exclude besides
-	// the training graph itself (e.g. validation and test splits).
-	Filter *kg.Graph
 	// RankFiltered selects the filtered ranking protocol when computing
 	// candidate ranks (existing triples are skipped as corruptions).
 	RankFiltered bool
@@ -282,9 +279,6 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 	var filter *kg.Graph
 	if opts.RankFiltered {
 		filter = g
-		if opts.Filter != nil {
-			filter = kg.Merge(g, opts.Filter)
-		}
 	}
 	ranker := eval.NewRanker(model, filter)
 
@@ -414,9 +408,8 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 					continue
 				}
 				seen[t] = struct{}{}
-				// Line 12: filter out triples already in the KG (and any
-				// extra seen split).
-				if g.Contains(t) || (opts.Filter != nil && opts.Filter.Contains(t)) {
+				// Line 12: filter out triples already in the KG.
+				if g.Contains(t) {
 					continue
 				}
 				candidates = append(candidates, t)

@@ -151,30 +151,6 @@ func TestDiscoverFactsTopNFiltersQuality(t *testing.T) {
 	}
 }
 
-func TestDiscoverFactsExtraFilter(t *testing.T) {
-	ds, m := tinyTrained(t)
-	// Run once without a filter, then forbid everything it found.
-	base := discover(t, Options{TopN: 50, MaxCandidates: 40, Seed: 6})
-	if len(base.Facts) == 0 {
-		t.Skip("no facts to filter")
-	}
-	forbidden := kg.NewGraphWithDicts(ds.Train.Entities, ds.Train.Relations)
-	for _, f := range base.Facts {
-		forbidden.Add(f.Triple)
-	}
-	res, err := DiscoverFacts(context.Background(), m, ds.Train, NewEntityFrequency(), Options{
-		TopN: 50, MaxCandidates: 40, Seed: 6, Filter: forbidden,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range res.Facts {
-		if forbidden.Contains(f.Triple) {
-			t.Fatalf("filtered triple %v re-discovered", f.Triple)
-		}
-	}
-}
-
 func TestDiscoverFactsCacheWeightsEquivalent(t *testing.T) {
 	ds, m := tinyTrained(t)
 	run := func(cache bool) *Result {
@@ -201,7 +177,7 @@ func TestDiscoverFactsCacheWeightsEquivalent(t *testing.T) {
 func TestDiscoverFactsRankFiltered(t *testing.T) {
 	ds, m := tinyTrained(t)
 	res, err := DiscoverFacts(context.Background(), m, ds.Train, NewUniformRandom(), Options{
-		TopN: 30, MaxCandidates: 30, Seed: 10, RankFiltered: true, Filter: kg.Merge(ds.Valid, ds.Test),
+		TopN: 30, MaxCandidates: 30, Seed: 10, RankFiltered: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ type Group struct {
 // slices back the counting pass (rankRow) and are sized by the largest group,
 // start is its fixed-size bucket index.
 //
-// data is grown on demand and released again when it stays oversized: one
+// data is grown on demand and freed again when it stays oversized: one
 // skewed relation block (a single subject hub with thousands of groups) would
 // otherwise pin a block-sized buffer in the pool for the rest of the process,
 // multiplied per concurrent worker. The policy is hysteretic so steady
@@ -50,7 +50,7 @@ const (
 	// release — one oversized block per streak window is tolerated for free.
 	batchShrinkStreak = 8
 	// batchShrinkFloor is the capacity (in float32s, 256 KiB) below which the
-	// buffer is never released: reclaiming less is churn, not savings.
+	// buffer is never freed: reclaiming less is churn, not savings.
 	batchShrinkFloor = 1 << 16
 )
 

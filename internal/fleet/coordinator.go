@@ -47,11 +47,6 @@ type Config struct {
 	// sweep is failed (a unit that kills every worker it touches must not
 	// retry forever). Zero means 5.
 	MaxAttempts int
-	// OneShot makes the coordinator answer StatusShutdown to lease requests
-	// once at least one sweep has been submitted and all are terminal —
-	// the lifecycle of `kgfleet coord -data ... -model ...`. Serve-mode
-	// coordinators leave it false and keep workers polling.
-	OneShot bool
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 
@@ -131,7 +126,6 @@ type workerState struct {
 	name      string
 	lastSeen  time.Time
 	unitsDone int
-	released  bool // was told to shut down (one-shot mode)
 }
 
 // Coordinator shards sweeps across workers and splices their results. All
@@ -223,6 +217,12 @@ func (c *Coordinator) Submit(ctx context.Context, req SweepRequest) (*SweepRespo
 	if err != nil {
 		return nil, err
 	}
+	return c.wait(ctx, sw)
+}
+
+// wait blocks until sw is done or failed and returns its outcome, or
+// ctx's error if ctx ends first.
+func (c *Coordinator) wait(ctx context.Context, sw *sweep) (*SweepResponse, error) {
 	select {
 	case <-sw.doneCh:
 	case <-ctx.Done():
@@ -230,10 +230,7 @@ func (c *Coordinator) Submit(ctx context.Context, req SweepRequest) (*SweepRespo
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sw.err != nil {
-		return nil, sw.err
-	}
-	return sw.result, nil
+	return sw.result, sw.err
 }
 
 // addSweep validates the request, loads just enough of the artifacts to pin
@@ -410,16 +407,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
-	ws := c.touchWorkerLocked(req.Worker, now)
+	c.touchWorkerLocked(req.Worker, now)
 	c.expireLocked(now)
 
-	anyRunning := false
 	for _, id := range c.order {
 		sw := c.sweeps[id]
 		if sw.state != sweepRunning {
 			continue
 		}
-		anyRunning = true
 		u := c.leaseUnitLocked(sw, req.Worker, now)
 		if sw.state != sweepRunning {
 			continue // leaseUnitLocked failed the sweep (attempt cap)
@@ -443,11 +438,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !anyRunning && c.cfg.OneShot && c.sweepsSubmitted > 0 {
-		ws.released = true
-		writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusShutdown})
-		return
-	}
 	writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusWait, RetryMS: c.cfg.PollInterval.Milliseconds()})
 }
 
@@ -613,34 +603,15 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	select {
-	case <-sw.doneCh:
-	case <-r.Context().Done():
-		return // client gone; the sweep keeps running
+	res, err := c.wait(r.Context(), sw)
+	switch {
+	case r.Context().Err() != nil:
+		// client gone; the sweep keeps running
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	default:
+		writeJSON(w, http.StatusOK, res)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sw.err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", sw.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sw.result)
-}
-
-// WorkersDrained reports whether every worker this coordinator has heard
-// from has been handed its shutdown order (one-shot mode). A one-shot
-// command waits for this — bounded, since a worker that died mid-fleet
-// never polls again — before tearing down the listener, so surviving
-// workers exit cleanly instead of hitting connection-refused.
-func (c *Coordinator) WorkersDrained() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ws := range c.workers {
-		if !ws.released {
-			return false
-		}
-	}
-	return true
 }
 
 func (sw *sweep) unitByID(id int) *unit {

@@ -173,10 +173,11 @@ var errInjected = errors.New("fleet test: injected transport failure")
 // fleetSim is one in-process fleet: a swappable coordinator behind an
 // httptest server, a fake clock, and the workers' fault transports.
 type fleetSim struct {
-	t   *testing.T
-	ctx context.Context // ends at cleanup; hung requests return then
-	srv *httptest.Server
-	cfg Config // for every coordinator booted; now and Logf point back here
+	t    *testing.T
+	ctx  context.Context // ends at stop or cleanup; workers and hung requests return then
+	stop context.CancelFunc
+	srv  *httptest.Server
+	cfg  Config // for every coordinator booted; now and Logf point back here
 
 	// expire lets a healthy worker's StatusWait move the clock past the
 	// lease TTL. It is set only where a faulty worker holds a lease then.
@@ -208,12 +209,13 @@ func newFleetSim(t *testing.T) *fleetSim {
 	s := &fleetSim{
 		t:       t,
 		ctx:     ctx,
+		stop:    cancel,
 		crashed: make(chan struct{}),
 		faulted: make(chan struct{}),
 		clock:   time.Unix(1_000_000, 0),
 		changed: make(chan struct{}),
 	}
-	s.cfg = Config{LeaseTTL: simLease, PollInterval: time.Millisecond, OneShot: true, Logf: s.logf, now: s.now}
+	s.cfg = Config{LeaseTTL: simLease, PollInterval: time.Millisecond, Logf: s.logf, now: s.now}
 	s.srv = httptest.NewServer(s)
 	t.Cleanup(func() {
 		cancel()
@@ -500,8 +502,9 @@ func TestFleetFaultMatrix(t *testing.T) {
 			if got := metric(t, c, "kgfleet_records_total"); got != matrixRelations {
 				t.Errorf("kgfleet_records_total = %d, want %d", got, matrixRelations)
 			}
-			if err := <-w0; err != nil {
-				t.Errorf("healthy worker: %v", err)
+			s.stop()
+			if err := <-w0; !errors.Is(err, context.Canceled) {
+				t.Errorf("healthy worker ended with %v, want it running until stopped", err)
 			}
 		})
 	}
@@ -542,9 +545,10 @@ func TestFleetCoordinatorCrashResume(t *testing.T) {
 	if got := metric(t, first, "kgfleet_records_total") + metric(t, second, "kgfleet_records_total"); got != matrixRelations {
 		t.Errorf("kgfleet_records_total over both coordinators = %d, want %d", got, matrixRelations)
 	}
+	s.stop()
 	for _, w := range workers {
-		if err := <-w; err != nil {
-			t.Errorf("worker after the coordinator restart: %v", err)
+		if err := <-w; !errors.Is(err, context.Canceled) {
+			t.Errorf("worker after the coordinator restart ended with %v, want it running until stopped", err)
 		}
 	}
 }

@@ -17,10 +17,6 @@ const (
 	StatusUnit = "unit"
 	// StatusWait means no unit is available right now; poll again.
 	StatusWait = "wait"
-	// StatusShutdown means every sweep is finished and the worker should
-	// exit (one-shot coordinators only; serve-mode coordinators never
-	// shut workers down).
-	StatusShutdown = "shutdown"
 	// StatusOK acknowledges a heartbeat, completion, or failure report.
 	StatusOK = "ok"
 	// StatusAbandon tells a heartbeating worker its unit has been
@@ -167,9 +163,9 @@ type Unit struct {
 	LeaseMS        int64           `json:"lease_ms"`
 }
 
-// LeaseResponse grants a unit, asks the worker to wait, or shuts it down.
+// LeaseResponse grants a unit or asks the worker to wait.
 type LeaseResponse struct {
-	Status  string `json:"status"` // StatusUnit, StatusWait, StatusShutdown
+	Status  string `json:"status"` // StatusUnit or StatusWait
 	Unit    *Unit  `json:"unit,omitempty"`
 	RetryMS int64  `json:"retry_ms,omitempty"`
 }

@@ -64,20 +64,17 @@ type Worker struct {
 	fingerprint string
 	model       kge.Model
 	mapped      *kge.Mapped
-
-	unitsDone int
 }
 
-// NewWorker builds a Worker; Run drives it until shutdown.
+// NewWorker builds a Worker; Run drives it until ctx ends.
 func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{cfg: cfg.withDefaults(), pollMS: 500}
 }
 
-// Run registers with the coordinator and processes units until the
-// coordinator shuts the fleet down (returns nil), ctx is cancelled, or the
-// coordinator stays unreachable past MaxIdle (returns an error). Transient
-// coordinator outages — including a crash-and-resume — are ridden out with
-// exponential backoff.
+// Run registers with the coordinator and processes units until ctx is
+// cancelled (returns ctx's error) or the coordinator stays unreachable past
+// MaxIdle (returns an error). Transient coordinator outages — including a
+// crash-and-resume — are ridden out with exponential backoff.
 func (w *Worker) Run(ctx context.Context) error {
 	defer w.closeArtifacts()
 	if err := w.register(ctx); err != nil {
@@ -110,9 +107,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		lastContact = time.Now()
 		backoff = 100 * time.Millisecond
 		switch resp.Status {
-		case StatusShutdown:
-			w.cfg.Logf("fleet: coordinator reports all sweeps finished; shutting down after %d units", w.unitsDone)
-			return nil
 		case StatusUnit:
 			w.execute(ctx, resp.Unit)
 		default: // StatusWait or anything unrecognized
@@ -197,7 +191,6 @@ func (w *Worker) execute(ctx context.Context, u *Unit) {
 		w.cfg.Logf("fleet: could not deliver unit %d: %v", u.UnitID, err)
 		return
 	}
-	w.unitsDone++
 	w.cfg.Logf("fleet: unit %d delivered: %d relations, %d facts",
 		u.UnitID, len(records), countFacts(records))
 }

@@ -73,16 +73,12 @@ type RunInfo struct {
 
 // OptionsHash canonicalizes the inputs that determine a discovery run's
 // output — strategy name, thresholds, the (sorted) relation list, protocol
-// flags, seed, and the shapes of the graph and filter — and returns the
-// SHA-256 hex digest of their canonical JSON. Options.Workers is excluded
-// deliberately: worker count never changes output.
+// flags, seed, and the graph's shape — and returns the SHA-256 hex digest of
+// their canonical JSON. Options.Workers is excluded deliberately: worker
+// count never changes output.
 func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations []kg.RelationID) string {
 	rels := append([]kg.RelationID(nil), relations...)
 	sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
-	filterLen := 0
-	if opts.Filter != nil {
-		filterLen = opts.Filter.Len()
-	}
 	// The prune mode joins the hash only when pruning is enabled, via
 	// omitempty: runs with pruning off (including every journal written
 	// before the pruned path existed) hash exactly as they always did, so
@@ -105,8 +101,9 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		Seed          int64           `json:"seed"`
 		CacheWeights  bool            `json:"cache_weights"`
 		// has_calibrator and min_probability name a probability cutoff
-		// discovery no longer has. They stay, always false and 0, so every
-		// journal written while it existed hashes as it did.
+		// discovery no longer has, filter_len an extra seen-triple graph it
+		// no longer takes. They stay, always false and 0, so every journal
+		// written while those existed hashes as it did.
 		HasCalibrator  bool    `json:"has_calibrator"`
 		MinProbability float64 `json:"min_probability"`
 		FilterLen      int     `json:"filter_len"`
@@ -123,7 +120,6 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		RankFiltered:   opts.RankFiltered,
 		Seed:           opts.Seed,
 		CacheWeights:   opts.CacheWeights,
-		FilterLen:      filterLen,
 		GraphTriples:   g.Len(),
 		GraphEntities:  g.NumEntities(),
 		GraphRelations: g.NumRelations(),

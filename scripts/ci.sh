@@ -134,30 +134,33 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once TransE's squared-L2 norm, discovery's probability cutoff and
-# filtered negative sampling went (5 837 with the training loops' float work
+# count once discovery's extra seen-triple filter went (5 768 once TransE's
+# squared-L2 norm, discovery's probability cutoff and filtered negative
+# sampling went; 5 837 with the training loops' float work
 # moved into vecmath's lane kernels; 5 871 with one row-indexed gradient
 # store and the optimizer step sharded per row; 5 872 once no command could
 # build a prune index or name a sidecar; 5 900 with kge's pooled sweep
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5768 \
+hold_lines 'internal/{kge,eval,train,core}' 5761 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once the fleet's wire
-# comment stopped naming calibrators (5 361 once the fleet worker lost its
+# two that put bytes on disk for them: the count once the fleet coordinator
+# lost its one-shot mode (5 360 once the fleet's wire comment stopped naming
+# calibrators; 5 361 once the fleet worker lost its
 # fault-injection knobs to the in-process fault matrix; 5 410 once the
 # server lost its prune options and its registry resolves selectors in one
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5360 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5316 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The commands: flag parsing and wiring only, so a command that grows is a
-# package that should have (1 741 before the kgfleet worker's four fault
-# flags went; 1 818 before -prune, kgtrain -format and kgconvert -to went).
-hold_lines 'cmd/*/main.go' 1736 cmd
+# package that should have (1 736 before kgfleet coord's sixteen one-shot
+# flags went; 1 741 before the kgfleet worker's four fault flags went; 1 818
+# before -prune, kgtrain -format and kgconvert -to went).
+hold_lines 'cmd/*/main.go' 1645 cmd
 
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
@@ -374,16 +377,14 @@ fi
 echo "crash-resume gate: SIGKILL mid-sweep, resumed $n of $m relations, byte-identical output"
 
 echo "== fleet fault-tolerance gate =="
-# Run the crash-resume gate's sweep through the distributed fleet: a one-shot
-# coordinator and two real worker processes, one of which is SIGKILLed while
-# it holds a lease. The coordinator must reassign the dead worker's units
-# (observable on /metrics) and the spliced TSV must still be byte-identical
-# to the single-process reference computed above ($tmp/full.tsv).
+# Run the crash-resume gate's sweep through the distributed fleet: a serving
+# coordinator, kgdiscover -fleet submitting the sweep to it, and two real
+# worker processes, one of which is SIGKILLed while it holds a lease. The
+# coordinator must reassign the dead worker's units (observable on /metrics)
+# and the TSV must still be byte-identical to the single-process reference
+# computed above ($tmp/full.tsv).
 go build -o "$tmp/kgfleet" ./cmd/kgfleet
-"$tmp/kgfleet" coord -data "$tmp/crashdata" -model "$tmp/crash.kge" \
-  -strategy graph_degree -top_n 4000 -max_candidates 40000 -seed 3 -limit 0 \
-  -unit 1 -lease 1500ms -poll 100ms -drain 2s -linger 30s \
-  -out "$tmp/fleet.tsv" >"$tmp/fleet-coord.out" 2>"$tmp/fleet-coord.log" &
+"$tmp/kgfleet" coord -lease 1500ms -poll 100ms >"$tmp/fleet-coord.log" 2>&1 &
 fleet_pid=$!
 fleet_addr=""
 for _ in $(seq 1 100); do
@@ -397,6 +398,8 @@ if [ -z "$fleet_addr" ]; then
   exit 1
 fi
 
+disc -fleet "$fleet_addr" -out "$tmp/fleet.tsv" >"$tmp/fleet-disc.log" 2>&1 &
+fleet_disc_pid=$!
 "$tmp/kgfleet" worker -coord "http://$fleet_addr" -name victim \
   >"$tmp/fleet-victim.log" 2>&1 &
 victim_pid=$!
@@ -437,17 +440,21 @@ if [ "$fleet_killed" -ne 1 ]; then
   exit 1
 fi
 
-# The sweep must still complete; the coordinator lingers so /metrics stays
-# scrapeable after completion.
-fleet_done=0
+# The sweep must still complete: kgdiscover returns once it has, and the
+# coordinator keeps serving, so /metrics stays scrapeable afterwards.
 for _ in $(seq 1 1200); do
-  if grep -q 'sweep complete:' "$tmp/fleet-coord.out"; then fleet_done=1; break; fi
-  kill -0 "$fleet_pid" 2>/dev/null || break
+  kill -0 "$fleet_disc_pid" 2>/dev/null || break
   sleep 0.1
 done
-if [ "$fleet_done" -ne 1 ]; then
+if kill -0 "$fleet_disc_pid" 2>/dev/null; then
+  kill -9 "$fleet_disc_pid"
   echo "fleet gate FAILED: sweep never completed after the worker kill" >&2
-  cat "$tmp/fleet-coord.out" "$tmp/fleet-coord.log" >&2
+  cat "$tmp/fleet-coord.log" >&2
+  exit 1
+fi
+if ! wait "$fleet_disc_pid"; then
+  echo "fleet gate FAILED: kgdiscover -fleet exited non-zero" >&2
+  cat "$tmp/fleet-disc.log" "$tmp/fleet-coord.log" >&2
   exit 1
 fi
 reassigned="$(curl -fsS "http://$fleet_addr/metrics" | sed -n 's/^kgfleet_reassignments_total \([0-9][0-9]*\)$/\1/p' || true)"
@@ -455,7 +462,7 @@ if [ -z "$reassigned" ] || [ "$reassigned" -lt 1 ]; then
   echo "fleet gate FAILED: expected >=1 reassignment after SIGKILL, /metrics said '$reassigned'" >&2
   exit 1
 fi
-kill -TERM "$fleet_pid"
+kill -TERM "$fleet_pid" "$survivor_pid"
 wait "$fleet_pid" || { echo "fleet gate FAILED: coordinator unclean exit" >&2; cat "$tmp/fleet-coord.log" >&2; exit 1; }
 wait "$survivor_pid" || { echo "fleet gate FAILED: surviving worker unclean exit" >&2; cat "$tmp/fleet-survivor.log" >&2; exit 1; }
 if ! cmp -s "$tmp/full.tsv" "$tmp/fleet.tsv"; then
