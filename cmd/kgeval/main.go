@@ -52,8 +52,8 @@ func run(args []string) error {
 	if mapped != nil {
 		defer mapped.Close()
 	}
-	if m.NumEntities() < ds.Train.Entities.Len() {
-		return fmt.Errorf("model covers %d entities, dataset has %d", m.NumEntities(), ds.Train.Entities.Len())
+	if err := kge.CheckCovers(m, ds.Train); err != nil {
+		return err
 	}
 
 	var target *kg.Graph

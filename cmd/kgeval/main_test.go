@@ -74,3 +74,30 @@ func TestRunErrors(t *testing.T) {
 		t.Error("accepted missing checkpoint")
 	}
 }
+
+// TestRunRefusesUncoveredVocabulary: a checkpoint with fewer relations or
+// entities than the dataset is an error, not a panic in a ranking worker.
+func TestRunRefusesUncoveredVocabulary(t *testing.T) {
+	dataDir, _ := fixture(t)
+	ds, err := kg.LoadDataset("tiny", dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nEnt, nRel := ds.Train.Entities.Len(), ds.Train.Relations.Len()
+	for name, cfg := range map[string]kge.Config{
+		"relations": {NumEntities: nEnt, NumRelations: 1, Dim: 8, Seed: 1},
+		"entities":  {NumEntities: nEnt - 1, NumRelations: nRel, Dim: 8, Seed: 1},
+	} {
+		m, err := kge.New("distmult", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".kgf")
+		if err := kge.SaveFlatFile(m, path); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-data", dataDir, "-model", path}); err == nil {
+			t.Errorf("accepted a checkpoint short of %s", name)
+		}
+	}
+}

@@ -61,14 +61,14 @@ func goldenDataset(t *testing.T) *kg.Dataset {
 
 // goldenTrain trains a fresh model for two epochs with Adam and no weight
 // decay.
-func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers int) kge.Trainable {
+func goldenTrain(t *testing.T, ds *kg.Dataset, name string, kvsAll bool, workers int) kge.Model {
 	t.Helper()
 	m := goldenModel(t, ds, name, 8)
 	goldenRun(t, m, ds, kvsAll, goldenConfig(workers))
 	return m
 }
 
-func goldenModel(t *testing.T, ds *kg.Dataset, name string, dim int) kge.Trainable {
+func goldenModel(t *testing.T, ds *kg.Dataset, name string, dim int) kge.Model {
 	t.Helper()
 	cfg := kge.Config{
 		NumEntities:  ds.Train.Entities.Len(),
@@ -89,7 +89,7 @@ func goldenConfig(workers int) train.Config {
 	return train.Config{Epochs: 2, BatchSize: 48, NegSamples: 4, Workers: workers, Seed: 9}
 }
 
-func goldenRun(t *testing.T, m kge.Trainable, ds *kg.Dataset, kvsAll bool, tcfg train.Config) {
+func goldenRun(t *testing.T, m kge.Model, ds *kg.Dataset, kvsAll bool, tcfg train.Config) {
 	t.Helper()
 	var err error
 	ctx := context.Background()
@@ -193,7 +193,7 @@ func TestGoldenDigests(t *testing.T) {
 	// searches instead of falling back to the dense sweep.
 	for _, name := range models {
 		m := goldenTrain(t, ds, name, false, 1)
-		ix, err := prune.Build(m.(kge.ObjectSweeper), kge.Fingerprint(m), prune.Params{})
+		ix, err := prune.Build(m, kge.Fingerprint(m), prune.Params{})
 		if err != nil {
 			t.Fatalf("prune index %s: %v", name, err)
 		}

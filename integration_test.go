@@ -92,7 +92,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 4. Calibrate and classify.
-	if _, err := eval.FitPlatt(model, ds.Valid, filter, eval.CalibrationOptions{Seed: 3}); err != nil {
+	if _, err := eval.FitPlatt(model, ds.Valid, filter); err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
 	clf, err := eval.TrainClassifier(model, ds.Valid, filter, 3)

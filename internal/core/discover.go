@@ -24,6 +24,10 @@ const (
 	PruneApprox = "approx"
 )
 
+// MaxIterations bounds the generation loop per relation: the constant from
+// Algorithm 1.
+const MaxIterations = 5
+
 // Options parameterizes DiscoverFacts (Algorithm 1's inputs).
 type Options struct {
 	// TopN is the maximum rank (against object-side corruptions) a
@@ -33,9 +37,6 @@ type Options struct {
 	// MaxCandidates is the maximum number of fact candidates generated per
 	// relation. Zero means 500 (§4.3).
 	MaxCandidates int
-	// MaxIterations bounds the generation loop per relation. Zero means 5,
-	// the constant from Algorithm 1.
-	MaxIterations int
 	// Relations restricts discovery to these relations; nil means every
 	// relation present in the graph (Algorithm 1 line 3).
 	Relations []kg.RelationID
@@ -69,20 +70,17 @@ type Options struct {
 }
 
 // WithOutputDefaults returns o with the zero-valued output-affecting fields
-// (TopN, MaxCandidates, MaxIterations) replaced by their defaults. It is the
-// one spelling of those values: DiscoverFacts applies it, and internal/jobs
-// and internal/fleet call it before hashing options, so a journal or a fleet
-// worker identifies a run the same way whether or not the caller spelled the
-// defaults out.
+// (TopN, MaxCandidates) replaced by their defaults. It is the one spelling of
+// those values: DiscoverFacts applies it, and internal/jobs, internal/fleet
+// and the server call it before hashing options or keying a cache, so a
+// journal, a fleet worker or a cache entry identifies a run the same way
+// whether or not the caller spelled the defaults out.
 func (o Options) WithOutputDefaults() Options {
 	if o.TopN == 0 {
 		o.TopN = 500
 	}
 	if o.MaxCandidates == 0 {
 		o.MaxCandidates = 500
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 5
 	}
 	return o
 }
@@ -237,22 +235,18 @@ func (r *Result) MRR() float64 { return eval.MRROfRanks(r.Ranks()) }
 // standard evaluation protocol (see internal/eval).
 func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy Strategy, opts Options) (*Result, error) {
 	opts.setDefaults()
-	if model.NumEntities() < g.NumEntities() {
-		return nil, fmt.Errorf("core: model covers %d entities but graph has %d", model.NumEntities(), g.NumEntities())
+	if err := kge.CheckCovers(model, g); err != nil {
+		return nil, err
 	}
 	switch opts.PruneMode {
 	case "", PruneOff:
 		opts.PruneIndex = nil
 	case PruneExact, PruneApprox:
-		sw, ok := model.(kge.ObjectSweeper)
-		if !ok {
-			return nil, fmt.Errorf("core: model %q does not expose a sweep geometry for pruned ranking", model.Name())
-		}
 		if opts.PruneIndex == nil {
 			return nil, fmt.Errorf("core: prune mode %q needs a PruneIndex", opts.PruneMode)
 		}
-		if opts.PruneIndex.Geometry() != sw.SweepGeometry() ||
-			opts.PruneIndex.NumEntities() != sw.NumEntities() {
+		if opts.PruneIndex.Geometry() != model.SweepGeometry() ||
+			opts.PruneIndex.NumEntities() != model.NumEntities() {
 			return nil, fmt.Errorf("core: prune index does not match the model's sweep geometry")
 		}
 	default:
@@ -394,7 +388,7 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 	seen := make(map[kg.Triple]struct{}, opts.MaxCandidates)
 	var candidates []kg.Triple
 	iters := 0
-	for len(candidates) < opts.MaxCandidates && iters < opts.MaxIterations {
+	for len(candidates) < opts.MaxCandidates && iters < MaxIterations {
 		iters++
 		sIdx := sample.DistinctDraws(subSampler, rng, sampleSize, 0)
 		oIdx := sample.DistinctDraws(objSampler, rng, sampleSize, 0)

@@ -13,9 +13,9 @@ import (
 // tinyTrained trains a small DistMult model on the tiny synthetic dataset.
 // Shared across tests via sync-once-like caching in the test binary.
 var cachedDS *kg.Dataset
-var cachedModel kge.Trainable
+var cachedModel kge.Model
 
-func tinyTrained(t *testing.T) (*kg.Dataset, kge.Trainable) {
+func tinyTrained(t *testing.T) (*kg.Dataset, kge.Model) {
 	t.Helper()
 	if cachedModel != nil {
 		return cachedDS, cachedModel
@@ -246,12 +246,39 @@ func TestGenerationStopsAtMaxIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := DiscoverFacts(context.Background(), m, g, NewUniformRandom(), Options{
-		TopN: 3, MaxCandidates: 10000, MaxIterations: 5, Seed: 1,
+		TopN: 3, MaxCandidates: 10000, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Iterations > 5 {
-		t.Errorf("iterations = %d, want <= 5", res.Stats.Iterations)
+	if res.Stats.Iterations > MaxIterations {
+		t.Errorf("iterations = %d, want <= %d", res.Stats.Iterations, MaxIterations)
+	}
+}
+
+// TestDiscoverRefusesUncoveredVocabulary: a model with fewer entities or
+// relations than the graph would index past its tables inside a ranking
+// worker goroutine, where no caller can recover the panic. Both discovery
+// entry points return an error instead.
+func TestDiscoverRefusesUncoveredVocabulary(t *testing.T) {
+	ds, _ := tinyTrained(t)
+	g := ds.Train
+	for _, shape := range []struct {
+		name       string
+		ents, rels int
+	}{
+		{"relations", g.NumEntities(), 1},
+		{"entities", g.NumEntities() - 1, g.NumRelations()},
+	} {
+		m, err := kge.New("distmult", kge.Config{NumEntities: shape.ents, NumRelations: shape.rels, Dim: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DiscoverFacts(context.Background(), m, g, NewEntityFrequency(), Options{TopN: 10, MaxCandidates: 50}); err == nil {
+			t.Errorf("DiscoverFacts accepted a model short of %s", shape.name)
+		}
+		if _, _, err := ExhaustiveDiscover(context.Background(), m, g, ExhaustiveOptions{TopN: 10}); err == nil {
+			t.Errorf("ExhaustiveDiscover accepted a model short of %s", shape.name)
+		}
 	}
 }

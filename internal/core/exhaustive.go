@@ -186,6 +186,9 @@ type ExhaustiveStats struct {
 // use it on small graphs and as the completeness reference for the
 // sampling strategies.
 func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts ExhaustiveOptions) (*Result, *ExhaustiveStats, error) {
+	if err := kge.CheckCovers(model, g); err != nil {
+		return nil, nil, err
+	}
 	if opts.TopN == 0 {
 		opts.TopN = 500
 	}

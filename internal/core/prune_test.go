@@ -12,7 +12,7 @@ import (
 func tinyIndex(t *testing.T) *prune.Index {
 	t.Helper()
 	_, m := tinyTrained(t)
-	ix, err := prune.Build(m.(kge.ObjectSweeper), kge.Fingerprint(m), prune.Params{})
+	ix, err := prune.Build(m, kge.Fingerprint(m), prune.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

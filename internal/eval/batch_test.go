@@ -127,7 +127,7 @@ func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 // score table, raw and filtered: tied targets share distinct-value buckets,
 // which is where the suffix-sum bookkeeping is easiest to get wrong.
 func TestRankObjectsBatchTies(t *testing.T) {
-	m := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}
+	m := stubModel(8, 1, []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5})
 	filter := kg.NewGraph()
 	for i := 0; i < 8; i++ {
 		filter.Entities.Intern(string(rune('a' + i)))
@@ -158,34 +158,10 @@ func TestRankObjectsBatchTies(t *testing.T) {
 	}
 }
 
-// TestRankObjectsBatchFallback: stubModel is a plain kge.Model, not a
-// *kge.Derived, so the block is scored by the per-subject fallback — ranks
-// must still match per-candidate RankObject exactly.
-func TestRankObjectsBatchFallback(t *testing.T) {
-	m := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}
-	ranker := NewRanker(m, nil)
-	objects := []kg.EntityID{0, 1, 2, 3, 4, 5, 6}
-	ranks, scores := ranker.RankObjectsBatch(0, []Group{
-		{S: 0, Objects: objects},
-		{S: 3, Objects: objects},
-	})
-	for gi, s := range []kg.EntityID{0, 3} {
-		want := perTripleRanks(ranker, s, 0, objects)
-		for i, o := range objects {
-			if ranks[gi][i] != want[i] {
-				t.Errorf("s=%d o=%d: batch rank %d != per-candidate %d", s, o, ranks[gi][i], want[i])
-			}
-			if wantScore := m.Score(kg.Triple{S: s, R: 0, O: o}); scores[gi][i] != wantScore {
-				t.Errorf("s=%d o=%d: batch score %g != Score %g", s, o, scores[gi][i], wantScore)
-			}
-		}
-	}
-}
-
 // TestRankObjectsBatchDegenerate covers empty blocks, empty groups, and
 // pooled-buffer reuse across calls of different block shapes.
 func TestRankObjectsBatchDegenerate(t *testing.T) {
-	m := &stubModel{n: 4, k: 1, table: []float32{0.1, 0.5, 0.9, 0.3}}
+	m := stubModel(4, 1, []float32{0.1, 0.5, 0.9, 0.3})
 	r := NewRanker(m, nil)
 	if ranks, scores := r.RankObjectsBatch(0, nil); len(ranks) != 0 || len(scores) != 0 {
 		t.Errorf("empty block returned %v, %v", ranks, scores)

@@ -4,41 +4,20 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/kge"
 )
 
 // popularityModel scores objects purely by their global popularity — the
-// maximally popularity-biased model.
-type popularityModel struct {
-	n   int
-	pop []float32
-}
+// maximally popularity-biased model — and antiPopularityModel by its
+// negation.
+func popularityModel(pop []float32) *kge.Derived { return popularity("popbias", pop, 1) }
 
-func (m *popularityModel) Name() string              { return "popbias" }
-func (m *popularityModel) Dim() int                  { return 1 }
-func (m *popularityModel) NumEntities() int          { return m.n }
-func (m *popularityModel) NumRelations() int         { return 1 }
-func (m *popularityModel) Score(t kg.Triple) float32 { return m.pop[t.O] }
+func antiPopularityModel(pop []float32) *kge.Derived { return popularity("antipop", pop, -1) }
 
-func (m *popularityModel) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	copy(out, m.pop)
-	return out
-}
-
-func (m *popularityModel) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	for i := range out {
-		out[i] = m.pop[o]
-	}
-	return out
-}
-
-// antiPopularityModel inverts the scores.
-type antiPopularityModel struct{ popularityModel }
-
-func (m *antiPopularityModel) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	for i := range out {
-		out[i] = -m.pop[i]
-	}
-	return out
+func popularity(name string, pop []float32, sign float32) *kge.Derived {
+	return newLinearModel(name, len(pop), 1, 1,
+		func(o int, e []float32) { e[0] = pop[o] },
+		func(_ kg.EntityID, _ kg.RelationID, q []float32) { q[0] = sign })
 }
 
 func biasGraph(t *testing.T) *kg.Graph {
@@ -67,7 +46,7 @@ func popVector(g *kg.Graph) []float32 {
 
 func TestPopularityBiasDetectsBiasedModel(t *testing.T) {
 	g := biasGraph(t)
-	m := &popularityModel{n: g.NumEntities(), pop: popVector(g)}
+	m := popularityModel(popVector(g))
 	rep := PopularityBias(m, g, 20, 1)
 	if rep.Contexts == 0 {
 		t.Fatal("no contexts sampled")
@@ -79,7 +58,7 @@ func TestPopularityBiasDetectsBiasedModel(t *testing.T) {
 
 func TestPopularityBiasDetectsAntiBias(t *testing.T) {
 	g := biasGraph(t)
-	m := &antiPopularityModel{popularityModel{n: g.NumEntities(), pop: popVector(g)}}
+	m := antiPopularityModel(popVector(g))
 	rep := PopularityBias(m, g, 20, 1)
 	if rep.MeanSpearman > -0.9 {
 		t.Errorf("anti-biased model scored %.3f, want ≈ -1", rep.MeanSpearman)
@@ -88,7 +67,7 @@ func TestPopularityBiasDetectsAntiBias(t *testing.T) {
 
 func TestPopularityBiasEmptyGraph(t *testing.T) {
 	g := kg.NewGraph()
-	m := &popularityModel{n: 1, pop: []float32{0}}
+	m := popularityModel([]float32{0})
 	rep := PopularityBias(m, g, 10, 1)
 	if rep.Contexts != 0 {
 		t.Errorf("empty graph produced %d contexts", rep.Contexts)

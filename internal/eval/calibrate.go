@@ -29,40 +29,27 @@ func (p *PlattCalibrator) Prob(score float32) float64 {
 	return 1 / (1 + math.Exp(-(p.A*float64(score) + p.C)))
 }
 
-// CalibrationOptions controls FitPlatt.
-type CalibrationOptions struct {
-	// Iterations of gradient descent (default 200).
-	Iterations int
-	// LearningRate for the two parameters (default 0.1).
-	LearningRate float64
-	// Seed drives negative sampling.
-	Seed int64
-}
-
-func (o *CalibrationOptions) setDefaults() {
-	if o.Iterations == 0 {
-		o.Iterations = 200
-	}
-	if o.LearningRate == 0 {
-		o.LearningRate = 0.1
-	}
-}
-
-// maxCalibrationPositives bounds the calibration set.
-const maxCalibrationPositives = 2000
+// The calibration fit: at most maxCalibrationPositives positives, negatives
+// drawn from a generator seeded with calibrationSeed, and plattIterations
+// full-batch gradient steps of size plattLearningRate.
+const (
+	maxCalibrationPositives = 2000
+	calibrationSeed         = 1
+	plattIterations         = 200
+	plattLearningRate       = 0.1
+)
 
 // FitPlatt fits a Platt calibrator for model on a held-out graph (typically
 // the validation split): positives are the graph's first
 // maxCalibrationPositives triples, negatives are one uniform corruption of
 // each, not present in filter (pass train ∪ valid ∪ test).
-func FitPlatt(m kge.Model, heldout, filter *kg.Graph, opts CalibrationOptions) (*PlattCalibrator, error) {
-	opts.setDefaults()
+func FitPlatt(m kge.Model, heldout, filter *kg.Graph) (*PlattCalibrator, error) {
 	triples := heldout.Triples()
 	if len(triples) == 0 {
 		return nil, fmt.Errorf("eval: empty held-out graph for calibration")
 	}
 	triples = triples[:min(len(triples), maxCalibrationPositives)]
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(calibrationSeed))
 
 	var scores []float64
 	var labels []float64
@@ -83,7 +70,7 @@ func FitPlatt(m kge.Model, heldout, filter *kg.Graph, opts CalibrationOptions) (
 
 	a, c := 1.0, 0.0
 	n := float64(len(scores))
-	for it := 0; it < opts.Iterations; it++ {
+	for it := 0; it < plattIterations; it++ {
 		var ga, gc float64
 		for i, s := range scores {
 			z := (s - mean) / std
@@ -92,8 +79,8 @@ func FitPlatt(m kge.Model, heldout, filter *kg.Graph, opts CalibrationOptions) (
 			ga += d * z
 			gc += d
 		}
-		a -= opts.LearningRate * ga / n
-		c -= opts.LearningRate * gc / n
+		a -= plattLearningRate * ga / n
+		c -= plattLearningRate * gc / n
 	}
 	return &PlattCalibrator{A: a / std, C: c - a*mean/std}, nil
 }

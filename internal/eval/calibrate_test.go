@@ -1,43 +1,27 @@
 package eval
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/kge"
 )
 
-// separableModel gives positives (triples of the graph) high scores and
-// everything else low scores — perfectly separable calibration data.
-type separableModel struct {
-	n, k int
-	g    *kg.Graph
-}
-
-func (m *separableModel) Name() string      { return "separable" }
-func (m *separableModel) Dim() int          { return 1 }
-func (m *separableModel) NumEntities() int  { return m.n }
-func (m *separableModel) NumRelations() int { return m.k }
-
-func (m *separableModel) Score(t kg.Triple) float32 {
-	if m.g.Contains(t) {
-		return 3
-	}
-	return -3
-}
-
-func (m *separableModel) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	for o := range out {
-		out[o] = m.Score(kg.Triple{S: s, R: r, O: kg.EntityID(o)})
-	}
-	return out
-}
-
-func (m *separableModel) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	for s := range out {
-		out[s] = m.Score(kg.Triple{S: kg.EntityID(s), R: r, O: o})
-	}
-	return out
+// separableModel gives positives (triples of g) score 3 and everything else
+// −3 — perfectly separable calibration data — over k relations: one-hot
+// entity rows, and a query holding each object's score.
+func separableModel(g *kg.Graph, k int) *kge.Derived {
+	n := g.NumEntities()
+	return newLinearModel("separable", n, k, n,
+		func(o int, e []float32) { e[o] = 1 },
+		func(s kg.EntityID, r kg.RelationID, q []float32) {
+			for o := range q {
+				q[o] = -3
+				if g.Contains(kg.Triple{S: s, R: r, O: kg.EntityID(o)}) {
+					q[o] = 3
+				}
+			}
+		})
 }
 
 func calibrationGraph(t *testing.T) *kg.Graph {
@@ -56,8 +40,8 @@ func calibrationGraph(t *testing.T) *kg.Graph {
 
 func TestFitPlattSeparatesClasses(t *testing.T) {
 	g := calibrationGraph(t)
-	m := &separableModel{n: g.NumEntities(), k: 1, g: g}
-	cal, err := FitPlatt(m, g, g, CalibrationOptions{Seed: 1})
+	m := separableModel(g, 1)
+	cal, err := FitPlatt(m, g, g)
 	if err != nil {
 		t.Fatalf("FitPlatt: %v", err)
 	}
@@ -100,24 +84,26 @@ func TestPlattNegativeSlope(t *testing.T) {
 
 func TestFitPlattEmptyHeldout(t *testing.T) {
 	g := calibrationGraph(t)
-	m := &separableModel{n: g.NumEntities(), k: 1, g: g}
-	if _, err := FitPlatt(m, kg.NewGraph(), g, CalibrationOptions{}); err == nil {
+	m := separableModel(g, 1)
+	if _, err := FitPlatt(m, kg.NewGraph(), g); err == nil {
 		t.Fatal("expected error for empty held-out graph")
 	}
 }
 
 func TestFitPlattDeterministic(t *testing.T) {
+	// The negatives come from a fixed seed: the same input must give the
+	// same calibrator, bit for bit.
 	g := calibrationGraph(t)
-	m := &separableModel{n: g.NumEntities(), k: 1, g: g}
-	a, err := FitPlatt(m, g, g, CalibrationOptions{Seed: 5})
+	m := separableModel(g, 1)
+	a, err := FitPlatt(m, g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FitPlatt(m, g, g, CalibrationOptions{Seed: 5})
+	b, err := FitPlatt(m, g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.A-b.A) > 1e-12 || math.Abs(a.C-b.C) > 1e-12 {
-		t.Errorf("same seed produced different calibrators: %+v vs %+v", a, b)
+	if *a != *b {
+		t.Errorf("same input produced different calibrators: %+v vs %+v", a, b)
 	}
 }

@@ -28,7 +28,7 @@ func TestBestThreshold(t *testing.T) {
 
 func TestTrainClassifierOnSeparableModel(t *testing.T) {
 	g := calibrationGraph(t)
-	m := &separableModel{n: g.NumEntities(), k: 1, g: g}
+	m := separableModel(g, 1)
 	c, err := TrainClassifier(m, g, g, 1)
 	if err != nil {
 		t.Fatalf("TrainClassifier: %v", err)
@@ -57,7 +57,7 @@ func TestTrainClassifierOnSeparableModel(t *testing.T) {
 
 func TestClassifierGlobalFallback(t *testing.T) {
 	g := calibrationGraph(t)
-	m := &separableModel{n: g.NumEntities(), k: 2, g: g}
+	m := separableModel(g, 2)
 	c, err := TrainClassifier(m, g, g, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestClassifierGlobalFallback(t *testing.T) {
 
 func TestTrainClassifierEmptyHeldout(t *testing.T) {
 	g := calibrationGraph(t)
-	m := &separableModel{n: g.NumEntities(), k: 1, g: g}
+	m := separableModel(g, 1)
 	if _, err := TrainClassifier(m, kg.NewGraph(), g, 1); err == nil {
 		t.Fatal("expected error for empty held-out graph")
 	}

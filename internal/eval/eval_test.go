@@ -5,40 +5,84 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/kge"
+	"repro/internal/vecmath"
 )
 
+// linearModel is a test model behind kge.Derive: score(s, r, o) =
+// query(s, r)·E[o] over a fixed entity table, the object-sweep shape of every
+// shipped model. Its SubjectQuery reports false, so subject sweeps score per
+// triple, as ConvE's do. It is never trained.
+type linearModel struct {
+	name  string
+	ps    *kge.ParamSet
+	ent   *kge.Param
+	query func(s kg.EntityID, r kg.RelationID, q []float32)
+}
+
+// newLinearModel builds an n-entity, k-relation linearModel whose entity rows,
+// dim wide, are filled by entity.
+func newLinearModel(name string, n, k, dim int, entity func(o int, e []float32),
+	query func(s kg.EntityID, r kg.RelationID, q []float32)) *kge.Derived {
+	m := &linearModel{name: name, ps: kge.NewParamSet(), query: query}
+	m.ent = m.ps.Add("entity", n, dim)
+	m.ps.Add("relation", k, 1)
+	for o := 0; o < n; o++ {
+		entity(o, m.ent.M.Row(o))
+	}
+	return kge.Derive(m)
+}
+
+func (m *linearModel) Name() string                     { return m.name }
+func (m *linearModel) Dim() int                         { return m.ent.M.Cols }
+func (m *linearModel) Params() *kge.ParamSet            { return m.ps }
+func (m *linearModel) PostBatch(*kge.GradBuffer)        {}
+func (m *linearModel) SweepGeometry() kge.SweepGeometry { return kge.SweepDot }
+
+func (m *linearModel) Score(t kg.Triple) float32 {
+	q := make([]float32, m.ent.M.Cols)
+	m.query(t.S, t.R, q)
+	var f float32
+	for i, e := range m.ent.M.Row(int(t.O)) {
+		f += q[i] * e
+	}
+	return f
+}
+
+func (m *linearModel) ScoreWithContext(t kg.Triple, _ kge.GradContext) (float32, kge.GradContext) {
+	return m.Score(t), nil
+}
+
+func (m *linearModel) ObjectQuery(s kg.EntityID, r kg.RelationID, q []float32, _ kge.GradContext) kge.GradContext {
+	m.query(s, r, q)
+	return nil
+}
+
+func (m *linearModel) SubjectQuery(kg.RelationID, kg.EntityID, []float32) bool { return false }
+
+func (m *linearModel) AccumulateGrad(kg.Triple, kge.GradContext, float32, *kge.GradBuffer) {
+	panic("linearModel is not trainable")
+}
+
+func (m *linearModel) BackpropObjectQuery(kg.EntityID, kg.RelationID, kge.GradContext, []float32, *kge.GradBuffer, *kge.GroupScratch) {
+	panic("linearModel is not trainable")
+}
+
+func (m *linearModel) BackpropSubjectQuery(kg.RelationID, kg.EntityID, []float32, *kge.GradBuffer, *kge.GroupScratch) {
+	panic("linearModel is not trainable")
+}
+
 // stubModel scores triples by a fixed per-entity table: score(s, r, o) =
-// table[o] + rowBias[s] (object ranking then depends only on the table).
-type stubModel struct {
-	n     int
-	k     int
-	table []float32
-}
-
-func (m *stubModel) Name() string      { return "stub" }
-func (m *stubModel) Dim() int          { return 1 }
-func (m *stubModel) NumEntities() int  { return m.n }
-func (m *stubModel) NumRelations() int { return m.k }
-
-func (m *stubModel) Score(t kg.Triple) float32 { return m.table[t.O] + 0.001*float32(t.S) }
-
-func (m *stubModel) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
-	for o := range out {
-		out[o] = m.Score(kg.Triple{S: s, R: r, O: kg.EntityID(o)})
-	}
-	return out
-}
-
-func (m *stubModel) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	for s := range out {
-		out[s] = m.Score(kg.Triple{S: kg.EntityID(s), R: r, O: o})
-	}
-	return out
+// table[o] + 0.001·s (object ranking then depends only on the table).
+func stubModel(n, k int, table []float32) *kge.Derived {
+	return newLinearModel("stub", n, k, 2,
+		func(o int, e []float32) { e[0], e[1] = table[o], 1 },
+		func(s kg.EntityID, _ kg.RelationID, q []float32) { q[0], q[1] = 1, 0.001*float32(s) })
 }
 
 func TestRankObjectRawProtocol(t *testing.T) {
 	// Entity scores: e0=0.1, e1=0.5, e2=0.9, e3=0.3.
-	m := &stubModel{n: 4, k: 1, table: []float32{0.1, 0.5, 0.9, 0.3}}
+	m := stubModel(4, 1, []float32{0.1, 0.5, 0.9, 0.3})
 	r := NewRanker(m, nil)
 	// Target o=1 (0.5): only e2 scores higher → rank 2.
 	if got := r.RankObject(kg.Triple{S: 0, R: 0, O: 1}); got != 2 {
@@ -55,7 +99,7 @@ func TestRankObjectRawProtocol(t *testing.T) {
 }
 
 func TestRankObjectFilteredProtocol(t *testing.T) {
-	m := &stubModel{n: 4, k: 1, table: []float32{0.1, 0.5, 0.9, 0.3}}
+	m := stubModel(4, 1, []float32{0.1, 0.5, 0.9, 0.3})
 	filter := kg.NewGraph()
 	for i := 0; i < 4; i++ {
 		filter.Entities.Intern(string(rune('a' + i)))
@@ -75,7 +119,7 @@ func TestRankObjectFilteredProtocol(t *testing.T) {
 }
 
 func TestRankObjectTiesUseMeanPolicy(t *testing.T) {
-	m := &stubModel{n: 5, k: 1, table: []float32{0.5, 0.5, 0.5, 0.5, 0.5}}
+	m := stubModel(5, 1, []float32{0.5, 0.5, 0.5, 0.5, 0.5})
 	r := NewRanker(m, nil)
 	// All five entities tie: greater=0, equal=4 → rank = 1 + 0 + 2 = 3.
 	if got := r.RankObject(kg.Triple{S: 0, R: 0, O: 2}); got != 3 {
@@ -85,9 +129,11 @@ func TestRankObjectTiesUseMeanPolicy(t *testing.T) {
 
 // RankSubject mirrors RankObject for subject-side corruptions (s', r, o):
 // the per-triple oracle Evaluate's subject side is held to. It shares no line
-// with the scheduler: one ScoreAllSubjects sweep, then |E| Contains probes.
+// with the scheduler: one one-row subject sweep, then |E| Contains probes.
 func (r *Ranker) RankSubject(t kg.Triple) int {
-	scores := r.model.ScoreAllSubjects(t.R, t.O, make([]float32, r.model.NumEntities()))
+	out := vecmath.NewMatrix(1, r.model.NumEntities())
+	kge.ScoreAllSubjectsBatch(r.model, []kg.EntityID{t.O}, t.R, out)
+	scores := out.Data
 	target := scores[t.S]
 	greater, equal := 0, 0
 	for s, sc := range scores {
@@ -110,7 +156,7 @@ func (r *Ranker) RankSubject(t kg.Triple) int {
 func TestRankSubject(t *testing.T) {
 	// Make subject ranking depend on s: score = table[o] + 0.001*s, so
 	// higher s wins.
-	m := &stubModel{n: 4, k: 1, table: []float32{0, 0, 0, 0}}
+	m := stubModel(4, 1, []float32{0, 0, 0, 0})
 	r := NewRanker(m, nil)
 	if got := r.RankSubject(kg.Triple{S: 3, R: 0, O: 0}); got != 1 {
 		t.Errorf("subject rank of best = %d, want 1", got)
@@ -121,7 +167,7 @@ func TestRankSubject(t *testing.T) {
 }
 
 func TestEvaluateMetrics(t *testing.T) {
-	m := &stubModel{n: 10, k: 1, table: []float32{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0}}
+	m := stubModel(10, 1, []float32{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0})
 	test := kg.NewGraph()
 	for i := 0; i < 10; i++ {
 		test.Entities.Intern(string(rune('a' + i)))
@@ -147,7 +193,7 @@ func TestEvaluateMetrics(t *testing.T) {
 }
 
 func TestEvaluateBothSides(t *testing.T) {
-	m := &stubModel{n: 5, k: 1, table: []float32{0.1, 0.2, 0.3, 0.4, 0.5}}
+	m := stubModel(5, 1, []float32{0.1, 0.2, 0.3, 0.4, 0.5})
 	test := kg.NewGraph()
 	for i := 0; i < 5; i++ {
 		test.Entities.Intern(string(rune('a' + i)))
@@ -161,7 +207,7 @@ func TestEvaluateBothSides(t *testing.T) {
 }
 
 func TestEvaluateMaxTriples(t *testing.T) {
-	m := &stubModel{n: 5, k: 1, table: []float32{1, 2, 3, 4, 5}}
+	m := stubModel(5, 1, []float32{1, 2, 3, 4, 5})
 	test := kg.NewGraph()
 	for i := 0; i < 5; i++ {
 		test.Entities.Intern(string(rune('a' + i)))
@@ -177,7 +223,7 @@ func TestEvaluateMaxTriples(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	m := &stubModel{n: 3, k: 1, table: []float32{1, 2, 3}}
+	m := stubModel(3, 1, []float32{1, 2, 3})
 	test := kg.NewGraph()
 	res := Evaluate(NewRanker(m, nil), test, Options{})
 	if res.N != 0 || res.MRR != 0 {

@@ -83,7 +83,7 @@ func TestRankObjectsMatchesRankObject(t *testing.T) {
 // counting pass's equal/between bookkeeping is easiest to get wrong.
 func TestRankObjectsTiesAndFilteredTies(t *testing.T) {
 	// Scores by object: 0.5 appears five times, 0.9 twice, 0.1 once.
-	m := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}
+	m := stubModel(8, 1, []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5})
 	filter := kg.NewGraph()
 	for i := 0; i < 8; i++ {
 		filter.Entities.Intern(string(rune('a' + i)))
@@ -115,7 +115,7 @@ func TestRankObjectsTiesAndFilteredTies(t *testing.T) {
 // TestRankObjectsEmptyAndSingle covers the degenerate group sizes the
 // scheduler can produce.
 func TestRankObjectsEmptyAndSingle(t *testing.T) {
-	m := &stubModel{n: 4, k: 1, table: []float32{0.1, 0.5, 0.9, 0.3}}
+	m := stubModel(4, 1, []float32{0.1, 0.5, 0.9, 0.3})
 	r := NewRanker(m, nil)
 	if got := r.RankObjects(0, 0, nil); len(got) != 0 {
 		t.Errorf("empty group returned %v", got)

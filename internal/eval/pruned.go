@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/kg"
-	"repro/internal/kge"
 	"repro/internal/prune"
 )
 
@@ -76,18 +75,17 @@ func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, 
 		return ranks, scores, st
 	}
 
-	sw, _ := r.model.(kge.ObjectSweeper)
 	var sr *prune.Searcher
-	if sw != nil && cfg.Index != nil {
+	if cfg.Index != nil {
 		if pooled, _ := r.prunePool.Get().(*prune.Searcher); pooled != nil && pooled.Index() == cfg.Index {
 			sr = pooled
-		} else if s, err := prune.NewSearcher(cfg.Index, sw, cfg.Index.Fingerprint()); err == nil {
+		} else if s, err := prune.NewSearcher(cfg.Index, r.model, cfg.Index.Fingerprint()); err == nil {
 			sr = s
 		}
 	}
 	if sr == nil {
-		// Defensive: a model without a sweeper geometry or a mismatched index
-		// cannot be pruned; the dense path is always correct.
+		// A missing or mismatched index cannot prune; the dense path is
+		// always correct.
 		ranks, scores = r.RankObjectsBatch(rel, groups)
 		st.Fallbacks += len(groups)
 		return ranks, scores, st

@@ -34,11 +34,7 @@ func prunedFixtures(t *testing.T, nEnt, nRel, dim int) []prunedFixture {
 				p.M.Data[i] += float32(rng.NormFloat64()) * 0.2
 			}
 		}
-		sw, ok := model.(kge.ObjectSweeper)
-		if !ok {
-			t.Fatalf("%s does not implement ObjectSweeper", name)
-		}
-		ix, err := prune.Build(sw, kge.Fingerprint(model), prune.Params{Cells: 6})
+		ix, err := prune.Build(model, kge.Fingerprint(model), prune.Params{Cells: 6})
 		if err != nil {
 			t.Fatalf("build index for %s: %v", name, err)
 		}
@@ -166,12 +162,11 @@ func TestRankObjectsPrunedTieHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := model.(kge.ObjectSweeper)
-	ent := sw.SweepEntityTable()
+	ent := model.SweepEntityTable()
 	for o := 0; o < ent.Rows; o++ {
 		copy(ent.Row(o), ent.Row(o%3))
 	}
-	ix, err := prune.Build(sw, kge.Fingerprint(model), prune.Params{Cells: 4})
+	ix, err := prune.Build(model, kge.Fingerprint(model), prune.Params{Cells: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +210,9 @@ func TestRankObjectsPrunedFallbacks(t *testing.T) {
 		}
 	}
 
-	// A model with no sweeper geometry prunes nothing but still answers.
-	stub := &stubModel{n: 8, k: 1, table: []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5}}
+	// A model the index does not match (8 entities against 40) prunes nothing
+	// but still answers.
+	stub := stubModel(8, 1, []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5})
 	sr := NewRanker(stub, nil)
 	objects := []kg.EntityID{0, 1, 2, 3, 4}
 	want, _ := perTripleBlock(sr, 0, []Group{{S: 0, Objects: objects}})
@@ -315,11 +311,12 @@ func TestBatchBufsShrink(t *testing.T) {
 // are reused.
 func TestBatchBufsShrinkEndToEnd(t *testing.T) {
 	nEnt := 2 * batchShrinkFloor / 100 // hub block of 100 groups crosses the floor
-	m := &stubModel{n: nEnt, k: 1, table: make([]float32, nEnt)}
+	table := make([]float32, nEnt)
 	rng := rand.New(rand.NewSource(5))
-	for i := range m.table {
-		m.table[i] = rng.Float32()
+	for i := range table {
+		table[i] = rng.Float32()
 	}
+	m := stubModel(nEnt, 1, table)
 	r := NewRanker(m, nil)
 
 	hub := make([]Group, 100)

@@ -42,7 +42,6 @@ const (
 type SweepOptions struct {
 	TopN          int   `json:"top_n"`
 	MaxCandidates int   `json:"max_candidates"`
-	MaxIterations int   `json:"max_iterations,omitempty"`
 	Seed          int64 `json:"seed"`
 	RankFiltered  bool  `json:"rank_filtered,omitempty"`
 	CacheWeights  bool  `json:"cache_weights,omitempty"`
@@ -55,7 +54,6 @@ func (o SweepOptions) CoreOptions() core.Options {
 	return core.Options{
 		TopN:          o.TopN,
 		MaxCandidates: o.MaxCandidates,
-		MaxIterations: o.MaxIterations,
 		Seed:          o.Seed,
 		RankFiltered:  o.RankFiltered,
 		CacheWeights:  o.CacheWeights,

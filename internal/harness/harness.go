@@ -108,7 +108,7 @@ func PaperStrategies() []string {
 type Runner struct {
 	Cfg      Config
 	datasets map[string]*kg.Dataset
-	models   map[string]kge.Trainable // key: dataset/model
+	models   map[string]kge.Model // key: dataset/model
 }
 
 // NewRunner returns a Runner with defaults applied.
@@ -117,7 +117,7 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{
 		Cfg:      cfg,
 		datasets: make(map[string]*kg.Dataset),
-		models:   make(map[string]kge.Trainable),
+		models:   make(map[string]kge.Model),
 	}
 }
 
@@ -170,7 +170,7 @@ func (r *Runner) Dataset(name string) (*kg.Dataset, error) {
 // Model returns (training and caching) the named model on the named
 // dataset. Models are cached in memory and, when Config.CacheDir is set, on
 // disk keyed by (dataset, model, scale, dim, epochs, seed).
-func (r *Runner) Model(ctx context.Context, dataset, model string) (kge.Trainable, error) {
+func (r *Runner) Model(ctx context.Context, dataset, model string) (kge.Model, error) {
 	key := dataset + "/" + model
 	if m, ok := r.models[key]; ok {
 		return m, nil

@@ -70,7 +70,7 @@ func (t TuneResult) Describe() string {
 // returns all results plus the best model (by validation MRR). epochs
 // bounds each training run; validation MRR is measured on at most 300
 // triples for speed, like LibKGE's cheap validation metric.
-func GridSearch(ctx context.Context, modelName string, ds *kg.Dataset, space TuneSpace, epochs int, seed int64, log io.Writer) ([]TuneResult, kge.Trainable, error) {
+func GridSearch(ctx context.Context, modelName string, ds *kg.Dataset, space TuneSpace, epochs int, seed int64, log io.Writer) ([]TuneResult, kge.Model, error) {
 	space.setDefaults()
 	if epochs <= 0 {
 		epochs = 20
@@ -78,7 +78,7 @@ func GridSearch(ctx context.Context, modelName string, ds *kg.Dataset, space Tun
 	filter := ds.All()
 
 	var results []TuneResult
-	var best kge.Trainable
+	var best kge.Model
 	bestMRR := -1.0
 
 	for _, dim := range space.Dims {

@@ -102,8 +102,8 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		CacheWeights  bool            `json:"cache_weights"`
 		// has_calibrator and min_probability name a probability cutoff
 		// discovery no longer has, filter_len an extra seen-triple graph it
-		// no longer takes. They stay, always false and 0, so every journal
-		// written while those existed hashes as it did.
+		// no longer takes, max_iterations a bound now fixed by Algorithm 1.
+		// They stay, constant, so every journal hashes as it always did.
 		HasCalibrator  bool    `json:"has_calibrator"`
 		MinProbability float64 `json:"min_probability"`
 		FilterLen      int     `json:"filter_len"`
@@ -115,7 +115,7 @@ func OptionsHash(strategyName string, g *kg.Graph, opts core.Options, relations 
 		Strategy:       strategyName,
 		TopN:           opts.TopN,
 		MaxCandidates:  opts.MaxCandidates,
-		MaxIterations:  opts.MaxIterations,
+		MaxIterations:  core.MaxIterations,
 		Relations:      rels,
 		RankFiltered:   opts.RankFiltered,
 		Seed:           opts.Seed,

@@ -21,12 +21,12 @@ import (
 var testArtifacts struct {
 	once sync.Once
 	ds   *kg.Dataset
-	m    kge.Trainable
+	m    kge.Model
 	fp   string
 	err  error
 }
 
-func testModel(t testing.TB) (*kg.Dataset, kge.Trainable, string) {
+func testModel(t testing.TB) (*kg.Dataset, kge.Model, string) {
 	t.Helper()
 	testArtifacts.once.Do(func() {
 		ds, err := synth.Generate(synth.Tiny())
@@ -262,7 +262,7 @@ func TestOptionsHashNormalization(t *testing.T) {
 	ds, _, _ := testModel(t)
 	rels := ds.Train.RelationIDs()
 	base := OptionsHash("s", ds.Train, core.Options{}.WithOutputDefaults(), rels)
-	explicit := OptionsHash("s", ds.Train, core.Options{TopN: 500, MaxCandidates: 500, MaxIterations: 5}.WithOutputDefaults(), rels)
+	explicit := OptionsHash("s", ds.Train, core.Options{TopN: 500, MaxCandidates: 500}.WithOutputDefaults(), rels)
 	if base != explicit {
 		t.Error("defaulted and explicit options hash differently")
 	}

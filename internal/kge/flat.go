@@ -67,7 +67,7 @@ func alignUp(n, a int) int { return (n + a - 1) / a * a }
 // SaveFlat serializes a trained model to w in the flat format. Like Save it
 // is a pure function of the weights: identical models always produce
 // identical bytes.
-func SaveFlat(m Trainable, w io.Writer) error {
+func SaveFlat(m Model, w io.Writer) error {
 	cfg, err := configOf(m)
 	if err != nil {
 		return err
@@ -158,7 +158,7 @@ func SaveFlat(m Trainable, w io.Writer) error {
 // SaveFlatFile writes the model to path in the flat format with the full
 // durable-write discipline: unique temp file, file fsync, atomic rename,
 // directory fsync (internal/fsio).
-func SaveFlatFile(m Trainable, path string) error {
+func SaveFlatFile(m Model, path string) error {
 	return fsio.WriteAtomic(path, func(f *os.File) error { return SaveFlat(m, f) })
 }
 
@@ -173,6 +173,8 @@ func SaveFlatFile(m Trainable, path string) error {
 // Close unmaps the region. The model must not be used afterwards; callers
 // that share a Mapped across goroutines (the serve registry) must refcount
 // and close only after the last user is done.
+//
+// The embedded field keeps its Trainable name because bench/ reads it.
 type Mapped struct {
 	Trainable
 	data []byte // the mmap region; nil after Close or on the copying fallback
@@ -234,12 +236,10 @@ func OpenMapped(path string) (*Mapped, error) {
 }
 
 // LoadAuto opens a checkpoint in either format, sniffed by magic. For flat
-// checkpoints it returns the derived model — not the *Mapped wrapper, so
-// type assertions against the fast paths (ObjectSweeper, *Derived) resolve
-// exactly as they do for a gob-loaded model — plus the
-// mmap handle to close after the model's last use. For gob checkpoints
-// mapped is nil. format is "flat" or "gob".
-func LoadAuto(path string) (m Trainable, mapped *Mapped, format string, err error) {
+// checkpoints it returns the derived model plus the mmap handle to close
+// after the model's last use. For gob checkpoints mapped is nil. format is
+// "flat" or "gob".
+func LoadAuto(path string) (m Model, mapped *Mapped, format string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, "", err
@@ -266,7 +266,7 @@ func LoadAuto(path string) (m Trainable, mapped *Mapped, format string, err erro
 // little-endian hosts) or were copied out (big-endian fallback). Every read
 // is bounds-checked through flatCursor: arbitrary truncation or corruption
 // must surface as an error, never a panic.
-func parseFlat(data []byte) (m Trainable, aliased bool, err error) {
+func parseFlat(data []byte) (m Model, aliased bool, err error) {
 	size := len(data)
 	c := &flatCursor{b: data}
 

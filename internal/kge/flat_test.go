@@ -20,7 +20,7 @@ func flatTestConfig(name string) Config {
 // scrambleWeights makes the freshly initialized weights distinguishable from
 // any re-initialization, so a loader that silently re-inits instead of
 // restoring would change the fingerprint.
-func scrambleWeights(m Trainable, seed int64) {
+func scrambleWeights(m Model, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, p := range m.Params().List() {
 		for i := range p.M.Data {
@@ -211,19 +211,9 @@ func TestLoadAutoSniffsBothFormats(t *testing.T) {
 	if mapped.MappedBytes() == 0 {
 		t.Errorf("flat load reports no mapped bytes on a little-endian host")
 	}
-	// LoadAuto must return the derived model, not the *Mapped wrapper: the
-	// fast paths (batched sweeps, pruned ranking) are discovered by type
-	// assertion, and wrapping the model in an interface embed would hide
-	// them — every sweep over a flat checkpoint would silently take the
-	// per-subject fallback and pruned ranking would refuse the model.
-	if _, isWrapper := fm.(*Mapped); isWrapper {
-		t.Fatalf("LoadAuto(flat) returned the *Mapped wrapper as the model")
-	}
-	if _, ok := fm.(ObjectSweeper); !ok {
-		t.Errorf("flat-loaded %T lost the ObjectSweeper fast path", fm)
-	}
+	// LoadAuto returns the derived model itself; mapped only owns the pages.
 	if _, ok := fm.(*Derived); !ok {
-		t.Errorf("flat-loaded %T lost the batched-sweep fast path", fm)
+		t.Errorf("LoadAuto(flat) returned %T, not the *Derived", fm)
 	}
 }
 
@@ -252,7 +242,7 @@ func TestMappedCloseIdempotent(t *testing.T) {
 // BenchmarkColdStartGob and BenchmarkColdStartFlat measure the serving
 // cold-start cost the flat format exists to kill: time from "checkpoint on
 // disk" to "scorable model". Results are recorded in EXPERIMENTS.md.
-func benchmarkColdStart(b *testing.B, save func(Trainable, string) error, load func(string) error) {
+func benchmarkColdStart(b *testing.B, save func(Model, string) error, load func(string) error) {
 	m, err := New("distmult", Config{NumEntities: 20000, NumRelations: 50, Dim: 128, Seed: 1})
 	if err != nil {
 		b.Fatal(err)

@@ -14,13 +14,12 @@
 //   - the subject query q(r, o) and its adjoint, the mirror image.
 //
 // Everything else is derived from that contract once, in Derive: the
-// object and subject sweeps behind Model, the relation-blocked and
-// per-context batch sweeps, the KvsAll backward pass, the grouped
-// negative-sampling scoring and backward pass, and the ObjectSweeper view
-// that pruned ranking reads. New returns derived models, so evaluation,
-// discovery, training and serving all see the same four interfaces: Model
-// (read-only scoring), Trainable (gradients into a sparse GradBuffer),
-// ObjectSweeper (the sweep's linear structure) and QueryModel.
+// object and subject sweeps, the relation-blocked and per-context batch
+// sweeps, the KvsAll backward pass, the grouped negative-sampling scoring
+// and backward pass, and the sweep's linear structure that pruned ranking
+// reads. Model is that derived method set, sealed so that only Derive
+// produces one: evaluation, discovery, training and serving all see one
+// interface, and New returns it.
 //
 // Checkpoints come in two containers, both CRC-checked: a gob snapshot
 // (persist.go) and a flat, mmap-able layout (flat.go).
@@ -34,9 +33,13 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Model is the read-only scoring interface. Scores are comparable within a
-// model only: a higher score means the model considers the triple more
-// plausible. Implementations must be safe for concurrent readers.
+// Model is the one model contract: the operations Derive builds from a
+// QueryModel, which every package outside kge scores, sweeps and trains
+// through. It is sealed by an unexported method only *Derived has (and
+// *Mapped, which embeds one), so a Model is always a derived QueryModel and
+// no caller needs a fallback for anything else. Scores are comparable
+// within a model only: a higher score means the model considers the triple
+// more plausible. Implementations are safe for concurrent readers.
 type Model interface {
 	// Name returns the canonical lowercase model name ("transe", …).
 	Name() string
@@ -52,19 +55,7 @@ type Model interface {
 	// which must have length NumEntities, and returns it. This is the hot
 	// path of ranking a candidate against its object-side corruptions.
 	ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32
-	// ScoreAllSubjects writes f((s', r, o)) for every entity s' into out.
-	ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32
-}
 
-// GradContext carries forward-pass intermediates from ScoreWithContext to
-// AccumulateGrad so deep models (ConvE) need not recompute them. Models with
-// cheap forward passes return nil.
-type GradContext any
-
-// Trainable is implemented by models that can be trained with the
-// gradient-based trainer in internal/train.
-type Trainable interface {
-	Model
 	// Params exposes the named parameter tables for the optimizer.
 	Params() *ParamSet
 	// ScoreWithContext is Score plus a forward context for AccumulateGrad;
@@ -79,7 +70,48 @@ type Trainable interface {
 	// the step applied, its rows the rows it moved, or nil when any row may
 	// have changed since the last call, as at the start of a training run.
 	PostBatch(step *GradBuffer)
+	// The batch and group operations the trainer steps through (sweep.go,
+	// kvsall.go, groups.go).
+	ScoreContextsBatch(ss []kg.EntityID, rs []kg.RelationID, out *vecmath.Matrix)
+	AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.RelationID, upstream *vecmath.Matrix, gb *GradBuffer)
+	ScoreObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.EntityID, out []float32, scr *GroupScratch)
+	AccumulateGradObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.EntityID, upstream []float32, gb *GradBuffer, scr *GroupScratch)
+	ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.EntityID, out []float32, scr *GroupScratch)
+	AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.EntityID, upstream []float32, gb *GradBuffer, scr *GroupScratch)
+
+	// The object sweep's linear structure, which pruned ranking reads
+	// (internal/prune, eval's RankObjectsPruned); see Derived.
+	SweepGeometry() SweepGeometry
+	SweepDim() int
+	SweepEntityTable() *vecmath.Matrix
+	SweepBias() []float32
+	BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32)
+
+	derived() *Derived
 }
+
+// CheckCovers returns an error unless m has a row for every entity and every
+// relation of g. Ranking indexes m's tables by g's IDs, so a model built for
+// a smaller vocabulary would index past them in a ranking worker.
+func CheckCovers(m Model, g *kg.Graph) error {
+	if m.NumEntities() < g.NumEntities() || m.NumRelations() < g.NumRelations() {
+		return fmt.Errorf("kge: model covers %d entities and %d relations, the graph has %d and %d",
+			m.NumEntities(), m.NumRelations(), g.NumEntities(), g.NumRelations())
+	}
+	return nil
+}
+
+// Trainable and ObjectSweeper are Model: aliases kept only because bench/
+// still names them, to go with the next [benchmark] PR.
+type (
+	Trainable     = Model
+	ObjectSweeper = Model
+)
+
+// GradContext carries forward-pass intermediates from ScoreWithContext to
+// AccumulateGrad so deep models (ConvE) need not recompute them. Models with
+// cheap forward passes return nil.
+type GradContext any
 
 // Param is one named parameter table. Row granularity is the unit of sparse
 // gradient accumulation and optimizer updates: embedding tables are updated
@@ -289,7 +321,7 @@ func ModelNames() []string {
 }
 
 // New constructs a model by name, with every derived operation attached.
-func New(name string, cfg Config) (Trainable, error) {
+func New(name string, cfg Config) (Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -14,15 +14,16 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/vecmath"
 )
 
 func testConfig(dim int) Config {
 	return Config{NumEntities: 12, NumRelations: 4, Dim: dim, Seed: 3}
 }
 
-func allModels(t *testing.T, dim int) []Trainable {
+func allModels(t *testing.T, dim int) []Model {
 	t.Helper()
-	var models []Trainable
+	var models []Model
 	for _, name := range ModelNames() {
 		m, err := New(name, testConfig(dim))
 		if err != nil {
@@ -37,7 +38,7 @@ func allModels(t *testing.T, dim int) []Trainable {
 
 // derivedModels is allModels plus a TransE of odd width, so the derived
 // distance operations also run the L1 kernels' scalar tails.
-func derivedModels(t *testing.T) []Trainable {
+func derivedModels(t *testing.T) []Model {
 	t.Helper()
 	l1, err := New("transe", testConfig(7))
 	if err != nil {
@@ -106,11 +107,11 @@ func TestScoreAllMatchesScore(t *testing.T) {
 					t.Fatalf("ScoreAllObjects[%d] = %g, Score = %g", o, out[o], want)
 				}
 			}
-			m.ScoreAllSubjects(1, 3, out)
+			ScoreAllSubjectsBatch(m, []kg.EntityID{3}, 1, &vecmath.Matrix{Rows: 1, Cols: len(out), Data: out})
 			for s := 0; s < m.NumEntities(); s++ {
 				want := m.Score(kg.Triple{S: kg.EntityID(s), R: 1, O: 3})
 				if math.Abs(float64(out[s]-want)) > 1e-3*(1+math.Abs(float64(want))) {
-					t.Fatalf("ScoreAllSubjects[%d] = %g, Score = %g", s, out[s], want)
+					t.Fatalf("subject sweep[%d] = %g, Score = %g", s, out[s], want)
 				}
 			}
 		})

@@ -71,7 +71,7 @@ func gradLen(gb *GradBuffer) int {
 	return n
 }
 
-func compareGradBuffers(t *testing.T, m Trainable, a, b *GradBuffer) {
+func compareGradBuffers(t *testing.T, m Model, a, b *GradBuffer) {
 	t.Helper()
 	collect := func(gb *GradBuffer) map[string][]float32 {
 		out := make(map[string][]float32)

@@ -56,7 +56,7 @@ func checkNorm(norm int64) error {
 // Save serializes a trained model to w. Identical model weights always
 // produce identical bytes: parameters are emitted as a name-sorted list of
 // records, never as gob maps.
-func Save(m Trainable, w io.Writer) error {
+func Save(m Model, w io.Writer) error {
 	snap := snapshot{ModelName: m.Name()}
 	cfg, err := configOf(m)
 	if err != nil {
@@ -80,7 +80,7 @@ func Save(m Trainable, w io.Writer) error {
 }
 
 // Load reconstructs a model previously written by Save.
-func Load(r io.Reader) (Trainable, error) {
+func Load(r io.Reader) (Model, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("kge: decode snapshot: %w", err)
@@ -105,7 +105,7 @@ func Load(r io.Reader) (Trainable, error) {
 	return m, restoreFromRecords(m, snap.ParamList)
 }
 
-func restoreFromRecords(m Trainable, records []paramRecord) error {
+func restoreFromRecords(m Model, records []paramRecord) error {
 	byName := make(map[string]paramRecord, len(records))
 	for _, rec := range records {
 		byName[rec.Name] = rec
@@ -134,7 +134,7 @@ func restoreFromRecords(m Trainable, records []paramRecord) error {
 // IEEE-754 bits of its data. Two models fingerprint identically exactly when
 // they have the same architecture and bit-identical weights, so the digest
 // is the unit of comparison for training-determinism checks.
-func Fingerprint(m Trainable) string {
+func Fingerprint(m Model) string {
 	h := sha256.New()
 	io.WriteString(h, m.Name())
 	params := append([]*Param(nil), m.Params().List()...)
@@ -164,13 +164,13 @@ func Fingerprint(m Trainable) string {
 // shared by every checkpoint artifact (internal/fsio): unique temp file, file
 // fsync, atomic rename, directory fsync. Commands write flat (SaveFlatFile);
 // only bench/kgbench and tests still write gob.
-func SaveFile(m Trainable, path string) error {
+func SaveFile(m Model, path string) error {
 	return fsio.WriteAtomic(path, func(f *os.File) error { return Save(m, f) })
 }
 
 // LoadFile reads a gob checkpoint from path. Commands read through LoadAuto,
 // whose gob branch is the migration path; only bench/kgbench calls LoadFile.
-func LoadFile(path string) (Trainable, error) {
+func LoadFile(path string) (Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -179,18 +179,12 @@ func LoadFile(path string) (Trainable, error) {
 	return Load(f)
 }
 
-// configOf recovers the constructor Config from a live model.
-func configOf(m Trainable) (Config, error) {
-	if mm, ok := m.(*Mapped); ok {
-		// Unwrap mmap-backed models so they snapshot like any other (the
-		// embedded model carries the real Config; skipInit is unexported and
-		// zero-valued on reconstruction, so it never leaks into a save).
-		return configOf(mm.Trainable)
-	}
-	if d, ok := m.(*Derived); ok {
-		if c, ok := d.QueryModel.(interface{ config() Config }); ok {
-			return c.config(), nil
-		}
+// configOf recovers the constructor Config from a live model. A mapped
+// model snapshots like any other: skipInit is unexported and zero-valued on
+// reconstruction, so it never leaks into a save.
+func configOf(m Model) (Config, error) {
+	if c, ok := m.derived().QueryModel.(interface{ config() Config }); ok {
+		return c.config(), nil
 	}
 	return Config{}, fmt.Errorf("kge: cannot snapshot model type %T", m)
 }

@@ -10,7 +10,7 @@ import (
 
 // perturb nudges every parameter so tests exercise real weights, not just
 // the seeded initialization.
-func perturb(m Trainable, seed int64) {
+func perturb(m Model, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, p := range m.Params().List() {
 		for i := range p.M.Data {

@@ -52,12 +52,12 @@ type QueryModel interface {
 	Params() *ParamSet
 	// Score returns f(t; Θ).
 	Score(t kg.Triple) float32
-	// ScoreWithContext is Score plus a forward context; see Trainable.
+	// ScoreWithContext is Score plus a forward context; see Model.
 	ScoreWithContext(t kg.Triple, reuse GradContext) (float32, GradContext)
 	// AccumulateGrad accumulates upstream · ∂Score(t)/∂θ into gb; ctx is
 	// what ScoreWithContext returned for t, or nil.
 	AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer)
-	// PostBatch applies constraints after an optimizer step; see Trainable.
+	// PostBatch applies constraints after an optimizer step; see Model.
 	PostBatch(step *GradBuffer)
 	// SweepGeometry returns the score family of both sweeps.
 	SweepGeometry() SweepGeometry
@@ -81,43 +81,21 @@ type QueryModel interface {
 	BackpropSubjectQuery(r kg.RelationID, o kg.EntityID, dq []float32, gb *GradBuffer, scr *GroupScratch)
 }
 
-// ObjectSweeper exposes the linear structure of a model's ScoreAllObjects
-// sweep: a per-(s, r) query vector plus a fixed entity table, combined by
-// one of the two geometries above. A model implementing it can be ranked
-// through the prescreen-then-rerank path (internal/prune, internal/eval's
-// RankObjectsPruned) instead of always paying the dense O(|E|·d) sweep.
+// Derived is a QueryModel with every derived operation attached: the
+// sweeps and their linear structure (this file), the KvsAll backward pass
+// (kvsall.go) and the grouped negative-sampling operations (groups.go). Each
+// is written here once, over the contract and the vecmath kernels, for all
+// models. It is the one implementation of Model.
 //
-// Exactness contract: rescoring entity o from the built query with the
-// shared kernels (vecmath.MatVecRange on aligned 4-row blocks for SweepDot,
-// the per-row L1Distance kernel for SweepL1, plus the single bias
-// add) reproduces the dense sweep's float32 output bit for bit. That
-// contract is what lets exact-mode pruning return byte-identical discovery
-// results; Derived meets it because its dense sweeps run the same query
-// through the same kernels.
-// Only bench/kgbench's pruned-ranking ablation still reads this interface.
-type ObjectSweeper interface {
-	Model
-	// SweepGeometry returns the score family of the object sweep.
-	SweepGeometry() SweepGeometry
-	// SweepDim returns the width of the sweep's query and entity vectors —
-	// the entity table's column count (2·Dim for ComplEx).
-	SweepDim() int
-	// SweepEntityTable returns the NumEntities×SweepDim table the sweep
-	// scores against. Callers must treat it as read-only.
-	SweepEntityTable() *vecmath.Matrix
-	// SweepBias returns the per-entity additive bias applied after the dot
-	// product, or nil when the model has none. Only ConvE has one.
-	SweepBias() []float32
-	// BuildObjectQuery writes the (s, r) object-sweep query into dst, which
-	// must have length SweepDim.
-	BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32)
-}
-
-// Derived is a QueryModel with every derived operation attached: it
-// implements Trainable and ObjectSweeper, and carries the batch sweeps
-// (this file), the KvsAll backward pass (kvsall.go) and the grouped
-// negative-sampling operations (groups.go). Each is written here once, over
-// the contract and the vecmath kernels, for all models.
+// The sweep's structure — a per-(s, r) query vector plus a fixed entity
+// table, combined by one of the two geometries — is what lets pruned ranking
+// (internal/prune, eval's RankObjectsPruned) prescreen instead of paying the
+// dense O(|E|·d) sweep. Exactness contract: rescoring entity o from the built
+// query with the shared kernels (vecmath.MatVecRange on aligned 4-row blocks
+// for SweepDot, the per-row L1Distance kernel for SweepL1, plus the single
+// bias add) reproduces the dense sweep's float32 output bit for bit, because
+// the dense sweeps run the same query through the same kernels. That is what
+// lets exact-mode pruning return byte-identical discovery results.
 type Derived struct {
 	QueryModel
 	geom      SweepGeometry
@@ -135,20 +113,26 @@ func Derive(q QueryModel) *Derived {
 	return &Derived{QueryModel: q, geom: q.SweepGeometry(), ent: ent, bias: ps.Get("entbias"), nRel: rel.M.Rows}
 }
 
+// derived implements Model; it is the method that seals the interface.
+func (d *Derived) derived() *Derived { return d }
+
 // NumEntities implements Model.
 func (d *Derived) NumEntities() int { return d.ent.M.Rows }
 
 // NumRelations implements Model.
 func (d *Derived) NumRelations() int { return d.nRel }
 
-// SweepDim implements ObjectSweeper.
+// SweepDim returns the width of the sweep's query and entity vectors: the
+// entity table's column count (2·Dim for ComplEx).
 func (d *Derived) SweepDim() int { return d.ent.M.Cols }
 
-// SweepEntityTable implements ObjectSweeper.
+// SweepEntityTable returns the NumEntities×SweepDim table the sweep scores
+// against. Callers must treat it as read-only.
 func (d *Derived) SweepEntityTable() *vecmath.Matrix { return d.ent.M }
 
-// SweepBias implements ObjectSweeper. The bias table is N×1, so its backing
-// data is already the flat bias vector.
+// SweepBias returns the per-entity additive bias applied after the dot
+// product, or nil when the model has none; only ConvE has one. The bias
+// table is N×1, so its backing data is already the flat bias vector.
 func (d *Derived) SweepBias() []float32 {
 	if d.bias == nil {
 		return nil
@@ -156,7 +140,8 @@ func (d *Derived) SweepBias() []float32 {
 	return d.bias.M.Data
 }
 
-// BuildObjectQuery implements ObjectSweeper.
+// BuildObjectQuery writes the (s, r) object-sweep query into dst, which must
+// have length SweepDim.
 func (d *Derived) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32) {
 	if len(dst) != d.ent.M.Cols {
 		panic("kge: object-sweep query buffer has wrong length")
@@ -168,13 +153,6 @@ func (d *Derived) BuildObjectQuery(s kg.EntityID, r kg.RelationID, dst []float32
 func (d *Derived) ScoreAllObjects(s kg.EntityID, r kg.RelationID, out []float32) []float32 {
 	d.ScoreContextsBatch([]kg.EntityID{s}, []kg.RelationID{r},
 		&vecmath.Matrix{Rows: 1, Cols: len(out), Data: out})
-	return out
-}
-
-// ScoreAllSubjects implements Model: the one-row case of
-// ScoreAllSubjectsBatch.
-func (d *Derived) ScoreAllSubjects(r kg.RelationID, o kg.EntityID, out []float32) []float32 {
-	ScoreAllSubjectsBatch(d, []kg.EntityID{o}, r, &vecmath.Matrix{Rows: 1, Cols: len(out), Data: out})
 	return out
 }
 
@@ -218,36 +196,20 @@ func sweepQueries(rows, cols int) *vecmath.Matrix {
 }
 
 // ScoreAllObjectsBatch is the relation-blocked object sweep discovery ranks
-// from: ScoreContextsBatch with one relation for every subject. A Model that
-// is not Derived gets one ScoreAllObjects sweep per subject, so callers can
-// schedule uniformly by relation block.
+// from: ScoreContextsBatch with one relation for every subject.
 func ScoreAllObjectsBatch(m Model, ss []kg.EntityID, r kg.RelationID, out *vecmath.Matrix) {
 	checkBatchBuf(out, len(ss), m.NumEntities())
-	d, ok := m.(*Derived)
-	if !ok {
-		for j, s := range ss {
-			m.ScoreAllObjects(s, r, out.Row(j))
-		}
-		return
-	}
-	d.sweepObjects(ss, nil, r, out)
+	m.derived().sweepObjects(ss, nil, r, out)
 }
 
 // ScoreAllSubjectsBatch is ScoreAllObjectsBatch's subject side: row j of
 // out, which must be len(os)×NumEntities, receives score(s, r, os[j]) for
 // every entity s, from one matrix of SubjectQuery rows and one sweep, each row
-// bit-identical to a one-row sweep. A Model that is not Derived gets one
-// ScoreAllSubjects call per row, and one whose SubjectQuery reports false
-// (ConvE) the per-triple Score.
+// bit-identical to a one-row sweep. A model whose SubjectQuery reports false
+// (ConvE) gets the per-triple Score.
 func ScoreAllSubjectsBatch(m Model, os []kg.EntityID, r kg.RelationID, out *vecmath.Matrix) {
 	checkBatchBuf(out, len(os), m.NumEntities())
-	d, ok := m.(*Derived)
-	if !ok {
-		for j, o := range os {
-			m.ScoreAllSubjects(r, o, out.Row(j))
-		}
-		return
-	}
+	d := m.derived()
 	q := sweepQueries(len(os), d.ent.M.Cols)
 	defer queryPool.Put(q)
 	for j, o := range os {

@@ -11,7 +11,7 @@ import (
 // newTestSweeper builds a small randomized model of each family. Dim 8 keeps
 // ConvE's reshape valid (2×4) and exercises both the 4-row MatVec blocks and
 // the Dot tail (41 entities: 10 blocks + 1 tail row).
-func newTestSweeper(t *testing.T, name string) ObjectSweeper {
+func newTestSweeper(t *testing.T, name string) Model {
 	t.Helper()
 	cfg := Config{NumEntities: 41, NumRelations: 5, Dim: 8, Seed: 11}
 	m, err := New(name, cfg)
@@ -25,27 +25,23 @@ func newTestSweeper(t *testing.T, name string) ObjectSweeper {
 			p.M.Data[i] += float32(rng.NormFloat64()) * 0.1
 		}
 	}
-	sw, ok := m.(ObjectSweeper)
-	if !ok {
-		t.Fatalf("%s does not implement ObjectSweeper", name)
-	}
-	return sw
+	return m
 }
 
-func allTestSweepers(t *testing.T) map[string]ObjectSweeper {
+func allTestSweepers(t *testing.T) map[string]Model {
 	t.Helper()
-	sweepers := map[string]ObjectSweeper{}
+	sweepers := map[string]Model{}
 	for _, name := range ModelNames() {
 		sweepers[name] = newTestSweeper(t, name)
 	}
 	return sweepers
 }
 
-// rebuildSweep reconstructs the object sweep from the ObjectSweeper pieces
+// rebuildSweep reconstructs the object sweep from the sweep structure
 // using exactly the kernels pruned ranking uses: MatVecRange over aligned
 // 4-row blocks for the dot family (plus the single bias add), and the
 // per-row distance kernels for TransE.
-func rebuildSweep(sw ObjectSweeper, s kg.EntityID, r kg.RelationID) []float32 {
+func rebuildSweep(sw Model, s kg.EntityID, r kg.RelationID) []float32 {
 	n := sw.NumEntities()
 	ent := sw.SweepEntityTable()
 	q := make([]float32, sw.SweepDim())

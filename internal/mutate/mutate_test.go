@@ -21,11 +21,11 @@ import (
 var testArtifacts struct {
 	once sync.Once
 	ds   *kg.Dataset
-	m    kge.Trainable
+	m    kge.Model
 	err  error
 }
 
-func testModel(t testing.TB) (*kg.Dataset, kge.Trainable) {
+func testModel(t testing.TB) (*kg.Dataset, kge.Model) {
 	t.Helper()
 	testArtifacts.once.Do(func() {
 		ds, err := synth.Generate(synth.Tiny())

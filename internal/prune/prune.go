@@ -9,7 +9,7 @@
 // the benchmark stops doing so.
 //
 // Two cooperating structures are built once per model checkpoint (keyed by
-// kge.Fingerprint) from the model's kge.ObjectSweeper geometry:
+// kge.Fingerprint) from the model's kge.Model sweep geometry:
 //
 //   - an IVF cell index: k ≈ √|E| k-means centroids partition the entity
 //     rows, and each cell stores residual-norm radii that turn a centroid
@@ -113,7 +113,7 @@ func (ix *Index) Geometry() kge.SweepGeometry { return ix.geom }
 
 // Matches reports whether the index fits sweeper's geometry and fingerprint
 // — the precondition for NewSearcher.
-func (ix *Index) Matches(sw kge.ObjectSweeper, fingerprint string) bool {
+func (ix *Index) Matches(sw kge.Model, fingerprint string) bool {
 	return ix.fingerprint == fingerprint &&
 		ix.geom == sw.SweepGeometry() &&
 		ix.dim == sw.SweepDim() &&
@@ -133,7 +133,7 @@ func buildSeed(fingerprint string, cells int) int64 {
 // table, with the per-entity bias appended as an extra column when the model
 // has one (ConvE). Folding the bias makes the dot-family bound exact for the
 // full score q'·[e; b] with q' = [q; 1], with no special cases downstream.
-func augmentedRows(sw kge.ObjectSweeper) (*vecmath.Matrix, int) {
+func augmentedRows(sw kge.Model) (*vecmath.Matrix, int) {
 	ent := sw.SweepEntityTable()
 	bias := sw.SweepBias()
 	if bias == nil {
@@ -152,7 +152,7 @@ func augmentedRows(sw kge.ObjectSweeper) (*vecmath.Matrix, int) {
 // Build constructs the index for sweeper's entity table. fingerprint must be
 // the model's kge.Fingerprint; it pins the index to the exact weights. Only
 // bench/kgbench and tests call it (see the package comment).
-func Build(sw kge.ObjectSweeper, fingerprint string, p Params) (*Index, error) {
+func Build(sw kge.Model, fingerprint string, p Params) (*Index, error) {
 	n := sw.NumEntities()
 	if n < 1 {
 		return nil, fmt.Errorf("prune: model has no entities")

@@ -15,7 +15,7 @@ import (
 // testModel builds a small randomized model of one family and returns its
 // sweeper and fingerprint. 41 entities exercises the non-multiple-of-4 tail;
 // dim 8 keeps ConvE's reshape valid.
-func testModel(t testing.TB, name string, seed int64) (kge.ObjectSweeper, string) {
+func testModel(t testing.TB, name string, seed int64) (kge.Model, string) {
 	t.Helper()
 	cfg := kge.Config{NumEntities: 41, NumRelations: 5, Dim: 8, Seed: 11}
 	m, err := kge.New(name, cfg)
@@ -28,34 +28,30 @@ func testModel(t testing.TB, name string, seed int64) (kge.ObjectSweeper, string
 			p.M.Data[i] += float32(rng.NormFloat64()) * 0.3
 		}
 	}
-	sw, ok := m.(kge.ObjectSweeper)
-	if !ok {
-		t.Fatalf("%s does not implement ObjectSweeper", name)
-	}
-	return sw, kge.Fingerprint(m)
+	return m, kge.Fingerprint(m)
 }
 
 // allModels yields every family, covering both sweep geometries.
 func allModels(t testing.TB, seed int64) map[string]struct {
-	sw kge.ObjectSweeper
+	sw kge.Model
 	fp string
 } {
 	t.Helper()
 	out := map[string]struct {
-		sw kge.ObjectSweeper
+		sw kge.Model
 		fp string
 	}{}
 	for _, name := range kge.ModelNames() {
 		sw, fp := testModel(t, name, seed)
 		out[name] = struct {
-			sw kge.ObjectSweeper
+			sw kge.Model
 			fp string
 		}{sw, fp}
 	}
 	return out
 }
 
-func denseSweep(sw kge.ObjectSweeper, s kg.EntityID, r kg.RelationID) []float32 {
+func denseSweep(sw kge.Model, s kg.EntityID, r kg.RelationID) []float32 {
 	out := make([]float32, sw.NumEntities())
 	sw.ScoreAllObjects(s, r, out)
 	return out

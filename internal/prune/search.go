@@ -35,7 +35,7 @@ type Stats struct {
 // buffers are allocated once.
 type Searcher struct {
 	ix *Index
-	sw kge.ObjectSweeper
+	sw kge.Model
 
 	q  []float32 // raw sweep query (dim)
 	qa []float32 // augmented query (qdim); aliases q when no bias is folded
@@ -59,7 +59,7 @@ type Searcher struct {
 
 // NewSearcher returns a Searcher over ix for sw. The index must have been
 // built for this exact model (fingerprint, geometry, and shape).
-func NewSearcher(ix *Index, sw kge.ObjectSweeper, fingerprint string) (*Searcher, error) {
+func NewSearcher(ix *Index, sw kge.Model, fingerprint string) (*Searcher, error) {
 	if !ix.Matches(sw, fingerprint) {
 		return nil, fmt.Errorf("prune: index (fingerprint %.12s…, geom %d, dim %d, n %d) does not match model (fingerprint %.12s…, geom %d, dim %d, n %d)",
 			ix.fingerprint, ix.geom, ix.dim, ix.n,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kg"
@@ -254,9 +255,9 @@ type discoverRequest struct {
 }
 
 // discoverKey is the canonicalized form of a discover request: the strategy
-// name normalized, relation labels resolved to IDs, defaults applied. Its
-// JSON rendering (fixed field order) plus the weight fingerprint is the
-// cache key.
+// name defaulted, relation labels resolved to sorted IDs, core's output
+// defaults applied. Its JSON rendering (fixed field order) plus the weight
+// fingerprint is the cache key.
 type discoverKey struct {
 	Strategy      string          `json:"strategy"`
 	TopN          int             `json:"top_n"`
@@ -284,7 +285,7 @@ func (s *Server) cacheKey(endpoint, fingerprint string, canonical any) string {
 // discoverCall is a discover-shaped request — the body of POST /discover and
 // of POST /jobs — decoded, validated and resolved against the server: the
 // strategy constructed, the model referenced (the caller owns the release),
-// relation names turned into IDs, and the run's core.Options built.
+// relation names turned into sorted IDs, and the run's defaulted core.Options.
 type discoverCall struct {
 	req      discoverRequest
 	strategy core.Strategy
@@ -329,12 +330,19 @@ func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discove
 		}
 		relations = append(relations, kg.RelationID(rid))
 	}
+	// A sweep's output does not depend on the relations' order, so two orders
+	// are one request; a repeated relation would be swept twice.
+	if slices.Sort(relations); len(slices.Compact(relations)) < len(req.Relations) {
+		sm.release()
+		writeError(w, http.StatusBadRequest, "relations %q repeat a name", req.Relations)
+		return nil, false
+	}
 	call := &discoverCall{req: req, strategy: strategy, sm: sm, opts: core.Options{
 		TopN:          req.TopN,
 		MaxCandidates: req.MaxCandidates,
 		Relations:     relations,
 		Seed:          req.Seed,
-	}}
+	}.WithOutputDefaults()}
 	return call, true
 }
 
@@ -346,14 +354,8 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	sm, req, relations := call.sm, call.req, call.opts.Relations
 	defer sm.release()
 
-	key := s.cacheKey("discover", sm.fingerprint, discoverKey{
-		Strategy:      req.Strategy,
-		TopN:          req.TopN,
-		MaxCandidates: req.MaxCandidates,
-		Relations:     relations,
-		Limit:         req.Limit,
-		Seed:          req.Seed,
-	})
+	key := s.cacheKey("discover", sm.fingerprint,
+		discoverKey{req.Strategy, call.opts.TopN, call.opts.MaxCandidates, relations, req.Limit, req.Seed})
 	if body, ok := s.cache.Get(key); ok {
 		s.metrics.incCacheHit()
 		w.Header().Set("X-Cache", "hit")

@@ -6,6 +6,7 @@ import (
 	"log"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,6 +286,41 @@ func TestDiscoverDeadlineRealSweep(t *testing.T) {
 	}
 	if _, ok := body["facts"]; ok {
 		t.Fatal("timed-out discovery leaked partial facts into the response")
+	}
+}
+
+// TestDiscoverKeyCanonical: requests that differ only in spelled-out
+// defaults or in relation order are one request — the second is a cache hit
+// and no second sweep runs — and a repeated relation is refused, where it
+// would sweep the relation twice and double its facts.
+func TestDiscoverKeyCanonical(t *testing.T) {
+	srv := newTestServer(t, nil)
+	var sweeps atomic.Int32
+	srv.discover = func(context.Context, kge.Model, *kg.Graph, core.Strategy, core.Options) (*core.Result, error) {
+		sweeps.Add(1)
+		return stubResult(), nil
+	}
+	h := srv.Handler()
+	for _, pair := range [][2]string{
+		{`{}`, `{"top_n":500,"max_candidates":500}`},
+		{`{"relations":["r0","r1"]}`, `{"relations":["r1","r0"]}`},
+	} {
+		before := sweeps.Load()
+		for i, body := range pair {
+			rec, resp := doReq(t, h, "POST", "/discover", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %v", body, rec.Code, resp)
+			}
+			if want := []string{"miss", "hit"}[i]; rec.Header().Get("X-Cache") != want {
+				t.Errorf("%s: X-Cache %q, want %q", body, rec.Header().Get("X-Cache"), want)
+			}
+		}
+		if n := sweeps.Load() - before; n != 1 {
+			t.Errorf("%s and %s ran %d sweeps, want 1", pair[0], pair[1], n)
+		}
+	}
+	if rec, resp := doReq(t, h, "POST", "/discover", `{"relations":["r0","r0"]}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("repeated relation: %d %v, want 400", rec.Code, resp)
 	}
 }
 

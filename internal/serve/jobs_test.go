@@ -176,6 +176,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"negative top_n", `{"top_n":-1}`, http.StatusBadRequest},
 		{"unknown strategy", `{"strategy":"astrology"}`, http.StatusBadRequest},
 		{"unknown relation", `{"relations":["no_such_relation"]}`, http.StatusNotFound},
+		{"repeated relation", `{"relations":["r0","r1","r0"]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rec, body := doReq(t, h, "POST", "/jobs", tc.body)

@@ -31,7 +31,7 @@ import (
 // servedModel bundles one model's weights with the per-model derived
 // artifacts: ranker, calibrator, and load provenance.
 type servedModel struct {
-	model       kge.Trainable
+	model       kge.Model
 	mapped      *kge.Mapped // non-nil iff the weights alias an mmap'd checkpoint
 	ranker      *eval.Ranker
 	calibrator  *eval.PlattCalibrator // nil when no validation split exists
@@ -124,9 +124,9 @@ func (s *Server) resolveLocked(selector string) (*servedModel, error) {
 // makeDefault routes selector-less requests to it. Re-adding a fingerprint
 // that is already live is not an error: the existing entry is kept (its cache
 // entries stay warm) and only the default flag is applied.
-func (s *Server) addModel(m kge.Trainable, mapped *kge.Mapped, format, path string, loadTime time.Duration, makeDefault bool) (*servedModel, error) {
-	if m.NumEntities() < s.ds.Train.Entities.Len() {
-		return nil, fmt.Errorf("serve: model covers %d entities, dataset has %d", m.NumEntities(), s.ds.Train.Entities.Len())
+func (s *Server) addModel(m kge.Model, mapped *kge.Mapped, format, path string, loadTime time.Duration, makeDefault bool) (*servedModel, error) {
+	if err := kge.CheckCovers(m, s.ds.Train); err != nil {
+		return nil, err
 	}
 	fp := kge.Fingerprint(m)
 
@@ -162,7 +162,7 @@ func (s *Server) addModel(m kge.Trainable, mapped *kge.Mapped, format, path stri
 	}
 	if s.ds.Valid.Len() > 0 {
 		s.kgMu.RLock()
-		cal, err := eval.FitPlatt(m, s.ds.Valid, s.all, eval.CalibrationOptions{Seed: 1})
+		cal, err := eval.FitPlatt(m, s.ds.Valid, s.all)
 		s.kgMu.RUnlock()
 		if err == nil {
 			sm.calibrator = cal

@@ -385,3 +385,39 @@ func TestJobHoldsModelAcrossUnload(t *testing.T) {
 		t.Fatal("retired model still mapped after its last reference was released")
 	}
 }
+
+// TestRegistryRefusesUncoveredVocabulary: a model with fewer entities or
+// relations than the dataset would index past its tables in a ranking
+// worker, outside any recovery. New and POST /models both refuse it.
+func TestRegistryRefusesUncoveredVocabulary(t *testing.T) {
+	ds, _ := testModel(t)
+	srv := newTestServer(t, nil)
+	h := srv.Handler()
+	dir := t.TempDir()
+	nEnt, nRel := ds.Train.Entities.Len(), ds.Train.Relations.Len()
+	for _, shape := range []struct {
+		name       string
+		ents, rels int
+	}{
+		{"relations", nEnt, nRel - 1},
+		{"entities", nEnt - 1, nRel},
+	} {
+		m, err := kge.New("distmult", kge.Config{NumEntities: shape.ents, NumRelations: shape.rels, Dim: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(ds, m, Config{}); err == nil {
+			t.Errorf("New accepted a model short of %s", shape.name)
+		}
+		path := filepath.Join(dir, shape.name+".kgf")
+		if err := kge.SaveFlatFile(m, path); err != nil {
+			t.Fatal(err)
+		}
+		if rec, body := doReq(t, h, "POST", "/models", map[string]any{"path": path}); rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("POST /models with a model short of %s: %d %v, want 422", shape.name, rec.Code, body)
+		}
+	}
+	if _, body := doReq(t, h, "GET", "/models", nil); len(body["models"].([]any)) != 1 {
+		t.Errorf("refused loads changed the registry: %v", body["models"])
+	}
+}

@@ -163,8 +163,8 @@ type Server struct {
 }
 
 // New builds a Server over already-loaded artifacts, registering model as
-// the default. The model must cover every entity of the dataset.
-func New(ds *kg.Dataset, model kge.Trainable, cfg Config) (*Server, error) {
+// the default. The model must cover every entity and relation of the dataset.
+func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	s := &Server{
 		ds:          ds,
@@ -271,7 +271,7 @@ func (s *Server) Fingerprint() string {
 }
 
 // Model returns the default served model, or nil when no default is set.
-func (s *Server) Model() kge.Trainable {
+func (s *Server) Model() kge.Model {
 	if sm := s.defaultModel(); sm != nil {
 		return sm.model
 	}

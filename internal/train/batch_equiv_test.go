@@ -32,11 +32,11 @@ const (
 // and a plain SGD step along reference's gradient on another, and requires
 // both to have moved every parameter table the same way from the shared
 // initialization.
-func checkStep(t *testing.T, ds *kg.Dataset, production func(*kge.Derived), reference func(kge.Trainable, *kge.GradBuffer)) {
+func checkStep(t *testing.T, ds *kg.Dataset, production func(kge.Model), reference func(kge.Model, *kge.GradBuffer)) {
 	for _, name := range kge.ModelNames() {
 		t.Run(name, func(t *testing.T) {
 			initial, prod, ref := determinismModel(t, name, ds), determinismModel(t, name, ds), determinismModel(t, name, ds)
-			production(prod.(*kge.Derived))
+			production(prod)
 
 			gb := kge.NewGradBuffer(ref.Params())
 			reference(ref, gb)
@@ -74,11 +74,11 @@ func TestRunBatchedMatchesScalar(t *testing.T) {
 	batch := ds.Train.Triples()[:40]
 	const negs, seed = 3, 99
 	sampler := &NegativeSampler{NumEntities: ds.Train.Entities.Len()}
-	checkStep(t, ds, func(prod *kge.Derived) {
+	checkStep(t, ds, func(prod kge.Model) {
 		runBatch(newStepper(prod, Config{
 			NegSamples: negs, Loss: Logistic{}, Optimizer: NewSGD(stepLR), Workers: 2,
 		}), batch, sampler, seed)
-	}, func(ref kge.Trainable, gb *kge.GradBuffer) {
+	}, func(ref kge.Model, gb *kge.GradBuffer) {
 		invBatch := 1 / float32(len(batch))
 		var src splitmix64
 		rng := rand.New(&src)
@@ -103,9 +103,9 @@ func TestRunKvsAllBatchedMatchesScalar(t *testing.T) {
 	batch := buildKvsContexts(ds.Train)[:20]
 	n := ds.Train.Entities.Len()
 	const smoothing = 0.1
-	checkStep(t, ds, func(prod *kge.Derived) {
+	checkStep(t, ds, func(prod kge.Model) {
 		runKvsBatch(newStepper(prod, Config{Optimizer: NewSGD(stepLR), Workers: 2}), batch, n, smoothing)
-	}, func(ref kge.Trainable, gb *kge.GradBuffer) {
+	}, func(ref kge.Model, gb *kge.GradBuffer) {
 		for _, c := range batch {
 			label := make([]float32, n)
 			for o := range label {

@@ -25,7 +25,7 @@ func tinyDataset(t *testing.T) *kg.Dataset {
 	return ds
 }
 
-func determinismModel(t *testing.T, name string, ds *kg.Dataset) kge.Trainable {
+func determinismModel(t *testing.T, name string, ds *kg.Dataset) kge.Model {
 	t.Helper()
 	m, err := kge.New(name, kge.Config{
 		NumEntities:  ds.Train.Entities.Len(),

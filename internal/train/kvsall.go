@@ -54,12 +54,11 @@ func buildKvsContexts(g *kg.Graph) []kvsContext {
 	return out
 }
 
-// RunKvsAll trains model with the KvsAll objective. The model must be a
-// *kge.Derived (everything kge.New returns is). cfg fields NegSamples, Loss
-// and BernoulliNegatives are ignored — the objective replaces negative
-// sampling entirely. LabelSmoothing (e.g. 0.1, the ConvE
-// paper's value) smooths the multi-hot targets.
-func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config, labelSmoothing float32) (History, error) {
+// RunKvsAll trains model with the KvsAll objective. cfg fields NegSamples,
+// Loss and BernoulliNegatives are ignored — the objective replaces negative
+// sampling entirely. LabelSmoothing (e.g. 0.1, the ConvE paper's value)
+// smooths the multi-hot targets.
+func RunKvsAll(ctx context.Context, model kge.Model, ds *kg.Dataset, cfg Config, labelSmoothing float32) (History, error) {
 	st, err := prepare(model, ds, &cfg)
 	if err != nil {
 		return History{}, err

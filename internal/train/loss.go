@@ -1,4 +1,4 @@
-// Package train implements the machinery that fits a kge.Trainable to a
+// Package train implements the machinery that fits a kge.Model to a
 // knowledge graph: negative sampling, pairwise and pointwise loss functions,
 // sparse-update optimizers (SGD, Adagrad, Adam — the paper trains everything
 // with Adam), and a goroutine-parallel mini-batch trainer with optional

@@ -56,7 +56,7 @@ type Config struct {
 	Progress func(format string, args ...any)
 }
 
-func (c *Config) setDefaults(model kge.Trainable) {
+func (c *Config) setDefaults(model kge.Model) {
 	if c.Epochs == 0 {
 		c.Epochs = 50
 	}
@@ -113,15 +113,11 @@ type History struct {
 }
 
 // prepare is the shared front of Run and RunKvsAll. It rejects what neither
-// objective can train — a model not built by kge.New/kge.Derive, a negative
-// count (setDefaults only replaces zeros, so one would reach a slice bound
-// or a make), an empty graph — before the model is touched, fills cfg's
-// defaults, and returns the run's optimizer step.
-func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*stepper, error) {
-	d, ok := model.(*kge.Derived)
-	if !ok {
-		return nil, fmt.Errorf("train: model %s is not a *kge.Derived (build it with kge.New or kge.Derive)", model.Name())
-	}
+// objective can train — a negative count (setDefaults only replaces zeros,
+// so one would reach a slice bound or a make), an empty graph — before the
+// model is touched, fills cfg's defaults, and returns the run's optimizer
+// step.
+func prepare(model kge.Model, ds *kg.Dataset, cfg *Config) (*stepper, error) {
 	if cfg.Epochs < 0 || cfg.BatchSize < 0 || cfg.NegSamples < 0 || cfg.EvalEvery < 0 || cfg.Patience < 0 {
 		return nil, fmt.Errorf("train: negative count in config (Epochs %d, BatchSize %d, NegSamples %d, EvalEvery %d, Patience %d); zero selects the default",
 			cfg.Epochs, cfg.BatchSize, cfg.NegSamples, cfg.EvalEvery, cfg.Patience)
@@ -130,14 +126,14 @@ func prepare(model kge.Trainable, ds *kg.Dataset, cfg *Config) (*stepper, error)
 	if ds.Train.Len() == 0 {
 		return nil, fmt.Errorf("train: empty training graph")
 	}
-	return newStepper(d, *cfg), nil
+	return newStepper(model, *cfg), nil
 }
 
 // Run trains model on ds.Train per cfg with negative sampling. It returns
-// the training history. The model must be a *kge.Derived (everything kge.New
-// returns is) and is mutated in place; with early stopping the parameters
-// from the best validation epoch are restored before returning.
-func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (History, error) {
+// the training history. The model is mutated in place; with early stopping
+// the parameters from the best validation epoch are restored before
+// returning.
+func Run(ctx context.Context, model kge.Model, ds *kg.Dataset, cfg Config) (History, error) {
 	st, err := prepare(model, ds, &cfg)
 	if err != nil {
 		return History{}, err
@@ -169,7 +165,7 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 // best parameters at the end. unit names the examples in the progress line.
 // rng is consumed once per epoch by the shuffle; anything step draws from it
 // (negative sampling's per-batch seed) interleaves in batch order.
-func runEpochs(ctx context.Context, model kge.Trainable, cfg Config, rng *rand.Rand, n int, unit string,
+func runEpochs(ctx context.Context, model kge.Model, cfg Config, rng *rand.Rand, n int, unit string,
 	swap func(i, j int), step func(lo, hi int) float64) (History, error) {
 
 	var hist History
@@ -277,13 +273,13 @@ func parallel(workers int, fn func(w int)) {
 // stepper is one training run's optimizer step, reused by all its batches:
 // a gradient buffer per chunk slot and group scratch per chunk worker.
 type stepper struct {
-	model  *kge.Derived
+	model  kge.Model
 	cfg    Config
 	bufs   []*kge.GradBuffer
 	groups [][2]kge.GroupScratch // per chunk worker, one per candidate side
 }
 
-func newStepper(model *kge.Derived, cfg Config) *stepper {
+func newStepper(model kge.Model, cfg Config) *stepper {
 	return &stepper{model: model, cfg: cfg, groups: make([][2]kge.GroupScratch, cfg.Workers)}
 }
 
@@ -428,7 +424,7 @@ func runBatch(st *stepper, batch []kg.Triple, sampler *NegativeSampler, seed int
 // prev's buffers, so repeated best-epoch snapshots stop re-allocating the
 // full parameter set (which for a large model dwarfs the epoch's gradient
 // churn).
-func snapshotParams(model kge.Trainable, prev [][]float32) [][]float32 {
+func snapshotParams(model kge.Model, prev [][]float32) [][]float32 {
 	for i, p := range model.Params().List() {
 		if i == len(prev) {
 			prev = append(prev, make([]float32, len(p.M.Data)))
@@ -438,7 +434,7 @@ func snapshotParams(model kge.Trainable, prev [][]float32) [][]float32 {
 	return prev
 }
 
-func restoreParams(model kge.Trainable, snap [][]float32) {
+func restoreParams(model kge.Model, snap [][]float32) {
 	for i, p := range model.Params().List() {
 		copy(p.M.Data, snap[i])
 	}

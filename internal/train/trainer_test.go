@@ -192,7 +192,7 @@ func TestNegsampleBatchAllocations(t *testing.T) {
 			m := determinismModel(t, name, ds)
 			cfg := Config{Workers: 1}
 			cfg.setDefaults(m)
-			st := newStepper(m.(*kge.Derived), cfg)
+			st := newStepper(m, cfg)
 			step := func() { runBatch(st, ds.Train.Triples()[:n], sampler, 7) }
 			for range 3 {
 				step()
@@ -276,35 +276,28 @@ func TestTrainingDeterministicSingleWorker(t *testing.T) {
 }
 
 // TestTrainingRejectsBadConfig: both entry points refuse a negative count
-// (which would otherwise panic on a slice bound or a makeslice) and a model
-// the derived kernels cannot drive, before touching the parameters.
+// (which would otherwise panic on a slice bound or a makeslice) before
+// touching the parameters.
 func TestTrainingRejectsBadConfig(t *testing.T) {
 	ds := tinyDataset(t)
-	type wrapped struct{ kge.Trainable }
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		wrap bool
 	}{
-		{"Epochs", Config{Epochs: -1}, false},
-		{"BatchSize", Config{BatchSize: -5}, false},
-		{"NegSamples", Config{NegSamples: -1}, false},
-		{"EvalEvery", Config{EvalEvery: -2}, false},
-		{"Patience", Config{Patience: -1}, false},
-		{"not derived", Config{Epochs: 1}, true},
+		{"Epochs", Config{Epochs: -1}},
+		{"BatchSize", Config{BatchSize: -5}},
+		{"NegSamples", Config{NegSamples: -1}},
+		{"EvalEvery", Config{EvalEvery: -2}},
+		{"Patience", Config{Patience: -1}},
 	} {
 		for _, kvsAll := range []bool{false, true} {
 			m := determinismModel(t, "distmult", ds)
 			before := kge.Fingerprint(m)
-			target := m
-			if tc.wrap {
-				target = wrapped{m}
-			}
 			var err error
 			if kvsAll {
-				_, err = RunKvsAll(context.Background(), target, ds, tc.cfg, 0.1)
+				_, err = RunKvsAll(context.Background(), m, ds, tc.cfg, 0.1)
 			} else {
-				_, err = Run(context.Background(), target, ds, tc.cfg)
+				_, err = Run(context.Background(), m, ds, tc.cfg)
 			}
 			if err == nil {
 				t.Errorf("%s (kvsall=%v): accepted", tc.name, kvsAll)

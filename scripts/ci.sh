@@ -134,7 +134,9 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once discovery's extra seen-triple filter went (5 768 once TransE's
+# count once kge.Model was sealed and the per-row fallbacks, run-time model
+# checks and eval.CalibrationOptions went (5 761 once discovery's extra
+# seen-triple filter went; 5 768 once TransE's
 # squared-L2 norm, discovery's probability cutoff and filtered negative
 # sampling went; 5 837 with the training loops' float work
 # moved into vecmath's lane kernels; 5 871 with one row-indexed gradient
@@ -143,11 +145,13 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5761 \
+hold_lines 'internal/{kge,eval,train,core}' 5726 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once the fleet coordinator
-# lost its one-shot mode (5 360 once the fleet's wire comment stopped naming
+# two that put bytes on disk for them: the count once /discover refused
+# repeated relations and keyed its cache on defaulted options, and the fleet
+# wire lost MaxIterations (the same 5 316 once the fleet coordinator lost its
+# one-shot mode; 5 360 once the fleet's wire comment stopped naming
 # calibrators; 5 361 once the fleet worker lost its
 # fault-injection knobs to the in-process fault matrix; 5 410 once the
 # server lost its prune options and its registry resolves selectors in one
