@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/fft"
 	"repro/internal/graphstats"
 	"repro/internal/harness"
 	"repro/internal/kg"
@@ -523,30 +522,6 @@ func BenchmarkAblationSamplerAlias(b *testing.B) {
 		r := rand.New(rand.NewSource(2))
 		for i := 0; i < b.N; i++ {
 			cdf.Draw(r)
-		}
-	})
-}
-
-// BenchmarkAblationHolEFFT compares the FFT and naive circular correlation
-// paths that HolE's scoring function can use.
-func BenchmarkAblationHolEFFT(b *testing.B) {
-	const dim = 128
-	rng := rand.New(rand.NewSource(3))
-	s := make([]float32, dim)
-	o := make([]float32, dim)
-	dst := make([]float32, dim)
-	for i := range s {
-		s[i] = float32(rng.NormFloat64())
-		o[i] = float32(rng.NormFloat64())
-	}
-	b.Run("fft", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fft.CircularCorrelation(dst, s, o)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fft.CircularCorrelationNaive(dst, s, o)
 		}
 	})
 }

@@ -118,8 +118,9 @@ func TestScoreAllMatchesScore(t *testing.T) {
 	}
 }
 
-// TestScoreAllOddDimensions exercises HolE's naive (non-power-of-two)
-// correlation path and every model's sweep at an odd embedding size.
+// TestScoreAllOddDimensions exercises every model's sweep at an odd
+// embedding size, where HolE's circular kernels run one four-output block
+// and a three-output tail.
 func TestScoreAllOddDimensions(t *testing.T) {
 	for _, name := range ModelNames() {
 		cfg := testConfig(7)

@@ -158,7 +158,9 @@ func TestSweepKernelsBitEqualToGoLoops(t *testing.T) {
 // loops bit for bit: the two sweeps, Axpy over the matrix's elements, and
 // the training kernels (checkTrainKernels) at the matrix's width, with
 // images 3 to 10 columns wide, so the convolution's overlapping last block
-// runs at output widths 5 to 7.
+// runs at output widths 5 to 7. At that width it also holds the circular
+// kernels, Correlate and Convolve of a query row and a matrix row, to their
+// modular float64 references (checkCircular).
 func FuzzSweepKernels(f *testing.F) {
 	seed := make([]byte, 4*len(specialFloats))
 	for i, v := range specialFloats {
@@ -192,6 +194,7 @@ func FuzzSweepKernels(f *testing.F) {
 		checkSweeps(t, m, q)
 		checkAxpy(t, q.Data[0], m.Data, y)
 		checkTrainKernels(t, append(m.Data, q.Data...), m.Cols, q.Rows, 3+int(rows)%8)
+		checkCircular(t, q.Row(0), m.Row(0))
 	})
 }
 
@@ -202,7 +205,7 @@ func FuzzSweepKernels(f *testing.F) {
 // entities as queries against the centroids. Nor does Axpy. AllocsPerRun
 // reports the integer mean, so the race detector's random drop of one
 // sync.Pool Put in four (a refill costs two allocations) cannot fail it at
-// 100 runs.
+// 100 runs. The circular kernels' doubled copies come from the same pool.
 func TestSweepsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, q := randomMatrix(rng, 301, 64), randomMatrix(rng, 9, 64)
@@ -223,6 +226,8 @@ func TestSweepsAllocateNothing(t *testing.T) {
 		{"MatVec", func() { MatVec(one.Data, m, q1.Data) }},
 		{"MatMat/kmeans", func() { MatMat(dots, centroids, chunk) }},
 		{"Axpy/n=65", func() { Axpy(0.5, x, y) }},
+		{"Correlate/l=64", func() { Correlate(q1.Data, x[:64], y[:64]) }},
+		{"Convolve/l=64", func() { Convolve(q1.Data, x[:64], y[:64]) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", tc.name, allocs)
