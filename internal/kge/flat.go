@@ -302,7 +302,6 @@ func parseFlat(data []byte) (m Model, aliased bool, err error) {
 	cfg := Config{
 		NumEntities: int(raw[0]), NumRelations: int(raw[1]), Dim: int(raw[2]), Seed: raw[3],
 		ConvEHeight: int(raw[5]), ConvEWidth: int(raw[6]), ConvEFilters: int(raw[7]),
-		skipInit: true,
 	}
 	nrec := int(c.u32())
 	if c.err != nil {
@@ -318,7 +317,8 @@ func parseFlat(data []byte) (m Model, aliased bool, err error) {
 		rows, cols int
 		off, count int
 	}
-	recs := make(map[string]rec, nrec)
+	recs := map[string]rec{} // not sized by nrec: the records read bound it
+	var floats uint64
 	for i := 0; i < nrec; i++ {
 		rname := c.str(flatMaxName)
 		rows, cols := int(c.u32()), int(c.u32())
@@ -340,27 +340,21 @@ func parseFlat(data []byte) (m Model, aliased bool, err error) {
 			return nil, false, fmt.Errorf("duplicate record %q", rname)
 		}
 		recs[rname] = rec{rows: rows, cols: cols, off: int(off), count: int(count)}
+		floats += count
 	}
 	if c.off > hdrSize-4 {
 		return nil, false, fmt.Errorf("header records overrun the declared header size")
 	}
 
-	m, err = New(name, cfg)
+	m, err = newUnfilled(name, cfg, nrec, floats, func(param string) (int, int, bool) {
+		r, ok := recs[param]
+		return r.rows, r.cols, ok
+	})
 	if err != nil {
-		return nil, false, fmt.Errorf("reconstruct %q: %w", name, err)
+		return nil, false, err
 	}
-	params := m.Params().List()
-	if len(params) != nrec {
-		return nil, false, fmt.Errorf("checkpoint has %d records, model %q has %d parameters", nrec, name, len(params))
-	}
-	for _, p := range params {
-		r, ok := recs[p.Name]
-		if !ok {
-			return nil, false, fmt.Errorf("checkpoint missing parameter %q", p.Name)
-		}
-		if r.rows != p.M.Rows || r.cols != p.M.Cols {
-			return nil, false, fmt.Errorf("parameter %q shape [%d %d], want [%d %d]", p.Name, r.rows, r.cols, p.M.Rows, p.M.Cols)
-		}
+	for _, p := range m.Params().List() {
+		r := recs[p.Name]
 		raw := data[r.off : r.off+4*r.count]
 		if hostLittleEndian {
 			p.M.Data = f32view(raw, r.count)

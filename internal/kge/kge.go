@@ -124,8 +124,9 @@ type Param struct {
 
 // ParamSet is an ordered collection of parameter tables.
 type ParamSet struct {
-	list   []*Param
-	byName map[string]*Param
+	list     []*Param
+	byName   map[string]*Param
+	unfilled bool // Add leaves Data nil: see Config.unfilled
 }
 
 // NewParamSet returns an empty parameter set.
@@ -140,7 +141,10 @@ func (ps *ParamSet) Add(name string, rows, cols int) *Param {
 	if _, dup := ps.byName[name]; dup {
 		panic(fmt.Sprintf("kge: duplicate parameter %q", name))
 	}
-	p := &Param{Name: name, M: vecmath.NewMatrix(rows, cols), idx: len(ps.list)}
+	p := &Param{Name: name, M: &vecmath.Matrix{Rows: rows, Cols: cols}, idx: len(ps.list)}
+	if !ps.unfilled {
+		p.M.Data = make([]float32, rows*cols)
+	}
 	ps.list = append(ps.list, p)
 	ps.byName[name] = p
 	return p
@@ -293,13 +297,13 @@ type Config struct {
 	ConvEWidth   int
 	ConvEFilters int
 
-	// skipInit skips the random parameter initialization in the
-	// constructors, leaving every table zeroed. Only checkpoint loaders set
-	// it (the loaded weights overwrite — or, for mmap-backed checkpoints,
-	// replace — the tables anyway, so initializing them is pure wasted
-	// work). Unexported on purpose: it is invisible to gob and callers
-	// outside the package, so a snapshot's Config can never carry it.
-	skipInit bool
+	// unfilled makes the constructors register every table's shape with
+	// no data (nil Data) and skip initialization. Only checkpoint loaders
+	// set it (newUnfilled): they check the shapes against the checkpoint's
+	// records before any table memory exists, then point each table at its
+	// record's data. Unexported on purpose: it is invisible to gob and
+	// callers outside the package, so a snapshot's Config can never carry it.
+	unfilled bool
 }
 
 func (c Config) validate() error {
@@ -363,6 +367,7 @@ type tables struct {
 
 func newTables(name string, cfg Config, entCols, relCols int) tables {
 	t := tables{name: name, cfg: cfg, ps: NewParamSet()}
+	t.ps.unfilled = cfg.unfilled
 	t.ent = t.ps.Add("entity", cfg.NumEntities, entCols)
 	t.rel = t.ps.Add("relation", cfg.NumRelations, relCols)
 	return t
@@ -370,10 +375,10 @@ func newTables(name string, cfg Config, entCols, relCols int) tables {
 
 // initXavier fills the entity rows, then the relation rows, from the
 // generator seeded with cfg.Seed and returns it for models with further
-// tables to initialize. It returns nil, leaving the tables zeroed, when a
-// checkpoint loader is about to overwrite them.
+// tables to initialize. It returns nil when the tables are unfilled, for a
+// checkpoint loader to fill.
 func (t *tables) initXavier(fan int) *rand.Rand {
-	if t.cfg.skipInit {
+	if t.cfg.unfilled {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(t.cfg.Seed))
