@@ -2,6 +2,7 @@ package graphstats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -183,29 +184,36 @@ func zipfTriples(rng *rand.Rand, n, m int) []kg.Triple {
 	return ts
 }
 
-func TestProjectionAndStatisticsMatchDenseOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	edge := func(a, b int) kg.Triple { return kg.Triple{S: kg.EntityID(a), O: kg.EntityID(b)} }
+func edge(a, b int) kg.Triple { return kg.Triple{S: kg.EntityID(a), O: kg.EntityID(b)} }
 
-	// A hub joined to every node of a 6-clique and to 20 leaves: clique
-	// members tie on degree, and every triangle through the hub is closed by
-	// an edge the hub's long list must not be walked for.
-	var starClique []kg.Triple
+// starClique joins a hub to every node of a 6-clique and to 20 leaves (27
+// nodes): clique members tie on degree, and every triangle through the hub
+// is closed by an edge the hub's long list must not be walked for.
+func starClique() []kg.Triple {
+	var ts []kg.Triple
 	for i := 1; i <= 26; i++ {
-		starClique = append(starClique, edge(0, i))
+		ts = append(ts, edge(0, i))
 	}
 	for i := 1; i <= 6; i++ {
 		for j := i + 1; j <= 6; j++ {
-			starClique = append(starClique, edge(j, i))
+			ts = append(ts, edge(j, i))
 		}
 	}
+	return ts
+}
 
-	// Rings with chords: every node has degree 4, so the orientation is
-	// decided by the ID tie-break alone.
-	var ring []kg.Triple
+// ring is a 30-node ring with chords: every node has degree 4, so the rank
+// order is decided by the ID tie-break alone.
+func ring() []kg.Triple {
+	var ts []kg.Triple
 	for i := 0; i < 30; i++ {
-		ring = append(ring, edge(i, (i+1)%30), edge((i+2)%30, i))
+		ts = append(ts, edge(i, (i+1)%30), edge((i+2)%30, i))
 	}
+	return ts
+}
+
+func TestProjectionAndStatisticsMatchDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
 
 	// Each undirected edge asserted up to six times: both directions, three
 	// relations; plus self-loops and five trailing entities in no triple.
@@ -229,8 +237,8 @@ func TestProjectionAndStatisticsMatchDenseOracle(t *testing.T) {
 		{"empty", 0, nil, true},
 		{"no triples", 7, nil, true},
 		{"only self-loops", 3, []kg.Triple{edge(0, 0), edge(2, 2)}, true},
-		{"star plus clique", 27, starClique, true},
-		{"equal-degree ring", 30, ring, true},
+		{"star plus clique", 27, starClique(), true},
+		{"equal-degree ring", 30, ring(), true},
 		{"parallel edges, self-loops, isolated tail", 20, parallel, true},
 		{"zipf 300", 300, zipfTriples(rng, 300, 1500), true},
 		{"zipf 2000", 2000, zipfTriples(rng, 2000, 12000), false},
@@ -240,6 +248,56 @@ func TestProjectionAndStatisticsMatchDenseOracle(t *testing.T) {
 	}
 }
 
+// TestStatisticsFollowARelabelling is the metamorphic check: relabel the
+// entities by a seeded permutation π and T and c must move with them, bit
+// for bit — T'(π(v)) = T(v) and c'(π(v)) = c(v). The rank order breaks
+// degree ties by ID, so each permutation makes the counter meet the same
+// triangles in another tie order.
+func TestStatisticsFollowARelabelling(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := []struct {
+		name    string
+		n       int
+		triples []kg.Triple
+	}{
+		{"star plus clique", 27, starClique()},
+		{"equal-degree ring", 30, ring()},
+		{"zipf 2000", 2000, zipfTriples(rng, 2000, 12000)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			u := BuildUndirected(graphOf(c.n, c.triples))
+			tri := u.Triangles()
+			clust := u.LocalClustering(tri)
+			for seed := int64(1); seed <= 4; seed++ {
+				pi := rand.New(rand.NewSource(seed)).Perm(c.n)
+				moved := make([]kg.Triple, len(c.triples))
+				for i, tr := range c.triples {
+					moved[i] = kg.Triple{S: kg.EntityID(pi[tr.S]), R: tr.R, O: kg.EntityID(pi[tr.O])}
+				}
+				pu := BuildUndirected(graphOf(c.n, moved))
+				ptri := pu.Triangles()
+				pclust := pu.LocalClustering(ptri)
+				for v := range tri {
+					if ptri[pi[v]] != tri[v] || math.Float64bits(pclust[pi[v]]) != math.Float64bits(clust[v]) {
+						t.Fatalf("seed %d: node %d → %d: T %d → %d, c %g → %g",
+							seed, v, pi[v], tri[v], ptri[pi[v]], clust[v], pclust[pi[v]])
+					}
+				}
+			}
+		})
+	}
+}
+
+// encodeTriples is FuzzProjection's input for n entities and the triples.
+func encodeTriples(n int, ts []kg.Triple) []byte {
+	data := []byte{byte(n - 1)}
+	for _, t := range ts {
+		data = append(data, byte(t.S), byte(t.O), byte(t.R))
+	}
+	return data
+}
+
 // FuzzProjection decodes bytes into a triple list — first byte the entity
 // count, then (s, o, r) byte triplets — and holds the result to the dense
 // oracle.
@@ -247,6 +305,8 @@ func FuzzProjection(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 0, 1, 2, 1, 2, 0, 2})
 	f.Add([]byte{5, 0, 0, 0, 1, 1, 1, 4, 3, 0, 3, 4, 2})
+	f.Add(encodeTriples(27, starClique()))
+	f.Add(encodeTriples(30, ring()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
