@@ -545,8 +545,10 @@ func BenchmarkAblationFilteredRanking(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTriangleCounting compares the degree-ordered forward
-// triangle counter with the naive neighbour-pair counter.
+// BenchmarkAblationTriangleCounting compares the rank-ordered counter, which
+// meets each triangle once at its middle corner (Σ_a C(|F(a)|, 2) checks,
+// 544 108 on the benchmark's 20 000-entity fixture), with the naive
+// neighbour-pair counter.
 func BenchmarkAblationTriangleCounting(b *testing.B) {
 	ds, _ := benchSetup(b)
 	u := graphstats.BuildUndirected(ds.Train)
