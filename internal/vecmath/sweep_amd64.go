@@ -30,6 +30,12 @@ func l1Rows(dst, m, x []float32)
 //go:noescape
 func axpy(alpha float32, x, y []float32)
 
+// bucketKeys is BucketKeys' SSE2 body (see bucketKeysGo for the keys), four
+// elements per register.
+//
+//go:noescape
+func bucketKeys(keys []uint16, x []float32, v0, scale, top float32)
+
 // interleave4 packs queries j..j+3 of q lane-wise into lanes:
 // lanes[4c+l] = q.Row(j+l)[c].
 func interleave4(lanes []float32, q *Matrix, j int) []float32 {

@@ -3,7 +3,8 @@
 package vecmath
 
 // Off amd64 there are no sweep kernels: every query, in a lane group of four
-// or on its own, runs the scalar loop, and Axpy runs its Go loop.
+// or on its own, runs the scalar loop, and Axpy and BucketKeys run their Go
+// loops.
 
 func dotLanes(dst, m, q *Matrix, j, lo, hi int, _ []float32) {
 	for l := j; l < j+4; l++ {
@@ -28,3 +29,7 @@ func negL1Rows(dst []float32, m *Matrix, x []float32, lo, hi int) {
 }
 
 func axpy(alpha float32, x, y []float32) { axpyGo(alpha, x, y) }
+
+func bucketKeys(keys []uint16, x []float32, v0, scale, top float32) {
+	bucketKeysGo(keys, x, v0, scale, top)
+}
