@@ -374,7 +374,7 @@ func BenchmarkAblationBatchedRanking(b *testing.B) {
 					if hi > len(groups) {
 						hi = len(groups)
 					}
-					_, _ = ranker.RankObjectsBatch(rel, groups[lo:hi])
+					_ = ranker.RankObjectsBatch(rel, groups[lo:hi])
 				}
 			}
 		})
@@ -451,8 +451,8 @@ func BenchmarkPrunedRanking(b *testing.B) {
 
 		for _, topN := range []int{100, 500} {
 			// Precision of the approx keep set, measured once outside the timers.
-			denseRanks, _ := ranker.RankObjectsBatch(rel, groups)
-			approxRanks, _, _ := ranker.RankObjectsPruned(rel, groups, topN, eval.PruneConfig{Index: ix})
+			denseRanks := ranker.RankObjectsBatch(rel, groups)
+			approxRanks, _ := ranker.RankObjectsPruned(rel, groups, topN, eval.PruneConfig{Index: ix})
 			denseKept, approxKept := 0, 0
 			for gi := range denseRanks {
 				for i := range denseRanks[gi] {
@@ -477,18 +477,18 @@ func BenchmarkPrunedRanking(b *testing.B) {
 						if hi > len(groups) {
 							hi = len(groups)
 						}
-						_, _ = ranker.RankObjectsBatch(rel, groups[lo:hi])
+						_ = ranker.RankObjectsBatch(rel, groups[lo:hi])
 					}
 				}
 			})
 			b.Run(tag+"/exact", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, _, _ = ranker.RankObjectsPruned(rel, groups, topN, eval.PruneConfig{Index: ix, Exact: true})
+					_, _ = ranker.RankObjectsPruned(rel, groups, topN, eval.PruneConfig{Index: ix, Exact: true})
 				}
 			})
 			b.Run(tag+"/approx", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, _, _ = ranker.RankObjectsPruned(rel, groups, topN, eval.PruneConfig{Index: ix})
+					_, _ = ranker.RankObjectsPruned(rel, groups, topN, eval.PruneConfig{Index: ix})
 				}
 				b.ReportMetric(precision, "precision")
 			})

@@ -424,21 +424,21 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 // of branch-and-bound top-M searches, not a sweep — CellsPruned and
 // PrescreenRows. A cancelled ctx returns ctx.Err() and no ranks.
 func rankAll(ctx context.Context, ranker *eval.Ranker, candidates []kg.Triple, opts Options, rel *RelationStats) ([]int, error) {
-	var block func(kg.RelationID, []eval.Group) ([][]int, [][]float32)
+	var block func(kg.RelationID, []eval.Group) [][]int
 	pruneOn := opts.PruneIndex != nil
 	if pruneOn {
 		cfg := eval.PruneConfig{Index: opts.PruneIndex, Exact: opts.PruneMode == PruneExact}
 		var mu sync.Mutex // blocks are ranked concurrently
-		block = func(r kg.RelationID, groups []eval.Group) ([][]int, [][]float32) {
-			rs, ss, st := ranker.RankObjectsPruned(r, groups, opts.TopN, cfg)
+		block = func(r kg.RelationID, groups []eval.Group) [][]int {
+			rs, st := ranker.RankObjectsPruned(r, groups, opts.TopN, cfg)
 			mu.Lock()
 			rel.CellsPruned += st.CellsPruned
 			rel.PrescreenRows += st.PrescreenRows
 			mu.Unlock()
-			return rs, ss
+			return rs
 		}
 	}
-	ranks, _, groups, blocks, err := ranker.RankTriples(ctx, candidates, opts.Workers, block)
+	ranks, groups, blocks, err := ranker.RankTriples(ctx, candidates, opts.Workers, block)
 	rel.ScoreSweeps += groups
 	if !pruneOn {
 		rel.BatchedSweeps += blocks

@@ -243,7 +243,7 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		stats.Generated += len(candidates)
 
 		rStart := time.Now()
-		ranks, _, g, b, err := ranker.RankTriples(ctx, candidates, opts.Workers, nil)
+		ranks, g, b, err := ranker.RankTriples(ctx, candidates, opts.Workers, nil)
 		stats.RankTime += time.Since(rStart)
 		if err != nil {
 			return nil, nil, err

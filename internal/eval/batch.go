@@ -19,60 +19,34 @@ type Group struct {
 }
 
 // batchBufs is the pooled working set of one ranking call. data backs the
-// k×|E| score matrix (k = 1 for RankObject); the small scratch
-// slices back the counting pass (rankRow) and are sized by the largest group;
-// its bucket tables and chunk buffers are fixed-size arrays.
+// k×|E| score matrix (k = 1 for RankObject and RankObjects); the small
+// scratch slices back the counting pass (rankRow) and are sized by the
+// largest group; its bucket tables and chunk buffers are fixed-size arrays.
 //
-// data is grown on demand and freed again when it stays oversized: one
-// skewed relation block (a single subject hub with thousands of groups) would
-// otherwise pin a block-sized buffer in the pool for the rest of the process,
-// multiplied per concurrent worker. The policy is hysteretic so steady
-// mixed-size workloads do not thrash: only after batchShrinkStreak
-// consecutive calls that use less than 1/batchShrinkFactor of the capacity
-// (and only above a floor worth reclaiming) is the backing array dropped and
-// reallocated at the current need.
+// data only grows. RankTriples packs at most max(1,
+// DefaultBatchBudgetBytes/(4·|E|)) rows into a block, and RankObject,
+// RankObjects and the pruned path's fallbacks rank one row, one group or one
+// such block, so a pooled matrix holds at most max(DefaultBatchBudgetBytes,
+// 4·|E|) bytes; sync.Pool drops idle working sets across garbage collections.
 type batchBufs struct {
-	data      []float32
-	mat       vecmath.Matrix // matrix()'s header over data
-	ss        []kg.EntityID  // the block's subjects
-	smallUses int            // consecutive matrix() calls using < cap/batchShrinkFactor
-	vals      []float32
-	eq        []int
-	between   []int
-	greater   []int
-	keys      [rankChunk]uint16      // one chunk's bucket keys
-	pend      [rankChunk]float32     // one chunk's scores keyed with a target
-	low       [rankBuckets + 3]int32 // low[b]: distinct targets keyed below b
-	hist      [rankBuckets + 2]int32 // hist[b]: scores keyed b
-	held      [rankBuckets + 2]uint8 // held[b]: 1 if a target is keyed b, else 0
+	data    []float32
+	mat     vecmath.Matrix // matrix()'s header over data
+	ss      []kg.EntityID  // the block's subjects
+	vals    []float32
+	eq      []int
+	between []int
+	greater []int
+	keys    [rankChunk]uint16      // one chunk's bucket keys
+	pend    [rankChunk]float32     // one chunk's scores keyed with a target
+	low     [rankBuckets + 3]int32 // low[b]: distinct targets keyed below b
+	hist    [rankBuckets + 2]int32 // hist[b]: scores keyed b
+	held    [rankBuckets + 2]uint8 // held[b]: 1 if a target is keyed b, else 0
 }
-
-const (
-	// batchShrinkFactor is the under-use ratio that counts toward release:
-	// a call needing less than cap/4 flags the buffer as oversized.
-	batchShrinkFactor = 4
-	// batchShrinkStreak is how many consecutive under-used calls trigger the
-	// release — one oversized block per streak window is tolerated for free.
-	batchShrinkStreak = 8
-	// batchShrinkFloor is the capacity (in float32s, 256 KiB) below which the
-	// buffer is never freed: reclaiming less is churn, not savings.
-	batchShrinkFloor = 1 << 16
-)
 
 func (b *batchBufs) matrix(rows, cols int) *vecmath.Matrix {
 	need := rows * cols
-	switch {
-	case cap(b.data) < need:
+	if cap(b.data) < need {
 		b.data = make([]float32, need)
-		b.smallUses = 0
-	case cap(b.data) > batchShrinkFloor && need < cap(b.data)/batchShrinkFactor:
-		b.smallUses++
-		if b.smallUses >= batchShrinkStreak {
-			b.data = make([]float32, need)
-			b.smallUses = 0
-		}
-	default:
-		b.smallUses = 0
 	}
 	b.mat = vecmath.Matrix{Rows: rows, Cols: cols, Data: b.data[:need]}
 	return &b.mat
@@ -93,11 +67,9 @@ func (b *batchBufs) scratch(k int) {
 // model kge.New builds), then each group's ranks are read off its
 // row by rankRow. It is exactly equivalent to per-candidate RankObject: the
 // sweep is bit-identical to ScoreAllObjects, and the counting pass returns
-// what RankObject's |E| probes would.
-//
-// Alongside the ranks it returns each candidate's sweep score (parallel to
-// ranks).
-func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
+// what RankObject's |E| probes would. ranks[g][i] is the rank of
+// groups[g].Objects[i].
+func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) [][]int {
 	return r.rankBlock(rel, groups, kge.ScoreAllObjectsBatch, func(s kg.EntityID) []kg.EntityID { return r.filter.ObjectsOf(s, rel) })
 }
 
@@ -106,7 +78,7 @@ func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) ([][]int, [
 // exchanged: one ScoreAllSubjectsBatch per block, then rankRow per (o, r)
 // group. The filtered protocol's known subjects of swapped's (r, o) pairs are
 // collected here, by one scan of each of their relations' filter triples.
-func (r *Ranker) subjectBlocks(swapped []kg.Triple) func(kg.RelationID, []Group) ([][]int, [][]float32) {
+func (r *Ranker) subjectBlocks(swapped []kg.Triple) func(kg.RelationID, []Group) [][]int {
 	known := map[kg.RelationID]map[kg.EntityID][]kg.EntityID{}
 	if r.filter != nil {
 		for _, t := range swapped {
@@ -123,20 +95,20 @@ func (r *Ranker) subjectBlocks(swapped []kg.Triple) func(kg.RelationID, []Group)
 			}
 		}
 	}
-	return func(rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
+	return func(rel kg.RelationID, groups []Group) [][]int {
 		return r.rankBlock(rel, groups, kge.ScoreAllSubjectsBatch, func(o kg.EntityID) []kg.EntityID { return known[rel][o] })
 	}
 }
 
-// rankBlock ranks a relation block off one sweep call: known(g.S) lists a
-// group's true candidates, read under the filtered protocol only.
+// rankBlock ranks a relation block off one sweep call into the pooled score
+// matrix and returns the groups' ranks: known(g.S) lists a group's true
+// candidates, read under the filtered protocol only.
 func (r *Ranker) rankBlock(rel kg.RelationID, groups []Group,
 	sweep func(kge.Model, []kg.EntityID, kg.RelationID, *vecmath.Matrix), known func(kg.EntityID) []kg.EntityID,
-) ([][]int, [][]float32) {
+) [][]int {
 	ranks := make([][]int, len(groups))
-	scores := make([][]float32, len(groups))
 	if len(groups) == 0 {
-		return ranks, scores
+		return ranks
 	}
 	n := r.model.NumEntities()
 
@@ -155,19 +127,13 @@ func (r *Ranker) rankBlock(rel kg.RelationID, groups []Group,
 	bufs.scratch(maxK)
 
 	for gi, g := range groups {
-		row := mat.Row(gi)
 		var filtered []kg.EntityID
 		if r.filter != nil {
 			filtered = known(g.S)
 		}
-		ranks[gi] = r.rankRow(row, g.Objects, filtered, bufs)
-		sc := make([]float32, len(g.Objects))
-		for i, o := range g.Objects {
-			sc[i] = row[o]
-		}
-		scores[gi] = sc
+		ranks[gi] = r.rankRow(mat.Row(gi), g.Objects, filtered, bufs)
 	}
-	return ranks, scores
+	return ranks
 }
 
 // getBatchBufs takes a working set from the pool, or starts an empty one.

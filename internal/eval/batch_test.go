@@ -21,29 +21,20 @@ func perTripleRanks(r *Ranker, s kg.EntityID, rel kg.RelationID, objects []kg.En
 	return ranks
 }
 
-// perTripleBlock is perTripleRanks over a relation block, with each
-// candidate's score read off a single-query sweep: the reference a pruned
-// block is compared against.
-func perTripleBlock(r *Ranker, rel kg.RelationID, groups []Group) ([][]int, [][]float32) {
+// perTripleBlock is perTripleRanks over a relation block: the reference a
+// pruned block is compared against.
+func perTripleBlock(r *Ranker, rel kg.RelationID, groups []Group) [][]int {
 	ranks := make([][]int, len(groups))
-	scores := make([][]float32, len(groups))
-	sweep := make([]float32, r.model.NumEntities())
 	for gi, g := range groups {
 		ranks[gi] = perTripleRanks(r, g.S, rel, g.Objects)
-		r.model.ScoreAllObjects(g.S, rel, sweep)
-		scores[gi] = make([]float32, len(g.Objects))
-		for i, o := range g.Objects {
-			scores[gi][i] = sweep[o]
-		}
 	}
-	return ranks, scores
+	return ranks
 }
 
 // TestRankObjectsBatchMatchesGrouped asserts the relation-blocked path is
 // exactly equivalent to per-candidate RankObject across all six model types
-// under both protocols, and that the returned scores are the candidates'
-// sweep scores. Group sizes mix the small-group linear path and the counting
-// path.
+// under both protocols. Group sizes mix the small-group linear path and the
+// counting path.
 func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 	const (
 		nEnt = 40
@@ -98,22 +89,16 @@ func TestRankObjectsBatchMatchesGrouped(t *testing.T) {
 						{S: 3, Objects: []kg.EntityID{5, 21}},
 						{S: 0, Objects: []kg.EntityID{39}},
 					}
-					ranks, scores := ranker.RankObjectsBatch(kg.RelationID(r), groups)
-					if len(ranks) != len(groups) || len(scores) != len(groups) {
-						t.Fatalf("%s: got %d rank groups, %d score groups, want %d",
-							tc.protocol, len(ranks), len(scores), len(groups))
+					ranks := ranker.RankObjectsBatch(kg.RelationID(r), groups)
+					if len(ranks) != len(groups) {
+						t.Fatalf("%s: got %d rank groups, want %d", tc.protocol, len(ranks), len(groups))
 					}
 					for gi, g := range groups {
 						want := perTripleRanks(ranker, g.S, kg.RelationID(r), g.Objects)
-						sweep := model.ScoreAllObjects(g.S, kg.RelationID(r), make([]float32, nEnt))
 						for i, o := range g.Objects {
 							if ranks[gi][i] != want[i] {
 								t.Fatalf("%s/%s: rank(s=%d, r=%d, o=%d) batch=%d per-candidate=%d",
 									name, tc.protocol, g.S, r, o, ranks[gi][i], want[i])
-							}
-							if scores[gi][i] != sweep[o] {
-								t.Fatalf("%s/%s: score(s=%d, r=%d, o=%d) batch=%g sweep=%g",
-									name, tc.protocol, g.S, r, o, scores[gi][i], sweep[o])
 							}
 						}
 					}
@@ -138,7 +123,7 @@ func TestRankObjectsBatchTies(t *testing.T) {
 
 	objects := []kg.EntityID{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, ranker := range []*Ranker{NewRanker(m, nil), NewRanker(m, filter)} {
-		ranks, _ := ranker.RankObjectsBatch(0, []Group{{S: 0, Objects: objects}})
+		ranks := ranker.RankObjectsBatch(0, []Group{{S: 0, Objects: objects}})
 		want := perTripleRanks(ranker, 0, 0, objects)
 		for i, o := range objects {
 			if ranks[0][i] != want[i] {
@@ -150,7 +135,7 @@ func TestRankObjectsBatchTies(t *testing.T) {
 	// Hand-checked filtered tie (same case as the grouped test): target o=0
 	// at 0.5 with one 0.9 and one 0.5 filter-skipped → rank 3. The group
 	// carries 5 objects so the counting path, not the linear path, answers.
-	ranks, _ := NewRanker(m, filter).RankObjectsBatch(0, []Group{
+	ranks := NewRanker(m, filter).RankObjectsBatch(0, []Group{
 		{S: 0, Objects: []kg.EntityID{0, 3, 4, 6, 7}},
 	})
 	if ranks[0][0] != 3 {
@@ -163,10 +148,10 @@ func TestRankObjectsBatchTies(t *testing.T) {
 func TestRankObjectsBatchDegenerate(t *testing.T) {
 	m := stubModel(4, 1, []float32{0.1, 0.5, 0.9, 0.3})
 	r := NewRanker(m, nil)
-	if ranks, scores := r.RankObjectsBatch(0, nil); len(ranks) != 0 || len(scores) != 0 {
-		t.Errorf("empty block returned %v, %v", ranks, scores)
+	if ranks := r.RankObjectsBatch(0, nil); len(ranks) != 0 {
+		t.Errorf("empty block returned %v", ranks)
 	}
-	ranks, _ := r.RankObjectsBatch(0, []Group{{S: 0, Objects: nil}, {S: 1, Objects: []kg.EntityID{1}}})
+	ranks := r.RankObjectsBatch(0, []Group{{S: 0, Objects: nil}, {S: 1, Objects: []kg.EntityID{1}}})
 	if len(ranks[0]) != 0 {
 		t.Errorf("empty group returned %v", ranks[0])
 	}
@@ -175,7 +160,7 @@ func TestRankObjectsBatchDegenerate(t *testing.T) {
 	}
 	// A second, larger call reuses (and grows) the pooled buffers.
 	big := []Group{{S: 0, Objects: []kg.EntityID{0, 1, 2, 3, 0}}, {S: 2, Objects: []kg.EntityID{3, 2}}}
-	ranks2, _ := r.RankObjectsBatch(0, big)
+	ranks2 := r.RankObjectsBatch(0, big)
 	for gi, g := range big {
 		want := perTripleRanks(r, g.S, 0, g.Objects)
 		for i := range g.Objects {

@@ -285,10 +285,10 @@ func BenchmarkRankRow(b *testing.B) {
 }
 
 // TestRankObjectsAllocations: ranking one object on warm buffers, the /rank
-// request's shape, allocates RankObjectsBatch's four result slices (ranks
-// and scores, one block and one group each) and nothing else: the block's
-// subjects, the score matrix, the sweep's query and the kernels' spread
-// query all come from pools. The race detector drops pooled buffers at
+// request's shape, allocates RankObjectsBatch's two result slices (the
+// block's slice of groups and the one group's ranks) and nothing else: the
+// block's subjects, the score matrix, the sweep's query and the kernels'
+// spread query all come from pools. The race detector drops pooled buffers at
 // random, so the count only holds in a plain build.
 func TestRankObjectsAllocations(t *testing.T) {
 	if raceBuild {
@@ -309,8 +309,8 @@ func TestRankObjectsAllocations(t *testing.T) {
 	objects := []kg.EntityID{5}
 	for _, r := range []*Ranker{NewRanker(model, nil), NewRanker(model, filter)} {
 		r.RankObjects(1, 2, objects)
-		if allocs := testing.AllocsPerRun(100, func() { r.RankObjects(1, 2, objects) }); allocs != 4 {
-			t.Errorf("filtered=%v: RankObjects allocated %v objects per call on warm buffers, want 4 (its result slices)",
+		if allocs := testing.AllocsPerRun(100, func() { r.RankObjects(1, 2, objects) }); allocs != 2 {
+			t.Errorf("filtered=%v: RankObjects allocated %v objects per call on warm buffers, want 2 (its result slices)",
 				r.filter != nil, allocs)
 		}
 	}

@@ -47,9 +47,6 @@ func NewRanker(model kge.Model, filter *kg.Graph) *Ranker {
 	return &Ranker{model: model, filter: filter}
 }
 
-// Model returns the model being ranked against.
-func (r *Ranker) Model() kge.Model { return r.model }
-
 // RankObject returns the rank of t among its object-side corruptions
 // (s, r, o') for all entities o'. Rank 1 is best. Ties are resolved by the
 // "mean" policy: rank = 1 + |{o' : f(o') > f(o)}| + ⌊|{o' ≠ o : f(o') = f(o)}| / 2⌋,
@@ -87,8 +84,7 @@ func (r *Ranker) RankObject(t kg.Triple) int {
 // O(|E|·d + |E| + k·(log k + |Fₛᵣ|)) per group, versus O(k·|E|·(d + 1)) for
 // k per-candidate calls.
 func (r *Ranker) RankObjects(s kg.EntityID, rel kg.RelationID, objects []kg.EntityID) []int {
-	ranks, _ := r.RankObjectsBatch(rel, []Group{{S: s, Objects: objects}})
-	return ranks[0]
+	return r.RankObjectsBatch(rel, []Group{{S: s, Objects: objects}})[0]
 }
 
 // Options controls Evaluate.
@@ -129,13 +125,13 @@ func Evaluate(ranker *Ranker, test *kg.Graph, opts Options) Result {
 		triples = triples[:opts.MaxTriples]
 	}
 	ctx := context.Background() // never cancelled: the errors below are nil
-	ranks, _, _, _, _ := ranker.RankTriples(ctx, triples, opts.Workers, nil)
+	ranks, _, _, _ := ranker.RankTriples(ctx, triples, opts.Workers, nil)
 	if opts.BothSides {
 		swapped := make([]kg.Triple, len(triples))
 		for i, t := range triples {
 			swapped[i] = kg.Triple{S: t.O, R: t.R, O: t.S}
 		}
-		subjects, _, _, _, _ := ranker.RankTriples(ctx, swapped, opts.Workers, ranker.subjectBlocks(swapped))
+		subjects, _, _, _ := ranker.RankTriples(ctx, swapped, opts.Workers, ranker.subjectBlocks(swapped))
 		ranks = append(ranks, subjects...)
 	}
 	return Aggregate(ranks, evaluateHitsAt)

@@ -52,9 +52,9 @@ func (s *PruneStats) add(o prune.Stats) {
 // The contract against the dense path is rank-threshold equivalence at topN.
 // With cfg.Exact, for every candidate either:
 //
-//   - its exact score beats the frontier minimum s_M: the returned rank and
-//     score are identical to RankObjectsBatch's (the top-M multiset is exact
-//     and filtered corrections subtract only frontier members), or
+//   - its exact score beats the frontier minimum s_M: the returned rank is
+//     identical to RankObjectsBatch's (the top-M multiset is exact and
+//     filtered corrections subtract only frontier members), or
 //   - its exact score falls below s_M: its true rank provably exceeds topN
 //     (at least M frontier scores beat it and filtered corrections remove at
 //     most |filtered| of them), and the sentinel rank topN+1 is returned, or
@@ -62,17 +62,17 @@ func (s *PruneStats) add(o prune.Stats) {
 //     whole group falls back to RankObjectsBatch.
 //
 // So a candidate is kept at threshold topN by this path exactly when the
-// dense path keeps it, with an identical rank and score whenever it is kept —
-// which is what makes core.PruneExact output byte-identical. Scores are exact
-// (bit-identical to the dense sweep) in both modes; approximate mode can only
-// misjudge ranks, not scores. Only bench/kgbench reaches this method.
-func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, cfg PruneConfig) (ranks [][]int, scores [][]float32, st PruneStats) {
+// dense path keeps it, with an identical rank whenever it is kept — which is
+// what makes core.PruneExact output byte-identical. Target scores are exact
+// (bit-identical to the dense sweep) in both modes, so approximate mode
+// misjudges ranks only through the frontier it compares them with. Only
+// bench/kgbench reaches this method.
+func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, cfg PruneConfig) (ranks [][]int, st PruneStats) {
 	// Named returns: the deferred TakeStats below must fold the searcher's
 	// counters into the st the caller actually receives.
 	ranks = make([][]int, len(groups))
-	scores = make([][]float32, len(groups))
 	if len(groups) == 0 {
-		return ranks, scores, st
+		return ranks, st
 	}
 
 	var sr *prune.Searcher
@@ -86,9 +86,8 @@ func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, 
 	if sr == nil {
 		// A missing or mismatched index cannot prune; the dense path is
 		// always correct.
-		ranks, scores = r.RankObjectsBatch(rel, groups)
 		st.Fallbacks += len(groups)
-		return ranks, scores, st
+		return r.RankObjectsBatch(rel, groups), st
 	}
 	defer func() {
 		st.add(sr.TakeStats())
@@ -114,18 +113,15 @@ func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, 
 			}
 		}
 		if !ok || len(vals) == 0 {
-			rs, sc := r.RankObjectsBatch(rel, groups[gi:gi+1])
-			ranks[gi], scores[gi] = rs[0], sc[0]
+			ranks[gi] = r.RankObjectsBatch(rel, groups[gi:gi+1])[0]
 			st.Fallbacks++
 			continue
 		}
 
 		sM := vals[len(vals)-1]
 		gr := make([]int, len(g.Objects))
-		sc := make([]float32, len(g.Objects))
 		for i, o := range g.Objects {
 			t := sr.Score(o)
-			sc[i] = t
 			if t < sM {
 				gr[i] = topN + 1
 				continue
@@ -147,7 +143,7 @@ func (r *Ranker) RankObjectsPruned(rel kg.RelationID, groups []Group, topN int, 
 			}
 			gr[i] = 1 + greater + equal/2
 		}
-		ranks[gi], scores[gi] = gr, sc
+		ranks[gi] = gr
 	}
-	return ranks, scores, st
+	return ranks, st
 }

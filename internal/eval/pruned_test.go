@@ -63,13 +63,11 @@ func testFilter(nEnt, nRel, triples int, seed int64) *kg.Graph {
 }
 
 // checkThresholdEquivalence asserts the RankObjectsPruned exact-mode
-// contract against the dense ranks: identical keep/discard decisions at topN,
-// identical ranks for everything kept, and bit-identical scores throughout.
-// The dense side comes from perTripleBlock — per-candidate RankObject — so
-// the comparison does not lean on the counting pass the pruned path's
-// fallbacks run through.
-func checkThresholdEquivalence(t *testing.T, tag string, topN int,
-	pruned, dense [][]int, prunedScores, denseScores [][]float32) {
+// contract against the dense ranks: identical keep/discard decisions at topN
+// and identical ranks for everything kept. The dense side comes from
+// perTripleBlock — per-candidate RankObject — so the comparison does not
+// lean on the counting pass the pruned path's fallbacks run through.
+func checkThresholdEquivalence(t *testing.T, tag string, topN int, pruned, dense [][]int) {
 	t.Helper()
 	for gi := range dense {
 		for i := range dense[gi] {
@@ -80,10 +78,6 @@ func checkThresholdEquivalence(t *testing.T, tag string, topN int,
 						tag, gi, i, pr, dr, topN)
 				}
 			}
-			if prunedScores[gi][i] != denseScores[gi][i] {
-				t.Fatalf("%s: group %d cand %d: pruned score %x != dense %x",
-					tag, gi, i, prunedScores[gi][i], denseScores[gi][i])
-			}
 		}
 	}
 }
@@ -91,7 +85,7 @@ func checkThresholdEquivalence(t *testing.T, tag string, topN int,
 // TestRankObjectsPrunedExactEquivalence is the eval-layer half of the
 // exactness property: for all six model families under both protocols,
 // exact-mode pruned ranking keeps exactly the candidates the dense path
-// keeps, with identical ranks and scores for everything kept.
+// keeps, with identical ranks for everything kept.
 func TestRankObjectsPrunedExactEquivalence(t *testing.T) {
 	const (
 		nEnt = 60
@@ -123,8 +117,8 @@ func TestRankObjectsPrunedExactEquivalence(t *testing.T) {
 						{S: 0, Objects: []kg.EntityID{59}},
 					}
 					rel := kg.RelationID(r)
-					dense, denseScores := perTripleBlock(ranker, rel, groups)
-					pruned, prunedScores, st := ranker.RankObjectsPruned(rel, groups, topN,
+					dense := perTripleBlock(ranker, rel, groups)
+					pruned, st := ranker.RankObjectsPruned(rel, groups, topN,
 						PruneConfig{Index: fx.index, Exact: true})
 					tag := fmt.Sprintf("%s/%s/r=%d", fx.name, tc.protocol, r)
 					if st.Fallbacks > len(groups) {
@@ -138,7 +132,7 @@ func TestRankObjectsPrunedExactEquivalence(t *testing.T) {
 						t.Fatalf("%s: pruned path ran (%d/%d groups) but reported zero exact rows",
 							tag, len(groups)-st.Fallbacks, len(groups))
 					}
-					checkThresholdEquivalence(t, tag, topN, pruned, dense, prunedScores, denseScores)
+					checkThresholdEquivalence(t, tag, topN, pruned, dense)
 				}
 			}
 		})
@@ -179,13 +173,13 @@ func TestRankObjectsPrunedTieHeavy(t *testing.T) {
 	for _, f := range []*kg.Graph{nil, filter} {
 		ranker := NewRanker(model, f)
 		groups := []Group{{S: 0, Objects: allObjects}, {S: 1, Objects: allObjects[:6]}}
-		dense, denseScores := perTripleBlock(ranker, 0, groups)
-		pruned, prunedScores, st := ranker.RankObjectsPruned(0, groups, topN,
+		dense := perTripleBlock(ranker, 0, groups)
+		pruned, st := ranker.RankObjectsPruned(0, groups, topN,
 			PruneConfig{Index: ix, Exact: true})
 		if st.Fallbacks == 0 {
 			t.Error("tie-heavy block produced no fallbacks — boundary ties were not detected")
 		}
-		checkThresholdEquivalence(t, "tie-heavy", topN, pruned, dense, prunedScores, denseScores)
+		checkThresholdEquivalence(t, "tie-heavy", topN, pruned, dense)
 	}
 }
 
@@ -199,8 +193,8 @@ func TestRankObjectsPrunedFallbacks(t *testing.T) {
 	groups := []Group{{S: 0, Objects: []kg.EntityID{1, 2, 3}}}
 
 	// topN ≥ |E|: TopM refuses, the group falls back, results match dense.
-	dense, _ := perTripleBlock(ranker, 0, groups)
-	pruned, _, st := ranker.RankObjectsPruned(0, groups, nEnt+10, PruneConfig{Index: fx.index, Exact: true})
+	dense := perTripleBlock(ranker, 0, groups)
+	pruned, st := ranker.RankObjectsPruned(0, groups, nEnt+10, PruneConfig{Index: fx.index, Exact: true})
 	if st.Fallbacks != len(groups) {
 		t.Errorf("want %d fallbacks, got %d", len(groups), st.Fallbacks)
 	}
@@ -215,8 +209,8 @@ func TestRankObjectsPrunedFallbacks(t *testing.T) {
 	stub := stubModel(8, 1, []float32{0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.5, 0.5})
 	sr := NewRanker(stub, nil)
 	objects := []kg.EntityID{0, 1, 2, 3, 4}
-	want, _ := perTripleBlock(sr, 0, []Group{{S: 0, Objects: objects}})
-	got, _, st2 := sr.RankObjectsPruned(0, []Group{{S: 0, Objects: objects}}, 3,
+	want := perTripleBlock(sr, 0, []Group{{S: 0, Objects: objects}})
+	got, st2 := sr.RankObjectsPruned(0, []Group{{S: 0, Objects: objects}}, 3,
 		PruneConfig{Index: fx.index, Exact: true})
 	if st2.Fallbacks != 1 {
 		t.Errorf("stub model: want 1 fallback, got %d", st2.Fallbacks)
@@ -228,9 +222,9 @@ func TestRankObjectsPrunedFallbacks(t *testing.T) {
 	}
 }
 
-// TestRankObjectsPrunedApprox sanity-checks the approximate mode: it runs,
-// returns exact scores (approximation affects ranks only), and prunes more
-// aggressively than exact mode under a tight probe budget.
+// TestRankObjectsPrunedApprox sanity-checks the approximate mode under a
+// tight probe budget: it runs and returns a rank of at least 1 for every
+// candidate.
 func TestRankObjectsPrunedApprox(t *testing.T) {
 	const (
 		nEnt = 60
@@ -243,108 +237,11 @@ func TestRankObjectsPrunedApprox(t *testing.T) {
 		allObjects[o] = kg.EntityID(o)
 	}
 	groups := []Group{{S: 0, Objects: allObjects}}
-	_, denseScores := perTripleBlock(ranker, 0, groups)
 	// Six cells: approx mode probes ⌈6/8⌉ = 1 of them.
-	ranks, scores, _ := ranker.RankObjectsPruned(0, groups, topN, PruneConfig{Index: fx.index})
-	for i := range denseScores[0] {
-		if scores[0][i] != denseScores[0][i] {
-			t.Fatalf("approx score %x != dense %x", scores[0][i], denseScores[0][i])
-		}
+	ranks, _ := ranker.RankObjectsPruned(0, groups, topN, PruneConfig{Index: fx.index})
+	for i := range allObjects {
 		if ranks[0][i] < 1 {
 			t.Fatalf("approx rank %d < 1", ranks[0][i])
 		}
-	}
-}
-
-// TestBatchBufsShrink is the regression test for the pooled score matrix
-// release policy: a skewed workload — one hub relation block far larger than
-// everything after it — must not pin the hub-sized buffer forever.
-func TestBatchBufsShrink(t *testing.T) {
-	var b batchBufs
-
-	// The hub block allocates past the release floor.
-	hubRows := 3 * batchShrinkFloor / 1000
-	b.matrix(hubRows, 1000)
-	hubCap := cap(b.data)
-	if hubCap < batchShrinkFloor {
-		t.Fatalf("hub buffer %d below the release floor %d — test mis-sized", hubCap, batchShrinkFloor)
-	}
-
-	// Small blocks under-use it; within the streak window nothing changes.
-	for i := 0; i < batchShrinkStreak-1; i++ {
-		b.matrix(4, 100)
-		if cap(b.data) != hubCap {
-			t.Fatalf("buffer released after only %d under-used calls", i+1)
-		}
-	}
-	// One occasional large block resets the streak.
-	b.matrix(hubRows, 1000)
-	for i := 0; i < batchShrinkStreak-1; i++ {
-		b.matrix(4, 100)
-	}
-	if cap(b.data) != hubCap {
-		t.Fatal("streak not reset by an interleaved large block")
-	}
-	// A full streak of small blocks releases the hub-sized backing.
-	for i := 0; i < batchShrinkStreak; i++ {
-		b.matrix(4, 100)
-	}
-	if cap(b.data) >= hubCap {
-		t.Fatalf("buffer still %d floats after sustained small blocks (hub %d)", cap(b.data), hubCap)
-	}
-
-	// Small buffers below the floor are never churned.
-	var small batchBufs
-	small.matrix(64, 64)
-	smallCap := cap(small.data)
-	for i := 0; i < 4*batchShrinkStreak; i++ {
-		small.matrix(1, 4)
-	}
-	if cap(small.data) != smallCap {
-		t.Fatal("sub-floor buffer was released — pure churn")
-	}
-}
-
-// TestBatchBufsShrinkEndToEnd drives the policy through RankObjectsBatch on
-// a skewed synthetic graph: one hub subject with a huge candidate block,
-// then a long tail of tiny blocks, single-threaded so the same pooled bufs
-// are reused.
-func TestBatchBufsShrinkEndToEnd(t *testing.T) {
-	nEnt := 2 * batchShrinkFloor / 100 // hub block of 100 groups crosses the floor
-	table := make([]float32, nEnt)
-	rng := rand.New(rand.NewSource(5))
-	for i := range table {
-		table[i] = rng.Float32()
-	}
-	m := stubModel(nEnt, 1, table)
-	r := NewRanker(m, nil)
-
-	hub := make([]Group, 100)
-	for i := range hub {
-		hub[i] = Group{S: kg.EntityID(i % nEnt), Objects: []kg.EntityID{0, 1, 2}}
-	}
-	r.RankObjectsBatch(0, hub)
-	// Under the race detector sync.Pool drops a share of what is put into
-	// it; a run that lost the buffer has nothing to observe.
-	bufs, _ := r.batchPool.Get().(*batchBufs)
-	if bufs == nil {
-		t.Skip("sync.Pool dropped the pooled buffer")
-	}
-	hubCap := cap(bufs.data)
-	r.batchPool.Put(bufs)
-	if hubCap < batchShrinkFloor {
-		t.Fatalf("hub block capacity %d below floor — test mis-sized", hubCap)
-	}
-
-	tail := []Group{{S: 1, Objects: []kg.EntityID{0, 1}}}
-	for i := 0; i < 4*batchShrinkStreak; i++ {
-		r.RankObjectsBatch(0, tail)
-	}
-	if bufs, _ = r.batchPool.Get().(*batchBufs); bufs == nil {
-		t.Skip("sync.Pool dropped the pooled buffer")
-	}
-	defer r.batchPool.Put(bufs)
-	if cap(bufs.data) >= hubCap {
-		t.Fatalf("pooled buffer still %d floats after the tail (hub %d)", cap(bufs.data), hubCap)
 	}
 }

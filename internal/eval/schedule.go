@@ -28,9 +28,9 @@ type relGroups struct {
 // RankTriples is the one way from triples to ranks: Evaluate, discovery
 // (Algorithm 1 line 14) and the exhaustive baseline all rank through it. It
 // returns, parallel to triples, each triple's rank among its object-side
-// corruptions (subject-side, for Evaluate's swapped triples and subjectBlocks)
-// and its sweep score, plus the number of (s, r) groups and of relation
-// blocks the work was packed into.
+// corruptions (subject-side, for Evaluate's swapped triples and
+// subjectBlocks), plus the number of (s, r) groups and of relation blocks the
+// work was packed into.
 //
 // Group: triples are bucketed by (s, r), so a mesh grid of k subjects × k
 // objects costs k sweeps, not k². Block: each relation's groups, in
@@ -41,14 +41,13 @@ type relGroups struct {
 // ranks one block (nil means r.RankObjectsBatch, one tiled matrix–matrix
 // sweep and a counting pass per row); it is called from up to workers
 // goroutines (≤ 0 means GOMAXPROCS). Scatter: blocks own disjoint input
-// positions, so results land without a lock.
+// positions, so ranks land without a lock.
 //
 // When ctx is cancelled the partially-written ranks are meaningless — rank 0
-// would pass every TopN filter — so the error is ctx.Err() and both slices
-// are nil.
+// would pass every TopN filter — so the error is ctx.Err() and ranks is nil.
 func (r *Ranker) RankTriples(ctx context.Context, triples []kg.Triple, workers int,
-	rankBlock func(rel kg.RelationID, groups []Group) ([][]int, [][]float32),
-) (ranks []int, scores []float32, groups, blocks int, err error) {
+	rankBlock func(rel kg.RelationID, groups []Group) [][]int,
+) (ranks []int, groups, blocks int, err error) {
 	if rankBlock == nil {
 		rankBlock = r.RankObjectsBatch
 	}
@@ -100,7 +99,6 @@ func (r *Ranker) RankTriples(ctx context.Context, triples []kg.Triple, workers i
 	}
 
 	ranks = make([]int, len(triples))
-	scores = make([]float32, len(triples))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(workers, len(work)); w > 0; w-- {
@@ -109,11 +107,10 @@ func (r *Ranker) RankTriples(ctx context.Context, triples []kg.Triple, workers i
 			defer wg.Done()
 			for bi := int(next.Add(1)) - 1; bi < len(work) && ctx.Err() == nil; bi = int(next.Add(1)) - 1 {
 				b := work[bi]
-				rs, ss := rankBlock(b.rg.rel, b.rg.groups[b.lo:b.hi])
+				rs := rankBlock(b.rg.rel, b.rg.groups[b.lo:b.hi])
 				for gi, idx := range b.rg.idx[b.lo:b.hi] {
 					for j, i := range idx {
 						ranks[i] = rs[gi][j]
-						scores[i] = ss[gi][j]
 					}
 				}
 			}
@@ -121,7 +118,7 @@ func (r *Ranker) RankTriples(ctx context.Context, triples []kg.Triple, workers i
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, groups, len(work), err
+		return nil, groups, len(work), err
 	}
-	return ranks, scores, groups, len(work), nil
+	return ranks, groups, len(work), nil
 }

@@ -80,8 +80,8 @@ func TestMinimalContractModel(t *testing.T) {
 	for s := 0; s < 12; s++ {
 		groups = append(groups, eval.Group{S: kg.EntityID(7 * s), Objects: objects[s : s+3*(1+s%4)]})
 	}
-	batched, _ := ranker.RankObjectsBatch(2, groups)
-	pruned, _, st := ranker.RankObjectsPruned(2, groups, topN, eval.PruneConfig{Index: ix, Exact: true})
+	batched := ranker.RankObjectsBatch(2, groups)
+	pruned, st := ranker.RankObjectsPruned(2, groups, topN, eval.PruneConfig{Index: ix, Exact: true})
 	if st.Fallbacks == len(groups) {
 		t.Errorf("every group fell back to the dense sweep: the pruned path was not exercised")
 	}

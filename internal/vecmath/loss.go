@@ -4,14 +4,14 @@ import "math"
 
 // Training-grade transcendental kernels. The exact Sigmoid/Softplus in
 // vecmath.go go through math.Exp/math.Log1p in float64 — correct to the last
-// ulp, but at |E|·2 transcendentals per KvsAll context they are a fixed ~30%
-// of the scalar trainer's epoch time. The Fast* family below is the float32
-// polynomial substitute used by the batched training hot path: ~1e-7
-// relative error (a handful of float32 ulps), severalfold faster, and —
-// critically for the determinism contract — still a pure per-element
-// function, so any accumulation built on it is bit-reproducible. Ranking,
-// calibration and the scalar trainer path keep the exact functions; the
-// batched trainer's digests are defined over the Fast* values.
+// ulp, but KvsAll training needs |E|·2 transcendentals per context. The Fast*
+// family below is the float32 polynomial substitute KvsAll's BCE step runs
+// (BCEFusedGrad): ~1e-7 relative error (a handful of float32 ulps),
+// severalfold faster, and — critically for the determinism contract — still
+// a pure per-element function, so any accumulation built on it is
+// bit-reproducible. The Logistic loss of negative sampling (internal/train)
+// keeps the exact functions, and Platt calibration (internal/eval) its own
+// float64 sigmoid; KvsAll's digests are defined over the Fast* values.
 //
 // The vector kernel (BCEFusedGrad, through sigmoidSoftplusVec) interleaves
 // four lanes through the polynomial so the serial Horner dependency chains of
@@ -314,18 +314,17 @@ const bceTile = 512
 // accumulates the BCE loss softplus(scores[o]) − y·scores[o] in float64, and
 // writes the upstream gradient (σ(scores[o]) − y)·gradScale into upstream[o].
 // positives must be sorted ascending and duplicate-free (KvsAll object lists
-// are); membership is a two-pointer merge, replacing the per-context hash
-// map the scalar loop allocated in training's hottest loop.
+// are); membership is a two-pointer merge, with no per-context hash map in
+// training's hottest loop.
 //
 // Determinism contract: the kernel is defined as per-element
 // FastSigmoid/FastSoftplus with the float64 loss sum in ascending index
 // order. The tiled, lane-interleaved, shared-exponential evaluation is pure
 // scheduling — bit-identical to that scalar composition for any tile size,
 // which the property test in loss_test.go pins to 0 ulps. It is *not*
-// bit-identical to the exact Sigmoid/Softplus path (the Fast* kernels differ
-// by ~1e−7 relative); the scalar trainer keeps the exact path and its
-// original digests, the batched trainer's digests are defined over this
-// kernel.
+// bit-identical to the exact Sigmoid/Softplus (the Fast* kernels differ by
+// ~1e−7 relative), which the Logistic loss of negative sampling keeps;
+// KvsAll training's digests are defined over this kernel.
 func BCEFusedGrad(upstream, scores []float32, positives []int32, posY, negY, gradScale float32) float64 {
 	if len(upstream) != len(scores) {
 		panic("vecmath: BCEFusedGrad length mismatch")

@@ -153,7 +153,8 @@ func TestBCEFusedGradZeroUlp(t *testing.T) {
 }
 
 // The fused kernel must track the exact float64 BCE path closely even though
-// it is not bit-identical to it (that path stays the scalar trainer's).
+// it is not bit-identical to it (the exact Sigmoid/Softplus stay the
+// Logistic loss's, in negative sampling).
 func TestBCEFusedGradVsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 5000
