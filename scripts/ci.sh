@@ -151,8 +151,10 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once eval.rankRow counted a row by SSE2 bucket keys and a histogram,
-# in place of its bucket index and the branches around it (the same 5 754
+# count once ranking returned ranks only, without each candidate's sweep
+# score, and the pooled score matrix lost its shrink policy (5 754 once
+# eval.rankRow counted a row by SSE2 bucket keys and a histogram, in place of
+# its bucket index and the branches around it, and the same 5 754
 # once checkpoint loaders checked the tables' shapes against the records
 # before allocating them, and HolE's import of internal/fft went; 5 726 once
 # kge.Model was sealed and the per-row fallbacks, run-time model checks and
@@ -165,7 +167,7 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5754 \
+hold_lines 'internal/{kge,eval,train,core}' 5709 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
 # two that put bytes on disk for them: the count once /discover refused
