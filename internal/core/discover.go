@@ -28,6 +28,9 @@ const (
 // Algorithm 1.
 const MaxIterations = 5
 
+// MaxCandidatesCeiling is the most candidates a server or fleet request may ask for.
+const MaxCandidatesCeiling = 1 << 20
+
 // Options parameterizes DiscoverFacts (Algorithm 1's inputs).
 type Options struct {
 	// TopN is the maximum rank (against object-side corruptions) a
@@ -385,13 +388,13 @@ func generateCandidates(g *kg.Graph, opts Options, r kg.RelationID,
 		return nil, 0
 	}
 
-	seen := make(map[kg.Triple]struct{}, opts.MaxCandidates)
+	seen := make(map[kg.Triple]struct{})
 	var candidates []kg.Triple
 	iters := 0
 	for len(candidates) < opts.MaxCandidates && iters < MaxIterations {
 		iters++
-		sIdx := sample.DistinctDraws(subSampler, rng, sampleSize, 0)
-		oIdx := sample.DistinctDraws(objSampler, rng, sampleSize, 0)
+		sIdx := sample.DistinctDraws(subSampler, rng, sampleSize)
+		oIdx := sample.DistinctDraws(objSampler, rng, sampleSize)
 		// Line 11: mesh grid of sampled subjects × objects.
 		for _, si := range sIdx {
 			s := subs[si]

@@ -97,9 +97,7 @@ func HideFacts(g *kg.Graph, fraction float64, seed int64) (visible, hidden *kg.G
 	visible = kg.NewGraphWithDicts(g.Entities, g.Relations)
 	hidden = kg.NewGraphWithDicts(g.Entities, g.Relations)
 	if fraction <= 0 {
-		for _, t := range g.Triples() {
-			visible.Add(t)
-		}
+		visible.AddAll(g.Triples())
 		return visible, hidden
 	}
 	if fraction > 0.9 {
@@ -113,17 +111,20 @@ func HideFacts(g *kg.Graph, fraction float64, seed int64) (visible, hidden *kg.G
 		degree[t.S]++
 		degree[t.O]++
 	}
+	var vis, hid []kg.Triple
 	for _, t := range g.Triples() {
 		h := tripleHash(t, seed)
 		// Keep a triple visible if hiding it would orphan an entity.
 		if h%(1<<32) < threshold && degree[t.S] > 1 && degree[t.O] > 1 {
-			hidden.Add(t)
+			hid = append(hid, t)
 			degree[t.S]--
 			degree[t.O]--
 		} else {
-			visible.Add(t)
+			vis = append(vis, t)
 		}
 	}
+	visible.AddAll(vis)
+	hidden.AddAll(hid)
 	return visible, hidden
 }
 

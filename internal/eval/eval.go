@@ -37,13 +37,9 @@ type Ranker struct {
 	prunePool sync.Pool
 }
 
-// NewRanker returns a Ranker over model. filter may be nil (raw protocol).
+// NewRanker returns a Ranker over model. filter may be nil (raw protocol);
+// concurrent ranking calls only query it.
 func NewRanker(model kge.Model, filter *kg.Graph) *Ranker {
-	if filter != nil {
-		// Force the filter's lazy (s, r) adjacency now so concurrent
-		// ranking calls only read it.
-		filter.BuildIndexes()
-	}
 	return &Ranker{model: model, filter: filter}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kge"
 )
 
@@ -76,6 +77,29 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
 		t.Fatalf("413 body %q is not a JSON error: %v", rec.Body.String(), err)
+	}
+}
+
+// TestSweepRequestCandidateCeiling: a sweep may ask for at most
+// core.MaxCandidatesCeiling candidates per relation, and /sweep refuses more
+// with a 400 before it opens anything.
+func TestSweepRequestCandidateCeiling(t *testing.T) {
+	req := SweepRequest{Data: "d", Model: "m", Strategy: "s", Options: SweepOptions{MaxCandidates: core.MaxCandidatesCeiling}}
+	if err := req.Validate(); err != nil {
+		t.Fatalf("max_candidates at the ceiling refused: %v", err)
+	}
+	req.Options.MaxCandidates++
+	if err := req.Validate(); err == nil {
+		t.Fatal("max_candidates above the ceiling accepted")
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	New(Config{}).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/sweep", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("/sweep status %d, want 400", rec.Code)
 	}
 }
 

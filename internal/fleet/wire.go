@@ -80,7 +80,8 @@ type SweepRequest struct {
 	UnitRelations int `json:"unit_relations,omitempty"`
 }
 
-// Validate rejects a request that cannot identify a sweep.
+// Validate rejects a request that cannot identify a sweep or that asks for
+// more than core.MaxCandidatesCeiling candidates per relation.
 func (r SweepRequest) Validate() error {
 	if r.Data == "" || r.Model == "" {
 		return errors.New("fleet: sweep request requires data and model paths")
@@ -91,8 +92,9 @@ func (r SweepRequest) Validate() error {
 	if r.Resume && r.Checkpoint == "" {
 		return errors.New("fleet: resume requires a checkpoint path")
 	}
-	if r.UnitRelations < 0 {
-		return fmt.Errorf("fleet: unit_relations must be >= 0, got %d", r.UnitRelations)
+	if r.UnitRelations < 0 || r.Options.MaxCandidates > core.MaxCandidatesCeiling {
+		return fmt.Errorf("fleet: unit_relations must be >= 0 and max_candidates at most %d, got %d/%d",
+			core.MaxCandidatesCeiling, r.UnitRelations, r.Options.MaxCandidates)
 	}
 	return nil
 }

@@ -429,9 +429,6 @@ func (r *Runner) SquaresExclusion(ctx context.Context, w io.Writer, outDir strin
 		return nil, fmt.Errorf("harness: fb15k237-sim has no relations")
 	}
 	probe := relations[0]
-	// Warm the graph's lazily built per-relation side tables so the first
-	// strategy measured does not absorb that shared one-time cost.
-	ds.Train.SideEntities(probe, kg.SubjectSide)
 	var records []SquaresRecord
 	var rows [][]string
 	for _, name := range core.StrategyNames() {

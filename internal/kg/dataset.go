@@ -3,6 +3,7 @@ package kg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Dataset bundles the train/validation/test splits of one benchmark. All
@@ -91,37 +92,32 @@ func Split(name string, g *Graph, opts SplitOptions) (*Dataset, error) {
 	validTriples := triples[nTrain : nTrain+nValid]
 	testTriples := triples[nTrain+nValid:]
 
-	for _, t := range trainTriples {
-		d.Train.Add(t)
-	}
-
+	var moved []Triple // valid and test triples sent back to train
 	if opts.NoUnseen {
 		seenE := make(map[EntityID]bool)
 		seenR := make(map[RelationID]bool)
 		for _, t := range trainTriples {
 			seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
 		}
-		place := func(dst *Graph, ts []Triple) {
+		place := func(ts []Triple) []Triple {
+			kept := ts[:0]
 			for _, t := range ts {
 				if seenE[t.S] && seenE[t.O] && seenR[t.R] {
-					dst.Add(t)
+					kept = append(kept, t)
 				} else {
 					// Move back to train and mark its vocabulary as seen so
 					// later triples referencing it can stay in their split.
-					d.Train.Add(t)
+					moved = append(moved, t)
 					seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
 				}
 			}
+			return kept
 		}
-		place(d.Valid, validTriples)
-		place(d.Test, testTriples)
-	} else {
-		for _, t := range validTriples {
-			d.Valid.Add(t)
-		}
-		for _, t := range testTriples {
-			d.Test.Add(t)
-		}
+		validTriples = place(validTriples)
+		testTriples = place(testTriples)
 	}
+	d.Train.AddAll(slices.Concat(trainTriples, moved))
+	d.Valid.AddAll(validTriples)
+	d.Test.AddAll(testTriples)
 	return d, nil
 }

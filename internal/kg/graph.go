@@ -1,59 +1,49 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Graph is an indexed, in-memory triple store. It maintains, besides the
-// triple list itself:
-//
-//   - O(1) membership testing (needed to filter "seen" triples during both
-//     fact discovery and filtered ranking),
-//   - a by-relation index (the discovery algorithm iterates per relation),
-//   - per-relation unique subject/object lists with occurrence counts (the
-//     inputs to the UNIFORM RANDOM and ENTITY FREQUENCY strategies),
-//   - global per-entity subject/object/total occurrence counts.
-//
-// A Graph is cheap to query concurrently once built; mutation (Add, Delete)
-// is not safe for concurrent use.
+// Graph is an in-memory triple store: the triples in insertion order, global
+// per-entity subject/object counts, and per relation one sorted index that
+// answers membership, the relation's triples, its unique subjects and objects
+// with their counts (Algorithm 1 line 7's pools) and the objects of each
+// (subject, relation) pair (filtered ranking). The index is built eagerly and
+// kept exact by every mutation, so queries only read and are safe for
+// concurrent use; mutation (Add, AddAll, Delete) is not.
 type Graph struct {
 	Entities  *Dict
 	Relations *Dict
 
 	triples []Triple
-	set     map[Triple]tripleLoc
-
-	byRelation map[RelationID][]Triple
+	rels    []relIndex // by RelationID, up to the highest relation ever added
 
 	subjectCount []int64 // per entity: appearances as subject
 	objectCount  []int64 // per entity: appearances as object
-
-	dirty bool // per-relation side tables need rebuilding
-
-	relSubjects map[RelationID][]EntityID // unique subjects per relation, sorted
-	relObjects  map[RelationID][]EntityID // unique objects per relation, sorted
-
-	relSubjectCount map[RelationID]map[EntityID]int64
-	relObjectCount  map[RelationID]map[EntityID]int64
-
-	srObjects map[srKey][]EntityID // objects adjacent to each (subject, relation) pair, sorted
 }
 
-// srKey indexes the (subject, relation) adjacency used by grouped filtered
-// ranking: all true objects of one (s, r) pair in a single lookup instead of
-// |E| Contains probes.
-type srKey struct {
-	s EntityID
-	r RelationID
+// relIndex is one relation's index. Its (subject, object) pairs form a CSR:
+// subs are the unique subjects in ascending order, and row i's objects are
+// objs[off[i]:off[i+1]], ascending. loc[j] is where the triple of objs[j]
+// sits in Graph.triples and in triples, so Delete can swap-remove it.
+type relIndex struct {
+	triples []Triple // insertion order, swap-removed by Delete
+
+	subs []EntityID
+	off  []int32 // len(subs)+1 row offsets
+	objs []EntityID
+	loc  []tripleLoc
+
+	objIDs   []EntityID // unique objects, ascending
+	objCount []int32    // triples per objIDs entry
 }
 
-// tripleLoc records where a triple lives inside the two positional slices so
-// Delete can swap-remove it in O(1). Discovery never depends on slice order
-// (candidate pools are sorted, membership is a set), so swap-remove is safe.
+// tripleLoc is where a triple sits in the two positional slices.
 type tripleLoc struct {
-	pos    int // index in triples
-	relPos int // index in byRelation[R]
+	pos    int32 // index in Graph.triples
+	relPos int32 // index in relIndex.triples
 }
 
 // NewGraph returns an empty graph with fresh entity and relation dictionaries.
@@ -64,156 +54,218 @@ func NewGraph() *Graph {
 // NewGraphWithDicts returns an empty graph sharing the given dictionaries.
 // Splits of one dataset share dictionaries so IDs agree across splits.
 func NewGraphWithDicts(entities, relations *Dict) *Graph {
-	return &Graph{
-		Entities:   entities,
-		Relations:  relations,
-		set:        make(map[Triple]tripleLoc),
-		byRelation: make(map[RelationID][]Triple),
+	return &Graph{Entities: entities, Relations: relations}
+}
+
+// index returns r's index, growing the table to hold it.
+func (g *Graph) index(r RelationID) *relIndex {
+	for int(r) >= len(g.rels) {
+		g.rels = append(g.rels, relIndex{off: []int32{0}})
 	}
+	return &g.rels[r]
+}
+
+// lookup returns r's index, the empty one if no triple ever had relation r.
+func (g *Graph) lookup(r RelationID) *relIndex {
+	if r < 0 || int(r) >= len(g.rels) {
+		return &noIndex
+	}
+	return &g.rels[r]
+}
+
+var noIndex = relIndex{off: []int32{0}} // read only
+
+// row returns the row of subject s: its position in subs (or where it would
+// go) and its objects.
+func (x *relIndex) row(s EntityID) (i int, objs []EntityID, ok bool) {
+	i, ok = slices.BinarySearch(x.subs, s)
+	if !ok {
+		return i, nil, false
+	}
+	return i, x.objs[x.off[i]:x.off[i+1]:x.off[i+1]], true
+}
+
+// find returns the row of s and the entry of (s, o) in objs, or where they
+// would go.
+func (x *relIndex) find(s, o EntityID) (i, j int, ok bool) {
+	i, row, ok := x.row(s)
+	k, ok := slices.BinarySearch(row, o)
+	return i, int(x.off[i]) + k, ok
 }
 
 // Add inserts t if not already present and reports whether it was inserted.
+// It costs a shift of t's relation's index; build graphs with AddAll.
 func (g *Graph) Add(t Triple) bool {
-	if _, ok := g.set[t]; ok {
+	x := g.index(t.R)
+	i, j, ok := x.find(t.S, t.O)
+	if ok {
 		return false
 	}
-	g.set[t] = tripleLoc{pos: len(g.triples), relPos: len(g.byRelation[t.R])}
-	g.triples = append(g.triples, t)
-	g.byRelation[t.R] = append(g.byRelation[t.R], t)
-	g.bump(&g.subjectCount, t.S)
-	g.bump(&g.objectCount, t.O)
-	if g.tablesLive() {
-		g.sideAdd(t)
-	} else {
-		g.dirty = true
+	if i == len(x.subs) || x.subs[i] != t.S {
+		x.subs = slices.Insert(x.subs, i, t.S)
+		x.off = slices.Insert(x.off, i, x.off[i])
 	}
+	for k := i + 1; k < len(x.off); k++ {
+		x.off[k]++
+	}
+	x.objs = slices.Insert(x.objs, j, t.O)
+	x.loc = slices.Insert(x.loc, j, g.place(x, t))
+	k, ok := slices.BinarySearch(x.objIDs, t.O)
+	if !ok {
+		x.objIDs = slices.Insert(x.objIDs, k, t.O)
+		x.objCount = slices.Insert(x.objCount, k, 0)
+	}
+	x.objCount[k]++
 	return true
 }
 
-// Delete removes t if present and reports whether it was removed. Side tables
-// that are already built are maintained incrementally; otherwise the next
-// query triggers the usual lazy rebuild.
+// place appends t to the triple lists and the entity counts and returns
+// where it went.
+func (g *Graph) place(x *relIndex, t Triple) tripleLoc {
+	loc := tripleLoc{pos: int32(len(g.triples)), relPos: int32(len(x.triples))}
+	g.triples = append(g.triples, t)
+	x.triples = append(x.triples, t)
+	g.bump(&g.subjectCount, t.S)
+	g.bump(&g.objectCount, t.O)
+	return loc
+}
+
+// AddAll adds the triples of ts that are not yet present, exactly as a loop
+// of Add would: in ts's order, keeping the first of any repeats. It reports
+// how many it added. Each relation's index takes its sorted delta in one
+// merge, so a bulk load costs a sort, not one index shift per triple.
+func (g *Graph) AddAll(ts []Triple) int {
+	fresh := make([]numbered, len(ts))
+	for i, t := range ts {
+		fresh[i] = numbered{uint64(t.R)<<32 | uint64(t.S), uint64(t.O)<<32 | uint64(i)}
+	}
+	slices.SortFunc(fresh, func(a, b numbered) int {
+		if a.rs != b.rs {
+			return cmp.Compare(a.rs, b.rs)
+		}
+		return cmp.Compare(a.oi, b.oi)
+	})
+	fresh = slices.CompactFunc(fresh, func(a, b numbered) bool { return a.triple() == b.triple() })
+	fresh = slices.DeleteFunc(fresh, func(e numbered) bool { return g.Contains(e.triple()) })
+	entry := make([]int32, len(ts)) // 1 + the index entry of each new triple's first copy
+	for rest := fresh; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].rs>>32 == rest[0].rs>>32 {
+			n++
+		}
+		g.index(rest[0].triple().R).merge(rest[:n], entry)
+		rest = rest[n:]
+	}
+	g.triples = slices.Grow(g.triples, len(fresh))
+	for i, t := range ts {
+		if j := entry[i] - 1; j >= 0 {
+			x := &g.rels[t.R]
+			x.loc[j] = g.place(x, t)
+		}
+	}
+	return len(fresh)
+}
+
+// numbered is a triple and its position i in AddAll's argument, packed as
+// R<<32|S and O<<32|i: the words compare as (R, S, O, i), IDs being at least 0.
+type numbered struct{ rs, oi uint64 }
+
+func (e numbered) triple() Triple {
+	return Triple{S: EntityID(uint32(e.rs)), R: RelationID(e.rs >> 32), O: EntityID(e.oi >> 32)}
+}
+
+// merge folds delta, triples new to the relation in (S, O) order, into the
+// index in one pass, and records 1 + the entry each takes in entry.
+func (x *relIndex) merge(delta []numbered, entry []int32) {
+	added := make([]EntityID, len(delta))
+	for k, e := range delta {
+		added[k] = e.triple().O
+	}
+	var subs []EntityID
+	var off []int32
+	objs, loc := make([]EntityID, 0, len(x.objs)+len(delta)), make([]tripleLoc, 0, len(x.objs)+len(delta))
+	put := func(s, o EntityID, l tripleLoc) {
+		if len(subs) == 0 || subs[len(subs)-1] != s {
+			subs, off = append(subs, s), append(off, int32(len(objs)))
+		}
+		objs, loc = append(objs, o), append(loc, l)
+	}
+	putNew := func(e numbered) {
+		entry[uint32(e.oi)] = int32(len(objs)) + 1
+		put(e.triple().S, e.triple().O, tripleLoc{})
+	}
+	row := 0
+	for j, o := range x.objs {
+		for int(x.off[row+1]) <= j {
+			row++
+		}
+		for ; len(delta) > 0 && delta[0].rs<<32|delta[0].oi>>32 < uint64(x.subs[row])<<32|uint64(o); delta = delta[1:] {
+			putNew(delta[0])
+		}
+		put(x.subs[row], o, x.loc[j])
+	}
+	for _, e := range delta {
+		putNew(e)
+	}
+	x.subs, x.off, x.objs, x.loc = slices.Clone(subs), slices.Clone(append(off, int32(len(objs)))), objs, loc
+
+	slices.Sort(added)
+	var ids []EntityID
+	var counts []int32
+	k := 0
+	for _, o := range added {
+		for ; k < len(x.objIDs) && x.objIDs[k] <= o; k++ {
+			ids, counts = append(ids, x.objIDs[k]), append(counts, x.objCount[k])
+		}
+		if len(ids) > 0 && ids[len(ids)-1] == o {
+			counts[len(counts)-1]++
+		} else {
+			ids, counts = append(ids, o), append(counts, 1)
+		}
+	}
+	x.objIDs = slices.Clone(append(ids, x.objIDs[k:]...))
+	x.objCount = slices.Clone(append(counts, x.objCount[k:]...))
+}
+
+// Delete removes t if present and reports whether it was removed. The last
+// triple of each positional list takes t's place there.
 func (g *Graph) Delete(t Triple) bool {
-	loc, ok := g.set[t]
+	x := g.lookup(t.R)
+	i, j, ok := x.find(t.S, t.O)
 	if !ok {
 		return false
 	}
-	delete(g.set, t)
-	if last := len(g.triples) - 1; loc.pos != last {
-		moved := g.triples[last]
-		g.triples[loc.pos] = moved
-		ml := g.set[moved]
-		ml.pos = loc.pos
-		g.set[moved] = ml
-		g.triples = g.triples[:last]
-	} else {
-		g.triples = g.triples[:last]
+	loc := x.loc[j]
+	moved := g.triples[len(g.triples)-1]
+	g.triples[loc.pos], g.locOf(moved).pos = moved, loc.pos
+	g.triples = g.triples[:len(g.triples)-1]
+	moved = x.triples[len(x.triples)-1]
+	x.triples[loc.relPos], g.locOf(moved).relPos = moved, loc.relPos
+	x.triples = x.triples[:len(x.triples)-1]
+	x.objs = slices.Delete(x.objs, j, j+1)
+	x.loc = slices.Delete(x.loc, j, j+1)
+	for k := i + 1; k < len(x.off); k++ {
+		x.off[k]--
 	}
-	rel := g.byRelation[t.R]
-	if last := len(rel) - 1; loc.relPos != last {
-		moved := rel[last]
-		rel[loc.relPos] = moved
-		ml := g.set[moved]
-		ml.relPos = loc.relPos
-		g.set[moved] = ml
-		rel = rel[:last]
-	} else {
-		rel = rel[:last]
+	if x.off[i] == x.off[i+1] {
+		x.subs = slices.Delete(x.subs, i, i+1)
+		x.off = slices.Delete(x.off, i, i+1)
 	}
-	if len(rel) == 0 {
-		delete(g.byRelation, t.R)
-	} else {
-		g.byRelation[t.R] = rel
+	k, _ := slices.BinarySearch(x.objIDs, t.O)
+	if x.objCount[k]--; x.objCount[k] == 0 {
+		x.objIDs = slices.Delete(x.objIDs, k, k+1)
+		x.objCount = slices.Delete(x.objCount, k, k+1)
 	}
 	g.subjectCount[t.S]--
 	g.objectCount[t.O]--
-	if g.tablesLive() {
-		g.sideDelete(t)
-	} else {
-		g.dirty = true
-	}
 	return true
 }
 
-// tablesLive reports whether the per-relation side tables are built and in
-// sync with the triple set, so mutations can maintain them incrementally
-// instead of marking the graph dirty for a full lazy rebuild.
-func (g *Graph) tablesLive() bool {
-	return g.relSubjects != nil && !g.dirty
-}
-
-// sideAdd folds one inserted triple into the live side tables, keeping them
-// exactly equal to what rebuildSideTables would produce from scratch.
-func (g *Graph) sideAdd(t Triple) {
-	sc := g.relSubjectCount[t.R]
-	if sc == nil {
-		sc = make(map[EntityID]int64)
-		g.relSubjectCount[t.R] = sc
-	}
-	sc[t.S]++
-	if sc[t.S] == 1 {
-		g.relSubjects[t.R] = insertSorted(g.relSubjects[t.R], t.S)
-	}
-	oc := g.relObjectCount[t.R]
-	if oc == nil {
-		oc = make(map[EntityID]int64)
-		g.relObjectCount[t.R] = oc
-	}
-	oc[t.O]++
-	if oc[t.O] == 1 {
-		g.relObjects[t.R] = insertSorted(g.relObjects[t.R], t.O)
-	}
-	k := srKey{t.S, t.R}
-	g.srObjects[k] = insertSorted(g.srObjects[k], t.O)
-}
-
-// sideDelete removes one deleted triple from the live side tables, deleting
-// map entries that become empty so the result matches a from-scratch rebuild.
-func (g *Graph) sideDelete(t Triple) {
-	sc := g.relSubjectCount[t.R]
-	sc[t.S]--
-	if sc[t.S] == 0 {
-		delete(sc, t.S)
-		g.relSubjects[t.R] = removeSorted(g.relSubjects[t.R], t.S)
-	}
-	if len(sc) == 0 {
-		delete(g.relSubjectCount, t.R)
-		delete(g.relSubjects, t.R)
-	}
-	oc := g.relObjectCount[t.R]
-	oc[t.O]--
-	if oc[t.O] == 0 {
-		delete(oc, t.O)
-		g.relObjects[t.R] = removeSorted(g.relObjects[t.R], t.O)
-	}
-	if len(oc) == 0 {
-		delete(g.relObjectCount, t.R)
-		delete(g.relObjects, t.R)
-	}
-	k := srKey{t.S, t.R}
-	if os := removeSorted(g.srObjects[k], t.O); len(os) == 0 {
-		delete(g.srObjects, k)
-	} else {
-		g.srObjects[k] = os
-	}
-}
-
-// insertSorted inserts e into the ascending slice s, keeping it sorted.
-func insertSorted(s []EntityID, e EntityID) []EntityID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
-}
-
-// removeSorted removes one occurrence of e from the ascending slice s.
-func removeSorted(s []EntityID, e EntityID) []EntityID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	if i >= len(s) || s[i] != e {
-		return s
-	}
-	return append(s[:i], s[i+1:]...)
+// locOf returns the location record of t, which must be present.
+func (g *Graph) locOf(t Triple) *tripleLoc {
+	x := &g.rels[t.R]
+	_, j, _ := x.find(t.S, t.O)
+	return &x.loc[j]
 }
 
 func (g *Graph) bump(counts *[]int64, e EntityID) {
@@ -225,18 +277,23 @@ func (g *Graph) bump(counts *[]int64, e EntityID) {
 
 // AddNamed interns the names and inserts the resulting triple, returning it.
 func (g *Graph) AddNamed(s, r, o string) Triple {
-	t := Triple{
-		S: EntityID(g.Entities.Intern(s)),
-		R: RelationID(g.Relations.Intern(r)),
-		O: EntityID(g.Entities.Intern(o)),
-	}
+	t := g.named(s, r, o)
 	g.Add(t)
 	return t
 }
 
+// named interns the names and returns their triple.
+func (g *Graph) named(s, r, o string) Triple {
+	return Triple{
+		S: EntityID(g.Entities.Intern(s)),
+		R: RelationID(g.Relations.Intern(r)),
+		O: EntityID(g.Entities.Intern(o)),
+	}
+}
+
 // Contains reports whether t is a fact of the graph.
 func (g *Graph) Contains(t Triple) bool {
-	_, ok := g.set[t]
+	_, _, ok := g.lookup(t.R).find(t.S, t.O)
 	return ok
 }
 
@@ -255,17 +312,18 @@ func (g *Graph) Triples() []Triple { return g.triples }
 
 // RelationTriples returns all triples with relation r. The caller must not
 // modify the returned slice.
-func (g *Graph) RelationTriples(r RelationID) []Triple { return g.byRelation[r] }
+func (g *Graph) RelationTriples(r RelationID) []Triple { return g.lookup(r).triples }
 
 // RelationIDs returns the IDs of all relations that occur in at least one
 // triple, in ascending order. Note this may be a subset of the dictionary if
 // the dictionary is shared with other splits.
 func (g *Graph) RelationIDs() []RelationID {
-	out := make([]RelationID, 0, len(g.byRelation))
-	for r := range g.byRelation {
-		out = append(out, r)
+	out := make([]RelationID, 0, len(g.rels))
+	for r := range g.rels {
+		if len(g.rels[r].triples) > 0 {
+			out = append(out, RelationID(r))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -292,78 +350,33 @@ func (g *Graph) Degree(e EntityID) int64 {
 	return g.SubjectCount(e) + g.ObjectCount(e)
 }
 
-func (g *Graph) rebuildSideTables() {
-	if !g.dirty && g.relSubjects != nil {
-		return
-	}
-	g.relSubjects = make(map[RelationID][]EntityID, len(g.byRelation))
-	g.relObjects = make(map[RelationID][]EntityID, len(g.byRelation))
-	g.relSubjectCount = make(map[RelationID]map[EntityID]int64, len(g.byRelation))
-	g.relObjectCount = make(map[RelationID]map[EntityID]int64, len(g.byRelation))
-	g.srObjects = make(map[srKey][]EntityID, len(g.triples))
-	for r, ts := range g.byRelation {
-		sc := make(map[EntityID]int64)
-		oc := make(map[EntityID]int64)
-		for _, t := range ts {
-			sc[t.S]++
-			oc[t.O]++
-			k := srKey{t.S, t.R}
-			g.srObjects[k] = append(g.srObjects[k], t.O)
-		}
-		g.relSubjectCount[r] = sc
-		g.relObjectCount[r] = oc
-		g.relSubjects[r] = sortedKeys(sc)
-		g.relObjects[r] = sortedKeys(oc)
-	}
-	for _, os := range g.srObjects {
-		sort.Slice(os, func(i, j int) bool { return os[i] < os[j] })
-	}
-	g.dirty = false
-}
-
 // ObjectsOf returns the objects o with (s, r, o) ∈ g, in ascending ID order.
-// The caller must not modify the returned slice. The first call after a
-// mutation rebuilds the side tables; call BuildIndexes before sharing the
-// graph across goroutines.
+// The caller must not modify the returned slice.
 func (g *Graph) ObjectsOf(s EntityID, r RelationID) []EntityID {
-	g.rebuildSideTables()
-	return g.srObjects[srKey{s, r}]
-}
-
-// BuildIndexes forces the lazy side tables (per-relation entity lists and
-// the (s, r) adjacency) to be built now. Queries on an unmutated graph are
-// then safe for concurrent use; without this, the first concurrent lazy
-// rebuild would race.
-func (g *Graph) BuildIndexes() {
-	g.rebuildSideTables()
-}
-
-func sortedKeys(m map[EntityID]int64) []EntityID {
-	out := make([]EntityID, 0, len(m))
-	for e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	_, objs, _ := g.lookup(r).row(s)
+	return objs
 }
 
 // SideEntities returns the unique entities appearing on the given side of
 // relation r, in ascending ID order. The caller must not modify the slice.
 func (g *Graph) SideEntities(r RelationID, side Side) []EntityID {
-	g.rebuildSideTables()
 	if side == SubjectSide {
-		return g.relSubjects[r]
+		return g.lookup(r).subs
 	}
-	return g.relObjects[r]
+	return g.lookup(r).objIDs
 }
 
 // SideCount returns how many triples of relation r have e on the given side.
 func (g *Graph) SideCount(r RelationID, side Side, e EntityID) int64 {
-	g.rebuildSideTables()
+	x := g.lookup(r)
 	if side == SubjectSide {
-		return g.relSubjectCount[r][e]
+		_, objs, _ := x.row(e)
+		return int64(len(objs))
 	}
-	return g.relObjectCount[r][e]
+	if k, ok := slices.BinarySearch(x.objIDs, e); ok {
+		return int64(x.objCount[k])
+	}
+	return 0
 }
 
 // FormatTriple renders t with entity and relation names.
@@ -374,13 +387,7 @@ func (g *Graph) FormatTriple(t Triple) string {
 
 // Clone returns a deep copy of the graph sharing no mutable state with g
 // except the (append-only) dictionaries.
-func (g *Graph) Clone() *Graph {
-	c := NewGraphWithDicts(g.Entities, g.Relations)
-	for _, t := range g.triples {
-		c.Add(t)
-	}
-	return c
-}
+func (g *Graph) Clone() *Graph { return Merge(g) }
 
 // Merge adds all triples of other (which must share dictionaries) into a new
 // graph containing the union. It is used to build the "seen" filter set for
@@ -391,9 +398,7 @@ func Merge(graphs ...*Graph) *Graph {
 	}
 	out := NewGraphWithDicts(graphs[0].Entities, graphs[0].Relations)
 	for _, g := range graphs {
-		for _, t := range g.Triples() {
-			out.Add(t)
-		}
+		out.AddAll(g.Triples())
 	}
 	return out
 }

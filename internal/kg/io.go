@@ -16,6 +16,8 @@ import (
 // and lines starting with '#' are skipped. It returns the number of triples
 // added (duplicates are counted as read but not added twice).
 func ReadTSV(g *Graph, r io.Reader) (added int, err error) {
+	var ts []Triple
+	defer func() { g.AddAll(ts) }()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	line := 0
@@ -29,7 +31,7 @@ func ReadTSV(g *Graph, r io.Reader) (added int, err error) {
 		if len(parts) != 3 {
 			return added, fmt.Errorf("kg: line %d: expected 3 tab-separated fields, got %d", line, len(parts))
 		}
-		g.AddNamed(parts[0], parts[1], parts[2])
+		ts = append(ts, g.named(parts[0], parts[1], parts[2]))
 		added++
 	}
 	return added, sc.Err()

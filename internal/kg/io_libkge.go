@@ -128,6 +128,8 @@ func readTripleIDFile(path string, g *Graph) error {
 }
 
 func readTripleIDs(r io.Reader, g *Graph, label string) error {
+	var ts []Triple
+	defer func() { g.AddAll(ts) }()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	nEnt := int32(g.Entities.Len())
@@ -157,7 +159,7 @@ func readTripleIDs(r io.Reader, g *Graph, label string) error {
 		if ids[1] < 0 || ids[1] >= int64(nRel) {
 			return fmt.Errorf("kg: %s:%d: relation id out of range [0,%d)", label, line, nRel)
 		}
-		g.Add(Triple{S: EntityID(ids[0]), R: RelationID(ids[1]), O: EntityID(ids[2])})
+		ts = append(ts, Triple{S: EntityID(ids[0]), R: RelationID(ids[1]), O: EntityID(ids[2])})
 	}
 	return sc.Err()
 }

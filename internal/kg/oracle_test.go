@@ -411,9 +411,10 @@ func checkAgainstOracle(t *testing.T, step string, g *kg.Graph, o *oracleGraph, 
 // driveAgainstOracle applies the same seeded sequence of mutations to g and
 // to an oracle built from g's triples, comparing every query after each
 // step. A step is a run of adds (fresh, duplicate and self-loop triples),
-// deletes of present and absent triples, or AddNamed with new and known
-// names; every few steps both sides are replaced by a Clone or by a Merge
-// with a random graph.
+// deletes of present and absent triples, AddNamed with new and known names,
+// or one AddAll of a batch that repeats itself and the graph, against the
+// oracle's loop of Add; every few steps both sides are replaced by a Clone
+// or by a Merge with a random graph.
 func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed int64, every bool) {
 	rng := rand.New(rand.NewSource(seed))
 	o := newOracle(g.Entities, g.Relations)
@@ -430,7 +431,7 @@ func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed i
 	}
 	for step := 0; step < steps; step++ {
 		var name string
-		switch kind := rng.Intn(8); {
+		switch kind := rng.Intn(9); {
 		case kind < 3:
 			name = "add"
 			for i := 0; i < opsPerStep; i++ {
@@ -468,6 +469,32 @@ func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed i
 				if got, want := g.AddNamed(s, r, obj), o.AddNamed(s, r, obj); got != want {
 					t.Fatalf("step %d: AddNamed(%s, %s, %s) = %v, oracle %v", step, s, r, obj, got, want)
 				}
+			}
+		case kind == 7:
+			name = "addall"
+			var batch []kg.Triple
+			for i := 0; i < opsPerStep; i++ {
+				tr := randTriple()
+				switch rng.Intn(4) {
+				case 0:
+					if o.Len() > 0 {
+						tr = o.Triples()[rng.Intn(o.Len())]
+					}
+				case 1:
+					if len(batch) > 0 {
+						tr = batch[rng.Intn(len(batch))]
+					}
+				}
+				batch = append(batch, tr)
+			}
+			want := 0
+			for _, tr := range batch {
+				if o.Add(tr) {
+					want++
+				}
+			}
+			if got := g.AddAll(batch); got != want {
+				t.Fatalf("step %d: AddAll added %d, oracle %d", step, got, want)
 			}
 		default:
 			if rng.Intn(2) == 0 {

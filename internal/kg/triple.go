@@ -9,8 +9,9 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // EntityID identifies an entity within a Dict. IDs are dense, starting at 0,
@@ -74,14 +75,7 @@ func (s Side) String() string {
 // SortTriples orders triples lexicographically by (S, R, O). It is used to
 // produce deterministic output files and canonical test fixtures.
 func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.O < b.O
+	slices.SortFunc(ts, func(a, b Triple) int {
+		return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.R, b.R), cmp.Compare(a.O, b.O))
 	})
 }

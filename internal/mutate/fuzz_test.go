@@ -18,7 +18,6 @@ func fuzzGraph() *kg.Graph {
 	g.AddNamed("e1", "r0", "e2")
 	g.AddNamed("e2", "r1", "e3")
 	g.AddNamed("e3", "r1", "e0")
-	g.BuildIndexes()
 	return g
 }
 

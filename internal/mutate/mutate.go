@@ -5,8 +5,7 @@
 // not approximately — into every derived artifact that discovery and ranking
 // read:
 //
-//   - the kg.Graph triple set, by-relation index and per-relation side
-//     tables (via Graph.Add/Graph.Delete incremental maintenance),
+//   - the kg.Graph triples and their index (kept exact by Add and Delete),
 //   - the undirected projection's neighbour lists, and with each mutation
 //     the nodes whose degree/triangle/clustering statistics it may move
 //     (via graphstats.Live local delta updates),
@@ -107,7 +106,6 @@ type State struct {
 // NewState wraps a dataset's mutable train graph. filter (train∪valid∪test)
 // may be nil; frozen (valid∪test) may be nil when filter is.
 func NewState(train, filter, frozen *kg.Graph) *State {
-	train.BuildIndexes()
 	return &State{
 		Graph:  train,
 		Filter: filter,

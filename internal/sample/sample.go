@@ -139,21 +139,19 @@ func (c *CDF) Draw(rng *rand.Rand) int {
 func (c *CDF) Len() int { return len(c.cum) }
 
 // DistinctDraws draws from w until it has collected k distinct indices or has
-// made maxAttempts draws, whichever comes first, and returns the distinct
-// indices in draw order. This mirrors AmpliGraph's sampling step, where
-// duplicate draws collapse in the subsequent mesh-grid construction. If
-// k >= w.Len() the result is capped at w.Len() distinct values (given enough
-// attempts). maxAttempts <= 0 means 50·k attempts.
-func DistinctDraws(w Weighted, rng *rand.Rand, k, maxAttempts int) []int {
+// made 50·k draws, whichever comes first, and returns the distinct indices in
+// draw order. This mirrors AmpliGraph's sampling step, where duplicate draws
+// collapse in the subsequent mesh-grid construction. If k >= w.Len() the
+// result is capped at w.Len() distinct values (given enough draws), so that,
+// not k, sizes it.
+func DistinctDraws(w Weighted, rng *rand.Rand, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	if maxAttempts <= 0 {
-		maxAttempts = 50 * k
-	}
-	seen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for attempt := 0; attempt < maxAttempts && len(out) < k; attempt++ {
+	n := min(k, w.Len())
+	seen := make(map[int]struct{}, n)
+	out := make([]int, 0, n)
+	for attempt := 0; attempt < 50*k && len(out) < k; attempt++ {
 		i := w.Draw(rng)
 		if _, dup := seen[i]; dup {
 			continue

@@ -150,7 +150,7 @@ func TestDistinctDrawsNoDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	got := DistinctDraws(a, rng, 5, 0)
+	got := DistinctDraws(a, rng, 5)
 	if len(got) != 5 {
 		t.Fatalf("got %d draws, want 5", len(got))
 	}
@@ -169,7 +169,7 @@ func TestDistinctDrawsCapsAtPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	got := DistinctDraws(a, rng, 10, 0)
+	got := DistinctDraws(a, rng, 10)
 	if len(got) != 3 {
 		t.Fatalf("got %d distinct draws from 3 categories, want 3", len(got))
 	}
@@ -177,23 +177,8 @@ func TestDistinctDrawsCapsAtPopulation(t *testing.T) {
 
 func TestDistinctDrawsZeroK(t *testing.T) {
 	a, _ := NewAlias([]float64{1})
-	if got := DistinctDraws(a, rand.New(rand.NewSource(1)), 0, 0); got != nil {
+	if got := DistinctDraws(a, rand.New(rand.NewSource(1)), 0); got != nil {
 		t.Errorf("k=0 returned %v", got)
-	}
-}
-
-func TestDistinctDrawsRespectsMaxAttempts(t *testing.T) {
-	// Weight mass concentrated on one index: with few attempts we likely
-	// can't collect many distinct values — but the call must terminate and
-	// return at most k values.
-	a, err := NewAlias([]float64{1000, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	got := DistinctDraws(a, rng, 4, 3)
-	if len(got) > 3 {
-		t.Fatalf("more distinct values (%d) than attempts (3)", len(got))
 	}
 }
 

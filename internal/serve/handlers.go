@@ -301,10 +301,10 @@ func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discove
 	if !s.decode(w, r, &req) {
 		return nil, false
 	}
-	if req.TopN < 0 || req.MaxCandidates < 0 || req.Limit < 0 {
+	if req.TopN < 0 || req.MaxCandidates < 0 || req.Limit < 0 || req.MaxCandidates > core.MaxCandidatesCeiling {
 		writeError(w, http.StatusBadRequest,
-			"top_n, max_candidates, and limit must be non-negative, got %d/%d/%d",
-			req.TopN, req.MaxCandidates, req.Limit)
+			"top_n, max_candidates, and limit must be non-negative and max_candidates at most %d, got %d/%d/%d",
+			core.MaxCandidatesCeiling, req.TopN, req.MaxCandidates, req.Limit)
 		return nil, false
 	}
 	if req.Strategy == "" {

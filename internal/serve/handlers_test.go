@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -375,5 +377,34 @@ func TestCacheDisabled(t *testing.T) {
 		if got := rec.Header().Get("X-Cache"); got != "miss" {
 			t.Errorf("request %d X-Cache %q, want miss with caching disabled", i, got)
 		}
+	}
+}
+
+// TestDiscoverCeilingBoundsAllocation: max_candidates sizes no allocation.
+// One /discover at the ceiling may allocate at most a small multiple of what
+// a default request allocates on the same graph; one above it is refused.
+func TestDiscoverCeilingBoundsAllocation(t *testing.T) {
+	h := newTestServer(t, nil).Handler()
+	allocated := func(body string) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec, out := doReq(t, h, "POST", "/discover", body)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: code %d (%v)", body, rec.Code, out)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := allocated(`{"strategy":"entity_frequency","seed":5}`)
+	ceiling := allocated(fmt.Sprintf(`{"strategy":"entity_frequency","seed":5,"max_candidates":%d}`, core.MaxCandidatesCeiling))
+	t.Logf("default request allocated %d B, one at the ceiling %d B", base, ceiling)
+	if ceiling > 8*base {
+		t.Errorf("max_candidates %d allocated %d B, more than 8x the default request's %d B",
+			core.MaxCandidatesCeiling, ceiling, base)
+	}
+	rec, _ := doReq(t, h, "POST", "/discover", fmt.Sprintf(`{"max_candidates":%d}`, core.MaxCandidatesCeiling+1))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("max_candidates above the ceiling: code %d, want 400", rec.Code)
 	}
 }

@@ -177,6 +177,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"unknown strategy", `{"strategy":"astrology"}`, http.StatusBadRequest},
 		{"unknown relation", `{"relations":["no_such_relation"]}`, http.StatusNotFound},
 		{"repeated relation", `{"relations":["r0","r1","r0"]}`, http.StatusBadRequest},
+		{"max_candidates above the ceiling", fmt.Sprintf(`{"max_candidates":%d}`, core.MaxCandidatesCeiling+1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rec, body := doReq(t, h, "POST", "/jobs", tc.body)

@@ -96,29 +96,33 @@ func GenerateGraph(cfg Config) (*kg.Graph, error) {
 	}
 
 	w := newWorld(cfg, rng)
+	d := &draft{seen: make([]map[uint64]bool, cfg.NumRelations), covered: make([]bool, cfg.NumEntities)}
+	for r := range d.seen {
+		d.seen[r] = make(map[uint64]bool)
+	}
 
 	// Phase 1 — coverage: connect every entity at least once, pairing each
 	// entity with a popular partner through a type-compatible relation.
 	order := rng.Perm(cfg.NumEntities)
 	for _, ei := range order {
-		if g.Len() >= cfg.NumTriples {
+		if len(d.triples) >= cfg.NumTriples {
 			break
 		}
 		e := kg.EntityID(ei)
-		if g.Degree(e) > 0 {
+		if d.covered[e] {
 			continue
 		}
-		w.addCoverageTriple(g, e, rng)
+		w.addCoverageTriple(d, e, rng)
 	}
 
 	// Phase 2 — bulk generation: mixture of type-guided popularity sampling
 	// and triadic closure, up to the triple budget.
 	maxAttempts := 40 * cfg.NumTriples
-	for attempt := 0; g.Len() < cfg.NumTriples && attempt < maxAttempts; attempt++ {
+	for attempt := 0; len(d.triples) < cfg.NumTriples && attempt < maxAttempts; attempt++ {
 		var t kg.Triple
 		var ok bool
 		if rng.Float64() < cfg.ClosureProb {
-			t, ok = w.closureTriple(g, rng)
+			t, ok = w.closureTriple(d.triples, rng)
 		}
 		if !ok {
 			t, ok = w.typedTriple(rng)
@@ -126,12 +130,34 @@ func GenerateGraph(cfg Config) (*kg.Graph, error) {
 		if !ok || t.S == t.O {
 			continue
 		}
-		g.Add(t)
+		d.add(t)
 	}
-	if g.Len() < cfg.NumTriples {
-		return nil, fmt.Errorf("synth: exhausted attempts at %d/%d triples (graph too constrained)", g.Len(), cfg.NumTriples)
+	if len(d.triples) < cfg.NumTriples {
+		return nil, fmt.Errorf("synth: exhausted attempts at %d/%d triples (graph too constrained)", len(d.triples), cfg.NumTriples)
 	}
+	g.AddAll(d.triples)
 	return g, nil
+}
+
+// draft is the graph while it is drawn: its triples in draw order, each
+// relation's (subject, object) pairs so far, and which entities some triple
+// covers. The kg.Graph is built from it in one AddAll.
+type draft struct {
+	triples []kg.Triple
+	seen    []map[uint64]bool // by relation, keyed S<<32 | O
+	covered []bool
+}
+
+// add appends t unless it was drawn before and reports whether it did.
+func (d *draft) add(t kg.Triple) bool {
+	key := uint64(t.S)<<32 | uint64(t.O)
+	if d.seen[t.R][key] {
+		return false
+	}
+	d.seen[t.R][key] = true
+	d.triples = append(d.triples, t)
+	d.covered[t.S], d.covered[t.O] = true, true
+	return true
 }
 
 // Generate builds the graph and splits it into a Dataset with the
@@ -265,11 +291,11 @@ func (w *world) typedTriple(rng *rand.Rand) (kg.Triple, bool) {
 
 // closureTriple picks a random wedge a–b–c in the growing graph and closes
 // it with a type-compatible relation, creating a triangle.
-func (w *world) closureTriple(g *kg.Graph, rng *rand.Rand) (kg.Triple, bool) {
-	if g.Len() == 0 {
+func (w *world) closureTriple(triples []kg.Triple, rng *rand.Rand) (kg.Triple, bool) {
+	if len(triples) == 0 {
 		return kg.Triple{}, false
 	}
-	base := g.Triples()[rng.Intn(g.Len())]
+	base := triples[rng.Intn(len(triples))]
 	mid := base.O
 	nbs := w.adj[mid]
 	if len(nbs) < 2 {
@@ -305,7 +331,7 @@ func (w *world) compatibleRelation(s, o kg.EntityID, rng *rand.Rand) (kg.Relatio
 
 // addCoverageTriple connects entity e to a popular partner via a relation
 // compatible with e's type, guaranteeing e occurs in the graph.
-func (w *world) addCoverageTriple(g *kg.Graph, e kg.EntityID, rng *rand.Rand) {
+func (w *world) addCoverageTriple(d *draft, e kg.EntityID, rng *rand.Rand) {
 	et := w.entType[e]
 	for attempt := 0; attempt < 64; attempt++ {
 		r := kg.RelationID(w.relSamp.Draw(rng))
@@ -323,7 +349,7 @@ func (w *world) addCoverageTriple(g *kg.Graph, e kg.EntityID, rng *rand.Rand) {
 		if t.S == t.O {
 			continue
 		}
-		if g.Add(t) {
+		if d.add(t) {
 			w.note(t)
 			return
 		}
@@ -336,7 +362,7 @@ func (w *world) addCoverageTriple(g *kg.Graph, e kg.EntityID, rng *rand.Rand) {
 		}
 		r := kg.RelationID(w.relSamp.Draw(rng))
 		t := kg.Triple{S: e, R: r, O: o}
-		if g.Add(t) {
+		if d.add(t) {
 			w.note(t)
 			return
 		}
