@@ -363,12 +363,14 @@ func (m *Manager) execute(j *Job) {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	defer cancel()
 
+	m.mu.Lock() // a reader that sees a final state also sees its counter
 	j.mu.Lock()
 	if j.wantStop {
 		j.state = StateCancelled
 		j.finished = m.cfg.Now()
+		m.counters.Cancelled++
 		j.mu.Unlock()
-		m.bumpCounter(StateCancelled)
+		m.mu.Unlock()
 		if j.spec.OnFinish != nil {
 			j.spec.OnFinish(StateCancelled)
 		}
@@ -378,6 +380,7 @@ func (m *Manager) execute(j *Job) {
 	j.started = m.cfg.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
+	m.mu.Unlock()
 
 	spec := j.spec
 	spec.OnProgress = func(p Progress) {
@@ -389,6 +392,7 @@ func (m *Manager) execute(j *Job) {
 	}
 	res, info, err := run(ctx, spec, m.discover)
 
+	m.mu.Lock()
 	j.mu.Lock()
 	j.cancel = nil
 	j.finished = m.cfg.Now()
@@ -398,33 +402,23 @@ func (m *Manager) execute(j *Job) {
 	switch {
 	case err == nil:
 		final = StateDone
+		m.counters.Completed++
 		j.result = res
 		j.done = info.TotalRelations
 		j.facts = len(res.Facts)
 	case j.wantStop || errors.Is(err, context.Canceled):
 		final = StateCancelled
+		m.counters.Cancelled++
 		j.err = context.Canceled
 	default:
 		final = StateFailed
+		m.counters.Failed++
 		j.err = err
 	}
 	j.state = final
 	j.mu.Unlock()
-	m.bumpCounter(final)
+	m.mu.Unlock()
 	if j.spec.OnFinish != nil {
 		j.spec.OnFinish(final)
 	}
-}
-
-func (m *Manager) bumpCounter(s State) {
-	m.mu.Lock()
-	switch s {
-	case StateDone:
-		m.counters.Completed++
-	case StateFailed:
-		m.counters.Failed++
-	case StateCancelled:
-		m.counters.Cancelled++
-	}
-	m.mu.Unlock()
 }

@@ -133,7 +133,7 @@ type Server struct {
 
 	// kgMu guards the mutable graph state: the train split, the shared
 	// filter union `all`, and the mutation state. Every request path that
-	// reads graph structure (membership, side tables, discovery sweeps,
+	// reads graph structure (membership, the graph index, discovery sweeps,
 	// filtered ranking) holds it for read; POST /mutate holds it for write,
 	// so a batch applies atomically with respect to every reader.
 	kgMu sync.RWMutex
@@ -176,11 +176,11 @@ func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 		discover:    core.DiscoverFacts,
 	}
 	s.cache = newLRUCache(cfg.CacheSize, s.metrics.incEviction)
-	// Build the mutable graph state before any model registers: rankers and
-	// calibrators are constructed against the shared filter union, and a
-	// mutation log must replay before derived artifacts are built from the
-	// graph. Replay happens via mutate.State, so side tables, the live
-	// undirected projection, and the filter all absorb the logged batches.
+	// Build the mutable graph state before any model registers: rankers are
+	// constructed against the shared filter union, and a mutation log must
+	// replay, through mutate.State, before anything is derived from the
+	// graph, so the graphs' indexes, the live projection and the filter
+	// absorb the logged batches.
 	s.all = kg.Merge(ds.Train, ds.Valid, ds.Test)
 	s.mut = mutate.NewState(ds.Train, s.all, kg.Merge(ds.Valid, ds.Test))
 	if cfg.MutationLog != "" {

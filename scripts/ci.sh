@@ -170,17 +170,20 @@ hold_lines() {
 hold_lines 'internal/{kge,eval,train,core}' 5709 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once /discover refused
-# repeated relations and keyed its cache on defaulted options, and the fleet
-# wire lost MaxIterations (the same 5 316 once the fleet coordinator lost its
-# one-shot mode; 5 360 once the fleet's wire comment stopped naming
+# two that put bytes on disk for them: the count once a job's final state and
+# its lifecycle counter changed under one lock, and the server and the fleet
+# refused max_candidates above core.MaxCandidatesCeiling (5 316 once
+# /discover refused repeated relations and keyed its cache on defaulted
+# options, and the fleet wire lost MaxIterations; the same 5 316 once the
+# fleet coordinator lost its one-shot mode; 5 360 once the fleet's wire
+# comment stopped naming
 # calibrators; 5 361 once the fleet worker lost its
 # fault-injection knobs to the in-process fault matrix; 5 410 once the
 # server lost its prune options and its registry resolves selectors in one
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5316 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5310 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The triple store: one eager, array-backed index per relation, the count
 # once the membership map, the lazily rebuilt side tables and BuildIndexes
