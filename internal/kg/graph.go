@@ -1,7 +1,6 @@
 package kg
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -105,8 +104,9 @@ func (g *Graph) Add(t Triple) bool {
 		x.subs = slices.Insert(x.subs, i, t.S)
 		x.off = slices.Insert(x.off, i, x.off[i])
 	}
-	for k := i + 1; k < len(x.off); k++ {
-		x.off[k]++
+	tail := x.off[i+1:]
+	for k := range tail {
+		tail[k]++
 	}
 	x.objs = slices.Insert(x.objs, j, t.O)
 	x.loc = slices.Insert(x.loc, j, g.place(x, t))
@@ -135,85 +135,68 @@ func (g *Graph) place(x *relIndex, t Triple) tripleLoc {
 // how many it added. Each relation's index takes its sorted delta in one
 // merge, so a bulk load costs a sort, not one index shift per triple.
 func (g *Graph) AddAll(ts []Triple) int {
-	fresh := make([]numbered, len(ts))
-	for i, t := range ts {
-		fresh[i] = numbered{uint64(t.R)<<32 | uint64(t.S), uint64(t.O)<<32 | uint64(i)}
-	}
-	slices.SortFunc(fresh, func(a, b numbered) int {
-		if a.rs != b.rs {
-			return cmp.Compare(a.rs, b.rs)
+	var keys [][]uint64 // by relation: S<<32 | O of ts's triples, IDs being at least 0
+	for _, t := range ts {
+		for int(t.R) >= len(keys) {
+			keys = append(keys, nil)
 		}
-		return cmp.Compare(a.oi, b.oi)
-	})
-	fresh = slices.CompactFunc(fresh, func(a, b numbered) bool { return a.triple() == b.triple() })
-	fresh = slices.DeleteFunc(fresh, func(e numbered) bool { return g.Contains(e.triple()) })
-	entry := make([]int32, len(ts)) // 1 + the index entry of each new triple's first copy
-	for rest := fresh; len(rest) > 0; {
-		n := 1
-		for n < len(rest) && rest[n].rs>>32 == rest[0].rs>>32 {
-			n++
-		}
-		g.index(rest[0].triple().R).merge(rest[:n], entry)
-		rest = rest[n:]
+		keys[t.R] = append(keys[t.R], uint64(t.S)<<32|uint64(t.O))
 	}
-	g.triples = slices.Grow(g.triples, len(fresh))
-	for i, t := range ts {
-		if j := entry[i] - 1; j >= 0 {
-			x := &g.rels[t.R]
-			x.loc[j] = g.place(x, t)
+	added := 0
+	for r, delta := range keys {
+		slices.Sort(delta)
+		delta = slices.DeleteFunc(slices.Compact(delta), func(k uint64) bool {
+			return g.Contains(Triple{S: EntityID(k >> 32), R: RelationID(r), O: EntityID(uint32(k))})
+		})
+		if len(delta) > 0 {
+			g.index(RelationID(r)).merge(delta)
+			added += len(delta)
 		}
 	}
-	return len(fresh)
+	g.triples = slices.Grow(g.triples, added)
+	for _, t := range ts {
+		if loc := g.locOf(t); loc.pos < 0 {
+			*loc = g.place(&g.rels[t.R], t)
+		}
+	}
+	return added
 }
 
-// numbered is a triple and its position i in AddAll's argument, packed as
-// R<<32|S and O<<32|i: the words compare as (R, S, O, i), IDs being at least 0.
-type numbered struct{ rs, oi uint64 }
-
-func (e numbered) triple() Triple {
-	return Triple{S: EntityID(uint32(e.rs)), R: RelationID(e.rs >> 32), O: EntityID(e.oi >> 32)}
-}
-
-// merge folds delta, triples new to the relation in (S, O) order, into the
-// index in one pass, and records 1 + the entry each takes in entry.
-func (x *relIndex) merge(delta []numbered, entry []int32) {
-	added := make([]EntityID, len(delta))
-	for k, e := range delta {
-		added[k] = e.triple().O
+// merge folds delta, the S<<32 | O keys of triples new to the relation in
+// ascending order, into the index in one pass, each at the location
+// {-1, -1} until AddAll places it.
+func (x *relIndex) merge(delta []uint64) {
+	x.triples = slices.Grow(x.triples, len(delta))
+	subs, off, newObjs := []EntityID(nil), []int32(nil), make([]EntityID, len(delta))
+	for k, key := range delta {
+		newObjs[k] = EntityID(uint32(key))
 	}
-	var subs []EntityID
-	var off []int32
 	objs, loc := make([]EntityID, 0, len(x.objs)+len(delta)), make([]tripleLoc, 0, len(x.objs)+len(delta))
-	put := func(s, o EntityID, l tripleLoc) {
-		if len(subs) == 0 || subs[len(subs)-1] != s {
+	put := func(key uint64, l tripleLoc) {
+		if s := EntityID(key >> 32); len(subs) == 0 || subs[len(subs)-1] != s {
 			subs, off = append(subs, s), append(off, int32(len(objs)))
 		}
-		objs, loc = append(objs, o), append(loc, l)
+		objs, loc = append(objs, EntityID(uint32(key))), append(loc, l)
 	}
-	putNew := func(e numbered) {
-		entry[uint32(e.oi)] = int32(len(objs)) + 1
-		put(e.triple().S, e.triple().O, tripleLoc{})
-	}
-	row := 0
+	row, unplaced := 0, tripleLoc{-1, -1}
 	for j, o := range x.objs {
 		for int(x.off[row+1]) <= j {
 			row++
 		}
-		for ; len(delta) > 0 && delta[0].rs<<32|delta[0].oi>>32 < uint64(x.subs[row])<<32|uint64(o); delta = delta[1:] {
-			putNew(delta[0])
+		key := uint64(x.subs[row])<<32 | uint64(o)
+		for ; len(delta) > 0 && delta[0] < key; delta = delta[1:] {
+			put(delta[0], unplaced)
 		}
-		put(x.subs[row], o, x.loc[j])
+		put(key, x.loc[j])
 	}
-	for _, e := range delta {
-		putNew(e)
+	for _, key := range delta {
+		put(key, unplaced)
 	}
 	x.subs, x.off, x.objs, x.loc = slices.Clone(subs), slices.Clone(append(off, int32(len(objs)))), objs, loc
 
-	slices.Sort(added)
-	var ids []EntityID
-	var counts []int32
-	k := 0
-	for _, o := range added {
+	slices.Sort(newObjs)
+	ids, counts, k := []EntityID(nil), []int32(nil), 0
+	for _, o := range newObjs {
 		for ; k < len(x.objIDs) && x.objIDs[k] <= o; k++ {
 			ids, counts = append(ids, x.objIDs[k]), append(counts, x.objCount[k])
 		}
@@ -244,8 +227,9 @@ func (g *Graph) Delete(t Triple) bool {
 	x.triples = x.triples[:len(x.triples)-1]
 	x.objs = slices.Delete(x.objs, j, j+1)
 	x.loc = slices.Delete(x.loc, j, j+1)
-	for k := i + 1; k < len(x.off); k++ {
-		x.off[k]--
+	tail := x.off[i+1:]
+	for k := range tail {
+		tail[k]--
 	}
 	if x.off[i] == x.off[i+1] {
 		x.subs = slices.Delete(x.subs, i, i+1)
@@ -396,9 +380,11 @@ func Merge(graphs ...*Graph) *Graph {
 	if len(graphs) == 0 {
 		return NewGraph()
 	}
-	out := NewGraphWithDicts(graphs[0].Entities, graphs[0].Relations)
+	var all []Triple
 	for _, g := range graphs {
-		out.AddAll(g.Triples())
+		all = append(all, g.triples...)
 	}
+	out := NewGraphWithDicts(graphs[0].Entities, graphs[0].Relations)
+	out.AddAll(all)
 	return out
 }

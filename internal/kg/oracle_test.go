@@ -475,7 +475,7 @@ func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed i
 			var batch []kg.Triple
 			for i := 0; i < opsPerStep; i++ {
 				tr := randTriple()
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					if o.Len() > 0 {
 						tr = o.Triples()[rng.Intn(o.Len())]
@@ -483,6 +483,10 @@ func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed i
 				case 1:
 					if len(batch) > 0 {
 						tr = batch[rng.Intn(len(batch))]
+					}
+				case 2:
+					if o.Len() > 0 {
+						tr = o.Triples()[0]
 					}
 				}
 				batch = append(batch, tr)
