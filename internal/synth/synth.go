@@ -96,7 +96,11 @@ func GenerateGraph(cfg Config) (*kg.Graph, error) {
 	}
 
 	w := newWorld(cfg, rng)
-	d := &draft{triples: make([]kg.Triple, 0, cfg.NumTriples), seen: make([]map[uint64]bool, cfg.NumRelations), covered: make([]bool, cfg.NumEntities)}
+	d := &draft{
+		triples: make([]kg.Triple, 0, cfg.NumTriples),
+		seen:    make([]map[uint64]bool, cfg.NumRelations),
+		covered: make([]bool, cfg.NumEntities),
+	}
 	for r := range d.seen {
 		d.seen[r] = make(map[uint64]bool)
 	}
