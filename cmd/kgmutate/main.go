@@ -1,6 +1,6 @@
 // Command kgmutate applies batched graph mutations and re-runs discovery
-// incrementally: only the relations the batch actually dirtied (under the
-// chosen strategy's sensitivity) are re-swept, and their fresh records are
+// incrementally: only the relations whose triples, or whose weights under the
+// chosen strategy, the batches changed are re-swept, and their fresh records are
 // spliced with the baseline checkpoint's untouched ones. The output is
 // byte-identical to a from-scratch kgdiscover run on the mutated graph.
 //

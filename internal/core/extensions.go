@@ -39,18 +39,9 @@ func ExtendedStrategyByName(name string) (Strategy, error) { return StrategyByNa
 
 // inverseDegreeStat computes 1/(1+deg(x)) for every entity.
 func inverseDegreeStat(g *kg.Graph) []float64 {
-	w := make([]float64, g.NumEntities())
-	for e := range w {
-		w[e] = 1 / (1 + float64(g.Degree(kg.EntityID(e))))
-	}
-	return w
-}
-
-// degreeStat computes deg(x) for every entity (the GRAPH DEGREE statistic).
-func degreeStat(g *kg.Graph) []float64 {
-	w := make([]float64, g.NumEntities())
-	for e := range w {
-		w[e] = float64(g.Degree(kg.EntityID(e)))
+	w := degreeStat(g)
+	for e, d := range w {
+		w[e] = 1 / (1 + d)
 	}
 	return w
 }
@@ -61,10 +52,8 @@ func degreeStat(g *kg.Graph) []float64 {
 // formed.
 func NewInverseDegree() Strategy {
 	return &nodeStatStrategy{
-		name: "inverse_degree",
-		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 {
-			return inverseDegreeStat(g)
-		},
+		name:    "inverse_degree",
+		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 { return inverseDegreeStat(g) },
 	}
 }
 

@@ -91,6 +91,14 @@ func StrategyByName(name string) (Strategy, error) {
 	}
 }
 
+// RelationLocal reports whether s's Weights(r) reads only relation r's own
+// triples, its pools and side counts: UNIFORM RANDOM and ENTITY FREQUENCY do.
+func RelationLocal(s Strategy) bool {
+	_, uniform := s.(*uniformRandom)
+	_, frequency := s.(*entityFrequency)
+	return uniform || frequency
+}
+
 // uniformRandom assigns every entity on a side equal probability
 // (Equation 1). Note that an entity appearing on both sides can still end
 // up with different probabilities, because the pools differ in size.
@@ -213,15 +221,18 @@ func project(stat []float64, pool []kg.EntityID) []float64 {
 // proportional to total (in+out) degree, identical on both sides.
 func NewGraphDegree() Strategy {
 	return &nodeStatStrategy{
-		name: "graph_degree",
-		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 {
-			w := make([]float64, g.NumEntities())
-			for e := range w {
-				w[e] = float64(g.Degree(kg.EntityID(e)))
-			}
-			return w
-		},
+		name:    "graph_degree",
+		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 { return degreeStat(g) },
 	}
+}
+
+// degreeStat computes deg(x) for every entity (the GRAPH DEGREE statistic).
+func degreeStat(g *kg.Graph) []float64 {
+	w := make([]float64, g.NumEntities())
+	for e := range w {
+		w[e] = float64(g.Degree(kg.EntityID(e)))
+	}
+	return w
 }
 
 // NewClusteringTriangles returns the CLUSTERING TRIANGLES strategy

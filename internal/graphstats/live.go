@@ -18,6 +18,10 @@ import (
 // the single undirected edge {a, b}. Live therefore counts the *multiplicity*
 // of each undirected edge (how many triples currently project onto it) and
 // only mutates the structure on 0↔1 transitions.
+//
+// No program reads Live: mutate.DirtyRelations compares the strategies' own
+// weights instead. It is kept only because bench/ still times it
+// (graphstats.live_us_per_op), to go with the next [benchmark] PR.
 type Live struct {
 	adj  [][]kg.EntityID
 	mult map[edgeKey]int32

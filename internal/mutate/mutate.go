@@ -1,31 +1,28 @@
 // Package mutate is the live-ingestion layer: batched ADD/DELETE mutations
 // against a serving knowledge graph, applied atomically with per-batch
 // provenance (source, sequence number, caller-supplied timestamp), durably
-// recorded in an fsync'd CRC-framed mutation log, and propagated exactly —
-// not approximately — into every derived artifact that discovery and ranking
-// read:
+// recorded in an fsync'd CRC-framed mutation log, and propagated exactly into
+// the two graphs discovery and ranking read:
 //
 //   - the kg.Graph triples and their index (kept exact by Add and Delete),
-//   - the undirected projection's neighbour lists, and with each mutation
-//     the nodes whose degree/triangle/clustering statistics it may move
-//     (via graphstats.Live local delta updates),
 //   - the (s, r) filter adjacency used by eval.Ranker for filtered ranking
 //     (the train ∪ valid ∪ test union graph, co-maintained here).
 //
-// Because each relation's sweep in core.DiscoverFacts is a pure function of
-// that relation's candidate pools and the strategy's node statistics, a batch
-// also yields a per-strategy *dirty relation set*: the relations whose sweep
-// output could differ on the mutated graph. IncrementalDiscover re-sweeps
-// only those and splices the rest from the prior run's records, byte-identical
-// to a from-scratch discovery on the mutated graph.
+// Each applied batch reports the triples it net-inserted and net-removed. A
+// relation's sweep in core.DiscoverFacts reads only that relation's triples
+// and the pools and weights the strategy gives it, so from those triples
+// DirtyRelations derives the relations whose sweep output could differ on the
+// mutated graph. IncrementalDiscover re-sweeps only those and splices the rest
+// from the prior run's records, byte-identical to a from-scratch discovery on
+// the mutated graph.
 package mutate
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/graphstats"
+	"repro/internal/core"
 	"repro/internal/kg"
 )
 
@@ -98,9 +95,8 @@ type State struct {
 	// a filter triple that another split still asserts.
 	frozen *kg.Graph
 
-	live *graphstats.Live
-	log  *Log
-	seq  int64
+	log *Log
+	seq int64
 }
 
 // NewState wraps a dataset's mutable train graph. filter (train∪valid∪test)
@@ -110,7 +106,6 @@ func NewState(train, filter, frozen *kg.Graph) *State {
 		Graph:  train,
 		Filter: filter,
 		frozen: frozen,
-		live:   graphstats.NewLive(train),
 	}
 }
 
@@ -133,28 +128,24 @@ func (s *State) Replay(batches []Batch) error {
 }
 
 // Applied reports what one batch actually changed, in terms precise enough
-// to drive exact invalidation downstream. All slices are sorted.
+// to drive exact invalidation downstream.
 type Applied struct {
 	Seq     int64
 	Added   int // ops that inserted a triple not previously present
 	Deleted int // ops that removed a present triple
 
-	// NetRels are the relations with a net triple change: some triple of
-	// theirs is present after the batch but not before, or vice versa. A
-	// transient (add-then-delete inside one batch) nets out to nothing.
-	// The candidate pools, pool counts, membership set and (s,r) adjacency
-	// of every other relation are bit-identical to before the batch.
+	// NetRels are the relations with a net triple change, in ascending ID
+	// order: some triple of theirs is present after the batch but not
+	// before, or vice versa. A transient (add-then-delete inside one batch)
+	// nets out to nothing. The candidate pools, pool counts, membership set
+	// and (s,r) adjacency of every other relation are bit-identical to
+	// before the batch.
 	NetRels []kg.RelationID
-	// DegreeEntities are the entities whose directed degree (subject count
-	// plus object count) net-changed — exactly the entities whose
-	// graph_degree / inverse_degree / mixed_exploration statistic moved.
-	DegreeEntities []kg.EntityID
-	// ClusterEntities is a sound superset of the entities whose undirected
-	// degree, triangle count T(v), or local clustering c(v) changed.
-	ClusterEntities []kg.EntityID
-	// SquareEntities is a sound superset of the entities whose square
-	// clustering c₄(v) changed.
-	SquareEntities []kg.EntityID
+	// Inserted and Removed are the triples present after the batch but not
+	// before, and before but not after, in the order the batch first
+	// touched them.
+	Inserted []kg.Triple
+	Removed  []kg.Triple
 }
 
 // Effective reports whether the batch changed the graph at all. A batch of
@@ -205,20 +196,18 @@ func (s *State) apply(b Batch, logIt bool) (Applied, error) {
 
 	ap := Applied{Seq: b.Seq}
 	initial := make(map[kg.Triple]bool) // presence before the batch, first touch wins
-	cluster := make(map[kg.EntityID]struct{})
-	square := make(map[kg.EntityID]struct{})
+	var touched []kg.Triple
 	for i, t := range resolved {
 		if _, seen := initial[t]; !seen {
 			initial[t] = s.Graph.Contains(t)
+			touched = append(touched, t)
 		}
-		var delta graphstats.EdgeDelta
 		switch b.Ops[i].Kind {
 		case OpAdd:
 			if !s.Graph.Add(t) {
 				continue // already present: idempotent no-op
 			}
 			ap.Added++
-			delta = s.live.AddTriple(t.S, t.O)
 			if s.Filter != nil {
 				s.Filter.Add(t)
 			}
@@ -227,172 +216,95 @@ func (s *State) apply(b Batch, logIt bool) (Applied, error) {
 				continue // already absent: idempotent no-op
 			}
 			ap.Deleted++
-			delta = s.live.RemoveTriple(t.S, t.O)
 			if s.Filter != nil && (s.frozen == nil || !s.frozen.Contains(t)) {
 				s.Filter.Delete(t)
-			}
-		}
-		if delta.Structural {
-			for _, e := range delta.Touched {
-				cluster[e] = struct{}{}
-			}
-			for _, e := range delta.Square {
-				square[e] = struct{}{}
 			}
 		}
 	}
 	s.seq = b.Seq
 
-	netRels := make(map[kg.RelationID]struct{})
-	degDelta := make(map[kg.EntityID]int64)
-	for t, was := range initial {
-		if s.Graph.Contains(t) == was {
+	for _, t := range touched {
+		switch was := initial[t]; {
+		case was == s.Graph.Contains(t):
 			continue
+		case was:
+			ap.Removed = append(ap.Removed, t)
+		default:
+			ap.Inserted = append(ap.Inserted, t)
 		}
-		netRels[t.R] = struct{}{}
-		if was {
-			degDelta[t.S]--
-			degDelta[t.O]--
-		} else {
-			degDelta[t.S]++
-			degDelta[t.O]++
-		}
+		ap.NetRels = append(ap.NetRels, t.R)
 	}
-	for r := range netRels {
-		ap.NetRels = append(ap.NetRels, r)
-	}
-	sort.Slice(ap.NetRels, func(i, j int) bool { return ap.NetRels[i] < ap.NetRels[j] })
-	for e, d := range degDelta {
-		if d != 0 {
-			ap.DegreeEntities = append(ap.DegreeEntities, e)
-		}
-	}
-	sort.Slice(ap.DegreeEntities, func(i, j int) bool { return ap.DegreeEntities[i] < ap.DegreeEntities[j] })
-	ap.ClusterEntities = sortedEntitySet(cluster)
-	ap.SquareEntities = sortedEntitySet(square)
+	slices.Sort(ap.NetRels)
+	ap.NetRels = slices.Compact(ap.NetRels)
 	return ap, nil
 }
 
-func sortedEntitySet(m map[kg.EntityID]struct{}) []kg.EntityID {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]kg.EntityID, 0, len(m))
-	for e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // DirtyRelations returns the relations whose discovery output under the
-// named strategy could differ on the post-batch graph, merged across the
-// given batches, in ascending ID order. The set is exact for the pool-driven
-// strategies and for the degree-statistic strategies, and a sound superset
-// for the clustering strategies (whose affected sets are collected per
-// structural edge transition, so a transient can over-dirty but never
-// under-dirty). Re-sweeping only these relations and splicing the rest from
-// a pre-batch run reproduces a from-scratch sweep byte for byte.
+// named strategy could differ between the graph before batches and the graph
+// now, in ascending ID order. batches must be every batch applied since that
+// baseline, in the order they were applied. Re-sweeping only these relations
+// and splicing the rest from a baseline run reproduces a from-scratch sweep
+// byte for byte.
 //
-// Strategy sensitivity, derived from how core computes weights:
-//
-//   - uniform_random, entity_frequency: weights read only the relation's own
-//     candidate pools and side counts → NetRels.
-//   - graph_degree, inverse_degree: per-entity statistics deg(e) and
-//     1/(1+deg(e)) → NetRels plus relations whose pools contain an entity
-//     with a net degree change.
-//   - cluster_triangles, cluster_coefficient: statistics T(v) and c(v) on
-//     the undirected projection → NetRels plus relations whose pools contain
-//     a ClusterEntities member.
-//   - cluster_squares: c₄(v) → NetRels plus relations whose pools contain a
-//     SquareEntities member.
-//   - mixed_exploration: normalizes both degree statistics by their global
-//     mass, so one net degree change anywhere moves every entity's weight →
-//     all relations (when any degree changed; otherwise NetRels).
-//   - anything else (unknown strategies): all relations, the trivially sound
-//     answer.
-//
-// The empty strategy name "" asks for the union over all known strategies —
-// what a cache that serves every strategy must consider dirty.
+// Algorithm 1 sweeps a relation from two inputs: its own triples, and the
+// candidate pools and weights line 7 gives it. So a relation is dirty when
+// the batches net-changed one of its triples (NetRels), or when the
+// strategy's Weights for it differ between the current graph and a clone
+// with the batches reverted, last batch first. Strategies whose weights read
+// only the relation's own triples (core.RelationLocal) skip the clone: their
+// dirty set is NetRels. An unknown strategy name dirties every relation.
 func (s *State) DirtyRelations(strategy string, batches ...Applied) []kg.RelationID {
-	net := make(map[kg.RelationID]struct{})
-	degreeChanged := false
+	net := make(map[kg.RelationID]bool)
 	for _, b := range batches {
 		for _, r := range b.NetRels {
-			net[r] = struct{}{}
-		}
-		if len(b.DegreeEntities) > 0 {
-			degreeChanged = true
+			net[r] = true
 		}
 	}
 	if len(net) == 0 {
-		// No triple net-changed, so the graph — and every statistic derived
-		// from it — is bit-identical to before: nothing is dirty, for any
-		// strategy. (Transients may have populated the entity supersets, but
-		// their effects were undone.)
+		// No triple net-changed: the graph, and everything derived from it,
+		// is what it was. Nothing is dirty, for any strategy.
 		return nil
 	}
-
-	ents := make(map[kg.EntityID]struct{})
-	collect := func(pick func(Applied) []kg.EntityID) {
-		for _, b := range batches {
-			for _, e := range pick(b) {
-				ents[e] = struct{}{}
-			}
-		}
-	}
-	allRels := false
-	switch strategy {
-	case "uniform_random", "entity_frequency":
-		// pool-only: nothing beyond NetRels
-	case "graph_degree", "inverse_degree":
-		collect(func(b Applied) []kg.EntityID { return b.DegreeEntities })
-	case "cluster_triangles", "cluster_coefficient":
-		collect(func(b Applied) []kg.EntityID { return b.ClusterEntities })
-	case "cluster_squares":
-		collect(func(b Applied) []kg.EntityID { return b.SquareEntities })
-	case "mixed_exploration":
-		allRels = degreeChanged
-	case "":
-		// Union over all known strategies. mixed_exploration's global
-		// normalization dominates whenever any degree moved; otherwise the
-		// graph may still have been rewired degree-preservingly, so the
-		// cluster/square supersets remain necessary.
-		if degreeChanged {
-			allRels = true
-		} else {
-			collect(func(b Applied) []kg.EntityID { return b.ClusterEntities })
-			collect(func(b Applied) []kg.EntityID { return b.SquareEntities })
-		}
-	default:
-		// Unknown strategy: no sensitivity model, so every relation is
-		// suspect. Re-sweeping everything is trivially output-identical.
-		allRels = true
-	}
-
-	if allRels {
+	now, err := core.StrategyByName(strategy)
+	if err != nil {
 		return s.Graph.RelationIDs()
+	}
+	var before core.Strategy
+	if !core.RelationLocal(now) {
+		g := s.Graph.Clone()
+		for i := len(batches) - 1; i >= 0; i-- {
+			for _, t := range batches[i].Inserted {
+				g.Delete(t)
+			}
+			g.AddAll(batches[i].Removed)
+		}
+		before, _ = core.StrategyByName(strategy)
+		bindCached(now, s.Graph)
+		bindCached(before, g)
 	}
 	out := make([]kg.RelationID, 0, len(net))
 	for _, r := range s.Graph.RelationIDs() {
-		if _, dirty := net[r]; dirty {
-			out = append(out, r)
-			continue
-		}
-		if poolContainsAny(s.Graph, r, ents) {
+		if net[r] || before != nil && !sameWeights(now, before, r) {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// poolContainsAny reports whether any entity of ents appears in relation r's
-// subject or object candidate pool.
-func poolContainsAny(g *kg.Graph, r kg.RelationID, ents map[kg.EntityID]struct{}) bool {
-	for e := range ents {
-		if g.SideCount(r, kg.SubjectSide, e) > 0 || g.SideCount(r, kg.ObjectSide, e) > 0 {
-			return true
-		}
+// bindCached binds st to g with its statistics computed once for all
+// relations: the values are those of the per-relation recomputation.
+func bindCached(st core.Strategy, g *kg.Graph) {
+	if wc, ok := st.(core.WeightCacher); ok {
+		wc.SetCacheWeights(true)
 	}
-	return false
+	st.Bind(g)
+}
+
+// sameWeights reports whether a and b give relation r the same pools and
+// the same weights.
+func sameWeights(a, b core.Strategy, r kg.RelationID) bool {
+	as, asw, ao, aow := a.Weights(r)
+	bs, bsw, bo, bow := b.Weights(r)
+	return slices.Equal(as, bs) && slices.Equal(asw, bsw) &&
+		slices.Equal(ao, bo) && slices.Equal(aow, bow)
 }

@@ -363,17 +363,14 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.incCacheMiss()
-	// Relation tags (see lruEntry): only the pool-driven strategies produce
-	// responses that depend solely on the requested relations' own data —
-	// every node-statistic strategy reads entity statistics other relations'
-	// mutations can move (mixed_exploration even renormalizes globally), so
-	// their entries carry the nil tag and drop on any effective mutation.
+	// Relation tags (see lruEntry): only a relation-local strategy produces
+	// responses that depend solely on the requested relations' own data.
+	// Every node-statistic strategy reads entity statistics other relations'
+	// mutations can move, so its entries carry the nil tag and drop on any
+	// effective mutation.
 	var tag []kg.RelationID
-	switch req.Strategy {
-	case "uniform_random", "entity_frequency":
-		if len(relations) > 0 {
-			tag = relations
-		}
+	if core.RelationLocal(call.strategy) && len(relations) > 0 {
+		tag = relations
 	}
 	body, err, joined := s.flight.Do(key, func() ([]byte, error) {
 		return s.runDiscover(call, key, tag)

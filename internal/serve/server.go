@@ -179,8 +179,8 @@ func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 	// Build the mutable graph state before any model registers: rankers are
 	// constructed against the shared filter union, and a mutation log must
 	// replay, through mutate.State, before anything is derived from the
-	// graph, so the graphs' indexes, the live projection and the filter
-	// absorb the logged batches.
+	// graph, so the graphs' indexes and the filter absorb the logged
+	// batches.
 	s.all = kg.Merge(ds.Train, ds.Valid, ds.Test)
 	s.mut = mutate.NewState(ds.Train, s.all, kg.Merge(ds.Valid, ds.Test))
 	if cfg.MutationLog != "" {

@@ -170,9 +170,12 @@ hold_lines() {
 hold_lines 'internal/{kge,eval,train,core}' 5709 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once a job's final state and
-# its lifecycle counter changed under one lock, and the server and the fleet
-# refused max_candidates above core.MaxCandidatesCeiling (5 316 once
+# two that put bytes on disk for them: the count once a mutation batch
+# recorded its net triples in place of the live projection and the entity
+# supersets, and the dirty set came from the strategy's own weights (5 310
+# once a job's final state and its lifecycle counter changed under one lock,
+# and the server and the fleet refused max_candidates above
+# core.MaxCandidatesCeiling; 5 316 once
 # /discover refused repeated relations and keyed its cache on defaulted
 # options, and the fleet wire lost MaxIterations; the same 5 316 once the
 # fleet coordinator lost its one-shot mode; 5 360 once the fleet's wire
@@ -183,7 +186,7 @@ hold_lines 'internal/{kge,eval,train,core}' 5709 \
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5310 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5219 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The triple store: one eager, array-backed index per relation, the count
 # once the membership map, the lazily rebuilt side tables and BuildIndexes
