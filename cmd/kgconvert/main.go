@@ -1,6 +1,7 @@
 // Command kgconvert converts a gob checkpoint, the container kgtrain wrote
-// before flat checkpoints, to the mmap-able flat layout every command now
-// writes, verifying that the weights survive bit-for-bit.
+// before flat checkpoints, to the mmap-able flat layout every other command
+// reads and writes, verifying that the weights survive bit-for-bit. It is
+// the only command that reads gob.
 //
 //	kgconvert -in model.kge -out model.kgf
 //
@@ -43,13 +44,9 @@ func run(args []string) error {
 		}
 	}
 
-	m, mapped, _, err := kge.LoadAuto(*in)
+	m, err := kge.LoadFile(*in)
 	if err != nil {
-		return fmt.Errorf("read %s: %w", *in, err)
-	}
-	if mapped != nil {
-		mapped.Close()
-		return fmt.Errorf("%s is already a flat checkpoint", *in)
+		return fmt.Errorf("read %s as a gob checkpoint: %w", *in, err)
 	}
 	fp := kge.Fingerprint(m)
 	if err := kge.SaveFlatFile(m, *out); err != nil {

@@ -116,13 +116,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, mapped, _, err := kge.LoadAuto(*modelPath)
+	m, err := kge.OpenMapped(*modelPath)
 	if err != nil {
 		return err
 	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
+	defer m.Close()
 	strategy, err := core.StrategyByName(*stratName)
 	if err != nil {
 		return err

@@ -42,7 +42,7 @@ func fixture(t *testing.T) (dataDir, modelPath string) {
 		t.Fatal(err)
 	}
 	modelPath = filepath.Join(t.TempDir(), "m.kge")
-	if err := kge.SaveFile(m, modelPath); err != nil {
+	if err := kge.SaveFlatFile(m, modelPath); err != nil {
 		t.Fatal(err)
 	}
 	return dataDir, modelPath
@@ -82,6 +82,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-data", dataDir, "-model", modelPath, "-resume"}); err == nil {
 		t.Error("accepted -resume without -checkpoint")
+	}
+	// A gob checkpoint is refused with the way to migrate it.
+	gob := "../../internal/kge/testdata/distmult.kge"
+	if err := run([]string{"-data", dataDir, "-model", gob}); err == nil || !strings.Contains(err.Error(), "kgconvert") {
+		t.Errorf("gob checkpoint: got %v, want an error naming kgconvert", err)
 	}
 	// Under -fleet the sweep runs in the workers, so a local profile would
 	// be empty; the combination is refused before any coordinator is asked.

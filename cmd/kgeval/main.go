@@ -45,13 +45,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, mapped, _, err := kge.LoadAuto(*modelPath)
+	m, err := kge.OpenMapped(*modelPath)
 	if err != nil {
 		return err
 	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
+	defer m.Close()
 	if err := kge.CheckCovers(m, ds.Train); err != nil {
 		return err
 	}

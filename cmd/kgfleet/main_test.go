@@ -91,7 +91,7 @@ func trainArtifacts(t *testing.T) (dataDir, modelPath string) {
 		t.Fatal(err)
 	}
 	modelPath = filepath.Join(t.TempDir(), "m.kge")
-	if err := kge.SaveFile(m, modelPath); err != nil {
+	if err := kge.SaveFlatFile(m, modelPath); err != nil {
 		t.Fatal(err)
 	}
 	return dataDir, modelPath
@@ -117,13 +117,11 @@ func TestCoordWorkerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, mapped, _, err := kge.LoadAuto(modelPath)
+	m, err := kge.OpenMapped(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
+	defer m.Close()
 	strategy, err := core.StrategyByName(req.Strategy)
 	if err != nil {
 		t.Fatal(err)

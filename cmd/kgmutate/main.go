@@ -76,13 +76,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, mapped, _, err := kge.LoadAuto(*modelPath)
+	m, err := kge.OpenMapped(*modelPath)
 	if err != nil {
 		return err
 	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
+	defer m.Close()
 	strategy, err := core.StrategyByName(*stratName)
 	if err != nil {
 		return err
@@ -127,15 +125,12 @@ func run(args []string) error {
 		return err
 	}
 	hdr, prior, _ := jobs.Decode(data)
-	if hdr == nil {
-		return fmt.Errorf("%s is not a discovery checkpoint (no valid header)", *baseline)
-	}
-	if fp := kge.Fingerprint(m); hdr.Fingerprint != fp {
-		return fmt.Errorf("baseline %s was written by model %.12s…, -model is %.12s…", *baseline, hdr.Fingerprint, fp)
-	}
 	relations := ds.Train.RelationIDs()
-	if oh := jobs.OptionsHash(strategy.Name(), ds.Train, opts, relations); hdr.OptionsHash != oh {
-		return fmt.Errorf("baseline %s does not match these options and this pre-mutation graph (options hash %.12s… vs %.12s…) — re-run kgdiscover -checkpoint, or pass the same strategy/seed/thresholds it used", *baseline, hdr.OptionsHash, oh)
+	if err := jobs.CheckHeader(*baseline, hdr, jobs.Header{
+		Fingerprint: kge.Fingerprint(m),
+		OptionsHash: jobs.OptionsHash(strategy.Name(), ds.Train, opts, relations),
+	}); err != nil {
+		return fmt.Errorf("baseline %s: %w", *baseline, err)
 	}
 	if len(prior) != len(relations) {
 		return fmt.Errorf("baseline %s covers %d of %d relations; finish the sweep (kgdiscover -resume) before mutating", *baseline, len(prior), len(relations))

@@ -15,6 +15,7 @@ import (
 	"repro/internal/mutate"
 	"repro/internal/synth"
 	"repro/internal/train"
+	"repro/internal/wal"
 )
 
 // fixture writes the tiny generated dataset and two trained checkpoints (the
@@ -48,7 +49,7 @@ func fixture(t *testing.T) (dataDir, modelPath, otherModel string) {
 			t.Fatal(err)
 		}
 		paths[i] = filepath.Join(t.TempDir(), "m.kge")
-		if err := kge.SaveFile(m, paths[i]); err != nil {
+		if err := kge.SaveFlatFile(m, paths[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,13 +65,11 @@ func sweep(t *testing.T, dataDir, modelPath, strategy string, filtered bool, jou
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, mapped, _, err := kge.LoadAuto(modelPath)
+	m, err := kge.OpenMapped(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
+	defer m.Close()
 	strat, err := core.StrategyByName(strategy)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +99,16 @@ func sweep(t *testing.T, dataDir, modelPath, strategy string, filtered bool, jou
 	if err := os.WriteFile(outTSV, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// frame is one WAL record of rec.
+func frame(t *testing.T, rec any) []byte {
+	t.Helper()
+	b, err := wal.Frame(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestIncrementalRounds drives the whole cycle kgmutate exists for, twice
@@ -214,9 +223,9 @@ func TestIncrementalRounds(t *testing.T) {
 			}{
 				// Round one's baseline describes the graph before any batch;
 				// with the log replayed the graph is two rounds further on.
-				{"stale baseline", "does not match these options", argv(in("base.wal"), in("batch.json"), "-log", in("mutations.wal"))},
-				{"other options", "does not match these options", argv(in("base.wal"), in("batch.json"), "-seed", "4")},
-				{"wrong model", "was written by model", argvFor(otherModel, in("base.wal"), in("batch.json"))},
+				{"stale baseline", "options mismatch", argv(in("base.wal"), in("batch.json"), "-log", in("mutations.wal"))},
+				{"other options", "options mismatch", argv(in("base.wal"), in("batch.json"), "-seed", "4")},
+				{"wrong model", "fingerprint mismatch", argvFor(otherModel, in("base.wal"), in("batch.json"))},
 				{"not a checkpoint", "not a discovery checkpoint", argv(in("batch.json"), in("batch.json"))},
 			} {
 				if err := run(bad.args); err == nil || !strings.Contains(err.Error(), bad.want) {
@@ -242,6 +251,20 @@ func TestIncrementalRounds(t *testing.T) {
 			// above was about the baseline, not the batch.
 			if err := run(argv(in("base.wal"), in("batch.json"))); err != nil {
 				t.Errorf("complete baseline, no log: %v", err)
+			}
+			// The same baseline under a header of another journal version is
+			// refused: its records may not mean what this version's do.
+			hdr, recs, _ := jobs.Decode([]byte(full))
+			hdr.Version = 2
+			v2 := frame(t, map[string]any{"header": hdr})
+			for _, rec := range recs {
+				v2 = append(v2, frame(t, map[string]any{"relation": rec})...)
+			}
+			if err := os.WriteFile(in("v2.wal"), v2, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(argv(in("v2.wal"), in("batch.json"))); err == nil || !strings.Contains(err.Error(), "version mismatch") {
+				t.Errorf("version-2 baseline: err = %v, want a version mismatch", err)
 			}
 		})
 	}

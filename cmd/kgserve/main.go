@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("kgserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dataDir := fs.String("data", "", "dataset directory (required)")
-	modelPath := fs.String("model", "", "default model checkpoint, gob or flat (required)")
+	modelPath := fs.String("model", "", "default flat model checkpoint (required; kgconvert migrates a gob one)")
 	extraModels := fs.String("models", "", "comma-separated additional checkpoints to serve alongside the default (route with the request's \"model\" fingerprint selector)")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxDiscover := fs.Int("max-discover", 4, "max concurrent /discover executions (excess requests get 429)")

@@ -61,7 +61,7 @@ func trainArtifacts(t *testing.T) (dataDir, modelPath string) {
 		t.Fatal(err)
 	}
 	modelPath = filepath.Join(t.TempDir(), "m.kge")
-	if err := kge.SaveFile(m, modelPath); err != nil {
+	if err := kge.SaveFlatFile(m, modelPath); err != nil {
 		t.Fatal(err)
 	}
 	return dataDir, modelPath

@@ -1,7 +1,6 @@
 // Command kgtrain trains a knowledge graph embedding model on a TSV dataset
-// directory (train.txt / valid.txt / test.txt) and writes a flat checkpoint
-// (memory-mapped by every reader; kgconvert turns old gob checkpoints into
-// this format).
+// directory (train.txt / valid.txt / test.txt) and writes a flat checkpoint,
+// the one container every reader maps (kgconvert migrates an older gob one).
 //
 //	kgtrain -data data/fb10 -model transe -dim 64 -epochs 50 -out transe.kge
 package main

@@ -146,13 +146,14 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 7. Checkpoint round trip preserves behaviour.
 	path := filepath.Join(t.TempDir(), "model.kge")
-	if err := kge.SaveFile(model, path); err != nil {
+	if err := kge.SaveFlatFile(model, path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	back, err := kge.LoadFile(path)
+	back, err := kge.OpenMapped(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	defer back.Close()
 	probe := ds.Test.Triples()[0]
 	if back.Score(probe) != model.Score(probe) {
 		t.Error("checkpoint round trip changed scores")
@@ -194,7 +195,7 @@ func TestEndToEndFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	modelPath := filepath.Join(t.TempDir(), "m.kge")
-	if err := kge.SaveFile(model, modelPath); err != nil {
+	if err := kge.SaveFlatFile(model, modelPath); err != nil {
 		t.Fatal(err)
 	}
 

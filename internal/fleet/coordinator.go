@@ -249,16 +249,14 @@ func (c *Coordinator) addSweep(req SweepRequest) (*sweep, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: loading dataset: %w", err)
 	}
-	m, mapped, _, err := kge.LoadAuto(req.Model)
+	m, err := kge.OpenMapped(req.Model)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: loading model: %w", err)
 	}
+	// The coordinator needs only the fingerprint; workers map their own
+	// copies.
 	fingerprint := kge.Fingerprint(m)
-	if mapped != nil {
-		// The coordinator needs only the fingerprint; workers map their own
-		// copies.
-		mapped.Close()
-	}
+	m.Close()
 
 	opts := req.Options.CoreOptions()
 	relations := ds.Train.RelationIDs()

@@ -43,7 +43,7 @@ func tinyArtifacts(t testing.TB) (dataDir, modelPath string) {
 		t.Fatal(err)
 	}
 	modelPath = filepath.Join(t.TempDir(), "m.kge")
-	if err := kge.SaveFile(m, modelPath); err != nil {
+	if err := kge.SaveFlatFile(m, modelPath); err != nil {
 		t.Fatal(err)
 	}
 	return dataDir, modelPath

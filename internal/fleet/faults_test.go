@@ -82,7 +82,7 @@ func matrixArtifacts(t *testing.T) (SweepRequest, []jobs.FactRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kge.SaveFile(m, req.Model); err != nil {
+	if err := kge.SaveFlatFile(m, req.Model); err != nil {
 		t.Fatal(err)
 	}
 	want := singleProcessFacts(t, req)
@@ -99,13 +99,11 @@ func singleProcessFacts(t *testing.T, req SweepRequest) []jobs.FactRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, mapped, _, err := kge.LoadAuto(req.Model)
+	m, err := kge.OpenMapped(req.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped != nil {
-		defer mapped.Close()
-	}
+	defer m.Close()
 	strategy, err := core.StrategyByName(req.Strategy)
 	if err != nil {
 		t.Fatal(err)

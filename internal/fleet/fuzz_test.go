@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -121,18 +122,33 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 	w.closeArtifacts()
 }
 
+// TestGobCheckpointRefused: a sweep over a gob checkpoint is refused by the
+// coordinator, and a unit naming one by the worker, each with an error that
+// names kgconvert.
+func TestGobCheckpointRefused(t *testing.T) {
+	dataDir, _ := tinyArtifacts(t)
+	const gob = "../kge/testdata/distmult.kge"
+	if _, err := New(Config{}).addSweep(testRequest(dataDir, gob)); err == nil || !strings.Contains(err.Error(), "kgconvert") {
+		t.Errorf("coordinator: got %v, want an error naming kgconvert", err)
+	}
+	w := NewWorker(WorkerConfig{Coordinator: "http://unused", Name: "w"})
+	defer w.closeArtifacts()
+	err := w.ensureArtifacts(&Unit{Data: dataDir, Model: gob, Fingerprint: "decd60db", Options: SweepOptions{TopN: 40, MaxCandidates: 30, Seed: 7}})
+	if err == nil || !strings.Contains(err.Error(), "kgconvert") {
+		t.Errorf("worker: got %v, want an error naming kgconvert", err)
+	}
+}
+
 // TestWorkerRejectsOptionsHashMismatch: right fingerprint, wrong pinned
 // options hash — the sweep identity diverges, the worker refuses.
 func TestWorkerRejectsOptionsHashMismatch(t *testing.T) {
 	dataDir, modelPath := tinyArtifacts(t)
-	m, mapped, _, err := kge.LoadAuto(modelPath)
+	m, err := kge.OpenMapped(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := kge.Fingerprint(m)
-	if mapped != nil {
-		mapped.Close()
-	}
+	m.Close()
 	w := NewWorker(WorkerConfig{Coordinator: "http://unused", Name: "w"})
 	defer w.closeArtifacts()
 	err = w.ensureArtifacts(&Unit{

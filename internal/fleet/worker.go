@@ -62,8 +62,7 @@ type Worker struct {
 	ds          *kg.Dataset
 	modelPath   string
 	fingerprint string
-	model       kge.Model
-	mapped      *kge.Mapped
+	model       *kge.Mapped
 }
 
 // NewWorker builds a Worker; Run drives it until ctx ends.
@@ -211,19 +210,17 @@ func (w *Worker) ensureArtifacts(u *Unit) error {
 	}
 	if w.model == nil || w.modelPath != u.Model || w.fingerprint != u.Fingerprint {
 		w.closeModel()
-		m, mapped, _, err := kge.LoadAuto(u.Model)
+		m, err := kge.OpenMapped(u.Model)
 		if err != nil {
 			return fmt.Errorf("fleet: loading model: %w", err)
 		}
 		fp := kge.Fingerprint(m)
 		if fp != u.Fingerprint {
-			if mapped != nil {
-				mapped.Close()
-			}
+			m.Close()
 			return fmt.Errorf("fleet: checkpoint fingerprint mismatch: coordinator pinned %.12s, %s has %.12s",
 				u.Fingerprint, u.Model, fp)
 		}
-		w.model, w.mapped, w.modelPath, w.fingerprint = m, mapped, u.Model, fp
+		w.model, w.modelPath, w.fingerprint = m, u.Model, fp
 		w.cfg.Logf("fleet: opened %s (fingerprint %.12s)", u.Model, fp)
 	}
 	gotHash := jobs.OptionsHash(u.Strategy, w.ds.Train, u.Options.CoreOptions(), u.SweepRelations)
@@ -342,9 +339,8 @@ func (w *Worker) post(ctx context.Context, path string, body, into any) error {
 }
 
 func (w *Worker) closeModel() {
-	if w.mapped != nil {
-		w.mapped.Close()
-		w.mapped = nil
+	if w.model != nil {
+		w.model.Close()
 	}
 	w.model, w.modelPath, w.fingerprint = nil, "", ""
 }

@@ -184,9 +184,9 @@ func (r *Runner) Model(ctx context.Context, dataset, model string) (kge.Model, e
 	if r.Cfg.CacheDir != "" {
 		cachePath = filepath.Join(r.Cfg.CacheDir, fmt.Sprintf("%s-%s-s%d-d%d-e%d-seed%d.kge",
 			dataset, model, r.Cfg.Scale, r.Cfg.Dim, r.Cfg.Epochs, r.Cfg.Seed))
-		// Caches written before flat checkpoints are gob; LoadAuto reads
-		// both. A flat cache stays mapped for the life of the process.
-		if m, _, _, err := kge.LoadAuto(cachePath); err == nil {
+		// The cache is a flat checkpoint and stays mapped for the life of
+		// the process; one that does not open is retrained and rewritten.
+		if m, err := kge.OpenMapped(cachePath); err == nil {
 			r.logf("model %-22s loaded from cache", key)
 			r.models[key] = m
 			return m, nil

@@ -138,28 +138,33 @@ func Create(path string, h Header) (*Journal, error) {
 	return &Journal{log: log}, nil
 }
 
+// CheckHeader validates the header Decode found in path's bytes against want:
+// present, with want's version, fingerprint and options hash (else a *MismatchError).
+func CheckHeader(path string, hdr *Header, want Header) error {
+	switch {
+	case hdr == nil:
+		return fmt.Errorf("jobs: %s is not a discovery checkpoint (no valid header)", path)
+	case hdr.Version != journalVersion:
+		return &MismatchError{Field: "version", Want: fmt.Sprint(journalVersion), Got: fmt.Sprint(hdr.Version)}
+	case hdr.Fingerprint != want.Fingerprint:
+		return &MismatchError{Field: "fingerprint", Want: want.Fingerprint, Got: hdr.Fingerprint}
+	case hdr.OptionsHash != want.OptionsHash:
+		return &MismatchError{Field: "options", Want: want.OptionsHash, Got: hdr.OptionsHash}
+	}
+	return nil
+}
+
 // Recover opens an existing journal for resumption: it decodes the longest
-// valid prefix, validates the header against want (version, fingerprint,
-// options hash) — a mismatch is returned with the file untouched — truncates
-// any invalid tail, and reopens the file for appending. The returned records
-// are the relations already complete. A missing file is not an error —
-// Recover falls back to Create.
+// valid prefix, checks the header (CheckHeader) — a mismatch is returned with
+// the file untouched — truncates any invalid tail, and reopens the file for
+// appending. The returned records are the relations already complete. A
+// missing file is not an error — Recover falls back to Create.
 func Recover(path string, want Header) (*Journal, []RelationRecord, error) {
 	var recs []RelationRecord
 	log, err := wal.Recover(path, func(data []byte) (int, error) {
 		hdr, decoded, valid := Decode(data)
 		recs = decoded
-		switch {
-		case hdr == nil:
-			return 0, fmt.Errorf("jobs: %s is not a discovery checkpoint (no valid header)", path)
-		case hdr.Version != journalVersion:
-			return 0, &MismatchError{Field: "version", Want: fmt.Sprint(journalVersion), Got: fmt.Sprint(hdr.Version)}
-		case hdr.Fingerprint != want.Fingerprint:
-			return 0, &MismatchError{Field: "fingerprint", Want: want.Fingerprint, Got: hdr.Fingerprint}
-		case hdr.OptionsHash != want.OptionsHash:
-			return 0, &MismatchError{Field: "options", Want: want.OptionsHash, Got: hdr.OptionsHash}
-		}
-		return valid, nil
+		return valid, CheckHeader(path, hdr, want)
 	})
 	if errors.Is(err, os.ErrNotExist) {
 		j, cerr := Create(path, want)

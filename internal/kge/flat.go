@@ -198,11 +198,11 @@ func (mm *Mapped) Close() error {
 	return mm.closeErr
 }
 
-// OpenMapped maps a flat checkpoint and returns a model whose weights alias
-// the mapped pages. Both checksums (header and whole-file) are verified at
-// open — a sequential pass through the page cache, still far cheaper than a
-// gob decode — so a truncated or torn file is a clean error, never a panic
-// or a silently wrong model.
+// OpenMapped maps a flat checkpoint, the container every command reads, and
+// returns a model whose weights alias the mapped pages. Both checksums
+// (header and whole-file) are verified at open — a sequential pass through
+// the page cache — so a truncated or torn file is a clean error, never a
+// panic or a silently wrong model; a gob file's error names kgconvert.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -235,32 +235,6 @@ func OpenMapped(path string) (*Mapped, error) {
 	return &Mapped{Trainable: m, data: data}, nil
 }
 
-// LoadAuto opens a checkpoint in either format, sniffed by magic. For flat
-// checkpoints it returns the derived model plus the mmap handle to close
-// after the model's last use. For gob checkpoints mapped is nil. format is
-// "flat" or "gob".
-func LoadAuto(path string) (m Model, mapped *Mapped, format string, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	var magic [len(flatMagic)]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr == nil && string(magic[:]) == flatMagic {
-		mm, err := OpenMapped(path)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return mm.Trainable, mm, "flat", nil
-	}
-	m, err = LoadFile(path)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return m, nil, "gob", nil
-}
-
 // parseFlat validates a mapped flat checkpoint and reconstructs its model.
 // aliased reports whether the parameter tables point into data (true on
 // little-endian hosts) or were copied out (big-endian fallback). Every read
@@ -271,7 +245,7 @@ func parseFlat(data []byte) (m Model, aliased bool, err error) {
 	c := &flatCursor{b: data}
 
 	if string(c.bytes(len(flatMagic))) != flatMagic {
-		return nil, false, fmt.Errorf("bad magic (not a flat checkpoint)")
+		return nil, false, fmt.Errorf("bad magic: not a flat checkpoint (kgconvert converts a gob one)")
 	}
 	if v := c.u32(); c.err == nil && v != flatVersion {
 		return nil, false, fmt.Errorf("unsupported flat version %d (want %d)", v, flatVersion)

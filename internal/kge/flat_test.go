@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -171,10 +172,10 @@ func TestFlatBitflipDetected(t *testing.T) {
 	}
 }
 
-// TestLoadAutoSniffsBothFormats verifies format detection: the same weights
-// load from either container with identical fingerprints, and the format tag
-// reports which path ran.
-func TestLoadAutoSniffsBothFormats(t *testing.T) {
+// TestOpenMappedRefusesGob: the same weights saved in both containers open
+// only as flat, where the *Mapped carries the weights and the mapping; the
+// gob file is refused with an error that names kgconvert, its migration.
+func TestOpenMappedRefusesGob(t *testing.T) {
 	m, err := New("hole", flatTestConfig("hole"))
 	if err != nil {
 		t.Fatal(err)
@@ -192,28 +193,27 @@ func TestLoadAutoSniffsBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, mapped, format, err := LoadAuto(gobPath)
-	if err != nil || format != "gob" || mapped != nil {
-		t.Fatalf("LoadAuto(gob): format=%q mapped=%v err=%v", format, mapped, err)
-	}
-	if got := Fingerprint(g); got != want {
-		t.Errorf("gob fingerprint %s, want %s", got, want)
+	if mm, err := OpenMapped(gobPath); err == nil || !strings.Contains(err.Error(), "kgconvert") {
+		if mm != nil {
+			mm.Close()
+		}
+		t.Errorf("OpenMapped(gob): err = %v, want one naming kgconvert", err)
 	}
 
-	fm, mapped, format, err := LoadAuto(flatPath)
-	if err != nil || format != "flat" || mapped == nil {
-		t.Fatalf("LoadAuto(flat): format=%q mapped=%v err=%v", format, mapped, err)
+	mm, err := OpenMapped(flatPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer mapped.Close()
-	if got := Fingerprint(fm); got != want {
+	defer mm.Close()
+	if got := Fingerprint(mm); got != want {
 		t.Errorf("flat fingerprint %s, want %s", got, want)
 	}
-	if mapped.MappedBytes() == 0 {
+	if mm.MappedBytes() == 0 {
 		t.Errorf("flat load reports no mapped bytes on a little-endian host")
 	}
-	// LoadAuto returns the derived model itself; mapped only owns the pages.
-	if _, ok := fm.(*Derived); !ok {
-		t.Errorf("LoadAuto(flat) returned %T, not the *Derived", fm)
+	// The embedded model is the derived one itself; Mapped only adds the pages.
+	if _, ok := mm.Trainable.(*Derived); !ok {
+		t.Errorf("OpenMapped embeds %T, not the *Derived", mm.Trainable)
 	}
 }
 

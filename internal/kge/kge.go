@@ -21,8 +21,8 @@
 // produces one: evaluation, discovery, training and serving all see one
 // interface, and New returns it.
 //
-// Checkpoints come in two containers, both CRC-checked: a gob snapshot
-// (persist.go) and a flat, mmap-able layout (flat.go).
+// Checkpoints are one CRC-checked, mmap-able flat container (flat.go); the
+// gob snapshot before it (persist.go) is read only to migrate it (kgconvert).
 package kge
 
 import (

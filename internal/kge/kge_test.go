@@ -313,23 +313,31 @@ func TestTransERejectsBadNorm(t *testing.T) {
 		}
 		return path
 	}
+	openFlat := func(path string) (Model, error) {
+		mm, err := OpenMapped(path)
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { mm.Close() })
+		return mm, nil
+	}
 	for _, norm := range []int{0, 1, 2, 3} {
-		for _, path := range []string{flatWithNorm(norm), gobWithNorm(norm)} {
-			got, mapped, format, err := LoadAuto(path)
+		for _, c := range []struct {
+			path string
+			open func(string) (Model, error)
+		}{{flatWithNorm(norm), openFlat}, {gobWithNorm(norm), LoadFile}} {
+			got, err := c.open(c.path)
 			if norm > 1 {
 				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("norm %d", norm)) {
-					t.Errorf("%s: LoadAuto error = %v, want one naming norm %d", filepath.Base(path), err, norm)
+					t.Errorf("%s: load error = %v, want one naming norm %d", filepath.Base(c.path), err, norm)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s: %v", filepath.Base(path), err)
+				t.Fatalf("%s: %v", filepath.Base(c.path), err)
 			}
 			if fp := Fingerprint(got); fp != want {
-				t.Errorf("%s (%s): fingerprint %s, want %s", filepath.Base(path), format, fp, want)
-			}
-			if mapped != nil {
-				mapped.Close()
+				t.Errorf("%s: fingerprint %s, want %s", filepath.Base(c.path), fp, want)
 			}
 		}
 	}

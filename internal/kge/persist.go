@@ -198,8 +198,8 @@ func SaveFile(m Model, path string) error {
 	return fsio.WriteAtomic(path, func(f *os.File) error { return Save(m, f) })
 }
 
-// LoadFile reads a gob checkpoint from path. Commands read through LoadAuto,
-// whose gob branch is the migration path; only bench/kgbench calls LoadFile.
+// LoadFile reads a gob checkpoint from path. kgconvert, which migrates gob to
+// flat, and bench/kgbench are its only callers; commands open flat ones.
 func LoadFile(path string) (Model, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -85,16 +85,13 @@ func TestLoadRejectsLegacyMapSnapshot(t *testing.T) {
 // gobFixtureFingerprint pins testdata/distmult.kge, a gob checkpoint written
 // once by SaveFile (DistMult, 23 entities, 5 relations, dim 12). The file is
 // never regenerated: it stands for every gob checkpoint already on disk, which
-// LoadAuto must keep reading with the same weights.
+// LoadFile, kgconvert's reader, must keep reading with the same weights.
 const gobFixtureFingerprint = "decd60db5e6b022e4ead7c00cae71c7877025eb63cc85c3245e3f6406d4223c9"
 
-func TestLoadAutoReadsGobFixture(t *testing.T) {
-	m, mapped, format, err := LoadAuto("testdata/distmult.kge")
+func TestLoadFileReadsGobFixture(t *testing.T) {
+	m, err := LoadFile("testdata/distmult.kge")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if format != "gob" || mapped != nil {
-		t.Fatalf("LoadAuto(gob fixture): format=%q mapped=%v, want gob and no mapping", format, mapped)
 	}
 	if got := Fingerprint(m); got != gobFixtureFingerprint {
 		t.Errorf("gob fixture fingerprint %s, want %s", got, gobFixtureFingerprint)

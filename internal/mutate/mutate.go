@@ -247,20 +247,30 @@ func (s *State) apply(b Batch, logIt bool) (Applied, error) {
 // byte for byte.
 //
 // Algorithm 1 sweeps a relation from two inputs: its own triples, and the
-// candidate pools and weights line 7 gives it. So a relation is dirty when
-// the batches net-changed one of its triples (NetRels), or when the
-// strategy's Weights for it differ between the current graph and a clone
-// with the batches reverted, last batch first. Strategies whose weights read
-// only the relation's own triples (core.RelationLocal) skip the clone: their
-// dirty set is NetRels. An unknown strategy name dirties every relation.
+// candidate pools and weights line 7 gives it. The batches' net change is
+// the triples whose presence now differs from before the first batch that
+// changed them (which inserted them if and only if they were absent). A
+// relation is dirty when the net change holds one of its triples, or when
+// the strategy's Weights for it differ between the current graph and a
+// clone with the net change reverted. Strategies whose weights read only the
+// relation's own triples (core.RelationLocal) skip the clone. An unknown
+// strategy name dirties every relation.
 func (s *State) DirtyRelations(strategy string, batches ...Applied) []kg.RelationID {
-	net := make(map[kg.RelationID]bool)
+	n := 0
 	for _, b := range batches {
-		for _, r := range b.NetRels {
-			net[r] = true
+		n += len(b.Inserted) + len(b.Removed)
+	}
+	seen := make(map[kg.Triple]bool, n)
+	changed := make([]kg.Triple, 0, n)
+	for _, b := range batches {
+		for i, t := range slices.Concat(b.Inserted, b.Removed) {
+			if !seen[t] && s.Graph.Contains(t) == (i < len(b.Inserted)) {
+				changed = append(changed, t)
+			}
+			seen[t] = true
 		}
 	}
-	if len(net) == 0 {
+	if len(changed) == 0 {
 		// No triple net-changed: the graph, and everything derived from it,
 		// is what it was. Nothing is dirty, for any strategy.
 		return nil
@@ -272,19 +282,23 @@ func (s *State) DirtyRelations(strategy string, batches ...Applied) []kg.Relatio
 	var before core.Strategy
 	if !core.RelationLocal(now) {
 		g := s.Graph.Clone()
-		for i := len(batches) - 1; i >= 0; i-- {
-			for _, t := range batches[i].Inserted {
+		var removed []kg.Triple
+		for _, t := range changed {
+			if s.Graph.Contains(t) {
 				g.Delete(t)
+			} else {
+				removed = append(removed, t)
 			}
-			g.AddAll(batches[i].Removed)
 		}
+		g.AddAll(removed)
 		before, _ = core.StrategyByName(strategy)
 		bindCached(now, s.Graph)
 		bindCached(before, g)
 	}
-	out := make([]kg.RelationID, 0, len(net))
+	out := make([]kg.RelationID, 0, len(changed))
 	for _, r := range s.Graph.RelationIDs() {
-		if net[r] || before != nil && !sameWeights(now, before, r) {
+		net := slices.ContainsFunc(changed, func(t kg.Triple) bool { return t.R == r })
+		if net || before != nil && !sameWeights(now, before, r) {
 			out = append(out, r)
 		}
 	}

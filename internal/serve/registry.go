@@ -31,12 +31,10 @@ import (
 // servedModel bundles one model's weights with the per-model derived
 // artifacts: ranker, calibrator, and load provenance.
 type servedModel struct {
-	model       kge.Model
-	mapped      *kge.Mapped // non-nil iff the weights alias an mmap'd checkpoint
+	model       kge.Model // a *kge.Mapped when its weights alias an mmap'd checkpoint
 	ranker      *eval.Ranker
 	calibrator  *eval.PlattCalibrator // nil when no validation split exists
 	fingerprint string
-	format      string // "gob", "flat", or "memory" (constructed in process)
 	path        string // checkpoint path, "" for in-memory models
 	loadTime    time.Duration
 
@@ -51,8 +49,8 @@ func (sm *servedModel) release() {
 	sm.refs--
 	last := sm.retired && sm.refs == 0
 	sm.mu.Unlock()
-	if last && sm.mapped != nil {
-		sm.mapped.Close()
+	if mm, ok := sm.model.(*kge.Mapped); ok && last {
+		mm.Close()
 	}
 }
 
@@ -64,8 +62,8 @@ func (sm *servedModel) retire() {
 	sm.retired = true
 	last := sm.refs == 0
 	sm.mu.Unlock()
-	if last && sm.mapped != nil {
-		sm.mapped.Close()
+	if mm, ok := sm.model.(*kge.Mapped); ok && last {
+		mm.Close()
 	}
 }
 
@@ -123,8 +121,9 @@ func (s *Server) resolveLocked(selector string) (*servedModel, error) {
 // addModel builds the per-model artifacts for m and registers it;
 // makeDefault routes selector-less requests to it. Re-adding a fingerprint
 // that is already live is not an error: the existing entry is kept (its cache
-// entries stay warm) and only the default flag is applied.
-func (s *Server) addModel(m kge.Model, mapped *kge.Mapped, format, path string, loadTime time.Duration, makeDefault bool) (*servedModel, error) {
+// entries stay warm), only the default flag is applied, and m stays the
+// caller's to close.
+func (s *Server) addModel(m kge.Model, path string, loadTime time.Duration, makeDefault bool) (*servedModel, error) {
 	if err := kge.CheckCovers(m, s.ds.Train); err != nil {
 		return nil, err
 	}
@@ -139,9 +138,6 @@ func (s *Server) addModel(m kge.Model, mapped *kge.Mapped, format, path string, 
 			s.defaultFP = fp
 			s.regMu.Unlock()
 		}
-		if mapped != nil {
-			mapped.Close() // duplicate mapping of weights already served
-		}
 		return existing, nil
 	}
 
@@ -153,10 +149,8 @@ func (s *Server) addModel(m kge.Model, mapped *kge.Mapped, format, path string, 
 	s.kgMu.RUnlock()
 	sm := &servedModel{
 		model:       m,
-		mapped:      mapped,
 		ranker:      ranker,
 		fingerprint: fp,
-		format:      format,
 		path:        path,
 		loadTime:    loadTime,
 	}
@@ -176,9 +170,6 @@ func (s *Server) addModel(m kge.Model, mapped *kge.Mapped, format, path string, 
 			s.defaultFP = fp
 		}
 		s.regMu.Unlock()
-		if mapped != nil {
-			mapped.Close()
-		}
 		return prior, nil
 	}
 	s.models[fp] = sm
@@ -189,17 +180,17 @@ func (s *Server) addModel(m kge.Model, mapped *kge.Mapped, format, path string, 
 	return sm, nil
 }
 
-// LoadModelFile reads a checkpoint (flat or gob, sniffed) from disk and
+// LoadModelFile maps a flat checkpoint from disk (kge.OpenMapped) and
 // registers it. Used by kgserve's -models flag and POST /models.
 func (s *Server) LoadModelFile(path string, makeDefault bool) (*servedModel, error) {
 	start := time.Now()
-	m, mapped, format, err := kge.LoadAuto(path)
+	m, err := kge.OpenMapped(path)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := s.addModel(m, mapped, format, path, time.Since(start), makeDefault)
-	if err != nil && mapped != nil {
-		mapped.Close()
+	sm, err := s.addModel(m, path, time.Since(start), makeDefault)
+	if err != nil || sm.model != m {
+		m.Close() // refused, or a second mapping of weights already served
 	}
 	return sm, err
 }
@@ -237,7 +228,7 @@ type modelView struct {
 	Fingerprint string  `json:"fingerprint"`
 	Model       string  `json:"model"`
 	Dim         int     `json:"dim"`
-	Format      string  `json:"format"`
+	Format      string  `json:"format"` // "flat" when mapped, else "memory"
 	Path        string  `json:"path,omitempty"`
 	Default     bool    `json:"default"`
 	Calibrated  bool    `json:"calibrated"`
@@ -251,14 +242,14 @@ func (s *Server) viewOf(sm *servedModel, isDefault bool) modelView {
 		Fingerprint: sm.fingerprint,
 		Model:       sm.model.Name(),
 		Dim:         sm.model.Dim(),
-		Format:      sm.format,
+		Format:      "memory",
 		Path:        sm.path,
 		Default:     isDefault,
 		Calibrated:  sm.calibrator != nil,
 		LoadMS:      float64(sm.loadTime.Microseconds()) / 1000,
 	}
-	if sm.mapped != nil {
-		v.MappedBytes = sm.mapped.MappedBytes()
+	if mm, ok := sm.model.(*kge.Mapped); ok {
+		v.Format, v.MappedBytes = "flat", mm.MappedBytes()
 	}
 	sm.mu.Lock()
 	v.InFlight = sm.refs
@@ -310,8 +301,8 @@ func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "load %s: %v", req.Path, err)
 		return
 	}
-	s.cfg.Logger.Printf("kgserve: loaded model %s (%s, %s) from %s in %s",
-		sm.fingerprint[:12], sm.model.Name(), sm.format, req.Path, sm.loadTime.Round(time.Microsecond))
+	s.cfg.Logger.Printf("kgserve: loaded model %s (%s) from %s in %s",
+		sm.fingerprint[:12], sm.model.Name(), req.Path, sm.loadTime.Round(time.Microsecond))
 	s.regMu.RLock()
 	isDefault := s.defaultFP == sm.fingerprint
 	s.regMu.RUnlock()

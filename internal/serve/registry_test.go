@@ -337,7 +337,8 @@ func TestJobHoldsModelAcrossUnload(t *testing.T) {
 	srv.regMu.RLock()
 	sm := srv.models[fp]
 	srv.regMu.RUnlock()
-	if sm == nil || sm.mapped == nil {
+	mm, ok := sm.model.(*kge.Mapped)
+	if !ok {
 		t.Fatal("second model is not mmap-backed")
 	}
 
@@ -351,7 +352,7 @@ func TestJobHoldsModelAcrossUnload(t *testing.T) {
 	if rec, _ := doReq(t, h, "DELETE", "/models/"+fp, nil); rec.Code != http.StatusOK {
 		t.Fatalf("unload while job runs: %d", rec.Code)
 	}
-	if sm.mapped.MappedBytes() == 0 {
+	if mm.MappedBytes() == 0 {
 		t.Fatal("model unmapped while a job still holds it")
 	}
 	close(release)
@@ -384,8 +385,8 @@ func TestJobHoldsModelAcrossUnload(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	sm.mapped.Close() // joins the in-flight close, if any; idempotent
-	if sm.mapped.MappedBytes() != 0 {
+	mm.Close() // joins the in-flight close, if any; idempotent
+	if mm.MappedBytes() != 0 {
 		t.Fatal("retired model still mapped after its last reference was released")
 	}
 }
@@ -461,5 +462,16 @@ func TestRegistryRefusesCraftedCheckpoint(t *testing.T) {
 	}
 	if _, after := doReq(t, h, "GET", "/models", nil); fmt.Sprint(after["models"]) != fmt.Sprint(before["models"]) {
 		t.Errorf("a refused load changed the registry: %v, was %v", after["models"], before["models"])
+	}
+}
+
+// TestRegistryRefusesGobCheckpoint: POST /models on a gob checkpoint answers
+// 422 with an error naming kgconvert, which migrates it to flat.
+func TestRegistryRefusesGobCheckpoint(t *testing.T) {
+	srv := newTestServer(t, nil)
+	h := srv.Handler()
+	rec, body := doReq(t, h, "POST", "/models", map[string]any{"path": "../kge/testdata/distmult.kge"})
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(fmt.Sprint(body["error"]), "kgconvert") {
+		t.Errorf("POST /models with a gob checkpoint: %d %v, want 422 naming kgconvert", rec.Code, body)
 	}
 }

@@ -164,6 +164,7 @@ type Server struct {
 
 // New builds a Server over already-loaded artifacts, registering model as
 // the default. The model must cover every entity and relation of the dataset.
+// A *kge.Mapped model becomes the server's: unloading it closes the mapping.
 func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	s := &Server{
@@ -199,7 +200,7 @@ func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 		s.mut.AttachLog(mlog)
 		s.mutLog = mlog
 	}
-	if _, err := s.addModel(model, nil, "memory", "", 0, true); err != nil {
+	if _, err := s.addModel(model, "", 0, true); err != nil {
 		if s.mutLog != nil {
 			s.mutLog.Close()
 		}
@@ -227,9 +228,9 @@ func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Load reads a dataset directory and a model checkpoint (flat or gob,
-// sniffed from the file) from disk and builds a Server with it as the
-// default model.
+// Load reads a dataset directory and maps a flat model checkpoint
+// (kge.OpenMapped) from disk, and builds a Server with it as the default
+// model.
 func Load(dataDir, modelPath string, cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	ds, err := kg.LoadDataset(dataDir, dataDir)
@@ -237,27 +238,21 @@ func Load(dataDir, modelPath string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	start := time.Now()
-	m, mapped, format, err := kge.LoadAuto(modelPath)
+	m, err := kge.OpenMapped(modelPath)
 	if err != nil {
 		return nil, err
 	}
 	s, err := New(ds, m, cfg)
 	if err != nil {
-		if mapped != nil {
-			mapped.Close()
-		}
+		m.Close()
 		return nil, err
 	}
-	// Patch the default entry's provenance: New registered it as an
-	// in-memory model because it cannot know where the weights came from.
-	if sm := s.defaultModel(); sm != nil {
-		sm.mapped = mapped
-		sm.format = format
-		sm.path = modelPath
-		sm.loadTime = time.Since(start)
-		cfg.Logger.Printf("kgserve: loaded %s checkpoint %s (%s) in %s",
-			format, modelPath, sm.fingerprint[:12], sm.loadTime.Round(time.Microsecond))
-	}
+	// Patch the default entry's provenance: New cannot know where the
+	// weights came from.
+	sm := s.defaultModel()
+	sm.path, sm.loadTime = modelPath, time.Since(start)
+	cfg.Logger.Printf("kgserve: loaded checkpoint %s (%s) in %s",
+		modelPath, sm.fingerprint[:12], sm.loadTime.Round(time.Microsecond))
 	return s, nil
 }
 

@@ -10,8 +10,8 @@
 # four line budgets, then
 # the end-to-end gates on real binaries: training determinism, WAL
 # compatibility, live mutation, kgserve smoke, crash-resume, fleet fault
-# tolerance, gob-to-flat conversion of a pinned gob checkpoint, and flat
-# serving with hot swap.
+# tolerance, gob-to-flat conversion of a pinned gob checkpoint (which every
+# other reader refuses, naming kgconvert), and flat serving with hot swap.
 # Discovery and the evaluation protocol (both sides) rank through one
 # concurrent block scheduler (internal/eval.(*Ranker).RankTriples), so the
 # race detector is mandatory, not optional, on every PR. The determinism gate
@@ -151,8 +151,10 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once ranking returned ranks only, without each candidate's sweep
-# score, and the pooled score matrix lost its shrink policy (5 754 once
+# count once kge.LoadAuto and its gob sniff went, so that readers open flat
+# checkpoints only (5 709 once ranking returned ranks only, without each
+# candidate's sweep score, and the pooled score matrix lost its shrink
+# policy; 5 754 once
 # eval.rankRow counted a row by SSE2 bucket keys and a histogram, in place of
 # its bucket index and the branches around it, and the same 5 754
 # once checkpoint loaders checked the tables' shapes against the records
@@ -167,12 +169,15 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5709 \
+hold_lines 'internal/{kge,eval,train,core}' 5683 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once a mutation batch
-# recorded its net triples in place of the live projection and the entity
-# supersets, and the dirty set came from the strategy's own weights (5 310
+# two that put bytes on disk for them: the count once the server and the
+# fleet opened checkpoints through kge.OpenMapped alone, the dirty set netted
+# the batches, and kgmutate checked its baseline with jobs.CheckHeader (5 219
+# once a mutation batch recorded its net triples in place of the live
+# projection and the entity supersets, and the dirty set came from the
+# strategy's own weights; 5 310
 # once a job's final state and its lifecycle counter changed under one lock,
 # and the server and the fleet refused max_candidates above
 # core.MaxCandidatesCeiling; 5 316 once
@@ -186,18 +191,20 @@ hold_lines 'internal/{kge,eval,train,core}' 5709 \
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5219 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5218 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The triple store: one eager, array-backed index per relation, the count
 # once the membership map, the lazily rebuilt side tables and BuildIndexes
 # went (980 before).
 hold_lines 'internal/kg' 965 internal/kg
 # The commands: flag parsing and wiring only, so a command that grows is a
-# package that should have (1 645 before kgstats drew its histogram bars
+# package that should have (1 642 before every reader but kgconvert opened
+# flat checkpoints only and kgmutate checked its baseline with
+# jobs.CheckHeader; 1 645 before kgstats drew its histogram bars
 # with strings.Repeat; 1 736 before kgfleet coord's sixteen one-shot
 # flags went; 1 741 before the kgfleet worker's four fault flags went; 1 818
 # before -prune, kgtrain -format and kgconvert -to went).
-hold_lines 'cmd/*/main.go' 1642 cmd
+hold_lines 'cmd/*/main.go' 1629 cmd
 
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
@@ -509,8 +516,8 @@ fi
 echo "fleet gate: worker SIGKILLed mid-lease, $reassigned reassignment(s), byte-identical output"
 
 echo "== gob-to-flat conversion gate =="
-# Gob is read-only: no command writes it, and kgconvert is the migration path
-# for gob checkpoints already on disk. Convert the checked-in gob checkpoint
+# Gob is read only by kgconvert, the migration path for gob checkpoints
+# already on disk; no command writes it. Convert the checked-in gob checkpoint
 # (written once, never regenerated) and require the fingerprint kgconvert
 # verifies on the flat output to be the one internal/kge's tests pin.
 go build -o "$tmp/kgconvert" ./cmd/kgconvert
@@ -522,6 +529,19 @@ if [ "$fp_conv" != "$gob_fixture_fp" ]; then
   exit 1
 fi
 echo "conversion gate: gob fixture -> flat, fingerprint ${fp_conv:0:12} as pinned"
+# Every other reader opens flat only: the same gob file handed to kgdiscover
+# must fail, and the error must say how to migrate it.
+if "$tmp/kgdiscover" -data "$tmp/data" -model internal/kge/testdata/distmult.kge \
+  >"$tmp/gob-refused.log" 2>&1; then
+  echo "conversion gate FAILED: kgdiscover accepted a gob checkpoint" >&2
+  exit 1
+fi
+if ! grep -q kgconvert "$tmp/gob-refused.log"; then
+  echo "conversion gate FAILED: kgdiscover's refusal of a gob checkpoint does not name kgconvert" >&2
+  cat "$tmp/gob-refused.log" >&2
+  exit 1
+fi
+echo "conversion gate: kgdiscover refuses the gob fixture, naming kgconvert"
 
 echo "== flat-checkpoint hot-swap gate =="
 # Exercise the multi-model registry over two flat checkpoints: serve one, load
