@@ -228,10 +228,9 @@ func BenchmarkSquaresClusteringCost(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			strategy.Bind(ds.Train)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				strategy.Weights(probe)
+				strategy.Weights(ds.Train, probe, strategy.Statistic(ds.Train))
 			}
 		})
 	}

@@ -50,9 +50,10 @@ type Options struct {
 	Seed int64
 	// Workers bounds ranking parallelism; zero means GOMAXPROCS.
 	Workers int
-	// CacheWeights memoizes graph-level strategy statistics across
-	// relations, departing from Algorithm 1's per-relation recomputation.
-	// Off by default (faithful mode); see the weight-caching ablation.
+	// CacheWeights computes the strategy's graph statistic once per sweep
+	// rather than once per relation, departing from Algorithm 1's
+	// per-relation recomputation. Off by default (faithful mode); see the
+	// weight-caching ablation.
 	CacheWeights bool
 	// PruneMode selects the pruned-ranking ablation, which only bench/kgbench
 	// runs: "" or PruneOff is the dense sweep; PruneExact ranks through
@@ -105,8 +106,8 @@ type Fact struct {
 // dimensions are derived from it: runtime (Figure 2), MRR over fact ranks
 // (Figure 4), and efficiency = facts per hour (Figure 6).
 type Stats struct {
-	// WeightTime is the time spent computing strategy weights (including
-	// Prepare's graph statistics).
+	// WeightTime is the time spent computing strategy weights, the graph
+	// statistic included.
 	WeightTime time.Duration
 	// GenerateTime is the time spent sampling and building mesh grids.
 	GenerateTime time.Duration
@@ -259,11 +260,6 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 	start := time.Now()
 	res := &Result{}
 
-	strategy.Bind(g)
-	if wc, ok := strategy.(WeightCacher); ok {
-		wc.SetCacheWeights(opts.CacheWeights)
-	}
-
 	relations := opts.Relations
 	if relations == nil {
 		relations = g.RelationIDs()
@@ -278,6 +274,9 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 		filter = g
 	}
 	ranker := eval.NewRanker(model, filter)
+	// Line 7's graph statistic: recomputed for every relation, or kept from
+	// the first relation under CacheWeights.
+	var stat []float64
 
 	for ri, r := range relations {
 		if err := ctx.Err(); err != nil {
@@ -287,7 +286,10 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 		rel := RelationStats{Relation: r}
 
 		wStart := time.Now()
-		subs, sw, objs, ow := strategy.Weights(r)
+		if stat == nil || !opts.CacheWeights {
+			stat = strategy.Statistic(g)
+		}
+		subs, sw, objs, ow := strategy.Weights(g, r, stat)
 		rel.WeightTime = time.Since(wStart)
 
 		if len(subs) > 0 && len(objs) > 0 {

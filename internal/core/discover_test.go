@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/kg"
@@ -170,6 +172,45 @@ func TestDiscoverFactsCacheWeightsEquivalent(t *testing.T) {
 	for i := range plain.Facts {
 		if plain.Facts[i] != cached.Facts[i] {
 			t.Fatalf("weight caching changed fact %d", i)
+		}
+	}
+}
+
+// TestSharedStrategyConcurrentSweeps runs two sweeps at once on one strategy
+// value, one caching its statistic and one recomputing it per relation: each
+// must equal the same sweep run alone, and under -race neither may write
+// what the other reads.
+func TestSharedStrategyConcurrentSweeps(t *testing.T) {
+	ds, m := tinyTrained(t)
+	s := NewClusteringTriangles()
+	run := func(cache bool) (*Result, error) {
+		return DiscoverFacts(context.Background(), m, ds.Train, s, Options{
+			TopN: 50, MaxCandidates: 30, Seed: 9, Workers: 1, CacheWeights: cache,
+		})
+	}
+	modes := []bool{false, true}
+	var got [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, cache := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(cache)
+		}()
+	}
+	wg.Wait()
+	for i, cache := range modes {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := run(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[i].Facts, want.Facts) {
+			t.Errorf("CacheWeights=%v: the concurrent sweep found %d facts, the sequential one %d, or they differ",
+				cache, len(got[i].Facts), len(want.Facts))
 		}
 	}
 }

@@ -222,8 +222,7 @@ func TestInverseDegreeTargetsLongTail(t *testing.T) {
 		g.AddNamed("alice", "knows", string(rune('x'+i)))
 	}
 	s := NewInverseDegree()
-	s.Bind(g)
-	subs, sw, _, _ := s.Weights(0)
+	subs, sw, _, _ := weights(s, g, 0)
 	// alice (the hub) must have the smallest subject weight.
 	var aliceW, maxW float64
 	for i, e := range subs {
@@ -242,12 +241,10 @@ func TestInverseDegreeTargetsLongTail(t *testing.T) {
 func TestMixedExplorationInterpolates(t *testing.T) {
 	g := ruleTestGraph(t)
 	pure := NewGraphDegree()
-	pure.Bind(g)
-	_, pureW, _, _ := pure.Weights(0)
+	_, pureW, _, _ := weights(pure, g, 0)
 
 	mixed0 := NewMixedExploration(0)
-	mixed0.Bind(g)
-	_, mixed0W, _, _ := mixed0.Weights(0)
+	_, mixed0W, _, _ := weights(mixed0, g, 0)
 
 	// ε = 0 reduces to GRAPH DEGREE up to normalization: proportionality.
 	ratio := mixed0W[0] / pureW[0]

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/graphstats"
-	"repro/internal/kg"
-)
+import "repro/internal/kg"
 
 // This file implements the first future-work direction from the paper's §6:
 // "the development of new fact discovery methods and sampling strategies
@@ -51,10 +48,7 @@ func inverseDegreeStat(g *kg.Graph) []float64 {
 // the +1 keeps every weight positive so the distribution is always well
 // formed.
 func NewInverseDegree() Strategy {
-	return &nodeStatStrategy{
-		name:    "inverse_degree",
-		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 { return inverseDegreeStat(g) },
-	}
+	return Strategy{name: "inverse_degree", statistic: inverseDegreeStat}
 }
 
 // NewMixedExploration returns the ε-greedy blend: a fraction ε of the
@@ -67,18 +61,15 @@ func NewMixedExploration(epsilon float64) Strategy {
 	if epsilon > 1 {
 		epsilon = 1
 	}
-	return &nodeStatStrategy{
-		name: "mixed_exploration",
-		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 {
-			exploit := normalizeMass(degreeStat(g))
-			explore := normalizeMass(inverseDegreeStat(g))
-			w := make([]float64, len(exploit))
-			for i := range w {
-				w[i] = (1-epsilon)*exploit[i] + epsilon*explore[i]
-			}
-			return w
-		},
-	}
+	return Strategy{name: "mixed_exploration", statistic: func(g *kg.Graph) []float64 {
+		exploit := normalizeMass(degreeStat(g))
+		explore := normalizeMass(inverseDegreeStat(g))
+		w := make([]float64, len(exploit))
+		for i := range w {
+			w[i] = (1-epsilon)*exploit[i] + epsilon*explore[i]
+		}
+		return w
+	}}
 }
 
 // normalizeMass scales xs to sum to 1 (no-op on a zero vector).

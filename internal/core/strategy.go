@@ -2,7 +2,8 @@
 // discovery algorithm (Algorithm 1, "DiscoverFacts") and the six candidate
 // sampling strategies it evaluates — UNIFORM RANDOM, ENTITY FREQUENCY,
 // GRAPH DEGREE, CLUSTERING COEFFICIENT, CLUSTERING TRIANGLES and
-// CLUSTERING SQUARES.
+// CLUSTERING SQUARES. A strategy is an immutable value; DiscoverFacts
+// decides when its graph statistic is computed.
 //
 // Given a trained KGE model M and the knowledge graph G it was trained on,
 // fact discovery finds triples in the complement of G that M considers
@@ -21,35 +22,63 @@ import (
 )
 
 // Strategy assigns sampling weights to candidate subject and object
-// entities per relation. Bind attaches the graph; Weights is then called
-// once per relation, inside the discovery loop.
+// entities per relation. It is an immutable value: one strategy may serve
+// any number of sweeps at once, on any graphs.
 //
-// Faithful to Algorithm 1 (line 7 sits inside the per-relation loop), the
-// graph-statistic strategies recompute their statistics on every Weights
-// call by default — this is precisely what makes CLUSTERING COEFFICIENT and
-// CLUSTERING TRIANGLES slow in the paper's Figure 2 and what couples
-// discovery runtime to the relation count. Strategies that support it can
-// memoize the statistics across relations via SetCacheWeights (the
-// weight-caching ablation).
-type Strategy interface {
-	// Name returns the canonical strategy name as used in the paper.
-	Name() string
-	// Bind attaches the knowledge graph the strategy will sample from.
-	Bind(g *kg.Graph)
-	// Weights returns, for relation r, the candidate entities on each side
-	// together with their unnormalized sampling weights. Entities and
-	// weights are parallel slices; weights must be non-negative. The
-	// candidate pools are the unique entities observed on each side of r in
-	// the graph, following AmpliGraph's discover_facts.
-	Weights(r kg.RelationID) (subjects []kg.EntityID, subjectW []float64, objects []kg.EntityID, objectW []float64)
+// The node-statistic strategies weight an entity by a per-entity statistic
+// of the whole graph, which Statistic computes; Weights projects it onto one
+// relation's pools. Faithful to Algorithm 1 (line 7 sits inside the
+// per-relation loop), DiscoverFacts recomputes the statistic for every
+// relation by default — this is precisely what makes CLUSTERING COEFFICIENT
+// and CLUSTERING TRIANGLES slow in the paper's Figure 2 and what couples
+// discovery runtime to the relation count. Options.CacheWeights computes it
+// once per sweep instead (the weight-caching ablation).
+type Strategy struct {
+	name string
+	// statistic derives the per-entity statistic; nil for the strategies
+	// whose weights read only the relation's own triples.
+	statistic func(g *kg.Graph) []float64
+	// frequency weights a relation-local pool by side counts (ENTITY
+	// FREQUENCY) rather than uniformly (UNIFORM RANDOM).
+	frequency bool
 }
 
-// WeightCacher is implemented by strategies whose graph-level statistics
-// can be memoized across relations (the node-statistic strategies). Caching
-// departs from Algorithm 1's per-relation recomputation; it exists for the
-// ablation study.
-type WeightCacher interface {
-	SetCacheWeights(cache bool)
+// Name returns the canonical strategy name as used in the paper.
+func (s Strategy) Name() string { return s.name }
+
+// RelationLocal reports whether s's weights for a relation read only that
+// relation's own triples, its pools and side counts: UNIFORM RANDOM and
+// ENTITY FREQUENCY do, and their Statistic is nil.
+func (s Strategy) RelationLocal() bool { return s.statistic == nil }
+
+// Statistic returns the per-entity graph statistic Weights projects, indexed
+// by entity ID, or nil for a relation-local strategy.
+func (s Strategy) Statistic(g *kg.Graph) []float64 {
+	if s.statistic == nil {
+		return nil
+	}
+	return s.statistic(g)
+}
+
+// Weights returns, for relation r of g, the candidate entities on each side
+// together with their unnormalized sampling weights; stat must be
+// s.Statistic(g). Entities and weights are parallel slices; weights are
+// non-negative. The candidate pools are the unique entities observed on each
+// side of r in the graph, following AmpliGraph's discover_facts. If every
+// candidate on a side has a zero statistic (possible for triangle-based
+// statistics on sparse graphs), the side falls back to uniform so sampling
+// remains well defined.
+func (s Strategy) Weights(g *kg.Graph, r kg.RelationID, stat []float64) (subjects []kg.EntityID, subjectW []float64, objects []kg.EntityID, objectW []float64) {
+	subs := g.SideEntities(r, kg.SubjectSide)
+	objs := g.SideEntities(r, kg.ObjectSide)
+	switch {
+	case s.statistic != nil:
+		return subs, project(stat, subs), objs, project(stat, objs)
+	case s.frequency:
+		return subs, sideCounts(g, r, kg.SubjectSide, subs), objs, sideCounts(g, r, kg.ObjectSide, objs)
+	default:
+		return subs, constWeights(len(subs)), objs, constWeights(len(objs))
+	}
 }
 
 // StrategyNames lists the six strategies in the paper's order.
@@ -87,35 +116,15 @@ func StrategyByName(name string) (Strategy, error) {
 	case "mixed_exploration":
 		return NewMixedExploration(0.3), nil
 	default:
-		return nil, fmt.Errorf("core: unknown strategy %q (supported: %v)", name, AllStrategyNames())
+		return Strategy{}, fmt.Errorf("core: unknown strategy %q (supported: %v)", name, AllStrategyNames())
 	}
 }
 
-// RelationLocal reports whether s's Weights(r) reads only relation r's own
-// triples, its pools and side counts: UNIFORM RANDOM and ENTITY FREQUENCY do.
-func RelationLocal(s Strategy) bool {
-	_, uniform := s.(*uniformRandom)
-	_, frequency := s.(*entityFrequency)
-	return uniform || frequency
-}
-
-// uniformRandom assigns every entity on a side equal probability
-// (Equation 1). Note that an entity appearing on both sides can still end
-// up with different probabilities, because the pools differ in size.
-type uniformRandom struct{ g *kg.Graph }
-
 // NewUniformRandom returns the UNIFORM RANDOM strategy — the paper's
-// baseline.
-func NewUniformRandom() Strategy { return &uniformRandom{} }
-
-func (s *uniformRandom) Name() string     { return "uniform_random" }
-func (s *uniformRandom) Bind(g *kg.Graph) { s.g = g }
-
-func (s *uniformRandom) Weights(r kg.RelationID) ([]kg.EntityID, []float64, []kg.EntityID, []float64) {
-	subs := s.g.SideEntities(r, kg.SubjectSide)
-	objs := s.g.SideEntities(r, kg.ObjectSide)
-	return subs, constWeights(len(subs)), objs, constWeights(len(objs))
-}
+// baseline: every entity on a side has equal probability (Equation 1). An
+// entity appearing on both sides can still end up with different
+// probabilities, because the pools differ in size.
+func NewUniformRandom() Strategy { return Strategy{name: "uniform_random"} }
 
 func constWeights(n int) []float64 {
 	w := make([]float64, n)
@@ -125,81 +134,18 @@ func constWeights(n int) []float64 {
 	return w
 }
 
-// entityFrequency weights each entity by its occurrence count on that side
-// of the relation (Equation 2): frequent entities are sampled more often.
-type entityFrequency struct{ g *kg.Graph }
+// NewEntityFrequency returns the ENTITY FREQUENCY strategy: each entity is
+// weighted by its occurrence count on that side of the relation
+// (Equation 2), so frequent entities are sampled more often.
+func NewEntityFrequency() Strategy { return Strategy{name: "entity_frequency", frequency: true} }
 
-// NewEntityFrequency returns the ENTITY FREQUENCY strategy.
-func NewEntityFrequency() Strategy { return &entityFrequency{} }
-
-func (s *entityFrequency) Name() string     { return "entity_frequency" }
-func (s *entityFrequency) Bind(g *kg.Graph) { s.g = g }
-
-func (s *entityFrequency) Weights(r kg.RelationID) ([]kg.EntityID, []float64, []kg.EntityID, []float64) {
-	subs := s.g.SideEntities(r, kg.SubjectSide)
-	objs := s.g.SideEntities(r, kg.ObjectSide)
-	sw := make([]float64, len(subs))
-	for i, e := range subs {
-		sw[i] = float64(s.g.SideCount(r, kg.SubjectSide, e))
+// sideCounts weights each entity of pool by its occurrence count on side of r.
+func sideCounts(g *kg.Graph, r kg.RelationID, side kg.Side, pool []kg.EntityID) []float64 {
+	w := make([]float64, len(pool))
+	for i, e := range pool {
+		w[i] = float64(g.SideCount(r, side, e))
 	}
-	ow := make([]float64, len(objs))
-	for i, e := range objs {
-		ow[i] = float64(s.g.SideCount(r, kg.ObjectSide, e))
-	}
-	return subs, sw, objs, ow
-}
-
-// nodeStatStrategy is the shared shape of the strategies whose weight is a
-// global (side-independent) node statistic: GRAPH DEGREE, CLUSTERING
-// COEFFICIENT, CLUSTERING TRIANGLES, CLUSTERING SQUARES. Per Algorithm 1,
-// the statistic is recomputed on every Weights call; SetCacheWeights(true)
-// memoizes it for the ablation. If every candidate on a side has zero
-// weight (possible for triangle-based statistics on sparse graphs), the
-// side falls back to uniform so sampling remains well defined.
-type nodeStatStrategy struct {
-	name string
-	// compute derives the per-entity statistic. The undirected projection
-	// is built lazily through the provider so degree-style statistics (the
-	// paper's "linear time" group) never pay for it.
-	compute func(g *kg.Graph, undirected func() *graphstats.Undirected) []float64
-
-	g     *kg.Graph
-	cache bool
-	stat  []float64 // valid only when cache is set and stat != nil
-}
-
-func (s *nodeStatStrategy) Name() string { return s.name }
-
-func (s *nodeStatStrategy) Bind(g *kg.Graph) {
-	s.g = g
-	s.stat = nil
-}
-
-// SetCacheWeights implements WeightCacher.
-func (s *nodeStatStrategy) SetCacheWeights(cache bool) {
-	s.cache = cache
-	if !cache {
-		s.stat = nil
-	}
-}
-
-func (s *nodeStatStrategy) statistics() []float64 {
-	if s.cache && s.stat != nil {
-		return s.stat
-	}
-	g := s.g
-	stat := s.compute(g, func() *graphstats.Undirected { return graphstats.BuildUndirected(g) })
-	if s.cache {
-		s.stat = stat
-	}
-	return stat
-}
-
-func (s *nodeStatStrategy) Weights(r kg.RelationID) ([]kg.EntityID, []float64, []kg.EntityID, []float64) {
-	stat := s.statistics()
-	subs := s.g.SideEntities(r, kg.SubjectSide)
-	objs := s.g.SideEntities(r, kg.ObjectSide)
-	return subs, project(stat, subs), objs, project(stat, objs)
+	return w
 }
 
 func project(stat []float64, pool []kg.EntityID) []float64 {
@@ -219,12 +165,7 @@ func project(stat []float64, pool []kg.EntityID) []float64 {
 
 // NewGraphDegree returns the GRAPH DEGREE strategy (Equation 3): weight
 // proportional to total (in+out) degree, identical on both sides.
-func NewGraphDegree() Strategy {
-	return &nodeStatStrategy{
-		name:    "graph_degree",
-		compute: func(g *kg.Graph, _ func() *graphstats.Undirected) []float64 { return degreeStat(g) },
-	}
-}
+func NewGraphDegree() Strategy { return Strategy{name: "graph_degree", statistic: degreeStat} }
 
 // degreeStat computes deg(x) for every entity (the GRAPH DEGREE statistic).
 func degreeStat(g *kg.Graph) []float64 {
@@ -239,29 +180,23 @@ func degreeStat(g *kg.Graph) []float64 {
 // (Equation 4): weight proportional to the local triangle count T(v) on the
 // undirected homogeneous projection.
 func NewClusteringTriangles() Strategy {
-	return &nodeStatStrategy{
-		name: "cluster_triangles",
-		compute: func(_ *kg.Graph, undirected func() *graphstats.Undirected) []float64 {
-			tri := undirected().Triangles()
-			w := make([]float64, len(tri))
-			for i, t := range tri {
-				w[i] = float64(t)
-			}
-			return w
-		},
-	}
+	return Strategy{name: "cluster_triangles", statistic: func(g *kg.Graph) []float64 {
+		tri := graphstats.BuildUndirected(g).Triangles()
+		w := make([]float64, len(tri))
+		for i, t := range tri {
+			w[i] = float64(t)
+		}
+		return w
+	}}
 }
 
 // NewClusteringCoefficient returns the CLUSTERING COEFFICIENT strategy
 // (Equation 5): weight proportional to the local clustering coefficient
 // c(v) = 2T(v)/(deg(v)(deg(v)−1)).
 func NewClusteringCoefficient() Strategy {
-	return &nodeStatStrategy{
-		name: "cluster_coefficient",
-		compute: func(_ *kg.Graph, undirected func() *graphstats.Undirected) []float64 {
-			return undirected().LocalClustering(nil)
-		},
-	}
+	return Strategy{name: "cluster_coefficient", statistic: func(g *kg.Graph) []float64 {
+		return graphstats.BuildUndirected(g).LocalClustering(nil)
+	}}
 }
 
 // NewClusteringSquares returns the CLUSTERING SQUARES strategy (Equation 6):
@@ -270,10 +205,7 @@ func NewClusteringCoefficient() Strategy {
 // strategies' — the reason the paper excluded it after a 54-hour run; the
 // exclusion experiment (X1) measures exactly this.
 func NewClusteringSquares() Strategy {
-	return &nodeStatStrategy{
-		name: "cluster_squares",
-		compute: func(_ *kg.Graph, undirected func() *graphstats.Undirected) []float64 {
-			return undirected().SquareClustering()
-		},
-	}
+	return Strategy{name: "cluster_squares", statistic: func(g *kg.Graph) []float64 {
+		return graphstats.BuildUndirected(g).SquareClustering()
+	}}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/kg"
@@ -33,6 +35,12 @@ func strategyTestGraph(t *testing.T) *kg.Graph {
 	return g
 }
 
+// weights is line 7 for one relation: s's weights for r with its statistic
+// computed on g.
+func weights(s Strategy, g *kg.Graph, r kg.RelationID) ([]kg.EntityID, []float64, []kg.EntityID, []float64) {
+	return s.Weights(g, r, s.Statistic(g))
+}
+
 func TestStrategyByNameRoundtrip(t *testing.T) {
 	for _, name := range StrategyNames() {
 		s, err := StrategyByName(name)
@@ -51,8 +59,7 @@ func TestStrategyByNameRoundtrip(t *testing.T) {
 func TestUniformRandomWeights(t *testing.T) {
 	g := strategyTestGraph(t)
 	s := NewUniformRandom()
-	s.Bind(g)
-	subs, sw, objs, ow := s.Weights(0)
+	subs, sw, objs, ow := weights(s, g, 0)
 	if len(subs) != 3 { // a, d, e
 		t.Fatalf("subjects = %d, want 3", len(subs))
 	}
@@ -74,8 +81,7 @@ func TestUniformRandomWeights(t *testing.T) {
 func TestEntityFrequencyWeights(t *testing.T) {
 	g := strategyTestGraph(t)
 	s := NewEntityFrequency()
-	s.Bind(g)
-	subs, sw, objs, ow := s.Weights(0)
+	subs, sw, objs, ow := weights(s, g, 0)
 	weightOf := func(pool []kg.EntityID, ws []float64, e kg.EntityID) float64 {
 		for i, p := range pool {
 			if p == e {
@@ -105,8 +111,7 @@ func TestEntityFrequencyWeights(t *testing.T) {
 func TestGraphDegreeWeights(t *testing.T) {
 	g := strategyTestGraph(t)
 	s := NewGraphDegree()
-	s.Bind(g)
-	subs, sw, _, _ := s.Weights(0)
+	subs, sw, _, _ := weights(s, g, 0)
 	// Degrees (in+out over all triples): a: out 3 (2×r0 + 1×r1), in 2 → 5.
 	for i, e := range subs {
 		if e == 0 && sw[i] != 5 {
@@ -121,8 +126,7 @@ func TestGraphDegreeWeights(t *testing.T) {
 func TestClusteringTrianglesWeights(t *testing.T) {
 	g := strategyTestGraph(t)
 	s := NewClusteringTriangles()
-	s.Bind(g)
-	subs, sw, _, _ := s.Weights(0)
+	subs, sw, _, _ := weights(s, g, 0)
 	// Triangle a-b-c exists; d, e are in none.
 	for i, e := range subs {
 		switch e {
@@ -141,8 +145,7 @@ func TestClusteringTrianglesWeights(t *testing.T) {
 func TestClusteringCoefficientWeights(t *testing.T) {
 	g := strategyTestGraph(t)
 	s := NewClusteringCoefficient()
-	s.Bind(g)
-	_, _, objs, ow := s.Weights(1)
+	_, _, objs, ow := weights(s, g, 1)
 	// Objects of r1: c, a, b — all corners of the triangle.
 	// b: neighbours {a, c, d} → deg 3, 1 triangle → c = 2/(3·2) = 1/3.
 	for i, e := range objs {
@@ -164,8 +167,7 @@ func TestZeroWeightFallbackToUniform(t *testing.T) {
 	g.Add(kg.Triple{S: 0, R: 0, O: 1})
 	g.Add(kg.Triple{S: 1, R: 0, O: 2})
 	s := NewClusteringTriangles()
-	s.Bind(g)
-	subs, sw, _, _ := s.Weights(0)
+	subs, sw, _, _ := weights(s, g, 0)
 	if len(subs) == 0 {
 		t.Fatal("no subjects")
 	}
@@ -178,48 +180,11 @@ func TestZeroWeightFallbackToUniform(t *testing.T) {
 	}
 }
 
-func TestWeightCaching(t *testing.T) {
-	g := strategyTestGraph(t)
-	s := NewClusteringTriangles()
-	s.Bind(g)
-	wc, ok := s.(WeightCacher)
-	if !ok {
-		t.Fatal("triangles strategy does not implement WeightCacher")
-	}
-	// Cached and uncached weights must agree.
-	_, sw1, _, ow1 := s.Weights(0)
-	wc.SetCacheWeights(true)
-	_, sw2, _, ow2 := s.Weights(0)
-	_, sw3, _, _ := s.Weights(0) // second call hits the cache
-	for i := range sw1 {
-		if sw1[i] != sw2[i] || sw2[i] != sw3[i] {
-			t.Fatalf("caching changed weights at %d: %g %g %g", i, sw1[i], sw2[i], sw3[i])
-		}
-	}
-	for i := range ow1 {
-		if ow1[i] != ow2[i] {
-			t.Fatalf("caching changed object weights at %d", i)
-		}
-	}
-	// Rebinding must invalidate the cache (weights reflect the new graph).
-	g2 := kg.NewGraph()
-	g2.Entities.Intern("p")
-	g2.Entities.Intern("q")
-	g2.Relations.Intern("r")
-	g2.Add(kg.Triple{S: 0, R: 0, O: 1})
-	s.Bind(g2)
-	subs, _, _, _ := s.Weights(0)
-	if len(subs) != 1 {
-		t.Errorf("stale cache after rebind: %d subjects", len(subs))
-	}
-}
-
 func TestUniformNormalizedProbability(t *testing.T) {
 	// Equation 1: normalized sampling probability is 1/len(side pool).
 	g := strategyTestGraph(t)
 	s := NewUniformRandom()
-	s.Bind(g)
-	subs, sw, _, _ := s.Weights(0)
+	subs, sw, _, _ := weights(s, g, 0)
 	var sum float64
 	for _, w := range sw {
 		sum += w
@@ -227,6 +192,78 @@ func TestUniformNormalizedProbability(t *testing.T) {
 	for i := range sw {
 		if p := sw[i] / sum; math.Abs(p-1/float64(len(subs))) > 1e-12 {
 			t.Fatalf("normalized probability = %g, want %g", p, 1/float64(len(subs)))
+		}
+	}
+}
+
+// TestWeightsMonotoneInDegreeAndFrequency is the monotonicity property of
+// Douglas et al. On seeded random graphs, adding one absent triple (s, r, o)
+// lowers no GRAPH DEGREE weight and raises s's and o's wherever they are
+// candidates; it lowers no ENTITY FREQUENCY weight and raises s's on r's
+// subject side and o's on r's object side. A pool never loses an entity.
+func TestWeightsMonotoneInDegreeAndFrequency(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, nr := 4+rng.Intn(30), 1+rng.Intn(4)
+		g := kg.NewGraph()
+		for e := 0; e < n; e++ {
+			g.Entities.Intern(fmt.Sprint("e", e))
+		}
+		for r := 0; r < nr; r++ {
+			g.Relations.Intern(fmt.Sprint("r", r))
+		}
+		random := func() kg.Triple {
+			return kg.Triple{S: kg.EntityID(rng.Intn(n)), R: kg.RelationID(rng.Intn(nr)), O: kg.EntityID(rng.Intn(n))}
+		}
+		ts := make([]kg.Triple, 1+rng.Intn(3*n))
+		for i := range ts {
+			ts[i] = random()
+		}
+		g.AddAll(ts)
+		add := random()
+		for g.Contains(add) {
+			add = random()
+		}
+		after := g.Clone()
+		after.Add(add)
+
+		for _, s := range []Strategy{NewGraphDegree(), NewEntityFrequency()} {
+			raised := func(e kg.EntityID, r kg.RelationID, side kg.Side) bool {
+				if s.Name() == "graph_degree" {
+					return e == add.S || e == add.O
+				}
+				endpoint := add.S
+				if side == kg.ObjectSide {
+					endpoint = add.O
+				}
+				return r == add.R && e == endpoint
+			}
+			for _, r := range after.RelationIDs() {
+				bs, bsw, bo, bow := weights(s, g, r)
+				as, asw, ao, aow := weights(s, after, r)
+				for _, side := range []struct {
+					side         kg.Side
+					bPool, aPool []kg.EntityID
+					bW, aW       []float64
+				}{{kg.SubjectSide, bs, as, bsw, asw}, {kg.ObjectSide, bo, ao, bow, aow}} {
+					prev := make(map[kg.EntityID]float64, len(side.bPool))
+					for i, e := range side.bPool {
+						prev[e] = side.bW[i]
+					}
+					for i, e := range side.aPool {
+						w0, w1 := prev[e], side.aW[i]
+						delete(prev, e)
+						if w1 < w0 || raised(e, r, side.side) && w1 <= w0 {
+							t.Fatalf("seed %d, %s, adding %v: entity %d on side %d of relation %d weighs %g, was %g",
+								seed, s.Name(), add, e, side.side, r, w1, w0)
+						}
+					}
+					if len(prev) > 0 {
+						t.Fatalf("seed %d, %s, adding %v: side %d of relation %d lost %d candidates",
+							seed, s.Name(), add, side.side, r, len(prev))
+					}
+				}
+			}
 		}
 	}
 }

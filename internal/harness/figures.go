@@ -439,9 +439,8 @@ func (r *Runner) SquaresExclusion(ctx context.Context, w io.Writer, outDir strin
 		if err != nil {
 			return nil, err
 		}
-		strategy.Bind(ds.Train)
 		start := time.Now()
-		strategy.Weights(probe)
+		strategy.Weights(ds.Train, probe, strategy.Statistic(ds.Train))
 		per := time.Since(start)
 		rec := SquaresRecord{
 			Strategy:        name,

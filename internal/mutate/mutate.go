@@ -252,9 +252,10 @@ func (s *State) apply(b Batch, logIt bool) (Applied, error) {
 // changed them (which inserted them if and only if they were absent). A
 // relation is dirty when the net change holds one of its triples, or when
 // the strategy's Weights for it differ between the current graph and a
-// clone with the net change reverted. Strategies whose weights read only the
-// relation's own triples (core.RelationLocal) skip the clone. An unknown
-// strategy name dirties every relation.
+// clone with the net change reverted, each graph's statistic computed once.
+// Strategies whose weights read only the relation's own triples
+// (Strategy.RelationLocal) skip the clone. An unknown strategy name dirties
+// every relation.
 func (s *State) DirtyRelations(strategy string, batches ...Applied) []kg.RelationID {
 	n := 0
 	for _, b := range batches {
@@ -275,50 +276,40 @@ func (s *State) DirtyRelations(strategy string, batches ...Applied) []kg.Relatio
 		// is what it was. Nothing is dirty, for any strategy.
 		return nil
 	}
-	now, err := core.StrategyByName(strategy)
+	st, err := core.StrategyByName(strategy)
 	if err != nil {
 		return s.Graph.RelationIDs()
 	}
-	var before core.Strategy
-	if !core.RelationLocal(now) {
-		g := s.Graph.Clone()
+	var before *kg.Graph
+	var nowStat, beforeStat []float64
+	if !st.RelationLocal() {
+		before = s.Graph.Clone()
 		var removed []kg.Triple
 		for _, t := range changed {
 			if s.Graph.Contains(t) {
-				g.Delete(t)
+				before.Delete(t)
 			} else {
 				removed = append(removed, t)
 			}
 		}
-		g.AddAll(removed)
-		before, _ = core.StrategyByName(strategy)
-		bindCached(now, s.Graph)
-		bindCached(before, g)
+		before.AddAll(removed)
+		nowStat, beforeStat = st.Statistic(s.Graph), st.Statistic(before)
 	}
 	out := make([]kg.RelationID, 0, len(changed))
 	for _, r := range s.Graph.RelationIDs() {
 		net := slices.ContainsFunc(changed, func(t kg.Triple) bool { return t.R == r })
-		if net || before != nil && !sameWeights(now, before, r) {
+		if net || before != nil && !sameWeights(st, r, s.Graph, nowStat, before, beforeStat) {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// bindCached binds st to g with its statistics computed once for all
-// relations: the values are those of the per-relation recomputation.
-func bindCached(st core.Strategy, g *kg.Graph) {
-	if wc, ok := st.(core.WeightCacher); ok {
-		wc.SetCacheWeights(true)
-	}
-	st.Bind(g)
-}
-
-// sameWeights reports whether a and b give relation r the same pools and
-// the same weights.
-func sameWeights(a, b core.Strategy, r kg.RelationID) bool {
-	as, asw, ao, aow := a.Weights(r)
-	bs, bsw, bo, bow := b.Weights(r)
+// sameWeights reports whether st gives relation r the same pools and the
+// same weights on graphs a and b, whose statistics are aStat and bStat.
+func sameWeights(st core.Strategy, r kg.RelationID, a *kg.Graph, aStat []float64, b *kg.Graph, bStat []float64) bool {
+	as, asw, ao, aow := st.Weights(a, r, aStat)
+	bs, bsw, bo, bow := st.Weights(b, r, bStat)
 	return slices.Equal(as, bs) && slices.Equal(asw, bsw) &&
 		slices.Equal(ao, bo) && slices.Equal(aow, bow)
 }

@@ -161,16 +161,3 @@ func DistinctDraws(w Weighted, rng *rand.Rand, k int) []int {
 	}
 	return out
 }
-
-// Uniform returns a Weighted assigning equal probability to n categories.
-func Uniform(n int) (Weighted, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sample: Uniform needs n > 0, got %d", n)
-	}
-	return uniform(n), nil
-}
-
-type uniform int
-
-func (u uniform) Draw(rng *rand.Rand) int { return rng.Intn(int(u)) }
-func (u uniform) Len() int                { return int(u) }

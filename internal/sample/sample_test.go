@@ -64,16 +64,6 @@ func TestCDFDistribution(t *testing.T) {
 	testDistribution(t, func(ws []float64) (Weighted, error) { return NewCDF(ws) })
 }
 
-func TestUniformDistribution(t *testing.T) {
-	u, err := Uniform(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chi2 := chiSquare(t, u, []float64{1, 1, 1, 1}, 40000, 3); chi2 > 25 {
-		t.Errorf("chi-square = %.1f for uniform sampler", chi2)
-	}
-}
-
 func TestSamplerErrors(t *testing.T) {
 	for _, build := range []func([]float64) (Weighted, error){
 		func(ws []float64) (Weighted, error) { return NewAlias(ws) },
@@ -88,9 +78,6 @@ func TestSamplerErrors(t *testing.T) {
 		if _, err := build([]float64{0, 0}); err == nil {
 			t.Error("accepted all-zero weights")
 		}
-	}
-	if _, err := Uniform(0); err == nil {
-		t.Error("Uniform accepted n = 0")
 	}
 }
 

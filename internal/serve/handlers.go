@@ -369,7 +369,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	// mutations can move, so its entries carry the nil tag and drop on any
 	// effective mutation.
 	var tag []kg.RelationID
-	if core.RelationLocal(call.strategy) && len(relations) > 0 {
+	if call.strategy.RelationLocal() && len(relations) > 0 {
 		tag = relations
 	}
 	body, err, joined := s.flight.Do(key, func() ([]byte, error) {

@@ -151,8 +151,10 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once kge.LoadAuto and its gob sniff went, so that readers open flat
-# checkpoints only (5 709 once ranking returned ranks only, without each
+# count once a strategy became an immutable value, Bind, WeightCacher and the
+# per-strategy memo went, and DiscoverFacts held line 7's statistic itself
+# (5 683 once kge.LoadAuto and its gob sniff went, so that readers open flat
+# checkpoints only; 5 709 once ranking returned ranks only, without each
 # candidate's sweep score, and the pooled score matrix lost its shrink
 # policy; 5 754 once
 # eval.rankRow counted a row by SSE2 bucket keys and a histogram, in place of
@@ -169,12 +171,14 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5683 \
+hold_lines 'internal/{kge,eval,train,core}' 5608 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once the server and the
+# two that put bytes on disk for them: the count once the dirty set resolved
+# its strategy once and computed its statistic on both graphs, in place of
+# binding two copies (5 218 once the server and the
 # fleet opened checkpoints through kge.OpenMapped alone, the dirty set netted
-# the batches, and kgmutate checked its baseline with jobs.CheckHeader (5 219
+# the batches, and kgmutate checked its baseline with jobs.CheckHeader; 5 219
 # once a mutation batch recorded its net triples in place of the live
 # projection and the entity supersets, and the dirty set came from the
 # strategy's own weights; 5 310
@@ -191,7 +195,7 @@ hold_lines 'internal/{kge,eval,train,core}' 5683 \
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5218 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5209 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The triple store: one eager, array-backed index per relation, the count
 # once the membership map, the lazily rebuilt side tables and BuildIndexes
