@@ -82,25 +82,28 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 // TestSweepRequestCandidateCeiling: a sweep may ask for at most
-// core.MaxCandidatesCeiling candidates per relation, and /sweep refuses more
-// with a 400 before it opens anything.
+// core.MaxCandidatesCeiling candidates per relation, and for neither a
+// negative top_n nor a negative max_candidates, as /discover and /jobs
+// refuse them. /sweep refuses each with a 400 before it opens anything.
 func TestSweepRequestCandidateCeiling(t *testing.T) {
 	req := SweepRequest{Data: "d", Model: "m", Strategy: "s", Options: SweepOptions{MaxCandidates: core.MaxCandidatesCeiling}}
 	if err := req.Validate(); err != nil {
 		t.Fatalf("max_candidates at the ceiling refused: %v", err)
 	}
-	req.Options.MaxCandidates++
-	if err := req.Validate(); err == nil {
-		t.Fatal("max_candidates above the ceiling accepted")
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	New(Config{}).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/sweep", bytes.NewReader(body)))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("/sweep status %d, want 400", rec.Code)
+	for _, opts := range []SweepOptions{{MaxCandidates: core.MaxCandidatesCeiling + 1}, {TopN: -1}, {MaxCandidates: -1}} {
+		req.Options = opts
+		if err := req.Validate(); err == nil {
+			t.Fatalf("%+v accepted", opts)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		New(Config{}).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/sweep", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%+v: /sweep status %d, want 400", opts, rec.Code)
+		}
 	}
 }
 

@@ -80,8 +80,8 @@ type SweepRequest struct {
 	UnitRelations int `json:"unit_relations,omitempty"`
 }
 
-// Validate rejects a request that cannot identify a sweep or that asks for
-// more than core.MaxCandidatesCeiling candidates per relation.
+// Validate rejects a request that cannot identify a sweep or whose top_n or
+// max_candidates /discover would refuse: negative, or above the ceiling.
 func (r SweepRequest) Validate() error {
 	if r.Data == "" || r.Model == "" {
 		return errors.New("fleet: sweep request requires data and model paths")
@@ -92,9 +92,9 @@ func (r SweepRequest) Validate() error {
 	if r.Resume && r.Checkpoint == "" {
 		return errors.New("fleet: resume requires a checkpoint path")
 	}
-	if r.UnitRelations < 0 || r.Options.MaxCandidates > core.MaxCandidatesCeiling {
-		return fmt.Errorf("fleet: unit_relations must be >= 0 and max_candidates at most %d, got %d/%d",
-			core.MaxCandidatesCeiling, r.UnitRelations, r.Options.MaxCandidates)
+	if o := r.Options; r.UnitRelations < 0 || o.TopN < 0 || o.MaxCandidates < 0 || o.MaxCandidates > core.MaxCandidatesCeiling {
+		return fmt.Errorf("fleet: unit_relations, top_n and max_candidates must be >= 0 and max_candidates at most %d, got %d/%d/%d",
+			core.MaxCandidatesCeiling, r.UnitRelations, o.TopN, o.MaxCandidates)
 	}
 	return nil
 }
