@@ -218,7 +218,8 @@ func BenchmarkFig10EfficiencyMaxCand(b *testing.B) {
 
 // BenchmarkSquaresClusteringCost measures the per-relation weight
 // computation of every strategy including CLUSTERING SQUARES — experiment
-// X1, the reason the paper excluded the squares strategy.
+// X1, which re-measures the cost the paper gave for excluding the squares
+// strategy.
 func BenchmarkSquaresClusteringCost(b *testing.B) {
 	ds, _ := benchSetup(b)
 	probe := ds.Train.RelationIDs()[0]

@@ -1,6 +1,6 @@
 // Command kgstats prints structural statistics of a TSV dataset: Table 1
 // style metadata, degree and clustering summaries, and (optionally) the
-// expensive square clustering coefficients.
+// square clustering coefficients.
 //
 //	kgstats -data data/fb10 -clustering -histogram
 package main
@@ -31,7 +31,7 @@ func run(args []string, stdout io.Writer) error {
 		dataDir    = fs.String("data", "", "dataset directory (required)")
 		clustering = fs.Bool("clustering", false, "compute triangle and clustering statistics")
 		histogram  = fs.Bool("histogram", false, "print the clustering-coefficient histogram (Figure 3 style)")
-		squares    = fs.Bool("squares", false, "compute square clustering coefficients (expensive)")
+		squares    = fs.Bool("squares", false, "compute square clustering coefficients")
 		topK       = fs.Int("top", 10, "show this many highest-degree entities")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -1,7 +1,7 @@
-// Strategy sweep: compare all six sampling strategies (including the
-// expensive CLUSTERING SQUARES that the paper excluded from its main
-// experiments) on one dataset and one model, reporting the paper's three
-// metrics — runtime, fact quality (MRR) and efficiency (facts/hour).
+// Strategy sweep: compare all six sampling strategies (including CLUSTERING
+// SQUARES, which the paper excluded from its main experiments for its cost)
+// on one dataset and one model, reporting the paper's three metrics —
+// runtime, fact quality (MRR) and efficiency (facts/hour).
 //
 //	go run ./examples/strategysweep
 package main

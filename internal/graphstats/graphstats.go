@@ -245,52 +245,42 @@ func (u *Undirected) LocalClustering(tri []int64) []float64 {
 //	c₄(v) = Σ_{u<w ∈ N(v)} q_v(u,w) / Σ_{u<w ∈ N(v)} [a_v(u,w) + q_v(u,w)]
 //
 // where q_v(u,w) is the number of common neighbours of u and w other than v
-// (actual squares) and a_v(u,w) counts the potential squares. This is the
-// deliberately expensive statistic the paper excluded from its main
-// experiments after a 54-hour run; the complexity lives here so the
-// exclusion experiment (repro squares / X1) can measure it.
+// (actual squares) and a_v(u,w) counts the potential squares; c₄(v) = 0 when
+// the denominator is 0. Both sums close over the pairs. The numerator is
+// S(v) = Σ_{w≠v} C(p_w, 2), where p_w counts the 2-paths v–u–w, and the
+// denominator is (d−1)·Σ_{u∈N(v)} k_u − d(d−1) − 2T(v) − S(v), with d = deg v
+// and T(v) from Triangles. One walk of v's neighbours' rows counts every p_w,
+// so the cost is Σ_u k_u² rather than a row merge per neighbour pair. Every
+// term is an exact integer, so the quotient has the pair-by-pair sum's bits.
 func (u *Undirected) SquareClustering() []float64 {
+	tri := u.Triangles()
 	c := make([]float64, u.NumNodes())
+	paths := make([]int32, len(c))
+	var reached []kg.EntityID
 	for v := range c {
-		nb := u.Neighbors(kg.EntityID(v))
-		var squares, potential float64
-		for i := 0; i < len(nb); i++ {
-			for j := i + 1; j < len(nb); j++ {
-				a, b := nb[i], nb[j]
-				q := u.commonNeighborsExcluding(a, b, kg.EntityID(v))
-				squares += float64(q)
-				degm := q + 1
-				if u.HasEdge(a, b) {
-					degm++
+		d := int64(u.Degree(kg.EntityID(v)))
+		var sumK, s int64
+		for _, x := range u.Neighbors(kg.EntityID(v)) {
+			row := u.Neighbors(x)
+			sumK += int64(len(row))
+			for _, w := range row {
+				if paths[w] == 0 {
+					reached = append(reached, w)
 				}
-				potential += float64(u.Degree(a)-degm) + float64(u.Degree(b)-degm) + float64(q)
+				s += int64(paths[w]) // C(p+1, 2) − C(p, 2) = p
+				paths[w]++
 			}
 		}
-		if potential > 0 {
-			c[v] = squares / potential
+		s -= d * (d - 1) / 2 // v itself, where all d paths return
+		for _, w := range reached {
+			paths[w] = 0
+		}
+		reached = reached[:0]
+		if potential := (d-1)*sumK - d*(d-1) - 2*tri[v] - s; potential > 0 {
+			c[v] = float64(s) / float64(potential)
 		}
 	}
 	return c
-}
-
-func (u *Undirected) commonNeighborsExcluding(a, b, excl kg.EntityID) int {
-	la, lb := u.Neighbors(a), u.Neighbors(b)
-	i, j, count := 0, 0, 0
-	for i < len(la) && j < len(lb) {
-		switch {
-		case la[i] < lb[j]:
-			i++
-		case la[i] > lb[j]:
-			j++
-		default:
-			if la[i] != excl {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input). The paper's

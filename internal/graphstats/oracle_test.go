@@ -112,11 +112,55 @@ func (d dense) squares() []float64 {
 	return c
 }
 
+// SquareClusteringNaive is NetworkX's square_clustering, SquareClustering's
+// oracle: for every neighbour pair {a, b} of v, merge the two rows to count
+// q, their common neighbours other than v, and add the pair's squares and
+// potential squares in float64. The sums hold integers, so they are exact,
+// and only the final division rounds.
+func (u *Undirected) SquareClusteringNaive() []float64 {
+	c := make([]float64, u.NumNodes())
+	for v := range c {
+		nb := u.Neighbors(kg.EntityID(v))
+		var squares, potential float64
+		for i, a := range nb {
+			for _, b := range nb[i+1:] {
+				la, lb := u.Neighbors(a), u.Neighbors(b)
+				q := 0
+				for x, y := 0, 0; x < len(la) && y < len(lb); {
+					switch {
+					case la[x] < lb[y]:
+						x++
+					case la[x] > lb[y]:
+						y++
+					default:
+						if la[x] != kg.EntityID(v) {
+							q++
+						}
+						x++
+						y++
+					}
+				}
+				squares += float64(q)
+				degm := q + 1
+				if u.HasEdge(a, b) {
+					degm++
+				}
+				potential += float64(u.Degree(a)-degm) + float64(u.Degree(b)-degm) + float64(q)
+			}
+		}
+		if potential > 0 {
+			c[v] = squares / potential
+		}
+	}
+	return c
+}
+
 // checkAgainstDense is the invariant set shared by the property test and
 // FuzzProjection: rows strictly increasing, free of self-loops and equal to
 // the matrix rows (hence symmetric), NumEdges, Degree, HasEdge, Triangles,
-// TrianglesNaive and LocalClustering; SquareClustering too when withSquares
-// (the dense c₄ costs O(n) per neighbour pair).
+// TrianglesNaive, LocalClustering, and SquareClustering bit for bit against
+// SquareClusteringNaive; against the dense c₄ too when withSquares (it costs
+// O(n) per neighbour pair).
 func checkAgainstDense(t *testing.T, g *kg.Graph, withSquares bool) {
 	t.Helper()
 	d := denseOf(g)
@@ -159,9 +203,15 @@ func checkAgainstDense(t *testing.T, g *kg.Graph, withSquares bool) {
 			t.Fatalf("c(%d) = %g, want %g", v, clust[v], wantC)
 		}
 	}
+	squares, naiveSquares := u.SquareClustering(), u.SquareClusteringNaive()
+	for v, c := range squares {
+		if math.Float64bits(c) != math.Float64bits(naiveSquares[v]) {
+			t.Fatalf("c4(%d) = %v, naive %v", v, c, naiveSquares[v])
+		}
+	}
 	if withSquares {
 		want := d.squares()
-		for v, c := range u.SquareClustering() {
+		for v, c := range squares {
 			if c != want[v] {
 				t.Fatalf("c4(%d) = %g, want %g", v, c, want[v])
 			}
@@ -249,10 +299,11 @@ func TestProjectionAndStatisticsMatchDenseOracle(t *testing.T) {
 }
 
 // TestStatisticsFollowARelabelling is the metamorphic check: relabel the
-// entities by a seeded permutation π and T and c must move with them, bit
-// for bit — T'(π(v)) = T(v) and c'(π(v)) = c(v). The rank order breaks
-// degree ties by ID, so each permutation makes the counter meet the same
-// triangles in another tie order.
+// entities by a seeded permutation π and T, c and c₄ must move with them,
+// bit for bit — T'(π(v)) = T(v), c'(π(v)) = c(v) and c₄'(π(v)) = c₄(v). The
+// rank order breaks degree ties by ID, so each permutation makes the counter
+// meet the same triangles in another tie order, and c₄ walks every
+// neighbour's row in another order.
 func TestStatisticsFollowARelabelling(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
@@ -269,6 +320,7 @@ func TestStatisticsFollowARelabelling(t *testing.T) {
 			u := BuildUndirected(graphOf(c.n, c.triples))
 			tri := u.Triangles()
 			clust := u.LocalClustering(tri)
+			squares := u.SquareClustering()
 			for seed := int64(1); seed <= 4; seed++ {
 				pi := rand.New(rand.NewSource(seed)).Perm(c.n)
 				moved := make([]kg.Triple, len(c.triples))
@@ -278,10 +330,12 @@ func TestStatisticsFollowARelabelling(t *testing.T) {
 				pu := BuildUndirected(graphOf(c.n, moved))
 				ptri := pu.Triangles()
 				pclust := pu.LocalClustering(ptri)
+				psquares := pu.SquareClustering()
 				for v := range tri {
-					if ptri[pi[v]] != tri[v] || math.Float64bits(pclust[pi[v]]) != math.Float64bits(clust[v]) {
-						t.Fatalf("seed %d: node %d → %d: T %d → %d, c %g → %g",
-							seed, v, pi[v], tri[v], ptri[pi[v]], clust[v], pclust[pi[v]])
+					if ptri[pi[v]] != tri[v] || math.Float64bits(pclust[pi[v]]) != math.Float64bits(clust[v]) ||
+						math.Float64bits(psquares[pi[v]]) != math.Float64bits(squares[v]) {
+						t.Fatalf("seed %d: node %d → %d: T %d → %d, c %g → %g, c4 %g → %g",
+							seed, v, pi[v], tri[v], ptri[pi[v]], clust[v], pclust[pi[v]], squares[v], psquares[pi[v]])
 					}
 				}
 			}
@@ -300,7 +354,7 @@ func encodeTriples(n int, ts []kg.Triple) []byte {
 
 // FuzzProjection decodes bytes into a triple list — first byte the entity
 // count, then (s, o, r) byte triplets — and holds the result to the dense
-// oracle.
+// oracle, and c₄ to the pair loop at every size.
 func FuzzProjection(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 0, 1, 2, 1, 2, 0, 2})
