@@ -275,6 +275,25 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
+	// (e) Exhaustive discovery, the complement baseline: models x protocol x
+	// rules (none, or DefaultRules), on the negative-sampling checkpoint.
+	for _, name := range models {
+		m := goldenTrain(t, ds, name, false, 1)
+		for _, protocol := range []string{"raw", "filtered"} {
+			for _, rules := range []string{"norules", "defaultrules"} {
+				opts := core.ExhaustiveOptions{TopN: 12, Workers: 2, RankFiltered: protocol == "filtered"}
+				if rules == "defaultrules" {
+					opts.Rules = core.DefaultRules(ds.Train)
+				}
+				res, _, err := core.ExhaustiveDiscover(context.Background(), m, ds.Train, opts)
+				if err != nil {
+					t.Fatalf("exhaustive %s/%s/%s: %v", name, protocol, rules, err)
+				}
+				got[fmt.Sprintf("exhaustive/%s/%s/%s", name, protocol, rules)] = factsDigest(res.Facts)
+			}
+		}
+	}
+
 	if *updateGolden {
 		writeGolden(t, got)
 		return
