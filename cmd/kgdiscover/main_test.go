@@ -83,6 +83,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-data", dataDir, "-model", modelPath, "-resume"}); err == nil {
 		t.Error("accepted -resume without -checkpoint")
 	}
+	// A negative limit is refused before a journal is created.
+	for _, flag := range []string{"-top_n", "-max_candidates"} {
+		wal := filepath.Join(t.TempDir(), "neg.wal")
+		if err := run([]string{"-data", dataDir, "-model", modelPath, flag, "-1", "-checkpoint", wal}); err == nil {
+			t.Errorf("accepted %s -1", flag)
+		}
+		if _, err := os.Stat(wal); !os.IsNotExist(err) {
+			t.Errorf("%s -1 left a journal behind (stat: %v)", flag, err)
+		}
+	}
 	// A gob checkpoint is refused with the way to migrate it.
 	gob := "../../internal/kge/testdata/distmult.kge"
 	if err := run([]string{"-data", dataDir, "-model", gob}); err == nil || !strings.Contains(err.Error(), "kgconvert") {

@@ -35,10 +35,10 @@ const MaxCandidatesCeiling = 1 << 20
 type Options struct {
 	// TopN is the maximum rank (against object-side corruptions) a
 	// candidate may have to be returned as a fact. Zero means 500, the
-	// value the paper settles on in §4.3.
+	// value the paper settles on in §4.3; a negative value is refused.
 	TopN int
 	// MaxCandidates is the maximum number of fact candidates generated per
-	// relation. Zero means 500 (§4.3).
+	// relation. Zero means 500 (§4.3); a negative value is refused.
 	MaxCandidates int
 	// Relations restricts discovery to these relations; nil means every
 	// relation present in the graph (Algorithm 1 line 3).
@@ -239,6 +239,9 @@ func (r *Result) MRR() float64 { return eval.MRROfRanks(r.Ranks()) }
 // standard evaluation protocol (see internal/eval).
 func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy Strategy, opts Options) (*Result, error) {
 	opts.setDefaults()
+	if opts.TopN < 0 || opts.MaxCandidates < 0 {
+		return nil, fmt.Errorf("core: top_n and max_candidates must be non-negative, got %d/%d", opts.TopN, opts.MaxCandidates)
+	}
 	if err := kge.CheckCovers(model, g); err != nil {
 		return nil, err
 	}

@@ -239,6 +239,17 @@ func TestDiscoverFactsContextCancellation(t *testing.T) {
 	}
 }
 
+// A negative limit has no meaning: TopN -3 would keep no fact it ranked,
+// and MaxCandidates -1 would generate no candidate.
+func TestDiscoverFactsRefusesNegativeLimits(t *testing.T) {
+	ds, m := tinyTrained(t)
+	for _, opts := range []Options{{TopN: -3}, {MaxCandidates: -1}} {
+		if _, err := DiscoverFacts(context.Background(), m, ds.Train, NewEntityFrequency(), opts); err == nil {
+			t.Errorf("%+v: accepted a negative limit", opts)
+		}
+	}
+}
+
 func TestDiscoverFactsModelGraphMismatch(t *testing.T) {
 	ds, _ := tinyTrained(t)
 	small, err := kge.New("distmult", kge.Config{NumEntities: 2, NumRelations: 1, Dim: 4, Seed: 1})

@@ -174,9 +174,6 @@ type ExhaustiveStats struct {
 	Generated int
 	// Pruned counts candidates discarded by rules.
 	Pruned int64
-	// RankTime and Total are wall-clock measurements.
-	RankTime time.Duration
-	Total    time.Duration
 }
 
 // ExhaustiveDiscover enumerates every candidate (s, r, o) over the full
@@ -216,7 +213,6 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	// the whole complement.
 	res := &Result{}
 	candidates := make([]kg.Triple, 0, n)
-	var groups, blocks int
 	for _, r := range relations {
 		candidates = candidates[:0]
 		for s := int64(0); s < n; s++ {
@@ -243,13 +239,13 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		stats.Generated += len(candidates)
 
 		rStart := time.Now()
-		ranks, g, b, err := ranker.RankTriples(ctx, candidates, opts.Workers, nil)
-		stats.RankTime += time.Since(rStart)
+		ranks, groups, blocks, err := ranker.RankTriples(ctx, candidates, opts.Workers, nil)
+		res.Stats.RankTime += time.Since(rStart)
 		if err != nil {
 			return nil, nil, err
 		}
-		groups += g
-		blocks += b
+		res.Stats.ScoreSweeps += groups
+		res.Stats.BatchedSweeps += blocks
 		for i, t := range candidates {
 			if ranks[i] <= opts.TopN {
 				res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
@@ -258,16 +254,10 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	}
 
 	SortFactsByRank(res.Facts)
-	stats.Total = time.Since(start)
-	res.Stats = Stats{
-		Total:         stats.Total,
-		RankTime:      stats.RankTime,
-		Generated:     stats.Generated,
-		Relations:     len(relations),
-		ScoreSweeps:   groups,
-		BatchedSweeps: blocks,
-		BatchRows:     groups,
-	}
+	res.Stats.Total = time.Since(start)
+	res.Stats.Generated = stats.Generated
+	res.Stats.Relations = len(relations)
+	res.Stats.BatchRows = res.Stats.ScoreSweeps
 	return res, stats, nil
 }
 

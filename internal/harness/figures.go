@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -405,14 +407,44 @@ func stratOf(records []GridRecord) string {
 }
 
 // SquaresRecord is one strategy's weight-computation cost in the exclusion
-// experiment (X1). PerRelation is the measured cost of one Weights call
-// (Algorithm 1 recomputes weights inside the per-relation loop);
+// experiment (X1). PerRelation is the median cost of one Statistic and
+// Weights call (Algorithm 1 recomputes weights inside the per-relation loop);
 // FullRunEstimate extrapolates to all relations of the dataset, mirroring
 // how the paper extrapolated the aborted CLUSTERING SQUARES run.
 type SquaresRecord struct {
 	Strategy        string
 	PerRelation     time.Duration
 	FullRunEstimate time.Duration
+}
+
+const timingSamples = 9
+
+var squaresSample = 10 * time.Millisecond // tests shorten it
+
+// timeCalls returns the median and the spread (max - min) of each call's
+// per-call time over timingSamples samples, each sample repeating the call
+// until it has run for squaresSample. A µs-scale call timed once swings
+// several-fold between identical runs. The samples are taken in rounds, one
+// of each call per round, so a slow spell of the machine reaches every call
+// alike, and each starts from a collected heap.
+func timeCalls(fs []func()) (medians, spreads []time.Duration) {
+	samples := make([][]time.Duration, len(fs))
+	for range timingSamples {
+		for i, f := range fs {
+			runtime.GC()
+			calls, start := 0, time.Now()
+			for ; time.Since(start) < squaresSample; calls++ {
+				f()
+			}
+			samples[i] = append(samples[i], time.Since(start)/time.Duration(calls))
+		}
+	}
+	for _, s := range samples {
+		slices.Sort(s)
+		medians = append(medians, s[timingSamples/2])
+		spreads = append(spreads, s[timingSamples-1]-s[0])
+	}
+	return medians, spreads
 }
 
 // SquaresExclusion measures the per-relation weight-computation cost of
@@ -429,19 +461,25 @@ func (r *Runner) SquaresExclusion(ctx context.Context, w io.Writer, outDir strin
 		return nil, fmt.Errorf("harness: fb15k237-sim has no relations")
 	}
 	probe := relations[0]
-	var records []SquaresRecord
-	var rows [][]string
-	for _, name := range core.StrategyNames() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	names := core.StrategyNames()
+	calls := make([]func(), len(names))
+	for i, name := range names {
 		strategy, err := core.StrategyByName(name)
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		strategy.Weights(ds.Train, probe, strategy.Statistic(ds.Train))
-		per := time.Since(start)
+		calls[i] = func() { strategy.Weights(ds.Train, probe, strategy.Statistic(ds.Train)) }
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	medians, spreads := timeCalls(calls)
+	var records []SquaresRecord
+	var rows [][]string
+	cost := map[string]time.Duration{}
+	for i, name := range names {
+		per, spread := medians[i], spreads[i]
+		cost[name] = per
 		rec := SquaresRecord{
 			Strategy:        name,
 			PerRelation:     per,
@@ -449,22 +487,20 @@ func (r *Runner) SquaresExclusion(ctx context.Context, w io.Writer, outDir strin
 		}
 		records = append(records, rec)
 		rows = append(rows, []string{name,
-			fmt.Sprintf("%.6f", rec.PerRelation.Seconds()),
+			fmt.Sprintf("%.1f", float64(per)/float64(time.Microsecond)),
+			fmt.Sprintf("%.0f", 100*spread.Seconds()/per.Seconds()),
 			fmt.Sprintf("%.3f", rec.FullRunEstimate.Seconds())})
 	}
-	fmt.Fprintf(w, "Exclusion experiment: per-relation weight-computation cost (fb15k237-sim, %d relations).\n\n", len(relations))
-	RenderTable(w, []string{"strategy", "per relation (s)", "est. full run (s)"}, rows)
-	cost := map[string]time.Duration{}
-	for _, rec := range records {
-		cost[rec.Strategy] = rec.PerRelation
-	}
+	fmt.Fprintf(w, "Exclusion experiment: per-relation weight-computation cost (fb15k237-sim, %d relations),\n", len(relations))
+	fmt.Fprintf(w, "the median of %d samples of at least %v each; spread is (max - min) / median.\n\n", timingSamples, squaresSample)
+	RenderTable(w, []string{"strategy", "per relation (us)", "spread (%)", "est. full run (s)"}, rows)
 	if base, tri := cost["uniform_random"], cost["cluster_triangles"]; base > 0 && tri > 0 {
 		fmt.Fprintf(w, "\ncluster_squares costs %.0fx uniform_random and %.1fx cluster_triangles per relation.\n",
 			cost["cluster_squares"].Seconds()/base.Seconds(), cost["cluster_squares"].Seconds()/tri.Seconds())
 	}
 	if outDir != "" {
 		if err := WriteCSV(filepath.Join(outDir, "squares_exclusion.csv"),
-			[]string{"strategy", "per_relation_seconds", "full_run_estimate_seconds"}, rows); err != nil {
+			[]string{"strategy", "per_relation_us", "spread_percent", "full_run_estimate_seconds"}, rows); err != nil {
 			return nil, err
 		}
 	}

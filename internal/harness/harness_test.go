@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testRunner builds a Runner at miniature scale so harness tests stay fast.
@@ -221,6 +222,8 @@ func TestSquaresExclusionOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration squares")
 	}
+	defer func(d time.Duration) { squaresSample = d }(squaresSample)
+	squaresSample = time.Millisecond
 	r := testRunner(t)
 	var buf bytes.Buffer
 	records, err := r.SquaresExclusion(context.Background(), &buf, "")

@@ -148,6 +148,9 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 		relations = spec.Graph.RelationIDs()
 	}
 	info := RunInfo{TotalRelations: len(relations)}
+	if opts.TopN < 0 || opts.MaxCandidates < 0 { // as DiscoverFacts does, but before a journal exists
+		return nil, info, fmt.Errorf("jobs: top_n and max_candidates must be non-negative, got %d/%d", opts.TopN, opts.MaxCandidates)
+	}
 
 	var (
 		journal   *Journal

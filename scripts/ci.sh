@@ -3,8 +3,9 @@
 # files' kernels: DotI8, the MatMat and MatNegL1 sweeps on query lanes and
 # MatVec's and the leftover queries' sweeps on row lanes, Axpy, the counting
 # pass's BucketKeys, and the training kernels: the four-row Dot, Adam's row
-# step, ConvE's 3x3 convolution and the KvsAll per-entity step), race-checked
-# tests, the benchmark module and its smoke, a serving-layer race gate, the
+# step, ConvE's 3x3 convolution and the KvsAll per-entity step), the program
+# gate (every main package is a command under cmd/ with a main_test.go),
+# race-checked tests, the benchmark module and its smoke, a serving-layer race gate, the
 # decoder / log-framing / projection / counting-pass / sweep-kernel /
 # checkpoint-loader fuzz smokes, the vecmath bounds-check budget and the
 # five line budgets, then
@@ -35,6 +36,25 @@ go build ./...
 # AxpyPairs and SumInto (train_amd64.s): keep the Go versions the other
 # ports build (int8_generic.go, sweep_generic.go, train_generic.go) alive.
 GOARCH=arm64 go build ./...
+
+echo "== every program is run =="
+# A main package outside cmd/ is a program no test and no gate runs: six
+# example programs sat in examples/ compiled and never run until their
+# quoted output no longer matched what they printed. Examples are Example
+# functions with an // Output: block, which go test runs. Every command
+# under cmd/ has a main_test.go.
+mains="$(go list -f '{{if eq .Name "main"}}{{.ImportPath}} {{.Dir}}{{end}}' ./... | grep -v '^$' || true)"
+while read -r pkg dir; do
+  case "$pkg" in
+    repro/cmd/*) ;;
+    *) echo "program gate FAILED: main package $pkg is outside cmd/" >&2; exit 1 ;;
+  esac
+  if [ ! -f "$dir/main_test.go" ]; then
+    echo "program gate FAILED: $pkg has no main_test.go" >&2
+    exit 1
+  fi
+done <<<"$mains"
+echo "program gate: $(wc -l <<<"$mains") main packages, all under cmd/ with a main_test.go"
 
 echo "== go test -race =="
 go test -race ./...
@@ -151,9 +171,11 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once a strategy became an immutable value, Bind, WeightCacher and the
-# per-strategy memo went, and DiscoverFacts held line 7's statistic itself
-# (5 683 once kge.LoadAuto and its gob sniff went, so that readers open flat
+# count once ExhaustiveStats lost the wall-clock fields Result.Stats already
+# carries, and DiscoverFacts refused a negative TopN or MaxCandidates (5 608
+# once a strategy became an immutable value, Bind, WeightCacher and the
+# per-strategy memo went, and DiscoverFacts held line 7's statistic itself;
+# 5 683 once kge.LoadAuto and its gob sniff went, so that readers open flat
 # checkpoints only; 5 709 once ranking returned ranks only, without each
 # candidate's sweep score, and the pooled score matrix lost its shrink
 # policy; 5 754 once
@@ -171,12 +193,14 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5608 \
+hold_lines 'internal/{kge,eval,train,core}' 5601 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once the dirty set resolved
+# two that put bytes on disk for them: the count once jobs.Run refused a
+# negative top_n or max_candidates before creating a journal, as /discover,
+# /jobs and /sweep already did (5 209 once the dirty set resolved
 # its strategy once and computed its statistic on both graphs, in place of
-# binding two copies (5 218 once the server and the
+# binding two copies; 5 218 once the server and the
 # fleet opened checkpoints through kge.OpenMapped alone, the dirty set netted
 # the batches, and kgmutate checked its baseline with jobs.CheckHeader; 5 219
 # once a mutation batch recorded its net triples in place of the live
@@ -195,7 +219,7 @@ hold_lines 'internal/{kge,eval,train,core}' 5608 \
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5209 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5212 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The triple store: one eager, array-backed index per relation, the count
 # once the membership map, the lazily rebuilt side tables and BuildIndexes
