@@ -239,8 +239,8 @@ func (r *Result) MRR() float64 { return eval.MRROfRanks(r.Ranks()) }
 // standard evaluation protocol (see internal/eval).
 func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy Strategy, opts Options) (*Result, error) {
 	opts.setDefaults()
-	if opts.TopN < 0 || opts.MaxCandidates < 0 {
-		return nil, fmt.Errorf("core: top_n and max_candidates must be non-negative, got %d/%d", opts.TopN, opts.MaxCandidates)
+	if err := checkLimits(opts.TopN, opts.MaxCandidates); err != nil {
+		return nil, err
 	}
 	if err := kge.CheckCovers(model, g); err != nil {
 		return nil, err
@@ -260,26 +260,58 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 		return nil, fmt.Errorf("core: unknown prune mode %q (want %q, %q, or %q)",
 			opts.PruneMode, PruneOff, PruneExact, PruneApprox)
 	}
-	start := time.Now()
-	res := &Result{}
-
-	relations := opts.Relations
-	if relations == nil {
-		relations = g.RelationIDs()
-	}
 	// Line 4: the mesh grid of k subjects × k objects reaches
 	// max_candidates when k ≈ √max_candidates; +10 covers the candidates
 	// lost to dedup and the seen-filter.
 	sampleSize := int(math.Sqrt(float64(opts.MaxCandidates))) + 10
+	// Line 7's graph statistic: recomputed for every relation, or kept from
+	// the first relation under CacheWeights.
+	var stat []float64
 
+	return sweepRelations(ctx, model, g, opts, func(r kg.RelationID, rel *RelationStats) ([]kg.Triple, error) {
+		wStart := time.Now()
+		if stat == nil || !opts.CacheWeights {
+			stat = strategy.Statistic(g)
+		}
+		subs, sw, objs, ow := strategy.Weights(g, r, stat)
+		rel.WeightTime = time.Since(wStart)
+		if len(subs) == 0 || len(objs) == 0 {
+			return nil, nil
+		}
+		// Each relation draws from its own RNG stream, seeded by (Seed, r):
+		// a relation's candidates do not depend on which other relations the
+		// sweep covers or in what order, so a run split across several
+		// Relations subsets (the durable-job resume path) generates exactly
+		// the candidates of one uninterrupted run.
+		rng := rand.New(rand.NewSource(relationSeed(opts.Seed, r)))
+		gStart := time.Now()
+		candidates, iters := generateCandidates(g, opts, r, subs, sw, objs, ow, sampleSize, rng)
+		rel.GenerateTime = time.Since(gStart)
+		rel.Iterations = iters
+		return candidates, nil
+	})
+}
+
+// sweepRelations is the relation loop both discovery paths share (Algorithm 1
+// lines 3, 14 and 15): for each relation it takes gen's candidates, ranks
+// them against their object-side corruptions, keeps those within TopN,
+// records the relation's stats and reports it to OnRelationDone. gen owns
+// candidate generation (lines 7–13) and records its own time and counters in
+// rel; an error from gen ends the sweep. The candidates are only read until
+// gen is called again. opts must be defaulted and checked.
+func sweepRelations(ctx context.Context, model kge.Model, g *kg.Graph, opts Options,
+	gen func(r kg.RelationID, rel *RelationStats) ([]kg.Triple, error)) (*Result, error) {
+	start := time.Now()
+	res := &Result{}
+	relations := opts.Relations
+	if relations == nil {
+		relations = g.RelationIDs()
+	}
 	var filter *kg.Graph
 	if opts.RankFiltered {
 		filter = g
 	}
 	ranker := eval.NewRanker(model, filter)
-	// Line 7's graph statistic: recomputed for every relation, or kept from
-	// the first relation under CacheWeights.
-	var stat []float64
 
 	for ri, r := range relations {
 		if err := ctx.Err(); err != nil {
@@ -287,41 +319,23 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 		}
 		factStart := len(res.Facts)
 		rel := RelationStats{Relation: r}
-
-		wStart := time.Now()
-		if stat == nil || !opts.CacheWeights {
-			stat = strategy.Statistic(g)
+		candidates, err := gen(r, &rel)
+		if err != nil {
+			return nil, err
 		}
-		subs, sw, objs, ow := strategy.Weights(g, r, stat)
-		rel.WeightTime = time.Since(wStart)
+		rel.Generated = len(candidates)
 
-		if len(subs) > 0 && len(objs) > 0 {
-			// Each relation draws from its own RNG stream, seeded by
-			// (Seed, r): a relation's candidates do not depend on which other
-			// relations the sweep covers or in what order, so a run split
-			// across several Relations subsets (the durable-job resume path)
-			// generates exactly the candidates of one uninterrupted run.
-			rng := rand.New(rand.NewSource(relationSeed(opts.Seed, r)))
-
-			gStart := time.Now()
-			candidates, iters := generateCandidates(g, opts, r, subs, sw, objs, ow, sampleSize, rng)
-			rel.GenerateTime = time.Since(gStart)
-			rel.Iterations = iters
-			rel.Generated = len(candidates)
-
-			if len(candidates) > 0 {
-				rStart := time.Now()
-				ranks, err := rankAll(ctx, ranker, candidates, opts, &rel)
-				rel.RankTime = time.Since(rStart)
-				if err != nil {
-					return nil, err
-				}
-
-				// Line 15: keep candidates within the quality threshold.
-				for i, t := range candidates {
-					if ranks[i] <= opts.TopN {
-						res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
-					}
+		if len(candidates) > 0 {
+			rStart := time.Now()
+			ranks, err := rankAll(ctx, ranker, candidates, opts, &rel)
+			rel.RankTime = time.Since(rStart)
+			if err != nil {
+				return nil, err
+			}
+			// Line 15: keep candidates within the quality threshold.
+			for i, t := range candidates {
+				if ranks[i] <= opts.TopN {
+					res.Facts = append(res.Facts, Fact{Triple: t, Rank: ranks[i]})
 				}
 			}
 		}
@@ -342,6 +356,15 @@ func DiscoverFacts(ctx context.Context, model kge.Model, g *kg.Graph, strategy S
 	SortFactsByRank(res.Facts)
 	res.Stats.Total = time.Since(start)
 	return res, nil
+}
+
+// checkLimits refuses a negative TopN or MaxCandidates, which would keep no
+// fact or generate no candidate without saying so.
+func checkLimits(topN, maxCandidates int) error {
+	if topN < 0 || maxCandidates < 0 {
+		return fmt.Errorf("core: top_n and max_candidates must be non-negative, got %d/%d", topN, maxCandidates)
+	}
+	return nil
 }
 
 // relationSeed derives the RNG seed for one relation's generation loop from

@@ -248,6 +248,45 @@ func TestDiscoverFactsRefusesNegativeLimits(t *testing.T) {
 			t.Errorf("%+v: accepted a negative limit", opts)
 		}
 	}
+	for _, opts := range []ExhaustiveOptions{{TopN: -3}, {MaxCandidates: -1}} {
+		if _, _, err := ExhaustiveDiscover(context.Background(), m, ds.Train, opts); err == nil {
+			t.Errorf("exhaustive %+v: accepted a negative limit", opts)
+		}
+	}
+}
+
+// TestRankAtTopNIsKept pins line 15's inclusive threshold for both candidate
+// generators: a candidate ranked exactly TopN is a fact.
+func TestRankAtTopNIsKept(t *testing.T) {
+	ds, m := tinyTrained(t)
+	rel := []kg.RelationID{ds.Train.RelationIDs()[0]}
+	runs := map[string]func(topN int) []Fact{
+		"sampled": func(topN int) []Fact {
+			return discover(t, Options{TopN: topN, MaxCandidates: 200, Seed: 4, Relations: rel}).Facts
+		},
+		"exhaustive": func(topN int) []Fact {
+			res, _, err := ExhaustiveDiscover(context.Background(), m, ds.Train, ExhaustiveOptions{TopN: topN, Relations: rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Facts
+		},
+	}
+	for name, run := range runs {
+		// No raw rank exceeds |E|, so TopN = |E| keeps every candidate.
+		all := run(ds.Train.NumEntities())
+		k := all[len(all)/2].Rank
+		want := 0
+		for _, f := range all {
+			if f.Rank <= k {
+				want++
+			}
+		}
+		got := run(k)
+		if len(got) != want || len(got) == 0 || got[len(got)-1].Rank != k {
+			t.Errorf("%s: TopN %d kept %d facts, want %d, the last ranked %d", name, k, len(got), want, k)
+		}
+	}
 }
 
 func TestDiscoverFactsModelGraphMismatch(t *testing.T) {

@@ -65,7 +65,7 @@ func ExampleDiscoverFacts() {
 // Exhaustive discovery against sampling on a 250-entity graph, the paper's
 // scale argument (§1) in small. The exhaustive baseline (CHAI, the paper's
 // reference [6]) scores every triple of the complement, |E|²·|R| − |G|;
-// DefaultRules prunes that set before inference, and sampling scores a
+// CHAI's rules prune that set before inference, and sampling scores a
 // small slice of it. Every sampled fact is an exhaustive fact with the same
 // rank, because the rank depends only on the triple. On YAGO3-10 the
 // complement holds 123 182² · 37 ≈ 5.6·10¹¹ triples.
@@ -90,7 +90,7 @@ func ExampleExhaustiveDiscover() {
 		g.Len(), g.NumEntities(), g.NumRelations(), stats.ComplementSize)
 	fmt.Printf("exhaustive:         %6d scored, %5d facts\n", stats.Generated, len(all.Facts))
 
-	ruled, rstats, err := core.ExhaustiveDiscover(ctx, model, g, core.ExhaustiveOptions{TopN: 30, Rules: core.DefaultRules(g)})
+	ruled, rstats, err := core.ExhaustiveDiscover(ctx, model, g, core.ExhaustiveOptions{TopN: 30, Rules: true})
 	if err != nil {
 		panic(err)
 	}

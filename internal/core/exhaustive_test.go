@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/kg"
+	"repro/internal/kge"
 )
 
 func ruleTestGraph(t *testing.T) *kg.Graph {
@@ -25,58 +26,85 @@ func ruleTestGraph(t *testing.T) *kg.Graph {
 	return g
 }
 
-func TestDomainRangeRule(t *testing.T) {
-	g := ruleTestGraph(t)
-	rule := NewDomainRangeRule(g)
-	// (carol, lives_in, paris): carol never observed as lives_in subject.
-	if rule.Admit(kg.Triple{S: 2, R: 1, O: 3}) {
-		t.Error("admitted subject outside observed domain")
+// ruleCandidates returns the triples ExhaustiveDiscover scores on g, with or
+// without rules. Under the raw protocol no rank exceeds |E|, so with TopN at
+// |E| line 15 keeps every candidate and the facts are the candidate set.
+func ruleCandidates(t *testing.T, g *kg.Graph, rules bool) map[kg.Triple]bool {
+	t.Helper()
+	m, err := kge.New("distmult", kge.Config{NumEntities: g.NumEntities(), NumRelations: g.NumRelations(), Dim: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// (alice, lives_in, rome): both sides observed for lives_in.
-	if !rule.Admit(kg.Triple{S: 0, R: 1, O: 4}) {
-		t.Error("rejected a domain/range-consistent candidate")
+	res, _, err := ExhaustiveDiscover(context.Background(), m, g, ExhaustiveOptions{TopN: g.NumEntities(), Rules: rules})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// (alice, knows, paris): paris never an object of knows.
-	if rule.Admit(kg.Triple{S: 0, R: 0, O: 3}) {
-		t.Error("admitted object outside observed range")
+	out := make(map[kg.Triple]bool, len(res.Facts))
+	for _, f := range res.Facts {
+		out[f.Triple] = true
+	}
+	return out
+}
+
+// wantCandidates asserts, for each triple, whether the rules admit it as a
+// candidate on g; every triple is asserted a candidate without rules first,
+// so the rules are what tells them apart.
+func wantCandidates(t *testing.T, g *kg.Graph, cases map[kg.Triple]bool) {
+	t.Helper()
+	all, ruled := ruleCandidates(t, g, false), ruleCandidates(t, g, true)
+	for tr, want := range cases {
+		if !all[tr] {
+			t.Errorf("%s: not a candidate even without rules", g.FormatTriple(tr))
+		}
+		if ruled[tr] != want {
+			t.Errorf("%s: candidate under rules = %v, want %v", g.FormatTriple(tr), ruled[tr], want)
+		}
 	}
 }
 
+func TestDomainRangeRule(t *testing.T) {
+	g := ruleTestGraph(t)
+	// Two more triples make both relations non-functional, so only domain
+	// and range decide.
+	g.AddNamed("alice", "knows", "carol")
+	g.AddNamed("bob", "lives_in", "paris")
+	wantCandidates(t, g, map[kg.Triple]bool{
+		{S: 2, R: 1, O: 3}: false, // (carol, lives_in, paris): carol never a lives_in subject
+		{S: 0, R: 1, O: 4}: true,  // (alice, lives_in, rome): both sides observed for lives_in
+		{S: 0, R: 0, O: 3}: false, // (alice, knows, paris): paris never an object of knows
+	})
+}
+
 func TestNoSelfLoopRule(t *testing.T) {
-	rule := NoSelfLoopRule{}
-	if rule.Admit(kg.Triple{S: 1, R: 0, O: 1}) {
-		t.Error("admitted a self-loop")
-	}
-	if !rule.Admit(kg.Triple{S: 1, R: 0, O: 2}) {
-		t.Error("rejected a non-loop")
-	}
+	g := ruleTestGraph(t)
+	// alice knows carol and carol knows alice: knows is non-functional and
+	// alice, bob and carol are each a subject and an object of it.
+	g.AddNamed("alice", "knows", "carol")
+	g.AddNamed("carol", "knows", "alice")
+	wantCandidates(t, g, map[kg.Triple]bool{
+		{S: 1, R: 0, O: 1}: false, // (bob, knows, bob): a self-loop
+		{S: 1, R: 0, O: 0}: true,  // (bob, knows, alice): not a loop
+	})
 }
 
 func TestFunctionalRelationRule(t *testing.T) {
 	g := ruleTestGraph(t)
-	rule := NewFunctionalRelationRule(g, 1.0)
-	// lives_in is functional (1 object per subject): a second city for
-	// alice contradicts it.
-	if rule.Admit(kg.Triple{S: 0, R: 1, O: 4}) {
-		t.Error("admitted a second object for a functional relation")
-	}
-	// carol has no lives_in fact yet: a first object is fine.
-	if !rule.Admit(kg.Triple{S: 2, R: 1, O: 3}) {
-		t.Error("rejected a first object for a functional relation")
-	}
-	// knows also has avg 1.0 object per subject in this graph, so strict
-	// tolerance treats it as functional too.
-	if rule.Admit(kg.Triple{S: 0, R: 0, O: 2}) {
-		t.Error("functional inference should also cover 'knows' with avg 1.0")
-	}
+	wantCandidates(t, g, map[kg.Triple]bool{
+		// lives_in is functional (1 object per subject): a second city for
+		// alice contradicts it.
+		{S: 0, R: 1, O: 4}: false,
+		// carol has no lives_in fact yet, but she is outside lives_in's
+		// domain, and a functional relation keeps no candidate at all.
+		{S: 2, R: 1, O: 3}: false,
+		// knows also has avg 1.0 object per subject in this graph, so it
+		// counts as functional too.
+		{S: 0, R: 0, O: 2}: false,
+	})
 	// Once a subject has multiple objects, the relation stops counting as
-	// functional under strict tolerance and candidates pass again.
-	g2 := ruleTestGraph(t)
-	g2.Add(kg.Triple{S: 0, R: 0, O: 2}) // alice knows carol: avg objects 1.5
-	relaxed := NewFunctionalRelationRule(g2, 1.0)
-	if !relaxed.Admit(kg.Triple{S: 1, R: 0, O: 0}) {
-		t.Error("non-functional relation should admit new objects")
-	}
+	// functional and candidates pass again.
+	g.AddNamed("alice", "knows", "carol") // avg objects 1.5
+	g.AddNamed("carol", "knows", "alice") // alice joins the range
+	wantCandidates(t, g, map[kg.Triple]bool{{S: 1, R: 0, O: 0}: true})
 }
 
 func TestExhaustiveDiscoverCompleteOnTinyGraph(t *testing.T) {
@@ -151,7 +179,7 @@ func TestExhaustiveDiscoverRulesPrune(t *testing.T) {
 	withRules, statsR, err := ExhaustiveDiscover(context.Background(), m, ds.Train, ExhaustiveOptions{
 		TopN:      20,
 		Relations: []kg.RelationID{rel},
-		Rules:     DefaultRules(ds.Train),
+		Rules:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -171,8 +171,11 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once ExhaustiveStats lost the wall-clock fields Result.Stats already
-# carries, and DiscoverFacts refused a negative TopN or MaxCandidates (5 608
+# count once ExhaustiveDiscover shared DiscoverFacts' relation loop, built the
+# complement row by row from the graph's index and read CHAI's rules off it,
+# in place of the CandidateRule types and their maps (5 601 once
+# ExhaustiveStats lost the wall-clock fields Result.Stats already
+# carries, and DiscoverFacts refused a negative TopN or MaxCandidates; 5 608
 # once a strategy became an immutable value, Bind, WeightCacher and the
 # per-strategy memo went, and DiscoverFacts held line 7's statistic itself;
 # 5 683 once kge.LoadAuto and its gob sniff went, so that readers open flat
@@ -193,7 +196,7 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5601 \
+hold_lines 'internal/{kge,eval,train,core}' 5497 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
 # two that put bytes on disk for them: the count once jobs.Run refused a
