@@ -268,29 +268,14 @@ func TestInverseDegreeTargetsLongTail(t *testing.T) {
 
 func TestMixedExplorationInterpolates(t *testing.T) {
 	g := ruleTestGraph(t)
-	pure := NewGraphDegree()
-	_, pureW, _, _ := weights(pure, g, 0)
-
-	mixed0 := NewMixedExploration(0)
-	_, mixed0W, _, _ := weights(mixed0, g, 0)
-
-	// ε = 0 reduces to GRAPH DEGREE up to normalization: proportionality.
-	ratio := mixed0W[0] / pureW[0]
-	for i := range pureW {
-		if pureW[i] == 0 {
-			continue
+	exploit := normalizeMass(degreeStat(g))
+	explore := normalizeMass(inverseDegreeStat(g))
+	mixed := NewMixedExploration().Statistic(g)
+	// ε = 0.3 of the mass goes by INVERSE DEGREE, the rest by GRAPH DEGREE.
+	for i := range mixed {
+		want := 0.7*exploit[i] + 0.3*explore[i]
+		if diff := mixed[i] - want; diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("mixed weight of entity %d = %g, want %g", i, mixed[i], want)
 		}
-		got := mixed0W[i] / pureW[i]
-		if diff := got - ratio; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("ε=0 mixed weights not proportional to degree at %d", i)
-		}
-	}
-
-	// ε is clamped.
-	if NewMixedExploration(-1).Name() != "mixed_exploration" {
-		t.Error("clamped constructor broken")
-	}
-	if NewMixedExploration(2).Name() != "mixed_exploration" {
-		t.Error("clamped constructor broken")
 	}
 }

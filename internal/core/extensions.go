@@ -51,22 +51,20 @@ func NewInverseDegree() Strategy {
 	return Strategy{name: "inverse_degree", statistic: inverseDegreeStat}
 }
 
-// NewMixedExploration returns the ε-greedy blend: a fraction ε of the
-// probability mass is distributed by INVERSE DEGREE (exploration) and the
-// rest by GRAPH DEGREE (exploitation). epsilon is clamped to [0, 1].
-func NewMixedExploration(epsilon float64) Strategy {
-	if epsilon < 0 {
-		epsilon = 0
-	}
-	if epsilon > 1 {
-		epsilon = 1
-	}
+// mixedEpsilon is MIXED EXPLORATION's ε: the share of the probability mass
+// INVERSE DEGREE distributes.
+const mixedEpsilon = 0.3
+
+// NewMixedExploration returns the ε-greedy blend at ε = 0.3: a fraction ε of
+// the probability mass is distributed by INVERSE DEGREE (exploration) and
+// the rest by GRAPH DEGREE (exploitation).
+func NewMixedExploration() Strategy {
 	return Strategy{name: "mixed_exploration", statistic: func(g *kg.Graph) []float64 {
 		exploit := normalizeMass(degreeStat(g))
 		explore := normalizeMass(inverseDegreeStat(g))
 		w := make([]float64, len(exploit))
 		for i := range w {
-			w[i] = (1-epsilon)*exploit[i] + epsilon*explore[i]
+			w[i] = (1-mixedEpsilon)*exploit[i] + mixedEpsilon*explore[i]
 		}
 		return w
 	}}

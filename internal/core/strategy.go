@@ -94,9 +94,8 @@ func StrategyNames() []string {
 }
 
 // StrategyByName constructs a strategy from its canonical name: the paper's
-// six and the two extensions of extensions.go (MIXED EXPLORATION at ε = 0.3;
-// construct NewMixedExploration directly for other values). It is the one
-// resolver, so every command accepts the names every other command writes.
+// six and the two extensions of extensions.go. It is the one resolver, so
+// every command accepts the names every other command writes.
 func StrategyByName(name string) (Strategy, error) {
 	switch name {
 	case "uniform_random":
@@ -114,7 +113,7 @@ func StrategyByName(name string) (Strategy, error) {
 	case "inverse_degree":
 		return NewInverseDegree(), nil
 	case "mixed_exploration":
-		return NewMixedExploration(0.3), nil
+		return NewMixedExploration(), nil
 	default:
 		return Strategy{}, fmt.Errorf("core: unknown strategy %q (supported: %v)", name, AllStrategyNames())
 	}

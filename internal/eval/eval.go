@@ -13,7 +13,6 @@ package eval
 
 import (
 	"context"
-	"math"
 	"sync"
 
 	"repro/internal/kg"
@@ -156,21 +155,4 @@ func Aggregate(ranks []int, hitsAt []int) Result {
 		res.Hits[k] = float64(hitCounts[k]) / float64(len(ranks))
 	}
 	return res
-}
-
-// MRROfRanks is the bare Equation 7 over integer ranks (used to score
-// discovered fact sets).
-func MRROfRanks(ranks []int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, rk := range ranks {
-		sum += 1 / float64(rk)
-	}
-	mrr := sum / float64(len(ranks))
-	if math.IsNaN(mrr) || math.IsInf(mrr, 0) {
-		return 0
-	}
-	return mrr
 }

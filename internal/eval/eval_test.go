@@ -246,13 +246,14 @@ func TestAggregate(t *testing.T) {
 }
 
 func TestMRROfRanks(t *testing.T) {
-	if got := MRROfRanks(nil); got != 0 {
+	mrr := func(ranks []int) float64 { return Aggregate(ranks, nil).MRR }
+	if got := mrr(nil); got != 0 {
 		t.Errorf("MRR of empty = %g", got)
 	}
-	if got := MRROfRanks([]int{1}); got != 1 {
+	if got := mrr([]int{1}); got != 1 {
 		t.Errorf("MRR of rank 1 = %g", got)
 	}
-	if got := MRROfRanks([]int{2, 2}); got != 0.5 {
+	if got := mrr([]int{2, 2}); got != 0.5 {
 		t.Errorf("MRR = %g, want 0.5", got)
 	}
 }
@@ -264,7 +265,7 @@ func TestTheoreticalMRRThresholdFromPaper(t *testing.T) {
 	for i := range ranks {
 		ranks[i] = 500
 	}
-	if got := MRROfRanks(ranks); math.Abs(got-0.002) > 1e-12 {
+	if got := Aggregate(ranks, nil).MRR; math.Abs(got-0.002) > 1e-12 {
 		t.Errorf("MRR of all-rank-500 = %g, want 0.002", got)
 	}
 }

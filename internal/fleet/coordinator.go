@@ -286,6 +286,7 @@ func (c *Coordinator) addSweep(req SweepRequest) (*sweep, error) {
 		sw.relSet[r] = true
 	}
 
+	pendingRels := relations
 	if req.Checkpoint != "" {
 		hdr := jobs.Header{
 			Fingerprint:    fingerprint,
@@ -293,22 +294,14 @@ func (c *Coordinator) addSweep(req SweepRequest) (*sweep, error) {
 			Strategy:       strategy.Name(),
 			TotalRelations: len(relations),
 		}
-		var recovered []jobs.RelationRecord
-		if req.Resume {
-			sw.journal, recovered, err = jobs.Recover(req.Checkpoint, hdr)
-		} else {
-			sw.journal, err = jobs.Create(req.Checkpoint, hdr)
-		}
+		sw.journal, sw.records, pendingRels, err = jobs.Open(req.Checkpoint, hdr, req.Resume, relations)
 		if err != nil {
 			return nil, err
 		}
-		for _, rec := range recovered {
-			if sw.relSet[rec.Relation] && !sw.done[rec.Relation] {
-				sw.done[rec.Relation] = true
-				sw.records = append(sw.records, rec)
-				sw.resumed++
-			}
+		for _, rec := range sw.records {
+			sw.done[rec.Relation] = true
 		}
+		sw.resumed = len(sw.records)
 	}
 
 	// Shard the not-yet-done relations into units. After a crash-resume the
@@ -317,12 +310,6 @@ func (c *Coordinator) addSweep(req SweepRequest) (*sweep, error) {
 	unitSize := req.UnitRelations
 	if unitSize == 0 {
 		unitSize = 1
-	}
-	var pendingRels []kg.RelationID
-	for _, r := range relations {
-		if !sw.done[r] {
-			pendingRels = append(pendingRels, r)
-		}
 	}
 	for off := 0; off < len(pendingRels); off += unitSize {
 		end := off + unitSize

@@ -27,27 +27,27 @@ func goldenDones() []core.RelationDone {
 	}
 	return []core.RelationDone{
 		{
-			Relation: 3, Index: 0, Total: 4,
-			Facts: []core.Fact{fact(1, 3, 2, 4), fact(5, 3, 6, 1)},
+			Relation: 3,
+			Facts:    []core.Fact{fact(1, 3, 2, 4), fact(5, 3, 6, 1)},
 			Stats: core.RelationStats{
 				Relation: 3, WeightTime: 1500 * time.Microsecond, GenerateTime: 7, RankTime: 2 * time.Second,
 				Generated: 40, Iterations: 2, ScoreSweeps: 9, BatchedSweeps: 3, BatchRows: 9,
 				CellsPruned: 11, PrescreenRows: 123, Facts: 2,
 			},
 		},
-		{Relation: 0, Index: 1, Total: 4, Stats: core.RelationStats{Relation: 0}},
+		{Relation: 0, Stats: core.RelationStats{Relation: 0}},
 		{
-			Relation: 7, Index: 2, Total: 4,
-			Facts: []core.Fact{fact(0, 7, 9, 2), fact(0, 7, 8, 3), fact(4, 7, 9, 500)},
+			Relation: 7,
+			Facts:    []core.Fact{fact(0, 7, 9, 2), fact(0, 7, 8, 3), fact(4, 7, 9, 500)},
 			Stats: core.RelationStats{
 				Relation: 7, WeightTime: 1, GenerateTime: 2, RankTime: 3,
 				Generated: 500, Iterations: 5, ScoreSweeps: 33, BatchedSweeps: 2, BatchRows: 33, Facts: 3,
 			},
 		},
 		{
-			Relation: 1, Index: 3, Total: 4,
-			Facts: []core.Fact{fact(2147483647, 1, 0, 1)},
-			Stats: core.RelationStats{Relation: 1, RankTime: time.Hour, Generated: 1, Iterations: 1, ScoreSweeps: 1, Facts: 1},
+			Relation: 1,
+			Facts:    []core.Fact{fact(2147483647, 1, 0, 1)},
+			Stats:    core.RelationStats{Relation: 1, RankTime: time.Hour, Generated: 1, Iterations: 1, ScoreSweeps: 1, Facts: 1},
 		},
 	}
 }

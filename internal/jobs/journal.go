@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kg"
@@ -174,6 +175,40 @@ func Recover(path string, want Header) (*Journal, []RelationRecord, error) {
 		return nil, nil, err
 	}
 	return &Journal{log: log}, recs, nil
+}
+
+// Open is the journal step of a run over relations, local or fleet: Create,
+// or Recover when resume is set, then the splice. It returns the first
+// recovered record of each listed relation, in journal order, and the
+// relations still to sweep, in list order. (The options hash pins the list,
+// so Recover refuses a journal with records of other relations.)
+func Open(path string, hdr Header, resume bool, relations []kg.RelationID) (*Journal, []RelationRecord, []kg.RelationID, error) {
+	var (
+		j    *Journal
+		recs []RelationRecord
+		err  error
+	)
+	if resume {
+		j, recs, err = Recover(path, hdr)
+	} else {
+		j, err = Create(path, hdr)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pending := make(map[kg.RelationID]bool, len(relations))
+	for _, r := range relations {
+		pending[r] = true
+	}
+	var kept []RelationRecord
+	for _, rec := range recs {
+		if pending[rec.Relation] {
+			pending[rec.Relation] = false
+			kept = append(kept, rec)
+		}
+	}
+	remaining := slices.DeleteFunc(slices.Clone(relations), func(r kg.RelationID) bool { return !pending[r] })
+	return j, kept, remaining, nil
 }
 
 // Append durably records one completed relation.

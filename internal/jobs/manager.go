@@ -35,9 +35,6 @@ type Config struct {
 	// parallelizes internally across GOMAXPROCS ranking workers, so a small
 	// pool saturates the machine. Default 2.
 	Workers int
-	// QueueDepth bounds jobs waiting for a worker; Submit fails with
-	// ErrQueueFull beyond it. Default 256.
-	QueueDepth int
 	// MaxCompleted bounds how many finished jobs (and their results) are
 	// retained; the oldest-finished are evicted beyond it. Default 64.
 	MaxCompleted int
@@ -54,6 +51,10 @@ type Config struct {
 	// algorithm.
 	Discover discoverFunc
 }
+
+// queueDepth bounds jobs waiting for a worker; Submit fails with
+// ErrQueueFull beyond it.
+const queueDepth = 256
 
 // ErrQueueFull reports that Submit found the pending-job queue at capacity.
 var ErrQueueFull = errors.New("jobs: job queue is full")
@@ -160,9 +161,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
 	if cfg.MaxCompleted <= 0 {
 		cfg.MaxCompleted = 64
 	}
@@ -178,7 +176,7 @@ func NewManager(cfg Config) *Manager {
 		discover: core.DiscoverFacts,
 		baseCtx:  ctx,
 		baseStop: stop,
-		queue:    make(chan *Job, cfg.QueueDepth),
+		queue:    make(chan *Job, queueDepth),
 		jobs:     make(map[string]*Job),
 	}
 	if cfg.Discover != nil {
@@ -215,7 +213,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	// The enqueue happens under m.mu: Close also closes the queue under
 	// m.mu, so a send can never race a close. The send never blocks — the
-	// channel is buffered to QueueDepth and full means ErrQueueFull.
+	// channel is buffered to queueDepth and full means ErrQueueFull.
 	select {
 	case m.queue <- j:
 	default:

@@ -40,9 +40,9 @@ func stubDiscover(inFlight, peak *int64, release chan struct{}) discoverFunc {
 			res.Facts = append(res.Facts, fact)
 			if opts.OnRelationDone != nil {
 				opts.OnRelationDone(core.RelationDone{
-					Relation: r, Total: len(opts.Relations),
-					Facts: []core.Fact{fact},
-					Stats: core.RelationStats{Relation: r, Generated: 2, ScoreSweeps: 1, Facts: 1},
+					Relation: r,
+					Facts:    []core.Fact{fact},
+					Stats:    core.RelationStats{Relation: r, Generated: 2, ScoreSweeps: 1, Facts: 1},
 				})
 			}
 		}
@@ -201,9 +201,10 @@ func TestManagerCancelMidRelationLeavesResumableJournal(t *testing.T) {
 	// cancel lands mid-run deterministically.
 	m.discover = func(ctx context.Context, mo kge.Model, g *kg.Graph, s core.Strategy, opts core.Options) (*core.Result, error) {
 		inner := opts.OnRelationDone
+		swept := 0
 		opts.OnRelationDone = func(d core.RelationDone) {
 			inner(d)
-			if d.Index == 1 {
+			if swept++; swept == 2 {
 				once.Do(func() { close(proceed) })
 				<-ctx.Done() // hold the sweep here until cancelled
 			}
@@ -309,13 +310,13 @@ func TestManagerRetention(t *testing.T) {
 func TestManagerQueueFull(t *testing.T) {
 	var inFlight, peak int64
 	release := make(chan struct{})
-	m := NewManager(Config{Workers: 1, QueueDepth: 2, Discover: stubDiscover(&inFlight, &peak, release)})
+	m := NewManager(Config{Workers: 1, Discover: stubDiscover(&inFlight, &peak, release)})
 	defer m.Close()
 	spec := managerSpec(t)
 
 	var submitted int
 	var lastErr error
-	for i := 0; i < 10; i++ {
+	for i := 0; i < queueDepth+10; i++ {
 		if _, err := m.Submit(spec); err != nil {
 			lastErr = err
 			break
@@ -326,8 +327,8 @@ func TestManagerQueueFull(t *testing.T) {
 	if lastErr != ErrQueueFull {
 		t.Fatalf("err = %v, want ErrQueueFull", lastErr)
 	}
-	// 2 queue slots plus up to 1 job already claimed by the worker.
-	if submitted < 2 || submitted > 3 {
+	// queueDepth slots plus up to 1 job already claimed by the worker.
+	if submitted < queueDepth || submitted > queueDepth+1 {
 		t.Fatalf("submitted %d before queue full", submitted)
 	}
 }

@@ -156,6 +156,7 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 		journal   *Journal
 		recovered []RelationRecord
 	)
+	remaining := relations
 	if spec.Journal != "" {
 		if spec.Fingerprint == "" {
 			return nil, info, fmt.Errorf("jobs: journaled runs require the model fingerprint")
@@ -167,35 +168,11 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 			TotalRelations: len(relations),
 		}
 		var err error
-		if spec.Resume {
-			journal, recovered, err = Recover(spec.Journal, hdr)
-		} else {
-			journal, err = Create(spec.Journal, hdr)
-		}
+		journal, recovered, remaining, err = Open(spec.Journal, hdr, spec.Resume, relations)
 		if err != nil {
 			return nil, info, err
 		}
 		defer journal.Close()
-	}
-
-	// Splice out the relations the journal already covers. Records for
-	// relations outside the job's list cannot occur: the options hash pins
-	// the relation list, so such a journal is rejected at Recover.
-	inJob := make(map[kg.RelationID]bool, len(relations))
-	for _, r := range relations {
-		inJob[r] = true
-	}
-	done := make(map[kg.RelationID]bool, len(recovered))
-	for _, rec := range recovered {
-		if inJob[rec.Relation] {
-			done[rec.Relation] = true
-		}
-	}
-	remaining := make([]kg.RelationID, 0, len(relations))
-	for _, r := range relations {
-		if !done[r] {
-			remaining = append(remaining, r)
-		}
 	}
 	info.Resumed = len(relations) - len(remaining)
 
@@ -203,9 +180,6 @@ func run(ctx context.Context, spec Spec, discover discoverFunc) (*core.Result, R
 	res := &core.Result{}
 	factsSum := 0
 	for _, rec := range recovered {
-		if !inJob[rec.Relation] {
-			continue
-		}
 		mergeRecord(res, rec)
 		factsSum += len(rec.Facts)
 	}

@@ -59,15 +59,13 @@ type SplitOptions struct {
 	TestFrac  float64
 	// Seed drives the shuffle.
 	Seed int64
-	// NoUnseen, when true, guarantees that every entity and relation that
-	// occurs in valid or test also occurs in train (the CoDEx property, also
-	// required so embedding lookups never miss). Triples that would violate
-	// it are moved back to train.
-	NoUnseen bool
 }
 
-// Split partitions the triples of g into train/valid/test per opts. The
-// returned graphs share g's dictionaries.
+// Split partitions the triples of g into train/valid/test per opts. Every
+// entity and relation that occurs in valid or test also occurs in train (the
+// CoDEx property, also required so embedding lookups never miss): triples
+// that would violate it are moved back to train. The returned graphs share
+// g's dictionaries.
 func Split(name string, g *Graph, opts SplitOptions) (*Dataset, error) {
 	if opts.ValidFrac < 0 || opts.TestFrac < 0 || opts.ValidFrac+opts.TestFrac >= 1 {
 		return nil, fmt.Errorf("kg: invalid split fractions valid=%g test=%g", opts.ValidFrac, opts.TestFrac)
@@ -93,29 +91,27 @@ func Split(name string, g *Graph, opts SplitOptions) (*Dataset, error) {
 	testTriples := triples[nTrain+nValid:]
 
 	var moved []Triple // valid and test triples sent back to train
-	if opts.NoUnseen {
-		seenE := make(map[EntityID]bool)
-		seenR := make(map[RelationID]bool)
-		for _, t := range trainTriples {
-			seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
-		}
-		place := func(ts []Triple) []Triple {
-			kept := ts[:0]
-			for _, t := range ts {
-				if seenE[t.S] && seenE[t.O] && seenR[t.R] {
-					kept = append(kept, t)
-				} else {
-					// Move back to train and mark its vocabulary as seen so
-					// later triples referencing it can stay in their split.
-					moved = append(moved, t)
-					seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
-				}
-			}
-			return kept
-		}
-		validTriples = place(validTriples)
-		testTriples = place(testTriples)
+	seenE := make(map[EntityID]bool)
+	seenR := make(map[RelationID]bool)
+	for _, t := range trainTriples {
+		seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
 	}
+	place := func(ts []Triple) []Triple {
+		kept := ts[:0]
+		for _, t := range ts {
+			if seenE[t.S] && seenE[t.O] && seenR[t.R] {
+				kept = append(kept, t)
+			} else {
+				// Move back to train and mark its vocabulary as seen so
+				// later triples referencing it can stay in their split.
+				moved = append(moved, t)
+				seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
+			}
+		}
+		return kept
+	}
+	validTriples = place(validTriples)
+	testTriples = place(testTriples)
 	d.Train.AddAll(slices.Concat(trainTriples, moved))
 	d.Valid.AddAll(validTriples)
 	d.Test.AddAll(testTriples)

@@ -63,7 +63,7 @@ func TestSplitDisjoint(t *testing.T) {
 
 func TestSplitNoUnseen(t *testing.T) {
 	g := randomGraph(3, 200, 8, 800) // sparse: unseen entities likely without the guard
-	ds, err := Split("s", g, SplitOptions{ValidFrac: 0.2, TestFrac: 0.2, Seed: 5, NoUnseen: true})
+	ds, err := Split("s", g, SplitOptions{ValidFrac: 0.2, TestFrac: 0.2, Seed: 5})
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestLibKGERoundtrip(t *testing.T) {
 	g := randomGraph(21, 40, 5, 500)
-	ds, err := Split("lib", g, SplitOptions{ValidFrac: 0.1, TestFrac: 0.1, Seed: 4, NoUnseen: true})
+	ds, err := Split("lib", g, SplitOptions{ValidFrac: 0.1, TestFrac: 0.1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestSaveLoadDataset(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		g.AddNamed(string(rune('a'+i%20)), "rel", string(rune('A'+(i*7)%20)))
 	}
-	ds, err := Split("test-ds", g, SplitOptions{ValidFrac: 0.1, TestFrac: 0.1, Seed: 3, NoUnseen: true})
+	ds, err := Split("test-ds", g, SplitOptions{ValidFrac: 0.1, TestFrac: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}

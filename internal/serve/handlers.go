@@ -85,22 +85,34 @@ func (s *Server) resolve(req tripleRequest) (kg.Triple, error) {
 	return kg.Triple{S: kg.EntityID(sid), R: kg.RelationID(rid), O: kg.EntityID(oid)}, nil
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
+// parseTriple is /score's and /rank's prologue: decode, acquire the model
+// (the caller owns the release), resolve the names. On failure it has
+// written the error response and holds no model reference.
+func (s *Server) parseTriple(w http.ResponseWriter, r *http.Request) (*servedModel, kg.Triple, bool) {
 	var req tripleRequest
 	if !s.decode(w, r, &req) {
-		return
+		return nil, kg.Triple{}, false
 	}
 	sm, err := s.acquireModel(req.Model)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
+		return nil, kg.Triple{}, false
+	}
+	t, err := s.resolve(req)
+	if err != nil {
+		sm.release()
+		writeError(w, http.StatusNotFound, "%v", err)
+		return nil, kg.Triple{}, false
+	}
+	return sm, t, true
+}
+
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
+	sm, t, ok := s.parseTriple(w, r)
+	if !ok {
 		return
 	}
 	defer sm.release()
-	t, err := s.resolve(req)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
 	score := sm.model.Score(t)
 	s.kgMu.RLock()
 	known := s.all.Contains(t)
@@ -113,21 +125,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	var req tripleRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	sm, err := s.acquireModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	sm, t, ok := s.parseTriple(w, r)
+	if !ok {
 		return
 	}
 	defer sm.release()
-	t, err := s.resolve(req)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
 	// RankObjects, not the per-triple RankObject: the same rank from one
 	// sweep and a correction over the shared filter graph's (s, r) adjacency,
 	// where RankObject would probe that graph once per entity — all of it
@@ -193,27 +195,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		k = sm.model.NumEntities()
 	}
 	key := s.cacheKey("query", sm.fingerprint, queryKey{S: kg.EntityID(sid), R: kg.RelationID(rid), K: k})
+	err = s.answer(w, key, func() ([]byte, error) {
+		return s.runQuery(sm, key, kg.EntityID(sid), kg.RelationID(rid), k)
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "query failed: %v", err)
+	}
+}
+
+// answer writes the body cached under key (X-Cache: hit), or runs compute
+// once for all concurrent requests for key (the leader's X-Cache: miss, the
+// joiners' dedup), counting each outcome. It writes the body on success and
+// returns compute's error for the caller to map to a status.
+func (s *Server) answer(w http.ResponseWriter, key string, compute func() ([]byte, error)) error {
 	if body, ok := s.cache.Get(key); ok {
 		s.metrics.incCacheHit()
 		w.Header().Set("X-Cache", "hit")
 		writeJSONBody(w, http.StatusOK, body)
-		return
+		return nil
 	}
 	s.metrics.incCacheMiss()
-	body, err, joined := s.flight.Do(key, func() ([]byte, error) {
-		return s.runQuery(sm, key, kg.EntityID(sid), kg.RelationID(rid), k)
-	})
+	body, err, joined := s.flight.Do(key, compute)
 	if joined {
 		s.metrics.incDedup()
 		w.Header().Set("X-Cache", "dedup")
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "query failed: %v", err)
-		return
+	if err == nil {
+		writeJSONBody(w, http.StatusOK, body)
 	}
-	writeJSONBody(w, http.StatusOK, body)
+	return err
 }
 
 // runQuery performs one full object sweep for (s, r) against sm, renders the
@@ -356,13 +368,6 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 
 	key := s.cacheKey("discover", sm.fingerprint,
 		discoverKey{req.Strategy, call.opts.TopN, call.opts.MaxCandidates, relations, req.Limit, req.Seed})
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.incCacheHit()
-		w.Header().Set("X-Cache", "hit")
-		writeJSONBody(w, http.StatusOK, body)
-		return
-	}
-	s.metrics.incCacheMiss()
 	// Relation tags (see lruEntry): only a relation-local strategy produces
 	// responses that depend solely on the requested relations' own data.
 	// Every node-statistic strategy reads entity statistics other relations'
@@ -372,18 +377,11 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if call.strategy.RelationLocal() && len(relations) > 0 {
 		tag = relations
 	}
-	body, err, joined := s.flight.Do(key, func() ([]byte, error) {
+	err := s.answer(w, key, func() ([]byte, error) {
 		return s.runDiscover(call, key, tag)
 	})
-	if joined {
-		s.metrics.incDedup()
-		w.Header().Set("X-Cache", "dedup")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
 	switch {
 	case err == nil:
-		writeJSONBody(w, http.StatusOK, body)
 	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "server is at its discovery concurrency limit, retry shortly")

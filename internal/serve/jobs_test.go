@@ -201,8 +201,8 @@ func TestJobQueueFull(t *testing.T) {
 	h := srv.Handler()
 
 	// One job occupies the worker — wait until it actually dequeues, so the
-	// queue slot it held is free again — then QueueDepth (manager default
-	// 256) more fill the queue. Distinct seeds only for readability — jobs
+	// queue slot it held is free again — then the manager's 256 queue slots
+	// fill. Distinct seeds only for readability — jobs
 	// never dedupe.
 	rec0, first := doReq(t, h, "POST", "/jobs", `{"top_n":5,"seed":0}`)
 	if rec0.Code != http.StatusAccepted {

@@ -175,7 +175,6 @@ func Generate(cfg Config) (*kg.Dataset, error) {
 		ValidFrac: cfg.ValidFrac,
 		TestFrac:  cfg.TestFrac,
 		Seed:      cfg.Seed + 1,
-		NoUnseen:  true,
 	})
 }
 
