@@ -148,7 +148,7 @@ func BenchmarkFig5NodeSeries(b *testing.B) {
 		for j, t := range tri {
 			triF[j] = float64(t)
 		}
-		_ = graphstats.PearsonCorrelation(triF, coeffs)
+		_, _ = graphstats.PearsonCorrelation(triF, coeffs)
 	}
 }
 

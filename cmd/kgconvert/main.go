@@ -5,9 +5,10 @@
 //
 //	kgconvert -in model.kge -out model.kgf
 //
-// The conversion is fingerprint-checked: the output is re-opened and its
-// kge.Fingerprint compared against the input's before kgconvert reports
-// success, so a conversion can never silently corrupt weights.
+// An existing -out is refused, never overwritten. The conversion is
+// fingerprint-checked: the output is re-opened and its kge.Fingerprint
+// compared against the input's before kgconvert reports success, so a
+// conversion can never silently corrupt weights.
 package main
 
 import (
@@ -28,9 +29,8 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("kgconvert", flag.ContinueOnError)
 	var (
-		in    = fs.String("in", "", "input gob checkpoint (required)")
-		out   = fs.String("out", "", "output flat checkpoint path (required)")
-		force = fs.Bool("force", false, "overwrite an existing output file")
+		in  = fs.String("in", "", "input gob checkpoint (required)")
+		out = fs.String("out", "", "output flat checkpoint path (required; an existing file is refused)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -38,10 +38,8 @@ func run(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	if !*force {
-		if _, err := os.Stat(*out); err == nil {
-			return fmt.Errorf("%s already exists (use -force to overwrite)", *out)
-		}
+	if _, err := os.Stat(*out); err == nil {
+		return fmt.Errorf("%s already exists", *out)
 	}
 
 	m, err := kge.LoadFile(*in)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/kge"
@@ -37,15 +38,12 @@ func TestConvertErrors(t *testing.T) {
 	if err := run([]string{"-in", filepath.Join(dir, "none.kge"), "-out", flatPath}); err == nil {
 		t.Error("accepted missing input")
 	}
-	// Existing output refused without -force, accepted with it.
+	// An existing output is always refused.
 	if err := run([]string{"-in", gobFixture, "-out", flatPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", gobFixture, "-out", flatPath}); err == nil {
-		t.Error("overwrote existing output without -force")
-	}
-	if err := run([]string{"-in", gobFixture, "-out", flatPath, "-force"}); err != nil {
-		t.Errorf("-force overwrite failed: %v", err)
+	if err := run([]string{"-in", gobFixture, "-out", flatPath}); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Errorf("existing output: got %v, want a refusal", err)
 	}
 	// Flat is the only output format, so a flat input has nothing to become.
 	if err := run([]string{"-in", flatPath, "-out", filepath.Join(dir, "again.kgf")}); err == nil {

@@ -62,8 +62,6 @@ func run(args []string) error {
 		maxCand    = fs.Int("max_candidates", 500, "max candidates generated per relation")
 		seed       = fs.Int64("seed", 1, "sampling seed")
 		limit      = fs.Int("limit", 50, "print at most this many facts (0 = all)")
-		filtered   = fs.Bool("rank_filtered", false, "use the filtered ranking protocol")
-		cacheW     = fs.Bool("cache_weights", false, "memoize strategy statistics across relations (departs from Algorithm 1)")
 		outTSV     = fs.String("out", "", "also write all facts as TSV to this path")
 		checkpoint = fs.String("checkpoint", "", "journal each completed relation to this WAL path (crash-resumable)")
 		resume     = fs.Bool("resume", false, "continue from an existing -checkpoint journal")
@@ -97,8 +95,6 @@ func run(args []string) error {
 				TopN:          *topN,
 				MaxCandidates: *maxCand,
 				Seed:          *seed,
-				RankFiltered:  *filtered,
-				CacheWeights:  *cacheW,
 			},
 		})
 	}
@@ -134,8 +130,6 @@ func run(args []string) error {
 			TopN:          *topN,
 			MaxCandidates: *maxCand,
 			Seed:          *seed,
-			RankFiltered:  *filtered,
-			CacheWeights:  *cacheW,
 		},
 		Journal: *checkpoint,
 		Resume:  *resume,

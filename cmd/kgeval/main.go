@@ -31,8 +31,6 @@ func run(args []string) error {
 		filtered  = fs.Bool("filtered", true, "filtered protocol (skip known true corruptions)")
 		both      = fs.Bool("both", false, "rank both subject and object corruptions")
 		limit     = fs.Int("limit", 0, "evaluate at most this many triples (0 = all)")
-		classify  = fs.Bool("classify", false, "also run triple classification (thresholds calibrated on valid)")
-		seed      = fs.Int64("seed", 1, "seed for classification negatives")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,16 +79,6 @@ func run(args []string) error {
 	fmt.Printf("MeanRank %.1f\n", res.MeanRank)
 	for _, k := range []int{1, 3, 10} {
 		fmt.Printf("Hits@%-2d  %.4f\n", k, res.Hits[k])
-	}
-
-	if *classify {
-		clf, err := eval.TrainClassifier(m, ds.Valid, ds.All(), *seed)
-		if err != nil {
-			return err
-		}
-		cls := eval.EvaluateClassifier(clf, target, ds.All(), *seed+1)
-		fmt.Printf("\ntriple classification (per-relation thresholds, n=%d):\n", cls.N)
-		fmt.Printf("accuracy  %.4f\nprecision %.4f\nrecall    %.4f\n", cls.Accuracy, cls.Precision, cls.Recall)
 	}
 	return nil
 }

@@ -3,6 +3,10 @@
 //
 //	kggen -preset fb15k237 -scale 10 -out data/fb10
 //	kggen -entities 5000 -relations 40 -triples 60000 -out data/custom
+//
+// A preset fixes every generator parameter, its seed included, so the custom
+// flags (-entities through -seed) are refused beside -preset. kgstats
+// -clustering prints a generated dataset's clustering statistics.
 package main
 
 import (
@@ -10,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/graphstats"
 	"repro/internal/kg"
 	"repro/internal/synth"
 )
@@ -35,16 +38,26 @@ func run(args []string) error {
 		closure   = fs.Float64("closure", 0.2, "custom: triadic closure probability")
 		noise     = fs.Float64("noise", 0.05, "custom: type-violation probability")
 		zipf      = fs.Float64("zipf", 1.0, "custom: entity popularity Zipf exponent")
-		validFrac = fs.Float64("valid", 0.05, "validation fraction")
-		testFrac  = fs.Float64("test", 0.05, "test fraction")
-		seed      = fs.Int64("seed", 1, "random seed")
-		stats     = fs.Bool("stats", false, "print graph statistics after generation")
+		validFrac = fs.Float64("valid", 0.05, "custom: validation fraction")
+		testFrac  = fs.Float64("test", 0.05, "custom: test fraction")
+		seed      = fs.Int64("seed", 1, "custom: random seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("-out is required")
+	}
+	if *preset != "" {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "preset" && f.Name != "scale" && f.Name != "out" {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("-preset %s fixes every generator parameter; drop %v", *preset, set)
+		}
 	}
 
 	var cfg synth.Config
@@ -86,12 +99,5 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s to %s\n", ds.Metadata(), *out)
-
-	if *stats {
-		u := graphstats.BuildUndirected(ds.Train)
-		coeffs := u.LocalClustering(nil)
-		fmt.Printf("undirected edges:               %d\n", u.NumEdges())
-		fmt.Printf("average clustering coefficient: %.4f\n", graphstats.Mean(coeffs))
-	}
 	return nil
 }

@@ -59,8 +59,6 @@ func run(args []string) error {
 		maxCand  = fs.Int("max_candidates", 500, "max candidates generated per relation")
 		seed     = fs.Int64("seed", 1, "sampling seed")
 		limit    = fs.Int("limit", 50, "print at most this many facts (0 = all)")
-		filtered = fs.Bool("rank_filtered", false, "use the filtered ranking protocol")
-		cacheW   = fs.Bool("cache_weights", false, "memoize strategy statistics across relations")
 		outTSV   = fs.String("out", "", "write all post-mutation facts as TSV to this path (atomic)")
 		dumpData = fs.String("dump-data", "", "write the mutated dataset to this directory in LibKGE layout")
 		sweepOut = fs.String("sweep-out", "", "write a complete post-mutation checkpoint WAL to this path")
@@ -89,8 +87,6 @@ func run(args []string) error {
 		TopN:          *topN,
 		MaxCandidates: *maxCand,
 		Seed:          *seed,
-		RankFiltered:  *filtered,
-		CacheWeights:  *cacheW,
 	}.WithOutputDefaults()
 
 	batches, err := readBatches(*batchPath)

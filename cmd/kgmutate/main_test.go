@@ -59,7 +59,7 @@ func fixture(t *testing.T) (dataDir, modelPath, otherModel string) {
 // sweep is `kgdiscover -data -model -strategy … [-checkpoint journal] [-out
 // outTSV]` without the process: the same jobs.Run over the same options, the
 // TSV through the same graph-and-WriteTSV rendering.
-func sweep(t *testing.T, dataDir, modelPath, strategy string, filtered bool, journal, outTSV string) {
+func sweep(t *testing.T, dataDir, modelPath, strategy, journal, outTSV string) {
 	t.Helper()
 	ds, err := kg.LoadDataset(dataDir, dataDir)
 	if err != nil {
@@ -76,7 +76,7 @@ func sweep(t *testing.T, dataDir, modelPath, strategy string, filtered bool, jou
 	}
 	spec := jobs.Spec{
 		Model: m, Graph: ds.Train, Strategy: strat, Journal: journal,
-		Options: core.Options{TopN: 40, MaxCandidates: 60, Seed: 3, RankFiltered: filtered},
+		Options: core.Options{TopN: 40, MaxCandidates: 60, Seed: 3},
 	}
 	if journal != "" {
 		spec.Fingerprint = kge.Fingerprint(m)
@@ -141,18 +141,15 @@ func TestIncrementalRounds(t *testing.T) {
 		}},
 	}
 
-	for _, tc := range []struct {
-		strategy string
-		filtered bool
-	}{
-		{"entity_frequency", false}, // dirties only the touched relations: the rest splice
-		{"graph_degree", true},
-		{"cluster_triangles", false},
+	for _, strategy := range []string{
+		"entity_frequency", // dirties only the touched relations: the rest splice
+		"graph_degree",
+		"cluster_triangles",
 		// An extension strategy: kgdiscover resolves the same eight names, so
 		// it can write this baseline too (cmd/kgdiscover's checkpoint test).
-		{"mixed_exploration", false},
+		"mixed_exploration",
 	} {
-		t.Run(tc.strategy, func(t *testing.T) {
+		t.Run(strategy, func(t *testing.T) {
 			dir := t.TempDir()
 			in := func(name string) string { return filepath.Join(dir, name) }
 			read := func(path string) string {
@@ -163,19 +160,15 @@ func TestIncrementalRounds(t *testing.T) {
 				return string(b)
 			}
 			argvFor := func(model, baseline, batch string, extra ...string) []string {
-				args := []string{"-data", dataDir, "-model", model, "-baseline", baseline, "-batch", batch,
-					"-strategy", tc.strategy, "-top_n", "40", "-max_candidates", "60", "-seed", "3", "-limit", "2"}
-				if tc.filtered {
-					args = append(args, "-rank_filtered")
-				}
-				return append(args, extra...)
+				return append([]string{"-data", dataDir, "-model", model, "-baseline", baseline, "-batch", batch,
+					"-strategy", strategy, "-top_n", "40", "-max_candidates", "60", "-seed", "3", "-limit", "2"}, extra...)
 			}
 			argv := func(baseline, batch string, extra ...string) []string {
 				return argvFor(modelPath, baseline, batch, extra...)
 			}
 
 			baseline := in("base.wal")
-			sweep(t, dataDir, modelPath, tc.strategy, tc.filtered, baseline, "")
+			sweep(t, dataDir, modelPath, strategy, baseline, "")
 			for i, b := range rounds {
 				batch := in("batch.json")
 				raw, err := json.Marshal(b)
@@ -191,7 +184,7 @@ func TestIncrementalRounds(t *testing.T) {
 					"-out", in("inc.tsv"), "-dump-data", dump, "-sweep-out", next)); err != nil {
 					t.Fatalf("round %d: %v", i+1, err)
 				}
-				sweep(t, dump, modelPath, tc.strategy, tc.filtered, "", in("scratch.tsv"))
+				sweep(t, dump, modelPath, strategy, "", in("scratch.tsv"))
 				if got, want := read(in("inc.tsv")), read(in("scratch.tsv")); got != want || got == "" {
 					t.Fatalf("round %d: incremental TSV differs from a from-scratch sweep of the mutated graph (%d vs %d bytes)", i+1, len(got), len(want))
 				}

@@ -40,7 +40,6 @@ func run(args []string) error {
 		optName    = fs.String("opt", "adam", "optimizer: adam, adagrad, sgd")
 		lossName   = fs.String("loss", "", "loss: margin, logistic (default per model)")
 		l2         = fs.Float64("l2", 0, "L2 regularization on touched rows")
-		bernoulli  = fs.Bool("bernoulli", false, "Bernoulli negative sampling (Wang et al. 2014)")
 		kvsall     = fs.Bool("kvsall", false, "KvsAll (1-N) training instead of negative sampling")
 		smoothing  = fs.Float64("label_smoothing", 0.1, "KvsAll label smoothing")
 		seed       = fs.Int64("seed", 1, "random seed")
@@ -100,17 +99,16 @@ func run(args []string) error {
 		effWorkers = runtime.GOMAXPROCS(0)
 	}
 	cfg := train.Config{
-		Epochs:             *epochs,
-		BatchSize:          *batch,
-		NegSamples:         *negs,
-		Loss:               loss,
-		Optimizer:          opt,
-		L2:                 float32(*l2),
-		Workers:            effWorkers,
-		Seed:               *seed,
-		EvalEvery:          *evalEach,
-		Patience:           *patience,
-		BernoulliNegatives: *bernoulli,
+		Epochs:     *epochs,
+		BatchSize:  *batch,
+		NegSamples: *negs,
+		Loss:       loss,
+		Optimizer:  opt,
+		L2:         float32(*l2),
+		Workers:    effWorkers,
+		Seed:       *seed,
+		EvalEvery:  *evalEach,
+		Patience:   *patience,
 	}
 	fmt.Printf("training %s with %d workers (seed %d)\n", *model, effWorkers, *seed)
 	if !*quiet {

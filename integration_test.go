@@ -91,17 +91,9 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("test MRR %.4f did not beat 2x random %.4f", res.MRR, randomMRR)
 	}
 
-	// 4. Calibrate and classify.
+	// 4. Calibrate scores to probabilities, as kgserve's /score does.
 	if _, err := eval.FitPlatt(model, ds.Valid, filter); err != nil {
 		t.Fatalf("calibrate: %v", err)
-	}
-	clf, err := eval.TrainClassifier(model, ds.Valid, filter, 3)
-	if err != nil {
-		t.Fatalf("classifier: %v", err)
-	}
-	cls := eval.EvaluateClassifier(clf, ds.Test, filter, 4)
-	if cls.Accuracy <= 0.5 {
-		t.Errorf("classification accuracy %.3f not better than chance", cls.Accuracy)
 	}
 
 	// 5. Discover facts and cross-check completeness against the

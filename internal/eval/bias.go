@@ -1,10 +1,10 @@
 package eval
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
+	"repro/internal/graphstats"
 	"repro/internal/kg"
 	"repro/internal/kge"
 )
@@ -60,8 +60,7 @@ func PopularityBias(m kge.Model, g *kg.Graph, contexts int, seed int64) BiasRepo
 		for e := range s64 {
 			s64[e] = float64(scores[e])
 		}
-		rho := pearson(rankVector(s64), popRanks)
-		if !math.IsNaN(rho) {
+		if rho, ok := graphstats.PearsonCorrelation(rankVector(s64), popRanks); ok {
 			sum += rho
 			n++
 		}
@@ -93,28 +92,4 @@ func rankVector(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-func pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	mx /= float64(len(xs))
-	my /= float64(len(ys))
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -73,3 +73,14 @@ func TestPopularityBiasEmptyGraph(t *testing.T) {
 		t.Errorf("empty graph produced %d contexts", rep.Contexts)
 	}
 }
+
+// TestPopularityBiasSkipsConstantScores: a model that scores every object
+// alike has no rank correlation with popularity in any context, so every
+// context is skipped and the report is zero, not NaN.
+func TestPopularityBiasSkipsConstantScores(t *testing.T) {
+	g := biasGraph(t)
+	rep := PopularityBias(popularity("flat", popVector(g), 0), g, 10, 1)
+	if rep.Contexts != 0 || rep.MeanSpearman != 0 {
+		t.Errorf("constant scores: %+v, want no contexts and MeanSpearman 0", rep)
+	}
+}

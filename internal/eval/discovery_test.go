@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/kg"
@@ -161,14 +160,5 @@ func TestRankVector(t *testing.T) {
 	tied := rankVector([]float64{5, 5, 1})
 	if tied[2] != 1 || tied[0] != 2.5 || tied[1] != 2.5 {
 		t.Errorf("tied ranks = %v, want [2.5 2.5 1]", tied)
-	}
-}
-
-func TestPearsonHelper(t *testing.T) {
-	if got := pearson([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("pearson = %g, want 1", got)
-	}
-	if got := pearson([]float64{1, 2, 3}, []float64{5, 5, 5}); !math.IsNaN(got) {
-		t.Errorf("constant series should give NaN, got %g", got)
 	}
 }

@@ -81,6 +81,26 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldsRefused: a sweep option the fleet does not know — here
+// the filtered protocol, which SweepOptions does not carry — is a 400 naming
+// it, before the coordinator opens anything; run without it, the sweep would
+// silently rank raw. Worker messages are held to their types the same way.
+func TestUnknownFieldsRefused(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, tt := range []struct{ path, body, field string }{
+		{"/sweep", `{"data":"d","model":"m","strategy":"s","options":{"top_n":20,"rank_filtered":true}}`, "rank_filtered"},
+		{"/sweep", `{"data":"d","model":"m","strategy":"s","prune":"exact"}`, "prune"},
+		{"/register", `{"worker":"w1","fault":"hang"}`, "fault"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", tt.path, strings.NewReader(tt.body)))
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `"`+tt.field+`"`) {
+			t.Errorf("%s %s: %d %q, want 400 naming %q", tt.path, tt.body, rec.Code, rec.Body.String(), tt.field)
+		}
+	}
+}
+
 // TestSweepRequestCandidateCeiling: a sweep may ask for at most
 // core.MaxCandidatesCeiling candidates per relation, and for neither a
 // negative top_n nor a negative max_candidates, as /discover and /jobs

@@ -37,14 +37,12 @@ const (
 
 // SweepOptions is the serializable, output-affecting subset of core.Options
 // a fleet sweep supports: a fleet run must be a pure function of what
-// crosses the wire. Every sweep ranks through the dense path; the
-// pruned-ranking ablation is reachable only from bench/kgbench.
+// crosses the wire. Every sweep ranks raw through the dense path; filtered
+// ranking, the weight cache and pruning are reachable only from bench/kgbench.
 type SweepOptions struct {
 	TopN          int   `json:"top_n"`
 	MaxCandidates int   `json:"max_candidates"`
 	Seed          int64 `json:"seed"`
-	RankFiltered  bool  `json:"rank_filtered,omitempty"`
-	CacheWeights  bool  `json:"cache_weights,omitempty"`
 }
 
 // CoreOptions expands the wire options into core.Options with the same
@@ -55,8 +53,6 @@ func (o SweepOptions) CoreOptions() core.Options {
 		TopN:          o.TopN,
 		MaxCandidates: o.MaxCandidates,
 		Seed:          o.Seed,
-		RankFiltered:  o.RankFiltered,
-		CacheWeights:  o.CacheWeights,
 	}.WithOutputDefaults()
 }
 
@@ -226,11 +222,13 @@ type errorResponse struct {
 }
 
 // decodeJSON unmarshals a request body capped at limit bytes, writing a
-// well-formed JSON error (413 for an oversized body, 400 for malformed
-// JSON) when it cannot. Handlers bail out when it reports false.
+// well-formed JSON error (413 for an oversized body, 400 for malformed JSON
+// or a field the type lacks, by name) when it cannot; handlers bail on false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)

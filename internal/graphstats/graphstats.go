@@ -334,12 +334,12 @@ func Histogram(xs []float64, bins int) (edges []float64, counts []int) {
 	return edges, counts
 }
 
-// PearsonCorrelation returns the sample Pearson correlation of xs and ys.
-// Figure 5's argument is the *lack* of correlation between triangle counts
-// and clustering coefficients; we quantify it.
-func PearsonCorrelation(xs, ys []float64) float64 {
+// PearsonCorrelation returns the sample Pearson correlation of xs and ys, and
+// false for a constant series, unequal lengths or fewer than two points.
+// Figure 5 and eval.PopularityBias (on rank vectors, Spearman) both read it.
+func PearsonCorrelation(xs, ys []float64) (float64, bool) {
 	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
+		return 0, false
 	}
 	mx, my := Mean(xs), Mean(ys)
 	var sxy, sxx, syy float64
@@ -350,7 +350,7 @@ func PearsonCorrelation(xs, ys []float64) float64 {
 		syy += dy * dy
 	}
 	if sxx == 0 || syy == 0 {
-		return 0
+		return 0, false
 	}
-	return sxy / (math.Sqrt(sxx) * math.Sqrt(syy))
+	return sxy / (math.Sqrt(sxx) * math.Sqrt(syy)), true
 }

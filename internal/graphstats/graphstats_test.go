@@ -286,20 +286,38 @@ func sum(xs []int) int {
 	return s
 }
 
+// TestPearsonCorrelation pins the one Pearson correlation Figure 5 and
+// eval.PopularityBias share: ±1 on linear series, and (0, false) on every
+// degenerate input — a constant series, a length mismatch, fewer than two
+// points — where fig5 prints 0 and PopularityBias skips the context.
 func TestPearsonCorrelation(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	if got := PearsonCorrelation(x, x); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self correlation = %g, want 1", got)
+	for _, tc := range []struct {
+		name string
+		ys   []float64
+		want float64
+	}{
+		{"self", x, 1},
+		{"anti", []float64{4, 3, 2, 1}, -1},
+		{"affine", []float64{2, 4, 6, 8}, 1},
+	} {
+		if got, ok := PearsonCorrelation(x, tc.ys); !ok || math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: correlation = %g, %v, want %g, true", tc.name, got, ok, tc.want)
+		}
 	}
-	y := []float64{4, 3, 2, 1}
-	if got := PearsonCorrelation(x, y); math.Abs(got+1) > 1e-12 {
-		t.Errorf("anti correlation = %g, want -1", got)
-	}
-	if got := PearsonCorrelation(x, []float64{7, 7, 7, 7}); got != 0 {
-		t.Errorf("constant series correlation = %g, want 0", got)
-	}
-	if got := PearsonCorrelation(x, []float64{1}); got != 0 {
-		t.Errorf("length mismatch correlation = %g, want 0", got)
+	for _, tc := range []struct {
+		name   string
+		xs, ys []float64
+	}{
+		{"constant ys", x, []float64{7, 7, 7, 7}},
+		{"constant xs", []float64{5, 5, 5}, []float64{1, 2, 3}},
+		{"length mismatch", x, []float64{1}},
+		{"one point", []float64{1}, []float64{2}},
+		{"empty", nil, nil},
+	} {
+		if got, ok := PearsonCorrelation(tc.xs, tc.ys); ok || got != 0 {
+			t.Errorf("%s: correlation = %g, %v, want 0, false", tc.name, got, ok)
+		}
 	}
 }
 

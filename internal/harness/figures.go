@@ -249,11 +249,8 @@ func (r *Runner) Fig5(w io.Writer, outDir string) (*NodeSeries, error) {
 	for i, t := range tri {
 		triF[i] = float64(t)
 	}
-	series := &NodeSeries{
-		Triangles:   tri,
-		Clustering:  coeffs,
-		Correlation: graphstats.PearsonCorrelation(triF, coeffs),
-	}
+	corr, _ := graphstats.PearsonCorrelation(triF, coeffs) // 0 where undefined
+	series := &NodeSeries{Triangles: tri, Clustering: coeffs, Correlation: corr}
 	fmt.Fprintln(w, "Figure 5: Triangles vs clustering coefficient per node (fb15k237-sim).")
 	fmt.Fprintf(w, "  nodes:                         %d\n", len(tri))
 	fmt.Fprintf(w, "  mean triangles per node:       %.2f\n", graphstats.Mean(triF))

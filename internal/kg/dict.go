@@ -1,9 +1,6 @@
 package kg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dict is a bidirectional mapping between names and dense integer IDs. A
 // Graph holds one Dict for entities and one for relations; train, validation
@@ -56,13 +53,5 @@ func (d *Dict) Name(id int32) string {
 func (d *Dict) Names() []string {
 	out := make([]string, len(d.names))
 	copy(out, d.names)
-	return out
-}
-
-// SortedNames returns all names in lexicographic order (for deterministic
-// reports; IDs are insertion-ordered, not sorted).
-func (d *Dict) SortedNames() []string {
-	out := d.Names()
-	sort.Strings(out)
 	return out
 }

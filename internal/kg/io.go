@@ -53,20 +53,6 @@ func WriteTSV(g *Graph, w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadTSVFile reads a TSV file into a fresh graph.
-func LoadTSVFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g := NewGraph()
-	if _, err := ReadTSV(g, f); err != nil {
-		return nil, fmt.Errorf("kg: %s: %w", path, err)
-	}
-	return g, nil
-}
-
 // SaveDataset writes train.txt, valid.txt and test.txt under dir, creating
 // the directory if needed. Each file is put in place atomically (fsio): a
 // reader never sees half a split.

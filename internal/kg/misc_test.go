@@ -46,10 +46,6 @@ func TestDictNames(t *testing.T) {
 	if len(names) != 2 || names[0] != "zebra" || names[1] != "apple" {
 		t.Errorf("Names = %v (insertion order expected)", names)
 	}
-	sorted := d.SortedNames()
-	if sorted[0] != "apple" || sorted[1] != "zebra" {
-		t.Errorf("SortedNames = %v", sorted)
-	}
 	// Names returns a copy: mutating it must not corrupt the dict.
 	names[0] = "corrupted"
 	if d.Name(0) != "zebra" {
@@ -64,30 +60,6 @@ func TestMetadataString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Metadata.String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestLoadTSVFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.tsv")
-	if err := os.WriteFile(path, []byte("a\tr\tb\nb\tr\tc\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g, err := LoadTSVFile(path)
-	if err != nil {
-		t.Fatalf("LoadTSVFile: %v", err)
-	}
-	if g.Len() != 2 {
-		t.Errorf("Len = %d, want 2", g.Len())
-	}
-	if _, err := LoadTSVFile(filepath.Join(t.TempDir(), "missing.tsv")); err == nil {
-		t.Error("accepted missing file")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.tsv")
-	if err := os.WriteFile(bad, []byte("only-one-field\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTSVFile(bad); err == nil {
-		t.Error("accepted malformed file")
 	}
 }
 

@@ -18,9 +18,11 @@ var errOverloaded = errors.New("serve: discovery concurrency limit reached")
 
 // decode unmarshals the request body, translating the two decode failure
 // classes to their status codes: 413 when the body-limit middleware tripped
-// and 400 for malformed JSON (including an empty body).
+// and 400 for malformed JSON, an empty body or an unknown field (named).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)

@@ -191,6 +191,28 @@ func TestDiscoverEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldsRefused: a body naming a field its request does not have
+// is a 400 naming the field, on every decoding endpoint; a /discover asking
+// for the filtered protocol must not be answered with raw ranks.
+func TestUnknownFieldsRefused(t *testing.T) {
+	h := newTestServer(t, nil).Handler()
+	for _, tt := range []struct{ path, body, field string }{
+		{"/discover", `{"strategy":"graph_degree","top_n":20,"max_candidates":30,"rank_filtered":true}`, "rank_filtered"},
+		{"/jobs", `{"strategy":"graph_degree","cache_weights":true}`, "cache_weights"},
+		{"/score", `{"subject":"e1","relation":"r0","object":"e2","protocol":"filtered"}`, "protocol"},
+		{"/rank", `{"subject":"e1","relation":"r0","object":"e2","filtered":true}`, "filtered"},
+		{"/query", `{"subject":"e1","relation":"r0","top":3}`, "top"},
+		{"/mutate", `{"seq":1,"ops":[{"op":"add","s":"e1","r":"r0","o":"e2","weight":1}]}`, "weight"},
+		{"/models", `{"path":"x.kgf","format":"gob"}`, "format"},
+	} {
+		rec, body := doReq(t, h, "POST", tt.path, tt.body)
+		msg, _ := body["error"].(string)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(msg, `"`+tt.field+`"`) {
+			t.Errorf("%s %s: %d %q, want 400 naming %q", tt.path, tt.body, rec.Code, msg, tt.field)
+		}
+	}
+}
+
 // TestHandlerErrorPaths is the table-driven error matrix over every
 // endpoint: each row must produce the expected status and, for non-2xx,
 // a well-formed {"error": ...} JSON body.

@@ -54,9 +54,8 @@ func buildKvsContexts(g *kg.Graph) []kvsContext {
 	return out
 }
 
-// RunKvsAll trains model with the KvsAll objective. cfg fields NegSamples,
-// Loss and BernoulliNegatives are ignored — the objective replaces negative
-// sampling entirely. LabelSmoothing (e.g. 0.1, the ConvE paper's value)
+// RunKvsAll trains model with the KvsAll objective. cfg fields NegSamples
+// and Loss are ignored — the objective replaces negative sampling entirely. LabelSmoothing (e.g. 0.1, the ConvE paper's value)
 // smooths the multi-hot targets.
 func RunKvsAll(ctx context.Context, model kge.Model, ds *kg.Dataset, cfg Config, labelSmoothing float32) (History, error) {
 	st, err := prepare(model, ds, &cfg)

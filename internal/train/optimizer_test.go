@@ -1,7 +1,6 @@
 package train
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,8 +145,8 @@ func TestNegativeSamplerProducesCorruptions(t *testing.T) {
 	}
 }
 
-// TestNegativeSamplerSubjectProb checks the side choice without a Bernoulli
-// fit: the subject is corrupted with probability 0.5.
+// TestNegativeSamplerSubjectProb checks the side choice: the subject is
+// corrupted with probability 0.5.
 func TestNegativeSamplerSubjectProb(t *testing.T) {
 	ds := mustTinyDataset(t)
 	ns := &NegativeSampler{NumEntities: ds.Train.Entities.Len()}
@@ -162,53 +161,6 @@ func TestNegativeSamplerSubjectProb(t *testing.T) {
 	}
 	if share := float64(subjects) / draws; share < 0.45 || share > 0.55 {
 		t.Errorf("subject corrupted in %.3f of draws, want 0.5", share)
-	}
-}
-
-func TestBernoulliNegativeSampling(t *testing.T) {
-	// Build a graph with a strongly one-to-many relation: one head, many
-	// tails. tph >> hpt, so Bernoulli corruption should mostly replace the
-	// subject.
-	g := kg.NewGraph()
-	for i := 0; i < 30; i++ {
-		g.Entities.Intern(string(rune('a' + i)))
-	}
-	g.Relations.Intern("one2many")
-	for o := 1; o < 25; o++ {
-		g.Add(kg.Triple{S: 0, R: 0, O: kg.EntityID(o)})
-	}
-	ns := &NegativeSampler{NumEntities: g.NumEntities()}
-	ns.FitBernoulli(g)
-	rng := newTestRNG(23)
-	pos := g.Triples()[0]
-	subjectCorruptions := 0
-	const draws = 400
-	for i := 0; i < draws; i++ {
-		if c := ns.Corrupt(pos, rng); c.S != pos.S {
-			subjectCorruptions++
-		}
-	}
-	// tph = 24, hpt = 1 → P(subject) = 24/25 = 0.96.
-	if frac := float64(subjectCorruptions) / draws; frac < 0.85 {
-		t.Errorf("subject corruption fraction %.2f, want ≈ 0.96 for a one-to-many relation", frac)
-	}
-}
-
-func TestBernoulliViaTrainerConfig(t *testing.T) {
-	ds := mustTinyDataset(t)
-	m, err := kge.New("distmult", kge.Config{
-		NumEntities:  ds.Train.Entities.Len(),
-		NumRelations: ds.Train.Relations.Len(),
-		Dim:          8,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(context.Background(), m, ds, Config{
-		Epochs: 2, BatchSize: 64, Seed: 3, BernoulliNegatives: true,
-	}); err != nil {
-		t.Fatalf("training with Bernoulli negatives: %v", err)
 	}
 }
 

@@ -39,9 +39,6 @@ type Config struct {
 	Workers int
 	// Seed drives shuffling and negative sampling.
 	Seed int64
-	// BernoulliNegatives fits per-relation corruption-side probabilities
-	// (Wang et al., 2014) instead of the uniform 50/50 side choice.
-	BernoulliNegatives bool
 
 	// Validate, when non-nil, is called every EvalEvery epochs with the
 	// current model; it returns a metric where higher is better (e.g.
@@ -147,9 +144,6 @@ func Run(ctx context.Context, model kge.Model, ds *kg.Dataset, cfg Config) (Hist
 	copy(triples, ds.Train.Triples())
 
 	sampler := &NegativeSampler{NumEntities: model.NumEntities()}
-	if cfg.BernoulliNegatives {
-		sampler.FitBernoulli(ds.Train)
-	}
 
 	return runEpochs(ctx, model, cfg, rng, len(triples), "triples",
 		func(i, j int) { triples[i], triples[j] = triples[j], triples[i] },

@@ -7,8 +7,8 @@
 # gate (every main package is a command under cmd/ with a main_test.go),
 # race-checked tests, the benchmark module and its smoke, a serving-layer race gate, the
 # decoder / log-framing / projection / counting-pass / sweep-kernel /
-# checkpoint-loader fuzz smokes, the vecmath bounds-check budget and the
-# five line budgets, then
+# checkpoint-loader fuzz smokes, the vecmath bounds-check budget, the
+# five line budgets and the flag budget, then
 # the end-to-end gates on real binaries: training determinism, WAL
 # compatibility, live mutation, kgserve smoke, crash-resume, fleet fault
 # tolerance, gob-to-flat conversion of a pinned gob checkpoint (which every
@@ -171,9 +171,11 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once eval.MRROfRanks went (core.Result.MRR reads eval.Aggregate),
+# count once triple classification (eval/classify.go), Bernoulli negative
+# sampling and eval's second Pearson correlation went (5 468 once
+# eval.MRROfRanks went (core.Result.MRR reads eval.Aggregate),
 # core.RelationDone lost Index and Total, and MIXED EXPLORATION's ε became a
-# constant (5 497 once
+# constant; 5 497 once
 # ExhaustiveDiscover shared DiscoverFacts' relation loop, built the
 # complement row by row from the graph's index and read CHAI's rules off it,
 # in place of the CandidateRule types and their maps; 5 601 once
@@ -199,7 +201,7 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5468 \
+hold_lines 'internal/{kge,eval,train,core}' 5235 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, and the
 # two that put bytes on disk for them: the count once jobs.Open became the
@@ -231,29 +233,46 @@ hold_lines 'internal/{kge,eval,train,core}' 5468 \
 hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5204 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
 # The triple store: one eager, array-backed index per relation, the count
+# once Dict.SortedNames and LoadTSVFile, which only tests called, went (961
 # once kg.Split always kept valid and test vocabulary in train and
-# SplitOptions.NoUnseen went (965 once the membership map, the lazily
+# SplitOptions.NoUnseen went; 965 once the membership map, the lazily
 # rebuilt side tables and BuildIndexes went; 980 before).
-hold_lines 'internal/kg' 961 internal/kg
+hold_lines 'internal/kg' 936 internal/kg
 # The graph statistics every node-statistic strategy reads: the count once
 # SquareClustering computed c4 in closed form from one walk of the
 # neighbours' rows, in place of NetworkX's neighbour-pair loop (560 before).
 hold_lines 'internal/graphstats' 550 internal/graphstats
 # The commands: flag parsing and wiring only, so a command that grows is a
-# package that should have (1 642 before every reader but kgconvert opened
+# package that should have (1 629 before the nine flags the flag budget
+# below names went and kggen refused custom flags beside -preset; 1 642
+# before every reader but kgconvert opened
 # flat checkpoints only and kgmutate checked its baseline with
 # jobs.CheckHeader; 1 645 before kgstats drew its histogram bars
 # with strings.Repeat; 1 736 before kgfleet coord's sixteen one-shot
 # flags went; 1 741 before the kgfleet worker's four fault flags went; 1 818
 # before -prune, kgtrain -format and kgconvert -to went).
-hold_lines 'cmd/*/main.go' 1629 cmd
+hold_lines 'cmd/*/main.go' 1609 cmd
+
+echo "== flag budget =="
+# Every boolean or mode flag is a second code path each test has to cover,
+# so a new flag is a reviewed edit of this number, like a line budget:
+# results/pr49/flags.md gives every flag's verdict (127 before kgconvert
+# -force, kgdiscover's and kgmutate's -rank_filtered and -cache_weights,
+# kgeval -classify and -seed, kggen -stats and kgtrain -bernoulli went).
+flag_budget=118
+flags_found="$(cat cmd/*/main.go | grep -oE '\b(fs|flag)\.((String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?|Var|Func|BoolFunc|TextVar)\(' | wc -l)"
+if [ "$flags_found" -lt 1 ] || [ "$flags_found" -gt "$flag_budget" ]; then
+  echo "flag budget FAILED: cmd/*/main.go define $flags_found flags, budget 1..$flag_budget" >&2
+  exit 1
+fi
+echo "cmd/*/main.go: $flags_found flag definitions (budget $flag_budget)"
 
 echo "== determinism smoke =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/kggen" ./cmd/kggen
 go build -o "$tmp/kgtrain" ./cmd/kgtrain
-"$tmp/kggen" -preset tiny -out "$tmp/data" -seed 7 >/dev/null
+"$tmp/kggen" -preset tiny -out "$tmp/data" >/dev/null
 
 digest_of() { sed -n 's/.*sha256 \([0-9a-f]*\).*/\1/p' "$1"; }
 
