@@ -50,19 +50,36 @@ func fixture(t *testing.T) (dataDir, modelPath string) {
 
 func TestRunDiscovers(t *testing.T) {
 	dataDir, modelPath := fixture(t)
-	for _, tc := range []struct{ strategy, limit string }{
-		{"graph_degree", "3"},
-		{"cluster_triangles", "0"},
-	} {
-		outTSV := filepath.Join(t.TempDir(), "facts.tsv")
-		err := run([]string{"-data", dataDir, "-model", modelPath,
-			"-strategy", tc.strategy, "-top_n", "20", "-max_candidates", "30",
-			"-limit", tc.limit, "-out", outTSV})
-		if err != nil {
-			t.Fatalf("%s: run: %v", tc.strategy, err)
-		}
-		if fi, err := os.Stat(outTSV); err != nil || fi.Size() == 0 {
-			t.Errorf("%s: facts TSV missing or empty: %v", tc.strategy, err)
+	outTSV := filepath.Join(t.TempDir(), "facts.tsv")
+	err := run([]string{"-data", dataDir, "-model", modelPath,
+		"-strategy", "graph_degree", "-top_n", "20", "-max_candidates", "30",
+		"-limit", "3", "-out", outTSV})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if fi, err := os.Stat(outTSV); err != nil || fi.Size() == 0 {
+		t.Errorf("facts TSV missing or empty: %v", err)
+	}
+}
+
+// TestRunFilteredAndCached runs cluster_triangles with -limit 0, the run that
+// once also set -rank_filtered and -cache_weights. Both flags are retired, so
+// the run takes the raw-rank, uncached path and the flags themselves are refused.
+func TestRunFilteredAndCached(t *testing.T) {
+	dataDir, modelPath := fixture(t)
+	outTSV := filepath.Join(t.TempDir(), "facts.tsv")
+	err := run([]string{"-data", dataDir, "-model", modelPath,
+		"-strategy", "cluster_triangles", "-top_n", "20", "-max_candidates", "30",
+		"-limit", "0", "-out", outTSV})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if fi, err := os.Stat(outTSV); err != nil || fi.Size() == 0 {
+		t.Errorf("facts TSV missing or empty: %v", err)
+	}
+	for _, flag := range []string{"-rank_filtered", "-cache_weights"} {
+		if err := run([]string{"-data", dataDir, "-model", modelPath, flag}); err == nil {
+			t.Errorf("accepted retired flag %s", flag)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/graphstats"
 	"repro/internal/kg"
 )
 
@@ -160,5 +162,17 @@ func TestRankVector(t *testing.T) {
 	tied := rankVector([]float64{5, 5, 1})
 	if tied[2] != 1 || tied[0] != 2.5 || tied[1] != 2.5 {
 		t.Errorf("tied ranks = %v, want [2.5 2.5 1]", tied)
+	}
+}
+
+// TestPearsonHelper pins the correlation PopularityBias averages: a linear
+// pair correlates at 1, and a constant series is undefined, so its context
+// is skipped rather than averaged in as NaN.
+func TestPearsonHelper(t *testing.T) {
+	if got, ok := graphstats.PearsonCorrelation([]float64{1, 2, 3}, []float64{2, 4, 6}); !ok || math.Abs(got-1) > 1e-12 {
+		t.Errorf("pearson = %g (ok %v), want 1", got, ok)
+	}
+	if got, ok := graphstats.PearsonCorrelation([]float64{1, 2, 3}, []float64{5, 5, 5}); ok {
+		t.Errorf("constant series should be undefined, got %g", got)
 	}
 }
