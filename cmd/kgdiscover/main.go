@@ -25,12 +25,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -42,6 +39,7 @@ import (
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/prof"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -82,21 +80,14 @@ func run(args []string) error {
 		if *cpuProfile != "" || *memProfile != "" {
 			return fmt.Errorf("-cpuprofile and -memprofile cannot be used with -fleet: the sweep runs in the kgfleet workers, not in this process")
 		}
-		return runFleet(fleetSweep{
-			coord:      *fleetAddr,
-			dataDir:    *dataDir,
-			modelPath:  *modelPath,
-			strategy:   *stratName,
-			checkpoint: *checkpoint,
-			resume:     *resume,
-			outTSV:     *outTSV,
-			limit:      *limit,
-			options: fleet.SweepOptions{
-				TopN:          *topN,
-				MaxCandidates: *maxCand,
-				Seed:          *seed,
-			},
-		})
+		return runFleet(*fleetAddr, fleet.SweepRequest{
+			Data:       *dataDir,
+			Model:      *modelPath,
+			Strategy:   *stratName,
+			Options:    fleet.SweepOptions{TopN: *topN, MaxCandidates: *maxCand, Seed: *seed},
+			Checkpoint: *checkpoint,
+			Resume:     *resume,
+		}, *limit, *outTSV)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -170,72 +161,33 @@ func run(args []string) error {
 	return jobs.ReportFacts(os.Stdout, ds.Train, res.Facts, *limit, *outTSV)
 }
 
-// fleetSweep is everything needed to route one sweep through a coordinator.
-type fleetSweep struct {
-	coord      string
-	dataDir    string
-	modelPath  string
-	strategy   string
-	options    fleet.SweepOptions
-	checkpoint string
-	resume     bool
-	outTSV     string
-	limit      int
-}
-
 // runFleet submits the sweep to a kgfleet coordinator and renders the
 // response exactly like a local run: resumed-checkpoint line, summary, top
 // facts, TSV. The coordinator and its workers resolve -data and -model on
 // their own filesystems and verify them against the pinned fingerprint and
 // options hash, so a divergent copy fails loudly instead of sweeping.
-func runFleet(fl fleetSweep) error {
-	ds, err := kg.LoadDataset(fl.dataDir, fl.dataDir)
+func runFleet(base string, req fleet.SweepRequest, limit int, outTSV string) error {
+	ds, err := kg.LoadDataset(req.Data, req.Data)
 	if err != nil {
 		return err
 	}
-	base := fl.coord
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	body, err := json.Marshal(fleet.SweepRequest{
-		Data:       fl.dataDir,
-		Model:      fl.modelPath,
-		Strategy:   fl.strategy,
-		Options:    fl.options,
-		Checkpoint: fl.checkpoint,
-		Resume:     fl.resume,
-	})
-	if err != nil {
-		return err
-	}
 	// No client timeout: the request holds until the fleet finishes the
-	// sweep, which for large graphs is minutes.
-	httpResp, err := http.Post(strings.TrimSuffix(base, "/")+"/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
+	// sweep, which for large graphs is minutes. The reply carries every
+	// relation's facts, hence the generous read cap.
+	var resp fleet.SweepResponse
+	if err := wire.Post(context.Background(), http.DefaultClient, strings.TrimSuffix(base, "/")+"/sweep", req, &resp, 1<<30); err != nil {
 		return fmt.Errorf("fleet coordinator %s: %w", base, err)
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		raw, _ := io.ReadAll(io.LimitReader(httpResp.Body, 1<<20))
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return fmt.Errorf("fleet coordinator %s: %s", base, e.Error)
-		}
-		return fmt.Errorf("fleet coordinator %s: HTTP %d: %s", base, httpResp.StatusCode, raw)
-	}
-	var resp fleet.SweepResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return fmt.Errorf("fleet coordinator %s: decoding response: %w", base, err)
-	}
 
-	if fl.checkpoint != "" {
+	if req.Checkpoint != "" {
 		fmt.Printf("checkpoint: resumed %d of %d relations (journal %s on coordinator)\n",
-			resp.Fleet.Resumed, resp.Fleet.TotalRelations, fl.checkpoint)
+			resp.Fleet.Resumed, resp.Fleet.TotalRelations, req.Checkpoint)
 	}
 	fmt.Printf("strategy=%s fingerprint=%.12s facts=%d generated=%d\n",
-		fl.strategy, resp.Fingerprint, len(resp.Facts), resp.Generated)
+		req.Strategy, resp.Fingerprint, len(resp.Facts), resp.Generated)
 	fmt.Printf("fleet: coordinator=%s units=%d workers=%d reassigned=%d duplicates=%d retried=%d resumed=%d\n",
 		base, resp.Fleet.Units, resp.Fleet.Workers, resp.Fleet.Reassigned,
 		resp.Fleet.DuplicateRecords, resp.Fleet.RetriedUnits, resp.Fleet.Resumed)
@@ -244,5 +196,5 @@ func runFleet(fl fleetSweep) error {
 		time.Duration(resp.GenerateMS)*time.Millisecond, time.Duration(resp.RankMS)*time.Millisecond,
 		resp.ScoreSweeps)
 
-	return jobs.ReportFacts(os.Stdout, ds.Train, jobs.FactsOf(resp.Facts), fl.limit, fl.outTSV)
+	return jobs.ReportFacts(os.Stdout, ds.Train, jobs.FactsOf(resp.Facts), limit, outTSV)
 }

@@ -5,8 +5,9 @@
 //	kggen -entities 5000 -relations 40 -triples 60000 -out data/custom
 //
 // A preset fixes every generator parameter, its seed included, so the custom
-// flags (-entities through -seed) are refused beside -preset. kgstats
-// -clustering prints a generated dataset's clustering statistics.
+// flags (-entities through -seed) are refused beside -preset, and -scale
+// beside -preset tiny or without a preset. kgstats -clustering prints a
+// generated dataset's clustering statistics.
 package main
 
 import (
@@ -29,7 +30,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("kggen", flag.ContinueOnError)
 	var (
 		preset    = fs.String("preset", "", "dataset preset: fb15k237, wn18rr, yago310, codexl, tiny (empty = custom)")
-		scale     = fs.Int("scale", 10, "preset scale divisor")
+		scale     = fs.Int("scale", 10, "preset scale divisor (fb15k237, wn18rr, yago310, codexl)")
 		out       = fs.String("out", "", "output directory (required)")
 		entities  = fs.Int("entities", 1000, "custom: number of entities")
 		relations = fs.Int("relations", 20, "custom: number of relations")
@@ -48,16 +49,20 @@ func run(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
+	// A flag the chosen mode would ignore is refused: -scale sizes the four
+	// scaled presets only, the custom flags the custom mode only.
+	mode, set := "custom mode", []string(nil)
 	if *preset != "" {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name != "preset" && f.Name != "scale" && f.Name != "out" {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return fmt.Errorf("-preset %s fixes every generator parameter; drop %v", *preset, set)
+		mode = "-preset " + *preset
+	}
+	fs.Visit(func(f *flag.Flag) {
+		custom := f.Name != "preset" && f.Name != "scale" && f.Name != "out"
+		if custom && *preset != "" || f.Name == "scale" && (*preset == "" || *preset == "tiny") {
+			set = append(set, "-"+f.Name)
 		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("%s ignores %v; drop them", mode, set)
 	}
 
 	var cfg synth.Config

@@ -53,3 +53,24 @@ func TestRunRefusesCustomFlagsWithPreset(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesIgnoredScale: -scale sizes the four scaled presets only;
+// beside -preset tiny or without a preset it would be silently ignored.
+func TestRunRefusesIgnoredScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-preset", "tiny", "-scale", "3"},
+		{"-scale", "3", "-entities", "60", "-relations", "4", "-triples", "500"},
+	} {
+		dir := filepath.Join(t.TempDir(), "ds")
+		err := run(append(args, "-out", dir))
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("%v: got %v, want a refusal naming -scale", args, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%v wrote %s (stat: %v)", args, dir, err)
+		}
+	}
+	if err := run([]string{"-preset", "wn18rr", "-scale", "400", "-out", filepath.Join(t.TempDir(), "ds")}); err != nil {
+		t.Errorf("-preset wn18rr -scale 400: %v", err)
+	}
+}

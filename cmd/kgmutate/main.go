@@ -24,8 +24,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,6 +36,7 @@ import (
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/mutate"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -199,20 +200,21 @@ func run(args []string) error {
 	return nil
 }
 
-// readBatches decodes the batch file as either an array of batches or a
-// single batch object.
+// readBatches decodes the batch file, which holds one batch or an array of
+// them, under the rule /mutate holds a request body to: a field a batch or
+// an op lacks is refused, as is anything after the first value.
 func readBatches(path string) ([]mutate.Batch, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var many []mutate.Batch
-	if err := json.Unmarshal(data, &many); err == nil {
-		return many, nil
+	batches := make([]mutate.Batch, 1)
+	into := any(&batches[0])
+	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
+		into = &batches
 	}
-	var one mutate.Batch
-	if err := json.Unmarshal(data, &one); err != nil {
+	if err := wire.Unmarshal(data, into); err != nil {
 		return nil, fmt.Errorf("%s: not a mutation batch or batch array: %w", path, err)
 	}
-	return []mutate.Batch{one}, nil
+	return batches, nil
 }

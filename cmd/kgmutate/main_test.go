@@ -262,3 +262,45 @@ func TestIncrementalRounds(t *testing.T) {
 		})
 	}
 }
+
+// TestReadBatchesStrict: the batch file is held to the rule /mutate holds a
+// request body to, so a misspelt field, an op with an extra key or a second
+// value is refused rather than applied without it; one batch and an array
+// of batches both still read.
+func TestReadBatchesStrict(t *testing.T) {
+	dir := t.TempDir()
+	read := func(body string) ([]mutate.Batch, error) {
+		path := filepath.Join(dir, "batch.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return readBatches(path)
+	}
+	op := `{"op":"add","s":"e1","r":"r0","o":"e2"}`
+	for _, tt := range []struct {
+		body string
+		seqs []int64
+	}{
+		{`{"seq":1,"source":"x","ops":[` + op + `]}`, []int64{1}},
+		{"\n [{\"seq\":1,\"ops\":[" + op + "]},{\"seq\":2,\"ops\":[]}]\n", []int64{1, 2}},
+	} {
+		got, err := read(tt.body)
+		if err != nil || len(got) != len(tt.seqs) {
+			t.Fatalf("%s: %v, %v", tt.body, got, err)
+		}
+		for i, b := range got {
+			if b.Seq != tt.seqs[i] {
+				t.Errorf("%s: batch %d has seq %d, want %d", tt.body, i, b.Seq, tt.seqs[i])
+			}
+		}
+	}
+	for _, tt := range []struct{ body, want string }{
+		{`{"seq":1,"sourc":"x","ops":[` + op + `]}`, `"sourc"`},
+		{`[{"seq":1,"ops":[{"op":"add","s":"e1","r":"r0","o":"e2","weight":1}]}]`, `"weight"`},
+		{`{"seq":1,"ops":[` + op + `]} {"seq":2,"ops":[]}`, "after the first JSON value"},
+	} {
+		if _, err := read(tt.body); err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: got %v, want an error naming %s", tt.body, err, tt.want)
+		}
+	}
+}

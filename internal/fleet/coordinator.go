@@ -33,6 +33,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a Coordinator.
@@ -161,17 +162,15 @@ func New(cfg Config) *Coordinator {
 		workers: make(map[string]*workerState),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /register", c.handleRegister)
-	mux.HandleFunc("POST /lease", c.handleLease)
-	mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /register", wire.Handle(controlBodyLimit, c.handleRegister))
+	mux.HandleFunc("POST /lease", wire.Handle(controlBodyLimit, c.handleLease))
+	mux.HandleFunc("POST /heartbeat", wire.Handle(controlBodyLimit, c.handleHeartbeat))
 	mux.HandleFunc("POST /complete", c.handleComplete)
-	mux.HandleFunc("POST /fail", c.handleFail)
+	mux.HandleFunc("POST /fail", wire.Handle(controlBodyLimit, c.handleFail))
 	mux.HandleFunc("POST /sweep", c.handleSweep)
 	mux.HandleFunc("GET /status", c.handleStatus)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("GET /healthz", wire.Healthz)
 	c.mux = mux
 	return c
 }
@@ -369,26 +368,18 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !decodeJSON(w, r, controlBodyLimit, &req) {
-		return
-	}
+func (c *Coordinator) handleRegister(req RegisterRequest) RegisterResponse {
 	c.mu.Lock()
 	c.touchWorkerLocked(req.Worker, c.cfg.now())
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	return RegisterResponse{
 		Status:  StatusOK,
 		LeaseMS: c.cfg.LeaseTTL.Milliseconds(),
 		PollMS:  c.cfg.PollInterval.Milliseconds(),
-	})
+	}
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !decodeJSON(w, r, controlBodyLimit, &req) {
-		return
-	}
+func (c *Coordinator) handleLease(req LeaseRequest) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
@@ -407,7 +398,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		if u == nil {
 			continue
 		}
-		writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusUnit, Unit: &Unit{
+		return LeaseResponse{Status: StatusUnit, Unit: &Unit{
 			SweepID:        sw.id,
 			UnitID:         u.id,
 			Data:           sw.req.Data,
@@ -419,11 +410,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			Relations:      append([]kg.RelationID(nil), u.relations...),
 			SweepRelations: sw.relations,
 			LeaseMS:        c.cfg.LeaseTTL.Milliseconds(),
-		}})
-		return
+		}}
 	}
 
-	writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusWait, RetryMS: c.cfg.PollInterval.Milliseconds()})
+	return LeaseResponse{Status: StatusWait, RetryMS: c.cfg.PollInterval.Milliseconds()}
 }
 
 // leaseUnitLocked finds sweep sw's next pending unit and leases it to
@@ -460,32 +450,26 @@ func (c *Coordinator) leaseUnitLocked(sw *sweep, worker string, now time.Time) *
 	return nil
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decodeJSON(w, r, controlBodyLimit, &req) {
-		return
-	}
+func (c *Coordinator) handleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	c.touchWorkerLocked(req.Worker, now)
 	sw, ok := c.sweeps[req.SweepID]
 	if !ok {
-		writeJSON(w, http.StatusOK, HeartbeatResponse{Status: StatusUnknown})
-		return
+		return HeartbeatResponse{Status: StatusUnknown}
 	}
 	u := sw.unitByID(req.UnitID)
 	if sw.state == sweepRunning && u != nil && u.state == unitLeased && u.worker == req.Worker {
 		u.deadline = now.Add(c.cfg.LeaseTTL)
-		writeJSON(w, http.StatusOK, HeartbeatResponse{Status: StatusOK})
-		return
+		return HeartbeatResponse{Status: StatusOK}
 	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Status: StatusAbandon})
+	return HeartbeatResponse{Status: StatusAbandon}
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeJSON(w, r, completeBodyLimit, &req) {
+	if !wire.Decode(w, r, completeBodyLimit, &req) {
 		return
 	}
 	c.mu.Lock()
@@ -495,7 +479,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	sw, ok := c.sweeps[req.SweepID]
 	if !ok || sw.state != sweepRunning {
 		c.completesUnknown++
-		writeJSON(w, http.StatusOK, CompleteResponse{Status: StatusUnknown})
+		wire.WriteJSON(w, http.StatusOK, CompleteResponse{Status: StatusUnknown})
 		return
 	}
 
@@ -510,7 +494,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			if sw.journal != nil {
 				if err := sw.journal.Append(rec); err != nil {
 					c.failSweepLocked(sw, fmt.Errorf("fleet: journaling unit %d: %w", req.UnitID, err))
-					writeError(w, http.StatusInternalServerError, "journal append failed: %v", err)
+					wire.WriteError(w, http.StatusInternalServerError, "journal append failed: %v", err)
 					return
 				}
 			}
@@ -554,14 +538,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if len(sw.done) == len(sw.relations) {
 		c.completeSweepLocked(sw)
 	}
-	writeJSON(w, http.StatusOK, CompleteResponse{Status: StatusOK, Accepted: accepted, Duplicates: dups})
+	wire.WriteJSON(w, http.StatusOK, CompleteResponse{Status: StatusOK, Accepted: accepted, Duplicates: dups})
 }
 
-func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
-	var req FailRequest
-	if !decodeJSON(w, r, controlBodyLimit, &req) {
-		return
-	}
+func (c *Coordinator) handleFail(req FailRequest) FailResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchWorkerLocked(req.Worker, c.cfg.now())
@@ -575,17 +555,17 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 			c.retriedTotal++
 		}
 	}
-	writeJSON(w, http.StatusOK, FailResponse{Status: StatusOK})
+	return FailResponse{Status: StatusOK}
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if !decodeJSON(w, r, controlBodyLimit, &req) {
+	if !wire.Decode(w, r, controlBodyLimit, &req) {
 		return
 	}
 	sw, err := c.addSweep(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	res, err := c.wait(r.Context(), sw)
@@ -593,9 +573,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case r.Context().Err() != nil:
 		// client gone; the sweep keeps running
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, res)
+		wire.WriteJSON(w, http.StatusOK, res)
 	}
 }
 

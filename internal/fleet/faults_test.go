@@ -30,6 +30,7 @@ import (
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/synth"
+	"repro/internal/wire"
 )
 
 // matrixRelations is the fixture's relation count; with one relation per
@@ -312,7 +313,7 @@ func (s *fleetSim) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer s.serveMu.Unlock()
 	}
 	if s.coord == nil {
-		writeError(w, http.StatusServiceUnavailable, "coordinator down")
+		wire.WriteError(w, http.StatusServiceUnavailable, "coordinator down")
 		return
 	}
 	s.coord.Handler().ServeHTTP(w, r)

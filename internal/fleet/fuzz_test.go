@@ -36,6 +36,8 @@ func FuzzFleetDecode(f *testing.F) {
 	f.Add(0, []byte(``))
 	f.Add(1, []byte(`[1,2,3]`))
 	f.Add(3, []byte(`{"records":"not-an-array"}`))
+	f.Add(5, []byte(`{"data":"d","model":"m","strategy":"s"} {"options":{"top_n":-1}}`))
+	f.Add(0, []byte(`{"worker":"w1"}garbage`))
 
 	c := New(Config{})
 	h := c.Handler()
@@ -94,9 +96,31 @@ func TestUnknownFieldsRefused(t *testing.T) {
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", tt.path, strings.NewReader(tt.body)))
-		var e errorResponse
+		var e struct {
+			Error string `json:"error"`
+		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `"`+tt.field+`"`) {
 			t.Errorf("%s %s: %d %q, want 400 naming %q", tt.path, tt.body, rec.Code, rec.Body.String(), tt.field)
+		}
+	}
+}
+
+// TestTrailingValueRefused: a body is one JSON value; a second one after it,
+// which could override the first, is a 400 before the coordinator opens
+// anything.
+func TestTrailingValueRefused(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, tt := range []struct{ path, body string }{
+		{"/sweep", `{"data":"d","model":"m","strategy":"s","options":{"top_n":20}} {"options":{"top_n":-1}}`},
+		{"/register", `{"worker":"w1"}garbage`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", tt.path, strings.NewReader(tt.body)))
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, "after the first JSON value") {
+			t.Errorf("%s %s: %d %q, want 400", tt.path, tt.body, rec.Code, rec.Body.String())
 		}
 	}
 }

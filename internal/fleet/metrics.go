@@ -1,10 +1,11 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // StatusResponse is the coordinator's introspection snapshot, consumed by
@@ -93,13 +94,13 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			Name: ws.name, UnitsDone: ws.unitsDone, LastSeen: ws.lastSeen.Format("15:04:05.000"),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics renders the fleet gauges and counters in the same stdlib
-// Prometheus text style internal/serve uses.
+// handleMetrics renders the fleet gauges and counters as Prometheus text
+// through the writer internal/serve uses too.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", wire.MetricsContentType)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.writeMetricsLocked(w)
@@ -107,15 +108,13 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (c *Coordinator) writeMetricsLocked(w io.Writer) {
 	now := c.cfg.now()
-	live := 0
+	var live uint64
 	for _, ws := range c.workers {
 		if now.Sub(ws.lastSeen) <= 3*c.cfg.LeaseTTL {
 			live++
 		}
 	}
-	fmt.Fprintln(w, "# HELP kgfleet_workers Workers heard from within three lease TTLs.")
-	fmt.Fprintln(w, "# TYPE kgfleet_workers gauge")
-	fmt.Fprintf(w, "kgfleet_workers %d\n", live)
+	wire.Scalar(w, "kgfleet_workers", "gauge", "Workers heard from within three lease TTLs.", live)
 
 	units := map[string]int{unitPending: 0, unitLeased: 0, unitDone: 0}
 	sweeps := map[string]int{sweepRunning: 0, sweepDone: 0, sweepFailed: 0}
@@ -125,26 +124,15 @@ func (c *Coordinator) writeMetricsLocked(w io.Writer) {
 			units[u.state]++
 		}
 	}
-	fmt.Fprintln(w, "# HELP kgfleet_units Work units across all sweeps, by lease state.")
-	fmt.Fprintln(w, "# TYPE kgfleet_units gauge")
-	for _, st := range []string{unitDone, unitLeased, unitPending} {
-		fmt.Fprintf(w, "kgfleet_units{state=%q} %d\n", st, units[st])
-	}
-	fmt.Fprintln(w, "# HELP kgfleet_sweeps Sweeps hosted by this coordinator, by state.")
-	fmt.Fprintln(w, "# TYPE kgfleet_sweeps gauge")
-	for _, st := range []string{sweepDone, sweepFailed, sweepRunning} {
-		fmt.Fprintf(w, "kgfleet_sweeps{state=%q} %d\n", st, sweeps[st])
-	}
+	wire.Family(w, "kgfleet_units", "gauge", "Work units across all sweeps, by lease state.", "state", units)
+	wire.Family(w, "kgfleet_sweeps", "gauge", "Sweeps hosted by this coordinator, by state.", "state", sweeps)
 
-	scalar := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	scalar("kgfleet_leases_total", "Unit leases granted to workers.", c.leasesTotal)
-	scalar("kgfleet_reassignments_total", "Units returned to the pending queue after a lease expired without heartbeats.", c.reassignedTotal)
-	scalar("kgfleet_unit_retries_total", "Units returned to the pending queue by an explicit worker failure report.", c.retriedTotal)
-	scalar("kgfleet_duplicate_records_total", "Relation records dropped because the relation was already complete (reassignment or duplicate delivery).", c.duplicatesTotal)
-	scalar("kgfleet_mismatched_records_total", "Relation records dropped because the relation does not belong to the sweep.", c.mismatchedTotal)
-	scalar("kgfleet_records_total", "Relation records accepted, journaled, and spliced.", c.recordsTotal)
-	scalar("kgfleet_unknown_completes_total", "Unit completions for sweeps this coordinator does not know (e.g. delivered across a restart).", c.completesUnknown)
-	scalar("kgfleet_sweeps_submitted_total", "Sweeps ever submitted to this coordinator.", c.sweepsSubmitted)
+	wire.Scalar(w, "kgfleet_leases_total", "counter", "Unit leases granted to workers.", c.leasesTotal)
+	wire.Scalar(w, "kgfleet_reassignments_total", "counter", "Units returned to the pending queue after a lease expired without heartbeats.", c.reassignedTotal)
+	wire.Scalar(w, "kgfleet_unit_retries_total", "counter", "Units returned to the pending queue by an explicit worker failure report.", c.retriedTotal)
+	wire.Scalar(w, "kgfleet_duplicate_records_total", "counter", "Relation records dropped because the relation was already complete (reassignment or duplicate delivery).", c.duplicatesTotal)
+	wire.Scalar(w, "kgfleet_mismatched_records_total", "counter", "Relation records dropped because the relation does not belong to the sweep.", c.mismatchedTotal)
+	wire.Scalar(w, "kgfleet_records_total", "counter", "Relation records accepted, journaled, and spliced.", c.recordsTotal)
+	wire.Scalar(w, "kgfleet_unknown_completes_total", "counter", "Unit completions for sweeps this coordinator does not know (e.g. delivered across a restart).", c.completesUnknown)
+	wire.Scalar(w, "kgfleet_sweeps_submitted_total", "counter", "Sweeps ever submitted to this coordinator.", c.sweepsSubmitted)
 }

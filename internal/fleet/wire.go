@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -214,38 +212,4 @@ type FailRequest struct {
 // FailResponse acknowledges a failure report.
 type FailResponse struct {
 	Status string `json:"status"`
-}
-
-// errorResponse is the JSON body of every non-2xx coordinator answer.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// decodeJSON unmarshals a request body capped at limit bytes, writing a
-// well-formed JSON error (413 for an oversized body, 400 for malformed JSON
-// or a field the type lacks, by name) when it cannot; handlers bail on false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }

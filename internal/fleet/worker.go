@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -13,6 +10,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/kg"
 	"repro/internal/kge"
+	"repro/internal/wire"
 )
 
 // WorkerConfig parameterizes a Worker.
@@ -310,32 +308,10 @@ func (w *Worker) fail(ctx context.Context, u *Unit, cause error, permanent bool)
 // post sends one JSON request to the coordinator and decodes the reply.
 // Non-2xx answers surface the coordinator's JSON error message.
 func (w *Worker) post(ctx context.Context, path string, body, into any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
+	if err := wire.Post(ctx, w.cfg.Client, w.cfg.Coordinator+path, body, into, completeBodyLimit); err != nil {
+		return fmt.Errorf("fleet: %s: %w", path, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, completeBodyLimit))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		var e errorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("fleet: %s: %s (HTTP %d)", path, e.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("fleet: %s: HTTP %d", path, resp.StatusCode)
-	}
-	return json.Unmarshal(data, into)
+	return nil
 }
 
 func (w *Worker) closeModel() {

@@ -50,6 +50,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		{3, `{"max_candidates":-1,"limit":-2}`},
 		{3, `{"strategy"`},
 		{3, `{"seed":9223372036854775807,"k":null}`},
+		{3, `{"strategy":"graph_degree","top_n":20,"max_candidates":30} {"top_n":-1}`},
+		{2, `{"subject":"e1","relation":"r0","k":2}garbage`},
 	}
 	for _, s := range seeds {
 		f.Add(s.which, []byte(s.body))

@@ -10,33 +10,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kg"
+	"repro/internal/wire"
 )
 
 // errOverloaded reports that the discovery semaphore is full; the handler
 // maps it to 429 + Retry-After.
 var errOverloaded = errors.New("serve: discovery concurrency limit reached")
-
-// decode unmarshals the request body, translating the two decode failure
-// classes to their status codes: 413 when the body-limit middleware tripped
-// and 400 for malformed JSON, an empty body or an unknown field (named).
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	m := s.ds.Metadata()
@@ -57,7 +36,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp["fingerprint"] = sm.fingerprint
 		resp["calibrated"] = sm.calibrator != nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // tripleRequest names a triple by its dictionary labels. Model optionally
@@ -92,18 +71,18 @@ func (s *Server) resolve(req tripleRequest) (kg.Triple, error) {
 // written the error response and holds no model reference.
 func (s *Server) parseTriple(w http.ResponseWriter, r *http.Request) (*servedModel, kg.Triple, bool) {
 	var req tripleRequest
-	if !s.decode(w, r, &req) {
+	if !wire.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return nil, kg.Triple{}, false
 	}
 	sm, err := s.acquireModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return nil, kg.Triple{}, false
 	}
 	t, err := s.resolve(req)
 	if err != nil {
 		sm.release()
-		writeError(w, http.StatusNotFound, "%v", err)
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return nil, kg.Triple{}, false
 	}
 	return sm, t, true
@@ -123,7 +102,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if sm.calibrator != nil {
 		resp["probability"] = sm.calibrator.Prob(score)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -139,7 +118,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	s.kgMu.RLock()
 	rank := sm.ranker.RankObjects(t.S, t.R, []kg.EntityID{t.O})[0]
 	s.kgMu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"rank": rank})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"rank": rank})
 }
 
 type queryRequest struct {
@@ -166,27 +145,27 @@ type queryKey struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !s.decode(w, r, &req) {
+	if !wire.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "k must be non-negative, got %d", req.K)
+		wire.WriteError(w, http.StatusBadRequest, "k must be non-negative, got %d", req.K)
 		return
 	}
 	sm, err := s.acquireModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	defer sm.release()
 	sid, ok := s.ds.Train.Entities.Lookup(req.Subject)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown subject %q", req.Subject)
+		wire.WriteError(w, http.StatusNotFound, "unknown subject %q", req.Subject)
 		return
 	}
 	rid, ok := s.ds.Train.Relations.Lookup(req.Relation)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown relation %q", req.Relation)
+		wire.WriteError(w, http.StatusNotFound, "unknown relation %q", req.Relation)
 		return
 	}
 	k := req.K
@@ -201,7 +180,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return s.runQuery(sm, key, kg.EntityID(sid), kg.RelationID(rid), k)
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "query failed: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "query failed: %v", err)
 	}
 }
 
@@ -213,7 +192,7 @@ func (s *Server) answer(w http.ResponseWriter, key string, compute func() ([]byt
 	if body, ok := s.cache.Get(key); ok {
 		s.metrics.incCacheHit()
 		w.Header().Set("X-Cache", "hit")
-		writeJSONBody(w, http.StatusOK, body)
+		wire.WriteBody(w, http.StatusOK, body)
 		return nil
 	}
 	s.metrics.incCacheMiss()
@@ -225,7 +204,7 @@ func (s *Server) answer(w http.ResponseWriter, key string, compute func() ([]byt
 		w.Header().Set("X-Cache", "miss")
 	}
 	if err == nil {
-		writeJSONBody(w, http.StatusOK, body)
+		wire.WriteBody(w, http.StatusOK, body)
 	}
 	return err
 }
@@ -312,11 +291,11 @@ type discoverCall struct {
 // response and holds no model reference.
 func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discoverCall, bool) {
 	var req discoverRequest
-	if !s.decode(w, r, &req) {
+	if !wire.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return nil, false
 	}
 	if req.TopN < 0 || req.MaxCandidates < 0 || req.Limit < 0 || req.MaxCandidates > core.MaxCandidatesCeiling {
-		writeError(w, http.StatusBadRequest,
+		wire.WriteError(w, http.StatusBadRequest,
 			"top_n, max_candidates, and limit must be non-negative and max_candidates at most %d, got %d/%d/%d",
 			core.MaxCandidatesCeiling, req.TopN, req.MaxCandidates, req.Limit)
 		return nil, false
@@ -326,12 +305,12 @@ func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discove
 	}
 	strategy, err := core.StrategyByName(req.Strategy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
 	sm, err := s.acquireModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return nil, false
 	}
 	var relations []kg.RelationID
@@ -339,7 +318,7 @@ func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discove
 		rid, ok := s.ds.Train.Relations.Lookup(name)
 		if !ok {
 			sm.release()
-			writeError(w, http.StatusNotFound, "unknown relation %q", name)
+			wire.WriteError(w, http.StatusNotFound, "unknown relation %q", name)
 			return nil, false
 		}
 		relations = append(relations, kg.RelationID(rid))
@@ -348,7 +327,7 @@ func (s *Server) parseDiscover(w http.ResponseWriter, r *http.Request) (*discove
 	// are one request; a repeated relation would be swept twice.
 	if slices.Sort(relations); len(slices.Compact(relations)) < len(req.Relations) {
 		sm.release()
-		writeError(w, http.StatusBadRequest, "relations %q repeat a name", req.Relations)
+		wire.WriteError(w, http.StatusBadRequest, "relations %q repeat a name", req.Relations)
 		return nil, false
 	}
 	call := &discoverCall{req: req, strategy: strategy, sm: sm, opts: core.Options{
@@ -386,13 +365,13 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server is at its discovery concurrency limit, retry shortly")
+		wire.WriteError(w, http.StatusTooManyRequests, "server is at its discovery concurrency limit, retry shortly")
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		// Never partial facts: DiscoverFacts propagates cancellation as an
 		// error instead of returning a truncated result set.
-		writeError(w, http.StatusServiceUnavailable, "discovery timed out after %s", s.cfg.RequestTimeout)
+		wire.WriteError(w, http.StatusServiceUnavailable, "discovery timed out after %s", s.cfg.RequestTimeout)
 	default:
-		writeError(w, http.StatusInternalServerError, "discovery failed: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "discovery failed: %v", err)
 	}
 }
 

@@ -213,6 +213,29 @@ func TestUnknownFieldsRefused(t *testing.T) {
 	}
 }
 
+// TestTrailingValueRefused: a body is one JSON value. A second value after
+// it, which could override the first, or any other trailing bytes are a
+// 400, not silently dropped.
+func TestTrailingValueRefused(t *testing.T) {
+	h := newTestServer(t, nil).Handler()
+	for _, tt := range []struct{ path, body string }{
+		{"/discover", `{"strategy":"graph_degree","top_n":20,"max_candidates":30} {"top_n":-1}`},
+		{"/query", `{"subject":"e1","relation":"r0","k":2}garbage`},
+		{"/jobs", `{"strategy":"graph_degree"}{}`},
+		{"/mutate", `{"seq":1,"ops":[]}]`},
+	} {
+		rec, body := doReq(t, h, "POST", tt.path, tt.body)
+		msg, _ := body["error"].(string)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(msg, "after the first JSON value") {
+			t.Errorf("%s %s: %d %q, want 400", tt.path, tt.body, rec.Code, msg)
+		}
+	}
+	// Whitespace after the value is not data.
+	if rec, _ := doReq(t, h, "POST", "/query", "{\"subject\":\"e1\",\"relation\":\"r0\",\"k\":2}\n\t \n"); rec.Code != http.StatusOK {
+		t.Errorf("/query with trailing whitespace: %d, want 200", rec.Code)
+	}
+}
+
 // TestHandlerErrorPaths is the table-driven error matrix over every
 // endpoint: each row must produce the expected status and, for non-2xx,
 // a well-formed {"error": ...} JSON body.

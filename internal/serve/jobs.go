@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jobs"
+	"repro/internal/wire"
 )
 
 // The async discovery API. A full-dataset sweep is the paper's headline
@@ -124,18 +125,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == jobs.ErrQueueFull {
 		sm.release()
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests, "job queue is full, retry shortly")
+		wire.WriteError(w, http.StatusTooManyRequests, "job queue is full, retry shortly")
 		return
 	}
 	if err != nil {
 		sm.release()
-		writeError(w, http.StatusInternalServerError, "submit failed: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "submit failed: %v", err)
 		return
 	}
 	s.limits.set(job.ID(), req.Limit)
 	s.limits.prune(s.jobs.List())
 	w.Header().Set("Location", "/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, jobView(job.Status()))
+	wire.WriteJSON(w, http.StatusAccepted, jobView(job.Status()))
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
@@ -144,28 +145,28 @@ func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 	for i, st := range statuses {
 		views[i] = jobView(st)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		wire.WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, jobView(job.Status()))
+	wire.WriteJSON(w, http.StatusOK, jobView(job.Status()))
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		wire.WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	res, done := job.Result()
 	if !done {
 		st := job.Status()
-		writeJSON(w, http.StatusConflict, map[string]any{
+		wire.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error": "job has no result in state " + string(st.State),
 			"state": st.State,
 			"job":   jobView(st),
@@ -176,34 +177,34 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "limit must be a non-negative integer, got %q", q)
+			wire.WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer, got %q", q)
 			return
 		}
 		limit = n
 	}
 	body, err := s.renderResult(res, limit)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "render failed: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "render failed: %v", err)
 		return
 	}
-	writeJSONBody(w, http.StatusOK, body)
+	wire.WriteBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ok, err := s.jobs.Cancel(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if !ok {
-		writeJSON(w, http.StatusConflict, map[string]any{
+		wire.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":     "job already finished",
 			"cancelled": false,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"cancelled": true, "id": id})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"cancelled": true, "id": id})
 }
 
 // renderResult renders a discovery result body (shared by the synchronous

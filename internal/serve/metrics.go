@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/jobs"
+	"repro/internal/wire"
 )
 
 // latencyBuckets are the upper bounds (in seconds) of the request-duration
@@ -159,8 +159,7 @@ func (m *metrics) writeTo(w io.Writer) {
 	}
 	sort.Strings(routes)
 
-	fmt.Fprintln(w, "# HELP kgserve_requests_total Requests served, by route and status code.")
-	fmt.Fprintln(w, "# TYPE kgserve_requests_total counter")
+	wire.Help(w, "kgserve_requests_total", "counter", "Requests served, by route and status code.")
 	for _, r := range routes {
 		rs := m.routes[r]
 		codes := make([]int, 0, len(rs.codes))
@@ -173,8 +172,7 @@ func (m *metrics) writeTo(w io.Writer) {
 		}
 	}
 
-	fmt.Fprintln(w, "# HELP kgserve_request_duration_seconds Request latency histogram, by route.")
-	fmt.Fprintln(w, "# TYPE kgserve_request_duration_seconds histogram")
+	wire.Help(w, "kgserve_request_duration_seconds", "histogram", "Request latency histogram, by route.")
 	for _, r := range routes {
 		rs := m.routes[r]
 		for i, bound := range latencyBuckets {
@@ -185,44 +183,31 @@ func (m *metrics) writeTo(w io.Writer) {
 		fmt.Fprintf(w, "kgserve_request_duration_seconds_count{route=%q} %d\n", r, rs.count)
 	}
 
-	fmt.Fprintln(w, "# HELP kgserve_in_flight Requests currently being served, by route.")
-	fmt.Fprintln(w, "# TYPE kgserve_in_flight gauge")
+	wire.Help(w, "kgserve_in_flight", "gauge", "Requests currently being served, by route.")
 	for _, r := range routes {
 		fmt.Fprintf(w, "kgserve_in_flight{route=%q} %d\n", r, m.routes[r].inFlight)
 	}
 
-	scalar := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	scalar("kgserve_cache_hits_total", "Responses served from the LRU cache.", m.cacheHits)
-	scalar("kgserve_cache_misses_total", "Cacheable requests not found in the LRU cache.", m.cacheMisses)
-	scalar("kgserve_cache_evictions_total", "Entries evicted from the LRU cache.", m.cacheEvictions)
-	scalar("kgserve_singleflight_dedup_total", "Requests coalesced onto another request's in-flight execution.", m.dedups)
-	scalar("kgserve_discover_rejected_total", "Discover requests refused with 429 because the concurrency limit was reached.", m.rejected)
-	scalar("kgserve_panics_total", "Handler panics recovered and converted to 500 responses.", m.panics)
-	scalar("kgserve_ranking_score_sweeps_total", "Score sweeps run while ranking discovery candidates (one per distinct subject-relation group).", m.scoreSweeps)
-	scalar("kgserve_ranking_batched_sweeps_total", "Relation-blocked batch dispatches: tiled matrix-matrix passes over the entity table.", m.batchedSweeps)
-	scalar("kgserve_ranking_batch_rows_total", "Query rows scored through batched passes; rows/dispatches is the amortization factor.", m.batchRows)
-	scalar("kgserve_mutation_batches_total", "Mutation batches applied by POST /mutate.", m.mutationBatches)
-	scalar("kgserve_mutation_adds_total", "Mutation ops that inserted a new triple.", m.mutationAdds)
-	scalar("kgserve_mutation_deletes_total", "Mutation ops that removed a present triple.", m.mutationDeletes)
-	scalar("kgserve_mutation_rejected_total", "Mutation batches refused (sequence gap, validation failure, or size limit).", m.mutationRejected)
-	scalar("kgserve_cache_invalidations_total", "Cache entries dropped because a mutation batch staled them.", m.cacheInvalidations)
+	wire.Scalar(w, "kgserve_cache_hits_total", "counter", "Responses served from the LRU cache.", m.cacheHits)
+	wire.Scalar(w, "kgserve_cache_misses_total", "counter", "Cacheable requests not found in the LRU cache.", m.cacheMisses)
+	wire.Scalar(w, "kgserve_cache_evictions_total", "counter", "Entries evicted from the LRU cache.", m.cacheEvictions)
+	wire.Scalar(w, "kgserve_singleflight_dedup_total", "counter", "Requests coalesced onto another request's in-flight execution.", m.dedups)
+	wire.Scalar(w, "kgserve_discover_rejected_total", "counter", "Discover requests refused with 429 because the concurrency limit was reached.", m.rejected)
+	wire.Scalar(w, "kgserve_panics_total", "counter", "Handler panics recovered and converted to 500 responses.", m.panics)
+	wire.Scalar(w, "kgserve_ranking_score_sweeps_total", "counter", "Score sweeps run while ranking discovery candidates (one per distinct subject-relation group).", m.scoreSweeps)
+	wire.Scalar(w, "kgserve_ranking_batched_sweeps_total", "counter", "Relation-blocked batch dispatches: tiled matrix-matrix passes over the entity table.", m.batchedSweeps)
+	wire.Scalar(w, "kgserve_ranking_batch_rows_total", "counter", "Query rows scored through batched passes; rows/dispatches is the amortization factor.", m.batchRows)
+	wire.Scalar(w, "kgserve_mutation_batches_total", "counter", "Mutation batches applied by POST /mutate.", m.mutationBatches)
+	wire.Scalar(w, "kgserve_mutation_adds_total", "counter", "Mutation ops that inserted a new triple.", m.mutationAdds)
+	wire.Scalar(w, "kgserve_mutation_deletes_total", "counter", "Mutation ops that removed a present triple.", m.mutationDeletes)
+	wire.Scalar(w, "kgserve_mutation_rejected_total", "counter", "Mutation batches refused (sequence gap, validation failure, or size limit).", m.mutationRejected)
+	wire.Scalar(w, "kgserve_cache_invalidations_total", "counter", "Cache entries dropped because a mutation batch staled them.", m.cacheInvalidations)
 
-	fmt.Fprintln(w, "# HELP kgserve_model_requests_total Requests routed to each model, by weight fingerprint.")
-	fmt.Fprintln(w, "# TYPE kgserve_model_requests_total counter")
-	fps := make([]string, 0, len(m.modelRequests))
-	for fp := range m.modelRequests {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		fmt.Fprintf(w, "kgserve_model_requests_total{fingerprint=%q} %d\n", fp, m.modelRequests[fp])
-	}
+	wire.Family(w, "kgserve_model_requests_total", "counter", "Requests routed to each model, by weight fingerprint.", "fingerprint", m.modelRequests)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", wire.MetricsContentType)
 	s.metrics.writeTo(w)
 	s.writeModelMetrics(w)
 	s.writeJobMetrics(w)
@@ -233,11 +218,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // keep a second copy that can drift).
 func (s *Server) writeModelMetrics(w io.Writer) {
 	views := s.modelViews()
-	fmt.Fprintln(w, "# HELP kgserve_models Models currently loaded in the registry.")
-	fmt.Fprintln(w, "# TYPE kgserve_models gauge")
-	fmt.Fprintf(w, "kgserve_models %d\n", len(views))
-	fmt.Fprintln(w, "# HELP kgserve_model_info Loaded-model metadata; value is the checkpoint load time in seconds.")
-	fmt.Fprintln(w, "# TYPE kgserve_model_info gauge")
+	wire.Scalar(w, "kgserve_models", "gauge", "Models currently loaded in the registry.", uint64(len(views)))
+	wire.Help(w, "kgserve_model_info", "gauge", "Loaded-model metadata; value is the checkpoint load time in seconds.")
 	for _, v := range views {
 		fmt.Fprintf(w, "kgserve_model_info{fingerprint=%q,model=%q,format=%q,default=\"%t\"} %g\n",
 			v.Fingerprint, v.Model, v.Format, v.Default, v.LoadMS/1000)
@@ -250,22 +232,10 @@ func (s *Server) writeModelMetrics(w io.Writer) {
 // drift.
 func (s *Server) writeJobMetrics(w io.Writer) {
 	counts, counters := s.jobs.Snapshot()
-	fmt.Fprintln(w, "# HELP kgserve_jobs Retained async discovery jobs, by state.")
-	fmt.Fprintln(w, "# TYPE kgserve_jobs gauge")
-	states := make([]string, 0, len(counts))
-	for st := range counts {
-		states = append(states, string(st))
-	}
-	sort.Strings(states)
-	for _, st := range states {
-		fmt.Fprintf(w, "kgserve_jobs{state=%q} %d\n", st, counts[jobs.State(st)])
-	}
-	scalar := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	scalar("kgserve_jobs_submitted_total", "Async jobs accepted by POST /jobs.", counters.Submitted)
-	scalar("kgserve_jobs_completed_total", "Async jobs that finished successfully.", counters.Completed)
-	scalar("kgserve_jobs_failed_total", "Async jobs that finished with an error.", counters.Failed)
-	scalar("kgserve_jobs_cancelled_total", "Async jobs cancelled before completing.", counters.Cancelled)
-	scalar("kgserve_jobs_evicted_total", "Finished jobs evicted by the retention policy.", counters.Evicted)
+	wire.Family(w, "kgserve_jobs", "gauge", "Retained async discovery jobs, by state.", "state", counts)
+	wire.Scalar(w, "kgserve_jobs_submitted_total", "counter", "Async jobs accepted by POST /jobs.", counters.Submitted)
+	wire.Scalar(w, "kgserve_jobs_completed_total", "counter", "Async jobs that finished successfully.", counters.Completed)
+	wire.Scalar(w, "kgserve_jobs_failed_total", "counter", "Async jobs that finished with an error.", counters.Failed)
+	wire.Scalar(w, "kgserve_jobs_cancelled_total", "counter", "Async jobs cancelled before completing.", counters.Cancelled)
+	wire.Scalar(w, "kgserve_jobs_evicted_total", "counter", "Finished jobs evicted by the retention policy.", counters.Evicted)
 }

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"runtime/debug"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // statusWriter records the status code and byte count a handler wrote, for
@@ -36,7 +38,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // wrap applies the per-route middleware stack to a handler: in-flight
-// gauge, request-body size limit, per-request context deadline, panic
+// gauge, per-request context deadline, panic
 // recovery (500 + JSON error instead of a dropped connection), latency and
 // status-code metrics, and a structured access log line.
 func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
@@ -44,7 +46,6 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
 		start := time.Now()
 		s.metrics.startRequest(route)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		r = r.WithContext(ctx)
@@ -55,7 +56,7 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
 					s.metrics.incPanic()
 					s.cfg.Logger.Printf("kgserve: panic on %s: %v\n%s", route, p, debug.Stack())
 					if !sw.wrote {
-						writeError(sw, http.StatusInternalServerError, "internal error")
+						wire.WriteError(sw, http.StatusInternalServerError, "internal error")
 					}
 				}
 			}()

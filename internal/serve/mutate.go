@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"repro/internal/mutate"
+	"repro/internal/wire"
 )
 
 // POST /mutate applies one batched graph mutation. The request body is a
@@ -31,16 +32,16 @@ type mutateResponse struct {
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxMutationOps < 0 {
-		writeError(w, http.StatusServiceUnavailable, "mutations are disabled on this server")
+		wire.WriteError(w, http.StatusServiceUnavailable, "mutations are disabled on this server")
 		return
 	}
 	var b mutate.Batch
-	if !s.decode(w, r, &b) {
+	if !wire.Decode(w, r, s.cfg.MaxBodyBytes, &b) {
 		return
 	}
 	if len(b.Ops) > s.cfg.MaxMutationOps {
 		s.metrics.incMutationRejected()
-		writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			"batch has %d ops, limit is %d", len(b.Ops), s.cfg.MaxMutationOps)
 		return
 	}
@@ -62,14 +63,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		var invalid *mutate.ValidationError
 		switch {
 		case errors.As(err, &gap):
-			writeJSON(w, http.StatusConflict, map[string]any{
+			wire.WriteJSON(w, http.StatusConflict, map[string]any{
 				"error":        err.Error(),
 				"expected_seq": gap.Want,
 			})
 		case errors.As(err, &invalid), errors.Is(err, mutate.ErrEmptyBatch):
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		default:
-			writeError(w, http.StatusInternalServerError, "mutation failed: %v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "mutation failed: %v", err)
 		}
 		return
 	}
@@ -79,7 +80,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	for i, rid := range ap.NetRels {
 		names[i] = s.ds.Train.Relations.Name(int32(rid))
 	}
-	writeJSON(w, http.StatusOK, mutateResponse{
+	wire.WriteJSON(w, http.StatusOK, mutateResponse{
 		Seq:            ap.Seq,
 		Added:          ap.Added,
 		Deleted:        ap.Deleted,

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/kge"
+	"repro/internal/wire"
 )
 
 // The multi-model registry. A Server hosts any number of models over one
@@ -275,7 +276,7 @@ func (s *Server) modelViews() []modelView {
 }
 
 func (s *Server) handleModelList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"models": s.modelViews()})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"models": s.modelViews()})
 }
 
 // modelLoadRequest asks the server to serve a checkpoint from its local
@@ -289,16 +290,16 @@ type modelLoadRequest struct {
 
 func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 	var req modelLoadRequest
-	if !s.decode(w, r, &req) {
+	if !wire.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Path == "" {
-		writeError(w, http.StatusBadRequest, "path is required")
+		wire.WriteError(w, http.StatusBadRequest, "path is required")
 		return
 	}
 	sm, err := s.LoadModelFile(req.Path, req.Default)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "load %s: %v", req.Path, err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, "load %s: %v", req.Path, err)
 		return
 	}
 	s.cfg.Logger.Printf("kgserve: loaded model %s (%s) from %s in %s",
@@ -306,16 +307,16 @@ func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 	s.regMu.RLock()
 	isDefault := s.defaultFP == sm.fingerprint
 	s.regMu.RUnlock()
-	writeJSON(w, http.StatusCreated, s.viewOf(sm, isDefault))
+	wire.WriteJSON(w, http.StatusCreated, s.viewOf(sm, isDefault))
 }
 
 func (s *Server) handleModelUnload(w http.ResponseWriter, r *http.Request) {
 	sel := r.PathValue("fp")
 	fp, err := s.unloadModel(sel)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	s.cfg.Logger.Printf("kgserve: unloaded model %s", fp[:12])
-	writeJSON(w, http.StatusOK, map[string]any{"unloaded": fp})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"unloaded": fp})
 }

@@ -24,7 +24,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -38,6 +37,7 @@ import (
 	"repro/internal/kg"
 	"repro/internal/kge"
 	"repro/internal/mutate"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -279,7 +279,7 @@ func (s *Server) Dataset() *kg.Dataset { return s.ds }
 // Handler returns the full route table with per-route middleware applied.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", s.wrap("/healthz", s.handleHealthz))
+	mux.Handle("GET /healthz", s.wrap("/healthz", wire.Healthz))
 	mux.Handle("GET /stats", s.wrap("/stats", s.handleStats))
 	mux.Handle("GET /metrics", s.wrap("/metrics", s.handleMetrics))
 	mux.Handle("POST /score", s.wrap("/score", s.handleScore))
@@ -380,22 +380,4 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		s.cfg.Logger.Printf("kgserve: drained, shutdown complete")
 		return nil
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeJSONBody replays pre-rendered response bytes (cache hits and
-// single-flight results), so every path serves byte-identical bodies.
-func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -203,11 +203,14 @@ hold_lines() {
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
 hold_lines 'internal/{kge,eval,train,core}' 5235 \
   internal/kge internal/eval internal/train internal/core
-# The packages around the sweep — journal, mutation log, fleet, server, and the
-# two that put bytes on disk for them: the count once jobs.Open became the
+# The packages around the sweep — journal, mutation log, fleet, server, the
+# two that put bytes on disk for them, and the HTTP edge they share: the
+# count once internal/wire held the one body decoder, reply writers, JSON
+# client and Prometheus writer that kgserve, the fleet and kgdiscover -fleet
+# each kept a copy of (5 204 without internal/wire, once jobs.Open became the
 # one journal step of jobs.Run and the fleet coordinator, kgserve answered
 # /query and /discover through one cache/single-flight helper, and
-# jobs.Config.QueueDepth became a constant (5 212 once jobs.Run refused a
+# jobs.Config.QueueDepth became a constant; 5 212 once jobs.Run refused a
 # negative top_n or max_candidates before creating a journal, as /discover,
 # /jobs and /sweep already did; 5 209 once the dirty set resolved
 # its strategy once and computed its statistic on both graphs, in place of
@@ -230,8 +233,8 @@ hold_lines 'internal/{kge,eval,train,core}' 5235 \
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal}' 5204 \
-  internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal,wire}' 5202 \
+  internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal internal/wire
 # The triple store: one eager, array-backed index per relation, the count
 # once Dict.SortedNames and LoadTSVFile, which only tests called, went (961
 # once kg.Split always kept valid and test vocabulary in train and
@@ -243,7 +246,10 @@ hold_lines 'internal/kg' 936 internal/kg
 # neighbours' rows, in place of NetworkX's neighbour-pair loop (560 before).
 hold_lines 'internal/graphstats' 550 internal/graphstats
 # The commands: flag parsing and wiring only, so a command that grows is a
-# package that should have (1 629 before the nine flags the flag budget
+# package that should have (1 609 before kgdiscover -fleet posted its sweep
+# through internal/wire, and kggen refused -scale where it is ignored and
+# kgmutate read -batch under the body rule /mutate uses; 1 629 before the
+# nine flags the flag budget
 # below names went and kggen refused custom flags beside -preset; 1 642
 # before every reader but kgconvert opened
 # flat checkpoints only and kgmutate checked its baseline with
@@ -251,7 +257,7 @@ hold_lines 'internal/graphstats' 550 internal/graphstats
 # with strings.Repeat; 1 736 before kgfleet coord's sixteen one-shot
 # flags went; 1 741 before the kgfleet worker's four fault flags went; 1 818
 # before -prune, kgtrain -format and kgconvert -to went).
-hold_lines 'cmd/*/main.go' 1609 cmd
+hold_lines 'cmd/*/main.go' 1568 cmd
 
 echo "== flag budget =="
 # Every boolean or mode flag is a second code path each test has to cover,
@@ -399,6 +405,14 @@ if ! cmp -s "$tmp/d1.json" "$tmp/d2.json"; then
   echo "kgserve smoke FAILED: cached /discover body differs from the original" >&2
   exit 1
 fi
+# A body is one JSON value: a second one after it, which could override the
+# first, is a 400, not silently dropped.
+code_two="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+  -d "$discover_body {\"top_n\":-1}" "http://$addr/discover")"
+if [ "$code_two" != 400 ]; then
+  echo "kgserve smoke FAILED: a two-value /discover body gave $code_two, want 400" >&2
+  exit 1
+fi
 hits="$(curl -fsS "http://$addr/metrics" | sed -n 's/^kgserve_cache_hits_total \([0-9][0-9]*\)$/\1/p')"
 if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
   echo "kgserve smoke FAILED: /metrics cache-hit counter did not increment (hits='$hits')" >&2
@@ -427,7 +441,7 @@ if ! wait "$serve_pid"; then
   cat "$tmp/serve.log" >&2
   exit 1
 fi
-echo "kgserve smoke: cache hits $hits, $invalidated cache invalidation(s) on mutate, replay 409, clean SIGTERM shutdown"
+echo "kgserve smoke: cache hits $hits, two-value body 400, $invalidated cache invalidation(s) on mutate, replay 409, clean SIGTERM shutdown"
 
 echo "== crash-resume gate =="
 # SIGKILL a checkpointed discovery sweep mid-run, resume it, and require the
