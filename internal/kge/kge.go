@@ -66,9 +66,9 @@ type Model interface {
 	// models that return nil contexts).
 	AccumulateGrad(t kg.Triple, ctx GradContext, upstream float32, gb *GradBuffer)
 	// PostBatch applies model-specific constraints after an optimizer step
-	// (TransE projects entities onto the unit ball). step is the gradient
-	// the step applied, its rows the rows it moved, or nil when any row may
-	// have changed since the last call, as at the start of a training run.
+	// (TransE projects entities onto the unit ball). step's rows are the
+	// rows the step moved, or step is nil when any row may have changed
+	// since the last call, as at the start of a training run.
 	PostBatch(step *GradBuffer)
 	// The batch and group operations the trainer steps through (sweep.go,
 	// kvsall.go, groups.go).
@@ -159,19 +159,23 @@ func (ps *ParamSet) List() []*Param { return ps.list }
 
 // GradBuffer accumulates sparse per-row gradients for one optimizer step,
 // addressed by *Param. Per table it keeps a row→slot index, the touched rows
-// and the slots in fixed-size pages, so a row never moves while the buffer
-// fills, and every slot past the touched rows is zero. It is not safe for
-// concurrent writers; MergeRow, which writes only its own row, is.
+// and the slots, zero past the used ones, in fixed-size pages, so a row never
+// moves while the buffer fills; KvsAll's entity rows wait in product form. It
+// is not safe for concurrent writers; a RowMerger, writing one row, is.
 type GradBuffer struct {
 	ps     *ParamSet
 	tables []gradTable
 }
 
 type gradTable struct {
-	slot  []int32 // row → 1 + its slot, 0 when untouched
-	rows  []int32 // touched rows in slot order
-	shift uint    // a page holds 1<<shift rows: gradPage floats, at least one row
+	slot  []int32 // row → 1 + its slot; 0 untouched; −1 in product form only
+	rows  []int32 // touched rows in the order they were touched
+	used  int     // slots handed out
+	cols  int
+	shift uint // a page holds 1<<shift rows: gradPage floats, at least one row
 	pages [][]float32
+	up    *vecmath.Matrix // with q, the product form: row o is Σⱼ up[j][o]·q.Row(j)
+	q     vecmath.Matrix
 }
 
 const gradPage = 8192
@@ -181,8 +185,8 @@ func NewGradBuffer(ps *ParamSet) *GradBuffer {
 	gb := &GradBuffer{ps: ps, tables: make([]gradTable, len(ps.list))}
 	for i, p := range ps.list {
 		t := &gb.tables[i]
-		t.slot = make([]int32, p.M.Rows)
-		for 2<<t.shift*p.M.Cols <= gradPage {
+		t.slot, t.cols = make([]int32, p.M.Rows), p.M.Cols
+		for 2<<t.shift*t.cols <= gradPage {
 			t.shift++
 		}
 	}
@@ -197,39 +201,60 @@ func (gb *GradBuffer) table(p *Param) *gradTable {
 	return &gb.tables[p.idx]
 }
 
-// add returns row's slot, giving it the next free one (and page) if none.
-func (t *gradTable) add(p *Param, row int) int {
-	if i := t.slot[row]; i != 0 {
-		return int(i - 1)
+// add returns row's slot, giving it the next free one (and page) if none:
+// zero, or the row's product.
+func (t *gradTable) add(row int) []float32 {
+	i := t.slot[row]
+	if i > 0 {
+		return t.at(int(i - 1))
 	}
-	t.rows = append(t.rows, int32(row))
-	t.slot[row] = int32(len(t.rows))
-	if i := len(t.rows) - 1; i>>t.shift == len(t.pages) {
-		t.pages = append(t.pages, make([]float32, p.M.Cols<<t.shift))
+	if i == 0 {
+		t.rows = append(t.rows, int32(row))
 	}
-	return len(t.rows) - 1
+	if t.used>>t.shift == len(t.pages) {
+		t.pages = append(t.pages, make([]float32, t.cols<<t.shift))
+	}
+	t.used++
+	t.slot[row] = int32(t.used)
+	if i < 0 {
+		t.addProduct(t.at(t.used-1), row)
+	}
+	return t.at(t.used - 1)
 }
 
-// at returns slot i, cols wide.
-func (t *gradTable) at(i, cols int) []float32 {
-	off := (i & (1<<t.shift - 1)) * cols
-	return t.pages[i>>t.shift][off : off+cols : off+cols]
+// at returns slot i.
+func (t *gradTable) at(i int) []float32 {
+	off := (i & (1<<t.shift - 1)) * t.cols
+	return t.pages[i>>t.shift][off : off+t.cols : off+t.cols]
 }
 
-// Row returns the accumulator for row `row` of p, zero on first use.
-func (gb *GradBuffer) Row(p *Param, row int) []float32 {
-	t := gb.table(p)
-	return t.at(t.add(p, row), p.M.Cols)
+// addProduct adds row's product into dst.
+func (t *gradTable) addProduct(dst []float32, row int) {
+	js, gs := vecmath.ColumnNonzeros(make([]int, 0, 16), make([]float32, 0, 16), t.up, row)
+	vecmath.AxpyGather(dst, gs, js, &t.q)
 }
 
-// Grad returns the accumulator for row `row` of p, or nil when the step has
-// not touched it.
-func (gb *GradBuffer) Grad(p *Param, row int) []float32 {
-	t := gb.table(p)
-	if t.slot[row] == 0 {
+// grad returns row's accumulator, nil, or its product in scr's slot i.
+func (t *gradTable) grad(row int, scr *GroupScratch, i int) []float32 {
+	switch s := t.slot[row]; {
+	case s > 0:
+		return t.at(int(s - 1))
+	case s == 0:
 		return nil
 	}
-	return t.at(int(t.slot[row]-1), p.M.Cols)
+	g := scr.Buf(i, t.cols)
+	t.addProduct(g, row)
+	return g
+}
+
+// Row returns the accumulator for row `row` of p, zero (or its product) on
+// first use.
+func (gb *GradBuffer) Row(p *Param, row int) []float32 { return gb.table(p).add(row) }
+
+// Grad returns the accumulator for row `row` of p, or nil when the step has
+// not touched it; a row in product form only is computed into a new slice.
+func (gb *GradBuffer) Grad(p *Param, row int) []float32 {
+	return gb.table(p).grad(row, &GroupScratch{}, 0)
 }
 
 // Axpy adds alpha·x into the accumulator for (p, row).
@@ -237,42 +262,71 @@ func (gb *GradBuffer) Axpy(p *Param, row int, alpha float32, x []float32) {
 	vecmath.Axpy(alpha, x, gb.Row(p, row))
 }
 
-// Rows returns p's touched rows in slot order; callers must not modify them.
+// Rows returns p's touched rows in touch order; callers must not modify them.
 func (gb *GradBuffer) Rows(p *Param) []int32 { return gb.table(p).rows }
+
+// product readies p's table for a KvsAll chunk of k contexts and returns it
+// for the caller to fill its k query rows q. On the dot geometry up becomes
+// the rows' product form, for which the table must hold no rows; on the
+// distance geometry up is nil.
+func (gb *GradBuffer) product(p *Param, k int, up *vecmath.Matrix) *gradTable {
+	t := gb.table(p)
+	if up != nil && len(t.rows) > 0 {
+		panic("kge: a KvsAll chunk needs a gradient buffer without entity rows")
+	}
+	t.up, t.q = up, vecmath.Matrix{Rows: k, Cols: t.cols, Data: append(t.q.Data[:0], make([]float32, k*t.cols)...)}
+	return t
+}
 
 // Reset empties the buffer for the next step, zeroing the slots it used and
 // keeping its pages.
 func (gb *GradBuffer) Reset() {
-	for i, p := range gb.ps.list {
+	for i := range gb.tables {
 		t := &gb.tables[i]
-		for s, row := range t.rows {
-			t.slot[row] = 0
-			clear(t.at(s, p.M.Cols))
+		for s := range t.used {
+			clear(t.at(s))
 		}
-		t.rows = t.rows[:0]
+		for _, row := range t.rows {
+			t.slot[row] = 0
+		}
+		t.rows, t.used, t.up = t.rows[:0], 0, nil
 	}
 }
 
 // Merge is the serial half of merging others, over the same ParamSet, into
-// gb: it gives gb a slot, still zero, for every row of theirs it lacks.
-func (gb *GradBuffer) Merge(others []*GradBuffer) {
-	for i, p := range gb.ps.list {
+// gb: it gives gb a slot, still zero (a zero product in a product form), for
+// every row of theirs it lacks, and returns each table's RowMerger.
+func (gb *GradBuffer) Merge(others []*GradBuffer) []RowMerger {
+	ms := make([]RowMerger, len(gb.tables))
+	for i := range gb.tables {
+		t := &gb.tables[i]
+		ms[i] = append(make(RowMerger, 0, 1+len(others)), t)
 		for _, o := range others {
+			ms[i] = append(ms[i], &o.tables[i])
 			for _, row := range o.tables[i].rows {
-				gb.tables[i].add(p, int(row))
+				if t.up == nil {
+					t.add(int(row))
+				} else if t.slot[row] == 0 {
+					t.rows, t.slot[row] = append(t.rows, row), -1
+				}
 			}
 		}
 	}
+	return ms
 }
 
-// MergeRow, after Merge(others), adds row `row` of p from each of others,
-// in order, into gb's slot with vecmath.Axpy(1, ·) and returns the sum —
-// gb's row as it was, or zeros for a row Merge gave it (so a −0 gb lacked
-// becomes +0), exactly as merging the buffers one after another leaves it.
-func (gb *GradBuffer) MergeRow(p *Param, row int, others []*GradBuffer) []float32 {
-	sum := gb.Grad(p, row)
-	for _, o := range others {
-		if g := o.Grad(p, row); g != nil {
+// RowMerger sums one table's rows over a step's buffers, the merged one
+// first.
+type RowMerger []*gradTable
+
+// Row adds row from each of the other buffers, in order, into the merged
+// buffer's with vecmath.Axpy(1, ·) and returns the sum — the merged buffer's
+// row as it was, or zeros for a row Merge gave it (a −0 it lacked becomes +0),
+// as merging them one after another would. Products go through scr.
+func (m RowMerger) Row(row int, scr *GroupScratch) []float32 {
+	sum := m[0].grad(row, scr, 0)
+	for _, t := range m[1:] {
+		if g := t.grad(row, scr, 1); g != nil {
 			vecmath.Axpy(1, g, sum)
 		}
 	}

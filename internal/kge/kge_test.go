@@ -460,11 +460,12 @@ func TestGradBufferMerge(t *testing.T) {
 	b.Row(w, 2)[0] = 1
 	c.Row(w, 2)[1] = 4
 	c.Row(w, 4)[0] = negZero
-	a.Merge([]*GradBuffer{b, c})
+	mg := a.Merge([]*GradBuffer{b, c})[0]
 	if gradLen(a) != 4 {
 		t.Errorf("Merge left a with %d rows, want 4", gradLen(a))
 	}
-	merge := func(row int) []float32 { return a.MergeRow(w, row, []*GradBuffer{b, c}) }
+	var scr GroupScratch
+	merge := func(row int) []float32 { return mg.Row(row, &scr) }
 	if got := merge(1); got[0] != 5 || &got[0] != &a.Grad(w, 1)[0] {
 		t.Errorf("merged grad = %v, want 5 in a's own row", got)
 	}

@@ -18,13 +18,15 @@ import (
 //	∂L/∂q    = Eᵀ · upstream          (then the model's adjoint)
 //
 // The trainer hands over a whole gradient chunk of contexts at once, so the
-// entity table is walked once per chunk instead of once per context.
+// entity table is walked once per chunk instead of once per context. On the
+// dot geometry it computes dq and the bias only: gb keeps upstream and q as
+// the entity rows' product form and builds a row where it is read.
 //
 // Determinism contract (this defines the trainer's digests): within
 // one chunk, entity-table row o accumulates its upstream[j][o]·qⱼ
-// contributions in ascending context order j, each context's dqⱼ
+// contributions in ascending context order j, from zero, each context's dqⱼ
 // accumulates Eᵀ·upstreamⱼ in ascending entity order o, and all entity-row
-// updates of a chunk land before any adjoint runs. A chunk of one context
+// updates of a chunk land before any adjoint's. A chunk of one context
 // is therefore the plain per-context backward pass; a longer chunk differs
 // from a sequence of one-context calls only in how a row that is both an
 // object and some context's subject sees the two phases interleaved. Every
@@ -35,11 +37,17 @@ import (
 // scores for every context (ss[j], rs[j]) given the per-context upstream
 // rows of a len(ss)×NumEntities matrix. Rows with zero upstream are never
 // touched: the optimizer's sparse-row semantics see exactly the rows a
-// per-triple pass would.
+// per-triple pass would. On the dot geometry gb must hold no entity rows,
+// and it reads upstream until its Reset.
 func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.RelationID, upstream *vecmath.Matrix, gb *GradBuffer) {
 	checkCtxBatch(ss, rs, upstream, d.ent.M.Rows)
 	ctxs := make([]GradContext, len(ss))
-	q := vecmath.NewMatrix(len(ss), d.ent.M.Cols)
+	up := upstream
+	if d.geom != SweepDot {
+		up = nil
+	}
+	t := gb.product(d.ent, len(ss), up)
+	q := &t.q
 	for j := range ss {
 		ctxs[j] = d.ObjectQuery(ss[j], rs[j], q.Row(j), nil)
 	}
@@ -62,22 +70,17 @@ func (d *Derived) AccumulateGradAllObjectsBatch(ss []kg.EntityID, rs []kg.Relati
 	}
 
 	// Entities outer, contexts inner: each embedding row is read, and its
-	// gradient and bias rows looked up, once per chunk, and the chunk's q
-	// and dq rows stay in cache. Every row's additions keep their order.
+	// bias row looked up, once per chunk, and the chunk's dq rows stay in
+	// cache. Every row's additions keep their order.
 	dq := vecmath.NewMatrix(len(ss), q.Cols)
 	n := d.ent.M.Rows
 	js, gs := make([]int, 0, len(ss)), make([]float32, 0, len(ss))
 	for o := 0; o < n; o++ {
-		js, gs = js[:0], gs[:0]
-		for j := range ss {
-			if g := upstream.Data[j*n+o]; g != 0 {
-				js, gs = append(js, j), append(gs, g)
-			}
-		}
-		if len(js) == 0 {
+		if js, gs = vecmath.ColumnNonzeros(js, gs, upstream, o); len(js) == 0 {
 			continue
 		}
-		vecmath.AxpyPairs(gb.Row(d.ent, o), d.ent.M.Row(o), gs, js, q, dq)
+		t.rows, t.slot[o] = append(t.rows, int32(o)), -1
+		vecmath.AxpyScatter(dq, gs, js, d.ent.M.Row(o))
 		if d.bias != nil {
 			vecmath.SumInto(&gb.Row(d.bias, o)[0], gs)
 		}

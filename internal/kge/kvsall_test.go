@@ -152,3 +152,20 @@ func TestKvsAllBufferSizePanics(t *testing.T) {
 	}()
 	oneContextGrad(kvs, 0, 0, make([]float32, 3), NewGradBuffer(m.Params()))
 }
+
+// TestKvsAllBufferWithEntityRowsPanics: a KvsAll chunk keeps its entity rows
+// in product form, so the buffer it accumulates into must hold none yet.
+func TestKvsAllBufferWithEntityRowsPanics(t *testing.T) {
+	m, err := New("distmult", testConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := NewGradBuffer(m.Params())
+	gb.Row(m.Params().Get("entity"), 3)[0] = 1
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a buffer that holds entity rows")
+		}
+	}()
+	oneContextGrad(m.(*Derived), 0, 0, make([]float32, m.NumEntities()), gb)
+}

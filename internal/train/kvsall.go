@@ -80,9 +80,10 @@ func RunKvsAll(ctx context.Context, model kge.Model, ds *kg.Dataset, cfg Config,
 // runKvsBatch takes one KvsAll optimizer step over a batch of contexts
 // (chunked across workers, same deterministic reduction as runBatch) and
 // returns the summed mean-per-entity BCE loss. A whole chunk is scored as one
-// query-matrix × entity-table MatMat, the fused BCE loss/gradient kernel runs
-// per context row, and the chunk is backpropagated with one
-// AccumulateGradAllObjectsBatch call.
+// query-matrix × entity-table MatMat into its slot's matrix, the fused BCE
+// loss/gradient kernel turns each row's scores into upstream in place, and
+// the chunk is backpropagated with one AccumulateGradAllObjectsBatch call,
+// whose buffer keeps the matrix until the step's merge.
 func runKvsBatch(st *stepper, batch []kvsContext, n int, smoothing float32) float64 {
 	invBatch := 1 / float32(len(batch))
 	invN := 1 / float32(n)
@@ -93,9 +94,10 @@ func runKvsBatch(st *stepper, batch []kvsContext, n int, smoothing float32) floa
 	// rounding is part of the pinned checkpoint digests.
 	gradScale := invBatch * invN
 
+	for len(st.upstream) < (len(batch)+gradChunkSize-1)/gradChunkSize {
+		st.upstream = append(st.upstream, vecmath.NewMatrix(gradChunkSize, n))
+	}
 	return st.step("kvsall", len(batch), func(int) func(chunk, lo, hi int, gb *kge.GradBuffer) float64 {
-		scores := vecmath.NewMatrix(gradChunkSize, n)
-		upstream := vecmath.NewMatrix(gradChunkSize, n)
 		ss := make([]kg.EntityID, gradChunkSize)
 		rs := make([]kg.RelationID, gradChunkSize)
 		return func(chunk, lo, hi int, gb *kge.GradBuffer) float64 {
@@ -103,16 +105,15 @@ func runKvsBatch(st *stepper, batch []kvsContext, n int, smoothing float32) floa
 			for j, c := range batch[lo:hi] {
 				ss[j], rs[j] = c.s, c.r
 			}
-			scoresK := &vecmath.Matrix{Rows: k, Cols: n, Data: scores.Data[:k*n]}
-			upstreamK := &vecmath.Matrix{Rows: k, Cols: n, Data: upstream.Data[:k*n]}
-			st.model.ScoreContextsBatch(ss[:k], rs[:k], scoresK)
+			up := &vecmath.Matrix{Rows: k, Cols: n, Data: st.upstream[chunk].Data[:k*n]}
+			st.model.ScoreContextsBatch(ss[:k], rs[:k], up)
 			var loss float64
 			for j, c := range batch[lo:hi] {
-				ctxLoss := vecmath.BCEFusedGrad(upstreamK.Row(j), scoresK.Row(j),
+				ctxLoss := vecmath.BCEFusedGrad(up.Row(j), up.Row(j),
 					c.objects, posLabel, negLabel, gradScale)
 				loss += ctxLoss * float64(invN)
 			}
-			st.model.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], upstreamK, gb)
+			st.model.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], up, gb)
 			return loss
 		}
 	})

@@ -219,14 +219,18 @@ func logPoly4(z0, z1, z2, z3 float32) (l0, l1, l2, l3 float32) {
 // recombination. Non-positive and special inputs are the callers' problem —
 // the training kernels only ever pass 1+z ≥ 1.
 func FastLog(x float32) float32 {
+	u, e := logReduce(x)
+	return logPoly(u) + e*expLn2Lo + e*expLn2Hi
+}
+
+// logReduce is FastLog's mantissa reduction, x = 2^e·(1+u) with 1+u in
+// [√½, √2), without a branch: a mantissa below √½ is doubled by its exponent
+// bits, which is exact.
+func logReduce(x float32) (u, e float32) {
 	bits := math.Float32bits(x)
-	e := int32(bits>>23) - 126
-	m := math.Float32frombits(bits&0x007FFFFF | 0x3F000000) // mantissa ∈ [½, 1)
-	if m < 0.70710678 {
-		m *= 2
-		e--
-	}
-	return logPoly(m-1) + float32(e)*expLn2Lo + float32(e)*expLn2Hi
+	m := bits&0x007FFFFF | 0x3F000000        // mantissa ∈ [½, 1)
+	low := uint32(int32(m-0x3F3504F3) >> 31) // all ones when m < float32(0.70710678)
+	return math.Float32frombits(m+low&0x00800000) - 1, float32(int32(bits>>23) - 126 + int32(low))
 }
 
 // FastLog1p returns ln(1+z) for z ≥ 0, exact where it matters: tiny z skips
@@ -262,14 +266,37 @@ func FastSoftplus(x float32) float32 {
 	return reluf(x) + FastLog1p(fastExpCore(clampExpLower(-absf(x))))
 }
 
-// log1p4 applies FastLog1p to four lanes: the common all-small case runs the
-// interleaved polynomial, mixed lanes fall back to scalar calls (bit-equal
-// either way).
+// log1p4 applies FastLog1p to four lanes without a branch: each lane's
+// polynomial argument is FastLog1p's — z below log1pSwitch, else FastLog's
+// reduction of 1+z — the four polynomials run interleaved, and a reduced
+// lane adds FastLog's e·ln2 terms after. Bit-equal to the scalar calls lane
+// by lane.
 func log1p4(z0, z1, z2, z3 float32) (l0, l1, l2, l3 float32) {
-	if z0 < log1pSwitch && z1 < log1pSwitch && z2 < log1pSwitch && z3 < log1pSwitch {
-		return logPoly4(z0, z1, z2, z3)
+	u0, e0, r0 := log1pReduce(z0)
+	u1, e1, r1 := log1pReduce(z1)
+	u2, e2, r2 := log1pReduce(z2)
+	u3, e3, r3 := log1pReduce(z3)
+	l0, l1, l2, l3 = logPoly4(u0, u1, u2, u3)
+	l0 = selectf(r0, l0+e0*expLn2Lo+e0*expLn2Hi, l0)
+	l1 = selectf(r1, l1+e1*expLn2Lo+e1*expLn2Hi, l1)
+	l2 = selectf(r2, l2+e2*expLn2Lo+e2*expLn2Hi, l2)
+	l3 = selectf(r3, l3+e3*expLn2Lo+e3*expLn2Hi, l3)
+	return
+}
+
+// log1pReduce returns FastLog1p's polynomial argument for z: z itself when
+// z < log1pSwitch, else logReduce(1+z)'s u, with its e and reduced all ones.
+func log1pReduce(z float32) (u, e float32, reduced uint32) {
+	if !(z < log1pSwitch) {
+		reduced = ^uint32(0)
 	}
-	return FastLog1p(z0), FastLog1p(z1), FastLog1p(z2), FastLog1p(z3)
+	m, e := logReduce(1 + z)
+	return selectf(reduced, m, z), e, reduced
+}
+
+// selectf returns a where mask is all ones and b where it is zero.
+func selectf(mask uint32, a, b float32) float32 {
+	return math.Float32frombits(math.Float32bits(a)&mask | math.Float32bits(b)&^mask)
 }
 
 // sigmoidSoftplusVec computes sig[i] = FastSigmoid(x[i]) and
@@ -315,7 +342,8 @@ const bceTile = 512
 // writes the upstream gradient (σ(scores[o]) − y)·gradScale into upstream[o].
 // positives must be sorted ascending and duplicate-free (KvsAll object lists
 // are); membership is a two-pointer merge, with no per-context hash map in
-// training's hottest loop.
+// training's hottest loop. upstream may be scores itself: each element is
+// read before it is written.
 //
 // Determinism contract: the kernel is defined as per-element
 // FastSigmoid/FastSoftplus with the float64 loss sum in ascending index

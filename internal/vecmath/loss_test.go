@@ -66,6 +66,45 @@ func TestFastLog1pAccuracy(t *testing.T) {
 	}
 }
 
+// TestLog1p4BitEqualToScalar holds the branch-free lanes of log1p4 to
+// FastLog1p, and logReduce's exponent-bit doubling to the multiply it
+// replaced, bit for bit: over every 4099th float32 pattern (NaNs of both
+// signs, infinities, zeros and subnormals among them) and the patterns
+// around log1pSwitch, in every lane position.
+func TestLog1p4BitEqualToScalar(t *testing.T) {
+	fastLogMul := func(x float32) float32 {
+		bits := math.Float32bits(x)
+		e := int32(bits>>23) - 126
+		m := math.Float32frombits(bits&0x007FFFFF | 0x3F000000)
+		if m < 0.70710678 {
+			m *= 2
+			e--
+		}
+		return logPoly(m-1) + float32(e)*expLn2Lo + float32(e)*expLn2Hi
+	}
+	var zs []float32
+	for b := uint64(0); b < 1<<32; b += 4099 {
+		zs = append(zs, math.Float32frombits(uint32(b)))
+	}
+	sw := math.Float32bits(log1pSwitch)
+	for b := sw - 2; b <= sw+2; b++ {
+		zs = append(zs, math.Float32frombits(b))
+	}
+	for i, z := range zs {
+		if got, want := FastLog(z), fastLogMul(z); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("FastLog(%x) = %x, the multiplying reduction gives %x", math.Float32bits(z), math.Float32bits(got), math.Float32bits(want))
+		}
+		lanes := [4]float32{z, zs[(i+1)%len(zs)], zs[(i+2)%len(zs)], zs[(i+3)%len(zs)]}
+		var got [4]float32
+		got[0], got[1], got[2], got[3] = log1p4(lanes[0], lanes[1], lanes[2], lanes[3])
+		for k, l := range lanes {
+			if want := FastLog1p(l); math.Float32bits(got[k]) != math.Float32bits(want) {
+				t.Fatalf("log1p4 lane %d of %x = %x, FastLog1p %x", k, math.Float32bits(l), math.Float32bits(got[k]), math.Float32bits(want))
+			}
+		}
+	}
+}
+
 func TestFastSigmoidAndSoftplusVsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200000; i++ {
@@ -148,6 +187,16 @@ func TestBCEFusedGradZeroUlp(t *testing.T) {
 		}
 		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
 			t.Fatalf("trial %d: loss = %v, want %v (not bit-identical)", trial, gotLoss, wantLoss)
+		}
+		// In place, as KvsAll runs it: the scores become the upstream.
+		inPlace := append([]float32(nil), scores...)
+		if l := BCEFusedGrad(inPlace, inPlace, positives, posY, negY, gradScale); math.Float64bits(l) != math.Float64bits(gotLoss) {
+			t.Fatalf("trial %d: in place, loss = %v, want %v", trial, l, gotLoss)
+		}
+		for o, v := range inPlace {
+			if math.Float32bits(v) != math.Float32bits(got[o]) {
+				t.Fatalf("trial %d: in place, upstream[%d] = %v, want %v", trial, o, v, got[o])
+			}
 		}
 	}
 }

@@ -27,8 +27,14 @@ func conv3x3(z, x, in []float32, iw int, k []float32, b float32) int
 //go:noescape
 func sumInto(dst *float32, xs []float32)
 
-// axpyPairs is AxpyPairs over the first len(y) columns, a multiple of 16,
-// with q and dq rows d floats apart.
+// axpyGather is AxpyGather over the first len(y) columns, a multiple of
+// 16, with q rows d floats apart.
 //
 //go:noescape
-func axpyPairs(y, e, g []float32, js []int, q, dq []float32, d int)
+func axpyGather(y, g []float32, js []int, q []float32, d int)
+
+// axpyScatter is AxpyScatter over the first len(e) columns, a multiple of
+// 16, with dq rows d floats apart.
+//
+//go:noescape
+func axpyScatter(dq, g []float32, js []int, e []float32, d int)

@@ -279,28 +279,26 @@ done:
 	MOVQ     AX, ret+112(FP)
 	RET
 
-// func axpyPairs(y, e, g []float32, js []int, q, dq []float32, d int)
+// func axpyGather(y, g []float32, js []int, q []float32, d int)
 //
-// For each 16-column block of y and e (X0-X3 and X4-X7), every context k
-// in order: g[k] broadcast to X8, y += q·g and dq += e·g on row js[k] of q
-// and dq, with Axpy's operands in Axpy's order — x·alpha, then the product
-// + y — so that every element's bits, NaN payloads included, are the two
-// Axpys'. y's block is stored once, after the last context.
-TEXT ·axpyPairs(SB), NOSPLIT, $0-152
+// For each 16-column block of y (X0-X3), every context k in order: g[k]
+// broadcast to X8 and y += q·g on row js[k] of q, with Axpy's operands in
+// Axpy's order — x·alpha, then the product + y — so that every element's
+// bits, NaN payloads included, are the Axpys'. y's block is stored once,
+// after the last context.
+TEXT ·axpyGather(SB), NOSPLIT, $0-104
 	MOVQ  y_base+0(FP), DI
 	MOVQ  y_len+8(FP), R8
 	SHRQ  $4, R8                 // R8: 16-column blocks
 	JZ    done
-	MOVQ  e_base+24(FP), SI
-	MOVQ  g_base+48(FP), R9
-	MOVQ  js_base+72(FP), R10
-	MOVQ  js_len+80(FP), R11     // R11: contexts
+	MOVQ  g_base+24(FP), R9
+	MOVQ  js_base+48(FP), R10
+	MOVQ  js_len+56(FP), R11     // R11: contexts
 	TESTQ R11, R11
 	JZ    done
-	MOVQ  q_base+96(FP), R12
-	MOVQ  dq_base+120(FP), R13
-	MOVQ  d+144(FP), R14
-	SHLQ  $2, R14                // R14: one q or dq row in bytes
+	MOVQ  q_base+72(FP), R12
+	MOVQ  d+96(FP), R14
+	SHLQ  $2, R14                // R14: one q row in bytes
 	XORQ  DX, DX                 // DX: the block's byte offset in a row
 
 block:
@@ -308,10 +306,6 @@ block:
 	MOVUPS 16(DI), X1
 	MOVUPS 32(DI), X2
 	MOVUPS 48(DI), X3
-	MOVUPS (SI), X4
-	MOVUPS 16(SI), X5
-	MOVUPS 32(SI), X6
-	MOVUPS 48(SI), X7
 	XORQ   CX, CX                // CX: context k
 
 ctx:
@@ -336,6 +330,55 @@ ctx:
 	MULPS  X8, X12
 	ADDPS  X3, X12
 	MOVAPS X12, X3
+	INCQ   CX
+	CMPQ   CX, R11
+	JB     ctx
+
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	ADDQ   $64, DI
+	ADDQ   $64, DX
+	DECQ   R8
+	JNZ    block
+
+done:
+	RET
+
+// func axpyScatter(dq, g []float32, js []int, e []float32, d int)
+//
+// For each 16-column block of e (X4-X7), every context k in order: g[k]
+// broadcast to X8 and dq += e·g on row js[k] of dq, with Axpy's operands
+// in Axpy's order — x·alpha, then the product + y.
+TEXT ·axpyScatter(SB), NOSPLIT, $0-104
+	MOVQ  e_base+72(FP), SI
+	MOVQ  e_len+80(FP), R8
+	SHRQ  $4, R8                 // R8: 16-column blocks
+	JZ    done
+	MOVQ  g_base+24(FP), R9
+	MOVQ  js_base+48(FP), R10
+	MOVQ  js_len+56(FP), R11     // R11: contexts
+	TESTQ R11, R11
+	JZ    done
+	MOVQ  dq_base+0(FP), R13
+	MOVQ  d+96(FP), R14
+	SHLQ  $2, R14                // R14: one dq row in bytes
+	XORQ  DX, DX                 // DX: the block's byte offset in a row
+
+block:
+	MOVUPS (SI), X4
+	MOVUPS 16(SI), X5
+	MOVUPS 32(SI), X6
+	MOVUPS 48(SI), X7
+	XORQ   CX, CX                // CX: context k
+
+ctx:
+	MOVSS  (R9)(CX*4), X8
+	SHUFPS $0x00, X8, X8         // g[k]
+	MOVQ   (R10)(CX*8), AX
+	IMULQ  R14, AX
+	ADDQ   DX, AX                // AX: row js[k], this block
 	MOVAPS X4, X9
 	MULPS  X8, X9                // e·g
 	MOVUPS (R13)(AX*1), X13
@@ -360,11 +403,6 @@ ctx:
 	CMPQ   CX, R11
 	JB     ctx
 
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	ADDQ   $64, DI
 	ADDQ   $64, SI
 	ADDQ   $64, DX
 	DECQ   R8

@@ -20,6 +20,10 @@ func sumInto(dst *float32, xs []float32) {
 	}
 }
 
-func axpyPairs(y, e, g []float32, js []int, q, dq []float32, d int) {
-	axpyPairsGo(y, e, g, js, q, dq, d)
+func axpyGather(y, g []float32, js []int, q []float32, d int) {
+	axpyGatherGo(y, g, js, q, d)
+}
+
+func axpyScatter(dq, g []float32, js []int, e []float32, d int) {
+	axpyScatterGo(dq, g, js, e, d)
 }
