@@ -89,7 +89,7 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 	n := int64(len(all))
 	stats := &ExhaustiveStats{}
 	for _, r := range relations {
-		stats.ComplementSize += n*n - int64(len(g.RelationTriples(r)))
+		stats.ComplementSize += n*n - int64(g.RelationLen(r))
 	}
 
 	// Candidates are generated, ranked and filtered one relation at a time,
@@ -103,7 +103,7 @@ func ExhaustiveDiscover(ctx context.Context, model kge.Model, g *kg.Graph, opts 
 		subs, objs := all, all
 		if opts.Rules {
 			subs, objs = g.SideEntities(r, kg.SubjectSide), g.SideEntities(r, kg.ObjectSide)
-			if len(g.RelationTriples(r)) == len(subs) {
+			if g.RelationLen(r) == len(subs) {
 				return nil, nil // functional: every subject already has its object
 			}
 		}

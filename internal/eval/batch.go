@@ -77,7 +77,8 @@ func (r *Ranker) RankObjectsBatch(rel kg.RelationID, groups []Group) [][]int {
 // RankTriples calls on swapped, the triples with subject and object
 // exchanged: one ScoreAllSubjectsBatch per block, then rankRow per (o, r)
 // group. The filtered protocol's known subjects of swapped's (r, o) pairs are
-// collected here, by one scan of each of their relations' filter triples.
+// collected here, by one walk of each of their relations' index in the
+// filter graph; filteredRank does not depend on their order.
 func (r *Ranker) subjectBlocks(swapped []kg.Triple) func(kg.RelationID, []Group) [][]int {
 	known := map[kg.RelationID]map[kg.EntityID][]kg.EntityID{}
 	if r.filter != nil {
@@ -88,9 +89,12 @@ func (r *Ranker) subjectBlocks(swapped []kg.Triple) func(kg.RelationID, []Group)
 			known[t.R][t.S] = nil
 		}
 		for rel, byObject := range known {
-			for _, t := range r.filter.RelationTriples(rel) {
-				if ss, ok := byObject[t.O]; ok {
-					byObject[t.O] = append(ss, t.S)
+			subs, rows, objs := r.filter.Pairs(rel)
+			for i, s := range subs {
+				for _, o := range objs[rows[i]:rows[i+1]] {
+					if ss, ok := byObject[o]; ok {
+						byObject[o] = append(ss, s)
+					}
 				}
 			}
 		}

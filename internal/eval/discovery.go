@@ -107,12 +107,13 @@ func HideFacts(g *kg.Graph, fraction float64, seed int64) (visible, hidden *kg.G
 	// pulling in math/rand state and stays stable across runs.
 	threshold := uint64(fraction * float64(1<<32))
 	degree := make(map[kg.EntityID]int)
-	for _, t := range g.Triples() {
+	ts := g.Triples()
+	for _, t := range ts {
 		degree[t.S]++
 		degree[t.O]++
 	}
 	var vis, hid []kg.Triple
-	for _, t := range g.Triples() {
+	for _, t := range ts {
 		h := tripleHash(t, seed)
 		// Keep a triple visible if hiding it would orphan an entity.
 		if h%(1<<32) < threshold && degree[t.S] > 1 && degree[t.O] > 1 {

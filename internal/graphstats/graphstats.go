@@ -42,27 +42,37 @@ type Undirected struct {
 // 2³⁰ triples.
 func BuildUndirected(g *kg.Graph) *Undirected {
 	n := g.NumEntities()
-	triples := g.Triples()
 	// Row lengths, parallel edges included, then their running sum.
 	off := make([]int32, n+1)
-	for _, t := range triples {
-		if t.S != t.O {
-			off[t.S+1]++
-			off[t.O+1]++
+	for r := range g.NumRelations() {
+		subs, rows, objs := g.Pairs(kg.RelationID(r))
+		for i, s := range subs {
+			for _, o := range objs[rows[i]:rows[i+1]] {
+				if s != o {
+					off[s+1]++
+					off[o+1]++
+				}
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	// Scatter both directions of every triple into rows in triple order.
+	// Scatter both directions of every triple into rows, relation by
+	// relation in the index's (S, O) order.
 	cur := slices.Clone(off[:n])
 	raw := make([]kg.EntityID, off[n])
-	for _, t := range triples {
-		if t.S != t.O {
-			raw[cur[t.S]] = t.O
-			cur[t.S]++
-			raw[cur[t.O]] = t.S
-			cur[t.O]++
+	for r := range g.NumRelations() {
+		subs, rows, objs := g.Pairs(kg.RelationID(r))
+		for i, s := range subs {
+			for _, o := range objs[rows[i]:rows[i+1]] {
+				if s != o {
+					raw[cur[s]] = o
+					cur[s]++
+					raw[cur[o]] = s
+					cur[o]++
+				}
+			}
 		}
 	}
 	// Transpose: the entries are symmetric, so writing v into the row of

@@ -38,6 +38,25 @@ func (d *Dataset) Metadata() Metadata {
 	}
 }
 
+// newDataset returns a dataset of three empty splits sharing the given
+// dictionaries.
+func newDataset(name string, entities, relations *Dict) *Dataset {
+	return &Dataset{Name: name, Train: NewGraphWithDicts(entities, relations),
+		Valid: NewGraphWithDicts(entities, relations), Test: NewGraphWithDicts(entities, relations)}
+}
+
+// splitFile is one split and the name of its file.
+type splitFile struct {
+	name string
+	g    *Graph
+}
+
+// files returns the splits, train first, each with its file name: the
+// split's name and ext.
+func (d *Dataset) files(ext string) []splitFile {
+	return []splitFile{{"train" + ext, d.Train}, {"valid" + ext, d.Valid}, {"test" + ext, d.Test}}
+}
+
 // All returns the union of the three splits (the filter graph for the
 // filtered ranking protocol).
 func (d *Dataset) All() *Graph {
@@ -70,8 +89,7 @@ func Split(name string, g *Graph, opts SplitOptions) (*Dataset, error) {
 	if opts.ValidFrac < 0 || opts.TestFrac < 0 || opts.ValidFrac+opts.TestFrac >= 1 {
 		return nil, fmt.Errorf("kg: invalid split fractions valid=%g test=%g", opts.ValidFrac, opts.TestFrac)
 	}
-	triples := make([]Triple, g.Len())
-	copy(triples, g.Triples())
+	triples := g.Triples()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
 
@@ -79,20 +97,14 @@ func Split(name string, g *Graph, opts SplitOptions) (*Dataset, error) {
 	nTest := int(float64(len(triples)) * opts.TestFrac)
 	nTrain := len(triples) - nValid - nTest
 
-	d := &Dataset{
-		Name:  name,
-		Train: NewGraphWithDicts(g.Entities, g.Relations),
-		Valid: NewGraphWithDicts(g.Entities, g.Relations),
-		Test:  NewGraphWithDicts(g.Entities, g.Relations),
-	}
+	d := newDataset(name, g.Entities, g.Relations)
 
 	trainTriples := triples[:nTrain]
 	validTriples := triples[nTrain : nTrain+nValid]
 	testTriples := triples[nTrain+nValid:]
 
 	var moved []Triple // valid and test triples sent back to train
-	seenE := make(map[EntityID]bool)
-	seenR := make(map[RelationID]bool)
+	seenE, seenR := make([]bool, g.NumEntities()), make([]bool, g.NumRelations())
 	for _, t := range trainTriples {
 		seenE[t.S], seenE[t.O], seenR[t.R] = true, true, true
 	}

@@ -5,19 +5,22 @@ import (
 	"slices"
 )
 
-// Graph is an in-memory triple store: the triples in insertion order, global
-// per-entity subject/object counts, and per relation one sorted index that
-// answers membership, the relation's triples, its unique subjects and objects
-// with their counts (Algorithm 1 line 7's pools) and the objects of each
-// (subject, relation) pair (filtered ranking). The index is built eagerly and
-// kept exact by every mutation, so queries only read and are safe for
-// concurrent use; mutation (Add, AddAll, Delete) is not.
+// Graph is an in-memory triple store: global per-entity subject/object
+// counts, and per relation one sorted index that answers membership, the
+// relation's triples, its unique subjects and objects with their counts
+// (Algorithm 1 line 7's pools) and the objects of each (subject, relation)
+// pair (filtered ranking). Every index entry carries the sequence number its
+// triple was added with, so the triples read back in insertion order, and a
+// graph that had a triple deleted reads as the graph built without it. The
+// index is built eagerly and kept exact by every mutation, so queries only
+// read and are safe for concurrent use; mutation (Add, AddAll, Delete) is not.
 type Graph struct {
 	Entities  *Dict
 	Relations *Dict
 
-	triples []Triple
-	rels    []relIndex // by RelationID, up to the highest relation ever added
+	rels []relIndex // by RelationID, up to the highest relation ever added
+	n    int        // triples held
+	next int32      // sequence number of the next triple; Delete leaves gaps below it
 
 	subjectCount []int64 // per entity: appearances as subject
 	objectCount  []int64 // per entity: appearances as object
@@ -25,24 +28,16 @@ type Graph struct {
 
 // relIndex is one relation's index. Its (subject, object) pairs form a CSR:
 // subs are the unique subjects in ascending order, and row i's objects are
-// objs[off[i]:off[i+1]], ascending. loc[j] is where the triple of objs[j]
-// sits in Graph.triples and in triples, so Delete can swap-remove it.
+// objs[off[i]:off[i+1]], ascending. seq[j] is the sequence number of the
+// triple of objs[j].
 type relIndex struct {
-	triples []Triple // insertion order, swap-removed by Delete
-
 	subs []EntityID
 	off  []int32 // len(subs)+1 row offsets
 	objs []EntityID
-	loc  []tripleLoc
+	seq  []int32
 
 	objIDs   []EntityID // unique objects, ascending
 	objCount []int32    // triples per objIDs entry
-}
-
-// tripleLoc is where a triple sits in the two positional slices.
-type tripleLoc struct {
-	pos    int32 // index in Graph.triples
-	relPos int32 // index in relIndex.triples
 }
 
 // NewGraph returns an empty graph with fresh entity and relation dictionaries.
@@ -101,162 +96,133 @@ func (g *Graph) Add(t Triple) bool {
 		return false
 	}
 	if i == len(x.subs) || x.subs[i] != t.S {
-		x.subs = slices.Insert(x.subs, i, t.S)
-		x.off = slices.Insert(x.off, i, x.off[i])
+		x.subs, x.off = slices.Insert(x.subs, i, t.S), slices.Insert(x.off, i, x.off[i])
 	}
 	tail := x.off[i+1:]
 	for k := range tail {
 		tail[k]++
 	}
-	x.objs = slices.Insert(x.objs, j, t.O)
-	x.loc = slices.Insert(x.loc, j, g.place(x, t))
+	x.objs, x.seq = slices.Insert(x.objs, j, t.O), slices.Insert(x.seq, j, g.next)
 	k, ok := slices.BinarySearch(x.objIDs, t.O)
 	if !ok {
-		x.objIDs = slices.Insert(x.objIDs, k, t.O)
-		x.objCount = slices.Insert(x.objCount, k, 0)
+		x.objIDs, x.objCount = slices.Insert(x.objIDs, k, t.O), slices.Insert(x.objCount, k, 0)
 	}
 	x.objCount[k]++
+	g.n, g.next = g.n+1, g.next+1
+	g.count(t)
 	return true
 }
 
-// place appends t to the triple lists and the entity counts and returns
-// where it went.
-func (g *Graph) place(x *relIndex, t Triple) tripleLoc {
-	loc := tripleLoc{pos: int32(len(g.triples)), relPos: int32(len(x.triples))}
-	g.triples = append(g.triples, t)
-	x.triples = append(x.triples, t)
-	g.bump(&g.subjectCount, t.S)
-	g.bump(&g.objectCount, t.O)
-	return loc
+// count adds t to the per-entity counts.
+func (g *Graph) count(t Triple) {
+	for int(max(t.S, t.O)) >= len(g.subjectCount) {
+		g.subjectCount, g.objectCount = append(g.subjectCount, 0), append(g.objectCount, 0)
+	}
+	g.subjectCount[t.S]++
+	g.objectCount[t.O]++
 }
 
 // AddAll adds the triples of ts that are not yet present, exactly as a loop
 // of Add would: in ts's order, keeping the first of any repeats. It reports
-// how many it added. Each relation's index takes its sorted delta in one
-// merge, so a bulk load costs a sort, not one index shift per triple.
+// how many it added. It rebuilds the whole index from Triples followed by ts
+// in one stable counting sort on (O, S, R): equal triples end up adjacent,
+// the graph's own first, and the first of each run is kept. So it costs a few
+// linear passes over Len + len(ts) triples, with no comparison sort and no
+// lookup per triple; add a few triples to a large graph with Add.
 func (g *Graph) AddAll(ts []Triple) int {
-	var keys [][]uint64 // by relation: S<<32 | O of ts's triples, IDs being at least 0
-	for _, t := range ts {
-		for int(t.R) >= len(keys) {
-			keys = append(keys, nil)
-		}
-		keys[t.R] = append(keys[t.R], uint64(t.S)<<32|uint64(t.O))
+	all := append(g.Triples(), ts...)
+	ids, keyO, keyS, keyR := make([]int32, len(all)), make([]int32, len(all)), make([]int32, len(all)), make([]int32, len(all))
+	nE, nR := 0, 0
+	for i, t := range all {
+		ids[i], keyO[i], keyS[i], keyR[i] = int32(i), int32(t.O), int32(t.S), int32(t.R)
+		nE, nR = max(nE, int(t.S)+1, int(t.O)+1), max(nR, int(t.R)+1)
 	}
-	added := 0
-	for r, delta := range keys {
-		slices.Sort(delta)
-		delta = slices.DeleteFunc(slices.Compact(delta), func(k uint64) bool {
-			return g.Contains(Triple{S: EntityID(k >> 32), R: RelationID(r), O: EntityID(uint32(k))})
-		})
-		if len(delta) > 0 {
-			g.index(RelationID(r)).merge(delta)
-			added += len(delta)
+	byO := sortBy(ids, keyO, nE)
+	order := sortBy(sortBy(byO, keyS, nE), keyR, nR)
+	keep := make([]bool, len(all))
+	for k, i := range order {
+		keep[i] = k == 0 || all[order[k-1]] != all[i]
+	}
+	// Sequence numbers restart at 0, closing the gaps Delete left.
+	old, seq := g.n, make([]int32, len(all))
+	g.next = 0
+	for i, t := range all {
+		if keep[i] {
+			seq[i], g.next = g.next, g.next+1
+			if i >= old {
+				g.count(t)
+			}
 		}
 	}
-	g.triples = slices.Grow(g.triples, added)
-	for _, t := range ts {
-		if loc := g.locOf(t); loc.pos < 0 {
-			*loc = g.place(&g.rels[t.R], t)
+	g.n, g.rels = int(g.next), nil
+	for _, i := range order {
+		if t := all[i]; keep[i] {
+			x := g.index(t.R)
+			if len(x.subs) == 0 || x.subs[len(x.subs)-1] != t.S {
+				x.subs, x.off = append(x.subs, t.S), append(x.off, x.off[len(x.subs)])
+			}
+			x.off[len(x.subs)]++
+			x.objs, x.seq = append(x.objs, t.O), append(x.seq, seq[i])
 		}
 	}
-	return added
+	for _, i := range byO {
+		if t := all[i]; keep[i] {
+			x := &g.rels[t.R]
+			if k := len(x.objIDs) - 1; k >= 0 && x.objIDs[k] == t.O {
+				x.objCount[k]++
+			} else {
+				x.objIDs, x.objCount = append(x.objIDs, t.O), append(x.objCount, 1)
+			}
+		}
+	}
+	return g.n - old
 }
 
-// merge folds delta, the S<<32 | O keys of triples new to the relation in
-// ascending order, into the index in one pass, each at the location
-// {-1, -1} until AddAll places it.
-func (x *relIndex) merge(delta []uint64) {
-	x.triples = slices.Grow(x.triples, len(delta))
-	subs, off, newObjs := []EntityID(nil), []int32(nil), make([]EntityID, len(delta))
-	for k, key := range delta {
-		newObjs[k] = EntityID(uint32(key))
+// sortBy returns src, indices into key, reordered stably by their keys,
+// which lie in [0, n).
+func sortBy(src, key []int32, n int) []int32 {
+	at := make([]int32, n+1)
+	for _, i := range src {
+		at[key[i]+1]++
 	}
-	objs, loc := make([]EntityID, 0, len(x.objs)+len(delta)), make([]tripleLoc, 0, len(x.objs)+len(delta))
-	put := func(key uint64, l tripleLoc) {
-		if s := EntityID(key >> 32); len(subs) == 0 || subs[len(subs)-1] != s {
-			subs, off = append(subs, s), append(off, int32(len(objs)))
-		}
-		objs, loc = append(objs, EntityID(uint32(key))), append(loc, l)
+	for k := 1; k <= n; k++ {
+		at[k] += at[k-1]
 	}
-	row, unplaced := 0, tripleLoc{-1, -1}
-	for j, o := range x.objs {
-		for int(x.off[row+1]) <= j {
-			row++
-		}
-		key := uint64(x.subs[row])<<32 | uint64(o)
-		for ; len(delta) > 0 && delta[0] < key; delta = delta[1:] {
-			put(delta[0], unplaced)
-		}
-		put(key, x.loc[j])
+	dst := make([]int32, len(src))
+	for _, i := range src {
+		dst[at[key[i]]] = i
+		at[key[i]]++
 	}
-	for _, key := range delta {
-		put(key, unplaced)
-	}
-	x.subs, x.off, x.objs, x.loc = slices.Clone(subs), slices.Clone(append(off, int32(len(objs)))), objs, loc
-
-	slices.Sort(newObjs)
-	ids, counts, k := []EntityID(nil), []int32(nil), 0
-	for _, o := range newObjs {
-		for ; k < len(x.objIDs) && x.objIDs[k] <= o; k++ {
-			ids, counts = append(ids, x.objIDs[k]), append(counts, x.objCount[k])
-		}
-		if len(ids) > 0 && ids[len(ids)-1] == o {
-			counts[len(counts)-1]++
-		} else {
-			ids, counts = append(ids, o), append(counts, 1)
-		}
-	}
-	x.objIDs = slices.Clone(append(ids, x.objIDs[k:]...))
-	x.objCount = slices.Clone(append(counts, x.objCount[k:]...))
+	return dst
 }
 
-// Delete removes t if present and reports whether it was removed. The last
-// triple of each positional list takes t's place there.
+// Delete removes t if present and reports whether it was removed. It leaves a
+// gap in the sequence numbers; once the gaps outnumber the triples, AddAll
+// closes them, so that Triples stays O(Len).
 func (g *Graph) Delete(t Triple) bool {
 	x := g.lookup(t.R)
 	i, j, ok := x.find(t.S, t.O)
 	if !ok {
 		return false
 	}
-	loc := x.loc[j]
-	moved := g.triples[len(g.triples)-1]
-	g.triples[loc.pos], g.locOf(moved).pos = moved, loc.pos
-	g.triples = g.triples[:len(g.triples)-1]
-	moved = x.triples[len(x.triples)-1]
-	x.triples[loc.relPos], g.locOf(moved).relPos = moved, loc.relPos
-	x.triples = x.triples[:len(x.triples)-1]
-	x.objs = slices.Delete(x.objs, j, j+1)
-	x.loc = slices.Delete(x.loc, j, j+1)
+	x.objs, x.seq = slices.Delete(x.objs, j, j+1), slices.Delete(x.seq, j, j+1)
 	tail := x.off[i+1:]
 	for k := range tail {
 		tail[k]--
 	}
 	if x.off[i] == x.off[i+1] {
-		x.subs = slices.Delete(x.subs, i, i+1)
-		x.off = slices.Delete(x.off, i, i+1)
+		x.subs, x.off = slices.Delete(x.subs, i, i+1), slices.Delete(x.off, i, i+1)
 	}
 	k, _ := slices.BinarySearch(x.objIDs, t.O)
 	if x.objCount[k]--; x.objCount[k] == 0 {
-		x.objIDs = slices.Delete(x.objIDs, k, k+1)
-		x.objCount = slices.Delete(x.objCount, k, k+1)
+		x.objIDs, x.objCount = slices.Delete(x.objIDs, k, k+1), slices.Delete(x.objCount, k, k+1)
 	}
 	g.subjectCount[t.S]--
 	g.objectCount[t.O]--
-	return true
-}
-
-// locOf returns the location record of t, which must be present.
-func (g *Graph) locOf(t Triple) *tripleLoc {
-	x := &g.rels[t.R]
-	_, j, _ := x.find(t.S, t.O)
-	return &x.loc[j]
-}
-
-func (g *Graph) bump(counts *[]int64, e EntityID) {
-	for int(e) >= len(*counts) {
-		*counts = append(*counts, 0)
+	if g.n--; int(g.next) > 2*g.n {
+		g.AddAll(nil)
 	}
-	(*counts)[e]++
+	return true
 }
 
 // AddNamed interns the names and inserts the resulting triple, returning it.
@@ -282,7 +248,7 @@ func (g *Graph) Contains(t Triple) bool {
 }
 
 // Len returns the number of triples M = |G|.
-func (g *Graph) Len() int { return len(g.triples) }
+func (g *Graph) Len() int { return g.n }
 
 // NumEntities returns N = |E| (as interned in the shared entity dictionary).
 func (g *Graph) NumEntities() int { return g.Entities.Len() }
@@ -290,13 +256,46 @@ func (g *Graph) NumEntities() int { return g.Entities.Len() }
 // NumRelations returns K = |R|.
 func (g *Graph) NumRelations() int { return g.Relations.Len() }
 
-// Triples returns the backing triple slice in insertion order. The caller
-// must not modify it.
-func (g *Graph) Triples() []Triple { return g.triples }
+// Triples returns the triples in insertion order, in a new slice. Readers to
+// whom the order does not matter walk Pairs instead.
+func (g *Graph) Triples() []Triple {
+	out := make([]Triple, g.next)
+	holes := g.n < len(out)
+	if holes {
+		for q := range out {
+			out[q].R = -1
+		}
+	}
+	for r := range g.rels {
+		x := &g.rels[r]
+		for i, s := range x.subs {
+			for j := x.off[i]; j < x.off[i+1]; j++ {
+				out[x.seq[j]] = Triple{S: s, R: RelationID(r), O: x.objs[j]}
+			}
+		}
+	}
+	if holes {
+		out = slices.DeleteFunc(out, func(t Triple) bool { return t.R < 0 })
+	}
+	return out
+}
 
-// RelationTriples returns all triples with relation r. The caller must not
-// modify the returned slice.
-func (g *Graph) RelationTriples(r RelationID) []Triple { return g.lookup(r).triples }
+// RelationTriples returns the triples with relation r in insertion order, in
+// a new slice.
+func (g *Graph) RelationTriples(r RelationID) []Triple {
+	return slices.DeleteFunc(g.Triples(), func(t Triple) bool { return t.R != r })
+}
+
+// RelationLen returns how many triples have relation r.
+func (g *Graph) RelationLen(r RelationID) int { return len(g.lookup(r).objs) }
+
+// Pairs returns relation r's (subject, object) pairs in (S, O) order: subs
+// are its unique subjects, ascending, and the objects of subs[i] are
+// objs[off[i]:off[i+1]], ascending. The caller must not modify the slices.
+func (g *Graph) Pairs(r RelationID) (subs []EntityID, off []int32, objs []EntityID) {
+	x := g.lookup(r)
+	return x.subs, x.off, x.objs
+}
 
 // RelationIDs returns the IDs of all relations that occur in at least one
 // triple, in ascending order. Note this may be a subset of the dictionary if
@@ -304,7 +303,7 @@ func (g *Graph) RelationTriples(r RelationID) []Triple { return g.lookup(r).trip
 func (g *Graph) RelationIDs() []RelationID {
 	out := make([]RelationID, 0, len(g.rels))
 	for r := range g.rels {
-		if len(g.rels[r].triples) > 0 {
+		if len(g.rels[r].objs) > 0 {
 			out = append(out, RelationID(r))
 		}
 	}
@@ -371,7 +370,17 @@ func (g *Graph) FormatTriple(t Triple) string {
 
 // Clone returns a deep copy of the graph sharing no mutable state with g
 // except the (append-only) dictionaries.
-func (g *Graph) Clone() *Graph { return Merge(g) }
+func (g *Graph) Clone() *Graph {
+	c := *g
+	c.rels = slices.Clone(g.rels)
+	for r := range c.rels {
+		x := &c.rels[r]
+		x.subs, x.off, x.objs, x.seq = slices.Clone(x.subs), slices.Clone(x.off), slices.Clone(x.objs), slices.Clone(x.seq)
+		x.objIDs, x.objCount = slices.Clone(x.objIDs), slices.Clone(x.objCount)
+	}
+	c.subjectCount, c.objectCount = slices.Clone(g.subjectCount), slices.Clone(g.objectCount)
+	return &c
+}
 
 // Merge adds all triples of other (which must share dictionaries) into a new
 // graph containing the union. It is used to build the "seen" filter set for
@@ -382,7 +391,7 @@ func Merge(graphs ...*Graph) *Graph {
 	}
 	var all []Triple
 	for _, g := range graphs {
-		all = append(all, g.triples...)
+		all = append(all, g.Triples()...)
 	}
 	out := NewGraphWithDicts(graphs[0].Entities, graphs[0].Relations)
 	out.AddAll(all)

@@ -41,8 +41,7 @@ func ReadTSV(g *Graph, r io.Reader) (added int, err error) {
 // line, using dictionary names.
 func WriteTSV(g *Graph, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	ts := make([]Triple, g.Len())
-	copy(ts, g.Triples())
+	ts := g.Triples()
 	SortTriples(ts)
 	for _, t := range ts {
 		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n",
@@ -60,10 +59,7 @@ func SaveDataset(d *Dataset, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, part := range []struct {
-		name string
-		g    *Graph
-	}{{"train.txt", d.Train}, {"valid.txt", d.Valid}, {"test.txt", d.Test}} {
+	for _, part := range d.files(".txt") {
 		if err := fsio.WriteAtomic(filepath.Join(dir, part.name), func(f *os.File) error { return WriteTSV(part.g, f) }); err != nil {
 			return err
 		}
@@ -85,16 +81,8 @@ func LoadDataset(name, dir string) (*Dataset, error) {
 		return LoadLibKGEDataset(name, dir)
 	}
 	ents, rels := NewDict(), NewDict()
-	d := &Dataset{
-		Name:  name,
-		Train: NewGraphWithDicts(ents, rels),
-		Valid: NewGraphWithDicts(ents, rels),
-		Test:  NewGraphWithDicts(ents, rels),
-	}
-	for _, part := range []struct {
-		name string
-		g    *Graph
-	}{{"train.txt", d.Train}, {"valid.txt", d.Valid}, {"test.txt", d.Test}} {
+	d := newDataset(name, ents, rels)
+	for _, part := range d.files(".txt") {
 		f, err := os.Open(filepath.Join(dir, part.name))
 		if err != nil {
 			return nil, err

@@ -33,17 +33,9 @@ func LoadLibKGEDataset(name, dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Dataset{
-		Name:  name,
-		Train: NewGraphWithDicts(ents, rels),
-		Valid: NewGraphWithDicts(ents, rels),
-		Test:  NewGraphWithDicts(ents, rels),
-	}
-	for _, part := range []struct {
-		file string
-		g    *Graph
-	}{{"train.del", d.Train}, {"valid.del", d.Valid}, {"test.del", d.Test}} {
-		if err := readTripleIDFile(filepath.Join(dir, part.file), part.g); err != nil {
+	d := newDataset(name, ents, rels)
+	for _, part := range d.files(".del") {
+		if err := readTripleIDFile(filepath.Join(dir, part.name), part.g); err != nil {
 			return nil, err
 		}
 	}
@@ -61,11 +53,8 @@ func SaveLibKGEDataset(d *Dataset, dir string) error {
 	if err := writeIDFile(filepath.Join(dir, "relation_ids.del"), d.Train.Relations); err != nil {
 		return err
 	}
-	for _, part := range []struct {
-		file string
-		g    *Graph
-	}{{"train.del", d.Train}, {"valid.del", d.Valid}, {"test.del", d.Test}} {
-		if err := writeTripleIDFile(filepath.Join(dir, part.file), part.g); err != nil {
+	for _, part := range d.files(".del") {
+		if err := writeTripleIDFile(filepath.Join(dir, part.name), part.g); err != nil {
 			return err
 		}
 	}
@@ -165,8 +154,7 @@ func readTripleIDs(r io.Reader, g *Graph, label string) error {
 }
 
 func writeTripleIDFile(path string, g *Graph) error {
-	ts := make([]Triple, g.Len())
-	copy(ts, g.Triples())
+	ts := g.Triples()
 	SortTriples(ts)
 	return fsio.WriteAtomic(path, func(f *os.File) error {
 		w := bufio.NewWriter(f)

@@ -13,14 +13,16 @@ import (
 // oracleGraph is the map-backed triple store kg.Graph used to be: a
 // membership map, a by-relation map, and per-relation side tables rebuilt
 // lazily behind a dirty flag or maintained incrementally once built. It is
-// kept here, unchanged but for its name, as the oracle every query of the
-// array-backed index is compared against.
+// kept here as the oracle every query of the array-backed index is compared
+// against, unchanged but for its name and its Delete: that swap-removed, and
+// now removes the triple in place, so the others keep their insertion order
+// as they would in a graph rebuilt without it.
 type oracleGraph struct {
 	Entities  *kg.Dict
 	Relations *kg.Dict
 
 	triples []kg.Triple
-	set     map[kg.Triple]tripleLoc
+	set     map[kg.Triple]bool
 
 	byRelation map[kg.RelationID][]kg.Triple
 
@@ -43,25 +45,20 @@ type srKey struct {
 	r kg.RelationID
 }
 
-type tripleLoc struct {
-	pos    int
-	relPos int
-}
-
 func newOracle(entities, relations *kg.Dict) *oracleGraph {
 	return &oracleGraph{
 		Entities:   entities,
 		Relations:  relations,
-		set:        make(map[kg.Triple]tripleLoc),
+		set:        make(map[kg.Triple]bool),
 		byRelation: make(map[kg.RelationID][]kg.Triple),
 	}
 }
 
 func (g *oracleGraph) Add(t kg.Triple) bool {
-	if _, ok := g.set[t]; ok {
+	if g.set[t] {
 		return false
 	}
-	g.set[t] = tripleLoc{pos: len(g.triples), relPos: len(g.byRelation[t.R])}
+	g.set[t] = true
 	g.triples = append(g.triples, t)
 	g.byRelation[t.R] = append(g.byRelation[t.R], t)
 	g.bump(&g.subjectCount, t.S)
@@ -75,33 +72,13 @@ func (g *oracleGraph) Add(t kg.Triple) bool {
 }
 
 func (g *oracleGraph) Delete(t kg.Triple) bool {
-	loc, ok := g.set[t]
-	if !ok {
+	if !g.set[t] {
 		return false
 	}
 	delete(g.set, t)
-	if last := len(g.triples) - 1; loc.pos != last {
-		moved := g.triples[last]
-		g.triples[loc.pos] = moved
-		ml := g.set[moved]
-		ml.pos = loc.pos
-		g.set[moved] = ml
-		g.triples = g.triples[:last]
-	} else {
-		g.triples = g.triples[:last]
-	}
-	rel := g.byRelation[t.R]
-	if last := len(rel) - 1; loc.relPos != last {
-		moved := rel[last]
-		rel[loc.relPos] = moved
-		ml := g.set[moved]
-		ml.relPos = loc.relPos
-		g.set[moved] = ml
-		rel = rel[:last]
-	} else {
-		rel = rel[:last]
-	}
-	if len(rel) == 0 {
+	is := func(x kg.Triple) bool { return x == t }
+	g.triples = slices.DeleteFunc(g.triples, is)
+	if rel := slices.DeleteFunc(g.byRelation[t.R], is); len(rel) == 0 {
 		delete(g.byRelation, t.R)
 	} else {
 		g.byRelation[t.R] = rel
@@ -205,10 +182,7 @@ func (g *oracleGraph) AddNamed(s, r, o string) kg.Triple {
 	return t
 }
 
-func (g *oracleGraph) Contains(t kg.Triple) bool {
-	_, ok := g.set[t]
-	return ok
-}
+func (g *oracleGraph) Contains(t kg.Triple) bool { return g.set[t] }
 
 func (g *oracleGraph) Len() int { return len(g.triples) }
 

@@ -1,10 +1,11 @@
 package train
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/kg"
 	"repro/internal/kge"
@@ -26,31 +27,22 @@ type kvsContext struct {
 	objects []int32 // entity IDs, ascending: the multi-hot target BCEFusedGrad reads
 }
 
-// buildKvsContexts groups the training triples by (s, r). The result is
-// sorted by (s, r) — and each context's object list by object ID — so batch
-// composition depends only on Config.Seed, never on the grouping map's
-// iteration order.
+// buildKvsContexts reads the training contexts off the graph's index, one
+// per (s, r) row. The result is sorted by (s, r) — and each context's object
+// list by object ID — so batch composition depends only on Config.Seed.
 func buildKvsContexts(g *kg.Graph) []kvsContext {
-	type key struct {
-		s kg.EntityID
-		r kg.RelationID
-	}
-	grouped := make(map[key][]int32)
-	for _, t := range g.Triples() {
-		k := key{t.S, t.R}
-		grouped[k] = append(grouped[k], int32(t.O))
-	}
-	out := make([]kvsContext, 0, len(grouped))
-	for k, objs := range grouped {
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		out = append(out, kvsContext{s: k.s, r: k.r, objects: objs})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].s != out[j].s {
-			return out[i].s < out[j].s
+	var out []kvsContext
+	for _, r := range g.RelationIDs() {
+		subs, rows, objs := g.Pairs(r)
+		for i, s := range subs {
+			c := kvsContext{s: s, r: r, objects: make([]int32, rows[i+1]-rows[i])}
+			for k, o := range objs[rows[i]:rows[i+1]] {
+				c.objects[k] = int32(o)
+			}
+			out = append(out, c)
 		}
-		return out[i].r < out[j].r
-	})
+	}
+	slices.SortFunc(out, func(a, b kvsContext) int { return cmp.Or(cmp.Compare(a.s, b.s), cmp.Compare(a.r, b.r)) })
 	return out
 }
 

@@ -140,8 +140,7 @@ func Run(ctx context.Context, model kge.Model, ds *kg.Dataset, cfg Config) (Hist
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	triples := make([]kg.Triple, ds.Train.Len())
-	copy(triples, ds.Train.Triples())
+	triples := ds.Train.Triples()
 
 	sampler := &NegativeSampler{NumEntities: model.NumEntities()}
 
