@@ -42,46 +42,36 @@ type Undirected struct {
 // 2³⁰ triples.
 func BuildUndirected(g *kg.Graph) *Undirected {
 	n := g.NumEntities()
-	// Row lengths, parallel edges included, then their running sum.
+	// Size row v by g.Degree(v), which counts a self-loop once per side.
+	// Self-loops are not written, so row v ends at end[v], before row v+1.
 	off := make([]int32, n+1)
-	for r := range g.NumRelations() {
-		subs, rows, objs := g.Pairs(kg.RelationID(r))
-		for i, s := range subs {
-			for _, o := range objs[rows[i]:rows[i+1]] {
-				if s != o {
-					off[s+1]++
-					off[o+1]++
-				}
-			}
-		}
-	}
 	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
+		off[v+1] = off[v] + int32(g.Degree(kg.EntityID(v)))
 	}
-	// Scatter both directions of every triple into rows, relation by
-	// relation in the index's (S, O) order.
-	cur := slices.Clone(off[:n])
+	// Scatter both directions of every triple into the rows.
+	end := slices.Clone(off[:n])
 	raw := make([]kg.EntityID, off[n])
-	for r := range g.NumRelations() {
-		subs, rows, objs := g.Pairs(kg.RelationID(r))
+	for _, r := range g.RelationIDs() {
+		subs, rows, objs := g.Pairs(r)
 		for i, s := range subs {
 			for _, o := range objs[rows[i]:rows[i+1]] {
 				if s != o {
-					raw[cur[s]] = o
-					cur[s]++
-					raw[cur[o]] = s
-					cur[o]++
+					raw[end[s]] = o
+					end[s]++
+					raw[end[o]] = s
+					end[o]++
 				}
 			}
 		}
 	}
 	// Transpose: the entries are symmetric, so writing v into the row of
 	// each of its neighbours, for v in increasing order, reproduces every
-	// row at its old length and in increasing order without sorting.
-	copy(cur, off)
+	// row at its old length (ending at end[v] again) and in increasing
+	// order without sorting.
+	cur := slices.Clone(off[:n])
 	nb := make([]kg.EntityID, len(raw))
 	for v := 0; v < n; v++ {
-		for _, w := range raw[off[v]:off[v+1]] {
+		for _, w := range raw[off[v]:end[v]] {
 			nb[cur[w]] = kg.EntityID(v)
 			cur[w]++
 		}
@@ -90,7 +80,7 @@ func BuildUndirected(g *kg.Graph) *Undirected {
 	// the gaps; the write position never passes the read position.
 	w := int32(0)
 	for v := 0; v < n; v++ {
-		row := nb[off[v]:off[v+1]]
+		row := nb[off[v]:end[v]]
 		off[v] = w
 		for i, x := range row {
 			if i == 0 || x != nb[w-1] {
