@@ -76,9 +76,11 @@ func (g *oracleGraph) Delete(t kg.Triple) bool {
 		return false
 	}
 	delete(g.set, t)
-	is := func(x kg.Triple) bool { return x == t }
-	g.triples = slices.DeleteFunc(g.triples, is)
-	if rel := slices.DeleteFunc(g.byRelation[t.R], is); len(rel) == 0 {
+	i := slices.Index(g.triples, t)
+	g.triples = slices.Delete(g.triples, i, i+1)
+	rel := g.byRelation[t.R]
+	i = slices.Index(rel, t)
+	if rel = slices.Delete(rel, i, i+1); len(rel) == 0 {
 		delete(g.byRelation, t.R)
 	} else {
 		g.byRelation[t.R] = rel
@@ -387,8 +389,9 @@ func checkAgainstOracle(t *testing.T, step string, g *kg.Graph, o *oracleGraph, 
 // step. A step is a run of adds (fresh, duplicate and self-loop triples),
 // deletes of present and absent triples, AddNamed with new and known names,
 // or one AddAll of a batch that repeats itself and the graph, against the
-// oracle's loop of Add; every few steps both sides are replaced by a Clone
-// or by a Merge with a random graph.
+// oracle's loop of Add (one such batch in three also holds every triple of
+// the graph, so it is larger than the graph); every few steps both sides are
+// replaced by a Clone or by a Merge with a random graph.
 func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed int64, every bool) {
 	rng := rand.New(rand.NewSource(seed))
 	o := newOracle(g.Entities, g.Relations)
@@ -447,6 +450,11 @@ func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed i
 		case kind == 7:
 			name = "addall"
 			var batch []kg.Triple
+			if rng.Intn(3) == 0 {
+				// A batch larger than the graph: every triple of it beside
+				// the fresh triples and repeats below, shuffled together.
+				name, batch = "addall-large", slices.Clone(o.Triples())
+			}
 			for i := 0; i < opsPerStep; i++ {
 				tr := randTriple()
 				switch rng.Intn(5) {
@@ -465,6 +473,7 @@ func driveAgainstOracle(t *testing.T, g *kg.Graph, steps, opsPerStep int, seed i
 				}
 				batch = append(batch, tr)
 			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 			want := 0
 			for _, tr := range batch {
 				if o.Add(tr) {
