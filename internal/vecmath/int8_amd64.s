@@ -17,6 +17,7 @@ TEXT ·dotI8x16(SB), NOSPLIT, $0-52
 	SHRQ $4, CX
 	JZ   sum
 
+	PCALIGN $64
 loop:
 	MOVOU     (SI), X1
 	MOVOU     (DI), X2

@@ -34,6 +34,7 @@ TEXT ·dotBlocks4x4(SB), NOSPLIT, $0-80
 	CMPQ SI, R9
 	JAE  done
 
+	PCALIGN $64
 block:
 	XORPS X0, X0
 	XORPS X1, X1
@@ -49,6 +50,7 @@ block:
 	TESTQ CX, CX
 	JZ    odd
 
+	PCALIGN $64
 pair:
 	MOVUPS (R12), X8             // column j of the four queries
 	MOVUPS 16(R12), X9           // column j+1
@@ -172,6 +174,7 @@ TEXT ·l1Rows4(SB), NOSPLIT, $0-80
 	CMPQ    SI, R9
 	JAE     done
 
+	PCALIGN $64
 row:
 	XORPS X0, X0
 	XORPS X1, X1
@@ -183,6 +186,7 @@ row:
 	TESTQ CX, CX
 	JZ    tail
 
+	PCALIGN $64
 quad:
 	MOVUPS (AX), X8              // row columns j..j+3
 	PSHUFL $0x00, X8, X9
@@ -215,6 +219,7 @@ tail:
 	TESTQ CX, CX
 	JZ    sum
 
+	PCALIGN $64
 tailcol:
 	MOVSS  (AX), X9
 	SHUFPS $0x00, X9, X9
@@ -279,6 +284,7 @@ TEXT ·dotRows4(SB), NOSPLIT, $0-88
 	TESTQ R9, R9
 	JZ   done
 
+	PCALIGN $64
 block:
 	XORPS X0, X0                 // rows 0 and 1: even, odd, even, odd
 	XORPS X1, X1                 // rows 2 and 3
@@ -288,6 +294,7 @@ block:
 	TESTQ CX, CX
 	JZ    odd
 
+	PCALIGN $64
 pair:
 	MOVQ   (AX), X4              // row 0, columns j, j+1
 	MOVHPS (AX)(BX*1), X4        // row 1
@@ -365,6 +372,7 @@ TEXT ·l1Rows(SB), NOSPLIT, $0-72
 	TESTQ   R9, R9
 	JZ      done
 
+	PCALIGN $64
 row:
 	XORPS X0, X0
 	MOVQ  SI, AX
@@ -373,6 +381,7 @@ row:
 	TESTQ CX, CX
 	JZ    tail
 
+	PCALIGN $64
 quad:
 	MOVUPS (R12), X4             // x, columns j..j+3
 	MOVUPS (AX), X5              // e
@@ -389,6 +398,7 @@ tail:
 	TESTQ CX, CX
 	JZ    sum
 
+	PCALIGN $64
 tailcol:
 	MOVSS (R12), X4
 	SUBSS (AX), X4
@@ -432,6 +442,7 @@ TEXT ·axpy(SB), NOSPLIT, $0-56
 	SHRQ   $3, DX               // DX: groups of eight
 	JZ     four
 
+	PCALIGN $64
 eight:
 	MOVUPS (SI), X1
 	MOVUPS 16(SI), X2
@@ -463,6 +474,7 @@ tail:
 	ANDQ   $3, CX
 	JZ     done
 
+	PCALIGN $64
 one:
 	MOVSS  (SI), X1
 	MULSS  X0, X1
@@ -502,6 +514,7 @@ TEXT ·bucketKeys(SB), NOSPLIT, $0-60
 	SHRQ      $3, DX            // DX: groups of eight
 	JZ        four
 
+	PCALIGN $64
 eight:
 	MOVUPS    (SI), X0
 	MOVUPS    16(SI), X1
@@ -543,6 +556,7 @@ tail:
 	ANDQ      $3, CX
 	JZ        done
 
+	PCALIGN $64
 one:
 	MOVSS     (SI), X0
 	SUBSS     X8, X0

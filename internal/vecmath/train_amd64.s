@@ -29,6 +29,7 @@ TEXT ·dot4(SB), NOSPLIT, $0-40
 	SHRQ  $2, DX                 // DX: column quads
 	JZ    tail
 
+	PCALIGN $64
 quad:
 	MOVUPS (SI)(AX*1), X4        // x, columns j..j+3
 	MOVUPS (R9)(AX*1), X5
@@ -51,6 +52,7 @@ tail:
 	ANDQ $3, CX
 	JZ   sum
 
+	PCALIGN $64
 one:
 	MOVSS (SI)(AX*1), X4
 	MOVSS (R9)(AX*1), X5
@@ -125,6 +127,7 @@ TEXT ·adamRow(SB), NOSPLIT, $0-112
 	TESTQ  R8, R8
 	JZ     done
 
+	PCALIGN $64
 block:
 	MOVUPS   (SI)(BX*1), X0      // g
 	MOVUPS   (R9)(BX*1), X1
@@ -216,9 +219,11 @@ TEXT ·conv3x3(SB), NOSPLIT, $0-120
 	CMPQ   DI, R9
 	JAE    done
 
+	PCALIGN $64
 row:
 	XORQ CX, CX                  // CX: column j
 
+	PCALIGN $64
 col:
 	CMPQ CX, R12
 	JLE  block
@@ -301,6 +306,7 @@ TEXT ·axpyGather(SB), NOSPLIT, $0-104
 	SHLQ  $2, R14                // R14: one q row in bytes
 	XORQ  DX, DX                 // DX: the block's byte offset in a row
 
+	PCALIGN $64
 block:
 	MOVUPS (DI), X0
 	MOVUPS 16(DI), X1
@@ -308,6 +314,7 @@ block:
 	MOVUPS 48(DI), X3
 	XORQ   CX, CX                // CX: context k
 
+	PCALIGN $64
 ctx:
 	MOVSS  (R9)(CX*4), X8
 	SHUFPS $0x00, X8, X8         // g[k]
@@ -366,6 +373,7 @@ TEXT ·axpyScatter(SB), NOSPLIT, $0-104
 	SHLQ  $2, R14                // R14: one dq row in bytes
 	XORQ  DX, DX                 // DX: the block's byte offset in a row
 
+	PCALIGN $64
 block:
 	MOVUPS (SI), X4
 	MOVUPS 16(SI), X5
@@ -373,6 +381,7 @@ block:
 	MOVUPS 48(SI), X7
 	XORQ   CX, CX                // CX: context k
 
+	PCALIGN $64
 ctx:
 	MOVSS  (R9)(CX*4), X8
 	SHUFPS $0x00, X8, X8         // g[k]
@@ -423,6 +432,7 @@ TEXT ·sumInto(SB), NOSPLIT, $0-32
 	TESTQ CX, CX
 	JZ    done
 
+	PCALIGN $64
 next:
 	ADDSS (SI), X0
 	ADDQ  $4, SI

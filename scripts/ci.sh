@@ -8,8 +8,8 @@
 # gate (every main package is a command under cmd/ with a main_test.go),
 # race-checked tests, the benchmark module and its smoke, a serving-layer race gate, the
 # decoder / log-framing / projection / counting-pass / sweep-kernel /
-# checkpoint-loader fuzz smokes, the vecmath bounds-check budget, the
-# five line budgets and the flag budget, then
+# checkpoint-loader fuzz smokes, the vecmath bounds-check budget and loop
+# alignment, the five line budgets and the flag budget, then
 # the end-to-end gates on real binaries: training determinism, WAL
 # compatibility, live mutation, kgserve smoke, crash-resume, fleet fault
 # tolerance, gob-to-flat conversion of a pinned gob checkpoint (which every
@@ -159,6 +159,31 @@ if [ "$bce_found" -lt 1 ] || [ "$bce_found" -gt "$bce_budget" ]; then
 fi
 echo "vecmath.go: $bce_found index checks (budget $bce_budget)"
 
+echo "== vecmath loop alignment =="
+# Every loop of the three SSE2 files starts on a 64-byte boundary: a PCALIGN
+# $64 stands before each label a backward branch of its TEXT block targets.
+# Without it an edit anywhere earlier in the package moves every later
+# kernel's loops across fetch boundaries, and a benchmark verdict on an
+# unrelated change swings with the layout (seen at +6 % wall on
+# sweep_pruned, which ran none of the edited code).
+loops="$(awk '
+  FNR == 1 || /^TEXT/ { delete def; delete aligned }
+  /^[A-Za-z_][A-Za-z0-9_]*:/ {
+    lab = $1; sub(/:.*/, "", lab)
+    def[lab] = FNR; aligned[lab] = (prev ~ /^[ \t]*PCALIGN[ \t]+[$]64/)
+  }
+  /^[ \t]+J[A-Z]+[ \t]+[A-Za-z_]/ && ($2 in def) {
+    print (aligned[$2] ? "aligned " : "UNALIGNED ") FILENAME ":" FNR ": " $1 " " $2
+  }
+  NF { prev = $0 }
+' internal/vecmath/*_amd64.s)"
+if [ -z "$loops" ] || grep -q '^UNALIGNED' <<<"$loops"; then
+  echo "loop alignment FAILED: backward branches to a label without PCALIGN \$64 before it (or none found):" >&2
+  grep '^UNALIGNED' <<<"$loops" >&2 || true
+  exit 1
+fi
+echo "internal/vecmath/*_amd64.s: $(wc -l <<<"$loops") backward branches, every target after a PCALIGN \$64"
+
 echo "== line budgets =="
 # ROADMAP's "small" is counted in non-test lines, so growth is a reviewed edit
 # of a number here, not drift. Lower a budget whenever its count falls.
@@ -241,11 +266,14 @@ hold_lines 'internal/{kge,eval,train,core}' 5294 \
 hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal,wire}' 5202 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal internal/wire
 # The triple store: one eager, array-backed index per relation, the count
-# once Dict.SortedNames and LoadTSVFile, which only tests called, went (961
+# once each index entry carried its triple's sequence number in place of the
+# two positional triple copies and their locations, and AddAll built the
+# index in one counting sort (936 once Dict.SortedNames and LoadTSVFile,
+# which only tests called, went; 961
 # once kg.Split always kept valid and test vocabulary in train and
 # SplitOptions.NoUnseen went; 965 once the membership map, the lazily
 # rebuilt side tables and BuildIndexes went; 980 before).
-hold_lines 'internal/kg' 936 internal/kg
+hold_lines 'internal/kg' 933 internal/kg
 # The graph statistics every node-statistic strategy reads: the count once
 # SquareClustering computed c4 in closed form from one walk of the
 # neighbours' rows, in place of NetworkX's neighbour-pair loop (560 before).
