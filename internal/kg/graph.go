@@ -258,15 +258,23 @@ func (g *Graph) NumRelations() int { return g.Relations.Len() }
 
 // Triples returns the triples in insertion order, in a new slice. Readers to
 // whom the order does not matter walk Pairs instead.
-func (g *Graph) Triples() []Triple {
+func (g *Graph) Triples() []Triple { return g.triples(0, len(g.rels)) }
+
+// RelationTriples returns the triples with relation r in insertion order, in
+// a new slice. It costs O(Len).
+func (g *Graph) RelationTriples(r RelationID) []Triple {
+	return g.triples(max(int(r), 0), min(int(r)+1, len(g.rels)))
+}
+
+// triples returns the triples of relations lo to hi-1 in sequence order: each
+// is placed at its number, and the slots of gaps and other relations go.
+func (g *Graph) triples(lo, hi int) []Triple {
 	out := make([]Triple, g.next)
-	holes := g.n < len(out)
-	if holes {
-		for q := range out {
-			out[q].R = -1
-		}
+	holes := g.n < len(out) || hi-lo < len(g.rels)
+	for q := 0; holes && q < len(out); q++ {
+		out[q].R = -1
 	}
-	for r := range g.rels {
+	for r := lo; r < hi; r++ {
 		x := &g.rels[r]
 		for i, s := range x.subs {
 			for j := x.off[i]; j < x.off[i+1]; j++ {
@@ -274,16 +282,7 @@ func (g *Graph) Triples() []Triple {
 			}
 		}
 	}
-	if holes {
-		out = slices.DeleteFunc(out, func(t Triple) bool { return t.R < 0 })
-	}
-	return out
-}
-
-// RelationTriples returns the triples with relation r in insertion order, in
-// a new slice.
-func (g *Graph) RelationTriples(r RelationID) []Triple {
-	return slices.DeleteFunc(g.Triples(), func(t Triple) bool { return t.R != r })
+	return slices.DeleteFunc(out, func(t Triple) bool { return t.R < 0 })
 }
 
 // RelationLen returns how many triples have relation r.

@@ -284,15 +284,13 @@ func (s *State) DirtyRelations(strategy string, batches ...Applied) []kg.Relatio
 	var nowStat, beforeStat []float64
 	if !st.RelationLocal() {
 		before = s.Graph.Clone()
-		var removed []kg.Triple
 		for _, t := range changed {
 			if s.Graph.Contains(t) {
 				before.Delete(t)
 			} else {
-				removed = append(removed, t)
+				before.Add(t)
 			}
 		}
-		before.AddAll(removed)
 		nowStat, beforeStat = st.Statistic(s.Graph), st.Statistic(before)
 	}
 	out := make([]kg.RelationID, 0, len(changed))
