@@ -9,11 +9,10 @@ import (
 // counts, and per relation one sorted index that answers membership, the
 // relation's triples, its unique subjects and objects with their counts
 // (Algorithm 1 line 7's pools) and the objects of each (subject, relation)
-// pair (filtered ranking). Every index entry carries the sequence number its
-// triple was added with, so the triples read back in insertion order, and a
-// graph that had a triple deleted reads as the graph built without it. The
-// index is built eagerly and kept exact by every mutation, so queries only
-// read and are safe for concurrent use; mutation (Add, AddAll, Delete) is not.
+// pair (filtered ranking). Each entry carries its triple's insertion sequence
+// number: a graph that had triples deleted reads as the graph built without
+// them. The index is kept exact by every mutation, so queries only read and
+// are safe for concurrent use; mutation (Add, AddAll, Delete) is not.
 type Graph struct {
 	Entities  *Dict
 	Relations *Dict
@@ -28,8 +27,7 @@ type Graph struct {
 
 // relIndex is one relation's index. Its (subject, object) pairs form a CSR:
 // subs are the unique subjects in ascending order, and row i's objects are
-// objs[off[i]:off[i+1]], ascending. seq[j] is the sequence number of the
-// triple of objs[j].
+// objs[off[i]:off[i+1]], ascending, seq[j] numbering the triple of objs[j].
 type relIndex struct {
 	subs []EntityID
 	off  []int32 // len(subs)+1 row offsets
@@ -123,12 +121,11 @@ func (g *Graph) count(t Triple) {
 }
 
 // AddAll adds the triples of ts that are not yet present, exactly as a loop
-// of Add would: in ts's order, keeping the first of any repeats. It reports
-// how many it added. It rebuilds the whole index from Triples followed by ts
-// in one stable counting sort on (O, S, R): equal triples end up adjacent,
-// the graph's own first, and the first of each run is kept. So it costs a few
-// linear passes over Len + len(ts) triples, with no comparison sort and no
-// lookup per triple; add a few triples to a large graph with Add.
+// of Add would: in ts's order, keeping the first of any repeats, and reports
+// how many it added. It rebuilds the whole index from Triples and then ts by
+// one stable counting sort on (O, S, R), keeping the first of each run of
+// equal triples: a few linear passes over Len + len(ts) triples, with no
+// comparison sort and no lookup per triple. Add a few triples with Add.
 func (g *Graph) AddAll(ts []Triple) int {
 	all := append(g.Triples(), ts...)
 	ids, keyO, keyS, keyR := make([]int32, len(all)), make([]int32, len(all)), make([]int32, len(all)), make([]int32, len(all))
@@ -144,17 +141,16 @@ func (g *Graph) AddAll(ts []Triple) int {
 		keep[i] = k == 0 || all[order[k-1]] != all[i]
 	}
 	// Sequence numbers restart at 0, closing the gaps Delete left.
-	old, seq := g.n, make([]int32, len(all))
-	g.next = 0
+	old, seq, q := g.n, make([]int32, len(all)), int32(0)
 	for i, t := range all {
 		if keep[i] {
-			seq[i], g.next = g.next, g.next+1
+			seq[i], q = q, q+1
 			if i >= old {
 				g.count(t)
 			}
 		}
 	}
-	g.n, g.rels = int(g.next), nil
+	g.n, g.next, g.rels = int(q), q, nil
 	for _, i := range order {
 		if t := all[i]; keep[i] {
 			x := g.index(t.R)
@@ -256,25 +252,15 @@ func (g *Graph) NumEntities() int { return g.Entities.Len() }
 // NumRelations returns K = |R|.
 func (g *Graph) NumRelations() int { return g.Relations.Len() }
 
-// Triples returns the triples in insertion order, in a new slice. Readers to
-// whom the order does not matter walk Pairs instead.
-func (g *Graph) Triples() []Triple { return g.triples(0, len(g.rels)) }
-
-// RelationTriples returns the triples with relation r in insertion order, in
-// a new slice. It costs O(Len).
-func (g *Graph) RelationTriples(r RelationID) []Triple {
-	return g.triples(max(int(r), 0), min(int(r)+1, len(g.rels)))
-}
-
-// triples returns the triples of relations lo to hi-1 in sequence order: each
-// is placed at its number, and the slots of gaps and other relations go.
-func (g *Graph) triples(lo, hi int) []Triple {
+// Triples returns the triples in insertion order, in a new slice: each is
+// placed at its sequence number, and the slots of Delete's gaps are squeezed
+// out. Readers to whom the order does not matter walk Pairs instead.
+func (g *Graph) Triples() []Triple {
 	out := make([]Triple, g.next)
-	holes := g.n < len(out) || hi-lo < len(g.rels)
-	for q := 0; holes && q < len(out); q++ {
+	for q := 0; g.n < len(out) && q < len(out); q++ {
 		out[q].R = -1
 	}
-	for r := lo; r < hi; r++ {
+	for r := range g.rels {
 		x := &g.rels[r]
 		for i, s := range x.subs {
 			for j := x.off[i]; j < x.off[i+1]; j++ {
@@ -285,12 +271,29 @@ func (g *Graph) triples(lo, hi int) []Triple {
 	return slices.DeleteFunc(out, func(t Triple) bool { return t.R < 0 })
 }
 
+// RelationTriples returns the triples with relation r in insertion order, in
+// a new slice.
+func (g *Graph) RelationTriples(r RelationID) []Triple {
+	x := g.lookup(r)
+	keys := make([]uint64, len(x.objs)) // sequence number, then entry
+	for j, q := range x.seq {
+		keys[j] = uint64(q)<<32 | uint64(j)
+	}
+	slices.Sort(keys)
+	out := make([]Triple, len(keys))
+	for k, key := range keys {
+		j := int32(uint32(key))
+		i, _ := slices.BinarySearch(x.off, j+1) // entry j is in row i-1
+		out[k] = Triple{S: x.subs[i-1], R: r, O: x.objs[j]}
+	}
+	return out
+}
+
 // RelationLen returns how many triples have relation r.
 func (g *Graph) RelationLen(r RelationID) int { return len(g.lookup(r).objs) }
 
-// Pairs returns relation r's (subject, object) pairs in (S, O) order: subs
-// are its unique subjects, ascending, and the objects of subs[i] are
-// objs[off[i]:off[i+1]], ascending. The caller must not modify the slices.
+// Pairs returns relation r's CSR: its unique subjects, ascending, and the
+// objects of subs[i], ascending, at objs[off[i]:off[i+1]]. Do not modify them.
 func (g *Graph) Pairs(r RelationID) (subs []EntityID, off []int32, objs []EntityID) {
 	x := g.lookup(r)
 	return x.subs, x.off, x.objs
