@@ -77,8 +77,7 @@ func (x *relIndex) row(s EntityID) (i int, objs []EntityID, ok bool) {
 	return i, x.objs[x.off[i]:x.off[i+1]:x.off[i+1]], true
 }
 
-// find returns the row of s and the entry of (s, o) in objs, or where they
-// would go.
+// find returns the row of s and the entry of (s, o) in objs, or where they go.
 func (x *relIndex) find(s, o EntityID) (i, j int, ok bool) {
 	i, row, ok := x.row(s)
 	k, ok := slices.BinarySearch(row, o)
@@ -111,7 +110,6 @@ func (g *Graph) Add(t Triple) bool {
 	return true
 }
 
-// count adds t to the per-entity counts.
 func (g *Graph) count(t Triple) {
 	for int(max(t.S, t.O)) >= len(g.subjectCount) {
 		g.subjectCount, g.objectCount = append(g.subjectCount, 0), append(g.objectCount, 0)
@@ -174,8 +172,7 @@ func (g *Graph) AddAll(ts []Triple) int {
 	return g.n - old
 }
 
-// sortBy returns src, indices into key, reordered stably by their keys,
-// which lie in [0, n).
+// sortBy returns src, indices into key, stably reordered by key (in [0, n)).
 func sortBy(src, key []int32, n int) []int32 {
 	at := make([]int32, n+1)
 	for _, i := range src {
@@ -192,9 +189,8 @@ func sortBy(src, key []int32, n int) []int32 {
 	return dst
 }
 
-// Delete removes t if present and reports whether it was removed. It leaves a
-// gap in the sequence numbers; once the gaps outnumber the triples, AddAll
-// closes them, so that Triples stays O(Len).
+// Delete removes t if present and reports whether it was removed. Once the
+// gaps it leaves in the sequence numbers outnumber the triples, AddAll closes them.
 func (g *Graph) Delete(t Triple) bool {
 	x := g.lookup(t.R)
 	i, j, ok := x.find(t.S, t.O)
@@ -252,9 +248,8 @@ func (g *Graph) NumEntities() int { return g.Entities.Len() }
 // NumRelations returns K = |R|.
 func (g *Graph) NumRelations() int { return g.Relations.Len() }
 
-// Triples returns the triples in insertion order, in a new slice: each is
-// placed at its sequence number, and the slots of Delete's gaps are squeezed
-// out. Readers to whom the order does not matter walk Pairs instead.
+// Triples returns the triples in insertion order, in a new slice. Readers to
+// whom the order does not matter walk Pairs instead.
 func (g *Graph) Triples() []Triple {
 	out := make([]Triple, g.next)
 	for q := 0; g.n < len(out) && q < len(out); q++ {
@@ -272,19 +267,24 @@ func (g *Graph) Triples() []Triple {
 }
 
 // RelationTriples returns the triples with relation r in insertion order, in
-// a new slice.
+// a new slice: its entries radix-sorted by sequence number, 11 bits a pass.
 func (g *Graph) RelationTriples(r RelationID) []Triple {
 	x := g.lookup(r)
-	keys := make([]uint64, len(x.objs)) // sequence number, then entry
-	for j, q := range x.seq {
-		keys[j] = uint64(q)<<32 | uint64(j)
+	ts, ids, digit := make([]Triple, 0, len(x.objs)), make([]int32, len(x.objs)), make([]int32, len(x.objs))
+	for i, s := range x.subs {
+		for j := x.off[i]; j < x.off[i+1]; j++ {
+			ts, ids[j] = append(ts, Triple{S: s, R: r, O: x.objs[j]}), j
+		}
 	}
-	slices.Sort(keys)
-	out := make([]Triple, len(keys))
-	for k, key := range keys {
-		j := int32(uint32(key))
-		i, _ := slices.BinarySearch(x.off, j+1) // entry j is in row i-1
-		out[k] = Triple{S: x.subs[i-1], R: r, O: x.objs[j]}
+	for shift := 0; g.next>>shift > 0; shift += 11 {
+		for j, q := range x.seq {
+			digit[j] = q >> shift & 2047
+		}
+		ids = sortBy(ids, digit, 2048)
+	}
+	out := make([]Triple, len(ts))
+	for k, j := range ids {
+		out[k] = ts[j]
 	}
 	return out
 }
