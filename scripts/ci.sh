@@ -198,9 +198,11 @@ hold_lines() {
   echo "$label: $found non-test lines (budget $budget)"
 }
 # The four packages every sweep and every training step runs through: the
-# count once a KvsAll chunk kept its entity rows in product form (its
+# count once KvsAll read its contexts off the graph's index rows and
+# exhaustive discovery counted a relation with RelationLen (5 294 once a
+# KvsAll chunk kept its entity rows in product form (its
 # upstream and query rows), the merge built them and resolved each buffer's
-# table once per step; 5 235 once triple
+# table once per step); 5 235 once triple
 # classification (eval/classify.go), Bernoulli negative
 # sampling and eval's second Pearson correlation went (5 468 once
 # eval.MRROfRanks went (core.Result.MRR reads eval.Aggregate),
@@ -231,11 +233,12 @@ hold_lines() {
 # queries; 5 877 with Evaluate's subject side ranked by eval's one
 # scheduler; 5 879 with TransE's L1 sweep in vecmath; 5 884 with one ranking
 # scheduler, in eval; 5 978 with core.rankAll beside eval.Evaluate's pool).
-hold_lines 'internal/{kge,eval,train,core}' 5294 \
+hold_lines 'internal/{kge,eval,train,core}' 5290 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, the
 # two that put bytes on disk for them, and the HTTP edge they share: the
-# count once internal/wire held the one body decoder, reply writers, JSON
+# count once the dirty set reverted its batches with Add; 5 202 once
+# internal/wire held the one body decoder, reply writers, JSON
 # client and Prometheus writer that kgserve, the fleet and kgdiscover -fleet
 # each kept a copy of (5 204 without internal/wire, once jobs.Open became the
 # one journal step of jobs.Run and the fleet coordinator, kgserve answered
@@ -263,7 +266,7 @@ hold_lines 'internal/{kge,eval,train,core}' 5294 \
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
 # internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal,wire}' 5202 \
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal,wire}' 5200 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal internal/wire
 # The triple store: one eager, array-backed index per relation, the count
 # once each index entry carried its triple's sequence number in place of the
