@@ -130,10 +130,10 @@ type workerState struct {
 }
 
 // Coordinator shards sweeps across workers and splices their results. All
-// mutable state sits behind one mutex: the request rates involved (unit
-// leases and completions, not per-candidate work) make contention a
-// non-issue, and the lease/reassignment state machine stays obviously
-// race-free.
+// mutable state but the metric counters sits behind one mutex: the request
+// rates involved (unit leases and completions, not per-candidate work) make
+// contention a non-issue, and the lease/reassignment state machine stays
+// obviously race-free.
 type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
@@ -143,15 +143,10 @@ type Coordinator struct {
 	order   []string // sweep IDs in submission order, for deterministic lease scans
 	workers map[string]*workerState
 
-	// Monotonic counters, exposed on /metrics.
-	leasesTotal      uint64
-	reassignedTotal  uint64
-	duplicatesTotal  uint64
-	retriedTotal     uint64
-	mismatchedTotal  uint64
-	recordsTotal     uint64
-	sweepsSubmitted  uint64
-	completesUnknown uint64
+	// metrics is what /metrics serves; the counters are its handles.
+	metrics                                             wire.Registry
+	leases, reassigned, retried, duplicates, mismatched *wire.Counter
+	records, unknownCompletes, sweepsSubmitted          *wire.Counter
 }
 
 // New builds a Coordinator; Handler exposes its HTTP API.
@@ -161,6 +156,51 @@ func New(cfg Config) *Coordinator {
 		sweeps:  make(map[string]*sweep),
 		workers: make(map[string]*workerState),
 	}
+	// The gauges read the coordinator's state at each scrape.
+	r := &c.metrics
+	r.GaugeFunc("kgfleet_workers", "Workers heard from within three lease TTLs.", nil, func(emit func(any, ...string)) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		now, live := c.cfg.now(), 0
+		for _, ws := range c.workers {
+			if now.Sub(ws.lastSeen) <= 3*c.cfg.LeaseTTL {
+				live++
+			}
+		}
+		emit(live)
+	})
+	r.GaugeFunc("kgfleet_units", "Work units across all sweeps, by lease state.", []string{"state"}, func(emit func(any, ...string)) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		units := map[string]int{unitPending: 0, unitLeased: 0, unitDone: 0}
+		for _, sw := range c.sweeps {
+			for _, u := range sw.units {
+				units[u.state]++
+			}
+		}
+		for st, n := range units {
+			emit(n, st)
+		}
+	})
+	r.GaugeFunc("kgfleet_sweeps", "Sweeps hosted by this coordinator, by state.", []string{"state"}, func(emit func(any, ...string)) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		sweeps := map[string]int{sweepRunning: 0, sweepDone: 0, sweepFailed: 0}
+		for _, sw := range c.sweeps {
+			sweeps[sw.state]++
+		}
+		for st, n := range sweeps {
+			emit(n, st)
+		}
+	})
+	c.leases = r.Counter("kgfleet_leases_total", "Unit leases granted to workers.")
+	c.reassigned = r.Counter("kgfleet_reassignments_total", "Units returned to the pending queue after a lease expired without heartbeats.")
+	c.retried = r.Counter("kgfleet_unit_retries_total", "Units returned to the pending queue by an explicit worker failure report.")
+	c.duplicates = r.Counter("kgfleet_duplicate_records_total", "Relation records dropped because the relation was already complete (reassignment or duplicate delivery).")
+	c.mismatched = r.Counter("kgfleet_mismatched_records_total", "Relation records dropped because the relation does not belong to the sweep.")
+	c.records = r.Counter("kgfleet_records_total", "Relation records accepted, journaled, and spliced.")
+	c.unknownCompletes = r.Counter("kgfleet_unknown_completes_total", "Unit completions for sweeps this coordinator does not know (e.g. delivered across a restart).")
+	c.sweepsSubmitted = r.Counter("kgfleet_sweeps_submitted_total", "Sweeps ever submitted to this coordinator.")
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /register", wire.Handle(controlBodyLimit, c.handleRegister))
 	mux.HandleFunc("POST /lease", wire.Handle(controlBodyLimit, c.handleLease))
@@ -169,7 +209,7 @@ func New(cfg Config) *Coordinator {
 	mux.HandleFunc("POST /fail", wire.Handle(controlBodyLimit, c.handleFail))
 	mux.HandleFunc("POST /sweep", c.handleSweep)
 	mux.HandleFunc("GET /status", c.handleStatus)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.Handle("GET /metrics", &c.metrics)
 	mux.HandleFunc("GET /healthz", wire.Healthz)
 	c.mux = mux
 	return c
@@ -324,7 +364,7 @@ func (c *Coordinator) addSweep(req SweepRequest) (*sweep, error) {
 
 	c.sweeps[id] = sw
 	c.order = append(c.order, id)
-	c.sweepsSubmitted++
+	c.sweepsSubmitted.Inc()
 	c.cfg.Logf("fleet: sweep %s submitted: %d relations in %d units (resumed %d), fingerprint %.12s",
 		id, len(relations), len(sw.units), sw.resumed, fingerprint)
 	if len(sw.done) == len(sw.relations) {
@@ -362,7 +402,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 				u.state = unitPending
 				u.worker = ""
 				sw.reassigned++
-				c.reassignedTotal++
+				c.reassigned.Inc()
 			}
 		}
 	}
@@ -444,7 +484,7 @@ func (c *Coordinator) leaseUnitLocked(sw *sweep, worker string, now time.Time) *
 		u.worker = worker
 		u.deadline = now.Add(c.cfg.LeaseTTL)
 		u.attempts++
-		c.leasesTotal++
+		c.leases.Inc()
 		return u
 	}
 	return nil
@@ -478,7 +518,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	ws := c.touchWorkerLocked(req.Worker, now)
 	sw, ok := c.sweeps[req.SweepID]
 	if !ok || sw.state != sweepRunning {
-		c.completesUnknown++
+		c.unknownCompletes.Inc()
 		wire.WriteJSON(w, http.StatusOK, CompleteResponse{Status: StatusUnknown})
 		return
 	}
@@ -487,7 +527,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	for _, rec := range req.Records {
 		switch {
 		case !sw.relSet[rec.Relation]:
-			c.mismatchedTotal++
+			c.mismatched.Inc()
 		case sw.done[rec.Relation]:
 			dups++
 		default:
@@ -504,8 +544,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sw.duplicates += dups
-	c.duplicatesTotal += uint64(dups)
-	c.recordsTotal += uint64(accepted)
+	c.duplicates.Add(uint64(dups))
+	c.records.Add(uint64(accepted))
 	if accepted > 0 {
 		sw.doneBy[ws.name] = true
 	}
@@ -552,7 +592,7 @@ func (c *Coordinator) handleFail(req FailRequest) FailResponse {
 			u.state = unitPending
 			u.worker = ""
 			sw.retriedUnits++
-			c.retriedTotal++
+			c.retried.Inc()
 		}
 	}
 	return FailResponse{Status: StatusOK}

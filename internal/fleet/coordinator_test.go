@@ -119,8 +119,8 @@ func TestLeaseExpiryReassignmentAndDedup(t *testing.T) {
 		t.Fatalf("worker b got unit %d (relation %v), want a's expired unit %d (relation %v)",
 			lease2.Unit.UnitID, lease2.Unit.Relations, u.UnitID, u.Relations)
 	}
-	if got := c.reassignedTotal; got != 1 {
-		t.Errorf("reassignedTotal = %d, want 1", got)
+	if got := c.reassigned.Value(); got != 1 {
+		t.Errorf("reassigned = %d, want 1", got)
 	}
 
 	// The original worker's heartbeat now reports abandonment.
@@ -178,8 +178,8 @@ func TestFailReturnsUnitAndAttemptCapFailsSweep(t *testing.T) {
 	if fail.Status != StatusOK {
 		t.Fatalf("fail: %+v", fail)
 	}
-	if c.retriedTotal != 1 {
-		t.Errorf("retriedTotal = %d, want 1", c.retriedTotal)
+	if got := c.retried.Value(); got != 1 {
+		t.Errorf("retried = %d, want 1", got)
 	}
 
 	// Attempt 2 leases the same unit again; its failure exhausts the cap,

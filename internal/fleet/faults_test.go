@@ -434,7 +434,7 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		s.clock = s.clock.Add(s.cfg.LeaseTTL + time.Millisecond)
 		s.mu.Unlock()
 	case lease.Status == StatusUnit && ft.fault == killMidUnit &&
-		s.inspect(func(c *Coordinator) bool { return c.recordsTotal > 0 }):
+		s.inspect(func(c *Coordinator) bool { return c.records.Value() > 0 }):
 		ft.down.Store(true)
 		ft.kill()
 		s.fire()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestCoordinatorErrorBodiesPinned fixes the bytes of the coordinator's
@@ -34,7 +36,7 @@ func TestCoordinatorErrorBodiesPinned(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsPinned fixes writeMetricsLocked's text under a fake
+// TestCoordinatorMetricsPinned fixes the coordinator's metrics text under a fake
 // clock: one worker heard from within three lease TTLs and one not, units
 // and sweeps in every state, and distinct values in every counter.
 func TestCoordinatorMetricsPinned(t *testing.T) {
@@ -45,12 +47,14 @@ func TestCoordinatorMetricsPinned(t *testing.T) {
 	c.sweeps["a"] = &sweep{state: sweepRunning, units: []*unit{{state: unitPending}, {state: unitLeased}, {state: unitDone}, {state: unitDone}}}
 	c.sweeps["b"] = &sweep{state: sweepDone, units: []*unit{{state: unitDone}}}
 	c.sweeps["c"] = &sweep{state: sweepFailed}
-	c.leasesTotal, c.reassignedTotal, c.retriedTotal, c.duplicatesTotal = 1, 2, 3, 4
-	c.mismatchedTotal, c.recordsTotal, c.completesUnknown, c.sweepsSubmitted = 5, 6, 7, 8
+	for i, n := range []*wire.Counter{c.leases, c.reassigned, c.retried, c.duplicates,
+		c.mismatched, c.records, c.unknownCompletes, c.sweepsSubmitted} {
+		n.Add(uint64(i + 1))
+	}
 	var b bytes.Buffer
-	c.writeMetricsLocked(&b)
+	c.metrics.WriteTo(&b)
 	if got := b.String(); got != wantCoordinatorMetrics {
-		t.Errorf("writeMetricsLocked:\n%s\nwant:\n%s", got, wantCoordinatorMetrics)
+		t.Errorf("/metrics:\n%s\nwant:\n%s", got, wantCoordinatorMetrics)
 	}
 }
 

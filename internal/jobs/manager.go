@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // State is a job's lifecycle phase.
@@ -127,15 +128,6 @@ func (j *Job) Result() (*core.Result, bool) {
 	return j.result, true
 }
 
-// Counters are the manager's monotonic lifecycle counters, for /metrics.
-type Counters struct {
-	Submitted uint64
-	Completed uint64
-	Failed    uint64
-	Cancelled uint64
-	Evicted   uint64
-}
-
 // Manager owns a bounded worker pool executing discovery jobs, a registry
 // of their statuses and results, and a retention policy bounding how long
 // finished jobs (and their result memory) stick around.
@@ -147,17 +139,21 @@ type Manager struct {
 	queue    chan *Job
 	wg       sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	seq      int
-	jobs     map[string]*Job
-	order    []*Job // insertion order, for List and eviction
-	counters Counters
+	mu     sync.Mutex
+	closed bool
+	seq    int
+	jobs   map[string]*Job
+	order  []*Job // insertion order, for List and eviction
+
+	// Lifecycle counters, each moved under mu or the job's mutex with the
+	// change it counts.
+	submitted, completed, failed, cancelled, evicted *wire.Counter
 }
 
-// NewManager starts cfg.Workers workers and returns the manager. Close must
-// be called to stop them.
-func NewManager(cfg Config) *Manager {
+// NewManager starts cfg.Workers workers and returns the manager, its
+// metrics declared in reg: kgserve serves them beside its own. Close must
+// be called to stop the workers.
+func NewManager(cfg Config, reg *wire.Registry) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -182,6 +178,24 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Discover != nil {
 		m.discover = cfg.Discover
 	}
+	reg.GaugeFunc("kgserve_jobs", "Retained async discovery jobs, by state.", []string{"state"}, func(emit func(any, ...string)) {
+		counts := make(map[State]int)
+		m.mu.Lock()
+		for _, j := range m.order {
+			j.mu.Lock()
+			counts[j.state]++
+			j.mu.Unlock()
+		}
+		m.mu.Unlock()
+		for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
+			emit(counts[st], string(st))
+		}
+	})
+	m.submitted = reg.Counter("kgserve_jobs_submitted_total", "Async jobs accepted by POST /jobs.")
+	m.completed = reg.Counter("kgserve_jobs_completed_total", "Async jobs that finished successfully.")
+	m.failed = reg.Counter("kgserve_jobs_failed_total", "Async jobs that finished with an error.")
+	m.cancelled = reg.Counter("kgserve_jobs_cancelled_total", "Async jobs cancelled before completing.")
+	m.evicted = reg.Counter("kgserve_jobs_evicted_total", "Finished jobs evicted by the retention policy.")
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -223,7 +237,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	m.jobs[id] = j
 	m.order = append(m.order, j)
-	m.counters.Submitted++
+	m.submitted.Inc()
 	m.sweepLocked()
 	m.mu.Unlock()
 	return j, nil
@@ -272,24 +286,6 @@ func (m *Manager) List() []Status {
 		out[i] = j.Status()
 	}
 	return out
-}
-
-// Snapshot returns the per-state job counts and the lifecycle counters, for
-// the /metrics endpoint.
-func (m *Manager) Snapshot() (map[State]int, Counters) {
-	m.mu.Lock()
-	jobs := append([]*Job(nil), m.order...)
-	counters := m.counters
-	m.mu.Unlock()
-	counts := map[State]int{
-		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCancelled: 0,
-	}
-	for _, j := range jobs {
-		j.mu.Lock()
-		counts[j.state]++
-		j.mu.Unlock()
-	}
-	return counts, counters
 }
 
 // Close stops accepting jobs, cancels everything queued or running, and
@@ -347,7 +343,7 @@ func (m *Manager) evictLocked(j *Job) {
 			break
 		}
 	}
-	m.counters.Evicted++
+	m.evicted.Inc()
 }
 
 func (m *Manager) worker() {
@@ -361,14 +357,14 @@ func (m *Manager) execute(j *Job) {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	defer cancel()
 
-	m.mu.Lock() // a reader that sees a final state also sees its counter
+	// Each counter moves before the state it counts, under j.mu: a reader
+	// that sees a final state also sees its counter.
 	j.mu.Lock()
 	if j.wantStop {
+		m.cancelled.Inc()
 		j.state = StateCancelled
 		j.finished = m.cfg.Now()
-		m.counters.Cancelled++
 		j.mu.Unlock()
-		m.mu.Unlock()
 		if j.spec.OnFinish != nil {
 			j.spec.OnFinish(StateCancelled)
 		}
@@ -378,7 +374,6 @@ func (m *Manager) execute(j *Job) {
 	j.started = m.cfg.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
-	m.mu.Unlock()
 
 	spec := j.spec
 	spec.OnProgress = func(p Progress) {
@@ -390,7 +385,6 @@ func (m *Manager) execute(j *Job) {
 	}
 	res, info, err := run(ctx, spec, m.discover)
 
-	m.mu.Lock()
 	j.mu.Lock()
 	j.cancel = nil
 	j.finished = m.cfg.Now()
@@ -400,22 +394,21 @@ func (m *Manager) execute(j *Job) {
 	switch {
 	case err == nil:
 		final = StateDone
-		m.counters.Completed++
+		m.completed.Inc()
 		j.result = res
 		j.done = info.TotalRelations
 		j.facts = len(res.Facts)
 	case j.wantStop || errors.Is(err, context.Canceled):
 		final = StateCancelled
-		m.counters.Cancelled++
+		m.cancelled.Inc()
 		j.err = context.Canceled
 	default:
 		final = StateFailed
-		m.counters.Failed++
+		m.failed.Inc()
 		j.err = err
 	}
 	j.state = final
 	j.mu.Unlock()
-	m.mu.Unlock()
 	if j.spec.OnFinish != nil {
 		j.spec.OnFinish(final)
 	}

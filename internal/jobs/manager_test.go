@@ -3,7 +3,9 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kg"
 	"repro/internal/kge"
+	"repro/internal/wire"
 )
 
 // stubDiscover returns a discover function that reports its concurrency
@@ -79,7 +82,7 @@ func waitState(t *testing.T, j *Job, want State) Status {
 }
 
 func TestManagerRunsJobToCompletion(t *testing.T) {
-	m := NewManager(Config{Workers: 1})
+	m := NewManager(Config{Workers: 1}, new(wire.Registry))
 	defer m.Close()
 	j, err := m.Submit(managerSpec(t))
 	if err != nil {
@@ -103,7 +106,7 @@ func TestManagerRunsJobToCompletion(t *testing.T) {
 func TestManagerWorkerPoolCap(t *testing.T) {
 	var inFlight, peak int64
 	release := make(chan struct{})
-	m := NewManager(Config{Workers: 3, Discover: stubDiscover(&inFlight, &peak, release)})
+	m := NewManager(Config{Workers: 3, Discover: stubDiscover(&inFlight, &peak, release)}, new(wire.Registry))
 	defer m.Close()
 
 	spec := managerSpec(t)
@@ -133,7 +136,8 @@ func TestManagerWorkerPoolCap(t *testing.T) {
 // goroutines at once; the race detector is the real assertion.
 func TestManagerConcurrentLifecycle(t *testing.T) {
 	var inFlight, peak int64
-	m := NewManager(Config{Workers: 4, Discover: stubDiscover(&inFlight, &peak, nil)})
+	var reg wire.Registry
+	m := NewManager(Config{Workers: 4, Discover: stubDiscover(&inFlight, &peak, nil)}, &reg)
 	defer m.Close()
 	spec := managerSpec(t)
 
@@ -167,7 +171,7 @@ func TestManagerConcurrentLifecycle(t *testing.T) {
 				default:
 				}
 				m.List()
-				m.Snapshot()
+				_, _ = reg.WriteTo(io.Discard)
 			}
 		}()
 	}
@@ -176,8 +180,10 @@ func TestManagerConcurrentLifecycle(t *testing.T) {
 	// Every job must reach a terminal state.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		counts, _ := m.Snapshot()
-		if counts[StateQueued] == 0 && counts[StateRunning] == 0 {
+		var b strings.Builder
+		_, _ = reg.WriteTo(&b)
+		if strings.Contains(b.String(), "kgserve_jobs{state=\"queued\"} 0\n") &&
+			strings.Contains(b.String(), "kgserve_jobs{state=\"running\"} 0\n") {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -192,7 +198,7 @@ func TestManagerCancelMidRelationLeavesResumableJournal(t *testing.T) {
 	dir := t.TempDir()
 	proceed := make(chan struct{})
 	var once sync.Once
-	m := NewManager(Config{Workers: 1, Dir: dir})
+	m := NewManager(Config{Workers: 1, Dir: dir}, new(wire.Registry))
 	defer m.Close()
 
 	spec := managerSpec(t)
@@ -260,7 +266,7 @@ func TestManagerRetention(t *testing.T) {
 	m := NewManager(Config{
 		Workers: 1, MaxCompleted: 3, TTL: time.Hour, Now: clock,
 		Discover: stubDiscover(&inFlight, &peak, nil),
-	})
+	}, new(wire.Registry))
 	defer m.Close()
 	spec := managerSpec(t)
 
@@ -291,26 +297,19 @@ func TestManagerRetention(t *testing.T) {
 	if got := len(m.List()); got != 0 {
 		t.Fatalf("TTL sweep left %d jobs", got)
 	}
-	// A worker bumps Completed just after the job's state becomes visible
-	// (m.mu is never taken under a job mutex), so the last job's increment
-	// may still be in flight: wait for it instead of reading once.
-	_, counters := m.Snapshot()
-	for deadline := time.Now().Add(10 * time.Second); counters.Completed != 6 && time.Now().Before(deadline); {
-		time.Sleep(2 * time.Millisecond)
-		_, counters = m.Snapshot()
+	// A job's counter moves before its state does, so waitState saw it.
+	if got := m.evicted.Value(); got != 6 {
+		t.Fatalf("evicted counter %d, want 6", got)
 	}
-	if counters.Evicted != 6 {
-		t.Fatalf("evicted counter %d, want 6", counters.Evicted)
-	}
-	if counters.Submitted != 6 || counters.Completed != 6 {
-		t.Fatalf("counters %+v", counters)
+	if m.submitted.Value() != 6 || m.completed.Value() != 6 {
+		t.Fatalf("submitted %d, completed %d", m.submitted.Value(), m.completed.Value())
 	}
 }
 
 func TestManagerQueueFull(t *testing.T) {
 	var inFlight, peak int64
 	release := make(chan struct{})
-	m := NewManager(Config{Workers: 1, Discover: stubDiscover(&inFlight, &peak, release)})
+	m := NewManager(Config{Workers: 1, Discover: stubDiscover(&inFlight, &peak, release)}, new(wire.Registry))
 	defer m.Close()
 	spec := managerSpec(t)
 
@@ -336,7 +335,7 @@ func TestManagerQueueFull(t *testing.T) {
 func TestManagerCloseCancelsRunning(t *testing.T) {
 	var inFlight, peak int64
 	release := make(chan struct{}) // never closed: only ctx can end the job
-	m := NewManager(Config{Workers: 1, Discover: stubDiscover(&inFlight, &peak, release)})
+	m := NewManager(Config{Workers: 1, Discover: stubDiscover(&inFlight, &peak, release)}, new(wire.Registry))
 	j, err := m.Submit(managerSpec(t))
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +357,7 @@ func TestManagerCloseCancelsRunning(t *testing.T) {
 }
 
 func TestManagerCancelUnknown(t *testing.T) {
-	m := NewManager(Config{Workers: 1})
+	m := NewManager(Config{Workers: 1}, new(wire.Registry))
 	defer m.Close()
 	if _, err := m.Cancel("job-999999"); err == nil {
 		t.Fatal("cancel of unknown job did not error")
@@ -367,7 +366,7 @@ func TestManagerCancelUnknown(t *testing.T) {
 
 func TestManagerIDsAreUnique(t *testing.T) {
 	var inFlight, peak int64
-	m := NewManager(Config{Workers: 2, Discover: stubDiscover(&inFlight, &peak, nil)})
+	m := NewManager(Config{Workers: 2, Discover: stubDiscover(&inFlight, &peak, nil)}, new(wire.Registry))
 	defer m.Close()
 	spec := managerSpec(t)
 	seen := make(map[string]bool)

@@ -189,6 +189,60 @@ func TestApplyMaintainsFilter(t *testing.T) {
 	}
 }
 
+// TestAddThenDeleteRestoresState: a batch that adds triples and the next
+// batch that deletes them leave the state as it was, slice for slice:
+//
+//	train:  t0 t1 ... tk             (v asserted by valid or test, not train)
+//	seq 1:  add v, n1, n2            train: t0 ... tk v n1 n2; filter gains n1 n2
+//	seq 2:  delete v, n1, n2         train: t0 ... tk;         filter keeps v
+//
+// Deleting v from train must not take it out of the filter, which valid or
+// test still assert it in.
+func TestAddThenDeleteRestoresState(t *testing.T) {
+	ds, _ := testModel(t)
+	d := cloneDataset(ds)
+	frozen := kg.Merge(d.Valid, d.Test)
+	filter := kg.Merge(d.Train, d.Valid, d.Test)
+	st := NewState(d.Train, filter, frozen)
+	graphBefore, filterBefore := d.Train.Triples(), filter.Triples()
+
+	var batch []kg.Triple
+	for _, tr := range frozen.Triples() {
+		if !d.Train.Contains(tr) {
+			batch = append(batch, tr)
+			break
+		}
+	}
+	if len(batch) == 0 {
+		t.Fatal("valid and test assert no triple train lacks")
+	}
+	r := graphBefore[0].R
+	for s := 0; s < d.Train.NumEntities() && len(batch) < 3; s++ {
+		if tr := (kg.Triple{S: kg.EntityID(s), R: r, O: kg.EntityID(d.Train.NumEntities() - 1 - s)}); !filter.Contains(tr) {
+			batch = append(batch, tr)
+		}
+	}
+	ops := func(kind OpKind) []Op {
+		var out []Op
+		for _, tr := range batch {
+			out = append(out, Op{Kind: kind, S: d.Train.Entities.Name(int32(tr.S)), R: d.Train.Relations.Name(int32(tr.R)), O: d.Train.Entities.Name(int32(tr.O))})
+		}
+		return out
+	}
+	if ap, err := st.Apply(Batch{Seq: 1, Ops: ops(OpAdd)}); err != nil || ap.Added != len(batch) {
+		t.Fatalf("seq 1: %+v, %v", ap, err)
+	}
+	if ap, err := st.Apply(Batch{Seq: 2, Ops: ops(OpDelete)}); err != nil || ap.Deleted != len(batch) {
+		t.Fatalf("seq 2: %+v, %v", ap, err)
+	}
+	if !reflect.DeepEqual(d.Train.Triples(), graphBefore) {
+		t.Error("train reads otherwise after adding and deleting the same triples")
+	}
+	if !reflect.DeepEqual(filter.Triples(), filterBefore) {
+		t.Error("filter reads otherwise after adding and deleting the same triples")
+	}
+}
+
 // TestIncrementalMatchesScratch is the core guarantee: after a mutation
 // batch, IncrementalDiscover over the dirty relations splices with the prior
 // sweep to exactly the facts a from-scratch DiscoverFacts produces on the
@@ -338,10 +392,10 @@ func TestLogReplayAndRecovery(t *testing.T) {
 	if d2.Train.Len() != d1.Train.Len() {
 		t.Fatalf("replayed graph has %d triples, live one %d", d2.Train.Len(), d1.Train.Len())
 	}
-	for _, tr := range d1.Train.Triples() {
-		if !d2.Train.Contains(tr) {
-			t.Fatalf("replayed graph missing %v", tr)
-		}
+	// The replayed graph took the same history, so it reads in the same
+	// order, not only with the same triples.
+	if got, want := d2.Train.Triples(), d1.Train.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed graph reads %d triples in another order than the live one's %d", len(got), len(want))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/kg"
+	"repro/internal/wire"
 )
 
 // lruCache is a mutex-guarded LRU over rendered response bodies. Values are
@@ -17,7 +18,7 @@ type lruCache struct {
 	cap     int
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
-	onEvict func()
+	evicted *wire.Counter
 }
 
 // lruEntry tags each cached body with the relations it depends on, under a
@@ -33,9 +34,9 @@ type lruEntry struct {
 	rels []kg.RelationID
 }
 
-// newLRUCache returns a cache holding at most capacity entries. onEvict, if
-// non-nil, is called once per evicted entry (used for the eviction counter).
-func newLRUCache(capacity int, onEvict func()) *lruCache {
+// newLRUCache returns a cache holding at most capacity entries, counting
+// each entry it evicts in evicted.
+func newLRUCache(capacity int, evicted *wire.Counter) *lruCache {
 	if capacity <= 0 {
 		return nil
 	}
@@ -43,7 +44,7 @@ func newLRUCache(capacity int, onEvict func()) *lruCache {
 		cap:     capacity,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element, capacity),
-		onEvict: onEvict,
+		evicted: evicted,
 	}
 }
 
@@ -81,9 +82,7 @@ func (c *lruCache) Add(key string, body []byte, rels []kg.RelationID) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
-		if c.onEvict != nil {
-			c.onEvict()
-		}
+		c.evicted.Inc()
 	}
 }
 

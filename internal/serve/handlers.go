@@ -190,15 +190,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // returns compute's error for the caller to map to a status.
 func (s *Server) answer(w http.ResponseWriter, key string, compute func() ([]byte, error)) error {
 	if body, ok := s.cache.Get(key); ok {
-		s.metrics.incCacheHit()
+		s.metrics.cacheHits.Inc()
 		w.Header().Set("X-Cache", "hit")
 		wire.WriteBody(w, http.StatusOK, body)
 		return nil
 	}
-	s.metrics.incCacheMiss()
+	s.metrics.cacheMisses.Inc()
 	body, err, joined := s.flight.Do(key, compute)
 	if joined {
-		s.metrics.incDedup()
+		s.metrics.dedups.Inc()
 		w.Header().Set("X-Cache", "dedup")
 	} else {
 		w.Header().Set("X-Cache", "miss")
@@ -385,7 +385,7 @@ func (s *Server) runDiscover(call *discoverCall, key string, tag []kg.RelationID
 	select {
 	case s.discoverSem <- struct{}{}:
 	default:
-		s.metrics.incRejected()
+		s.metrics.rejected.Inc()
 		return nil, errOverloaded
 	}
 	defer func() { <-s.discoverSem }()
@@ -401,7 +401,9 @@ func (s *Server) runDiscover(call *discoverCall, key string, tag []kg.RelationID
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.observeDiscovery(res.Stats)
+	s.metrics.scoreSweeps.Add(uint64(res.Stats.ScoreSweeps))
+	s.metrics.batchedSweeps.Add(uint64(res.Stats.BatchedSweeps))
+	s.metrics.batchRows.Add(uint64(res.Stats.BatchRows))
 	b, err := s.renderResult(res, call.req.Limit)
 	if err == nil {
 		s.cache.Add(key, b, tag)

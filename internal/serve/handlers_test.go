@@ -396,8 +396,7 @@ func TestCacheEviction(t *testing.T) {
 	h := srv.Handler()
 	doReq(t, h, "POST", "/query", queryRequest{Subject: "e1", Relation: "r0", K: 3})
 	doReq(t, h, "POST", "/query", queryRequest{Subject: "e2", Relation: "r1", K: 3}) // evicts the first
-	_, _, evictions, _, _ := srv.metrics.snapshotCounters()
-	if evictions != 1 {
+	if evictions := srv.metrics.cacheEvictions.Value(); evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
 	rec, _ := doReq(t, h, "POST", "/query", queryRequest{Subject: "e1", Relation: "r0", K: 3})

@@ -185,8 +185,8 @@ func TestJobSubmitValidation(t *testing.T) {
 			t.Errorf("%s: code %d, want %d (%v)", tc.name, rec.Code, tc.code, body)
 		}
 	}
-	if _, counters := srv.jobs.Snapshot(); counters.Submitted != 0 {
-		t.Fatalf("invalid submissions reached the manager: %+v", counters)
+	if retained := srv.jobs.List(); len(retained) != 0 {
+		t.Fatalf("invalid submissions reached the manager: %+v", retained)
 	}
 }
 

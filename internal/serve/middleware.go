@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"repro/internal/wire"
@@ -44,7 +45,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.startRequest(route)
+		inFlight, latency := s.metrics.inFlight.With(route), s.metrics.latency.With(route)
+		inFlight.Add(1)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
@@ -53,7 +55,7 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					s.metrics.incPanic()
+					s.metrics.panics.Inc()
 					s.cfg.Logger.Printf("kgserve: panic on %s: %v\n%s", route, p, debug.Stack())
 					if !sw.wrote {
 						wire.WriteError(sw, http.StatusInternalServerError, "internal error")
@@ -64,7 +66,9 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
 		}()
 
 		d := time.Since(start)
-		s.metrics.endRequest(route, sw.code, d)
+		inFlight.Add(-1)
+		s.metrics.requests.With(route, strconv.Itoa(sw.code)).Inc()
+		latency.Observe(d.Seconds())
 		s.cfg.Logger.Printf("kgserve: %s %s %d %dB %s %s", r.Method, r.URL.Path, sw.code, sw.bytes, d.Round(time.Microsecond), r.RemoteAddr)
 	})
 }

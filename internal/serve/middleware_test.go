@@ -23,10 +23,7 @@ func TestPanicRecovery(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "error") {
 		t.Fatalf("panic response not error JSON: %q", rec.Body.String())
 	}
-	srv.metrics.mu.Lock()
-	panics := srv.metrics.panics
-	srv.metrics.mu.Unlock()
-	if panics != 1 {
+	if panics := srv.metrics.panics.Value(); panics != 1 {
 		t.Errorf("panics counter = %d, want 1", panics)
 	}
 	// The server stays up.

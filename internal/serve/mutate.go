@@ -40,7 +40,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(b.Ops) > s.cfg.MaxMutationOps {
-		s.metrics.incMutationRejected()
+		s.metrics.mutationRejected.Inc()
 		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			"batch has %d ops, limit is %d", len(b.Ops), s.cfg.MaxMutationOps)
 		return
@@ -58,7 +58,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.kgMu.Unlock()
 
 	if err != nil {
-		s.metrics.incMutationRejected()
+		s.metrics.mutationRejected.Inc()
 		var gap *mutate.SequenceGapError
 		var invalid *mutate.ValidationError
 		switch {
@@ -75,7 +75,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.metrics.observeMutation(ap.Added, ap.Deleted, invalidated)
+	s.metrics.mutationBatches.Inc()
+	s.metrics.mutationAdds.Add(uint64(ap.Added))
+	s.metrics.mutationDeletes.Add(uint64(ap.Deleted))
+	s.metrics.cacheInvalidations.Add(uint64(invalidated))
 	names := make([]string, len(ap.NetRels))
 	for i, rid := range ap.NetRels {
 		names[i] = s.ds.Train.Relations.Name(int32(rid))

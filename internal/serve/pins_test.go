@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // TestErrorBodiesPinned fixes the bytes of the error replies every decoding
@@ -37,44 +37,40 @@ func TestErrorBodiesPinned(t *testing.T) {
 	}
 }
 
-// TestMetricsTextPinned fixes the Prometheus text of metrics.writeTo on
-// fixed counters and fixed durations, so the histogram lines are
-// deterministic, and the registry and job sections a fresh server's
-// /metrics appends to it.
+// TestMetricsTextPinned fixes the Prometheus text of a fresh server's
+// /metrics after fixed counts and fixed durations, so the histogram lines
+// are deterministic: the server's own families, then the registry and job
+// sections.
 func TestMetricsTextPinned(t *testing.T) {
-	m := newMetrics()
-	m.startRequest("/query")
-	m.endRequest("/query", 200, 3*time.Millisecond)
-	m.startRequest("/query")
-	m.endRequest("/query", 404, 700*time.Millisecond)
-	m.startRequest("/discover")
-	m.endRequest("/discover", 200, 4*time.Second)
-	m.startRequest("/discover")
-	m.incModelRequest("fp-b")
-	m.incModelRequest("fp-a")
-	m.incModelRequest("fp-b")
-	m.incCacheHit()
-	m.incCacheMiss()
-	m.incCacheMiss()
-	m.incEviction()
-	m.incDedup()
-	m.incRejected()
-	m.incPanic()
-	m.incMutationRejected()
-	m.observeDiscovery(core.Stats{ScoreSweeps: 7, BatchedSweeps: 2, BatchRows: 9})
-	m.observeMutation(3, 1, 4)
-	var b bytes.Buffer
-	m.writeTo(&b)
-	if got := b.String(); got != wantMetricsText {
-		t.Errorf("writeTo:\n%s\nwant:\n%s", got, wantMetricsText)
-	}
-
 	srv := newTestServer(t, nil)
-	b.Reset()
-	srv.writeModelMetrics(&b)
-	srv.writeJobMetrics(&b)
-	if got := strings.ReplaceAll(b.String(), srv.Fingerprint(), "FP"); got != wantRegistryJobsText {
-		t.Errorf("model and job metrics:\n%s\nwant:\n%s", got, wantRegistryJobsText)
+	m := srv.metrics
+	// Three requests served and one in flight, recorded as wrap records them.
+	for _, r := range []struct {
+		route, code string
+		d           time.Duration
+	}{{"/query", "200", 3 * time.Millisecond}, {"/query", "404", 700 * time.Millisecond}, {"/discover", "200", 4 * time.Second}} {
+		m.inFlight.With(r.route)
+		m.requests.With(r.route, r.code).Inc()
+		m.latency.With(r.route).Observe(r.d.Seconds())
+	}
+	m.inFlight.With("/discover").Add(1)
+	for _, fp := range []string{"fp-b", "fp-a", "fp-b"} {
+		m.modelRequests.With(fp).Inc()
+	}
+	for _, c := range []*wire.Counter{m.cacheHits, m.cacheMisses, m.cacheMisses, m.cacheEvictions,
+		m.dedups, m.rejected, m.panics, m.mutationRejected, m.mutationBatches} {
+		c.Inc()
+	}
+	m.scoreSweeps.Add(7)
+	m.batchedSweeps.Add(2)
+	m.batchRows.Add(9)
+	m.mutationAdds.Add(3)
+	m.mutationDeletes.Add(1)
+	m.cacheInvalidations.Add(4)
+	var b bytes.Buffer
+	m.reg.WriteTo(&b)
+	if got := strings.ReplaceAll(b.String(), srv.Fingerprint(), "FP"); got != wantMetricsText+wantRegistryJobsText {
+		t.Errorf("/metrics:\n%s\nwant:\n%s", got, wantMetricsText+wantRegistryJobsText)
 	}
 }
 

@@ -91,7 +91,7 @@ func (s *Server) acquireModel(selector string) (*servedModel, error) {
 	sm.mu.Lock()
 	sm.refs++
 	sm.mu.Unlock()
-	s.metrics.incModelRequest(sm.fingerprint)
+	s.metrics.modelRequests.With(sm.fingerprint).Inc()
 	return sm, nil
 }
 

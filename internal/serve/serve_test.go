@@ -168,7 +168,7 @@ func TestSingleFlightDiscover(t *testing.T) {
 			t.Fatalf("request %d body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	hits, misses, _, dedups, _ := srv.metrics.snapshotCounters()
+	hits, misses, dedups := srv.metrics.cacheHits.Value(), srv.metrics.cacheMisses.Value(), srv.metrics.dedups.Value()
 	if hits+dedups != n-1 {
 		t.Errorf("hits (%d) + dedups (%d) = %d, want %d", hits, dedups, hits+dedups, n-1)
 	}
@@ -229,7 +229,7 @@ func TestSemaphoreCapNeverExceeded(t *testing.T) {
 	// other n-cap must be rejected. Wait until they all have been.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, _, _, _, rejected := srv.metrics.snapshotCounters()
+		rejected := srv.metrics.rejected.Value()
 		if rejected == n-capacity {
 			break
 		}

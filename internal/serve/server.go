@@ -172,11 +172,11 @@ func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 		models:      make(map[string]*servedModel),
 		cfg:         cfg,
 		flight:      newFlightGroup(),
-		metrics:     newMetrics(),
 		discoverSem: make(chan struct{}, cfg.MaxDiscover),
 		discover:    core.DiscoverFacts,
 	}
-	s.cache = newLRUCache(cfg.CacheSize, s.metrics.incEviction)
+	s.metrics = newMetrics(s.modelViews)
+	s.cache = newLRUCache(cfg.CacheSize, s.metrics.cacheEvictions)
 	// Build the mutable graph state before any model registers: rankers are
 	// constructed against the shared filter union, and a mutation log must
 	// replay, through mutate.State, before anything is derived from the
@@ -220,11 +220,13 @@ func New(ds *kg.Dataset, model kge.Model, cfg Config) (*Server, error) {
 			defer s.kgMu.RUnlock()
 			res, err := s.discover(ctx, m, g, strategy, opts)
 			if err == nil {
-				s.metrics.observeDiscovery(res.Stats)
+				s.metrics.scoreSweeps.Add(uint64(res.Stats.ScoreSweeps))
+				s.metrics.batchedSweeps.Add(uint64(res.Stats.BatchedSweeps))
+				s.metrics.batchRows.Add(uint64(res.Stats.BatchRows))
 			}
 			return res, err
 		},
-	})
+	}, &s.metrics.reg)
 	return s, nil
 }
 
@@ -281,7 +283,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", s.wrap("/healthz", wire.Healthz))
 	mux.Handle("GET /stats", s.wrap("/stats", s.handleStats))
-	mux.Handle("GET /metrics", s.wrap("/metrics", s.handleMetrics))
+	mux.Handle("GET /metrics", s.wrap("/metrics", s.metrics.reg.ServeHTTP))
 	mux.Handle("POST /score", s.wrap("/score", s.handleScore))
 	mux.Handle("POST /rank", s.wrap("/rank", s.handleRank))
 	mux.Handle("POST /query", s.wrap("/query", s.handleQuery))

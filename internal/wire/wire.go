@@ -1,8 +1,9 @@
 // Package wire is the HTTP edge every program here shares, so that a rule
 // change is one edit: what a JSON request body may be, how a reply or an
-// error is written, how a client posts JSON and reads the reply, and how a
-// counter or gauge is rendered as Prometheus text. kgserve, the kgfleet
-// coordinator and worker, kgdiscover -fleet and kgmutate -batch go through it.
+// error is written, how a client posts JSON and reads the reply, and the
+// metrics registry whose Prometheus text /metrics serves. kgserve, the
+// kgfleet coordinator and worker, kgdiscover -fleet and kgmutate -batch go
+// through it.
 package wire
 
 import (
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 )
 
 // Unmarshal decodes exactly one JSON value from data into v. A field v's
@@ -123,33 +123,4 @@ func Post(ctx context.Context, client *http.Client, url string, body, into any, 
 		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 	return json.Unmarshal(data, into)
-}
-
-// MetricsContentType is that of the Prometheus text format (version 0.0.4)
-// Help, Scalar and Family write.
-const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// Help writes a metric family's HELP and TYPE lines; its samples follow.
-func Help(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// Scalar writes a metric family of one unlabelled sample.
-func Scalar(w io.Writer, name, typ, help string, v uint64) {
-	Help(w, name, typ, help)
-	fmt.Fprintf(w, "%s %d\n", name, v)
-}
-
-// Family writes a metric family with one label: a sample per key of values,
-// in sorted order, with the key as the label's value.
-func Family[K ~string, V int | uint64](w io.Writer, name, typ, help, label string, values map[K]V) {
-	Help(w, name, typ, help)
-	keys := make([]K, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, values[k])
-	}
 }

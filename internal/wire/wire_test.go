@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -79,28 +78,6 @@ func TestPost(t *testing.T) {
 	}
 	if _, err := post(request{A: 100, B: "ok"}, 50); err == nil || !strings.Contains(err.Error(), "unexpected end of JSON input") {
 		t.Errorf("reply over the limit: %v, want a decode error", err)
-	}
-}
-
-// TestMetricText fixes the Prometheus text of the three writers.
-func TestMetricText(t *testing.T) {
-	var b bytes.Buffer
-	Scalar(&b, "x_total", "counter", "Things counted.", 7)
-	Help(&b, "y", "histogram", "A histogram.")
-	Family(&b, "z", "gauge", "Things by state.", "state", map[string]int{"run": 2, "done": 0, "fail": 1})
-	want := `# HELP x_total Things counted.
-# TYPE x_total counter
-x_total 7
-# HELP y A histogram.
-# TYPE y histogram
-# HELP z Things by state.
-# TYPE z gauge
-z{state="done"} 0
-z{state="fail"} 1
-z{state="run"} 2
-`
-	if b.String() != want {
-		t.Errorf("got:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 

@@ -237,8 +237,11 @@ hold_lines 'internal/{kge,eval,train,core}' 5290 \
   internal/kge internal/eval internal/train internal/core
 # The packages around the sweep — journal, mutation log, fleet, server, the
 # two that put bytes on disk for them, and the HTTP edge they share: the
-# count once the dirty set reverted its batches with Add; 5 202 once
-# internal/wire held the one body decoder, reply writers, JSON
+# count once internal/wire held the one metrics registry the server, the
+# fleet coordinator and the job manager declare their metrics in, in place
+# of the server's metrics struct, the coordinator's counter fields and
+# jobs.Counters (5 200 once the dirty set reverted its batches with Add;
+# 5 202 once internal/wire held the one body decoder, reply writers, JSON
 # client and Prometheus writer that kgserve, the fleet and kgdiscover -fleet
 # each kept a copy of (5 204 without internal/wire, once jobs.Open became the
 # one journal step of jobs.Run and the fleet coordinator, kgserve answered
@@ -265,8 +268,8 @@ hold_lines 'internal/{kge,eval,train,core}' 5290 \
 # server lost its prune options and its registry resolves selectors in one
 # place; 5 488 with /query's bounded top-k heap in serve; 5 440 with one
 # discover-request parser in serve; 5 459 when the two logs became
-# internal/wal).
-hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal,wire}' 5200 \
+# internal/wal)).
+hold_lines 'internal/{jobs,mutate,fleet,serve,fsio,wal,wire}' 5198 \
   internal/jobs internal/mutate internal/fleet internal/serve internal/fsio internal/wal internal/wire
 # The triple store: one eager, array-backed index per relation, the count
 # once each index entry carried its triple's sequence number in place of the
